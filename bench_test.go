@@ -13,7 +13,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"strconv"
 	"sync"
@@ -23,6 +22,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dense"
 	"repro/internal/eager"
+	"repro/internal/safs"
 	"repro/internal/workload"
 	"repro/ml"
 )
@@ -113,12 +113,8 @@ func newEMSession(root string, fuse flashr.FuseLevel) (*flashr.Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	drives := make([]string, 4)
-	for i := range drives {
-		drives[i] = filepath.Join(sub, fmt.Sprintf("ssd-%02d", i))
-	}
 	return flashr.NewSession(flashr.Options{
-		EM: true, SSDDirs: drives, ReadMBps: 1200, WriteMBps: 1000, Fuse: fuse,
+		EM: true, SSDDirs: safs.DriveDirs(sub, 4), ReadMBps: 1200, WriteMBps: 1000, Fuse: fuse,
 	})
 }
 

@@ -25,50 +25,39 @@ import (
 )
 
 func main() {
+	var cfg benchmark.Config
+	flag.IntVar(&cfg.Session.Workers, "workers", runtime.GOMAXPROCS(0), "worker goroutines per engine")
+	flag.Float64Var(&cfg.Session.ReadMBps, "read-mbps", 1200, "aggregate SSD read bandwidth (MiB/s, 0=unthrottled)")
+	flag.Float64Var(&cfg.Session.WriteMBps, "write-mbps", 1000, "aggregate SSD write bandwidth (MiB/s, 0=unthrottled)")
+	flag.BoolVar(&cfg.Session.SyncWrites, "sync-writes", false, "disable the write-behind pipeline (synchronous partition writes)")
+	flag.IntVar(&cfg.Session.WriteBehindDepth, "write-depth", 0, "in-flight async partition write bound (0=auto: 2×workers in [4,32])")
+	flag.BoolVar(&cfg.Session.DisableVerify, "no-verify", false, "disable CRC32C verification on SSD reads (A/B for the checksum overhead)")
+	flag.BoolVar(&cfg.Session.DisableCSE, "no-cse", false, "disable structural hash-consing and the sub-DAG result cache")
+	flag.BoolVar(&cfg.Session.DisableRewrites, "no-rewrites", false, "disable the algebraic DAG rewrite pass")
+	flag.Int64Var(&cfg.N, "n", 200_000, "base dataset rows (Criteo-sub in the paper is 325M)")
+	flag.StringVar(&cfg.SSDRoot, "ssd-root", "", "directory for the simulated SSD array (default: temp dir)")
+	flag.IntVar(&cfg.Drives, "drives", 4, "simulated SSD count")
+	flag.IntVar(&cfg.Iters, "iters", 5, "fixed iteration count for iterative algorithms")
+	flag.Int64Var(&cfg.Seed, "seed", 42, "workload seed")
+	flag.Float64Var(&cfg.ReadErrRate, "inject-read-err", 0, "probability of a transient injected read error per stripe request")
+	flag.Float64Var(&cfg.FlipBitRate, "inject-flip-bit", 0, "probability of an injected in-flight bit flip per stripe read")
+	flag.Int64Var(&cfg.FaultSeed, "fault-seed", 0, "seed for the injected-fault RNGs (0=derive from -seed)")
+	flag.IntVar(&cfg.ConcurrentSessions, "concurrent", 0, "run the concurrent multi-session experiment with N sessions sharing one engine (shorthand for -experiment concurrent)")
+	flag.IntVar(&cfg.ShardWorkers, "shard-workers", 0, "in-process shard count for the shard experiment (0=2)")
+	flag.IntVar(&cfg.ShardPartRows, "shard-part-rows", 0, "partition height for the shard experiment; must match the workers' -part-rows (0=engine default)")
 	var (
 		experiment = flag.String("experiment", "all", "experiment to run (fig7a|fig7b|fig8|fig9|fig10|table4|table6|cse|rewrite|concurrent|shard|all)")
-		n          = flag.Int64("n", 200_000, "base dataset rows (Criteo-sub in the paper is 325M)")
-		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines per engine")
-		ssdRoot    = flag.String("ssd-root", "", "directory for the simulated SSD array (default: temp dir)")
-		drives     = flag.Int("drives", 4, "simulated SSD count")
-		readMBps   = flag.Float64("read-mbps", 1200, "aggregate SSD read bandwidth (MiB/s, 0=unthrottled)")
-		writeMBps  = flag.Float64("write-mbps", 1000, "aggregate SSD write bandwidth (MiB/s, 0=unthrottled)")
-		iters      = flag.Int("iters", 5, "fixed iteration count for iterative algorithms")
-		seed       = flag.Int64("seed", 42, "workload seed")
-		syncWrites = flag.Bool("sync-writes", false, "disable the write-behind pipeline (synchronous partition writes)")
-		writeDepth = flag.Int("write-depth", 0, "in-flight async partition write bound (0=auto: 2×workers in [4,32])")
-		noVerify   = flag.Bool("no-verify", false, "disable CRC32C verification on SSD reads (A/B for the checksum overhead)")
-		injectRead = flag.Float64("inject-read-err", 0, "probability of a transient injected read error per stripe request")
-		injectFlip = flag.Float64("inject-flip-bit", 0, "probability of an injected in-flight bit flip per stripe read")
-		faultSeed  = flag.Int64("fault-seed", 0, "seed for the injected-fault RNGs (0=derive from -seed)")
-		noCSE      = flag.Bool("no-cse", false, "disable structural hash-consing and the sub-DAG result cache")
-		noRewrite  = flag.Bool("no-rewrites", false, "disable the algebraic DAG rewrite pass")
 		cacheMB    = flag.Int64("cache-mb", 0, "sub-DAG result cache budget in MiB (0=engine default, negative=cache off, CSE on)")
-		concurrent = flag.Int("concurrent", 0, "run the concurrent multi-session experiment with N sessions sharing one engine (shorthand for -experiment concurrent)")
-		shardN     = flag.Int("shard-workers", 0, "in-process shard count for the shard experiment (0=2)")
 		shardAddrs = flag.String("shard-addrs", "", "comma-separated flashr-shardworker TCP addresses for the shard experiment (overrides -shard-workers)")
-		shardParts = flag.Int("shard-part-rows", 0, "partition height for the shard experiment; must match the workers' -part-rows (0=engine default)")
 		tracePath  = flag.String("trace", "", "write a Chrome trace_event JSON file of every materialization pass (load in chrome://tracing or Perfetto)")
 		metrics    = flag.Bool("metrics", false, "dump expfmt metrics from each experiment's EM session before it closes")
 		debugAddr  = flag.String("debug-addr", "", "serve /metrics and /debug/pprof/ on this address while the benchmark runs")
 	)
 	flag.Parse()
-	if *concurrent > 0 && *experiment == "all" {
+	if cfg.ConcurrentSessions > 0 && *experiment == "all" {
 		*experiment = "concurrent"
 	}
-
-	cfg := benchmark.Config{
-		N: *n, Workers: *workers, SSDRoot: *ssdRoot, Drives: *drives,
-		ReadMBps: *readMBps, WriteMBps: *writeMBps, Iters: *iters, Seed: *seed,
-		SyncWrites: *syncWrites, WriteBehindDepth: *writeDepth,
-		DisableVerify: *noVerify, ReadErrRate: *injectRead, FlipBitRate: *injectFlip,
-		FaultSeed:  *faultSeed,
-		DisableCSE: *noCSE, ResultCacheBytes: *cacheMB << 20,
-		DisableRewrites:    *noRewrite,
-		ConcurrentSessions: *concurrent,
-		ShardWorkers:       *shardN,
-		ShardPartRows:      *shardParts,
-	}
+	cfg.Session.ResultCacheBytes = *cacheMB << 20
 	if *shardAddrs != "" {
 		cfg.ShardAddrs = strings.Split(*shardAddrs, ",")
 	}
@@ -87,26 +76,27 @@ func main() {
 		defer ds.Close()
 		fmt.Printf("debug server on %s (/metrics, /debug/pprof/)\n", ds.Addr())
 	}
+	o := cfg.Session
 	writes := "write-behind"
-	if *syncWrites {
+	if o.SyncWrites {
 		writes = "sync"
 	}
 	verify := "on"
-	if *noVerify {
+	if o.DisableVerify {
 		verify = "off"
 	}
 	cse := "on"
-	if *noCSE {
+	if o.DisableCSE {
 		cse = "off"
 	}
 	rewrites := "on"
-	if *noRewrite || *noCSE {
+	if o.DisableRewrites || o.DisableCSE {
 		rewrites = "off"
 	}
 	fmt.Printf("flashr-bench: experiment=%s n=%d workers=%d drives=%d read=%.0fMiB/s write=%.0fMiB/s iters=%d writes=%s depth=%d verify=%s cse=%s rewrites=%s\n",
-		*experiment, *n, *workers, *drives, *readMBps, *writeMBps, *iters, writes, *writeDepth, verify, cse, rewrites)
-	if *injectRead > 0 || *injectFlip > 0 {
-		fmt.Printf("fault injection: read-err=%.3g flip-bit=%.3g seed=%d\n", *injectRead, *injectFlip, *faultSeed)
+		*experiment, cfg.N, o.Workers, cfg.Drives, o.ReadMBps, o.WriteMBps, cfg.Iters, writes, o.WriteBehindDepth, verify, cse, rewrites)
+	if cfg.ReadErrRate > 0 || cfg.FlipBitRate > 0 {
+		fmt.Printf("fault injection: read-err=%.3g flip-bit=%.3g seed=%d\n", cfg.ReadErrRate, cfg.FlipBitRate, cfg.FaultSeed)
 	}
 	fmt.Println()
 	rows, err := benchmark.Run(*experiment, cfg)

@@ -14,9 +14,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	flashr "repro"
+	"repro/internal/safs"
 	"repro/internal/workload"
 )
 
@@ -34,12 +34,8 @@ func main() {
 
 	opts := flashr.Options{}
 	if *ssdRoot != "" {
-		dirs := make([]string, *drives)
-		for i := range dirs {
-			dirs[i] = filepath.Join(*ssdRoot, fmt.Sprintf("ssd-%02d", i))
-		}
 		opts.EM = true
-		opts.SSDDirs = dirs
+		opts.SSDDirs = safs.DriveDirs(*ssdRoot, *drives)
 	}
 	s, err := flashr.NewSession(opts)
 	if err != nil {

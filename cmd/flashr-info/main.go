@@ -1,6 +1,6 @@
 // Command flashr-info inspects a simulated SSD array: the files stored on
 // it, their striping across drives, and summary statistics of named
-// matrices stored with SaveNamed / flashr-gen.
+// matrices stored with SaveNamedCtx / flashr-gen.
 //
 // Usage:
 //
@@ -17,6 +17,7 @@ import (
 	"path/filepath"
 
 	flashr "repro"
+	"repro/internal/safs"
 )
 
 func main() {
@@ -32,10 +33,7 @@ func main() {
 	if *ssdRoot == "" {
 		fatal(errors.New("-ssd-root is required"))
 	}
-	dirs := make([]string, *drives)
-	for i := range dirs {
-		dirs[i] = filepath.Join(*ssdRoot, fmt.Sprintf("ssd-%02d", i))
-	}
+	dirs := safs.DriveDirs(*ssdRoot, *drives)
 	s, err := flashr.NewSession(flashr.Options{EM: true, SSDDirs: dirs})
 	if err != nil {
 		fatal(err)

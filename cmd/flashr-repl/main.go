@@ -18,11 +18,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	flashr "repro"
 	"repro/internal/repl"
+	"repro/internal/safs"
 )
 
 func main() {
@@ -37,9 +37,7 @@ func main() {
 	opts := flashr.Options{ReadMBps: *readMBps, WriteMBps: *writeMBps}
 	if *ssdRoot != "" {
 		opts.EM = true
-		for i := 0; i < *drives; i++ {
-			opts.SSDDirs = append(opts.SSDDirs, filepath.Join(*ssdRoot, fmt.Sprintf("ssd-%02d", i)))
-		}
+		opts.SSDDirs = safs.DriveDirs(*ssdRoot, *drives)
 	}
 	s, err := flashr.NewSession(opts)
 	if err != nil {

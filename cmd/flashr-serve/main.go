@@ -26,13 +26,13 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"syscall"
 	"time"
 
 	flashr "repro"
+	"repro/internal/safs"
 	"repro/internal/serve"
 	"repro/internal/trace"
 )
@@ -74,9 +74,7 @@ func main() {
 	mode := "in-memory (FlashR-IM)"
 	if *ssdRoot != "" {
 		opts.EM = true
-		for i := 0; i < *drives; i++ {
-			opts.SSDDirs = append(opts.SSDDirs, filepath.Join(*ssdRoot, fmt.Sprintf("ssd-%02d", i)))
-		}
+		opts.SSDDirs = safs.DriveDirs(*ssdRoot, *drives)
 		mode = fmt.Sprintf("out-of-core on %d simulated SSDs (FlashR-EM)", *drives)
 	}
 	root, err := flashr.NewSession(opts)

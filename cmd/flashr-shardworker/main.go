@@ -1,7 +1,7 @@
 // Command flashr-shardworker runs one shard worker of a distributed FlashR
 // session: a full engine behind the length-prefixed TCP shard protocol. A
-// coordinator (flashr.NewSession with WithSharding and this worker's address
-// in Addrs) pushes leaf partitions, drives materialization passes, and pulls
+// coordinator (flashr.NewSession with Options.Sharding listing this worker's
+// address in Addrs) pushes leaf partitions, drives materialization passes, and pulls
 // raw sink partials; tall outputs stay resident here between passes.
 //
 //	flashr-shardworker -listen 127.0.0.1:7070 -part-rows 16384
@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"syscall"
 	"time"
@@ -30,13 +29,13 @@ import (
 
 func main() {
 	var (
-		listen    = flag.String("listen", "127.0.0.1:7070", "TCP listen address for the shard protocol")
-		partRows  = flag.Int("part-rows", 0, "I/O partition height; must match the coordinator (0 = engine default)")
-		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "engine worker goroutines")
-		ssdRoot   = flag.String("ssd-root", "", "keep shard matrices out-of-core on a simulated SSD array at this path (default: in-memory)")
-		drives    = flag.Int("drives", 4, "simulated SSD count")
-		readMBps  = flag.Float64("read-mbps", 0, "SSD read throttle (0 = unthrottled)")
-		writeMBps = flag.Float64("write-mbps", 0, "SSD write throttle")
+		listen     = flag.String("listen", "127.0.0.1:7070", "TCP listen address for the shard protocol")
+		partRows   = flag.Int("part-rows", 0, "I/O partition height; must match the coordinator (0 = engine default)")
+		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "engine worker goroutines")
+		ssdRoot    = flag.String("ssd-root", "", "keep shard matrices out-of-core on a simulated SSD array at this path (default: in-memory)")
+		drives     = flag.Int("drives", 4, "simulated SSD count")
+		readMBps   = flag.Float64("read-mbps", 0, "SSD read throttle (0 = unthrottled)")
+		writeMBps  = flag.Float64("write-mbps", 0, "SSD write throttle")
 		debugAddr  = flag.String("debug-addr", "", "serve /metrics and /debug/pprof/ on this extra address")
 		drainWait  = flag.Duration("drain-wait", 30*time.Second, "graceful shutdown budget before forced exit")
 		rebindWait = flag.Duration("rebind-wait", 5*time.Second, "keep retrying the listen bind for this long (a restarted worker may race its predecessor's port)")
@@ -46,11 +45,7 @@ func main() {
 	cfg := core.Config{Workers: *workers, PartRows: *partRows}
 	mode := "in-memory"
 	if *ssdRoot != "" {
-		var dirs []string
-		for i := 0; i < *drives; i++ {
-			dirs = append(dirs, filepath.Join(*ssdRoot, fmt.Sprintf("ssd-%02d", i)))
-		}
-		fs, err := safs.Open(safs.Config{Drives: dirs, ReadMBps: *readMBps, WriteMBps: *writeMBps})
+		fs, err := safs.Open(safs.Config{Drives: safs.DriveDirs(*ssdRoot, *drives), ReadMBps: *readMBps, WriteMBps: *writeMBps})
 		if err != nil {
 			fatal(err)
 		}

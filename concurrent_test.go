@@ -62,10 +62,7 @@ func TestConcurrentSessionsBitIdentical(t *testing.T) {
 	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < nSessions; i++ {
-		child, err := NewSession(WithSharedEngine(parent), WithOwner(fmt.Sprintf("sess-%d", i)))
-		if err != nil {
-			t.Fatal(err)
-		}
+		child := parent.Share(fmt.Sprintf("sess-%d", i), 1)
 		wg.Add(1)
 		go func(i int, cs *Session) {
 			defer wg.Done()
@@ -116,10 +113,7 @@ func TestConcurrentStatsAttribution(t *testing.T) {
 	errs := make([]error, nSessions)
 	var wg sync.WaitGroup
 	for i := range children {
-		children[i], err = NewSession(WithSharedEngine(parent), WithOwner(fmt.Sprintf("c%d", i)))
-		if err != nil {
-			t.Fatal(err)
-		}
+		children[i] = parent.Share(fmt.Sprintf("c%d", i), 1)
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -194,10 +188,7 @@ func TestConcurrentFairness(t *testing.T) {
 	}
 	sessions := make([]sess, nSessions)
 	for i := range sessions {
-		cs, err := NewSession(WithSharedEngine(parent), WithOwner(fmt.Sprintf("fair-%d", i)))
-		if err != nil {
-			t.Fatal(err)
-		}
+		cs := parent.Share(fmt.Sprintf("fair-%d", i), 1)
 		x, err := cs.Runif(n, p, 0, 1, int64(300+i))
 		if err != nil {
 			t.Fatal(err)

@@ -87,16 +87,20 @@ func (s *Session) GenerateMat(n int64, p int, gen func(i int64, j int) float64) 
 
 // GenerateSeeded creates a materialized n×p matrix where every row is
 // filled by fill with a private RNG derived deterministically from (seed,
-// row index). Two matrices generated with the same seed see identical
-// per-row streams, so features and labels built from the same seed stay
-// consistent — regardless of partitioning or scheduling.
+// row index), starting from a zeroed row. Two matrices generated with the
+// same seed see identical per-row streams, so features and labels built from
+// the same seed stay consistent — regardless of partitioning or scheduling.
 func (s *Session) GenerateSeeded(n int64, p int, seed int64, fill func(rng *rand.Rand, row []float64)) (*FM, error) {
 	m, err := s.eng.Generate(n, p, matrix.F64, func(part int, start int64, rows int, buf []float64) {
 		src := &splitmixSource{}
 		rng := rand.New(src)
 		for r := 0; r < rows; r++ {
 			src.state = uint64(mix64(seed, start+int64(r)))
-			fill(rng, buf[r*p:(r+1)*p])
+			// The worker's buffer holds whatever partition it filled last;
+			// a fill that writes only some cells must still see zeros.
+			row := buf[r*p : (r+1)*p]
+			clear(row)
+			fill(rng, row)
 		}
 	})
 	if err != nil {

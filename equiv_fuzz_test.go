@@ -301,11 +301,7 @@ func checkEquivalenceGrid(t testing.TB, seed int64, grid []equivConfig) {
 		opts := Options{
 			Workers: 4, PartRows: 256, Fuse: cfg.fuse,
 			DisableCSE: cfg.disableCSE, SyncWrites: cfg.syncWrites,
-			DisableRewrites:         cfg.noRewrites,
-			DisableRewriteView:      cfg.noView,
-			DisableRewriteCrossProd: cfg.noXProd,
-			DisableRewriteAggFold:   cfg.noFold,
-			DisableRewriteDCE:       cfg.noDCE,
+			DisableRewrites: cfg.noRewrites,
 		}
 		var chaos []*shard.ChaosTransport
 		if cfg.shards > 0 {
@@ -336,7 +332,12 @@ func checkEquivalenceGrid(t testing.TB, seed int64, grid []equivConfig) {
 			opts.EM = true
 			opts.SSDDirs = []string{filepath.Join(dir, "d0"), filepath.Join(dir, "d1")}
 		}
-		s, err := NewSession(opts)
+		s, err := newSession(opts, func(c *core.Config) {
+			c.DisableRewriteView = cfg.noView
+			c.DisableRewriteCrossProd = cfg.noXProd
+			c.DisableRewriteAggFold = cfg.noFold
+			c.DisableRewriteDCE = cfg.noDCE
+		})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,11 +12,11 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 	"runtime"
 	"time"
 
 	flashr "repro"
+	"repro/internal/safs"
 	"repro/internal/workload"
 	"repro/ml"
 )
@@ -30,10 +30,7 @@ func main() {
 
 	// Four simulated SSDs, 1.2 GiB/s aggregate read — preserving the
 	// paper's ~1:8 SSD:DRAM bandwidth ratio at this host's scale.
-	drives := make([]string, 4)
-	for i := range drives {
-		drives[i] = filepath.Join(root, fmt.Sprintf("ssd-%02d", i))
-	}
+	drives := safs.DriveDirs(root, 4)
 	em, err := flashr.NewSession(flashr.Options{
 		EM: true, SSDDirs: drives, ReadMBps: 1200, WriteMBps: 1000,
 	})

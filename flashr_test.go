@@ -408,3 +408,33 @@ func TestConstMatrices(t *testing.T) {
 		t.Fatalf("sum of seq %g", v)
 	}
 }
+
+// TestGenerateSeededPartialFill: a fill that writes only some rows' cells
+// must see zeros in the rest, whatever the partitioning — a worker reuses one
+// buffer across the partitions it fills.
+func TestGenerateSeededPartialFill(t *testing.T) {
+	fill := func(rng *rand.Rand, row []float64) {
+		if rng.Float64() < 0.5 {
+			row[0] = 1
+		}
+	}
+	count := func(partRows int) float64 {
+		s, err := NewSession(Options{Workers: 1, PartRows: partRows})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		x, err := s.GenerateSeeded(1024, 1, 5, fill)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := Sum(x).Float()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	if one, four := count(1024), count(256); one != four {
+		t.Fatalf("ones: %v in one partition, %v in four", one, four)
+	}
+}

@@ -131,18 +131,9 @@ func (x *FM) T() *FM {
 	return &out
 }
 
-// Materialize forces evaluation of the matrix (R's materialize in Table 3).
-// Pending sinks sharing the partition dimension materialize in the same
-// pass. It is MaterializeCtx with context.Background().
-//
-// Deprecated: prefer MaterializeCtx, which honors cancellation; Materialize
-// is kept for source compatibility.
-func (x *FM) Materialize() error {
-	return x.MaterializeCtx(context.Background())
-}
-
-// MaterializeCtx is Materialize with cancellation: the session's pending
-// pass runs under ctx, and a cancelled ctx aborts it (including while the
+// MaterializeCtx forces evaluation of the matrix (R's materialize in Table
+// 3). Pending sinks sharing the partition dimension materialize in the same
+// pass, which runs under ctx: a cancelled ctx aborts it (including while the
 // pass waits for admission on a busy engine) with ctx.Err().
 func (x *FM) MaterializeCtx(ctx context.Context) error {
 	if x.big != nil {

@@ -23,7 +23,6 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"sort"
@@ -47,19 +46,19 @@ type Config struct {
 	// N is the base row count (the paper's Criteo-sub is 325M rows; the
 	// default here is laptop-sized).
 	N int64
-	// Workers per engine (0 = GOMAXPROCS).
-	Workers int
+	// Session is the base configuration of every session the experiments
+	// open; each experiment copies it and sets only what it varies (EM,
+	// SSDDirs, Fuse, Owner, or its own A/B knob). Defaults fills Workers
+	// (GOMAXPROCS) and the array bandwidths ReadMBps / WriteMBps
+	// (1200/1000 MiB/s), which keep the paper's SSD:DRAM bandwidth ratio
+	// (12 GB/s array vs ~100 GB/s four-socket memory, about 1:8) on a host
+	// whose single-core memory streams roughly 10 GiB/s.
+	Session flashr.Options
 	// SSDRoot hosts the simulated drive directories (default: a temp dir
 	// removed afterwards).
 	SSDRoot string
 	// Drives in the simulated array.
 	Drives int
-	// ReadMBps / WriteMBps throttle the array (0 = unthrottled). The
-	// defaults (1200/1000 MiB/s) keep the paper's SSD:DRAM bandwidth
-	// ratio (12 GB/s array vs ~100 GB/s four-socket memory, about 1:8) on
-	// a host whose single-core memory streams roughly 10 GiB/s.
-	ReadMBps  float64
-	WriteMBps float64
 	// Iters fixes the iteration count of iterative algorithms so every
 	// engine does identical work (the paper: "All iterative algorithms
 	// take the same number of iterations").
@@ -74,13 +73,6 @@ type Config struct {
 	// single-core host. Zero selects the 250/200 defaults.
 	SweepReadMBps  float64
 	SweepWriteMBps float64
-	// SyncWrites disables the engines' write-behind pipeline (A/B baseline).
-	SyncWrites bool
-	// WriteBehindDepth bounds in-flight async partition writes (0 = auto).
-	WriteBehindDepth int
-	// DisableVerify turns off CRC32C verification on EM reads, to measure
-	// the checksumming overhead A/B (checksums are still written).
-	DisableVerify bool
 	// ReadErrRate / FlipBitRate inject transient read failures and in-flight
 	// bit flips into the EM session's SSD array, exercising the retry and
 	// verify-on-read paths under benchmark load (0 = no injection).
@@ -88,17 +80,6 @@ type Config struct {
 	FlipBitRate float64
 	// FaultSeed seeds the per-drive fault RNGs (0 = derive from Seed).
 	FaultSeed int64
-	// DisableCSE turns off structural hash-consing and the sub-DAG result
-	// cache in every session the experiments open (the A/B baseline the
-	// "cse" experiment runs internally).
-	DisableCSE bool
-	// ResultCacheBytes bounds the sub-DAG result cache (0 = engine default,
-	// negative = cache off with unification kept on).
-	ResultCacheBytes int64
-	// DisableRewrites turns off the algebraic DAG rewrite pass in every
-	// session the experiments open (the A/B baseline the "rewrite"
-	// experiment runs internally).
-	DisableRewrites bool
 	// ConcurrentSessions is the session count for the "concurrent"
 	// experiment (0 = 4).
 	ConcurrentSessions int
@@ -191,8 +172,8 @@ func (c Config) Defaults() Config {
 	if c.N == 0 {
 		c.N = 200_000
 	}
-	if c.Workers == 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
+	if c.Session.Workers == 0 {
+		c.Session.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.Drives == 0 {
 		c.Drives = 4
@@ -203,11 +184,11 @@ func (c Config) Defaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 42
 	}
-	if c.ReadMBps == 0 {
-		c.ReadMBps = 1200
+	if c.Session.ReadMBps == 0 {
+		c.Session.ReadMBps = 1200
 	}
-	if c.WriteMBps == 0 {
-		c.WriteMBps = 1000
+	if c.Session.WriteMBps == 0 {
+		c.Session.WriteMBps = 1000
 	}
 	if c.SweepReadMBps == 0 {
 		c.SweepReadMBps = 250
@@ -221,8 +202,8 @@ func (c Config) Defaults() Config {
 // sweepConfig returns the config with the I/O-sensitivity bandwidths
 // substituted (Fig. 9 / Fig. 10).
 func (c Config) sweepConfig() Config {
-	c.ReadMBps = c.SweepReadMBps
-	c.WriteMBps = c.SweepWriteMBps
+	c.Session.ReadMBps = c.SweepReadMBps
+	c.Session.WriteMBps = c.SweepWriteMBps
 	return c
 }
 
@@ -264,13 +245,12 @@ type sessionSet struct {
 	metricsTo io.Writer
 }
 
-func (c Config) openSessions(fuseEM flashr.Options) (*sessionSet, error) {
-	im, err := flashr.NewSession(flashr.Options{
-		Workers: c.Workers, SyncWrites: c.SyncWrites, WriteBehindDepth: c.WriteBehindDepth,
-		DisableCSE: c.DisableCSE, ResultCacheBytes: c.ResultCacheBytes,
-		DisableRewrites: c.DisableRewrites,
-		Owner:           "bench-im",
-	})
+// openSessions opens an in-memory session and an EM session at fusion level
+// fuse over a c.Drives-drive array under c.SSDRoot (or a temp dir).
+func (c Config) openSessions(fuse flashr.FuseLevel) (*sessionSet, error) {
+	opts := c.Session
+	opts.Owner = "bench-im"
+	im, err := flashr.NewSession(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -281,20 +261,8 @@ func (c Config) openSessions(fuseEM flashr.Options) (*sessionSet, error) {
 			return nil, err
 		}
 	}
-	drives := make([]string, c.Drives)
-	for i := range drives {
-		drives[i] = filepath.Join(dir, fmt.Sprintf("ssd-%02d", i))
-	}
-	opts := flashr.Options{
-		Workers: c.Workers, EM: true, SSDDirs: drives,
-		ReadMBps: c.ReadMBps, WriteMBps: c.WriteMBps,
-		Fuse:       fuseEM.Fuse,
-		SyncWrites: c.SyncWrites, WriteBehindDepth: c.WriteBehindDepth,
-		DisableVerify: c.DisableVerify,
-		DisableCSE:    c.DisableCSE, ResultCacheBytes: c.ResultCacheBytes,
-		DisableRewrites: c.DisableRewrites,
-		Owner:           "bench-em",
-	}
+	opts = c.Session
+	opts.EM, opts.SSDDirs, opts.Fuse, opts.Owner = true, safs.DriveDirs(dir, c.Drives), fuse, "bench-em"
 	em, err := flashr.NewSession(opts)
 	if err != nil {
 		return nil, err
@@ -491,7 +459,7 @@ func denseData(s *flashr.Session, x, y *flashr.FM) (*dense.Dense, *dense.Dense, 
 // algorithm; normalized runtime relative to FlashR-IM.
 func Fig7a(cfg Config) ([]Row, error) {
 	cfg = cfg.Defaults()
-	ss, err := cfg.openSessions(flashr.Options{})
+	ss, err := cfg.openSessions(flashr.FuseCache)
 	if err != nil {
 		return nil, err
 	}
@@ -521,7 +489,7 @@ func Fig7a(cfg Config) ([]Row, error) {
 			return nil, fmt.Errorf("%s flashr-em: %w", spec.name, err)
 		}
 		emIO := ss.em.TotalMaterializeStats().Sub(emBefore)
-		spark := eager.New(eager.StyleMLlib, cfg.Workers)
+		spark := eager.New(eager.StyleMLlib, cfg.Session.Workers)
 		tSpark, err := timeIt(func() error { return spec.runEager(spark, xd, yd, cfg) })
 		if err != nil {
 			return nil, err
@@ -536,7 +504,7 @@ func Fig7a(cfg Config) ([]Row, error) {
 		add("FlashR-IM", tIM, "")
 		add("FlashR-EM", tEM, ioExtra(emIO))
 		if spec.inH2O {
-			h2o := eager.New(eager.StyleH2O, cfg.Workers)
+			h2o := eager.New(eager.StyleH2O, cfg.Session.Workers)
 			tH2O, err := timeIt(func() error { return spec.runEager(h2o, xd, yd, cfg) })
 			if err != nil {
 				return nil, err
@@ -553,7 +521,7 @@ func Fig7a(cfg Config) ([]Row, error) {
 // cluster running the eager baselines (cost model in internal/cluster).
 func Fig7b(cfg Config) ([]Row, error) {
 	cfg = cfg.Defaults()
-	ss, err := cfg.openSessions(flashr.Options{})
+	ss, err := cfg.openSessions(flashr.FuseCache)
 	if err != nil {
 		return nil, err
 	}
@@ -590,7 +558,7 @@ func Fig7b(cfg Config) ([]Row, error) {
 		}
 		add("FlashR-IM", tIM, "1 machine")
 		add("FlashR-EM", tEM, "1 machine")
-		spark := eager.New(eager.StyleMLlib, cfg.Workers)
+		spark := eager.New(eager.StyleMLlib, cfg.Session.Workers)
 		var sres cluster.Result
 		sres = cluster.Run(cl, spark, func() {
 			if err2 := spec.runEager(spark, xd, yd, cfg); err2 != nil {
@@ -603,7 +571,7 @@ func Fig7b(cfg Config) ([]Row, error) {
 		add("MLlib-cluster", sres.Total.Seconds(),
 			fmt.Sprintf("net=%.3fs rounds=%d", sres.NetworkTime.Seconds(), sres.ReduceRounds))
 		if spec.inH2O {
-			h2o := eager.New(eager.StyleH2O, cfg.Workers)
+			h2o := eager.New(eager.StyleH2O, cfg.Session.Workers)
 			hres := cluster.Run(cl, h2o, func() {
 				if err2 := spec.runEager(h2o, xd, yd, cfg); err2 != nil {
 					err = err2
@@ -633,7 +601,7 @@ func Fig8(cfg Config) ([]Row, error) {
 		n = 2048
 	}
 	const p = 256
-	ss, err := cfg.openSessions(flashr.Options{})
+	ss, err := cfg.openSessions(flashr.FuseCache)
 	if err != nil {
 		return nil, err
 	}
@@ -747,7 +715,7 @@ func Fig8(cfg Config) ([]Row, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fig8 %s em: %w", cse.name, err)
 		}
-		ro := eager.New(eager.StyleROpen, cfg.Workers)
+		ro := eager.New(eager.StyleROpen, cfg.Session.Workers)
 		tRO, err := timeIt(func() error { return cse.ro(ro, xd, xd, yd) })
 		if err != nil {
 			return nil, err
@@ -771,7 +739,7 @@ func Fig9(cfg Config) ([]Row, error) {
 	if n < 4096 {
 		n = 4096
 	}
-	ss, err := cfg.openSessions(flashr.Options{})
+	ss, err := cfg.openSessions(flashr.FuseCache)
 	if err != nil {
 		return nil, err
 	}
@@ -867,7 +835,7 @@ func Fig10(cfg Config) ([]Row, error) {
 			{Name: "mem-fuse", Level: flashr.FuseMem},
 			{Name: "cache-fuse", Level: flashr.FuseCache},
 		} {
-			ss, err := cfg.openSessions(flashr.Options{Fuse: fuse.Level})
+			ss, err := cfg.openSessions(fuse.Level)
 			if err != nil {
 				return nil, err
 			}
@@ -901,7 +869,7 @@ func Fig10(cfg Config) ([]Row, error) {
 // execution touches a negligible amount of memory relative to the data.
 func Table6(cfg Config) ([]Row, error) {
 	cfg = cfg.Defaults()
-	ss, err := cfg.openSessions(flashr.Options{})
+	ss, err := cfg.openSessions(flashr.FuseCache)
 	if err != nil {
 		return nil, err
 	}
@@ -943,7 +911,7 @@ func Table4(cfg Config) ([]Row, error) {
 	}
 	var rows []Row
 	for _, spec := range algoSuite() {
-		ss, err := cfg.openSessions(flashr.Options{})
+		ss, err := cfg.openSessions(flashr.FuseCache)
 		if err != nil {
 			return nil, err
 		}
@@ -996,18 +964,11 @@ func CSE(cfg Config) ([]Row, error) {
 			return res, err
 		}
 		defer os.RemoveAll(dir)
-		drives := make([]string, cfg.Drives)
-		for i := range drives {
-			drives[i] = filepath.Join(dir, fmt.Sprintf("ssd-%02d", i))
-		}
-		s, err := flashr.NewSession(flashr.Options{
-			Workers: cfg.Workers, EM: true, SSDDirs: drives,
-			ReadMBps: cfg.ReadMBps, WriteMBps: cfg.WriteMBps,
-			SyncWrites: cfg.SyncWrites, WriteBehindDepth: cfg.WriteBehindDepth,
-			DisableVerify: cfg.DisableVerify,
-			DisableCSE:    disable, ResultCacheBytes: cfg.ResultCacheBytes,
-			Owner: map[bool]string{false: "bench-cse-on", true: "bench-cse-off"}[disable],
-		})
+		opts := cfg.Session
+		opts.EM, opts.SSDDirs = true, safs.DriveDirs(dir, cfg.Drives)
+		opts.DisableCSE = disable
+		opts.Owner = map[bool]string{false: "bench-cse-on", true: "bench-cse-off"}[disable]
+		s, err := flashr.NewSession(opts)
 		if err != nil {
 			return res, err
 		}
@@ -1127,19 +1088,11 @@ func Rewrite(cfg Config) ([]Row, error) {
 			return res, err
 		}
 		defer os.RemoveAll(dir)
-		drives := make([]string, cfg.Drives)
-		for i := range drives {
-			drives[i] = filepath.Join(dir, fmt.Sprintf("ssd-%02d", i))
-		}
-		s, err := flashr.NewSession(flashr.Options{
-			Workers: cfg.Workers, EM: true, SSDDirs: drives,
-			ReadMBps: cfg.ReadMBps, WriteMBps: cfg.WriteMBps,
-			SyncWrites: cfg.SyncWrites, WriteBehindDepth: cfg.WriteBehindDepth,
-			DisableVerify: cfg.DisableVerify,
-			DisableCSE:    cfg.DisableCSE, ResultCacheBytes: cfg.ResultCacheBytes,
-			DisableRewrites: disable,
-			Owner:           fmt.Sprintf("bench-rw-%s-%v", shape, map[bool]string{false: "on", true: "off"}[disable]),
-		})
+		opts := cfg.Session
+		opts.EM, opts.SSDDirs = true, safs.DriveDirs(dir, cfg.Drives)
+		opts.DisableRewrites = disable
+		opts.Owner = fmt.Sprintf("bench-rw-%s-%v", shape, map[bool]string{false: "on", true: "off"}[disable])
+		s, err := flashr.NewSession(opts)
 		if err != nil {
 			return res, err
 		}
@@ -1330,7 +1283,7 @@ func Concurrent(cfg Config) ([]Row, error) {
 	if n < 4096 {
 		n = 4096
 	}
-	ss, err := cfg.openSessions(flashr.Options{})
+	ss, err := cfg.openSessions(flashr.FuseCache)
 	if err != nil {
 		return nil, err
 	}
@@ -1345,12 +1298,7 @@ func Concurrent(cfg Config) ([]Row, error) {
 	open := func(tag string, seedOff int64) ([]unit, error) {
 		units := make([]unit, nSess)
 		for i := range units {
-			cs, err := flashr.NewSession(
-				flashr.WithSharedEngine(ss.em),
-				flashr.WithOwner(fmt.Sprintf("%s-%d", tag, i)))
-			if err != nil {
-				return nil, err
-			}
+			cs := ss.em.Share(fmt.Sprintf("%s-%d", tag, i), 1)
 			x, y, err := workload.Criteo(cs, n, cfg.Seed+seedOff+int64(i))
 			if err != nil {
 				return nil, err

@@ -3,13 +3,14 @@ package benchmark
 import (
 	"strings"
 	"testing"
+
+	flashr "repro"
 )
 
 // tinyConfig keeps experiment smoke tests fast.
 func tinyConfig(t *testing.T) Config {
 	return Config{
-		N: 6000, Workers: 2, Drives: 2, Iters: 1,
-		ReadMBps: 0, WriteMBps: 0, // unthrottled for test speed
+		N: 6000, Session: flashr.Options{Workers: 2}, Drives: 2, Iters: 1,
 		SSDRoot: t.TempDir(),
 	}
 }

@@ -14,8 +14,8 @@ func TestMemProbe(t *testing.T) {
 	if testing.Short() {
 		t.Skip("probe")
 	}
-	cfg := Config{N: 600_000, Workers: 1, Drives: 2, SSDRoot: t.TempDir()}.Defaults()
-	ss, err := cfg.openSessions(flashr.Options{})
+	cfg := Config{N: 600_000, Session: flashr.Options{Workers: 1}, Drives: 2, SSDRoot: t.TempDir()}.Defaults()
+	ss, err := cfg.openSessions(flashr.FuseCache)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,10 +55,9 @@ func Shard(cfg Config) ([]Row, error) {
 	}
 	run := func(sharded bool) (result, error) {
 		var res result
-		opts := flashr.Options{Workers: cfg.Workers, PartRows: cfg.ShardPartRows,
-			DisableCSE: cfg.DisableCSE, ResultCacheBytes: cfg.ResultCacheBytes,
-			DisableRewrites: cfg.DisableRewrites,
-			Owner:           fmt.Sprintf("bench-shard-%v", sharded)}
+		opts := cfg.Session
+		opts.PartRows = cfg.ShardPartRows
+		opts.Owner = fmt.Sprintf("bench-shard-%v", sharded)
 		if sharded {
 			sc := flashr.ShardConfig{}
 			if len(cfg.ShardAddrs) > 0 {

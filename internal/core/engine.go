@@ -126,12 +126,6 @@ type Config struct {
 	// passes queue in the admission arbiter: FIFO per owner, round-robin
 	// across owners.
 	MaxConcurrentPasses int
-	// PassMemBudget caps the summed buffer-footprint reservations of
-	// concurrently admitted passes, in bytes, against the NUMA chunk pools
-	// (0 = unlimited). A pass that would run alone is admitted even when it
-	// exceeds the budget, so oversized work degrades to serial execution
-	// instead of deadlocking.
-	PassMemBudget int64
 }
 
 // DefaultMaxConcurrentPasses bounds in-flight passes when
@@ -244,9 +238,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	if cfg.MaxConcurrentPasses < 1 {
 		cfg.MaxConcurrentPasses = 1
-	}
-	if cfg.PassMemBudget > 0 {
-		cfg.Topo.SetMemBudget(cfg.PassMemBudget)
 	}
 	e := &Engine{cfg: cfg}
 	e.arb = newPassArbiter(cfg.Topo, cfg.MaxConcurrentPasses)

@@ -3,9 +3,7 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -30,13 +28,8 @@ const (
 
 func newIntegrityRig(t *testing.T, syncWrites bool, mbps float64) *integrityRig {
 	t.Helper()
-	dirs := make([]string, 3)
-	root := t.TempDir()
-	for i := range dirs {
-		dirs[i] = filepath.Join(root, fmt.Sprintf("ssd-%02d", i))
-	}
 	fs, err := safs.Open(safs.Config{
-		Drives: dirs, StripeBytes: 8192,
+		Drives: safs.DriveDirs(t.TempDir(), 3), StripeBytes: 8192,
 		ReadMBps: mbps, WriteMBps: mbps,
 		MaxRetries: 8, RetryBackoff: time.Microsecond,
 	})

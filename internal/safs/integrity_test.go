@@ -211,12 +211,7 @@ func TestDropWriteDetected(t *testing.T) {
 // restoring a sidecar table re-enables verification, and a table of the wrong
 // shape is rejected.
 func TestRestoreChecksums(t *testing.T) {
-	dirs := make([]string, 2)
-	root := t.TempDir()
-	for i := range dirs {
-		dirs[i] = filepath.Join(root, fmt.Sprintf("ssd-%02d", i))
-	}
-	cfg := Config{Drives: dirs, StripeBytes: 4096, RetryBackoff: 1}
+	cfg := Config{Drives: DriveDirs(t.TempDir(), 2), StripeBytes: 4096, RetryBackoff: 1}
 	fs, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -325,12 +320,7 @@ func FuzzStripeRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, off16 uint16, nd uint8) {
 		drives := int(nd)%4 + 1
 		const stripe = 256
-		dirs := make([]string, drives)
-		root := t.TempDir()
-		for i := range dirs {
-			dirs[i] = filepath.Join(root, fmt.Sprintf("ssd-%02d", i))
-		}
-		fs, err := Open(Config{Drives: dirs, StripeBytes: stripe, RetryBackoff: 1})
+		fs, err := Open(Config{Drives: DriveDirs(t.TempDir(), drives), StripeBytes: stripe, RetryBackoff: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

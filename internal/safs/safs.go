@@ -216,25 +216,29 @@ func Open(cfg Config) (*FS, error) {
 	perDriveWrite := cfg.WriteMBps / float64(len(cfg.Drives))
 	for i, dir := range cfg.Drives {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
+			fs.Close() // stops the workers of the drives already started
 			return nil, fmt.Errorf("safs: creating drive %d: %w", i, err)
 		}
-		d, err := newDrive(i, dir, perDriveRead, perDriveWrite, cfg.QueueDepth)
-		if err != nil {
-			return nil, err
-		}
-		fs.drives = append(fs.drives, d)
+		fs.drives = append(fs.drives, newDrive(i, dir, perDriveRead, perDriveWrite, cfg.QueueDepth))
 	}
 	return fs, nil
 }
 
-// OpenTempDir builds an FS with n drives under a fresh directory inside dir
-// (usually t.TempDir() in tests). Bandwidths follow cfg semantics.
-func OpenTempDir(dir string, n int, readMBps, writeMBps float64) (*FS, error) {
-	drives := make([]string, n)
-	for i := range drives {
-		drives[i] = filepath.Join(dir, fmt.Sprintf("ssd-%02d", i))
+// DriveDirs names the n drive directories of an array rooted at root:
+// root/ssd-00, root/ssd-01, …. Every tool that opens an array by its root
+// uses this layout, so arrays written by one open in the others.
+func DriveDirs(root string, n int) []string {
+	var dirs []string
+	for i := 0; i < n; i++ {
+		dirs = append(dirs, filepath.Join(root, fmt.Sprintf("ssd-%02d", i)))
 	}
-	return Open(Config{Drives: drives, ReadMBps: readMBps, WriteMBps: writeMBps})
+	return dirs
+}
+
+// OpenTempDir builds an FS with n drives under dir (usually t.TempDir() in
+// tests), laid out by DriveDirs. Bandwidths follow cfg semantics.
+func OpenTempDir(dir string, n int, readMBps, writeMBps float64) (*FS, error) {
+	return Open(Config{Drives: DriveDirs(dir, n), ReadMBps: readMBps, WriteMBps: writeMBps})
 }
 
 // StripeBytes returns the striping unit in bytes.
@@ -897,7 +901,7 @@ func queueDepthBuckets() []float64 {
 	return []float64{0, 1, 2, 4, 8, 16, 32, 64}
 }
 
-func newDrive(id int, dir string, readMBps, writeMBps float64, depth int) (*drive, error) {
+func newDrive(id int, dir string, readMBps, writeMBps float64, depth int) *drive {
 	d := &drive{id: id, dir: dir, depth: depth, open: make(map[string]*os.File), queues: make(map[int64]*passQueue)}
 	d.readLat = trace.NewHistogram(latencyBuckets()...)
 	d.writeLat = trace.NewHistogram(latencyBuckets()...)
@@ -911,7 +915,7 @@ func newDrive(id int, dir string, readMBps, writeMBps float64, depth int) (*driv
 	}
 	d.wg.Add(1)
 	go d.serve()
-	return d, nil
+	return d
 }
 
 // passKey maps a request's pass to its queue key (nil pass shares queue 0).

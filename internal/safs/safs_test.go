@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -18,6 +19,40 @@ func newFS(t *testing.T, drives int, readMBps, writeMBps float64) *FS {
 	}
 	t.Cleanup(func() { fs.Close() })
 	return fs
+}
+
+// TestOpenFailureStopsStartedDrives fails drive 1's directory creation (its
+// path runs through a regular file) after drive 0's worker has started, and
+// checks that Open both errors and leaves no drive goroutine behind.
+func TestOpenFailureStopsStartedDrives(t *testing.T) {
+	root := t.TempDir()
+	blocker := filepath.Join(root, "file")
+	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	fs, err := Open(Config{Drives: []string{filepath.Join(root, "ssd-00"), filepath.Join(blocker, "ssd-01")}})
+	if err == nil {
+		fs.Close()
+		t.Fatal("Open succeeded with drive 1 under a regular file")
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("Open error left %d goroutines running, baseline %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestDriveDirsLayout pins the on-disk array layout that CLIs, scripts and
+// the benchmark agree on.
+func TestDriveDirsLayout(t *testing.T) {
+	got := DriveDirs("root", 2)
+	want := []string{filepath.Join("root", "ssd-00"), filepath.Join("root", "ssd-01")}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("DriveDirs = %v, want %v", got, want)
+	}
 }
 
 // TestRoundTrip writes and reads back data spanning many stripes on several

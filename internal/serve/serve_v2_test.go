@@ -489,10 +489,7 @@ func TestServeBudgetRejects413BeforePass(t *testing.T) {
 		t.Fatalf("over-budget eval: HTTP %d %v, want 413 %s", code, out, CodeBudgetExceeded)
 	}
 	// The refusal must predate any materialization: zero passes have run.
-	tn, err := ts.sv.table.tenantFor("acme")
-	if err != nil {
-		t.Fatal(err)
-	}
+	tn := ts.sv.table.tenantFor("acme")
 	if passes := tn.fs.TotalMaterializeStats().Passes; passes != 0 {
 		t.Fatalf("rejected program still ran %d materialization passes", passes)
 	}
@@ -530,10 +527,7 @@ func TestServePinnedQuotaAdmission(t *testing.T) {
 	}
 	resp := ts.do(t, http.MethodDelete, "/v2/results/"+h, "", nil)
 	resp.Body.Close()
-	tn, err := ts.sv.table.tenantFor("acme")
-	if err != nil {
-		t.Fatal(err)
-	}
+	tn := ts.sv.table.tenantFor("acme")
 	if got := tn.pinned.Load(); got != 0 {
 		t.Fatalf("pinned bytes %d after release, want 0", got)
 	}

@@ -86,22 +86,13 @@ func newSessionTable(root *flashr.Session, weights map[string]int, reg *trace.Re
 // metrics registry included into the server registry, so one /metrics scrape
 // shows every tenant's requests, sheds, latency, and engine pass totals side
 // by side.
-func (t *sessionTable) tenantFor(name string) (*tenant, error) {
+func (t *sessionTable) tenantFor(name string) *tenant {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if tn, ok := t.tenants[name]; ok {
-		return tn, nil
+		return tn
 	}
-	w := t.weights[name]
-	fs, err := flashr.NewSession(
-		flashr.WithSharedEngine(t.root),
-		flashr.WithOwner(name),
-		flashr.WithPassWeight(w),
-	)
-	if err != nil {
-		return nil, fmt.Errorf("serve: tenant %q session: %w", name, err)
-	}
-	tn := &tenant{name: name, fs: fs, shed: make(map[string]*trace.Counter)}
+	tn := &tenant{name: name, fs: t.root.Share(name, t.weights[name]), shed: make(map[string]*trace.Counter)}
 	lbl := trace.Label{Key: "tenant", Value: name}
 	tr := trace.NewRegistry()
 	tn.requests = tr.Counter("flashr_serve_requests_total", "Programs accepted for execution.", lbl)
@@ -125,7 +116,7 @@ func (t *sessionTable) tenantFor(name string) (*tenant, error) {
 	core.RegisterStatsMetrics(tr, name, tn.fs.TotalMaterializeStats)
 	t.reg.Include(tr)
 	t.tenants[name] = tn
-	return tn, nil
+	return tn
 }
 
 // shedReasons enumerates the shed counter's reason label values so every
@@ -138,10 +129,7 @@ var shedReasons = []string{
 // create builds a serving session for the tenant, enforcing the per-tenant
 // session quota.
 func (t *sessionTable) create(tenantName string, maxSessions int) (*Session, error) {
-	tn, err := t.tenantFor(tenantName)
-	if err != nil {
-		return nil, err
-	}
+	tn := t.tenantFor(tenantName)
 	// Claim the slot first so concurrent creates cannot both slip under
 	// the quota; roll back on refusal.
 	if n := tn.sessions.Add(1); maxSessions > 0 && n > int64(maxSessions) {

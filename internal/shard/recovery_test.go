@@ -31,7 +31,7 @@ func (c *countingTransport) Call(ctx context.Context, op uint8, body []byte) ([]
 	return c.inner.Call(ctx, op, body)
 }
 
-func (c *countingTransport) Close() error     { return c.inner.Close() }
+func (c *countingTransport) Close() error      { return c.inner.Close() }
 func (c *countingTransport) Unwrap() Transport { return c.inner }
 
 // dropOnce fails the first exec it sees with a transient fault, delivering
@@ -48,7 +48,7 @@ func (d *dropOnce) Call(ctx context.Context, op uint8, body []byte) ([]byte, err
 	return d.inner.Call(ctx, op, body)
 }
 
-func (d *dropOnce) Close() error     { return d.inner.Close() }
+func (d *dropOnce) Close() error      { return d.inner.Close() }
 func (d *dropOnce) Unwrap() Transport { return d.inner }
 
 // failExecTransport rejects every exec with a permanent (non-transient)
@@ -64,7 +64,7 @@ func (f *failExecTransport) Call(ctx context.Context, op uint8, body []byte) ([]
 	return f.inner.Call(ctx, op, body)
 }
 
-func (f *failExecTransport) Close() error     { return f.inner.Close() }
+func (f *failExecTransport) Close() error      { return f.inner.Close() }
 func (f *failExecTransport) Unwrap() Transport { return f.inner }
 
 // TestWorkerFenceRejectsStaleState pins the fencing contract at the Handle

@@ -1,6 +1,7 @@
 package flashr
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -123,7 +124,7 @@ func TestSetNamedMatchesColdSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := warm.SaveNamed(seed, "m"); err != nil {
+	if err := warm.SaveNamedCtx(context.Background(), seed, "m"); err != nil {
 		t.Fatal(err)
 	}
 	x, err := warm.OpenNamed("m")

@@ -75,20 +75,12 @@ func (m matrixMeta) metaFileNames(name string) []string {
 	return names
 }
 
-// SaveNamed materializes x and stores it under the given name on the
+// SaveNamedCtx materializes x and stores it under the given name on the
 // session's SSD array (EM sessions only), with a metadata sidecar; reopen
 // with OpenNamed — from this session or a later one over the same drives.
-//
-// Deprecated: prefer SaveNamedCtx, which honors cancellation; SaveNamed is
-// SaveNamedCtx with context.Background().
-func (s *Session) SaveNamed(x *FM, name string) error {
-	return s.SaveNamedCtx(context.Background(), x, name)
-}
-
-// SaveNamedCtx is SaveNamed under ctx: the materialization pass, and the
-// partition-by-partition copy onto the array, both stop with ctx.Err() when
-// ctx is cancelled (a partially written name is overwritten by the next
-// save).
+// The materialization pass, and the partition-by-partition copy onto the
+// array, both stop with ctx.Err() when ctx is cancelled (a partially
+// written name is overwritten by the next save).
 func (s *Session) SaveNamedCtx(ctx context.Context, x *FM, name string) error {
 	if s.fs == nil {
 		return fmt.Errorf("flashr: SaveNamed needs a session with an SSD array")
@@ -183,7 +175,7 @@ func (s *Session) SaveNamedCtx(ctx context.Context, x *FM, name string) error {
 	return mf.WriteAt(raw, 0)
 }
 
-// OpenNamed opens a matrix previously stored with SaveNamed (possibly by a
+// OpenNamed opens a matrix previously stored with SaveNamedCtx (possibly by a
 // different process over the same drive directories).
 func (s *Session) OpenNamed(name string) (*FM, error) {
 	if s.fs == nil {
@@ -296,22 +288,14 @@ func (s *Session) SetNamed(x *FM, name string) error {
 	return nil
 }
 
-// VerifyNamed scrubs a matrix stored with SaveNamed against the checksum
-// tables in its sidecar, returning one report per underlying SAFS file (one
-// for a flat matrix, one per 32-column block for a wide one). Stripes a v1
-// sidecar has no checksums for are reported as skipped, not corrupt. The
-// scan reads segment bytes directly — no token bucket, no retries — so it is
-// off the simulated bandwidth budget.
-//
-// Deprecated: prefer VerifyNamedCtx, which honors cancellation; VerifyNamed
-// is VerifyNamedCtx with context.Background().
-func (s *Session) VerifyNamed(name string) ([]safs.VerifyReport, error) {
-	return s.VerifyNamedCtx(context.Background(), name)
-}
-
-// VerifyNamedCtx is VerifyNamed under ctx: the scrub stops between files
-// with ctx.Err() when ctx is cancelled, returning the reports completed so
-// far.
+// VerifyNamedCtx scrubs a matrix stored with SaveNamedCtx against the
+// checksum tables in its sidecar, returning one report per underlying SAFS
+// file (one for a flat matrix, one per 32-column block for a wide one).
+// Stripes a v1 sidecar has no checksums for are reported as skipped, not
+// corrupt. The scan reads segment bytes directly — no token bucket, no
+// retries — so it is off the simulated bandwidth budget. It stops between
+// files with ctx.Err() when ctx is cancelled, returning the reports
+// completed so far.
 func (s *Session) VerifyNamedCtx(ctx context.Context, name string) ([]safs.VerifyReport, error) {
 	if s.fs == nil {
 		return nil, fmt.Errorf("flashr: VerifyNamed needs a session with an SSD array")
@@ -351,7 +335,7 @@ func (s *Session) VerifyNamedCtx(ctx context.Context, name string) ([]safs.Verif
 	return reports, nil
 }
 
-// ListNamed returns the names of matrices stored with SaveNamed on the
+// ListNamed returns the names of matrices stored with SaveNamedCtx on the
 // session's array.
 func (s *Session) ListNamed() []string {
 	if s.fs == nil {

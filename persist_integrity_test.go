@@ -1,6 +1,7 @@
 package flashr
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"path/filepath"
@@ -21,7 +22,7 @@ func TestSidecarV2RoundTripVerified(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SaveNamed(x, "m"); err != nil {
+	if err := s.SaveNamedCtx(context.Background(), x, "m"); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -29,7 +30,7 @@ func TestSidecarV2RoundTripVerified(t *testing.T) {
 	s2 := emSessionAt(t, dirs)
 	defer s2.Close()
 	// Clean scrub first: every stripe verified, none skipped.
-	reps, err := s2.VerifyNamed("m")
+	reps, err := s2.VerifyNamedCtx(context.Background(), "m")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestSidecarV2RoundTripVerified(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The scrub names the stripe and the drive holding it.
-	reps, err = s2.VerifyNamed("m")
+	reps, err = s2.VerifyNamedCtx(context.Background(), "m")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestSidecarV1Compat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SaveNamed(x, "old"); err != nil {
+	if err := s.SaveNamedCtx(context.Background(), x, "old"); err != nil {
 		t.Fatal(err)
 	}
 	// Rewrite the sidecar as a v1 file would have been written.
@@ -118,7 +119,7 @@ func TestSidecarV1Compat(t *testing.T) {
 			t.Fatalf("element %d mismatch after v1 reopen", i)
 		}
 	}
-	reps, err := s2.VerifyNamed("old")
+	reps, err := s2.VerifyNamedCtx(context.Background(), "old")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestSidecarRejectsNewerVersion(t *testing.T) {
 	if _, err := s.OpenNamed("future"); err == nil {
 		t.Fatal("opened a sidecar from the future")
 	}
-	if _, err := s.VerifyNamed("future"); err == nil {
+	if _, err := s.VerifyNamedCtx(context.Background(), "future"); err == nil {
 		t.Fatal("verified a sidecar from the future")
 	}
 }
@@ -162,10 +163,10 @@ func TestVerifyNamedBlocked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SaveNamed(x, "wide"); err != nil {
+	if err := s.SaveNamedCtx(context.Background(), x, "wide"); err != nil {
 		t.Fatal(err)
 	}
-	reps, err := s.VerifyNamed("wide")
+	reps, err := s.VerifyNamedCtx(context.Background(), "wide")
 	if err != nil {
 		t.Fatal(err)
 	}

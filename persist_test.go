@@ -1,6 +1,7 @@
 package flashr
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 )
@@ -28,7 +29,7 @@ func TestSaveOpenNamedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SaveNamed(x, "mymatrix"); err != nil {
+	if err := s.SaveNamedCtx(context.Background(), x, "mymatrix"); err != nil {
 		t.Fatal(err)
 	}
 	names := s.ListNamed()
@@ -67,7 +68,7 @@ func TestSaveNamedWideUsesBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := Sum(Abs(x)).MustFloat()
-	if err := s.SaveNamed(x, "wide"); err != nil {
+	if err := s.SaveNamedCtx(context.Background(), x, "wide"); err != nil {
 		t.Fatal(err)
 	}
 	// Block files exist in the namespace.
@@ -101,7 +102,7 @@ func TestSaveNamedVirtualMaterializesFirst(t *testing.T) {
 	if !virt.IsVirtual() {
 		t.Fatal("expected virtual input")
 	}
-	if err := s.SaveNamed(virt, "derived"); err != nil {
+	if err := s.SaveNamedCtx(context.Background(), virt, "derived"); err != nil {
 		t.Fatal(err)
 	}
 	y, err := s.OpenNamed("derived")
@@ -122,7 +123,7 @@ func TestOpenNamedErrors(t *testing.T) {
 		t.Fatal("opened nonexistent matrix")
 	}
 	mem := NewMemSession()
-	if err := mem.SaveNamed(mem.Ones(10, 1), "x"); err == nil {
+	if err := mem.SaveNamedCtx(context.Background(), mem.Ones(10, 1), "x"); err == nil {
 		t.Fatal("SaveNamed on a memory session succeeded")
 	}
 	if _, err := mem.OpenNamed("x"); err == nil {

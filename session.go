@@ -13,15 +13,15 @@
 // Everything is lazily evaluated: operations build DAGs of virtual matrices
 // and the engine materializes a whole DAG in one parallel pass when a result
 // is forced (as.vector/as.matrix, element access, unique/table) or when
-// Materialize is called. A Session selects in-memory (FlashR-IM) or SSD
+// MaterializeCtx is called. A Session selects in-memory (FlashR-IM) or SSD
 // (FlashR-EM) execution and the operation-fusion level.
 //
-// Sessions may share one engine: NewSession(WithSharedEngine(parent), ...)
-// builds a session whose materialization passes run on parent's engine and
-// SSD array, admitted by the engine's pass arbiter and fair-queued against
-// the other sessions' I/O. Each session keeps its own pending-sink batch,
-// owner label, bandwidth weight, and MaterializeStats, so concurrent
-// sessions get exact per-session attribution.
+// Sessions may share one engine: parent.Share(owner, weight) builds a
+// session whose materialization passes run on parent's engine and SSD array,
+// admitted by the engine's pass arbiter and fair-queued against the other
+// sessions' I/O. Each session keeps its own pending-sink batch, owner label,
+// bandwidth weight, and MaterializeStats, so concurrent sessions get exact
+// per-session attribution.
 package flashr
 
 import (
@@ -29,24 +29,20 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dense"
-	"repro/internal/numa"
 	"repro/internal/safs"
 	"repro/internal/shard"
 	"repro/internal/trace"
 )
 
-// Options configures a Session. It is itself an Option, so both
-// constructor styles work:
+// Options configures the session NewSession builds. The zero value is an
+// in-memory session with every default:
 //
 //	s, err := flashr.NewSession(flashr.Options{Workers: 8, EM: true, SSDDirs: dirs})
-//	s, err := flashr.NewSession(flashr.WithWorkers(8), flashr.WithEM(dirs...))
 //
-// When an Options value is combined with functional options, it replaces
-// the whole base configuration, so pass it first.
+// Sessions sharing an existing engine come from Session.Share instead.
 type Options struct {
 	// Workers is the number of evaluation goroutines (0 = GOMAXPROCS).
 	Workers int
@@ -56,7 +52,7 @@ type Options struct {
 	// EM stores matrices on the SSD array instead of memory (FlashR-EM).
 	EM bool
 	// SSDDirs are the drive directories of the simulated SSD array;
-	// required when EM is set. OpenTempSSDs builds a throwaway array.
+	// required when EM is set. safs.DriveDirs names them under one root.
 	SSDDirs []string
 	// ReadMBps / WriteMBps throttle the SSD array's aggregate bandwidth
 	// (0 = unthrottled).
@@ -66,22 +62,12 @@ type Options struct {
 	PartRows int
 	// PcacheBytes overrides the processor-cache partition budget.
 	PcacheBytes int
-	// NumaNodes sets the simulated NUMA topology size (0 = 4 nodes).
-	NumaNodes int
 	// SyncWrites disables the write-behind pipeline and writes tall-output
 	// partitions synchronously (debugging escape hatch / A-B comparison).
 	SyncWrites bool
 	// WriteBehindDepth bounds in-flight asynchronous partition writes
 	// (0 = 2×Workers clamped to [4, 32]).
 	WriteBehindDepth int
-	// MaxIORetries bounds how many times the SSD array retries a failed
-	// stripe request with exponential backoff before it surfaces as a
-	// permanent error naming the drive, file, and stripe
-	// (0 = safs.DefaultMaxRetries, negative = no retries).
-	MaxIORetries int
-	// IORetryBackoff is the delay before the first retry, doubling per
-	// attempt (0 = safs.DefaultRetryBackoff).
-	IORetryBackoff time.Duration
 	// DisableVerify turns off CRC32C verification on SSD reads (checksums
 	// are still maintained on writes). Escape hatch for measuring the
 	// verification overhead; leave off in normal operation.
@@ -98,36 +84,13 @@ type Options struct {
 	// Rewrites also require CSE: DisableCSE implies no rewrites, because
 	// rewritten nodes re-intern through the hash-cons table.
 	DisableRewrites bool
-	// DisableRewriteView disables the view push-down rule family
-	// (column-selection elimination, composition, and push-down through
-	// elementwise chains) while leaving the other rules on.
-	DisableRewriteView bool
-	// DisableRewriteCrossProd disables crossprod self-recognition
-	// (t(A)%*%B with structurally identical operands → the symmetric Syrk
-	// form).
-	DisableRewriteCrossProd bool
-	// DisableRewriteAggFold disables aggregation folding (sum over
-	// scalar/constant/row-vector broadcast chains folds into an affine
-	// transform applied when the sink publishes).
-	DisableRewriteAggFold bool
-	// DisableRewriteDCE disables dead-input elimination (column selections
-	// over cbind/setcols that provably never observe one input disconnect
-	// it, so its leaves are never read).
-	DisableRewriteDCE bool
 	// Owner labels this session's materialization passes for per-pass
 	// stats attribution and fair admission on a shared engine.
 	Owner string
-	// PassWeight is this session's share of SAFS bandwidth relative to
-	// other sessions on the same engine (values < 1 mean 1).
-	PassWeight int
 	// MaxConcurrentPasses bounds materialization passes running at once on
 	// this session's engine (0 = core.DefaultMaxConcurrentPasses; 1
 	// serializes passes as before the pass arbiter existed).
 	MaxConcurrentPasses int
-	// PassMemBudget is the byte ceiling concurrent passes may reserve
-	// against the NUMA chunk pools (0 = unlimited). An oversized pass is
-	// still admitted when it is alone on the engine.
-	PassMemBudget int64
 	// Sharding, when set, row-partitions every materialization across shard
 	// workers: in-process engines (ShardConfig.Shards) or TCP worker
 	// processes (ShardConfig.Addrs). Planning — rewrites, CSE, the result
@@ -138,107 +101,8 @@ type Options struct {
 }
 
 // ShardConfig aliases the sharded coordinator's configuration for
-// Options.Sharding / WithSharding.
+// Options.Sharding.
 type ShardConfig = shard.Config
-
-// Option configures NewSession. Options (the struct) and the With*
-// functions both implement it.
-type Option interface{ applyOption(*sessionConfig) }
-
-// sessionConfig is the resolved constructor configuration.
-type sessionConfig struct {
-	opts   Options
-	shared *Session
-}
-
-func (o Options) applyOption(c *sessionConfig) { c.opts = o }
-
-type optionFunc func(*sessionConfig)
-
-func (f optionFunc) applyOption(c *sessionConfig) { f(c) }
-
-// WithWorkers sets the number of evaluation goroutines.
-func WithWorkers(n int) Option { return optionFunc(func(c *sessionConfig) { c.opts.Workers = n }) }
-
-// WithFuse selects the operation-fusion level.
-func WithFuse(f FuseLevel) Option { return optionFunc(func(c *sessionConfig) { c.opts.Fuse = f }) }
-
-// WithEM selects SSD-backed execution (FlashR-EM) over the given drive
-// directories.
-func WithEM(ssdDirs ...string) Option {
-	return optionFunc(func(c *sessionConfig) { c.opts.EM = true; c.opts.SSDDirs = ssdDirs })
-}
-
-// WithBandwidth throttles the SSD array's aggregate read/write bandwidth in
-// MB/s (0 = unthrottled).
-func WithBandwidth(readMBps, writeMBps float64) Option {
-	return optionFunc(func(c *sessionConfig) {
-		c.opts.ReadMBps = readMBps
-		c.opts.WriteMBps = writeMBps
-	})
-}
-
-// WithSyncWrites disables the write-behind pipeline.
-func WithSyncWrites() Option {
-	return optionFunc(func(c *sessionConfig) { c.opts.SyncWrites = true })
-}
-
-// WithoutCSE turns off hash-consing and the sub-DAG result cache.
-func WithoutCSE() Option {
-	return optionFunc(func(c *sessionConfig) { c.opts.DisableCSE = true })
-}
-
-// WithoutRewrites turns off the algebraic DAG rewrite pass.
-func WithoutRewrites() Option {
-	return optionFunc(func(c *sessionConfig) { c.opts.DisableRewrites = true })
-}
-
-// WithResultCacheBytes bounds the cross-materialize result cache.
-func WithResultCacheBytes(n int64) Option {
-	return optionFunc(func(c *sessionConfig) { c.opts.ResultCacheBytes = n })
-}
-
-// WithOwner labels the session's passes for stats attribution and fair
-// admission.
-func WithOwner(owner string) Option {
-	return optionFunc(func(c *sessionConfig) { c.opts.Owner = owner })
-}
-
-// WithPassWeight sets the session's share of SAFS bandwidth relative to
-// other sessions on the same engine.
-func WithPassWeight(w int) Option {
-	return optionFunc(func(c *sessionConfig) { c.opts.PassWeight = w })
-}
-
-// WithMaxConcurrentPasses bounds materialization passes in flight on the
-// session's engine.
-func WithMaxConcurrentPasses(n int) Option {
-	return optionFunc(func(c *sessionConfig) { c.opts.MaxConcurrentPasses = n })
-}
-
-// WithPassMemBudget sets the byte ceiling concurrent passes may reserve
-// against the NUMA chunk pools.
-func WithPassMemBudget(bytes int64) Option {
-	return optionFunc(func(c *sessionConfig) { c.opts.PassMemBudget = bytes })
-}
-
-// WithSharding distributes the session's materialization passes across shard
-// workers (see Options.Sharding). A zero Config spawns two in-process
-// workers; set Addrs to use flashr-shardworker processes over TCP.
-func WithSharding(cfg ShardConfig) Option {
-	return optionFunc(func(c *sessionConfig) { c.opts.Sharding = &cfg })
-}
-
-// WithSharedEngine makes the new session run on parent's engine and SSD
-// array instead of building its own. Engine-level options (workers, fusion,
-// drives, bandwidth, partition height, …) are fixed by the parent and
-// ignored here; session-level options (WithOwner, WithPassWeight) still
-// apply. Matrices remain tied to the engine, so FMs may flow between
-// sessions sharing one; closing a shared session never closes the parent's
-// array or drops its result cache.
-func WithSharedEngine(parent *Session) Option {
-	return optionFunc(func(c *sessionConfig) { c.shared = parent })
-}
 
 // FuseLevel aliases the engine's fusion-level type for Options.Fuse.
 type FuseLevel = core.FuseLevel
@@ -264,14 +128,13 @@ type Session struct {
 	coord *shard.Coordinator
 
 	// owner and weight tag every materialization pass this session submits;
-	// sharedEng marks a session built with WithSharedEngine.
+	// sharedEng marks a session built with Share.
 	owner     string
 	weight    int
 	sharedEng bool
 
 	mu      sync.Mutex
 	pending []*core.Sink
-	ownsFS  bool
 	// named tracks the engine leaves opened from each named on-array matrix,
 	// so SetNamed can invalidate cached results built over them when the
 	// name's files are overwritten.
@@ -299,92 +162,74 @@ func (s *Session) noteNamed(name string, m *core.Mat) {
 	s.mu.Unlock()
 }
 
-// NewSession builds a session from options: a full Options struct, With*
-// functional options, or a mix (Options first — it replaces the whole base
-// configuration).
-func NewSession(opts ...Option) (*Session, error) {
-	var c sessionConfig
-	for _, o := range opts {
-		if o != nil {
-			o.applyOption(&c)
-		}
+// NewSession builds a session with its own engine (and SSD array, when
+// SSDDirs is set).
+func NewSession(o Options) (*Session, error) { return newSession(o, nil) }
+
+// newSession is NewSession with a test seam: tune, when non-nil, adjusts the
+// engine configuration before the engine is built (the equivalence grid's
+// per-rule rewrite ablations).
+func newSession(o Options, tune func(*core.Config)) (*Session, error) {
+	if o.Sharding != nil && o.EM {
+		return nil, fmt.Errorf("flashr: sharded sessions keep matrices worker-resident; configure EM on the workers, not the coordinator")
 	}
-	o := c.opts
-	if c.shared != nil {
-		return &Session{
-			eng:       c.shared.eng,
-			fs:        c.shared.fs,
-			sharedEng: true,
-			owner:     o.Owner,
-			weight:    o.PassWeight,
-		}, nil
+	if o.EM && len(o.SSDDirs) == 0 {
+		return nil, fmt.Errorf("flashr: EM session requires SSDDirs")
 	}
-	var fs *safs.FS
-	var err error
+	ecfg := core.Config{
+		Workers:             o.Workers,
+		Fuse:                o.Fuse,
+		EM:                  o.EM,
+		PartRows:            o.PartRows,
+		PcacheBytes:         o.PcacheBytes,
+		SyncWrites:          o.SyncWrites,
+		WriteBehindDepth:    o.WriteBehindDepth,
+		DisableCSE:          o.DisableCSE,
+		ResultCacheBytes:    o.ResultCacheBytes,
+		DisableRewrites:     o.DisableRewrites,
+		MaxConcurrentPasses: o.MaxConcurrentPasses,
+	}
+	if tune != nil {
+		tune(&ecfg)
+	}
+	s := &Session{owner: o.Owner}
 	if len(o.SSDDirs) > 0 {
-		fs, err = safs.Open(safs.Config{
+		fs, err := safs.Open(safs.Config{
 			Drives:        o.SSDDirs,
 			ReadMBps:      o.ReadMBps,
 			WriteMBps:     o.WriteMBps,
-			MaxRetries:    o.MaxIORetries,
-			RetryBackoff:  o.IORetryBackoff,
 			DisableVerify: o.DisableVerify,
 		})
 		if err != nil {
 			return nil, err
 		}
-	} else if o.EM {
-		return nil, fmt.Errorf("flashr: EM session requires SSDDirs")
-	}
-	var topo *numa.Topology
-	if o.NumaNodes > 0 {
-		topo = numa.NewTopology(o.NumaNodes, 0)
-	}
-	ecfg := core.Config{
-		Workers:                 o.Workers,
-		Fuse:                    o.Fuse,
-		Topo:                    topo,
-		FS:                      fs,
-		EM:                      o.EM,
-		PartRows:                o.PartRows,
-		PcacheBytes:             o.PcacheBytes,
-		SyncWrites:              o.SyncWrites,
-		WriteBehindDepth:        o.WriteBehindDepth,
-		DisableCSE:              o.DisableCSE,
-		ResultCacheBytes:        o.ResultCacheBytes,
-		DisableRewrites:         o.DisableRewrites,
-		DisableRewriteView:      o.DisableRewriteView,
-		DisableRewriteCrossProd: o.DisableRewriteCrossProd,
-		DisableRewriteAggFold:   o.DisableRewriteAggFold,
-		DisableRewriteDCE:       o.DisableRewriteDCE,
-		MaxConcurrentPasses:     o.MaxConcurrentPasses,
-		PassMemBudget:           o.PassMemBudget,
+		s.fs, ecfg.FS = fs, fs
 	}
 	eng, err := core.NewEngine(ecfg)
+	if err == nil && o.Sharding != nil {
+		if s.coord, err = shard.NewCoordinator(*o.Sharding, ecfg); err == nil {
+			eng.SetRemoteExecutor(s.coord)
+		}
+	}
 	if err != nil {
-		if fs != nil {
-			fs.Close()
+		if s.fs != nil {
+			s.fs.Close()
 		}
 		return nil, err
 	}
-	var coord *shard.Coordinator
-	if o.Sharding != nil {
-		if o.EM {
-			if fs != nil {
-				fs.Close()
-			}
-			return nil, fmt.Errorf("flashr: sharded sessions keep matrices worker-resident; configure EM on the workers, not the coordinator")
-		}
-		coord, err = shard.NewCoordinator(*o.Sharding, ecfg)
-		if err != nil {
-			if fs != nil {
-				fs.Close()
-			}
-			return nil, err
-		}
-		eng.SetRemoteExecutor(coord)
-	}
-	return &Session{eng: eng, fs: fs, coord: coord, ownsFS: fs != nil, owner: o.Owner, weight: o.PassWeight}, nil
+	s.eng = eng
+	return s, nil
+}
+
+// Share returns a new session that runs its passes on s's engine and SSD
+// array instead of building its own. Engine-level settings (workers, fusion,
+// drives, bandwidth, partition height, …) are s's; owner labels the new
+// session's passes and weight is its share of SAFS bandwidth relative to the
+// engine's other sessions (values < 1 mean 1). Matrices remain tied to the
+// engine, so FMs may flow between sessions sharing one; closing a shared
+// session never closes the array or drops the engine's result cache.
+func (s *Session) Share(owner string, weight int) *Session {
+	return &Session{eng: s.eng, fs: s.fs, owner: owner, weight: weight, sharedEng: true}
 }
 
 // NewMemSession builds an in-memory session (FlashR-IM) with default
@@ -476,7 +321,7 @@ func (s *Session) Wrap(m *core.Mat) *FM { return s.bigFM(m) }
 func (s *Session) FS() *safs.FS { return s.fs }
 
 // Close drops the session's result cache and releases the SSD array if the
-// session owns one. Closing a session built with WithSharedEngine touches
+// session owns one. Closing a session built with Share touches
 // neither the shared engine's cache nor its array.
 func (s *Session) Close() error {
 	if s.sharedEng {
@@ -488,7 +333,7 @@ func (s *Session) Close() error {
 	if s.coord != nil {
 		s.coord.Close()
 	}
-	if s.ownsFS && s.fs != nil {
+	if s.fs != nil {
 		return s.fs.Close()
 	}
 	return nil
@@ -500,13 +345,6 @@ func (s *Session) deferSink(k *core.Sink) {
 	s.pending = append(s.pending, k)
 	s.mu.Unlock()
 }
-
-// Flush materializes every pending sink now. It is FlushCtx with
-// context.Background().
-//
-// Deprecated: prefer FlushCtx, which honors cancellation; Flush is kept for
-// source compatibility.
-func (s *Session) Flush() error { return s.FlushCtx(context.Background()) }
 
 // FlushCtx materializes every pending sink under ctx: the session's batch
 // runs as one admission-arbitrated pass per partition dimension, and a

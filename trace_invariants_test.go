@@ -213,10 +213,7 @@ func TestConcurrentSessionMetricsConservation(t *testing.T) {
 	defer parent.Close()
 	sessions := []*Session{parent}
 	for i := 0; i < nChildren; i++ {
-		cs, err := NewSession(WithSharedEngine(parent), WithOwner(fmt.Sprintf("sess-%d", i)))
-		if err != nil {
-			t.Fatal(err)
-		}
+		cs := parent.Share(fmt.Sprintf("sess-%d", i), 1)
 		sessions = append(sessions, cs)
 	}
 	var wg sync.WaitGroup
@@ -321,10 +318,7 @@ func TestConcurrentMetricsSnapshotCancel(t *testing.T) {
 
 	// A sibling session on the same engine hammers cancelled
 	// materializations while the snapshotter scrapes.
-	cancelly, err := NewSession(WithSharedEngine(steady), WithOwner("cancelly"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	cancelly := steady.Share("cancelly", 1)
 	cx, err := cancelly.GenerateSeeded(4096, 2, 23, func(rng *rand.Rand, row []float64) {
 		for i := range row {
 			row[i] = rng.Float64()
