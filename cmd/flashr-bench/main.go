@@ -7,8 +7,8 @@
 //	flashr-bench -experiment all -n 100000 -read-mbps 400
 //	flashr-bench -concurrent 4 -n 100000
 //
-// Experiments: fig7a, fig7b, fig8, fig9, fig10, table4, table6, cse,
-// rewrite, concurrent, shard, all.
+// Experiments: fig7a, fig7b, fig8, fig9, fig10, table4, table6,
+// concurrent, all.
 // See DESIGN.md for the paper-to-experiment index and EXPERIMENTS.md for
 // recorded results.
 package main
@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strings"
 
 	"repro/internal/benchmark"
 	"repro/internal/trace"
@@ -43,12 +42,9 @@ func main() {
 	flag.Float64Var(&cfg.FlipBitRate, "inject-flip-bit", 0, "probability of an injected in-flight bit flip per stripe read")
 	flag.Int64Var(&cfg.FaultSeed, "fault-seed", 0, "seed for the injected-fault RNGs (0=derive from -seed)")
 	flag.IntVar(&cfg.ConcurrentSessions, "concurrent", 0, "run the concurrent multi-session experiment with N sessions sharing one engine (shorthand for -experiment concurrent)")
-	flag.IntVar(&cfg.ShardWorkers, "shard-workers", 0, "in-process shard count for the shard experiment (0=2)")
-	flag.IntVar(&cfg.ShardPartRows, "shard-part-rows", 0, "partition height for the shard experiment; must match the workers' -part-rows (0=engine default)")
 	var (
-		experiment = flag.String("experiment", "all", "experiment to run (fig7a|fig7b|fig8|fig9|fig10|table4|table6|cse|rewrite|concurrent|shard|all)")
+		experiment = flag.String("experiment", "all", "experiment to run (fig7a|fig7b|fig8|fig9|fig10|table4|table6|concurrent|all)")
 		cacheMB    = flag.Int64("cache-mb", 0, "sub-DAG result cache budget in MiB (0=engine default, negative=cache off, CSE on)")
-		shardAddrs = flag.String("shard-addrs", "", "comma-separated flashr-shardworker TCP addresses for the shard experiment (overrides -shard-workers)")
 		tracePath  = flag.String("trace", "", "write a Chrome trace_event JSON file of every materialization pass (load in chrome://tracing or Perfetto)")
 		metrics    = flag.Bool("metrics", false, "dump expfmt metrics from each experiment's EM session before it closes")
 		debugAddr  = flag.String("debug-addr", "", "serve /metrics and /debug/pprof/ on this address while the benchmark runs")
@@ -58,9 +54,6 @@ func main() {
 		*experiment = "concurrent"
 	}
 	cfg.Session.ResultCacheBytes = *cacheMB << 20
-	if *shardAddrs != "" {
-		cfg.ShardAddrs = strings.Split(*shardAddrs, ",")
-	}
 	if *tracePath != "" {
 		cfg.Trace = &benchmark.TraceSink{}
 	}

@@ -580,3 +580,187 @@ func TestShardUnifiedCumsum(t *testing.T) {
 		})
 	}
 }
+
+// The ablation gates below run one program twice on the external-memory
+// path, with an optimizer feature on and off, and compare outputs and I/O.
+// EM makes leaf reads visible in BytesRead. Both arms run four workers over
+// the same 256-row partitions, and sink partials merge in task order, so
+// both arms group every sum identically: real-valued outputs stay bitwise
+// wherever the optimizer does not reassociate.
+
+// emArm runs prog in a fresh four-worker EM session built from opts and
+// returns its outputs and the session's stats.
+func emArm(t *testing.T, opts Options, prog func(s *Session) []float64) ([]float64, MaterializeStats) {
+	t.Helper()
+	dir := t.TempDir()
+	opts.Workers, opts.PartRows, opts.EM = 4, 256, true
+	opts.SSDDirs = []string{filepath.Join(dir, "d0"), filepath.Join(dir, "d1")}
+	s, err := NewSession(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	out := prog(s)
+	return out, s.TotalMaterializeStats()
+}
+
+// normLeaf generates an n×p matrix of standard normals.
+func normLeaf(t *testing.T, s *Session, n int64, p int, seed int64) *FM {
+	t.Helper()
+	x, err := s.GenerateSeeded(n, p, seed, func(rng *rand.Rand, row []float64) {
+		for j := range row {
+			row[j] = rng.NormFloat64()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return x
+}
+
+// values forces m and returns its elements.
+func values(t *testing.T, m *FM) []float64 {
+	t.Helper()
+	d, err := m.AsDense()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d.Data
+}
+
+// sameOutputs compares two arms' outputs: bitwise, or with exact false
+// within the grid's 1e-9·|ref| + 1e-12 tolerance.
+func sameOutputs(t *testing.T, label string, got, want []float64, exact bool) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d outputs, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if exact && math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: output %d = %v, want %v (bitwise)", label, i, got[i], want[i])
+		}
+		if d := math.Abs(got[i] - want[i]); !exact && d > 1e-9*math.Abs(want[i])+1e-12 {
+			t.Fatalf("%s: output %d = %v, want %v±tol", label, i, got[i], want[i])
+		}
+	}
+}
+
+// TestCSEAblationEM is the iterative hash-consing gate. Each iteration
+// forces an iteration-invariant sum twice in one flush, so the duplicate
+// must unify and later iterations must be served from the result cache,
+// then an iteration-dependent sum the cache must never serve. Rewrites are
+// off in both arms, so no fold reassociates a sum and every output stays
+// bitwise.
+func TestCSEAblationEM(t *testing.T) {
+	const n, p, iters = 3000, 4, 3
+	prog := func(s *Session) []float64 {
+		x := normLeaf(t, s, n, p, 31)
+		var out []float64
+		for it := 0; it < iters; it++ {
+			a, b := Sum(Sqrt(Abs(x))), Sum(Sqrt(Abs(x)))
+			out = append(out, values(t, a)...)
+			out = append(out, values(t, b)...)
+			out = append(out, values(t, Sum(Mul(x, float64(it+1))))...)
+		}
+		return out
+	}
+	on, onStats := emArm(t, Options{DisableRewrites: true}, prog)
+	off, offStats := emArm(t, Options{DisableRewrites: true, DisableCSE: true}, prog)
+	sameOutputs(t, "cse on vs off", on, off, true)
+	if onStats.CSEUnifications == 0 || onStats.CacheHits == 0 {
+		t.Fatalf("CSE-on run recorded cse=%d hits=%d, want both > 0", onStats.CSEUnifications, onStats.CacheHits)
+	}
+	if offStats.CSEUnifications != 0 || offStats.CacheHits != 0 {
+		t.Fatalf("CSE-off run recorded cse=%d hits=%d", offStats.CSEUnifications, offStats.CacheHits)
+	}
+	if onStats.BytesRead >= offStats.BytesRead {
+		t.Fatalf("CSE-on read %d bytes, not fewer than CSE-off's %d", onStats.BytesRead, offStats.BytesRead)
+	}
+	if onStats.NodesExecuted >= offStats.NodesExecuted {
+		t.Fatalf("CSE-on executed %d nodes, not fewer than CSE-off's %d", onStats.NodesExecuted, offStats.NodesExecuted)
+	}
+}
+
+// TestRewriteAblationEM runs three iterative shapes with the rewrite pass on
+// and off. Each must read strictly fewer bytes with rewrites on and fire
+// the rule families it exists for:
+//
+//   - kmeans: a column selection of the left half of a cbind. View and
+//     dead-input rules drop the unread half; exact rules, so bitwise.
+//   - logistic: a learning-rate scale over an iteration-invariant sum.
+//     Aggregation folding leaves a raw sink that cache-hits across
+//     iterations; the fold reassociates, so the tolerance channel.
+//   - crossprod: t(A)%*%B over structurally identical operands on the same
+//     selection. Self-recognition picks the symmetric kernel and the
+//     dead-input rule fires; bitwise.
+func TestRewriteAblationEM(t *testing.T) {
+	const n, p, iters = 3000, 16, 3
+	sel := make([]int, p)
+	for i := range sel {
+		sel[i] = i
+	}
+	for _, tc := range []struct {
+		name  string
+		exact bool
+		prog  func(feat, junk *FM) []float64
+		check func(on MaterializeStats) error
+	}{
+		{"kmeans", true, func(feat, junk *FM) []float64 {
+			var out []float64
+			for it := 0; it < iters; it++ {
+				d := Add(GetCols(Cbind(feat, junk), sel), float64(it))
+				out = append(out, values(t, Sum(Mul(d, d)))...)
+				out = append(out, values(t, ColSums(Mul(d, d)))...)
+			}
+			return out
+		}, func(on MaterializeStats) error {
+			if on.RewriteViews == 0 || on.RewriteDCE == 0 {
+				return fmt.Errorf("view=%d dce=%d, want both > 0", on.RewriteViews, on.RewriteDCE)
+			}
+			return nil
+		}},
+		{"logistic", false, func(feat, _ *FM) []float64 {
+			var out []float64
+			for it := 0; it < iters; it++ {
+				out = append(out, values(t, Sum(Mul(Sigmoid(feat), 0.1/float64(it+1))))...)
+			}
+			return out
+		}, func(on MaterializeStats) error {
+			if on.RewriteAggFolds == 0 || on.CacheHits == 0 {
+				return fmt.Errorf("fold=%d hits=%d, want both > 0", on.RewriteAggFolds, on.CacheHits)
+			}
+			return nil
+		}},
+		{"crossprod", true, func(feat, junk *FM) []float64 {
+			var out []float64
+			for it := 0; it < iters; it++ {
+				x := GetCols(Cbind(feat, junk), sel)
+				out = append(out, values(t, CrossProd2(Mul(x, float64(it+1)), Mul(x, float64(it+1))))...)
+			}
+			return out
+		}, func(on MaterializeStats) error {
+			if on.RewriteCrossProds == 0 || on.RewriteDCE == 0 {
+				return fmt.Errorf("xprod=%d dce=%d, want both > 0", on.RewriteCrossProds, on.RewriteDCE)
+			}
+			return nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prog := func(s *Session) []float64 {
+				return tc.prog(normLeaf(t, s, n, p, 41), normLeaf(t, s, n, p, 42))
+			}
+			on, onStats := emArm(t, Options{}, prog)
+			off, offStats := emArm(t, Options{DisableRewrites: true}, prog)
+			sameOutputs(t, "rewrites on vs off", on, off, tc.exact)
+			if err := tc.check(onStats); err != nil {
+				t.Fatalf("rewrites-on run: %v", err)
+			}
+			if offStats.Rewrites != 0 {
+				t.Fatalf("rewrites-off run applied %d rewrites", offStats.Rewrites)
+			}
+			if onStats.BytesRead >= offStats.BytesRead {
+				t.Fatalf("rewrites-on read %d bytes, not fewer than rewrites-off's %d", onStats.BytesRead, offStats.BytesRead)
+			}
+		})
+	}
+}

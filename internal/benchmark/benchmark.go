@@ -12,6 +12,11 @@
 //	Fig. 10  → Fig10:   fusion ablation (base / mem-fuse / cache-fuse)
 //	Table 4  → Table4:  measured I/O bytes per algorithm vs its complexity
 //	Table 6  → Table6:  runtime and peak memory at the largest scale
+//
+// Concurrent adds one repo experiment: N sessions sharing one engine.
+// Experiments only measure and report. Correctness gates (CSE and rewrite
+// ablations, sharded equivalence, real-process shard recovery) are tier-1
+// go tests, not experiments.
 package benchmark
 
 import (
@@ -19,7 +24,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"net/http"
 	"os"
@@ -83,17 +87,6 @@ type Config struct {
 	// ConcurrentSessions is the session count for the "concurrent"
 	// experiment (0 = 4).
 	ConcurrentSessions int
-	// ShardWorkers is the in-process shard count for the "shard"
-	// experiment (0 = 2); ignored when ShardAddrs is set.
-	ShardWorkers int
-	// ShardAddrs lists already-running flashr-shardworker TCP addresses;
-	// when set, the "shard" experiment distributes over real processes.
-	ShardAddrs []string
-	// ShardPartRows overrides the I/O partition height for both runs of
-	// the "shard" experiment (0 = engine default). TCP workers validate
-	// their own -part-rows against this at hello; smaller partitions let
-	// small smoke datasets span every shard.
-	ShardPartRows int
 	// Trace, when non-nil, collects execution-span traces from every engine
 	// the experiments open; render the merged result with
 	// TraceSink.WriteChromeFile after the run (flashr-bench -trace).
@@ -939,334 +932,6 @@ func Table4(cfg Config) ([]Row, error) {
 	return rows, nil
 }
 
-// CSE is the hash-consing/result-cache A/B: an iterative EM workload whose
-// per-iteration DAG contains an iteration-invariant statistics pass (plus a
-// deliberate duplicate sink) and an iteration-dependent update pass, run with
-// structural hash-consing on and off. The two runs must produce bit-identical
-// outputs, and the CSE-on run must report unifications, cache hits, and
-// strictly less leaf I/O and node execution — violations surface as errors,
-// so CI gates on this experiment simply by running it.
-func CSE(cfg Config) ([]Row, error) {
-	cfg = cfg.Defaults()
-	n := cfg.N / 2
-	if n < 4096 {
-		n = 4096
-	}
-	type result struct {
-		vals  []float64
-		stats flashr.MaterializeStats
-		sec   float64
-	}
-	runMode := func(disable bool) (result, error) {
-		var res result
-		dir, err := os.MkdirTemp(cfg.SSDRoot, "flashr-cse-")
-		if err != nil {
-			return res, err
-		}
-		defer os.RemoveAll(dir)
-		opts := cfg.Session
-		opts.EM, opts.SSDDirs = true, safs.DriveDirs(dir, cfg.Drives)
-		opts.DisableCSE = disable
-		opts.Owner = map[bool]string{false: "bench-cse-on", true: "bench-cse-off"}[disable]
-		s, err := flashr.NewSession(opts)
-		if err != nil {
-			return res, err
-		}
-		defer s.Close()
-		if cfg.Trace != nil {
-			s.Engine().StartTrace()
-			defer func() { cfg.Trace.add(s.Engine().StopTrace()) }()
-		}
-		x, err := workload.PageGraph(s, n, cfg.Seed)
-		if err != nil {
-			return res, err
-		}
-		defer x.Free()
-		before := s.TotalMaterializeStats()
-		res.sec, err = timeIt(func() error {
-			for it := 0; it < cfg.Iters; it++ {
-				// Pass 1: iteration-invariant statistics — the same DAG every
-				// iteration, with a structural duplicate in the same flush.
-				a := flashr.Sum(flashr.Sqrt(flashr.Abs(x)))
-				b := flashr.Sum(flashr.Sqrt(flashr.Abs(x)))
-				av, err := a.Float()
-				if err != nil {
-					return err
-				}
-				bv, err := b.Float()
-				if err != nil {
-					return err
-				}
-				// Pass 2: iteration-dependent update — never cache-served.
-				cv, err := flashr.Sum(flashr.Mul(x, float64(it+1))).Float()
-				if err != nil {
-					return err
-				}
-				res.vals = append(res.vals, av, bv, cv)
-			}
-			return nil
-		})
-		if err != nil {
-			return res, err
-		}
-		res.stats = s.TotalMaterializeStats().Sub(before)
-		return res, nil
-	}
-	on, err := runMode(false)
-	if err != nil {
-		return nil, fmt.Errorf("cse on: %w", err)
-	}
-	off, err := runMode(true)
-	if err != nil {
-		return nil, fmt.Errorf("cse off: %w", err)
-	}
-	if len(on.vals) != len(off.vals) {
-		return nil, fmt.Errorf("cse: output lengths differ: %d vs %d", len(on.vals), len(off.vals))
-	}
-	for i := range on.vals {
-		if math.Float64bits(on.vals[i]) != math.Float64bits(off.vals[i]) {
-			return nil, fmt.Errorf("cse: output %d differs: %v (on) vs %v (off)", i, on.vals[i], off.vals[i])
-		}
-	}
-	if on.stats.CSEUnifications == 0 {
-		return nil, fmt.Errorf("cse: CSE-on iterative run reported zero unifications")
-	}
-	if on.stats.CacheHits == 0 {
-		return nil, fmt.Errorf("cse: CSE-on iterative run reported zero cache hits")
-	}
-	if on.stats.BytesRead >= off.stats.BytesRead {
-		return nil, fmt.Errorf("cse: CSE-on read %d bytes, not fewer than CSE-off's %d",
-			on.stats.BytesRead, off.stats.BytesRead)
-	}
-	if on.stats.NodesExecuted >= off.stats.NodesExecuted {
-		return nil, fmt.Errorf("cse: CSE-on executed %d nodes, not fewer than CSE-off's %d",
-			on.stats.NodesExecuted, off.stats.NodesExecuted)
-	}
-	params := fmt.Sprintf("n=%d iters=%d (EM)", n, cfg.Iters)
-	return []Row{
-		{Experiment: "cse", Algorithm: "iterative", System: "cse-on", Params: params,
-			Seconds: on.sec, Normalized: 1, Extra: ioExtra(on.stats)},
-		{Experiment: "cse", Algorithm: "iterative", System: "cse-off", Params: params,
-			Seconds: off.sec, Normalized: off.sec / on.sec, Extra: ioExtra(off.stats)},
-	}, nil
-}
-
-// Rewrite is the algebraic-rewrite A/B: three EM workload shapes, each run
-// with the optimizer on and off, each self-gating. "kmeans" is a k-means-like
-// assignment/update loop whose feature columns are selected out of a wider
-// cbind — dead-input elimination must prune the unread half, with
-// bit-identical outputs (view/DCE rules are exact). "logistic" is an
-// iterative loop whose per-iteration step scales an iteration-invariant
-// reduction by a learning rate — aggregation folding must turn the scaled
-// sink into an affine transform over a cacheable raw reduction, with
-// tolerance-pinned outputs (folding reassociates the float reduction).
-// "crossprod" computes t(X)%*%X through two structurally identical but
-// distinct operands over a DCE-able selection — crossprod self-recognition
-// must select the Syrk kernel, with bit-identical outputs. Every shape must
-// read strictly fewer bytes with rewrites on and not regress wall time;
-// violations surface as errors, so CI gates on this experiment by running it.
-func Rewrite(cfg Config) ([]Row, error) {
-	cfg = cfg.Defaults()
-	n := cfg.N / 2
-	if n < 4096 {
-		n = 4096
-	}
-	const p = 16
-	sel := make([]int, p)
-	for i := range sel {
-		sel[i] = i
-	}
-	type result struct {
-		vals  []float64
-		stats flashr.MaterializeStats
-		sec   float64
-	}
-	runShape := func(shape string, disable bool, prog func(s *flashr.Session, feat, junk *flashr.FM, out *[]float64) error) (result, error) {
-		var res result
-		dir, err := os.MkdirTemp(cfg.SSDRoot, "flashr-rewrite-")
-		if err != nil {
-			return res, err
-		}
-		defer os.RemoveAll(dir)
-		opts := cfg.Session
-		opts.EM, opts.SSDDirs = true, safs.DriveDirs(dir, cfg.Drives)
-		opts.DisableRewrites = disable
-		opts.Owner = fmt.Sprintf("bench-rw-%s-%v", shape, map[bool]string{false: "on", true: "off"}[disable])
-		s, err := flashr.NewSession(opts)
-		if err != nil {
-			return res, err
-		}
-		defer s.Close()
-		if cfg.Trace != nil {
-			s.Engine().StartTrace()
-			defer func() { cfg.Trace.add(s.Engine().StopTrace()) }()
-		}
-		feat, err := s.GenerateSeeded(n, p, cfg.Seed, func(rng *rand.Rand, row []float64) {
-			for j := range row {
-				row[j] = rng.NormFloat64()
-			}
-		})
-		if err != nil {
-			return res, err
-		}
-		defer feat.Free()
-		junk, err := s.GenerateSeeded(n, p, cfg.Seed+1, func(rng *rand.Rand, row []float64) {
-			for j := range row {
-				row[j] = rng.NormFloat64() * 3
-			}
-		})
-		if err != nil {
-			return res, err
-		}
-		defer junk.Free()
-		before := s.TotalMaterializeStats()
-		res.sec, err = timeIt(func() error { return prog(s, feat, junk, &res.vals) })
-		if err != nil {
-			return res, err
-		}
-		res.stats = s.TotalMaterializeStats().Sub(before)
-		return res, nil
-	}
-
-	// kmeans: each iteration shifts the selected features by the iteration
-	// index (so no whole-sink result is reused across iterations in either
-	// run) and reduces them — the junk half of the cbind must never be read.
-	kmeansProg := func(s *flashr.Session, feat, junk *flashr.FM, out *[]float64) error {
-		for it := 0; it < cfg.Iters; it++ {
-			x := flashr.GetCols(flashr.Cbind(feat, junk), sel)
-			// Square the shifted features so the sinks see a non-linear top
-			// layer: this shape must stay bit-identical, exercising only the
-			// exact view/DCE rules, not aggregation folding.
-			d := flashr.Add(x, float64(it))
-			sq, err := flashr.Sum(flashr.Mul(d, d)).Float()
-			if err != nil {
-				return err
-			}
-			cs, err := flashr.ColSums(flashr.Mul(d, d)).AsVector()
-			if err != nil {
-				return err
-			}
-			*out = append(*out, sq)
-			*out = append(*out, cs...)
-		}
-		return nil
-	}
-	// logistic: the sigmoid reduction is iteration-invariant; only the
-	// learning-rate scale changes. Folding leaves a cacheable raw sink.
-	logisticProg := func(s *flashr.Session, feat, junk *flashr.FM, out *[]float64) error {
-		for it := 0; it < cfg.Iters; it++ {
-			lr := 0.1 / float64(it+1)
-			g, err := flashr.Sum(flashr.Mul(flashr.Sigmoid(feat), lr)).Float()
-			if err != nil {
-				return err
-			}
-			*out = append(*out, g)
-		}
-		return nil
-	}
-	// crossprod: two distinct but structurally identical operands over the
-	// DCE-able selection; recognition must pick the symmetric kernel.
-	crossprodProg := func(s *flashr.Session, feat, junk *flashr.FM, out *[]float64) error {
-		for it := 0; it < cfg.Iters; it++ {
-			x := flashr.GetCols(flashr.Cbind(feat, junk), sel)
-			a := flashr.Mul(x, float64(it+1))
-			b := flashr.Mul(x, float64(it+1))
-			g, err := flashr.CrossProd2(a, b).AsDense()
-			if err != nil {
-				return err
-			}
-			*out = append(*out, g.Data...)
-		}
-		return nil
-	}
-
-	type shapeSpec struct {
-		name  string
-		prog  func(s *flashr.Session, feat, junk *flashr.FM, out *[]float64) error
-		exact bool // bit-identical gate vs tolerance-pinned
-		check func(on result) error
-	}
-	shapes := []shapeSpec{
-		{"kmeans", kmeansProg, true, func(on result) error {
-			if on.stats.RewriteDCE == 0 || on.stats.RewriteViews == 0 {
-				return fmt.Errorf("expected view+DCE rewrites, got view=%d dce=%d",
-					on.stats.RewriteViews, on.stats.RewriteDCE)
-			}
-			return nil
-		}},
-		{"logistic", logisticProg, false, func(on result) error {
-			if on.stats.RewriteAggFolds == 0 {
-				return fmt.Errorf("expected aggregation folds, got none")
-			}
-			if on.stats.CacheHits == 0 {
-				return fmt.Errorf("expected folded raw sink to cache-hit across iterations")
-			}
-			return nil
-		}},
-		{"crossprod", crossprodProg, true, func(on result) error {
-			if on.stats.RewriteCrossProds == 0 {
-				return fmt.Errorf("expected crossprod self-recognition, got none")
-			}
-			if on.stats.RewriteDCE == 0 {
-				return fmt.Errorf("expected DCE on the crossprod input, got none")
-			}
-			return nil
-		}},
-	}
-	var rows []Row
-	for _, sp := range shapes {
-		on, err := runShape(sp.name, false, sp.prog)
-		if err != nil {
-			return nil, fmt.Errorf("rewrite %s on: %w", sp.name, err)
-		}
-		off, err := runShape(sp.name, true, sp.prog)
-		if err != nil {
-			return nil, fmt.Errorf("rewrite %s off: %w", sp.name, err)
-		}
-		if len(on.vals) != len(off.vals) {
-			return nil, fmt.Errorf("rewrite %s: output lengths differ: %d vs %d", sp.name, len(on.vals), len(off.vals))
-		}
-		for i := range on.vals {
-			if sp.exact {
-				if math.Float64bits(on.vals[i]) != math.Float64bits(off.vals[i]) {
-					return nil, fmt.Errorf("rewrite %s: output %d differs: %v (on) vs %v (off)",
-						sp.name, i, on.vals[i], off.vals[i])
-				}
-			} else if d := math.Abs(on.vals[i] - off.vals[i]); d > 1e-9*math.Abs(off.vals[i])+1e-12 {
-				return nil, fmt.Errorf("rewrite %s: output %d outside tolerance: %v (on) vs %v (off)",
-					sp.name, i, on.vals[i], off.vals[i])
-			}
-		}
-		if err := sp.check(on); err != nil {
-			return nil, fmt.Errorf("rewrite %s: %w", sp.name, err)
-		}
-		if off.stats.Rewrites != 0 {
-			return nil, fmt.Errorf("rewrite %s: rewrites-off run reported %d rewrites", sp.name, off.stats.Rewrites)
-		}
-		if on.stats.BytesRead >= off.stats.BytesRead {
-			return nil, fmt.Errorf("rewrite %s: rewrites-on read %d bytes, not fewer than rewrites-off's %d",
-				sp.name, on.stats.BytesRead, off.stats.BytesRead)
-		}
-		// Wall-time no-regression gate, with slack for scheduling noise on
-		// loaded CI hosts (the on-run does strictly less I/O and compute).
-		if on.sec > off.sec*1.5 {
-			return nil, fmt.Errorf("rewrite %s: rewrites-on took %.3fs, regressing past rewrites-off's %.3fs",
-				sp.name, on.sec, off.sec)
-		}
-		params := fmt.Sprintf("n=%d p=%d iters=%d (EM)", n, p, cfg.Iters)
-		rwExtra := fmt.Sprintf("rw=%d view=%d xprod=%d fold=%d dce=%d dead=%d ",
-			on.stats.Rewrites, on.stats.RewriteViews, on.stats.RewriteCrossProds,
-			on.stats.RewriteAggFolds, on.stats.RewriteDCE, on.stats.RewriteDeadNodes)
-		rows = append(rows,
-			Row{Experiment: "rewrite", Algorithm: sp.name, System: "rewrite-on", Params: params,
-				Seconds: on.sec, Normalized: 1, Extra: rwExtra + ioExtra(on.stats)},
-			Row{Experiment: "rewrite", Algorithm: sp.name, System: "rewrite-off", Params: params,
-				Seconds: off.sec, Normalized: off.sec / on.sec, Extra: ioExtra(off.stats)},
-		)
-	}
-	return rows, nil
-}
-
 // Concurrent measures multi-session materialization: N sessions sharing one
 // EM engine each run logistic regression on a private dataset, first
 // back-to-back (serial reference) and then all at once from a barrier start.
@@ -1396,7 +1061,7 @@ func Concurrent(cfg Config) ([]Row, error) {
 
 // Experiments lists the runnable experiment names.
 func Experiments() []string {
-	return []string{"fig7a", "fig7b", "fig8", "fig9", "fig10", "table4", "table6", "cse", "rewrite", "concurrent", "shard"}
+	return []string{"fig7a", "fig7b", "fig8", "fig9", "fig10", "table4", "table6", "concurrent"}
 }
 
 // Run dispatches an experiment by name ("all" runs everything).
@@ -1416,14 +1081,8 @@ func Run(name string, cfg Config) ([]Row, error) {
 		return Table4(cfg)
 	case "table6":
 		return Table6(cfg)
-	case "cse":
-		return CSE(cfg)
-	case "rewrite":
-		return Rewrite(cfg)
 	case "concurrent":
 		return Concurrent(cfg)
-	case "shard":
-		return Shard(cfg)
 	case "all":
 		var all []Row
 		for _, e := range Experiments() {

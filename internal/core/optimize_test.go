@@ -61,8 +61,8 @@ func TestRewriteIdentityColsEliminated(t *testing.T) {
 // TestRewriteColsPushdown: a column selection above an elementwise chain is
 // pushed below it, so the narrowed subtree computes (and reads) only the
 // selected columns. Results stay bit-identical. (The bytes-read reduction is
-// gated end-to-end on the external-memory path by the flashr-bench rewrite
-// experiment; in-memory leaves report no read bytes.)
+// gated end-to-end on the external-memory path by the root package's
+// TestRewriteAblationEM; in-memory leaves report no read bytes.)
 func TestRewriteColsPushdown(t *testing.T) {
 	ad := cseDense(1200, 8, 12)
 	sel := []int{1, 5}

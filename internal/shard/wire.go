@@ -56,10 +56,6 @@ func opName(op uint8) string {
 	}
 }
 
-// maxWireSlice bounds decoded slice lengths: a corrupt or hostile frame must
-// fail decoding, not allocate unboundedly.
-const maxWireSlice = 1 << 28
-
 // wbuf is the append-only wire encoder.
 type wbuf struct {
 	b []byte
@@ -99,6 +95,17 @@ func (w *wbuf) i32s(xs []int32) {
 	}
 }
 
+// decodeError is the typed failure of every wire and checkpoint decoder: a
+// truncated field, or a length prefix the bytes left cannot hold.
+type decodeError struct {
+	what string
+	off  int
+}
+
+func (e *decodeError) Error() string {
+	return fmt.Sprintf("shard: truncated or malformed %s at offset %d", e.what, e.off)
+}
+
 // rbuf is the wire decoder; the first malformed field latches err and every
 // later read returns zero values.
 type rbuf struct {
@@ -109,7 +116,7 @@ type rbuf struct {
 
 func (r *rbuf) fail(what string) {
 	if r.err == nil {
-		r.err = fmt.Errorf("shard: truncated or malformed %s at offset %d", what, r.off)
+		r.err = &decodeError{what: what, off: r.off}
 	}
 }
 
@@ -161,9 +168,12 @@ func (r *rbuf) f64() float64 {
 	return v
 }
 
+// sliceLen reads a length prefix. Every element takes at least one byte, so
+// a length beyond the bytes left is malformed: a hostile frame must fail
+// here, before any caller sizes an allocation from it.
 func (r *rbuf) sliceLen(what string) int {
 	n := r.uvarint()
-	if n > maxWireSlice {
+	if r.err == nil && n > uint64(len(r.b)-r.off) {
 		r.fail(what + " length")
 		return 0
 	}
@@ -172,8 +182,7 @@ func (r *rbuf) sliceLen(what string) int {
 
 func (r *rbuf) str() string {
 	n := r.sliceLen("string")
-	if r.err != nil || r.off+n > len(r.b) {
-		r.fail("string")
+	if r.err != nil {
 		return ""
 	}
 	s := string(r.b[r.off : r.off+n])

@@ -19,9 +19,18 @@
 package flashr_test
 
 import (
+	"bufio"
+	"bytes"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
+	"net/http"
+	"os/exec"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -57,8 +66,9 @@ func chaosInitCenters() *dense.Dense {
 
 // runChaosML runs the two workloads in one session and returns the flattened
 // outcome. The caller owns opts; the session is closed before returning so
-// coordinator teardown is part of what the sweep exercises.
-func runChaosML(t *testing.T, opts flashr.Options, check func(s *flashr.Session)) chaosOutcome {
+// coordinator teardown is part of what the sweep exercises. afterKMeans, if
+// set, runs between the two workloads; check, if set, runs after both.
+func runChaosML(t *testing.T, opts flashr.Options, afterKMeans func(), check func(s *flashr.Session)) chaosOutcome {
 	t.Helper()
 	s, err := flashr.NewSession(opts)
 	if err != nil {
@@ -84,6 +94,9 @@ func runChaosML(t *testing.T, opts flashr.Options, check func(s *flashr.Session)
 	km, err := ml.KMeans(s, x, chaosK, ml.KMeansOptions{MaxIter: chaosIters, InitCenters: chaosInitCenters()})
 	if err != nil {
 		t.Fatalf("kmeans: %v", err)
+	}
+	if afterKMeans != nil {
+		afterKMeans()
 	}
 	lg, err := ml.LogisticRegressionGD(s, x, y, ml.LogisticOptions{MaxIter: chaosIters})
 	if err != nil {
@@ -156,7 +169,7 @@ func compareChannels(t *testing.T, label string, a, b chaosOutcome, bitwise bool
 // two workers at each exec boundary of the iteration, and hold every faulted
 // run to the unfaulted answers.
 func TestShardChaosDifferential(t *testing.T) {
-	local := runChaosML(t, chaosShardOptions(), nil)
+	local := runChaosML(t, chaosShardOptions(), nil, nil)
 
 	shardOpts := func(wrap func(wi int, tr shard.Transport) shard.Transport) flashr.Options {
 		opts := chaosShardOptions()
@@ -166,7 +179,7 @@ func TestShardChaosDifferential(t *testing.T) {
 		}
 		return opts
 	}
-	unfaulted := runChaosML(t, shardOpts(nil), func(s *flashr.Session) {
+	unfaulted := runChaosML(t, shardOpts(nil), nil, func(s *flashr.Session) {
 		if err := s.Coordinator().CheckHandleBalance(); err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +221,7 @@ func TestShardChaosDifferential(t *testing.T) {
 				chaos = ct
 				return ct
 			})
-			got := runChaosML(t, opts, func(s *flashr.Session) {
+			got := runChaosML(t, opts, nil, func(s *flashr.Session) {
 				coord := s.Coordinator()
 				if chaos == nil || chaos.Crashes() == 0 {
 					t.Fatal("chaos schedule never fired")
@@ -226,6 +239,173 @@ func TestShardChaosDifferential(t *testing.T) {
 			compareChannels(t, "faulted shard vs local", local, got, false)
 		})
 	}
+}
+
+// shardWorkerProc is one flashr-shardworker process started by a test.
+type shardWorkerProc struct {
+	cmd    *exec.Cmd
+	addr   string      // shard protocol address
+	debug  string      // /metrics address
+	lines  chan string // stdout, closed at EOF
+	stderr bytes.Buffer
+}
+
+// startShardWorker starts bin on listen with a kernel-chosen debug port,
+// and returns once the worker has printed both bound addresses.
+func startShardWorker(t *testing.T, bin, listen string, extra ...string) *shardWorkerProc {
+	t.Helper()
+	args := append([]string{"-listen", listen, "-debug-addr", "127.0.0.1:0",
+		"-part-rows", "256", "-workers", "4"}, extra...)
+	// A worker prints a handful of lines; the buffer lets the reader run
+	// ahead of a test that reads them only at startup and at drain.
+	w := &shardWorkerProc{cmd: exec.Command(bin, args...), lines: make(chan string, 64)}
+	w.cmd.Stderr = &w.stderr
+	stdout, err := w.cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.cmd.Process.Kill() })
+	go func() {
+		defer close(w.lines)
+		sc := bufio.NewScanner(stdout)
+		for sc.Scan() {
+			w.lines <- sc.Text()
+		}
+		io.Copy(io.Discard, stdout)
+	}()
+	after := func(line, marker string) string {
+		if i := strings.Index(line, marker); i >= 0 {
+			return strings.Fields(line[i+len(marker):])[0]
+		}
+		return ""
+	}
+	deadline := time.After(30 * time.Second)
+	for w.addr == "" || w.debug == "" {
+		select {
+		case line, ok := <-w.lines:
+			if !ok {
+				t.Fatalf("worker on %s exited during startup: %s", listen, w.stderr.String())
+			}
+			if a := after(line, "listening on "); a != "" {
+				w.addr = a
+			}
+			if a := after(line, "debug server on "); a != "" {
+				w.debug = a
+			}
+		case <-deadline:
+			t.Fatalf("worker on %s printed no bound addresses within 30s", listen)
+		}
+	}
+	return w
+}
+
+// metric reads one unlabelled sample from the worker's /metrics.
+func (w *shardWorkerProc) metric(t *testing.T, name string) float64 {
+	t.Helper()
+	resp, err := http.Get("http://" + w.debug + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		if f := strings.Fields(sc.Text()); len(f) == 2 && f[0] == name {
+			v, err := strconv.ParseFloat(f[1], 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return v
+		}
+	}
+	t.Fatalf("worker %s exposes no %s", w.addr, name)
+	return 0
+}
+
+// kill sends SIGKILL and reaps the process once its stdout is drained.
+func (w *shardWorkerProc) kill(t *testing.T) {
+	t.Helper()
+	if err := w.cmd.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	for range w.lines {
+	}
+	w.cmd.Wait()
+}
+
+// drain sends SIGTERM and requires exit 0 with a drain line whose accepted
+// and answered counts are equal and nonzero.
+func (w *shardWorkerProc) drain(t *testing.T) {
+	t.Helper()
+	if err := w.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	var acc, ans int64 = -1, -1
+	for line := range w.lines {
+		if i := strings.Index(line, "drained "); i >= 0 {
+			fmt.Sscanf(line[i:], "drained accepted=%d answered=%d", &acc, &ans)
+		}
+	}
+	if err := w.cmd.Wait(); err != nil {
+		t.Fatalf("worker %s after SIGTERM: %v: %s", w.addr, err, w.stderr.String())
+	}
+	if acc <= 0 || acc != ans {
+		t.Fatalf("worker %s drained accepted=%d answered=%d", w.addr, acc, ans)
+	}
+}
+
+// TestShardRealProcesses runs the chaos workloads over two real
+// flashr-shardworker processes on loopback TCP. The clean run must match
+// local within tolerance and show passes on each worker's /metrics. A
+// SIGKILL of worker 0 between k-means and logistic, with a restart on the
+// same address, must be recovered and held to the same channels as the
+// in-process faulted runs. SIGTERM must then drain both workers.
+func TestShardRealProcesses(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and starts flashr-shardworker processes")
+	}
+	bin := filepath.Join(t.TempDir(), "flashr-shardworker")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/flashr-shardworker").CombinedOutput(); err != nil {
+		t.Fatalf("build flashr-shardworker: %v\n%s", err, out)
+	}
+	w0 := startShardWorker(t, bin, "127.0.0.1:0")
+	w1 := startShardWorker(t, bin, "127.0.0.1:0")
+	tcpOpts := func() flashr.Options {
+		opts := chaosShardOptions()
+		opts.Sharding = &flashr.ShardConfig{
+			Addrs: []string{w0.addr, w1.addr}, Retries: 8, RetryBackoff: time.Millisecond,
+		}
+		return opts
+	}
+
+	local := runChaosML(t, chaosShardOptions(), nil, nil)
+	clean := runChaosML(t, tcpOpts(), nil, func(s *flashr.Session) {
+		if ms := s.TotalMaterializeStats(); ms.ShardPasses == 0 || ms.ShardAggRounds == 0 {
+			t.Fatalf("TCP run reported passes=%d rounds=%d", ms.ShardPasses, ms.ShardAggRounds)
+		}
+	})
+	compareChannels(t, "tcp shard vs local", local, clean, false)
+	for _, w := range []*shardWorkerProc{w0, w1} {
+		if p := w.metric(t, "flashr_materialize_passes_total"); p <= 0 {
+			t.Fatalf("worker %s ran %v passes", w.addr, p)
+		}
+	}
+
+	faulted := runChaosML(t, tcpOpts(), func() {
+		w0.kill(t)
+		w0 = startShardWorker(t, bin, w0.addr, "-rebind-wait", "10s")
+	}, func(s *flashr.Session) {
+		if s.Coordinator().Recoveries() == 0 {
+			t.Fatal("worker 0 was killed but the coordinator recorded no recovery")
+		}
+	})
+	compareChannels(t, "faulted vs unfaulted tcp shard", clean, faulted, true)
+	compareChannels(t, "faulted tcp shard vs local", local, faulted, false)
+
+	w0.drain(t)
+	w1.drain(t)
 }
 
 // TestShardChaosTrace pins the observability half: a recovered pass must
