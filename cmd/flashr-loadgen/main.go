@@ -1,6 +1,7 @@
-// Command flashr-loadgen drives a running flashr-serve and reports per-tenant
-// throughput plus batching statistics. It is the driver behind the CI
-// serve-smoke job and the EXPERIMENTS throughput-vs-batch-wait recipes.
+// Command flashr-loadgen drives a running flashr-serve over its /v2 surface
+// and reports per-tenant throughput plus batching statistics. It is the
+// client in flashr-serve's real-process test and in the EXPERIMENTS
+// throughput-vs-batch-wait recipes.
 //
 // Two modes:
 //
@@ -321,7 +322,7 @@ func (c client) post(path string, body any) (*http.Response, error) {
 }
 
 func createSession(cl client, tenant string) (string, error) {
-	resp, err := cl.post("/v1/sessions", map[string]string{"tenant": tenant})
+	resp, err := cl.post("/v2/sessions", map[string]string{"tenant": tenant})
 	if err != nil {
 		return "", err
 	}
@@ -342,7 +343,7 @@ func createSession(cl client, tenant string) (string, error) {
 // eval submits one program and returns the HTTP status and reported batch
 // size. A transport-level failure returns err; an HTTP error status does not.
 func eval(cl client, sid, program string) (code, batchSize int, err error) {
-	resp, err := cl.post("/v1/sessions/"+sid+"/eval", map[string]string{"program": program})
+	resp, err := cl.post("/v2/sessions/"+sid+"/eval", map[string]string{"program": program})
 	if err != nil {
 		return 0, 0, err
 	}

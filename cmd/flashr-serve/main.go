@@ -1,16 +1,19 @@
 // Command flashr-serve exposes one shared FlashR engine as a multi-tenant
-// HTTP/JSON service: clients create sessions, submit R-flavored programs or
-// typed op requests, and read results, while a request batcher coalesces
-// compatible requests arriving within a short max-wait window into shared
-// materialization passes. Each tenant maps to PassOptions{Owner, Weight} on
-// the engine, so the pass-admission arbiter and per-owner fair I/O queueing
-// enforce per-tenant QoS.
+// HTTP/JSON service: clients create sessions, submit R-flavored programs,
+// and read results — scalars as text, matrices as result handles fetched by
+// row range — while a request batcher coalesces requests arriving within a
+// flush window into shared materialization passes. The window is fixed at
+// -batch-wait by default; with -batch-wait-floor below it, the window adapts
+// to the measured arrival rate between the two. Each tenant maps to
+// PassOptions{Owner, Weight} on the engine, so the pass-admission arbiter
+// and per-owner fair I/O queueing enforce per-tenant QoS.
 //
 //	flashr-serve -addr :8080 -ssd-root /data/flashr -read-mbps 400
 //
-//	curl -s localhost:8080/v1/sessions -d '{"tenant":"acme"}'
-//	curl -s localhost:8080/v1/sessions/<id>/eval \
-//	     -d '{"program":"x <- rnorm.matrix(100000, 8)\nsum(x * x)"}'
+//	curl -s localhost:8080/v2/sessions -d '{"tenant":"acme"}'
+//	curl -s localhost:8080/v2/sessions/<id>/eval \
+//	     -d '{"program":"x <- rnorm.matrix(100000, 8)\nsum(x * x)\nhead(x, 5)"}'
+//	curl -s 'localhost:8080/v2/results/<handle>?rows=0:5'
 //	curl -s localhost:8080/metrics | grep flashr_serve
 //
 // SIGINT/SIGTERM drain gracefully: the listener stops accepting, in-flight
@@ -48,15 +51,14 @@ func main() {
 		resCacheMB  = flag.Float64("result-cache-mb", 0, "sub-DAG result cache budget in MiB (0 = engine default, -1 = disabled)")
 		passes      = flag.Int("max-passes", 0, "concurrent materialization passes (0 = engine default)")
 		batchMax    = flag.Int("batch-max", serve.DefaultMaxBatch, "max requests coalesced per batch")
-		batchWait   = flag.Duration("batch-wait", serve.DefaultBatchWait, "how long a batch waits for company before flushing")
+		batchWait   = flag.Duration("batch-wait", serve.DefaultBatchWait, "longest a batch waits for company before flushing")
 		queueDepth  = flag.Int("queue-depth", serve.DefaultQueueDepth, "accept queue bound; beyond it requests shed with 429")
 		maxSessions = flag.Int("max-sessions", serve.DefaultMaxSessionsPerTenant, "serving sessions per tenant (-1 = unlimited)")
 		maxInflight = flag.Int("max-inflight", serve.DefaultMaxInflightPerTenant, "in-flight requests per tenant (-1 = unlimited)")
 		sessionIdle = flag.Duration("session-idle", serve.DefaultSessionIdle, "idle serving sessions expire after this (-1s = never)")
 		resultIdle  = flag.Duration("result-idle", 0, "idle result handles expire after this (0 = session-idle, -1s = never)")
 		authTokens  = flag.String("auth-tokens", "", "comma-separated tenant=token pairs; when set, requests need Authorization: Bearer <token>")
-		waitFloor   = flag.Duration("batch-wait-floor", 0, "adaptive batching: minimum flush window (0 = 1ms)")
-		waitCeil    = flag.Duration("batch-wait-ceil", 0, "adaptive batching: maximum flush window (0 = fixed -batch-wait)")
+		waitFloor   = flag.Duration("batch-wait-floor", 0, "shortest flush window; below -batch-wait the window adapts to the arrival rate (0 = -batch-wait, fixed)")
 		maxEstMB    = flag.Float64("max-est-mb", 0, "reject programs whose estimated working set exceeds this many MiB (0 = unlimited)")
 		maxPinMB    = flag.Float64("max-pinned-mb", 0, "per-tenant byte quota for pinned result handles, in MiB (0 = unlimited)")
 		drainWait   = flag.Duration("drain-wait", 30*time.Second, "graceful shutdown budget before forced exit")
@@ -92,7 +94,6 @@ func main() {
 		MaxBatch:                *batchMax,
 		BatchWait:               *batchWait,
 		BatchWaitFloor:          *waitFloor,
-		BatchWaitCeil:           *waitCeil,
 		QueueDepth:              *queueDepth,
 		MaxSessionsPerTenant:    *maxSessions,
 		MaxInflightPerTenant:    *maxInflight,

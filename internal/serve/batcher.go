@@ -1,9 +1,10 @@
 // Package serve turns a shared FlashR engine into a multi-tenant network
-// service: clients create sessions, submit R-flavored programs (or typed op
-// requests translated into them), and read results over HTTP/JSON. The core
-// is a request batcher that coalesces requests arriving within a short
-// max-wait window into shared materialization passes; each tenant maps to
-// one shared-engine flashr.Session whose PassOptions{Owner, Weight} put the
+// service on one HTTP surface, /v2: clients create sessions, submit
+// R-flavored programs, get scalars back as text and matrices back as
+// result handles, and fetch handle rows by range. The core is a request
+// batcher that coalesces requests arriving within a rate-adaptive flush
+// window into shared materialization passes; each tenant maps to one
+// shared-engine flashr.Session whose PassOptions{Owner, Weight} put the
 // engine's pass-admission arbiter and per-owner fair I/O queueing to work as
 // the per-tenant QoS layer.
 package serve
@@ -37,18 +38,14 @@ type Request struct {
 	Program string
 	// Ctx covers the request's whole lifetime (HTTP request context).
 	Ctx context.Context
-	// V2 selects the reference-returning result shape: matrix values come
-	// back as Items carrying the FM (for the handler to pin) instead of
-	// being rendered inline into Results.
-	V2 bool
 
 	enqueued time.Time
 	resp     chan *Response
 }
 
-// ResultItem is one statement's result on the v2 surface: either rendered
-// text (scalars, strings, 1×1 reductions) or a matrix to be pinned behind a
-// result handle by the HTTP layer.
+// ResultItem is one statement's result: either rendered text (scalars,
+// strings, 1×1 reductions) or a matrix to be pinned behind a result handle
+// by the HTTP layer.
 type ResultItem struct {
 	// Show reports whether the statement prints at all (assignments do not).
 	Show bool
@@ -61,11 +58,8 @@ type ResultItem struct {
 // Response is the per-caller answer delivered on the request's private
 // channel, with the timing breakdown of where the request spent its life.
 type Response struct {
-	// Results holds one rendered value per program statement (empty
-	// strings for statements with no printable value). Nil when Err is set.
-	Results []string
-	// Items holds the v2 per-statement results (set instead of Results for
-	// V2 requests). Nil when Err is set.
+	// Items holds one result per program statement (a zero item for
+	// statements with no printable value). Nil when Err is set.
 	Items []ResultItem
 	// Err is the request-level failure (parse/eval/materialize error for
 	// this caller only; batchmates are unaffected).
@@ -82,7 +76,7 @@ type Response struct {
 	Exec      time.Duration
 }
 
-// Batcher coalesces requests into batches bounded by size and by a max-wait
+// Batcher coalesces requests into batches bounded by size and by a flush
 // window, in the style of channel-based write batchers: submitters enqueue
 // on a bounded channel and block on a private response channel; a dispatcher
 // goroutine accumulates a batch until it is full or the window since the
@@ -91,9 +85,8 @@ type Response struct {
 type Batcher struct {
 	in       chan *Request
 	maxBatch int
-	maxWait  time.Duration
-	// window, when non-nil, is consulted as each batch's first request
-	// arrives and overrides maxWait for that batch (rate-adaptive batching).
+	// window is consulted as each batch's first request arrives and sizes
+	// that batch's flush window.
 	window func() time.Duration
 	run    func(batchID string, reqs []*Request)
 
@@ -110,15 +103,12 @@ type Batcher struct {
 
 // NewBatcher builds and starts a batcher. run is invoked with each batch
 // (size ≥ 1) and must deliver a Response to every request via its deliver
-// method. maxBatch bounds batch size, maxWait bounds how long the first
-// request of a batch waits for company, and queueDepth bounds the accept
-// queue beyond which Submit sheds.
-func NewBatcher(maxBatch int, maxWait time.Duration, queueDepth int, run func(batchID string, reqs []*Request)) *Batcher {
+// method. maxBatch bounds batch size, window is called at the start of each
+// batch and bounds how long its first request waits for company, and
+// queueDepth bounds the accept queue beyond which Submit sheds.
+func NewBatcher(maxBatch int, window func() time.Duration, queueDepth int, run func(batchID string, reqs []*Request)) *Batcher {
 	if maxBatch < 1 {
 		maxBatch = 1
-	}
-	if maxWait <= 0 {
-		maxWait = 2 * time.Millisecond
 	}
 	if queueDepth < 1 {
 		queueDepth = 256
@@ -126,33 +116,6 @@ func NewBatcher(maxBatch int, maxWait time.Duration, queueDepth int, run func(ba
 	b := &Batcher{
 		in:       make(chan *Request, queueDepth),
 		maxBatch: maxBatch,
-		maxWait:  maxWait,
-		run:      run,
-		stop:     make(chan struct{}),
-		loopDone: make(chan struct{}),
-	}
-	go b.loop()
-	return b
-}
-
-// NewAdaptiveBatcher is NewBatcher with a rate-adaptive flush window: window
-// is consulted at the start of each batch and its result (when positive)
-// replaces maxWait for that batch. maxWait remains the fallback when window
-// returns a non-positive duration.
-func NewAdaptiveBatcher(maxBatch int, maxWait time.Duration, queueDepth int, window func() time.Duration, run func(batchID string, reqs []*Request)) *Batcher {
-	if maxBatch < 1 {
-		maxBatch = 1
-	}
-	if maxWait <= 0 {
-		maxWait = 2 * time.Millisecond
-	}
-	if queueDepth < 1 {
-		queueDepth = 256
-	}
-	b := &Batcher{
-		in:       make(chan *Request, queueDepth),
-		maxBatch: maxBatch,
-		maxWait:  maxWait,
 		window:   window,
 		run:      run,
 		stop:     make(chan struct{}),
@@ -204,13 +167,7 @@ func (b *Batcher) loop() {
 			return
 		}
 		batch := append(make([]*Request, 0, b.maxBatch), first)
-		wait := b.maxWait
-		if b.window != nil {
-			if w := b.window(); w > 0 {
-				wait = w
-			}
-		}
-		timer := time.NewTimer(wait)
+		timer := time.NewTimer(b.window())
 	collect:
 		for len(batch) < b.maxBatch {
 			select {

@@ -24,13 +24,14 @@ func collectRuns(mu *sync.Mutex, sizes *[]int) func(*Batcher) func(string, []*Re
 	}
 }
 
-// newTestBatcher wires a batcher to a run callback that needs the batcher
-// itself (for deliver), working around the construction cycle.
+// newTestBatcher wires a batcher with a fixed flush window to a run callback
+// that needs the batcher itself (for deliver), working around the
+// construction cycle.
 func newTestBatcher(maxBatch int, maxWait time.Duration, depth int, mk func(*Batcher) func(string, []*Request)) *Batcher {
 	var b *Batcher
 	var once sync.Once
 	var run func(string, []*Request)
-	b = NewBatcher(maxBatch, maxWait, depth, func(id string, reqs []*Request) {
+	b = NewBatcher(maxBatch, func() time.Duration { return maxWait }, depth, func(id string, reqs []*Request) {
 		once.Do(func() { run = mk(b) })
 		run(id, reqs)
 	})
@@ -145,7 +146,7 @@ func TestBatcherPerCallerDelivery(t *testing.T) {
 				if i == 0 {
 					resp.Err = errBoom
 				} else {
-					resp.Results = []string{fmt.Sprintf("ok-%d", i)}
+					resp.Items = []ResultItem{{Show: true, Text: fmt.Sprintf("ok-%d", i)}}
 				}
 				b.deliver(r, resp)
 			}
@@ -159,8 +160,8 @@ func TestBatcherPerCallerDelivery(t *testing.T) {
 	if !errors.Is(r0.Err, errBoom) {
 		t.Errorf("request 0: err = %v, want boom", r0.Err)
 	}
-	if r1.Err != nil || len(r1.Results) != 1 {
-		t.Errorf("request 1 poisoned by batchmate: err=%v results=%v", r1.Err, r1.Results)
+	if r1.Err != nil || len(r1.Items) != 1 {
+		t.Errorf("request 1 poisoned by batchmate: err=%v items=%v", r1.Err, r1.Items)
 	}
 }
 

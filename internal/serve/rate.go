@@ -6,22 +6,23 @@ import (
 	"time"
 )
 
-// rateController adapts the batcher's flush window to the measured request
-// arrival rate. The fixed -batch-wait window forces a trade the operator must
-// guess in advance: a long window coalesces well under load but taxes every
-// request with its full length when traffic is sparse; a short one answers
-// fast but forfeits coalescing exactly when it pays most. The controller
-// resolves it per batch: it tracks an EWMA of inter-arrival gaps per tenant,
-// sums the tenants' rates into an aggregate λ, and sizes the window to the
-// time it expects (maxBatch−1) more requests to take to arrive —
+// rateController sizes the batcher's flush window from the measured request
+// arrival rate. A fixed window forces a trade the operator must guess in
+// advance: a long window coalesces well under load but taxes every request
+// with its full length when traffic is sparse; a short one answers fast but
+// forfeits coalescing exactly when it pays most. The controller resolves it
+// per batch: it tracks an EWMA of inter-arrival gaps per tenant, sums the
+// tenants' rates into an aggregate λ, and sizes the window to the time it
+// expects (maxBatch−1) more requests to take to arrive —
 //
 //	window = clamp((maxBatch−1)/λ, floor, ceil)
 //
 // — collapsing to the floor when λ·ceil < 1 (no company is coming within
-// even the longest window, so waiting buys nothing). Staleness is handled at
-// read time: a tenant's effective gap is max(EWMA gap, time since its last
-// arrival), so a burst that ended decays the aggregate rate instead of
-// holding the window small forever.
+// even the longest window, so waiting buys nothing). With floor == ceil the
+// window is that constant whatever λ is. Staleness is handled at read time:
+// a tenant's effective gap is max(EWMA gap, time since its last arrival), so
+// a burst that ended decays the aggregate rate instead of holding the window
+// small forever.
 type rateController struct {
 	floor, ceil time.Duration
 	maxBatch    int
@@ -107,22 +108,6 @@ func (rc *rateController) rate(now time.Time) float64 {
 		sum += 1 / gap
 	}
 	return sum
-}
-
-// tenantRateOf returns one tenant's staleness-decayed arrival rate, for
-// metrics exposition.
-func (rc *rateController) tenantRateOf(tenant string, now time.Time) float64 {
-	rc.mu.Lock()
-	tr, ok := rc.tenants[tenant]
-	rc.mu.Unlock()
-	if !ok || !tr.init {
-		return 0
-	}
-	gap := math.Max(tr.gap, now.Sub(tr.last).Seconds())
-	if gap <= 0 {
-		gap = 1e-6
-	}
-	return 1 / gap
 }
 
 // window sizes the next batch's flush window from the current aggregate rate.

@@ -23,10 +23,14 @@ import (
 type handle struct {
 	id     string
 	tenant *tenant
-	pr     *flashr.Pinned
-	nrow   int64
-	ncol   int64
-	bytes  int64
+	// session is the id of the serving session whose eval minted the
+	// handle. An id, not the *Session: a tombstone outlives its session and
+	// must not keep the session's interpreter variables reachable.
+	session string
+	pr      *flashr.Pinned
+	nrow    int64
+	ncol    int64
+	bytes   int64
 
 	lastUsed atomic.Int64 // unix nanos
 
@@ -106,10 +110,13 @@ func newResultTable() *resultTable {
 // tenant past its pinned-byte quota; the pin is released before returning.
 var errPinnedQuota = errors.New("serve: tenant pinned-byte quota reached")
 
-// put registers a pinned result for the tenant and returns its handle. The
-// quota claim is claim-first (like session creation) so concurrent pins
-// cannot both slip under it.
-func (t *resultTable) put(tn *tenant, pr *flashr.Pinned, quota int64) (*handle, error) {
+// put registers a pinned result owned by the serving session s and returns
+// its handle. The quota claim against s's tenant is claim-first (like
+// session creation) so concurrent pins cannot both slip under it. A handle
+// minted for a session already closed comes back released, so a DELETE
+// racing an in-flight eval cannot leave a pin behind.
+func (t *resultTable) put(s *Session, pr *flashr.Pinned, quota int64) (*handle, error) {
+	tn := s.tenant
 	b := pr.Bytes()
 	if n := tn.pinned.Add(b); quota > 0 && n > quota {
 		tn.pinned.Add(-b)
@@ -123,12 +130,18 @@ func (t *resultTable) put(tn *tenant, pr *flashr.Pinned, quota int64) (*handle, 
 		return nil, err
 	}
 	r, c := pr.Dim()
-	h := &handle{id: "r" + id, tenant: tn, pr: pr, nrow: r, ncol: c, bytes: b}
+	h := &handle{id: "r" + id, tenant: tn, session: s.ID, pr: pr, nrow: r, ncol: c, bytes: b}
 	h.touch()
 	tn.handles.Add(1)
+	// Checked under mu: releaseOwned sweeps under mu after the session is
+	// marked closed, so either the sweep sees this handle or this sees closed.
 	t.mu.Lock()
 	t.handles[h.id] = h
+	closed := s.closed.Load()
 	t.mu.Unlock()
+	if closed {
+		h.release(CodeResultReleased)
+	}
 	return h, nil
 }
 
@@ -178,12 +191,15 @@ func (t *resultTable) expireIdle(maxIdle time.Duration) int {
 	return n
 }
 
-// releaseAll releases every live handle (server drain).
-func (t *resultTable) releaseAll() {
+// releaseOwned releases every live handle the session with this id minted
+// (session DELETE), or every live handle when session is "" (server drain).
+func (t *resultTable) releaseOwned(session string) {
 	t.mu.Lock()
-	hs := make([]*handle, 0, len(t.handles))
+	var hs []*handle
 	for _, h := range t.handles {
-		hs = append(hs, h)
+		if session == "" || h.session == session {
+			hs = append(hs, h)
+		}
 	}
 	t.mu.Unlock()
 	for _, h := range hs {

@@ -44,9 +44,15 @@ type Config struct {
 	// MaxBatch bounds how many requests one batch may coalesce
 	// (0 = DefaultMaxBatch).
 	MaxBatch int
-	// BatchWait is how long the first request of a batch waits for
+	// BatchWait is the longest the first request of a batch waits for
 	// company before the batch flushes (0 = DefaultBatchWait).
 	BatchWait time.Duration
+	// BatchWaitFloor is the shortest flush window (0 = BatchWait, a fixed
+	// window). Below BatchWait the window is rate-adaptive: it tracks an
+	// EWMA of the aggregate request arrival rate and sizes itself to the
+	// expected time for (MaxBatch-1) more arrivals, clamped to
+	// [BatchWaitFloor, BatchWait].
+	BatchWaitFloor time.Duration
 	// QueueDepth bounds the accept queue; requests beyond it are shed
 	// with 429 (0 = DefaultQueueDepth).
 	QueueDepth int
@@ -74,23 +80,16 @@ type Config struct {
 	// engine's fair queueing (absent or <1 means weight 1).
 	TenantWeights map[string]int
 	// AuthTokens maps bearer tokens to tenant names. When non-empty, every
-	// /v1 and /v2 request must present Authorization: Bearer <token> and is
-	// bound to that token's tenant; when empty, authentication is off and
-	// /v1 trusts the client-asserted tenant (development mode).
+	// /v2 request must present Authorization: Bearer <token> and is bound to
+	// that token's tenant; when empty, authentication is off and the server
+	// trusts the client-asserted tenant (development mode).
 	AuthTokens map[string]string
-	// BatchWaitFloor and BatchWaitCeil enable rate-adaptive batching when
-	// BatchWaitCeil > 0: the flush window tracks an EWMA of the aggregate
-	// request arrival rate and sizes itself to the expected time for
-	// (MaxBatch-1) more arrivals, clamped to [floor, ceil]. BatchWait is
-	// then ignored. BatchWaitFloor of 0 defaults to 1ms.
-	BatchWaitFloor time.Duration
-	BatchWaitCeil  time.Duration
 	// MaxEstimatedBytes rejects programs whose statically estimated working
 	// set exceeds it with 413 before any evaluation (0 = no budget).
 	// Programs whose shapes cannot be bounded statically are admitted.
 	MaxEstimatedBytes int64
 	// MaxPinnedBytesPerTenant bounds the bytes a tenant may hold in live
-	// result handles; v2 programs whose estimated result bytes would exceed
+	// result handles; programs whose estimated result bytes would exceed
 	// it are rejected with 413 at admission, and pinning enforces it again
 	// exactly at handle-creation time (0 = unlimited).
 	MaxPinnedBytesPerTenant int64
@@ -122,7 +121,7 @@ func (c Config) withDefaults() Config {
 		c.ResultIdle = c.SessionIdle
 	}
 	if c.BatchWaitFloor <= 0 {
-		c.BatchWaitFloor = time.Millisecond
+		c.BatchWaitFloor = c.BatchWait
 	}
 	if c.JanitorInterval == 0 {
 		c.JanitorInterval = c.SessionIdle / 4
@@ -176,7 +175,7 @@ func New(cfg Config) (*Server, error) {
 		reg:         reg,
 		table:       newSessionTable(cfg.Root, cfg.TenantWeights, reg),
 		results:     newResultTable(),
-		rates:       newRateController(cfg.BatchWaitFloor, cfg.BatchWaitCeil, cfg.MaxBatch),
+		rates:       newRateController(cfg.BatchWaitFloor, cfg.BatchWait, cfg.MaxBatch),
 		mux:         http.NewServeMux(),
 		janitorStop: make(chan struct{}),
 		janitorDone: make(chan struct{}),
@@ -191,40 +190,21 @@ func New(cfg Config) (*Server, error) {
 		func() float64 { return float64(sv.accepted.Load()) })
 	reg.CounterFunc("flashr_serve_answered_total", "Responses delivered across all tenants.",
 		func() float64 { return float64(sv.answered.Load()) })
-	if cfg.BatchWaitCeil > 0 {
-		sv.batcher = NewAdaptiveBatcher(cfg.MaxBatch, cfg.BatchWait, cfg.QueueDepth,
-			func() time.Duration { return sv.rates.window(time.Now()) }, sv.runBatch)
-		reg.GaugeFunc("flashr_serve_batch_window_seconds", "Current adaptive flush window.",
-			func() float64 { return sv.rates.window(time.Now()).Seconds() })
-		reg.GaugeFunc("flashr_serve_arrival_rate", "Aggregate EWMA request arrival rate (requests/s).",
-			func() float64 { return sv.rates.rate(time.Now()) })
-	} else {
-		sv.batcher = NewBatcher(cfg.MaxBatch, cfg.BatchWait, cfg.QueueDepth, sv.runBatch)
-	}
+	window := func() time.Duration { return sv.rates.window(time.Now()) }
+	sv.batcher = NewBatcher(cfg.MaxBatch, window, cfg.QueueDepth, sv.runBatch)
+	reg.GaugeFunc("flashr_serve_batch_window_seconds", "Current flush window.",
+		func() float64 { return window().Seconds() })
+	reg.GaugeFunc("flashr_serve_arrival_rate", "Aggregate EWMA request arrival rate (requests/s).",
+		func() float64 { return sv.rates.rate(time.Now()) })
 	reg.GaugeFunc("flashr_serve_queue_depth", "Requests waiting in the accept queue.",
 		func() float64 { return float64(len(sv.batcher.in)) })
 	reg.Include(cfg.Root.Engine().Metrics())
 
-	// The v1 inline-rendering surface is deprecated in favor of /v2 result
-	// handles; responses say so in a Deprecation header.
-	v1 := func(h http.HandlerFunc) http.HandlerFunc {
-		return func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Deprecation", "true")
-			w.Header().Set("Link", `</v2>; rel="successor-version"`)
-			h(w, r)
-		}
-	}
-	sv.mux.HandleFunc("POST /v1/sessions", v1(sv.handleCreateSession))
-	sv.mux.HandleFunc("GET /v1/sessions/{id}", v1(sv.handleGetSession))
-	sv.mux.HandleFunc("DELETE /v1/sessions/{id}", v1(sv.handleDeleteSession))
-	sv.mux.HandleFunc("POST /v1/sessions/{id}/eval", v1(sv.handleEval))
-	sv.mux.HandleFunc("POST /v1/sessions/{id}/op", v1(sv.handleOp))
 	sv.mux.HandleFunc("POST /v2/sessions", sv.handleCreateSession)
 	sv.mux.HandleFunc("GET /v2/sessions/{id}", sv.handleGetSession)
 	sv.mux.HandleFunc("DELETE /v2/sessions/{id}", sv.handleDeleteSession)
 	sv.mux.HandleFunc("POST /v2/sessions/{id}/eval", sv.handleEval)
 	sv.mux.HandleFunc("POST /v2/sessions/{id}/eval/stream", sv.handleEvalStream)
-	sv.mux.HandleFunc("POST /v2/sessions/{id}/op", sv.handleOp)
 	sv.mux.HandleFunc("GET /v2/results/{h}", sv.handleFetchResult)
 	sv.mux.HandleFunc("DELETE /v2/results/{h}", sv.handleReleaseResult)
 	sv.mux.Handle("GET /metrics", trace.Handler(reg))
@@ -277,12 +257,9 @@ func (sv *Server) Drain(ctx context.Context) error {
 		close(sv.janitorStop)
 		<-sv.janitorDone
 	}
-	sv.results.releaseAll()
+	sv.results.releaseOwned("")
 	return err
 }
-
-// Draining reports whether Drain has begun.
-func (sv *Server) Draining() bool { return sv.draining.Load() }
 
 // janitor sweeps idle sessions and idle result handles.
 func (sv *Server) janitor() {
@@ -372,7 +349,7 @@ func (sv *Server) runTenantGroup(batch string, batchSize int, tn *tenant, rs []*
 		evs[i] = ev
 	}
 	// Phase 2: one shared flush, attributed to the batch. Printable tall
-	// matrix results ride along as extra flush targets so v2 result handles
+	// matrix results ride along as extra flush targets so result handles
 	// materialize in the group's shared passes instead of paying their own
 	// pass at pin time. On error the per-request render phase re-forces and
 	// isolates the failure.
@@ -382,14 +359,14 @@ func (sv *Server) runTenantGroup(batch string, batchSize int, tn *tenant, rs []*
 			continue
 		}
 		for j, v := range ev.vals {
-			if ev.show[j] && v.Mat != nil && v.Mat.Length() > 1 {
+			if ev.show[j] && isTall(v) {
 				talls = append(talls, v.Mat)
 			}
 		}
 	}
 	_ = tn.fs.FlushBatchCtx(context.Background(), batch, talls...)
-	// Phase 3: render per caller and deliver. v1 renders matrices inline;
-	// v2 hands matrix values back as Items for the HTTP layer to pin.
+	// Phase 3: render per caller and deliver; tall matrices come back as
+	// Items for the HTTP layer to pin.
 	for i, r := range rs {
 		ev := evs[i]
 		resp := &Response{
@@ -402,29 +379,13 @@ func (sv *Server) runTenantGroup(batch string, batchSize int, tn *tenant, rs []*
 		} else {
 			r.Sess.mu.Lock()
 			for j, v := range ev.vals {
-				if !ev.show[j] {
-					if r.V2 {
-						resp.Items = append(resp.Items, ResultItem{})
-					} else {
-						resp.Results = append(resp.Results, "")
-					}
-					continue
-				}
-				if r.V2 && v.Mat != nil && v.Mat.Length() > 1 {
-					resp.Items = append(resp.Items, ResultItem{Show: true, Mat: v.Mat})
-					continue
-				}
-				out, err := r.Sess.env.Format(v)
+				it, err := itemFor(r.Sess.env, v, ev.show[j])
 				if err != nil {
 					resp.Err = fmt.Errorf("statement %q: %w", ev.stmts[j], err)
-					resp.Results, resp.Items = nil, nil
+					resp.Items = nil
 					break
 				}
-				if r.V2 {
-					resp.Items = append(resp.Items, ResultItem{Show: true, Text: out})
-				} else {
-					resp.Results = append(resp.Results, out)
-				}
+				resp.Items = append(resp.Items, it)
 			}
 			r.Sess.mu.Unlock()
 		}
@@ -433,6 +394,24 @@ func (sv *Server) runTenantGroup(batch string, batchSize int, tn *tenant, rs []*
 		sv.batcher.deliver(r, resp)
 	}
 }
+
+// itemFor classifies one statement's value: nothing to show (assignments),
+// a tall matrix to pin behind a handle, or text rendered by the session's
+// interpreter. The caller holds the session's mu.
+func itemFor(env *repl.Env, v repl.Value, show bool) (ResultItem, error) {
+	if !show {
+		return ResultItem{}, nil
+	}
+	if isTall(v) {
+		return ResultItem{Show: true, Mat: v.Mat}, nil
+	}
+	out, err := env.Format(v)
+	return ResultItem{Show: true, Text: out}, err
+}
+
+// isTall reports whether v is a matrix served behind a result handle rather
+// than rendered as text.
+func isTall(v repl.Value) bool { return v.Mat != nil && v.Mat.Length() > 1 }
 
 // splitProgram cuts a program into statements: one per line, blank lines and
 // #-comments skipped.
@@ -455,9 +434,6 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
 }
-
-// isV2 reports whether the request came in on the /v2 surface.
-func isV2(r *http.Request) bool { return strings.HasPrefix(r.URL.Path, "/v2/") }
 
 // authTenant resolves the request's tenant binding from its bearer token.
 // With authentication off (no configured tokens) it returns ("", true): no
@@ -556,11 +532,16 @@ func (sv *Server) handleGetSession(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"session": s.ID, "tenant": s.Tenant(), "vars": vars})
 }
 
+// handleDeleteSession tears the session down and releases the result
+// handles it minted; idle expiry, by contrast, leaves handles to their own
+// -result-idle clock.
 func (sv *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
-	if _, ok := sv.sessionFor(w, r); !ok {
+	s, ok := sv.sessionFor(w, r)
+	if !ok {
 		return
 	}
-	sv.table.remove(r.PathValue("id"))
+	sv.table.remove(s.ID)
+	sv.results.releaseOwned(s.ID)
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -579,30 +560,12 @@ func (sv *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	sv.execute(w, r, s, body.Program)
 }
 
-func (sv *Server) handleOp(w http.ResponseWriter, r *http.Request) {
-	s, ok := sv.sessionFor(w, r)
-	if !ok {
-		return
-	}
-	var op OpRequest
-	if err := json.NewDecoder(r.Body).Decode(&op); err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "bad request body: %v", err)
-		return
-	}
-	prog, err := op.Program()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
-		return
-	}
-	sv.execute(w, r, s, prog)
-}
-
 // admit applies the pre-eval shed ladder shared by batched and streaming
 // eval: program size, static byte budgets (the FlashR premise that shapes
 // are known before any data moves makes this a pre-evaluation check — a
 // refused program has run zero materialization passes), and the tenant
 // in-flight quota. Returns false once a refusal has been written.
-func (sv *Server) admit(w http.ResponseWriter, s *Session, program string, v2 bool) bool {
+func (sv *Server) admit(w http.ResponseWriter, s *Session, program string) bool {
 	tn := s.tenant
 	if len(program) > sv.cfg.MaxProgramBytes {
 		tn.shed["program_too_large"].Inc()
@@ -610,7 +573,7 @@ func (sv *Server) admit(w http.ResponseWriter, s *Session, program string, v2 bo
 			"program exceeds %d bytes", sv.cfg.MaxProgramBytes)
 		return false
 	}
-	if sv.cfg.MaxEstimatedBytes > 0 || (v2 && sv.cfg.MaxPinnedBytesPerTenant > 0) {
+	if sv.cfg.MaxEstimatedBytes > 0 || sv.cfg.MaxPinnedBytesPerTenant > 0 {
 		s.mu.Lock()
 		est, ok := s.env.EstimateProgram(splitProgram(program))
 		s.mu.Unlock()
@@ -621,7 +584,7 @@ func (sv *Server) admit(w http.ResponseWriter, s *Session, program string, v2 bo
 					"estimated working set %d bytes exceeds budget %d", est.WorkBytes, max)
 				return false
 			}
-			if q := sv.cfg.MaxPinnedBytesPerTenant; v2 && q > 0 && tn.pinned.Load()+est.ResultBytes > q {
+			if q := sv.cfg.MaxPinnedBytesPerTenant; q > 0 && tn.pinned.Load()+est.ResultBytes > q {
 				tn.shed["quota_exceeded"].Inc()
 				writeError(w, http.StatusRequestEntityTooLarge, CodeQuotaExceeded,
 					"estimated result bytes %d exceed tenant pinned quota %d (%d pinned)",
@@ -643,12 +606,11 @@ func (sv *Server) admit(w http.ResponseWriter, s *Session, program string, v2 bo
 // the response, applying the shed ladder: oversized program, byte budgets,
 // tenant in-flight quota, drain, accept-queue bound.
 func (sv *Server) execute(w http.ResponseWriter, r *http.Request, s *Session, program string) {
-	v2 := isV2(r)
 	tn := s.tenant
-	if !sv.admit(w, s, program, v2) {
+	if !sv.admit(w, s, program) {
 		return
 	}
-	req := &Request{Sess: s, Program: program, Ctx: r.Context(), V2: v2}
+	req := &Request{Sess: s, Program: program, Ctx: r.Context()}
 	// Claim the session's in-flight slot before Submit: once the request is
 	// queued the idle janitor must already see the session as busy, or a
 	// sweep between Submit and the batch finishing could expire it under us.
@@ -685,17 +647,7 @@ func (sv *Server) execute(w http.ResponseWriter, r *http.Request, s *Session, pr
 		writeJSON(w, http.StatusUnprocessableEntity, evalEnvelope(resp.Err, resp.BatchID, resp.BatchSize))
 		return
 	}
-	if !v2 {
-		writeJSON(w, http.StatusOK, map[string]any{
-			"results":       resp.Results,
-			"batch":         resp.BatchID,
-			"batch_size":    resp.BatchSize,
-			"queue_wait_ms": float64(resp.QueueWait) / float64(time.Millisecond),
-			"exec_ms":       float64(resp.Exec) / float64(time.Millisecond),
-		})
-		return
-	}
-	results, errEnv := sv.renderItems(r.Context(), tn, resp.Items)
+	results, errEnv := sv.renderItems(r.Context(), s, resp.Items)
 	if errEnv != nil {
 		if errEnv.Code == CodeQuotaExceeded {
 			tn.shed["quota_exceeded"].Inc()
@@ -714,11 +666,11 @@ func (sv *Server) execute(w http.ResponseWriter, r *http.Request, s *Session, pr
 	})
 }
 
-// renderItems turns v2 result items into response entries, pinning matrix
-// results behind handles. On failure every handle already created for this
-// response is released again — a response either hands out all its
-// references or none.
-func (sv *Server) renderItems(ctx context.Context, tn *tenant, items []ResultItem) ([]any, *errorEnvelope) {
+// renderItems turns result items into response entries, pinning matrix
+// results behind handles owned by s. On failure every handle already
+// created for this response is released again — a response either hands out
+// all its references or none.
+func (sv *Server) renderItems(ctx context.Context, s *Session, items []ResultItem) ([]any, *errorEnvelope) {
 	results := make([]any, 0, len(items))
 	var created []*handle
 	undo := func() {
@@ -740,7 +692,7 @@ func (sv *Server) renderItems(ctx context.Context, tn *tenant, items []ResultIte
 				env.Code = CodeInternal
 				return nil, &env
 			}
-			h, err := sv.results.put(tn, pr, sv.cfg.MaxPinnedBytesPerTenant)
+			h, err := sv.results.put(s, pr, sv.cfg.MaxPinnedBytesPerTenant)
 			if errors.Is(err, errPinnedQuota) {
 				undo()
 				return nil, &errorEnvelope{
@@ -804,7 +756,7 @@ func (sv *Server) handleEvalStream(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, CodeStreamUnsupported, "response writer cannot stream")
 		return
 	}
-	if !sv.admit(w, s, body.Program, true) {
+	if !sv.admit(w, s, body.Program) {
 		return
 	}
 	tn := s.tenant
@@ -852,8 +804,7 @@ func (sv *Server) handleEvalStream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		var talls []*flashr.FM
-		isMat := show && v.Mat != nil && v.Mat.Length() > 1
-		if isMat {
+		if show && isTall(v) {
 			talls = append(talls, v.Mat)
 		}
 		if err := tn.fs.FlushBatchCtx(r.Context(), batch, talls...); err != nil {
@@ -867,30 +818,20 @@ func (sv *Server) handleEvalStream(w http.ResponseWriter, r *http.Request) {
 			"bytes_read":    after.BytesRead - before.BytesRead,
 			"bytes_written": after.BytesWritten - before.BytesWritten,
 		})
-		var result any
-		switch {
-		case !show:
-			result = nil
-		case isMat:
-			items := []ResultItem{{Show: true, Mat: v.Mat}}
-			rendered, errEnv := sv.renderItems(r.Context(), tn, items)
-			if errEnv != nil {
-				tn.errors.Inc()
-				emit(map[string]any{"event": "error", "index": i, "error": errEnv.Error, "code": errEnv.Code})
-				return
-			}
-			result = rendered[0]
-		default:
-			s.mu.Lock()
-			out, ferr := s.env.Format(v)
-			s.mu.Unlock()
-			if ferr != nil {
-				fail(i, fmt.Errorf("statement %q: %w", stmt, ferr))
-				return
-			}
-			result = map[string]any{"type": "value", "text": out}
+		s.mu.Lock()
+		it, err := itemFor(s.env, v, show)
+		s.mu.Unlock()
+		if err != nil {
+			fail(i, fmt.Errorf("statement %q: %w", stmt, err))
+			return
 		}
-		emit(map[string]any{"event": "stmt", "index": i, "result": result})
+		rendered, errEnv := sv.renderItems(r.Context(), s, []ResultItem{it})
+		if errEnv != nil {
+			tn.errors.Inc()
+			emit(map[string]any{"event": "error", "index": i, "error": errEnv.Error, "code": errEnv.Code})
+			return
+		}
+		emit(map[string]any{"event": "stmt", "index": i, "result": rendered[0]})
 	}
 	s.touch()
 	emit(map[string]any{"event": "done", "stmts": len(stmts), "batch": batch,

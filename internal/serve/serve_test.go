@@ -71,7 +71,7 @@ func (ts *testServer) post(t *testing.T, path string, body any) (int, map[string
 
 func (ts *testServer) createSession(t *testing.T, tenant string) string {
 	t.Helper()
-	code, out := ts.post(t, "/v1/sessions", map[string]string{"tenant": tenant})
+	code, out := ts.post(t, "/v2/sessions", map[string]string{"tenant": tenant})
 	if code != http.StatusOK {
 		t.Fatalf("create session: HTTP %d: %v", code, out)
 	}
@@ -84,14 +84,18 @@ func (ts *testServer) createSession(t *testing.T, tenant string) string {
 
 func (ts *testServer) eval(t *testing.T, sid, program string) (int, map[string]any) {
 	t.Helper()
-	return ts.post(t, "/v1/sessions/"+sid+"/eval", map[string]string{"program": program})
+	return ts.post(t, "/v2/sessions/"+sid+"/eval", map[string]string{"program": program})
 }
 
+// results returns the text of each {type:"value"} entry of an eval reply,
+// and "" for statements that print nothing or come back as handles.
 func results(out map[string]any) []string {
 	raw, _ := out["results"].([]any)
 	rs := make([]string, len(raw))
 	for i, v := range raw {
-		rs[i], _ = v.(string)
+		if m, ok := v.(map[string]any); ok && m["type"] == "value" {
+			rs[i], _ = m["text"].(string)
+		}
 	}
 	return rs
 }
@@ -108,7 +112,7 @@ func TestServeSessionLifecycle(t *testing.T) {
 		t.Errorf("assignment printed %q, want one blank result", rs)
 	}
 
-	resp, err := http.Get(ts.url + "/v1/sessions/" + sid)
+	resp, err := http.Get(ts.url + "/v2/sessions/" + sid)
 	if err != nil {
 		t.Fatalf("GET session: %v", err)
 	}
@@ -124,7 +128,7 @@ func TestServeSessionLifecycle(t *testing.T) {
 		t.Errorf("session info = %+v, want tenant acme vars [x]", info)
 	}
 
-	req, _ := http.NewRequest(http.MethodDelete, ts.url+"/v1/sessions/"+sid, nil)
+	req, _ := http.NewRequest(http.MethodDelete, ts.url+"/v2/sessions/"+sid, nil)
 	dresp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatalf("DELETE session: %v", err)
@@ -157,32 +161,23 @@ func TestServeEvalComputes(t *testing.T) {
 	}
 }
 
-func TestServeTypedOp(t *testing.T) {
+// TestServeRetiredRoutes pins the single serving surface: /v1 paths and an
+// /op route answer 404 (or 405) like any unknown path.
+func TestServeRetiredRoutes(t *testing.T) {
 	ts := newTestServer(t, nil)
 	sid := ts.createSession(t, "acme")
-
-	code, out := ts.post(t, "/v1/sessions/"+sid+"/op",
-		OpRequest{Op: "runif", Out: "x", Rows: 200, Cols: 2, Seed: 3})
-	if code != http.StatusOK {
-		t.Fatalf("op create: HTTP %d: %v", code, out)
-	}
-	code, out = ts.post(t, "/v1/sessions/"+sid+"/op", OpRequest{Op: "sum", X: "x"})
-	if code != http.StatusOK {
-		t.Fatalf("op sum: HTTP %d: %v", code, out)
-	}
-	if rs := results(out); len(rs) != 1 || !strings.HasPrefix(rs[0], "[1] ") {
-		t.Errorf("op sum results = %q, want a scalar rendering", rs)
-	}
-
-	// Invalid ops are rejected before reaching the interpreter.
-	for _, op := range []OpRequest{
-		{Op: "explode"},
-		{Op: "sum", X: "x; drop"},
-		{Op: "runif", Rows: 0, Cols: 2},
-		{Op: "sapply", X: "x", F: "fn()"},
+	for _, probe := range []struct{ method, path string }{
+		{http.MethodPost, "/v1/sessions"},
+		{http.MethodGet, "/v1/sessions/" + sid},
+		{http.MethodDelete, "/v1/sessions/" + sid},
+		{http.MethodPost, "/v1/sessions/" + sid + "/eval"},
+		{http.MethodPost, "/v1/sessions/" + sid + "/op"},
+		{http.MethodPost, "/v2/sessions/" + sid + "/op"},
 	} {
-		if code, _ := ts.post(t, "/v1/sessions/"+sid+"/op", op); code != http.StatusBadRequest {
-			t.Errorf("op %+v: HTTP %d, want 400", op, code)
+		resp := ts.do(t, probe.method, probe.path, "", map[string]string{"tenant": "acme", "program": "1"})
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound && resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Errorf("%s %s: HTTP %d, want 404 or 405", probe.method, probe.path, resp.StatusCode)
 		}
 	}
 }
@@ -284,7 +279,7 @@ func TestServeShedLadder(t *testing.T) {
 	sid := ts.createSession(t, "acme")
 
 	// Session quota: 429.
-	if code, _ := ts.post(t, "/v1/sessions", map[string]string{"tenant": "acme"}); code != http.StatusTooManyRequests {
+	if code, _ := ts.post(t, "/v2/sessions", map[string]string{"tenant": "acme"}); code != http.StatusTooManyRequests {
 		t.Errorf("over session quota: HTTP %d, want 429", code)
 	}
 	// Another tenant is unaffected.
@@ -306,7 +301,7 @@ func TestServeShedLadder(t *testing.T) {
 
 	// Invalid tenant names: 400.
 	for _, name := range []string{"", "a b", "x/y", strings.Repeat("z", 65)} {
-		if code, _ := ts.post(t, "/v1/sessions", map[string]string{"tenant": name}); code != http.StatusBadRequest {
+		if code, _ := ts.post(t, "/v2/sessions", map[string]string{"tenant": name}); code != http.StatusBadRequest {
 			t.Errorf("tenant %q: HTTP %d, want 400", name, code)
 		}
 	}
@@ -344,7 +339,7 @@ func TestServeDrain(t *testing.T) {
 	if code, _ := ts.eval(t, sid, "1"); code != http.StatusServiceUnavailable {
 		t.Errorf("eval while draining: HTTP %d, want 503", code)
 	}
-	if code, _ := ts.post(t, "/v1/sessions", map[string]string{"tenant": "acme"}); code != http.StatusServiceUnavailable {
+	if code, _ := ts.post(t, "/v2/sessions", map[string]string{"tenant": "acme"}); code != http.StatusServiceUnavailable {
 		t.Errorf("create while draining: HTTP %d, want 503", code)
 	}
 }
@@ -357,7 +352,7 @@ func TestServeIdleExpiry(t *testing.T) {
 	sid := ts.createSession(t, "acme")
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		resp, err := http.Get(ts.url + "/v1/sessions/" + sid)
+		resp, err := http.Get(ts.url + "/v2/sessions/" + sid)
 		if err != nil {
 			t.Fatalf("GET session: %v", err)
 		}
@@ -400,7 +395,7 @@ func TestServeNoExpiryMidRequest(t *testing.T) {
 	// Once truly idle, the session still expires.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		resp, err := http.Get(ts.url + "/v1/sessions/" + sid)
+		resp, err := http.Get(ts.url + "/v2/sessions/" + sid)
 		if err != nil {
 			t.Fatalf("GET session: %v", err)
 		}
@@ -416,7 +411,7 @@ func TestServeNoExpiryMidRequest(t *testing.T) {
 }
 
 // One /metrics scrape must show per-tenant serving series side by side with
-// the per-owner engine pass totals the smoke test compares against.
+// the per-owner engine pass totals TestServeRealProcesses compares against.
 func TestServeMetricsExposition(t *testing.T) {
 	ts := newTestServer(t, nil)
 	for _, tenant := range []string{"acme", "zen"} {
@@ -460,8 +455,8 @@ func metricsText(t *testing.T, ts *testServer) string {
 }
 
 // Tenants with different weights both make progress under concurrent load
-// (the fairness *ratio* is asserted end-to-end by the CI smoke test; here we
-// only prove the weighted path executes).
+// (the fairness *ratio* is asserted end to end by TestServeRealProcesses in
+// cmd/flashr-serve; here we only prove the weighted path executes).
 func TestServeWeightedTenants(t *testing.T) {
 	ts := newTestServer(t, func(c *Config) {
 		c.TenantWeights = map[string]int{"gold": 4, "bronze": 1}

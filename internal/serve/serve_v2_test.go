@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -61,25 +62,7 @@ func (ts *testServer) reqJSON(t *testing.T, method, path, token string, body any
 	return resp.StatusCode, out
 }
 
-func (ts *testServer) createV2Session(t *testing.T, tenant string) string {
-	t.Helper()
-	code, out := ts.reqJSON(t, http.MethodPost, "/v2/sessions", "", map[string]string{"tenant": tenant})
-	if code != http.StatusOK {
-		t.Fatalf("create v2 session: HTTP %d: %v", code, out)
-	}
-	id, _ := out["session"].(string)
-	if id == "" {
-		t.Fatalf("create v2 session: no id in %v", out)
-	}
-	return id
-}
-
-func (ts *testServer) evalV2(t *testing.T, sid, program string) (int, map[string]any) {
-	t.Helper()
-	return ts.reqJSON(t, http.MethodPost, "/v2/sessions/"+sid+"/eval", "", map[string]string{"program": program})
-}
-
-// matrixHandle extracts the handle object at results[i] of a v2 eval reply.
+// matrixHandle extracts the handle object at results[i] of an eval reply.
 func matrixHandle(t *testing.T, out map[string]any, i int) (id string, nrow, ncol, bytes int64) {
 	t.Helper()
 	raw, _ := out["results"].([]any)
@@ -132,70 +115,33 @@ func sep(query string) string {
 // (min == max == 1), so fetched values are checkable without tolerance.
 const oneMatrix = "x <- runif.matrix(300, 3, 1, 1, 7)"
 
-// ---- versioned surface ----
+// ---- result encoding ----
 
-func TestServeV1DeprecationHeader(t *testing.T) {
-	ts := newTestServer(t, nil)
-	resp := ts.do(t, http.MethodPost, "/v1/sessions", "", map[string]string{"tenant": "acme"})
-	resp.Body.Close()
-	if got := resp.Header.Get("Deprecation"); got != "true" {
-		t.Errorf("v1 Deprecation header = %q, want \"true\"", got)
-	}
-	if link := resp.Header.Get("Link"); !strings.Contains(link, "successor-version") {
-		t.Errorf("v1 Link header = %q, want successor-version pointer", link)
-	}
-	resp = ts.do(t, http.MethodPost, "/v2/sessions", "", map[string]string{"tenant": "acme"})
-	resp.Body.Close()
-	if got := resp.Header.Get("Deprecation"); got != "" {
-		t.Errorf("v2 carries Deprecation header %q", got)
-	}
-}
-
-// TestServeV2Conformance checks that v1 and v2 agree on everything except the
-// result encoding: scalar statements render the same text, and a v2 matrix
-// handle's fetched bytes are the values v1 would have printed.
+// TestServeV2Conformance pins the result encoding: an assignment is null,
+// scalar statements are {type:"value", text} in the interpreter's rendering,
+// and a printed matrix is a handle whose fetched values are exact.
 func TestServeV2Conformance(t *testing.T) {
 	ts := newTestServer(t, nil)
-	prog := oneMatrix + "\nsum(x)\nnrow(x) * ncol(x)"
-
-	v1sid := ts.createSession(t, "acme")
-	code, v1out := ts.eval(t, v1sid, prog)
+	sid := ts.createSession(t, "acme")
+	code, out := ts.eval(t, sid, oneMatrix+"\nsum(x)\nnrow(x) * ncol(x)")
 	if code != http.StatusOK {
-		t.Fatalf("v1 eval: HTTP %d: %v", code, v1out)
+		t.Fatalf("eval: HTTP %d: %v", code, out)
 	}
-	v1res := results(v1out)
-
-	v2sid := ts.createV2Session(t, "acme")
-	code, v2out := ts.evalV2(t, v2sid, prog)
-	if code != http.StatusOK {
-		t.Fatalf("v2 eval: HTTP %d: %v", code, v2out)
+	raw, _ := out["results"].([]any)
+	if len(raw) != 3 || raw[0] != nil {
+		t.Fatalf("results %v, want 3 entries with a null assignment", raw)
 	}
-	v2raw, _ := v2out["results"].([]any)
-	if len(v1res) != 3 || len(v2raw) != 3 {
-		t.Fatalf("result counts v1=%d v2=%d, want 3", len(v1res), len(v2raw))
-	}
-	// Statement 0 is an assignment: blank on v1, null on v2.
-	if v1res[0] != "" || v2raw[0] != nil {
-		t.Errorf("assignment rendered v1=%q v2=%v, want blank/null", v1res[0], v2raw[0])
-	}
-	// Statements 1 and 2 are scalars: identical text on both surfaces.
+	// sum(x) over 900 ones and nrow*ncol both render as 900.
 	for i := 1; i < 3; i++ {
-		m, ok := v2raw[i].(map[string]any)
-		if !ok || m["type"] != "value" {
-			t.Fatalf("v2 results[%d] = %v, want a value", i, v2raw[i])
+		if m, ok := raw[i].(map[string]any); !ok || m["type"] != "value" || m["text"] != "[1] 900" {
+			t.Errorf("results[%d] = %v, want value \"[1] 900\"", i, raw[i])
 		}
-		if text := m["text"]; text != v1res[i] {
-			t.Errorf("results[%d]: v2 text %q != v1 text %q", i, text, v1res[i])
-		}
-	}
-	if v1res[1] != "[1] 900" {
-		t.Errorf("sum(x) = %q, want \"[1] 900\"", v1res[1])
 	}
 
 	// A printed matrix becomes a handle whose fetched values match exactly.
-	code, out := ts.evalV2(t, v2sid, "x")
+	code, out = ts.eval(t, sid, "x")
 	if code != http.StatusOK {
-		t.Fatalf("v2 eval x: HTTP %d: %v", code, out)
+		t.Fatalf("eval x: HTTP %d: %v", code, out)
 	}
 	h, nrow, ncol, nbytes := matrixHandle(t, out, 0)
 	if nrow != 300 || ncol != 3 || nbytes != 300*3*8 {
@@ -219,11 +165,11 @@ func TestServeV2Conformance(t *testing.T) {
 
 func TestServeV2HandleLifecycle(t *testing.T) {
 	ts := newTestServer(t, nil)
-	sid := ts.createV2Session(t, "acme")
-	if code, out := ts.evalV2(t, sid, oneMatrix); code != http.StatusOK {
+	sid := ts.createSession(t, "acme")
+	if code, out := ts.eval(t, sid, oneMatrix); code != http.StatusOK {
 		t.Fatalf("setup: HTTP %d: %v", code, out)
 	}
-	code, out := ts.evalV2(t, sid, "x")
+	code, out := ts.eval(t, sid, "x")
 	if code != http.StatusOK {
 		t.Fatalf("eval x: HTTP %d: %v", code, out)
 	}
@@ -286,16 +232,56 @@ func TestServeV2HandleLifecycle(t *testing.T) {
 	}
 }
 
+// TestServeSessionDeleteReleasesHandles: deleting a session releases the
+// handles it minted — fetches answer 410 result_released and the tenant's
+// pinned bytes and handle gauge drop to 0 — while other sessions' handles
+// stay live.
+func TestServeSessionDeleteReleasesHandles(t *testing.T) {
+	ts := newTestServer(t, nil)
+	pin := func(tenant string) (sid, h string) {
+		sid = ts.createSession(t, tenant)
+		code, out := ts.eval(t, sid, oneMatrix+"\nx")
+		if code != http.StatusOK {
+			t.Fatalf("%s eval: HTTP %d: %v", tenant, code, out)
+		}
+		h, _, _, _ = matrixHandle(t, out, 1)
+		return sid, h
+	}
+	sid, h := pin("acme")
+	_, other := pin("zen")
+
+	resp := ts.do(t, http.MethodDelete, "/v2/sessions/"+sid, "", nil)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("DELETE session: HTTP %d, want 204", resp.StatusCode)
+	}
+	if code, ecode, _ := ts.fetchBin(t, h, ""); code != http.StatusGone || ecode != CodeResultReleased {
+		t.Fatalf("fetch after session DELETE: HTTP %d code %q, want 410 %q", code, ecode, CodeResultReleased)
+	}
+	tr := metricsText(t, ts)
+	for _, want := range []string{
+		`flashr_serve_pinned_bytes{tenant="acme"} 0`,
+		`flashr_serve_result_handles{tenant="acme"} 0`,
+	} {
+		if !strings.Contains(tr, want+"\n") {
+			t.Errorf("metrics missing %q after session DELETE", want)
+		}
+	}
+	if code, _, _ := ts.fetchBin(t, other, ""); code != http.StatusOK {
+		t.Fatalf("other session's handle: HTTP %d, want 200", code)
+	}
+}
+
 func TestServeV2HandleIdleExpiry(t *testing.T) {
 	ts := newTestServer(t, func(c *Config) {
 		c.ResultIdle = 30 * time.Millisecond
 		c.JanitorInterval = 10 * time.Millisecond
 	})
-	sid := ts.createV2Session(t, "acme")
-	if code, out := ts.evalV2(t, sid, oneMatrix); code != http.StatusOK {
+	sid := ts.createSession(t, "acme")
+	if code, out := ts.eval(t, sid, oneMatrix); code != http.StatusOK {
 		t.Fatalf("setup: HTTP %d: %v", code, out)
 	}
-	code, out := ts.evalV2(t, sid, "x")
+	code, out := ts.eval(t, sid, "x")
 	if code != http.StatusOK {
 		t.Fatalf("eval x: HTTP %d: %v", code, out)
 	}
@@ -335,11 +321,11 @@ func TestServeV2HandleIdleExpiry(t *testing.T) {
 // values must stay exact across every pass the engine coalesces around it.
 func TestServeHandleSurvivesBatches(t *testing.T) {
 	ts := newTestServer(t, nil)
-	sid := ts.createV2Session(t, "acme")
-	if code, out := ts.evalV2(t, sid, oneMatrix); code != http.StatusOK {
+	sid := ts.createSession(t, "acme")
+	if code, out := ts.eval(t, sid, oneMatrix); code != http.StatusOK {
 		t.Fatalf("setup: HTTP %d: %v", code, out)
 	}
-	code, out := ts.evalV2(t, sid, "x")
+	code, out := ts.eval(t, sid, "x")
 	if code != http.StatusOK {
 		t.Fatalf("eval x: HTTP %d: %v", code, out)
 	}
@@ -350,13 +336,13 @@ func TestServeHandleSurvivesBatches(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			sid := ts.createV2Session(t, fmt.Sprintf("other-%d", c))
-			if code, out := ts.evalV2(t, sid, "y <- rnorm.matrix(512, 4, 0, 1, 11)"); code != http.StatusOK {
+			sid := ts.createSession(t, fmt.Sprintf("other-%d", c))
+			if code, out := ts.eval(t, sid, "y <- rnorm.matrix(512, 4, 0, 1, 11)"); code != http.StatusOK {
 				t.Errorf("worker %d setup: HTTP %d: %v", c, code, out)
 				return
 			}
 			for i := 0; i < 5; i++ {
-				if code, out := ts.evalV2(t, sid, "sum(y * y)"); code != http.StatusOK {
+				if code, out := ts.eval(t, sid, "sum(y * y)"); code != http.StatusOK {
 					t.Errorf("worker %d eval: HTTP %d: %v", c, code, out)
 					return
 				}
@@ -402,7 +388,7 @@ func TestServeJanitorFetchRace(t *testing.T) {
 	}
 	tn := &tenant{name: "acme"}
 	rt := newResultTable()
-	h, err := rt.put(tn, pr, 0)
+	h, err := rt.put(&Session{tenant: tn}, pr, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,6 +435,7 @@ func TestServePinnedQuotaPutClaimFirst(t *testing.T) {
 	}
 	defer root.Close()
 	tn := &tenant{name: "acme"}
+	s := &Session{tenant: tn}
 	rt := newResultTable()
 	pin := func() *flashr.Pinned {
 		x, err := root.Runif(100, 2, 1, 1, 7)
@@ -462,11 +449,11 @@ func TestServePinnedQuotaPutClaimFirst(t *testing.T) {
 		return pr
 	}
 	quota := int64(100*2*8 + 10) // fits one 1600-byte pin, not two
-	if _, err := rt.put(tn, pin(), quota); err != nil {
+	if _, err := rt.put(s, pin(), quota); err != nil {
 		t.Fatalf("first put: %v", err)
 	}
 	p2 := pin()
-	if _, err := rt.put(tn, p2, quota); err != errPinnedQuota {
+	if _, err := rt.put(s, p2, quota); err != errPinnedQuota {
 		t.Fatalf("second put err = %v, want errPinnedQuota", err)
 	}
 	if _, err := p2.Rows(0, 1); err == nil {
@@ -481,10 +468,10 @@ func TestServePinnedQuotaPutClaimFirst(t *testing.T) {
 
 func TestServeBudgetRejects413BeforePass(t *testing.T) {
 	ts := newTestServer(t, func(c *Config) { c.MaxEstimatedBytes = 1 << 20 })
-	sid := ts.createV2Session(t, "acme")
+	sid := ts.createSession(t, "acme")
 
 	// 100000×10 doubles = 8 MB > the 1 MiB budget: refused pre-eval.
-	code, out := ts.evalV2(t, sid, "x <- runif.matrix(100000, 10, 0, 1, 7)\nsum(x)")
+	code, out := ts.eval(t, sid, "x <- runif.matrix(100000, 10, 0, 1, 7)\nsum(x)")
 	if code != http.StatusRequestEntityTooLarge || out["code"] != CodeBudgetExceeded {
 		t.Fatalf("over-budget eval: HTTP %d %v, want 413 %s", code, out, CodeBudgetExceeded)
 	}
@@ -496,7 +483,7 @@ func TestServeBudgetRejects413BeforePass(t *testing.T) {
 
 	// Under budget runs normally — and the unbounded estimate path (shapes
 	// the estimator cannot model) is admitted rather than rejected.
-	code, out = ts.evalV2(t, sid, "y <- runif.matrix(100, 2, 0, 1, 7)\nsum(y)")
+	code, out = ts.eval(t, sid, "y <- runif.matrix(100, 2, 0, 1, 7)\nsum(y)")
 	if code != http.StatusOK {
 		t.Fatalf("under-budget eval: HTTP %d: %v", code, out)
 	}
@@ -507,17 +494,17 @@ func TestServeBudgetRejects413BeforePass(t *testing.T) {
 
 func TestServePinnedQuotaAdmission(t *testing.T) {
 	ts := newTestServer(t, func(c *Config) { c.MaxPinnedBytesPerTenant = 4096 })
-	sid := ts.createV2Session(t, "acme")
-	if code, out := ts.evalV2(t, sid, oneMatrix); code != http.StatusOK {
+	sid := ts.createSession(t, "acme")
+	if code, out := ts.eval(t, sid, oneMatrix); code != http.StatusOK {
 		t.Fatalf("setup: HTTP %d: %v", code, out)
 	}
 	// Printing x would pin 7200 bytes > the 4096 quota: refused at admission.
-	code, out := ts.evalV2(t, sid, "x")
+	code, out := ts.eval(t, sid, "x")
 	if code != http.StatusRequestEntityTooLarge || out["code"] != CodeQuotaExceeded {
 		t.Fatalf("over-quota print: HTTP %d %v, want 413 %s", code, out, CodeQuotaExceeded)
 	}
 	// A slice under quota pins fine, and releasing it returns the bytes.
-	code, out = ts.evalV2(t, sid, "head(x, 10)")
+	code, out = ts.eval(t, sid, "head(x, 10)")
 	if code != http.StatusOK {
 		t.Fatalf("small print: HTTP %d: %v", code, out)
 	}
@@ -555,7 +542,7 @@ func TestServeAuth(t *testing.T) {
 	}
 	sid, _ := out["session"].(string)
 	// Asserting a different tenant against the token is a 403.
-	code, out = ts.reqJSON(t, http.MethodPost, "/v1/sessions", "tok-a", map[string]string{"tenant": "bob"})
+	code, out = ts.reqJSON(t, http.MethodPost, "/v2/sessions", "tok-a", map[string]string{"tenant": "bob"})
 	if code != http.StatusForbidden || out["code"] != CodeAuth {
 		t.Fatalf("tenant mismatch: HTTP %d %v, want 403 %s", code, out, CodeAuth)
 	}
@@ -587,7 +574,7 @@ func TestServeAuth(t *testing.T) {
 
 func TestServeStreamingEval(t *testing.T) {
 	ts := newTestServer(t, nil)
-	sid := ts.createV2Session(t, "acme")
+	sid := ts.createSession(t, "acme")
 	prog := oneMatrix + "\nsum(x)\nx"
 	resp := ts.do(t, http.MethodPost, "/v2/sessions/"+sid+"/eval/stream", "", map[string]string{"program": prog})
 	defer resp.Body.Close()
@@ -700,8 +687,8 @@ func TestServeErrorEnvelopeHTTPParity(t *testing.T) {
 			if derr := tc.direct(); !errors.As(derr, &want) {
 				t.Fatalf("direct call error %v is not *flashr.Error", derr)
 			}
-			sid := ts.createV2Session(t, "acme")
-			code, out := ts.evalV2(t, sid, tc.program)
+			sid := ts.createSession(t, "acme")
+			code, out := ts.eval(t, sid, tc.program)
 			if code != http.StatusUnprocessableEntity {
 				t.Fatalf("eval: HTTP %d %v, want 422", code, out)
 			}
@@ -768,59 +755,89 @@ func TestServeRateControllerWindow(t *testing.T) {
 	if w := rc3.window(now); w != 50*time.Millisecond {
 		t.Fatalf("two-tenant window %s, want 50ms ceil", w)
 	}
+	// floor == ceil is a fixed window: idle, sparse (λ·ceil < 1) and dense
+	// (clamped) traffic all get the same 2ms.
+	fixed := newRateController(2*time.Millisecond, 2*time.Millisecond, 16)
+	now = base
+	if w := fixed.window(now); w != 2*time.Millisecond {
+		t.Fatalf("fixed idle window %s, want 2ms", w)
+	}
+	for _, gap := range []time.Duration{time.Second, 10 * time.Millisecond, time.Millisecond, 100 * time.Microsecond} {
+		for i := 0; i < 30; i++ {
+			now = now.Add(gap)
+			fixed.observe("acme", now)
+		}
+		if w := fixed.window(now); w != 2*time.Millisecond {
+			t.Fatalf("fixed window at λ=%.0f/s is %s, want 2ms", fixed.rate(now), w)
+		}
+	}
 }
 
-// TestBatcherAdaptiveWindow proves the batcher consults the window hook per
-// batch: with a huge fixed maxWait but a tiny adaptive window, a lone request
-// still flushes promptly.
+// TestBatcherAdaptiveWindow proves the batcher consults the window func once
+// per batch, as the batch's first request arrives: requests submitted
+// together share one window, and a later lone request opens a fresh one and
+// flushes when it expires.
 func TestBatcherAdaptiveWindow(t *testing.T) {
-	done := make(chan []*Request, 1)
+	var calls atomic.Int64
 	var b *Batcher
-	b = NewAdaptiveBatcher(8, time.Hour, 16,
-		func() time.Duration { return 2 * time.Millisecond },
-		func(id string, reqs []*Request) {
-			done <- reqs
-			for _, r := range reqs {
-				b.deliver(r, &Response{})
-			}
-		})
+	b = NewBatcher(8, func() time.Duration {
+		calls.Add(1)
+		return 50 * time.Millisecond
+	}, 16, func(id string, reqs []*Request) {
+		for _, r := range reqs {
+			b.deliver(r, &Response{BatchID: id, BatchSize: len(reqs)})
+		}
+	})
 	defer b.Drain(context.Background())
-	ch, err := b.Submit(&Request{Ctx: context.Background(), Program: "1"})
-	if err != nil {
-		t.Fatal(err)
+	for _, ch := range submitN(t, b, 3) {
+		if r := recv(t, ch, 5*time.Second); r.BatchSize != 3 {
+			t.Fatalf("batch of %d, want 3 sharing one window", r.BatchSize)
+		}
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("window consulted %d times for one batch, want 1", n)
 	}
 	start := time.Now()
-	select {
-	case reqs := <-done:
-		if len(reqs) != 1 {
-			t.Fatalf("batch of %d, want 1", len(reqs))
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("batch never flushed under adaptive window")
-	}
+	recv(t, submitN(t, b, 1)[0], 5*time.Second)
 	if wait := time.Since(start); wait > time.Second {
-		t.Fatalf("flush took %s; adaptive window ignored", wait)
+		t.Fatalf("lone request flushed after %s; window ignored", wait)
 	}
-	<-ch
+	if n := calls.Load(); n != 2 {
+		t.Fatalf("window consulted %d times for two batches, want 2", n)
+	}
 }
 
-// TestServeAdaptiveConfigWiring checks New wires the controller in when
-// BatchWaitCeil is set, exposing its gauges.
+// TestServeAdaptiveConfigWiring checks New always wires the rate controller
+// in and exports its gauges: the default config is a fixed 2ms window, and a
+// floor below BatchWait makes the window adaptive between the two.
 func TestServeAdaptiveConfigWiring(t *testing.T) {
-	ts := newTestServer(t, func(c *Config) {
-		c.BatchWaitFloor = time.Millisecond
-		c.BatchWaitCeil = 20 * time.Millisecond
-	})
-	sid := ts.createV2Session(t, "acme")
-	if code, out := ts.evalV2(t, sid, "1 + 1"); code != http.StatusOK {
-		t.Fatalf("eval: HTTP %d: %v", code, out)
-	}
-	resp := ts.do(t, http.MethodGet, "/metrics", "", nil)
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(resp.Body)
-	for _, metric := range []string{"flashr_serve_batch_window_seconds", "flashr_serve_arrival_rate"} {
-		if !bytes.Contains(raw, []byte(metric)) {
-			t.Errorf("metrics missing %s", metric)
-		}
+	for _, tc := range []struct {
+		name        string
+		floor, wait time.Duration
+		lo, hi      float64 // bounds on the exported window, seconds
+	}{
+		{"default fixed", 0, 0, 0.002, 0.002},
+		{"adaptive", time.Millisecond, 20 * time.Millisecond, 0.001, 0.020},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ts := newTestServer(t, func(c *Config) { c.BatchWaitFloor, c.BatchWait = tc.floor, tc.wait })
+			sid := ts.createSession(t, "acme")
+			if code, out := ts.eval(t, sid, "1 + 1"); code != http.StatusOK {
+				t.Fatalf("eval: HTTP %d: %v", code, out)
+			}
+			tr := metricsText(t, ts)
+			if !strings.Contains(tr, "\nflashr_serve_arrival_rate ") {
+				t.Error("metrics missing flashr_serve_arrival_rate")
+			}
+			var w float64
+			if _, after, ok := strings.Cut(tr, "\nflashr_serve_batch_window_seconds "); !ok {
+				t.Fatal("metrics missing flashr_serve_batch_window_seconds")
+			} else if _, err := fmt.Sscan(after, &w); err != nil {
+				t.Fatalf("window gauge: %v", err)
+			}
+			if w < tc.lo || w > tc.hi {
+				t.Errorf("window gauge %gs, want within [%g, %g]", w, tc.lo, tc.hi)
+			}
+		})
 	}
 }

@@ -112,7 +112,7 @@ func (t *sessionTable) tenantFor(name string) *tenant {
 	tr.GaugeFunc("flashr_serve_result_handles", "Live result handles.",
 		func() float64 { return float64(tn.handles.Load()) }, lbl)
 	// The tenant's engine-pass totals, labeled owner=<tenant>: the series
-	// the smoke test compares against requests to prove coalescing.
+	// TestServeRealProcesses compares against requests to prove coalescing.
 	core.RegisterStatsMetrics(tr, name, tn.fs.TotalMaterializeStats)
 	t.reg.Include(tr)
 	t.tenants[name] = tn
@@ -196,19 +196,6 @@ func (t *sessionTable) expireIdle(maxIdle time.Duration) int {
 		t.remove(id)
 	}
 	return len(stale)
-}
-
-// each calls f for every live tenant.
-func (t *sessionTable) each(f func(*tenant)) {
-	t.mu.Lock()
-	tns := make([]*tenant, 0, len(t.tenants))
-	for _, tn := range t.tenants {
-		tns = append(tns, tn)
-	}
-	t.mu.Unlock()
-	for _, tn := range tns {
-		f(tn)
-	}
 }
 
 // newSessionID returns a 128-bit random hex id.
