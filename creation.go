@@ -18,30 +18,49 @@ import (
 // for a given seed: each I/O partition derives its own RNG stream.
 func (s *Session) Runif(n int64, p int, min, max float64, seed int64) (*FM, error) {
 	span := max - min
-	m, err := s.eng.Generate(n, p, matrix.F64, func(part int, start int64, rows int, buf []float64) {
+	return s.leafFM(s.leaf(n, p, func(part int, start int64, rows int, buf []float64) {
 		rng := rand.New(rand.NewSource(seed*1_000_003 + int64(part)))
 		for i := range buf {
 			buf[i] = min + span*rng.Float64()
 		}
-	})
+	}))
+}
+
+// Rnorm creates an n×p matrix of N(mean, sd²) values — rnorm.matrix.
+func (s *Session) Rnorm(n int64, p int, mean, sd float64, seed int64) (*FM, error) {
+	return s.leafFM(s.leaf(n, p, func(part int, start int64, rows int, buf []float64) {
+		rng := rand.New(rand.NewSource(seed*1_000_003 + int64(part)))
+		for i := range buf {
+			buf[i] = mean + sd*rng.NormFloat64()
+		}
+	}))
+}
+
+// leaf generates a materialized n×p engine leaf, filling partitions in
+// parallel. On a plan-only session it checks the same shape and returns a
+// zero-storage placeholder of it instead.
+func (s *Session) leaf(n int64, p int, fill func(part int, start int64, rows int, buf []float64)) (*core.Mat, error) {
+	if s.plan == nil {
+		return s.eng.Generate(n, p, matrix.F64, fill)
+	}
+	if n < 0 || p <= 0 {
+		return nil, fmt.Errorf("matrix: invalid shape %dx%d", n, p)
+	}
+	return core.NewConst(n, p, 0), nil
+}
+
+func (s *Session) leafFM(m *core.Mat, err error) (*FM, error) {
 	if err != nil {
 		return nil, err
 	}
 	return s.bigFM(m), nil
 }
 
-// Rnorm creates an n×p matrix of N(mean, sd²) values — rnorm.matrix.
-func (s *Session) Rnorm(n int64, p int, mean, sd float64, seed int64) (*FM, error) {
-	m, err := s.eng.Generate(n, p, matrix.F64, func(part int, start int64, rows int, buf []float64) {
-		rng := rand.New(rand.NewSource(seed*1_000_003 + int64(part)))
-		for i := range buf {
-			buf[i] = mean + sd*rng.NormFloat64()
-		}
+// fromDense copies an in-memory dense matrix into a tall engine leaf.
+func (s *Session) fromDense(d *dense.Dense) (*core.Mat, error) {
+	return s.leaf(int64(d.R), d.C, func(_ int, start int64, rows int, buf []float64) {
+		copy(buf, d.Data[int(start)*d.C:(int(start)+rows)*d.C])
 	})
-	if err != nil {
-		return nil, err
-	}
-	return s.bigFM(m), nil
 }
 
 // ConstMat creates an n×p virtual constant matrix (zero storage, zero I/O —
@@ -58,31 +77,23 @@ func (s *Session) Zeros(n int64, p int) *FM { return s.ConstMat(n, p, 0) }
 
 // SeqVec creates an n×1 matrix holding 0, 1, …, n-1.
 func (s *Session) SeqVec(n int64) (*FM, error) {
-	m, err := s.eng.Generate(n, 1, matrix.F64, func(part int, start int64, rows int, buf []float64) {
+	return s.leafFM(s.leaf(n, 1, func(part int, start int64, rows int, buf []float64) {
 		for r := 0; r < rows; r++ {
 			buf[r] = float64(start + int64(r))
 		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return s.bigFM(m), nil
+	}))
 }
 
 // GenerateMat creates a materialized n×p matrix by calling gen(i, j) for
 // every element (generation runs partition-parallel).
 func (s *Session) GenerateMat(n int64, p int, gen func(i int64, j int) float64) (*FM, error) {
-	m, err := s.eng.Generate(n, p, matrix.F64, func(part int, start int64, rows int, buf []float64) {
+	return s.leafFM(s.leaf(n, p, func(part int, start int64, rows int, buf []float64) {
 		for r := 0; r < rows; r++ {
 			for c := 0; c < p; c++ {
 				buf[r*p+c] = gen(start+int64(r), c)
 			}
 		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return s.bigFM(m), nil
+	}))
 }
 
 // GenerateSeeded creates a materialized n×p matrix where every row is
@@ -91,7 +102,7 @@ func (s *Session) GenerateMat(n int64, p int, gen func(i int64, j int) float64) 
 // same seed see identical per-row streams, so features and labels built from
 // the same seed stay consistent — regardless of partitioning or scheduling.
 func (s *Session) GenerateSeeded(n int64, p int, seed int64, fill func(rng *rand.Rand, row []float64)) (*FM, error) {
-	m, err := s.eng.Generate(n, p, matrix.F64, func(part int, start int64, rows int, buf []float64) {
+	return s.leafFM(s.leaf(n, p, func(part int, start int64, rows int, buf []float64) {
 		src := &splitmixSource{}
 		rng := rand.New(src)
 		for r := 0; r < rows; r++ {
@@ -102,11 +113,7 @@ func (s *Session) GenerateSeeded(n int64, p int, seed int64, fill func(rng *rand
 			clear(row)
 			fill(rng, row)
 		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return s.bigFM(m), nil
+	}))
 }
 
 // splitmixSource is a cheap reseedable rand.Source64 (math/rand's default
@@ -136,11 +143,7 @@ func mix64(seed, row int64) int64 {
 
 // FromDense copies an in-memory dense matrix into a tall engine matrix.
 func (s *Session) FromDense(d *dense.Dense) (*FM, error) {
-	m, err := s.eng.FromDense(d)
-	if err != nil {
-		return nil, err
-	}
-	return s.bigFM(m), nil
+	return s.leafFM(s.fromDense(d))
 }
 
 // rowsShapeErr validates row slices destined for a matrix: at least one
@@ -201,6 +204,9 @@ func (s *Session) SmallFromRows(rows [][]float64) *FM {
 // whitespace. The file streams through partition-sized buffers, so matrices
 // larger than memory load directly onto the SSD array in an EM session.
 func (s *Session) LoadCSV(path, sep string) (*FM, error) {
+	if s.plan != nil {
+		return nil, ErrPlanOnly
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -279,7 +285,8 @@ func (s *Session) LoadCSV(path, sep string) (*FM, error) {
 	return s.bigFM(core.NewLeaf(st, matrix.F64)), nil
 }
 
-// SaveCSV materializes x and writes it as delimiter-separated text.
+// SaveCSV materializes x and writes it as delimiter-separated text. On a
+// plan-only session it fails with ErrPlanOnly before creating the file.
 func SaveCSV(x *FM, path, sep string) error {
 	if sep == "" {
 		sep = ","

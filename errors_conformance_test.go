@@ -54,14 +54,17 @@ func TestTryErrorConformance(t *testing.T) {
 		{"groupby.col/small", func() (*FM, error) { return TryGroupByCol(small, []int{0, 1}, 2, "+") }, func() { GroupByCol(small, []int{0, 1}, 2, "+") }},
 		{"inner.prod/unknown f1", func() (*FM, error) { return TryInnerProd(big, small, "frobnicate", "+") }, func() { InnerProd(big, small, "frobnicate", "+") }},
 		{"inner.prod/small left", func() (*FM, error) { return TryInnerProd(small, small, "*", "+") }, func() { InnerProd(small, small, "*", "+") }},
+		{"inner.prod/dims", func() (*FM, error) { return TryInnerProd(big, small3, "*", "+") }, func() { InnerProd(big, small3, "*", "+") }},
 		{"matmul/two tall", func() (*FM, error) { return TryMatMul(big, big3) }, func() { MatMul(big, big3) }},
 		{"matmul/dims", func() (*FM, error) { return TryMatMul(big, small3) }, func() { MatMul(big, small3) }},
 		{"matmul/t-by-t", func() (*FM, error) { return TryMatMul(big.T(), big3.T()) }, func() { MatMul(big.T(), big3.T()) }},
 		{"matmul/small by tall", func() (*FM, error) { return TryMatMul(small, big) }, func() { MatMul(small, big) }},
 		{"matmul/small dims", func() (*FM, error) { return TryMatMul(small, small3) }, func() { MatMul(small, small3) }},
+		{"matmul/small by t(tall) dims", func() (*FM, error) { return TryMatMul(small, big3.T()) }, func() { MatMul(small, big3.T()) }},
 		{"crossprod/row mismatch", func() (*FM, error) { return TryCrossProd2(big, big3) }, func() { CrossProd2(big, big3) }},
 		{"sweep/bad margin", func() (*FM, error) { return TrySweep(big, 3, small, "+") }, func() { Sweep(big, 3, small, "+") }},
 		{"sweep/unknown func", func() (*FM, error) { return TrySweep(big, 2, small, "frobnicate") }, func() { Sweep(big, 2, small, "frobnicate") }},
+		{"sweep/length", func() (*FM, error) { return TrySweep(big, 2, small3, "-") }, func() { Sweep(big, 2, small3, "-") }},
 		{"cum.col/unknown func", func() (*FM, error) { return TryCumCol(small, "frobnicate") }, func() { CumCol(small, "frobnicate") }},
 		{"cum.row/unknown func", func() (*FM, error) { return TryCumRow(small, "frobnicate") }, func() { CumRow(small, "frobnicate") }},
 		{"get.cols/out of range", func() (*FM, error) { return TryGetCols(small, []int{5}) }, func() { GetCols(small, []int{5}) }},

@@ -34,6 +34,15 @@ func testSessions(t *testing.T) map[string]*Session {
 	return out
 }
 
+// mustSmall forces a small or pending-sink matrix to its dense value.
+func (x *FM) mustSmall() *dense.Dense {
+	d, err := x.resolveSmall()
+	if err != nil {
+		panic(err)
+	}
+	return d
+}
+
 func TestArithmeticAndReductions(t *testing.T) {
 	for name, s := range testSessions(t) {
 		x, err := s.Runif(2000, 4, 0, 1, 7)

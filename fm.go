@@ -27,11 +27,32 @@ type FM struct {
 	trans bool // transposed view (big matrices only; smalls transpose eagerly)
 }
 
-func (s *Session) bigFM(m *core.Mat) *FM      { return &FM{s: s, big: m} }
-func (s *Session) smallFM(d *dense.Dense) *FM { return &FM{s: s, small: d} }
+func (s *Session) bigFM(m *core.Mat) *FM {
+	s.planNode(m, m.NRow(), int64(m.NCol()))
+	return &FM{s: s, big: m}
+}
+
+func (s *Session) smallFM(d *dense.Dense) *FM {
+	s.planNode(d, int64(d.R), int64(d.C))
+	return &FM{s: s, small: d}
+}
+
 func (s *Session) sinkFM(k *core.Sink) *FM {
 	s.deferSink(k)
+	if r, c := k.Shape(); r != 1 || c != 1 { // 1×1 sinks render as text
+		s.planNode(k, int64(r), int64(c))
+	}
 	return &FM{s: s, sink: k}
+}
+
+// Rebind returns a copy of x bound to session s, which must share x's
+// engine. Operations on the copy build their nodes on s, so binding a live
+// matrix to a plan-only session prices a program over it without touching
+// x or x's session.
+func (x *FM) Rebind(s *Session) *FM {
+	out := *x
+	out.s = s
+	return &out
 }
 
 // isBig reports whether the matrix lives in the partitioned engine.
@@ -41,8 +62,14 @@ func (x *FM) isBig() bool { return x.big != nil }
 func (x *FM) Session() *Session { return x.s }
 
 // resolveSmall forces a pending sink into its dense result; it leaves big
-// matrices untouched.
+// matrices untouched. On a plan-only session every read of a small operand
+// is charged to the session's in-memory work bound.
 func (x *FM) resolveSmall() (*dense.Dense, error) {
+	if x.big == nil {
+		if err := x.s.planCharge(x.dims()); err != nil {
+			return nil, err
+		}
+	}
 	if x.small != nil {
 		return x.small, nil
 	}
@@ -60,15 +87,6 @@ func (x *FM) resolveSmall() (*dense.Dense, error) {
 		return d, nil
 	}
 	return nil, errf("resolve", shapesOf(x), "big matrix where small expected")
-}
-
-// mustSmall is resolveSmall for internal call sites that already checked.
-func (x *FM) mustSmall() *dense.Dense {
-	d, err := x.resolveSmall()
-	if err != nil {
-		panic(err)
-	}
-	return d
 }
 
 // NRow returns the number of rows.
@@ -91,7 +109,7 @@ func (x *FM) dims() (int64, int64) {
 	case x.small != nil:
 		r, c = int64(x.small.R), int64(x.small.C)
 	case x.sink != nil:
-		rr, cc := sinkShape(x.sink)
+		rr, cc := x.sink.Shape()
 		r, c = int64(rr), int64(cc)
 	}
 	if x.trans {
@@ -99,8 +117,6 @@ func (x *FM) dims() (int64, int64) {
 	}
 	return r, c
 }
-
-func sinkShape(k *core.Sink) (int, int) { return k.Shape() }
 
 // Dim returns (rows, cols), R's dim().
 func (x *FM) Dim() (int64, int64) { return x.dims() }
@@ -124,6 +140,11 @@ func (x *FM) IsVirtual() bool {
 // transpose eagerly.
 func (x *FM) T() *FM {
 	if x.small != nil {
+		if err := x.s.planCharge(x.dims()); err != nil {
+			// An exhausted plan-only session: keep the shape, skip the
+			// copy. The next op that reads the result fails its own charge.
+			return x.s.smallFM(&dense.Dense{R: x.small.C, C: x.small.R})
+		}
 		return x.s.smallFM(x.small.T())
 	}
 	out := *x
@@ -136,6 +157,9 @@ func (x *FM) T() *FM {
 // pass, which runs under ctx: a cancelled ctx aborts it (including while the
 // pass waits for admission on a busy engine) with ctx.Err().
 func (x *FM) MaterializeCtx(ctx context.Context) error {
+	if x.s.plan != nil {
+		return nil
+	}
 	if x.big != nil {
 		if x.big.Materialized() {
 			return nil
@@ -149,7 +173,7 @@ func (x *FM) MaterializeCtx(ctx context.Context) error {
 // SetCache marks a virtual matrix to be saved (in memory, or on SSDs when
 // em is true) when its DAG materializes — the paper's set.cache.
 func (x *FM) SetCache(em bool) *FM {
-	if x.big != nil {
+	if x.big != nil && x.s.plan == nil {
 		x.big.SetCache(em)
 	}
 	return x
@@ -157,6 +181,9 @@ func (x *FM) SetCache(em bool) *FM {
 
 // Free releases the matrix's backing storage.
 func (x *FM) Free() error {
+	if x.s.plan != nil {
+		return ErrPlanOnly
+	}
 	if x.big != nil {
 		return x.big.Free()
 	}
@@ -167,6 +194,9 @@ func (x *FM) Free() error {
 // AsDense materializes the matrix and gathers it into a dense in-memory
 // matrix (R's as.matrix).
 func (x *FM) AsDense() (*dense.Dense, error) {
+	if x.s.plan != nil {
+		return nil, ErrPlanOnly
+	}
 	if x.big != nil {
 		if err := x.MaterializeCtx(context.Background()); err != nil {
 			return nil, err
@@ -216,16 +246,21 @@ func (x *FM) MustFloat() float64 {
 }
 
 // Element materializes and returns element (i, j) — access to individual
-// elements of a sink triggers DAG materialization (§3.4 case iii).
+// elements of a sink triggers DAG materialization (§3.4 case iii). On a tall
+// matrix only the partition holding the element is read.
 func (x *FM) Element(i, j int64) (float64, error) {
-	d, err := x.AsDense()
+	r, c := x.dims()
+	if i < 0 || i >= r || j < 0 || j >= c {
+		return 0, errf("element", nil, "(%d,%d) out of %dx%d", i, j, r, c)
+	}
+	if x.big != nil && x.trans {
+		x, i, j = x.T(), j, i
+	}
+	d, err := GetRows(x, []int64{i})
 	if err != nil {
 		return 0, err
 	}
-	if i < 0 || i >= int64(d.R) || j < 0 || j >= int64(d.C) {
-		return 0, errf("element", nil, "(%d,%d) out of %dx%d", i, j, d.R, d.C)
-	}
-	return d.At(int(i), int(j)), nil
+	return d.Data[j], nil
 }
 
 // SetElement writes element (i, j) in place — R's x[i, j] <- v. Big matrices
@@ -233,6 +268,9 @@ func (x *FM) Element(i, j int64) (float64, error) {
 // result cache and records the mutation, so no cached result built over the
 // old contents is ever served again.
 func (x *FM) SetElement(i, j int64, v float64) error {
+	if x.s.plan != nil {
+		return ErrPlanOnly
+	}
 	if x.big != nil {
 		if x.trans {
 			i, j = j, i
@@ -269,9 +307,5 @@ func (x *FM) promote() (*core.Mat, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := x.s.eng.FromDense(d)
-	if err != nil {
-		return nil, err
-	}
-	return m, nil
+	return x.s.fromDense(d)
 }

@@ -124,7 +124,7 @@ func (e *Engine) parallelRows(rows int, body func(r0, r1 int)) {
 	step := (rows + workers - 1) / workers
 	for w := 0; w < workers; w++ {
 		r0 := w * step
-		r1 := minInt(r0+step, rows)
+		r1 := min(r0+step, rows)
 		if r0 >= r1 {
 			break
 		}
@@ -261,7 +261,7 @@ func (e *Engine) reduce(rows, width int, fold func(r0, r1 int, acc []float64), c
 	step := (rows + workers - 1) / workers
 	for w := 0; w < workers; w++ {
 		r0 := w * step
-		r1 := minInt(r0+step, rows)
+		r1 := min(r0+step, rows)
 		partials[w] = make([]float64, width)
 		if r0 >= r1 {
 			continue
@@ -497,11 +497,4 @@ func (e *Engine) GroupByRow(a *dense.Dense, labels *dense.Dense, k int) (sums *d
 		}
 	})
 	return dense.FromSlice(k, p, acc[:k*p]), acc[k*p:]
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

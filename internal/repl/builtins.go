@@ -3,14 +3,9 @@ package repl
 import (
 	"context"
 	"fmt"
-	"math"
 
 	flashr "repro"
 )
-
-func mathPow(a, b float64) float64 { return math.Pow(a, b) }
-
-func mathFloor(v float64) float64 { return math.Floor(v) }
 
 // evalCall dispatches function-call syntax to the flashr API. The table
 // mirrors the paper's Tables 1–3.
@@ -54,7 +49,7 @@ func (e *Env) evalCall(t *callNode) (Value, error) {
 		if err != nil {
 			return Value{}, err
 		}
-		return matVal(flashr.Sapply(x, rName(t.name))), nil
+		return matVal(flashr.Sapply(x, t.name)), nil
 	}
 	// Whole-matrix reductions. Under lazy scalars the 1×1 result stays a
 	// pending sink so a whole batch of reductions flushes as one pass.
@@ -420,9 +415,6 @@ func (e *Env) evalCall(t *callNode) (Value, error) {
 	}
 	return Value{}, fmt.Errorf("could not find function %q", t.name)
 }
-
-// rName maps REPL names to flashr's registered unary names.
-func rName(name string) string { return name }
 
 var flashrUnary = map[string]bool{
 	"sqrt": true, "exp": true, "log": true, "log1p": true, "abs": true,

@@ -1,447 +1,72 @@
 package repl
 
-// Static admission estimation. FlashR's premise (§3.1) is that every matrix
-// shape is known the moment the expression is built — before any data moves.
-// The serving layer exploits that: a program's result and working-set bytes
-// can be bounded right after parsing, so over-budget programs are rejected
-// with a typed error before the engine runs a single materialization pass.
-//
-// The estimator walks the parsed AST mirroring evalCall's shape semantics
-// and propagating constant scalars (literals, scalar variables, nrow/ncol/
-// length of known matrices) so creation calls like runif.matrix(n, p) have
-// known dimensions. Anything it cannot bound statically — data-dependent
-// shapes (table, unique, load.dense), unknown identifiers, non-constant
-// dimensions — makes the whole estimate unavailable rather than wrong: the
-// caller falls back to admitting the program without a byte bound.
+import "math"
 
-// Estimate bounds a program's byte footprint from statically known shapes.
+// Admission estimation. FlashR's premise (§3.1) is that every matrix shape
+// is known the moment the expression is built — before any data moves. The
+// serving layer exploits that: a program's result and working-set bytes can
+// be bounded before it runs, so over-budget programs are rejected with a
+// typed error before the engine runs a single materialization pass.
+
+// Estimate bounds a program's byte footprint.
 type Estimate struct {
-	// ResultBytes is the total size of printable matrix-valued results
-	// (those the v2 surface would pin behind result handles). Scalars,
-	// strings, and 1×1 reductions render as text and count zero.
+	// ResultBytes is the total size of printed matrix-valued results with
+	// more than one element (those the v2 surface pins behind result
+	// handles). Scalars, strings and 1×1 matrices render as text and count
+	// zero.
 	ResultBytes int64
-	// WorkBytes sums the logical size of every matrix the program
-	// constructs — an upper bound on the working set (lazy fusion streams
-	// most intermediates, so the true footprint is usually far smaller).
+	// WorkBytes sums the logical size of every distinct matrix node the
+	// program builds — an upper bound on the working set (lazy fusion
+	// streams most intermediates, so the true footprint is usually far
+	// smaller).
 	WorkBytes int64
-	// Stmts is the number of parsed non-blank statements.
-	Stmts int
 }
 
-// shape kinds in the estimator's lattice.
-const (
-	kScalar = iota // numeric scalar (value in v when known)
-	kString
-	kNull
-	kMatrix // r×c matrix
-)
-
-type eshape struct {
-	kind  int
-	r, c  int64
-	known bool // scalar constant with value v
-	v     float64
-}
-
-func scalarShape() eshape         { return eshape{kind: kScalar} }
-func constShape(v float64) eshape { return eshape{kind: kScalar, known: true, v: v} }
-func matShape(r, c int64) eshape  { return eshape{kind: kMatrix, r: r, c: c} }
-func (s eshape) elems() int64     { return s.r * s.c }
-func (s eshape) isMatrix() bool   { return s.kind == kMatrix }
-func (s eshape) constInt() (int64, bool) {
-	if s.kind == kScalar && s.known {
-		return int64(s.v), true
-	}
-	return 0, false
-}
-
-type estimator struct {
-	vars map[string]eshape
-	est  Estimate
-	ok   bool
-}
-
-// EstimateProgram bounds the byte footprint of a multi-statement program
-// against the environment's current variable bindings. The second result is
-// false when any statement's shape cannot be determined statically; the
-// estimate is then meaningless and admission must fall back to shapeless
-// limits.
+// EstimateProgram bounds the byte footprint of a multi-statement program by
+// evaluating it with the real interpreter on a plan-only session
+// (flashr.Session.PlanOnly): a scratch environment holds the live bindings
+// rebound to that session, so the program builds exactly the DAG nodes a
+// real evaluation would, with creation calls bound to zero-storage leaves,
+// while no pass runs, no data is read and neither the bindings nor the
+// session's pending batch change. Node bytes are counted before the
+// rewriter runs: rewrites only remove or fold nodes, so the count is an
+// upper bound, and placeholder leaves would fold differently from real data.
+//
+// The second result is false — no estimate — when a statement fails to
+// parse or evaluate: a shape error, an unbound name or unknown function, an
+// operation that needs data (head, element access, as.matrix, table,
+// unique, rbind of tall matrices, scalar reductions with lazy scalars off,
+// load.dense, save.csv), or more in-memory work on small matrices than the
+// plan session simulates. The estimate then covers the statements before
+// the failing one and is a lower bound; past the in-memory cap its
+// WorkBytes is math.MaxInt64. Byte counts saturate at math.MaxInt64.
 func (e *Env) EstimateProgram(stmts []string) (Estimate, bool) {
-	w := &estimator{vars: make(map[string]eshape, len(e.vars)), ok: true}
+	plan, work := e.S.PlanOnly()
+	scratch := &Env{S: plan, vars: make(map[string]Value, len(e.vars)), lazyScalars: e.lazyScalars}
 	for name, v := range e.vars {
-		switch {
-		case v.isNum:
-			w.vars[name] = constShape(v.Num)
-		case v.isStr:
-			w.vars[name] = eshape{kind: kString}
-		case v.Mat != nil:
-			r, c := v.Mat.Dim()
-			w.vars[name] = matShape(r, c)
-		default:
-			w.vars[name] = eshape{kind: kNull}
+		if v.Mat != nil {
+			v.Mat = v.Mat.Rebind(plan)
 		}
+		scratch.vars[name] = v
 	}
+	var est Estimate
 	for _, src := range stmts {
-		n, err := Parse(src)
-		if err != nil || n == nil {
-			if err != nil {
-				return Estimate{}, false
-			}
-			continue // blank/comment line
+		v, printed, err := scratch.EvalStmt(src)
+		if err != nil {
+			est.WorkBytes = work()
+			return est, false
 		}
-		w.est.Stmts++
-		if an, isAssign := n.(*assignNode); isAssign {
-			s := w.walk(an.rhs)
-			if !w.ok {
-				return Estimate{}, false
-			}
-			w.vars[an.name] = s
-			continue // assignments print nothing
+		if !printed || v.Mat == nil {
+			continue
 		}
-		s := w.walk(n)
-		if !w.ok {
-			return Estimate{}, false
-		}
-		// Matrix results larger than 1×1 are handed out as pinned result
-		// handles on the v2 surface (1×1 lazy reductions render as text).
-		if s.isMatrix() && s.elems() > 1 {
-			w.est.ResultBytes += s.elems() * 8
-		}
-	}
-	return w.est, true
-}
-
-func (w *estimator) fail() eshape {
-	w.ok = false
-	return eshape{kind: kNull}
-}
-
-// created records a matrix the program constructs toward the working-set
-// bound and returns its shape.
-func (w *estimator) created(r, c int64) eshape {
-	w.est.WorkBytes += r * c * 8
-	return matShape(r, c)
-}
-
-func (w *estimator) walk(n node) eshape {
-	if !w.ok {
-		return eshape{kind: kNull}
-	}
-	switch t := n.(type) {
-	case *numNode:
-		return constShape(t.v)
-	case *strNode:
-		return eshape{kind: kString}
-	case *identNode:
-		s, ok := w.vars[t.name]
-		if !ok {
-			return w.fail()
-		}
-		return s
-	case *assignNode:
-		// Nested assignment (rhs of another statement) — evaluate and bind.
-		s := w.walk(t.rhs)
-		w.vars[t.name] = s
-		return s
-	case *unNode:
-		s := w.walk(t.x)
-		if !w.ok {
-			return s
-		}
-		if s.kind == kScalar {
-			if t.op == "-" && s.known {
-				return constShape(-s.v)
-			}
-			return scalarShape()
-		}
-		if s.isMatrix() {
-			return w.created(s.r, s.c)
-		}
-		return w.fail()
-	case *binNode:
-		return w.walkBin(t)
-	case *indexNode:
-		return w.walkIndex(t)
-	case *callNode:
-		return w.walkCall(t)
-	default:
-		return w.fail()
-	}
-}
-
-func (w *estimator) walkBin(t *binNode) eshape {
-	l := w.walk(t.l)
-	r := w.walk(t.r)
-	if !w.ok {
-		return l
-	}
-	if t.op == "%*%" {
-		if !l.isMatrix() || !r.isMatrix() {
-			return w.fail()
-		}
-		return w.created(l.r, r.c)
-	}
-	// Elementwise with scalar broadcast; matrix∘matrix takes the larger
-	// operand's shape (covers column-vector recycling conservatively).
-	switch {
-	case l.kind == kScalar && r.kind == kScalar:
-		if l.known && r.known {
-			if v, ok := foldConst(t.op, l.v, r.v); ok {
-				return constShape(v)
-			}
-		}
-		return scalarShape()
-	case l.isMatrix() && r.kind == kScalar:
-		return w.created(l.r, l.c)
-	case l.kind == kScalar && r.isMatrix():
-		return w.created(r.r, r.c)
-	case l.isMatrix() && r.isMatrix():
-		if r.elems() > l.elems() {
-			return w.created(r.r, r.c)
-		}
-		return w.created(l.r, l.c)
-	default:
-		return w.fail()
-	}
-}
-
-func foldConst(op string, a, b float64) (float64, bool) {
-	switch op {
-	case "+":
-		return a + b, true
-	case "-":
-		return a - b, true
-	case "*":
-		return a * b, true
-	case "/":
-		if b != 0 {
-			return a / b, true
-		}
-	}
-	return 0, false
-}
-
-func (w *estimator) walkIndex(t *indexNode) eshape {
-	x := w.walk(t.x)
-	if !w.ok {
-		return x
-	}
-	if !x.isMatrix() {
-		return w.fail()
-	}
-	sel := func(s node, all int64) (int64, bool) {
-		if s == nil {
-			return all, true
-		}
-		sh := w.walk(s)
-		if !w.ok {
-			return 0, false
-		}
-		switch {
-		case sh.kind == kScalar:
-			return 1, true
-		case sh.isMatrix():
-			return sh.elems(), true // index vector selects one row/col each
-		default:
-			return 0, false
-		}
-	}
-	rows, ok := sel(t.rows, x.r)
-	if !ok {
-		return w.fail()
-	}
-	cols, ok := sel(t.cols, x.c)
-	if !ok {
-		return w.fail()
-	}
-	return w.created(rows, cols)
-}
-
-func (w *estimator) walkCall(t *callNode) eshape {
-	arg := func(i int) (eshape, bool) {
-		if i >= len(t.args) {
-			return eshape{}, false
-		}
-		s := w.walk(t.args[i])
-		return s, w.ok
-	}
-	matArg := func(i int) (eshape, bool) {
-		s, ok := arg(i)
-		if !ok || !s.isMatrix() {
-			return s, false
-		}
-		return s, true
-	}
-	constArg := func(i int) (int64, bool) {
-		s, ok := arg(i)
-		if !ok {
-			return 0, false
-		}
-		return s.constInt()
-	}
-	optConstArg := func(i int, def int64) (int64, bool) {
-		if i >= len(t.args) {
-			return def, true
-		}
-		return constArg(i)
-	}
-
-	if flashrUnary[t.name] {
-		x, ok := matArg(0)
-		if !ok {
-			return w.fail()
-		}
-		return w.created(x.r, x.c)
-	}
-	if _, isRed := reductions[t.name]; isRed || t.name == "agg" {
-		if _, ok := matArg(0); !ok {
-			return w.fail()
-		}
-		return scalarShape() // 1×1 lazy sink, rendered as text
-	}
-
-	switch t.name {
-	case "runif.matrix", "rnorm.matrix":
-		n, ok1 := constArg(0)
-		p, ok2 := constArg(1)
-		if !ok1 || !ok2 || n < 0 || p < 0 {
-			return w.fail()
-		}
-		return w.created(n, p)
-	case "ones", "zeros":
-		n, ok1 := constArg(0)
-		p, ok2 := optConstArg(1, 1)
-		if !ok1 || !ok2 || n < 0 || p < 0 {
-			return w.fail()
-		}
-		return w.created(n, p)
-	case "seq":
-		n, ok := constArg(0)
-		if !ok || n < 0 {
-			return w.fail()
-		}
-		return w.created(n, 1)
-	case "t":
-		x, ok := matArg(0)
-		if !ok {
-			return w.fail()
-		}
-		return matShape(x.c, x.r) // zero-copy view: no new bytes
-	case "dim":
-		if _, ok := matArg(0); !ok {
-			return w.fail()
-		}
-		return w.created(1, 2)
-	case "nrow", "ncol", "length":
-		x, ok := matArg(0)
-		if !ok {
-			return w.fail()
-		}
-		switch t.name {
-		case "nrow":
-			return constShape(float64(x.r))
-		case "ncol":
-			return constShape(float64(x.c))
-		default:
-			return constShape(float64(x.elems()))
-		}
-	case "cbind", "rbind":
-		if len(t.args) == 0 {
-			return w.fail()
-		}
-		var rows, cols int64
-		for i := range t.args {
-			x, ok := matArg(i)
-			if !ok {
-				return w.fail()
-			}
-			if i == 0 {
-				rows, cols = x.r, x.c
-				continue
-			}
-			if t.name == "cbind" {
-				cols += x.c
+		if r, c := v.Mat.Dim(); r > 0 && c > 0 && (r > 1 || c > 1) {
+			if r > (math.MaxInt64-est.ResultBytes)/8/c {
+				est.ResultBytes = math.MaxInt64
 			} else {
-				rows += x.r
+				est.ResultBytes += 8 * r * c
 			}
 		}
-		return w.created(rows, cols)
-	case "rowSums", "rowMeans", "which.min.row", "which.max.row", "agg.row":
-		x, ok := matArg(0)
-		if !ok {
-			return w.fail()
-		}
-		return w.created(x.r, 1)
-	case "colSums", "colMeans", "agg.col":
-		x, ok := matArg(0)
-		if !ok {
-			return w.fail()
-		}
-		return w.created(1, x.c)
-	case "pmin", "pmax", "mapply", "sapply", "sweep", "cumsum", "set.cache", "materialize":
-		x, ok := matArg(0)
-		if !ok {
-			return w.fail()
-		}
-		// Walk remaining args for their own work (and to fail on unknowns
-		// that would make eval's shape differ from x's).
-		for i := 1; i < len(t.args); i++ {
-			if _, ok := arg(i); !ok {
-				return w.fail()
-			}
-		}
-		if t.name == "set.cache" || t.name == "materialize" {
-			return matShape(x.r, x.c) // aliases of x: no new bytes
-		}
-		return w.created(x.r, x.c)
-	case "inner.prod":
-		x, ok1 := matArg(0)
-		y, ok2 := matArg(1)
-		if !ok1 || !ok2 {
-			return w.fail()
-		}
-		return w.created(x.r, y.c)
-	case "groupby.row":
-		x, ok1 := matArg(0)
-		_, ok2 := matArg(1)
-		k, ok3 := constArg(2)
-		if !ok1 || !ok2 || !ok3 || k < 0 {
-			return w.fail()
-		}
-		return w.created(k, x.c)
-	case "crossprod":
-		x, ok := matArg(0)
-		if !ok {
-			return w.fail()
-		}
-		if len(t.args) > 1 {
-			y, ok := matArg(1)
-			if !ok {
-				return w.fail()
-			}
-			return w.created(x.c, y.c)
-		}
-		return w.created(x.c, x.c)
-	case "as.matrix", "as.vector", "head":
-		x, ok := matArg(0)
-		if !ok {
-			return w.fail()
-		}
-		n, okN := optConstArg(1, 6)
-		if !okN || n < 0 {
-			return w.fail()
-		}
-		if n > x.r {
-			n = x.r
-		}
-		return w.created(n, x.c)
-	case "explain":
-		if _, ok := matArg(0); !ok {
-			return w.fail()
-		}
-		return eshape{kind: kString}
 	}
-	// table, unique, load.dense, save.csv, and anything unknown: shape is
-	// data-dependent or unmodeled — no static bound.
-	return w.fail()
+	est.WorkBytes = work()
+	return est, true
 }

@@ -229,9 +229,9 @@ func scalarBin(op string, a, b float64) (float64, error) {
 	case "/":
 		return a / b, nil
 	case "%%":
-		return a - b*floor(a/b), nil
+		return a - b*math.Floor(a/b), nil
 	case "^":
-		return pow(a, b), nil
+		return math.Pow(a, b), nil
 	case "==":
 		return b2f(a == b), nil
 	case "!=":
@@ -407,7 +407,3 @@ func renderDense(d *dense.Dense) string {
 	}
 	return strings.TrimRight(b.String(), "\n")
 }
-
-func pow(a, b float64) float64 { return mathPow(a, b) }
-
-func floor(v float64) float64 { return mathFloor(v) }

@@ -93,29 +93,33 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// replSeeds are the statements of repl_test.go and estimate_test.go, the
+// seed corpus of the repl fuzzers.
+var replSeeds = []string{
+	"1 + 2 * 3", "(1 + 2) * 3", "2 ^ 3 ^ 2", "-2 ^ 2", "10 %% 3", "1 < 2",
+	"3 <= 2", "1 == 1 & 2 != 3", "!1", "1e3 + 1_000", "x <- 41", "x + 1", "y",
+	"x <- rnorm.matrix(5000, 4, 0, 1, 7)", "nrow(x)", "ncol(x)",
+	`centered <- sweep(x, 2, colMeans(x), "-")`,
+	"sum(centered * centered) / (length(x) - 1)", "g <- crossprod(x)",
+	"mean(abs(x) > 2)", "e <- x[3, 2]", "c1 <- x[, 1]", "centers <- head(x, 3)",
+	`d <- inner.prod(x, t(centers), "euclidean", "+")`, "i <- which.min.row(d)",
+	`cnt <- groupby.row(ones(3000, 1), i, 3, "+")`, `newc <- sweep(sums, 1, cnt, "/")`,
+	`s <- agg.row(x, "+")`, `sum(mapply(x, x, "-"))`,
+	"v <- round(runif.matrix(1000, 1, 0, 3, 9))", "table(v)", "unique(v)",
+	"cumsum(ones(100,1))[100, 1]", `m <- load.dense("m.csv")`, `save.csv(m, "o.csv")`,
+	"1 +", "nosuchfn(1)", `sum(1)`, "rnorm.matrix(10,2) %*% 3", `"unterminated`,
+	"   # just a comment", "sum(log(zeros(64, 1)))", "explain(sqrt(abs(x)))",
+	"n <- 250", "x <- runif.matrix(n * 2, 2, 0, 1, 7)", "y <- ones(nrow(x), 3)",
+	"c <- t(a) %*% b", "y <- unknown.function(x)", "z + 1",
+	"y <- runif.matrix(nosuch, 2, 0, 1, 7)", "x <-", "rowSums(x)", "max(x)",
+	"x %*% colSums(x)", "x %*% t(colSums(x))", "set.cache(x)", "x[1, 2]",
+}
+
 // FuzzReplParse: every statement a serving client sends reaches Parse, so on
 // arbitrary input it must return a node or an error, never panic. It parses
-// only — evaluation can allocate without bound. Seeds are the statements of
-// repl_test.go and estimate_test.go.
+// only — evaluation can allocate without bound.
 func FuzzReplParse(f *testing.F) {
-	for _, seed := range []string{
-		"1 + 2 * 3", "(1 + 2) * 3", "2 ^ 3 ^ 2", "-2 ^ 2", "10 %% 3", "1 < 2",
-		"3 <= 2", "1 == 1 & 2 != 3", "!1", "1e3 + 1_000", "x <- 41", "x + 1", "y",
-		"x <- rnorm.matrix(5000, 4, 0, 1, 7)", "nrow(x)", "ncol(x)",
-		`centered <- sweep(x, 2, colMeans(x), "-")`,
-		"sum(centered * centered) / (length(x) - 1)", "g <- crossprod(x)",
-		"mean(abs(x) > 2)", "e <- x[3, 2]", "c1 <- x[, 1]", "centers <- head(x, 3)",
-		`d <- inner.prod(x, t(centers), "euclidean", "+")`, "i <- which.min.row(d)",
-		`cnt <- groupby.row(ones(3000, 1), i, 3, "+")`, `newc <- sweep(sums, 1, cnt, "/")`,
-		`s <- agg.row(x, "+")`, `sum(mapply(x, x, "-"))`,
-		"v <- round(runif.matrix(1000, 1, 0, 3, 9))", "table(v)", "unique(v)",
-		"cumsum(ones(100,1))[100, 1]", `m <- load.dense("m.csv")`, `save.csv(m, "o.csv")`,
-		"1 +", "nosuchfn(1)", `sum(1)`, "rnorm.matrix(10,2) %*% 3", `"unterminated`,
-		"   # just a comment", "sum(log(zeros(64, 1)))", "explain(sqrt(abs(x)))",
-		"n <- 250", "x <- runif.matrix(n * 2, 2, 0, 1, 7)", "y <- ones(nrow(x), 3)",
-		"c <- a %*% t(b)", "y <- unknown.function(x)", "z + 1",
-		"y <- runif.matrix(nosuch, 2, 0, 1, 7)", "x <-", "rowSums(x)", "max(x)",
-	} {
+	for _, seed := range replSeeds {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, src string) {

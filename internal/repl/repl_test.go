@@ -10,7 +10,7 @@ import (
 	flashr "repro"
 )
 
-func env(t *testing.T) *Env {
+func env(t testing.TB) *Env {
 	t.Helper()
 	s, err := flashr.NewSession(flashr.Options{Workers: 2, PartRows: 256})
 	if err != nil {

@@ -84,9 +84,12 @@ type Config struct {
 	// that token's tenant; when empty, authentication is off and the server
 	// trusts the client-asserted tenant (development mode).
 	AuthTokens map[string]string
-	// MaxEstimatedBytes rejects programs whose statically estimated working
-	// set exceeds it with 413 before any evaluation (0 = no budget).
-	// Programs whose shapes cannot be bounded statically are admitted.
+	// MaxEstimatedBytes rejects programs whose estimated working set (the
+	// bytes of the DAG the program builds on a plan-only session, see
+	// repl.Env.EstimateProgram) exceeds it with 413 before any pass runs
+	// (0 = no budget). A program with no estimate is refused when the
+	// statements priced before the one that failed already exceed it, and
+	// admitted otherwise.
 	MaxEstimatedBytes int64
 	// MaxPinnedBytesPerTenant bounds the bytes a tenant may hold in live
 	// result handles; programs whose estimated result bytes would exceed
@@ -577,13 +580,15 @@ func (sv *Server) admit(w http.ResponseWriter, s *Session, program string) bool 
 		s.mu.Lock()
 		est, ok := s.env.EstimateProgram(splitProgram(program))
 		s.mu.Unlock()
+		// Without an estimate, WorkBytes still bounds the statements priced
+		// before the failing one from below, so it can refuse too.
+		if max := sv.cfg.MaxEstimatedBytes; max > 0 && est.WorkBytes > max {
+			tn.shed["budget_exceeded"].Inc()
+			writeError(w, http.StatusRequestEntityTooLarge, CodeBudgetExceeded,
+				"estimated working set %d bytes exceeds budget %d", est.WorkBytes, max)
+			return false
+		}
 		if ok {
-			if max := sv.cfg.MaxEstimatedBytes; max > 0 && est.WorkBytes > max {
-				tn.shed["budget_exceeded"].Inc()
-				writeError(w, http.StatusRequestEntityTooLarge, CodeBudgetExceeded,
-					"estimated working set %d bytes exceeds budget %d", est.WorkBytes, max)
-				return false
-			}
 			if q := sv.cfg.MaxPinnedBytesPerTenant; q > 0 && tn.pinned.Load()+est.ResultBytes > q {
 				tn.shed["quota_exceeded"].Inc()
 				writeError(w, http.StatusRequestEntityTooLarge, CodeQuotaExceeded,

@@ -492,6 +492,23 @@ func TestServeBudgetRejects413BeforePass(t *testing.T) {
 	}
 }
 
+// A program that reads data has no estimate, but the statements priced
+// before the read still bound its working set from below: over budget, it
+// is refused before any pass.
+func TestServeBudgetRefusesPartialEstimate(t *testing.T) {
+	ts := newTestServer(t, func(c *Config) { c.MaxEstimatedBytes = 1 << 20 })
+	sid := ts.createSession(t, "acme")
+	for _, read := range []string{"head(z)", "z[1, 1]"} {
+		code, out := ts.eval(t, sid, "z <- runif.matrix(100000, 10, 0, 1, 7)\n"+read)
+		if code != http.StatusRequestEntityTooLarge || out["code"] != CodeBudgetExceeded {
+			t.Fatalf("%s: HTTP %d %v, want 413 %s", read, code, out, CodeBudgetExceeded)
+		}
+	}
+	if passes := ts.sv.table.tenantFor("acme").fs.TotalMaterializeStats().Passes; passes != 0 {
+		t.Fatalf("refused programs ran %d materialization passes", passes)
+	}
+}
+
 func TestServePinnedQuotaAdmission(t *testing.T) {
 	ts := newTestServer(t, func(c *Config) { c.MaxPinnedBytesPerTenant = 4096 })
 	sid := ts.createSession(t, "acme")

@@ -104,7 +104,7 @@ func (m *CSR) MulDense(b *dense.Dense, workers int) (*dense.Dense, error) {
 					return
 				}
 				r0 := bi * block
-				r1 := minInt(r0+block, m.Rows)
+				r1 := min(r0+block, m.Rows)
 				spmmRows(m, b, out, r0, r1)
 			}
 		}()
@@ -283,7 +283,7 @@ func (m *SEMatrix) MulDense(b *dense.Dense, workers int) (*dense.Dense, error) {
 					return
 				}
 				r0 := bi * blockRows
-				r1 := minInt(r0+blockRows, m.Rows)
+				r1 := min(r0+blockRows, m.Rows)
 				lo, hi := m.RowPtr[r0], m.RowPtr[r1]
 				if lo == hi {
 					continue
@@ -329,10 +329,3 @@ func (m *SEMatrix) MulDense(b *dense.Dense, workers int) (*dense.Dense, error) {
 }
 
 func pad8(n int64) int64 { return (n + 7) &^ 7 }
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

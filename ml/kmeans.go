@@ -49,7 +49,7 @@ func KMeans(s *flashr.Session, x *flashr.FM, k int, opts KMeansOptions) (*KMeans
 	if opts.InitCenters != nil {
 		centers = opts.InitCenters.Clone()
 	} else {
-		head, err := flashr.Head(x, minInt(int(n), 4096))
+		head, err := flashr.Head(x, min(int(n), 4096))
 		if err != nil {
 			return nil, err
 		}
@@ -120,11 +120,4 @@ func KMeans(s *flashr.Session, x *flashr.FM, k int, opts KMeansOptions) (*KMeans
 	}
 	res.Objective = obj
 	return res, nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

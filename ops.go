@@ -537,6 +537,9 @@ func TryInnerProd(x, y *FM, f1name, f2name string) (*FM, error) {
 	if !x.isBig() || x.trans {
 		return nil, errf("inner.prod", shapesOf(x, y), "needs a non-transposed large left operand")
 	}
+	if y.NRow() != x.NCol() {
+		return nil, errf("inner.prod", shapesOf(x, y), "dimension mismatch")
+	}
 	d, err := y.resolveSmall()
 	if err != nil {
 		return nil, err
@@ -559,19 +562,23 @@ func InnerProd(x, y *FM, f1name, f2name string) *FM {
 //   - small %*% t(big)        → transposed inner product (view)
 //
 // Float matrices use the BLAS kernel; integer matrices use the generalized
-// inner-product GenOp, per Table 2.
+// inner-product GenOp, per Table 2. Shapes are checked before any pending
+// sink operand is forced.
 func TryMatMul(x, y *FM) (*FM, error) {
 	const op = "%*%"
 	s := x.s
 	switch {
 	case x.isBig() && !x.trans:
 		// Right operand must be small (p×m).
-		d, err := y.resolveSmall()
-		if err != nil {
+		if y.isBig() {
 			return nil, errf(op, shapesOf(x, y), "of two tall matrices is t(A)%%*%%B-shaped only")
 		}
-		if int64(d.R) != x.NCol() {
+		if y.NRow() != x.NCol() {
 			return nil, errf(op, shapesOf(x, y), "dimension mismatch")
+		}
+		d, err := y.resolveSmall()
+		if err != nil {
+			return nil, err
 		}
 		return s.bigFM(core.InnerProd(x.big, d, mmF1(x), mmF2(x))), nil
 	case x.isBig() && x.trans:
@@ -583,11 +590,7 @@ func TryMatMul(x, y *FM) (*FM, error) {
 			return s.sinkFM(core.CrossProd(x.big, y.big, mmF1(x), mmF2(x))), nil
 		}
 		if !y.isBig() {
-			d, err := y.resolveSmall()
-			if err != nil {
-				return nil, err
-			}
-			if int64(d.R) != x.big.NRow() {
+			if y.NRow() != x.big.NRow() {
 				return nil, errf(op, shapesOf(x, y), "dimension mismatch")
 			}
 			// t(A) %*% small: promote the small right operand.
@@ -600,27 +603,29 @@ func TryMatMul(x, y *FM) (*FM, error) {
 		return nil, errf(op, shapesOf(x, y), "t(A) %%*%% t(B) on two tall matrices not supported")
 	default:
 		// Small left operand.
+		if y.isBig() && !y.trans {
+			return nil, errf(op, shapesOf(x, y), "small %%*%% tall is shape-invalid")
+		}
+		if x.NCol() != y.NRow() {
+			return nil, errf(op, shapesOf(x, y), "dimension mismatch")
+		}
 		da, err := x.resolveSmall()
 		if err != nil {
 			return nil, err
 		}
-		if !y.isBig() {
-			db, err := y.resolveSmall()
-			if err != nil {
-				return nil, err
-			}
-			if da.C != db.R {
-				return nil, errf(op, shapesOf(x, y), "dimension mismatch")
-			}
-			return s.smallFM(dense.MatMul(da, db)), nil
-		}
-		if y.trans {
+		if y.isBig() {
 			// small(m×p) %*% t(big n×p) = t( big %*% t(small) ): stream.
 			ip := core.InnerProd(y.big, da.T(), mmF1(y), mmF2(y))
-			out := s.bigFM(ip)
-			return out.T(), nil
+			return s.bigFM(ip).T(), nil
 		}
-		return nil, errf(op, shapesOf(x, y), "small %%*%% tall is shape-invalid")
+		db, err := y.resolveSmall()
+		if err != nil {
+			return nil, err
+		}
+		if err := s.planCharge(int64(da.R)*int64(da.C), int64(db.C)); err != nil {
+			return nil, err
+		}
+		return s.smallFM(dense.MatMul(da, db)), nil
 	}
 }
 
@@ -673,6 +678,9 @@ func TrySweep(x *FM, margin int, v *FM, fname string) (*FM, error) {
 	}
 	if margin != 1 && margin != 2 {
 		return nil, errf("sweep", shapesOf(x, v), "margin must be 1 or 2, got %d", margin)
+	}
+	if margin == 2 && v.Length() != x.NCol() || margin == 1 && v.Length() != x.NRow() {
+		return nil, errf("sweep", shapesOf(x, v), "vector length does not match margin %d", margin)
 	}
 	if !x.isBig() {
 		d, err := x.resolveSmall()
@@ -990,6 +998,9 @@ func GroupBy(x *FM, fname string) (keys, folds []float64, err error) {
 // large-matrix row shuffling is out of the paper's scope; this covers the
 // R idiom x[idx, ] for moderate index sets.)
 func GetRows(x *FM, idx []int64) (*dense.Dense, error) {
+	if x.s.plan != nil {
+		return nil, ErrPlanOnly
+	}
 	r, c := x.dims()
 	for _, i := range idx {
 		if i < 0 || i >= r {
@@ -1020,7 +1031,7 @@ func GetRows(x *FM, idx []int64) (*dense.Dense, error) {
 	out := dense.New(len(idx), int(c))
 	buf := make([]float64, pr*int(c))
 	for p, outs := range byPart {
-		rows := int(min64(int64(pr), r-int64(p)*int64(pr)))
+		rows := int(min(int64(pr), r-int64(p)*int64(pr)))
 		if err := st.ReadPart(p, buf[:rows*int(c)]); err != nil {
 			return nil, err
 		}
@@ -1030,13 +1041,6 @@ func GetRows(x *FM, idx []int64) (*dense.Dense, error) {
 		}
 	}
 	return out, nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Explain renders the lazy computation DAG rooted at x as an indented tree
@@ -1049,8 +1053,8 @@ func Explain(x *FM) string {
 	case x.sink != nil:
 		return core.ExplainSink(x.sink)
 	default:
-		d := x.mustSmall()
-		return fmt.Sprintf("dense %dx%d (materialized in memory)\n", d.R, d.C)
+		r, c := x.dims()
+		return fmt.Sprintf("dense %dx%d (materialized in memory)\n", r, c)
 	}
 }
 
@@ -1063,6 +1067,9 @@ func Unique(x *FM) ([]float64, error) {
 
 // TableOf returns sorted distinct values and their counts (R's table).
 func TableOf(x *FM) (keys []float64, counts []int64, err error) {
+	if x.s.plan != nil {
+		return nil, nil, ErrPlanOnly
+	}
 	if x.isBig() {
 		t := core.Table(x.big)
 		if err := x.s.materializeNow(context.Background(), "", nil, []*core.Sink{t}); err != nil {
@@ -1090,16 +1097,15 @@ func TableOf(x *FM) (keys []float64, counts []int64, err error) {
 	return keys, counts, nil
 }
 
-// Head materializes and returns the first n rows as a dense matrix.
+// Head materializes and returns the first n rows as a dense matrix, reading
+// only the partitions that hold them.
 func Head(x *FM, n int) (*dense.Dense, error) {
-	d, err := x.AsDense()
-	if err != nil {
-		return nil, err
+	if x.s.plan != nil { // before sizing idx by a plan's unbounded nrow
+		return nil, ErrPlanOnly
 	}
-	if n > d.R {
-		n = d.R
+	idx := make([]int64, max(0, min(int64(n), x.NRow())))
+	for i := range idx {
+		idx[i] = int64(i)
 	}
-	out := dense.New(n, d.C)
-	copy(out.Data, d.Data[:n*d.C])
-	return out, nil
+	return GetRows(x, idx)
 }

@@ -1,11 +1,13 @@
 package flashr
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/dense"
+	"repro/internal/safs"
 )
 
 func TestSetCols(t *testing.T) {
@@ -135,5 +137,77 @@ func TestSetColsFused(t *testing.T) {
 	}
 	if math.Abs(cs[0]) < 1e-12 && math.Abs(cs[1]) < 1e-12 {
 		t.Fatal("other columns unexpectedly zero")
+	}
+}
+
+// TestHeadElementReadOnePartition: Head and Element on a tall EM matrix read
+// the partition holding the rows they return, not the whole matrix.
+func TestHeadElementReadOnePartition(t *testing.T) {
+	s, err := NewSession(Options{Workers: 2, PartRows: 1024, EM: true, SSDDirs: safs.DriveDirs(t.TempDir(), 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	x, err := s.GenerateMat(65536, 8, func(i int64, j int) float64 { return float64(i*8) + float64(j) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	const onePart = 1024 * 8 * 8
+	read := func(f func() error) int64 {
+		t.Helper()
+		before := s.FS().Stats().BytesRead
+		if err := f(); err != nil {
+			t.Fatal(err)
+		}
+		return s.FS().Stats().BytesRead - before
+	}
+	if n := read(func() error {
+		h, err := Head(x, 4)
+		if err == nil && (h.R != 4 || h.At(3, 7) != 31) {
+			t.Errorf("Head(x, 4) = %dx%d, [3,7] = %g", h.R, h.C, h.At(3, 7))
+		}
+		return err
+	}); n > onePart {
+		t.Errorf("Head(x, 4) read %d bytes, want <= %d", n, onePart)
+	}
+	if n := read(func() error {
+		v, err := x.Element(0, 1)
+		if err == nil && v != 1 {
+			t.Errorf("x.Element(0, 1) = %g, want 1", v)
+		}
+		return err
+	}); n > onePart {
+		t.Errorf("x.Element(0, 1) read %d bytes, want <= %d", n, onePart)
+	}
+	if v, err := x.T().Element(2, 5000); err != nil || v != 5000*8+2 {
+		t.Errorf("t(x)[2, 5000] = %g, %v; want %d", v, err, 5000*8+2)
+	}
+}
+
+// TestShapeErrorsBeforeForcing: a shape mismatch against a pending sink
+// operand is reported without running the pass that would force the sink.
+func TestShapeErrorsBeforeForcing(t *testing.T) {
+	s := NewMemSession()
+	defer s.Close()
+	x, err := s.Runif(200, 5, 0, 1, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		try  func() (*FM, error)
+	}{
+		{"%*%", func() (*FM, error) { return TryMatMul(x, ColSums(x)) }},
+		{"inner.prod", func() (*FM, error) { return TryInnerProd(x, ColSums(x), "*", "+") }},
+		{"sweep", func() (*FM, error) { return TrySweep(x, 2, ColSums(Cbind(x, x)), "-") }},
+	} {
+		_, err := tc.try()
+		var fe *Error
+		if !errors.As(err, &fe) {
+			t.Errorf("%s: err = %v, want a *flashr.Error", tc.name, err)
+		}
+		if p := s.TotalMaterializeStats().Passes; p != 0 {
+			t.Fatalf("%s: shape error after %d passes, want 0", tc.name, p)
+		}
 	}
 }

@@ -31,6 +31,9 @@ type Pinned struct {
 // flushed batch makes this free) and pins its result. The caller must
 // Release the pin exactly once.
 func (x *FM) PinCtx(ctx context.Context) (*Pinned, error) {
+	if x.s.plan != nil {
+		return nil, ErrPlanOnly
+	}
 	if x.big != nil && !x.trans {
 		if err := x.MaterializeCtx(ctx); err != nil {
 			return nil, err

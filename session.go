@@ -26,8 +26,10 @@ package flashr
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 
 	"repro/internal/core"
@@ -150,6 +152,87 @@ type Session struct {
 	// the session's own pass totals labeled with its owner.
 	metricsOnce sync.Once
 	metrics     *trace.Registry
+
+	// plan is non-nil on a plan-only session (see PlanOnly).
+	plan *planState
+}
+
+// ErrPlanOnly is returned by every operation on a plan-only session that
+// would read matrix data, hand it to the caller, or touch a file.
+var ErrPlanOnly = errors.New("flashr: plan-only session: operation reads data or touches a file")
+
+// planMaxElems bounds the in-memory work a plan-only session does, counted
+// in element operations over the whole session: every read of a small
+// operand (no small op's result outgrows the operands it reads), every
+// small transpose, every zero placeholder a pending sink gets, and m·k·n for
+// a product of two smalls. A program that needs more exhausts the session:
+// its work bytes saturate at math.MaxInt64, so it prices as unbounded, and
+// every later charge fails with ErrPlanOnly. Pricing any program thus
+// allocates and computes on the order of this many elements.
+const planMaxElems = 1 << 24
+
+type planState struct {
+	seen  map[any]bool // nodes already counted toward work
+	work  int64        // saturates at math.MaxInt64
+	elems int64        // in-memory element operations charged so far
+}
+
+// PlanOnly returns a plan-only session over s's engine, and a function
+// reporting the bytes of every distinct matrix node built on it so far. A
+// plan-only session builds the same DAG nodes a live one would but never
+// runs a pass, reads data or touches a file: creation calls return
+// zero-storage leaves of the requested shape, an operator that needs a
+// pending sink's value sees zeros of the sink's shape, MaterializeCtx and
+// SetCache do nothing, and anything else that would read data or touch a
+// file fails with ErrPlanOnly. Its in-memory work on small matrices is
+// capped; a program past the cap fails with ErrPlanOnly and its work bytes
+// read math.MaxInt64. It has its own pending batch; bind live matrices to it
+// with FM.Rebind.
+func (s *Session) PlanOnly() (plan *Session, workBytes func() int64) {
+	p := &Session{eng: s.eng, sharedEng: true, plan: &planState{seen: map[any]bool{}}}
+	return p, func() int64 {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return p.plan.work
+	}
+}
+
+// planNode counts an r×c node toward a plan-only session's work bytes,
+// once per distinct node.
+func (s *Session) planNode(node any, r, c int64) {
+	if s.plan == nil || r <= 0 || c <= 0 {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	p := s.plan
+	if p.seen[node] {
+		return
+	}
+	p.seen[node] = true
+	if r > (math.MaxInt64-p.work)/8/c {
+		p.work = math.MaxInt64
+		return
+	}
+	p.work += r * c * 8
+}
+
+// planCharge charges r·c in-memory element operations to a plan-only
+// session before it does them, and exhausts the session once the total
+// would pass planMaxElems. It is a no-op on a live session.
+func (s *Session) planCharge(r, c int64) error {
+	if s.plan == nil || r <= 0 || c <= 0 {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	p := s.plan
+	if r > (planMaxElems-p.elems)/c {
+		p.elems, p.work = planMaxElems, math.MaxInt64
+		return fmt.Errorf("%w: in-memory work exceeds %d element operations", ErrPlanOnly, planMaxElems)
+	}
+	p.elems += r * c
+	return nil
 }
 
 // noteNamed records that m is backed by the named matrix's files.
@@ -376,6 +459,9 @@ func (s *Session) FlushBatchCtx(ctx context.Context, batch string, results ...*F
 // label, bandwidth weight, and (when flushing on behalf of a request batch)
 // batch label, and folds the pass's record into the session-local stats.
 func (s *Session) materializeNow(ctx context.Context, batch string, talls []*core.Mat, sinks []*core.Sink) error {
+	if s.plan != nil {
+		return ErrPlanOnly
+	}
 	ms, err := s.eng.MaterializePass(ctx, talls, sinks, core.PassOptions{Owner: s.owner, Weight: s.weight, Batch: batch})
 	if ms.Wall > 0 { // an empty pass (nothing to run) leaves no record
 		s.statsMu.Lock()
@@ -397,6 +483,9 @@ func (s *Session) flushCtx(ctx context.Context, talls ...*core.Mat) error {
 }
 
 func (s *Session) flushBatchCtx(ctx context.Context, batch string, talls ...*core.Mat) error {
+	if s.plan != nil {
+		return ErrPlanOnly
+	}
 	s.mu.Lock()
 	pend := s.pending
 	s.pending = nil
@@ -446,8 +535,16 @@ func (s *Session) flushBatchCtx(ctx context.Context, batch string, talls ...*cor
 func sinkNRow(k *core.Sink) int64 { return k.Input().NRow() }
 
 // forceSink materializes a specific sink (flushing the whole pending batch
-// with it) and returns its result.
+// with it) and returns its result. A plan-only session returns zeros of the
+// sink's shape instead and leaves the sink untouched.
 func (s *Session) forceSink(k *core.Sink) (*dense.Dense, error) {
+	if !k.Done() && s.plan != nil {
+		r, c := k.Shape()
+		if err := s.planCharge(int64(r), int64(c)); err != nil {
+			return nil, err
+		}
+		return dense.New(r, c), nil
+	}
 	if !k.Done() {
 		if err := s.flush(); err != nil {
 			return nil, err
