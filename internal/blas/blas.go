@@ -2,12 +2,23 @@
 // floating-point matrix multiplication to (Table 2 of the paper routes f64
 // `%*%` to BLAS and integer `%*%` to the generalized inner-product GenOp).
 // The paper links ATLAS; under the stdlib-only constraint this package
-// implements the needed subset from scratch: cache-blocked, goroutine-
-// parallel GEMM and SYRK plus the level-1 routines used around them.
+// implements the needed subset from scratch in pure Go: GEMM, GEMM with a
+// transposed left operand, SYRK, and the level-1 routines used around them.
 //
-// All matrices are row-major. Kernels block over 64×64 tiles with an inner
-// k-panel, which keeps the working set inside L1/L2 — the same design point
-// as the engine's Pcache partitions.
+// All matrices are row-major. The level-3 kernels share one register-tiled
+// loop: it loads a 2×4 block of C into locals, runs the whole reduction with
+// no data-dependent branch in it, and stores the block once. 2×4 keeps the 8 accumulators,
+// 2 A values and the B operands inside amd64's 16 X registers; a 4×4 tile
+// needs 16 accumulators alone and spills. The engine's Pcache chunks already
+// keep the operands in L1/L2, so there is no outer cache blocking.
+//
+// Order guarantee: each element of C starts from its value on entry and
+// adds its terms in reduction order (k ascending for Gemm, rows of A
+// ascending for GemmTA and Syrk), exactly as the plain triple loop does.
+// Results are therefore independent of the tiling, of which fringe path an
+// element falls in, and of how ParallelGemm splits the rows. Gemm's
+// matrix-vector path is the one exception: it sums each row with Dot. No
+// term is skipped for a zero operand, so 0 × ±Inf gives NaN, as in R.
 package blas
 
 import (
@@ -15,9 +26,9 @@ import (
 	"sync"
 )
 
-// tile is the blocking factor for the level-3 kernels. 64×64 float64 tiles
-// are 32 KiB, matching a typical L1 data cache.
-const tile = 64
+// parallelMinRows is the row count below which ParallelGemm runs serially:
+// smaller products finish before the goroutines would pay for themselves.
+const parallelMinRows = 128
 
 // Dot returns the inner product of x and y.
 func Dot(x, y []float64) float64 {
@@ -40,24 +51,6 @@ func Axpy(alpha float64, x, y []float64) {
 	}
 }
 
-// Scal scales x by alpha in place.
-func Scal(alpha float64, x []float64) {
-	for i := range x {
-		x[i] *= alpha
-	}
-}
-
-// Nrm2 returns the Euclidean norm of x.
-func Nrm2(x []float64) float64 {
-	return sqrt(Dot(x, x))
-}
-
-func sqrt(v float64) float64 {
-	// Newton iterations seeded by a float bit trick are avoided; math.Sqrt
-	// compiles to a single instruction and math is stdlib.
-	return mathSqrt(v)
-}
-
 // Gemm computes C += A * B where A is m×k, B is k×n, C is m×n, all
 // row-major. It runs serially; use ParallelGemm to split across workers.
 func Gemm(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
@@ -69,41 +62,7 @@ func Gemm(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, 
 		}
 		return
 	}
-	gemmRange(0, m, n, k, a, lda, b, ldb, c, ldc)
-}
-
-// gemmRange computes rows [r0,r1) of C += A*B with tiling over all three
-// dimensions.
-func gemmRange(r0, r1, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
-	for i0 := r0; i0 < r1; i0 += tile {
-		iMax := min(i0+tile, r1)
-		for k0 := 0; k0 < k; k0 += tile {
-			kMax := min(k0+tile, k)
-			for j0 := 0; j0 < n; j0 += tile {
-				jMax := min(j0+tile, n)
-				microKernel(i0, iMax, j0, jMax, k0, kMax, a, lda, b, ldb, c, ldc)
-			}
-		}
-	}
-}
-
-// microKernel is the innermost tile product, written so the compiler keeps
-// the accumulator rows in registers: for each (i,kk) it streams a row of B.
-func microKernel(i0, iMax, j0, jMax, k0, kMax int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
-	for i := i0; i < iMax; i++ {
-		arow := a[i*lda : i*lda+kMax]
-		crow := c[i*ldc+j0 : i*ldc+jMax]
-		for kk := k0; kk < kMax; kk++ {
-			av := arow[kk]
-			if av == 0 {
-				continue
-			}
-			brow := b[kk*ldb+j0 : kk*ldb+jMax]
-			for j := range brow {
-				crow[j] += av * brow[j]
-			}
-		}
-	}
+	block(m, n, k, a, 1, lda, b, ldb, c, ldc)
 }
 
 // ParallelGemm computes C += A*B splitting rows of A/C across workers
@@ -115,7 +74,7 @@ func ParallelGemm(workers, m, n, k int, a []float64, lda int, b []float64, ldb i
 	if workers > m {
 		workers = m
 	}
-	if workers <= 1 || m < 2*tile {
+	if workers <= 1 || m < parallelMinRows {
 		Gemm(m, n, k, a, lda, b, ldb, c, ldc)
 		return
 	}
@@ -130,7 +89,7 @@ func ParallelGemm(workers, m, n, k int, a []float64, lda int, b []float64, ldb i
 		wg.Add(1)
 		go func(r0, r1 int) {
 			defer wg.Done()
-			gemmRange(r0, r1, n, k, a, lda, b, ldb, c, ldc)
+			block(r1-r0, n, k, a[r0*lda:], 1, lda, b, ldb, c[r0*ldc:], ldc)
 		}(r0, r1)
 	}
 	wg.Wait()
@@ -143,60 +102,23 @@ func GemmTA(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64
 		// Gradient-shaped crossprod t(X) %*% r: one AXPY per row.
 		col := c[:k]
 		for i := 0; i < m; i++ {
-			bv := b[i*ldb]
-			if bv == 0 {
-				continue
-			}
-			Axpy(bv, a[i*lda:i*lda+k], col)
+			Axpy(b[i*ldb], a[i*lda:i*lda+k], col)
 		}
 		return
 	}
-	for i0 := 0; i0 < m; i0 += tile {
-		iMax := min(i0+tile, m)
-		for i := i0; i < iMax; i++ {
-			arow := a[i*lda : i*lda+k]
-			brow := b[i*ldb : i*ldb+n]
-			for p := 0; p < k; p++ {
-				av := arow[p]
-				if av == 0 {
-					continue
-				}
-				crow := c[p*ldc : p*ldc+n]
-				for j := 0; j < n; j++ {
-					crow[j] += av * brow[j]
-				}
-			}
-		}
-	}
+	block(k, n, m, a, lda, 1, b, ldb, c, ldc)
 }
 
-// GemmTB computes C += A * Bᵀ where A is m×k, B is n×k and C is m×n. This is
-// the kernel for X %*% t(C) with a small right operand (e.g. distances to
-// cluster centers in k-means before generalization).
-func GemmTB(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
-	for i := 0; i < m; i++ {
-		arow := a[i*lda : i*lda+k]
-		crow := c[i*ldc : i*ldc+n]
-		for j := 0; j < n; j++ {
-			crow[j] += Dot(arow, b[j*ldb:j*ldb+k])
-		}
-	}
-}
-
-// Syrk computes C += Aᵀ*A for row-major m×k A into k×k C, using symmetry to
-// halve the flops and mirroring the result.
+// Syrk computes the upper triangle of C += Aᵀ*A for row-major m×k A into
+// k×k C, leaving the strictly-lower triangle untouched (SymmetrizeLower
+// mirrors it). Each pair of rows p, p+1 of C computes its diagonal element
+// (p,p) alone and then columns p+1.. through block.
 func Syrk(m, k int, a []float64, lda int, c []float64, ldc int) {
-	for i := 0; i < m; i++ {
-		arow := a[i*lda : i*lda+k]
-		for p := 0; p < k; p++ {
-			av := arow[p]
-			if av == 0 {
-				continue
-			}
-			crow := c[p*ldc : p*ldc+k]
-			for j := p; j < k; j++ {
-				crow[j] += av * arow[j]
-			}
+	for p := 0; p < k; p += 2 {
+		d := p*ldc + p
+		c[d] = dot(c[d], m, a[p:], lda, a[p:], lda)
+		if p+1 < k {
+			block(2, k-p-1, m, a[p:], lda, 1, a[p+1:], lda, c[d+1:], ldc)
 		}
 	}
 }
@@ -211,9 +133,86 @@ func SymmetrizeLower(k int, c []float64, ldc int) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// block computes, for the rows×cols block of C at c (row stride ldc),
+//
+//	c[r*ldc+j] += a[q*aStep+r*aRow] * b[q*ldb+j]   for q = 0, 1, …, kLen-1
+//
+// in that order. The strides cast all three kernels as one loop: Gemm
+// walks A along a row (aStep 1, aRow lda), GemmTA and Syrk walk it down a
+// column (aStep lda, aRow 1). Full 2×4 tiles go through tile2x4, the
+// fringe columns of a row pair through tile2x1, and a last odd row through
+// dot.
+func block(rows, cols, kLen int, a []float64, aStep, aRow int, b []float64, ldb int, c []float64, ldc int) {
+	r := 0
+	for ; r+2 <= rows; r += 2 {
+		ar, cr := a[r*aRow:], c[r*ldc:]
+		j := 0
+		for ; j+4 <= cols; j += 4 {
+			tile2x4(kLen, ar, aStep, aRow, b[j:], ldb, cr[j:], ldc)
+		}
+		for ; j < cols; j++ {
+			tile2x1(kLen, ar, aStep, aRow, b[j:], ldb, cr[j:], ldc)
+		}
 	}
-	return b
+	if r < rows {
+		ar, cr := a[r*aRow:], c[r*ldc:]
+		for j := 0; j < cols; j++ {
+			cr[j] = dot(cr[j], kLen, ar, aStep, b[j:], ldb)
+		}
+	}
+}
+
+// tile2x4 is block's register tile: rows 0 and 1 (a[0] and a[aRow] at
+// q = 0) times columns 0..3 of b, accumulated into c[0:4] and
+// c[ldc:ldc+4].
+func tile2x4(kLen int, a []float64, aStep, aRow int, b []float64, ldb int, c []float64, ldc int) {
+	c0 := c[:4:4]
+	c1 := c[ldc : ldc+4 : ldc+4]
+	c00, c01, c02, c03 := c0[0], c0[1], c0[2], c0[3]
+	c10, c11, c12, c13 := c1[0], c1[1], c1[2], c1[3]
+	ia, ib := 0, 0
+	for q := 0; q < kLen; q++ {
+		x0, x1 := a[ia], a[ia+aRow]
+		bq := b[ib : ib+4 : ib+4]
+		b0, b1, b2, b3 := bq[0], bq[1], bq[2], bq[3]
+		c00 += x0 * b0
+		c01 += x0 * b1
+		c02 += x0 * b2
+		c03 += x0 * b3
+		c10 += x1 * b0
+		c11 += x1 * b1
+		c12 += x1 * b2
+		c13 += x1 * b3
+		ia += aStep
+		ib += ldb
+	}
+	c0[0], c0[1], c0[2], c0[3] = c00, c01, c02, c03
+	c1[0], c1[1], c1[2], c1[3] = c10, c11, c12, c13
+}
+
+// dot returns s + Σ a[q*aStep]*b[q*ldb] for q = 0, 1, …, kLen-1, added in
+// that order.
+func dot(s float64, kLen int, a []float64, aStep int, b []float64, ldb int) float64 {
+	ia, ib := 0, 0
+	for q := 0; q < kLen; q++ {
+		s += a[ia] * b[ib]
+		ia += aStep
+		ib += ldb
+	}
+	return s
+}
+
+// tile2x1 is tile2x4 for one fringe column: two independent chains where
+// two dot calls would be one dependent chain each and load b twice.
+func tile2x1(kLen int, a []float64, aStep, aRow int, b []float64, ldb int, c []float64, ldc int) {
+	c0, c1 := c[0], c[ldc]
+	ia, ib := 0, 0
+	for q := 0; q < kLen; q++ {
+		bq := b[ib]
+		c0 += a[ia] * bq
+		c1 += a[ia+aRow] * bq
+		ia += aStep
+		ib += ldb
+	}
+	c[0], c[ldc] = c0, c1
 }

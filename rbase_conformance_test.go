@@ -317,13 +317,27 @@ func TestConcurrentMaterializations(t *testing.T) {
 	}
 }
 
-// TestNonFiniteConformance: NaN and ±Inf propagate through elementwise ops
-// and reductions with R's double semantics in both backends — including
-// through the aggregation-fold rewrite, whose affine publish transform must
-// forward a non-finite raw sum unchanged.
+// TestNonFiniteConformance: NaN and ±Inf propagate through elementwise ops,
+// reductions and matrix products with R's double semantics in both
+// backends — including through the aggregation-fold rewrite, whose affine
+// publish transform must forward a non-finite raw sum unchanged, and through
+// every BLAS path of %*% and crossprod, where 0 × Inf is NaN whatever the
+// shape.
 func TestNonFiniteConformance(t *testing.T) {
+	inf := math.Inf(1)
 	for name, s := range testSessions(t) {
 		zero := s.Zeros(600, 2)
+		b3 := s.SmallFromRows([][]float64{{1, inf, 2}, {3, 4, 5}})
+		b1 := s.SmallFromRows([][]float64{{inf}, {1}})
+		oneInf, err := s.GenerateMat(600, 2, func(i int64, j int) float64 {
+			if i == 17 && j == 1 {
+				return inf
+			}
+			return 0
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		cases := []struct {
 			desc string
 			x    *FM
@@ -336,6 +350,13 @@ func TestNonFiniteConformance(t *testing.T) {
 			// -Inf + c·n·p must still be -Inf.
 			{"sum(log(0) + 5)", Sum(Add(Log(zero), 5.0)), math.Inf(-1)},
 			{"sum(-sqrt(-1))", Sum(Neg(Sqrt(Sub(zero, 1.0)))), math.NaN()},
+			// The general Gemm path and the matrix-vector (Dot) path.
+			{"sum(zero %*% B), Inf in 2x3 B", Sum(MatMul(zero, b3)), math.NaN()},
+			{"sum(zero %*% b), Inf in 2x1 b", Sum(MatMul(zero, b1)), math.NaN()},
+			// GemmTA, and Syrk with the Inf in the last column so the zero
+			// column's terms meet it.
+			{"sum(crossprod(zero, log(zero)))", Sum(CrossProd2(zero, Log(zero))), math.NaN()},
+			{"sum(crossprod(x)), x zero but one Inf", Sum(CrossProd(oneInf)), math.NaN()},
 		}
 		for _, c := range cases {
 			got, err := c.x.Float()
