@@ -13,76 +13,86 @@ import (
 // dispatched in order, some thread always holds the preceding partition and
 // progress is guaranteed. errAborted wakes waiters when the pass fails.
 type cumCoord struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	nodes []*Mat
-	// carries[id][p] is the accumulator entering partition p for cum node
-	// id; ready[p] is set once every node's carry for p is published.
-	carries map[uint64][][]float64
+	mu   sync.Mutex
+	cond *sync.Cond
+	idx  []int32 // cum.col instructions
+	// carries[k][p] is the accumulator entering partition p for cum.col
+	// instruction idx[k]; ready[p] is set once every one is published. The
+	// entry past the last partition is the pass's exit carry.
+	carries [][][]float64
 	ready   []bool
 	aborted bool
 }
 
 var errAborted = errors.New("core: materialization aborted")
 
-func newCumCoord(nodes []*Mat, nparts int) *cumCoord {
+// newCumCoord seeds every cum.col instruction of p with the accumulator
+// entering the pass: seeds[i] when given (a shard continuing a scan a
+// preceding shard began), the fold identity otherwise.
+func newCumCoord(p *Program, seeds map[int32][]float64, nparts int) *cumCoord {
 	c := &cumCoord{
-		nodes:   nodes,
-		carries: make(map[uint64][][]float64, len(nodes)),
+		idx:     p.cums,
+		carries: make([][][]float64, len(p.cums)),
 		ready:   make([]bool, nparts+1),
 	}
 	c.cond = sync.NewCond(&c.mu)
-	for _, m := range nodes {
-		cs := make([][]float64, nparts+1)
-		init := make([]float64, m.ncol)
-		if m.vec != nil {
-			// Carry-seeded node (CumColCarry): the scan continues from the
-			// accumulator a preceding shard left.
-			copy(init, m.vec)
+	for k, i := range p.cums {
+		n := &p.Nodes[i]
+		init := make([]float64, n.NCol)
+		if seed, ok := seeds[i]; ok {
+			copy(init, seed)
 		} else {
 			for j := range init {
-				init[j] = m.agg.Init
+				init[j] = n.agg.Init
 			}
 		}
-		cs[0] = init
-		c.carries[m.id] = cs
+		c.carries[k] = make([][]float64, nparts+1)
+		c.carries[k][0] = init
 	}
 	c.ready[0] = true
 	return c
 }
 
-// wait blocks until partition p's carries are available and returns a
-// private copy per cum node (the worker mutates its copy while scanning the
-// partition).
-func (c *cumCoord) wait(p int) (map[uint64][]float64, error) {
+// wait blocks until partition p's carries are available and installs a
+// private copy of each in runs, indexed by instruction (the worker mutates
+// its copy while scanning the partition).
+func (c *cumCoord) wait(p int, runs [][]float64) error {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	for !c.ready[p] && !c.aborted {
 		c.cond.Wait()
 	}
 	if c.aborted {
-		c.mu.Unlock()
-		return nil, errAborted
+		return errAborted
 	}
-	out := make(map[uint64][]float64, len(c.nodes))
-	for _, m := range c.nodes {
-		out[m.id] = append([]float64(nil), c.carries[m.id][p]...)
+	for k, i := range c.idx {
+		runs[i] = append(runs[i][:0], c.carries[k][p]...)
 	}
-	c.mu.Unlock()
-	return out, nil
+	return nil
 }
 
 // publish records the accumulators leaving partition p-1 (= entering p) and
 // wakes waiters.
-func (c *cumCoord) publish(p int, runs map[uint64][]float64) {
+func (c *cumCoord) publish(p int, runs [][]float64) {
 	c.mu.Lock()
 	if p < len(c.ready) {
-		for _, m := range c.nodes {
-			c.carries[m.id][p] = append([]float64(nil), runs[m.id]...)
+		for k, i := range c.idx {
+			c.carries[k][p] = append([]float64(nil), runs[i]...)
 		}
 		c.ready[p] = true
 	}
 	c.cond.Broadcast()
 	c.mu.Unlock()
+}
+
+// exits returns each cum.col instruction's accumulator after the last
+// partition. Valid once the pass completed.
+func (c *cumCoord) exits() map[int32][]float64 {
+	out := make(map[int32][]float64, len(c.idx))
+	for k, i := range c.idx {
+		out[i] = c.carries[k][len(c.ready)-1]
+	}
+	return out
 }
 
 // abort wakes all waiters with failure.

@@ -24,8 +24,9 @@ type FuseLevel int8
 const (
 	// FuseCache is the default and the paper's full optimization: one
 	// fused pass per DAG with I/O partitions split into processor-cache
-	// (Pcache) partitions, the DAG evaluated depth-first per Pcache chunk,
-	// and chunk buffers recycled the moment their last consumer finishes.
+	// (Pcache) partitions, the compiled program run in instruction order per
+	// Pcache chunk, and each chunk buffer recycled right after the
+	// instruction that is its slot's last use.
 	FuseCache FuseLevel = iota
 	// FuseMem fuses all operations of a DAG into a single pass over the
 	// I/O partitions but materializes intermediates one whole I/O
@@ -408,7 +409,6 @@ func (e *Engine) MaterializeCtx(ctx context.Context, talls []*Mat, sinks []*Sink
 // and returns the pass's own observability record — exact per-pass
 // attribution even while other passes run on the same engine and array.
 func (e *Engine) MaterializePass(ctx context.Context, talls []*Mat, sinks []*Sink, opts PassOptions) (MaterializeStats, error) {
-	ms := MaterializeStats{Fuse: e.cfg.Fuse, SyncWrites: e.cfg.SyncWrites, Owner: opts.Owner, Batch: opts.Batch}
 	// Drop already-materialized targets.
 	var mt []*Mat
 	for _, m := range talls {
@@ -423,14 +423,67 @@ func (e *Engine) MaterializePass(ctx context.Context, talls []*Mat, sinks []*Sin
 		}
 	}
 	if len(mt) == 0 && len(sk) == 0 {
-		return ms, nil
+		return MaterializeStats{Fuse: e.cfg.Fuse, SyncWrites: e.cfg.SyncWrites, Owner: opts.Owner, Batch: opts.Batch}, nil
 	}
+	leafCols, tallCols := estimateCols(mt, sk)
+	return e.runPass(ctx, opts, e.passBytes(leafCols, tallCols), func(ctx context.Context, ms *MaterializeStats, pr passRun) error {
+		return e.materialize(ctx, mt, sk, ms, opts, pr)
+	})
+}
+
+// ExecProgram runs a resolved program below the planner — no rewriting, no
+// CSE, no result cache — as one admitted, traced pass over nrow rows: the
+// entry point of shard workers, which only ever execute what a coordinator
+// compiled. leaves holds the store behind every leaf instruction (indexed
+// like p.Nodes), each nrow × its instruction's width; carries holds the
+// cum.col accumulators entering the pass. The caller owns the returned tall
+// stores.
+func (e *Engine) ExecProgram(ctx context.Context, p *Program, nrow int64, leaves []matrix.Store, carries map[int32][]float64, opts PassOptions) (*ProgramResult, MaterializeStats, error) {
+	ms := MaterializeStats{Fuse: e.cfg.Fuse, SyncWrites: e.cfg.SyncWrites, Owner: opts.Owner, Batch: opts.Batch}
+	if !p.resolved {
+		return nil, ms, fmt.Errorf("core: program not resolved")
+	}
+	if nrow < 0 || len(leaves) != len(p.Nodes) {
+		return nil, ms, fmt.Errorf("core: %d rows and %d leaf bindings for a %d-instruction program", nrow, len(leaves), len(p.Nodes))
+	}
+	var leafCols, tallCols int64
+	for _, i := range p.leaves {
+		st, ncol := leaves[i], int(p.Nodes[i].NCol)
+		if st == nil || st.NRow() != nrow || st.NCol() != ncol || st.PartRows() != e.cfg.PartRows {
+			return nil, ms, fmt.Errorf("core: leaf instruction %d is not bound to a %dx%d store with partition height %d", i, nrow, ncol, e.cfg.PartRows)
+		}
+		leafCols += int64(ncol)
+	}
+	for i, c := range carries {
+		if i < 0 || int(i) >= len(p.Nodes) || opKind(p.Nodes[i].Op) != opCumCol || len(c) != int(p.Nodes[i].NCol) {
+			return nil, ms, fmt.Errorf("core: carry for instruction %d does not fit a cum.col", i)
+		}
+	}
+	for _, t := range p.Talls {
+		tallCols += int64(p.Nodes[t].NCol)
+	}
+	var res *ProgramResult
+	ms, err := e.runPass(ctx, opts, e.passBytes(leafCols, tallCols), func(ctx context.Context, ms *MaterializeStats, pr passRun) error {
+		var err error
+		res, err = e.execute(ctx, &binding{p: p, nrow: nrow, leaves: leaves, seeds: carries}, ms, pr, opts.Weight)
+		return err
+	})
+	return res, ms, err
+}
+
+// runPass is the envelope of every pass: it waits for admission (bounded
+// in-flight passes, a reservation of bytes), runs the pass under its trace
+// spans and pprof labels, and records the pass's own observability record —
+// exact per-pass attribution even while other passes run on the same engine
+// and array.
+func (e *Engine) runPass(ctx context.Context, opts PassOptions, bytes int64, run func(context.Context, *MaterializeStats, passRun) error) (MaterializeStats, error) {
+	ms := MaterializeStats{Fuse: e.cfg.Fuse, SyncWrites: e.cfg.SyncWrites, Owner: opts.Owner, Batch: opts.Batch}
 	passID := e.passSeq.Add(1)
 	pt := e.newPassTrace(passID, opts.Owner, opts.Batch)
 	pr := passRun{id: passID, owner: opts.Owner, pt: pt}
 	rootSp := pt.rootBuf().Begin(trace.KindPass, passID)
 	admitSp := pt.rootBuf().Begin(trace.KindAdmit, passID)
-	release, err := e.arb.acquire(ctx, opts.Owner, e.estimatePassBytes(mt, sk))
+	release, err := e.arb.acquire(ctx, opts.Owner, bytes)
 	if err != nil {
 		pt.rootBuf().End(admitSp)
 		pt.rootBuf().End(rootSp)
@@ -449,7 +502,7 @@ func (e *Engine) MaterializePass(ctx context.Context, talls []*Mat, sinks []*Sin
 	}
 	pprof.Do(lctx, pprof.Labels("flashr_pass", strconv.FormatInt(passID, 10), "flashr_owner", opts.Owner),
 		func(lctx context.Context) {
-			err = e.materialize(lctx, mt, sk, &ms, opts, pr)
+			err = run(lctx, &ms, pr)
 		})
 	ms.Wall = time.Since(t0)
 	e.statsMu.Lock()
@@ -461,15 +514,13 @@ func (e *Engine) MaterializePass(ctx context.Context, talls []*Mat, sinks []*Sin
 	return ms, err
 }
 
-// estimatePassBytes approximates a pass's peak buffer footprint for the
-// admission reservation: per worker, one I/O partition of every leaf and
-// every tall target, plus the write-behind queue's in-flight output
-// partitions. The walk is bounded — an estimate feeding a soft admission
-// budget does not justify traversing a pathological DAG forever.
-func (e *Engine) estimatePassBytes(talls []*Mat, sinks []*Sink) int64 {
+// estimateCols sums the widths of the leaves and tall targets a pass over
+// these targets reads and writes, for its admission reservation. The walk is
+// bounded — an estimate feeding a soft admission budget does not justify
+// traversing a pathological DAG forever.
+func estimateCols(talls []*Mat, sinks []*Sink) (leafCols, tallCols int64) {
 	const maxVisit = 1 << 14
 	seen := make(map[uint64]bool)
-	var leafCols, tallCols int64
 	var visit func(m *Mat)
 	visit = func(m *Mat) {
 		if m == nil || seen[m.id] || len(seen) >= maxVisit {
@@ -491,6 +542,13 @@ func (e *Engine) estimatePassBytes(talls []*Mat, sinks []*Sink) int64 {
 		visit(s.a)
 		visit(s.b)
 	}
+	return leafCols, tallCols
+}
+
+// passBytes approximates a pass's peak buffer footprint for the admission
+// reservation: per worker, one I/O partition of every leaf and every tall
+// target, plus the write-behind queue's in-flight output partitions.
+func (e *Engine) passBytes(leafCols, tallCols int64) int64 {
 	perPart := int64(e.cfg.PartRows) * 8
 	return perPart * (int64(e.cfg.Workers)*(leafCols+tallCols) +
 		int64(e.cfg.WriteBehindDepth)*tallCols)
@@ -570,27 +628,30 @@ func (e *Engine) materialize(ctx context.Context, mt []*Mat, sk []*Sink, ms *Mat
 		// Misses are the cache candidates this pass has to compute.
 		ms.CacheMisses += int64(len(d.talls) + len(d.sinks))
 	}
-	var validateErr error
+	// The pass is compiled once, here, into the program every executor runs.
+	var prog *Program
+	var leafMats []*Mat
 	run := len(d.talls) > 0 || len(d.sinks) > 0
 	if run {
-		validateErr = e.validateDAG(d)
+		if err = e.validateDAG(d); err == nil {
+			prog, leafMats, err = d.compile()
+		}
 	}
 	e.planMu.Unlock()
 	lookupSp.Bytes, lookupSp.N = ms.CacheHitBytes, ms.CacheHits
 	pr.pt.rootBuf().End(lookupSp)
-	if validateErr != nil {
-		return validateErr
+	if err != nil {
+		return err
 	}
 	if run {
 		e.stats.DAGs.Add(1)
+		var res *ProgramResult
 		if e.remote != nil {
-			// Sharded execution: the coordinator row-partitions the residual
-			// DAG across its workers and combines their sink partials; no
-			// local partition I/O happens on this engine.
+			// Sharded execution: the coordinator row-partitions the program
+			// across its workers and combines their sink partials; no local
+			// partition I/O happens on this engine.
 			shSp := pr.pt.rootBuf().Begin(trace.KindShard, pr.id)
-			rd := &RemoteDAG{NRow: d.nrow, Talls: d.talls, Sinks: d.sinks, Cums: d.cums,
-				Owner: opts.Owner, Canon: d.canonOf}
-			err = e.remote.RunDAG(ctx, rd, ms)
+			res, err = e.remote.RunDAG(ctx, &RemoteDAG{NRow: d.nrow, Prog: prog, Leaves: leafMats, Owner: opts.Owner}, ms)
 			shSp.Bytes = ms.ShardBytesSent + ms.ShardBytesRecv
 			shSp.N = ms.ShardAggRounds
 			pr.pt.rootBuf().End(shSp)
@@ -602,20 +663,21 @@ func (e *Engine) materialize(ctx context.Context, mt []*Mat, sk []*Sink, ms *Mat
 				pr.pt.rootBuf().End(rcSp)
 			}
 		} else {
-			// The pass identity ties the execution phase's SAFS traffic to
-			// this materialization for fair queueing and exact attribution.
-			var pass *safs.Pass
-			if e.cfg.FS != nil {
-				pass = e.cfg.FS.RegisterPass(opts.Weight)
-			}
-			if e.cfg.Fuse == FuseNone {
-				err = e.runUnfused(ctx, d, ms, pass, pr)
-			} else {
-				err = e.runFused(ctx, d, e.cfg.Fuse, ms, pass, pr)
-			}
+			res, err = e.execute(ctx, d.bind(prog, leafMats), ms, pr, opts.Weight)
 		}
 		if err != nil {
 			return err
+		}
+		// attachStore refuses a target another pass beat us to (possible only
+		// when passes share a node); the loser frees its redundant store
+		// rather than clobbering the winner's.
+		for t, m := range d.talls {
+			if !m.attachStore(res.Talls[t]) {
+				res.Talls[t].Free()
+			}
+		}
+		for j, s := range d.sinks {
+			s.PublishRaw(res.Partials[j])
 		}
 	}
 	pubSp := pr.pt.rootBuf().Begin(trace.KindPublish, pr.id)
@@ -633,6 +695,37 @@ func (e *Engine) materialize(ctx context.Context, mt []*Mat, sk []*Sink, ms *Mat
 	e.planMu.Unlock()
 	pr.pt.rootBuf().End(pubSp)
 	return nil
+}
+
+// bind binds the compiled pass to its leaf matrices' stores and records
+// which tall targets set.cache placed on the SSD array.
+func (d *dag) bind(p *Program, leafMats []*Mat) *binding {
+	b := &binding{p: p, nrow: d.nrow, leaves: make([]matrix.Store, len(p.Nodes)), ssd: make([]bool, len(d.talls))}
+	for i, m := range leafMats {
+		if m != nil {
+			b.leaves[i] = unwrapStore(m.Store())
+		}
+	}
+	for t, m := range d.talls {
+		m.mu.Lock()
+		b.ssd[t] = m.cache && m.cacheEM
+		m.mu.Unlock()
+	}
+	return b
+}
+
+// execute runs a bound program at the engine's fusion level under a fresh
+// SAFS pass identity, which ties its traffic to this pass for fair queueing
+// and exact attribution.
+func (e *Engine) execute(ctx context.Context, b *binding, ms *MaterializeStats, pr passRun, weight int) (*ProgramResult, error) {
+	var pass *safs.Pass
+	if e.cfg.FS != nil {
+		pass = e.cfg.FS.RegisterPass(weight)
+	}
+	if e.cfg.Fuse == FuseNone {
+		return e.runUnfused(ctx, b, ms, pass, pr)
+	}
+	return e.runFused(ctx, b, e.cfg.Fuse, ms, pass, pr)
 }
 
 // insertResults records a successful pass's tall-target stores and sink
@@ -750,38 +843,20 @@ func (e *Engine) copyStore(src matrix.Store) (matrix.Store, error) {
 	return dst, nil
 }
 
-// dag is the collected graph for one materialization, flattened into an
-// execution plan: every node gets a dense slot index so the per-chunk hot
-// path runs on arrays instead of hash maps.
+// dag is the collected graph for one materialization: every reachable node
+// gets a dense slot, and dag.compile lowers the slots into the pass's
+// Program.
 type dag struct {
 	talls []*Mat  // tall materialization targets (incl. cache-flagged nodes)
 	sinks []*Sink // sink targets
 	nodes []*Mat  // every reachable Mat, leaves included, in topo order (inputs first)
 	nrow  int64
-	cums  []*Mat // opCumCol nodes in the DAG
 
-	slotOf    map[uint64]int // node id → slot (== index into nodes)
-	aSlot     []int          // slot of input a per node (-1 if none)
-	bSlot     []int          // slot of input b per node (-1 if none)
-	refs      []int32        // consumer count per node
-	tallSlots []int          // slot per tall target
-	sinkASlot []int          // slot of each sink's a input
-	sinkBSlot []int          // slot of each sink's b input (-1 if none)
-}
-
-// canonOf resolves a node to its execution representative: a CSE-unified
-// duplicate shares the slot of the first structurally identical node, and
-// that first node is the one that executes (and, for cum.col, publishes
-// carries). Nodes the plan never unified map to themselves.
-func (d *dag) canonOf(m *Mat) *Mat {
-	if slot, ok := d.slotOf[m.id]; ok && slot >= 0 && slot < len(d.nodes) {
-		return d.nodes[slot]
-	}
-	return m
+	slotOf map[uint64]int // node id → slot (== index into nodes)
 }
 
 // buildDAG walks the graph from the targets, collecting nodes in topological
-// order, assigning slot indices, and counting consumers per node. With a
+// order and assigning slot indices. With a
 // signature context it also (a) serves whole subtrees from the result cache
 // by attaching the cached store to the subtree root, and (b) unifies
 // structurally identical nodes within the pass onto one execution slot.
@@ -840,11 +915,6 @@ func (e *Engine) buildDAG(talls []*Mat, sinks []*Sink, sc *sigCtx, ms *Materiali
 				}
 				consSlot[id] = len(d.nodes)
 			}
-			// Register cumCol coordination only for nodes that will actually
-			// execute: a unified duplicate never publishes carries.
-			if m.kind == opCumCol {
-				d.cums = append(d.cums, m)
-			}
 		}
 		d.slotOf[m.id] = len(d.nodes)
 		d.nodes = append(d.nodes, m)
@@ -875,44 +945,6 @@ func (e *Engine) buildDAG(talls []*Mat, sinks []*Sink, sc *sigCtx, ms *Materiali
 		}
 	}
 	d.talls = dedup
-	// Flatten to the execution plan.
-	n := len(d.nodes)
-	d.aSlot = make([]int, n)
-	d.bSlot = make([]int, n)
-	d.refs = make([]int32, n)
-	for i, m := range d.nodes {
-		d.aSlot[i], d.bSlot[i] = -1, -1
-		if m.Materialized() {
-			continue
-		}
-		if m.a != nil {
-			s := d.slotOf[m.a.id]
-			d.aSlot[i] = s
-			d.refs[s]++
-		}
-		if m.b != nil {
-			s := d.slotOf[m.b.id]
-			d.bSlot[i] = s
-			d.refs[s]++
-		}
-	}
-	for _, s := range d.sinks {
-		sa := d.slotOf[s.a.id]
-		d.refs[sa]++
-		d.sinkASlot = append(d.sinkASlot, sa)
-		if s.b != nil {
-			sb := d.slotOf[s.b.id]
-			d.refs[sb]++
-			d.sinkBSlot = append(d.sinkBSlot, sb)
-		} else {
-			d.sinkBSlot = append(d.sinkBSlot, -1)
-		}
-	}
-	for _, m := range d.talls {
-		slot := d.slotOf[m.id]
-		d.refs[slot]++
-		d.tallSlots = append(d.tallSlots, slot)
-	}
 	return d, nil
 }
 
@@ -939,34 +971,116 @@ func (e *Engine) validateDAG(d *dag) error {
 	return nil
 }
 
-// runUnfused materializes every non-leaf node separately in topological
-// order, then evaluates sinks over materialized inputs — one parallel pass
-// and one intermediate matrix per operation.
-func (e *Engine) runUnfused(ctx context.Context, d *dag, ms *MaterializeStats, pass *safs.Pass, pr passRun) error {
-	for _, m := range d.nodes {
-		if m.Materialized() || m.kind == opConst {
+// runUnfused runs every computing instruction as its own pass, then every
+// sink as its own pass — one parallel pass and one intermediate matrix per
+// operation (Figure 10 "base", and how Spark-style engines execute). Each
+// pass runs a one-instruction program whose stored operands are leaves;
+// intermediates no tall target names are freed when the pass ends.
+func (e *Engine) runUnfused(ctx context.Context, b *binding, ms *MaterializeStats, pass *safs.Pass, pr passRun) (*ProgramResult, error) {
+	p := b.p
+	stores := append([]matrix.Store(nil), b.leaves...)
+	res := &ProgramResult{Talls: make([]matrix.Store, len(p.Talls)), Carries: make(map[int32][]float64)}
+	var temps []matrix.Store
+	defer func() {
+		for _, st := range temps {
+			st.Free()
+		}
+	}()
+	fail := func(err error) (*ProgramResult, error) {
+		for _, st := range res.Talls {
+			if st != nil {
+				st.Free()
+			}
+		}
+		return nil, err
+	}
+	run := func(sub *Program, leaves []matrix.Store, ssd []bool, seeds map[int32][]float64) (*ProgramResult, error) {
+		if err := sub.Resolve(); err != nil {
+			return nil, err
+		}
+		return e.runFused(ctx, &binding{p: sub, nrow: b.nrow, leaves: leaves, ssd: ssd, seeds: seeds}, FuseMem, ms, pass, pr)
+	}
+	for _, i := range p.steps {
+		n := p.Nodes[i]
+		if op := opKind(n.Op); op == opLeaf || op == opConst {
 			continue
 		}
-		sd, err := e.buildDAG([]*Mat{m}, nil, nil, ms)
-		if err != nil {
-			return err
+		sub, leaves := isolate(p, stores, &n.A, &n.B)
+		self := int32(len(sub.Nodes))
+		sub.Nodes = append(sub.Nodes, n)
+		var ssd []bool
+		var positions []int
+		for t, ti := range p.Talls {
+			if ti == i {
+				positions = append(positions, t)
+				sub.Talls = append(sub.Talls, self)
+				ssd = append(ssd, b.ssd != nil && b.ssd[t])
+			}
 		}
-		sd.nrow = d.nrow
-		if err := e.runFused(ctx, sd, FuseMem, ms, pass, pr); err != nil {
-			return err
+		if len(positions) == 0 {
+			sub.Talls, ssd = []int32{self}, []bool{false}
+		}
+		var seeds map[int32][]float64
+		if opKind(n.Op) == opCumCol {
+			sub.Cums = []int32{self}
+			if c, ok := b.seeds[i]; ok {
+				seeds = map[int32][]float64{self: c}
+			}
+		}
+		r, err := run(sub, append(leaves, nil), ssd, seeds)
+		if err != nil {
+			return fail(err)
+		}
+		stores[i] = r.Talls[0]
+		if len(positions) == 0 {
+			temps = append(temps, r.Talls[0])
+		}
+		for k, t := range positions {
+			res.Talls[t] = r.Talls[k]
+		}
+		if c, ok := r.Carries[self]; ok {
+			res.Carries[i] = c
 		}
 	}
 	// Every aggregation materializes in its own pass too ("Spark
 	// materializes operations such as aggregation separately", §4.3).
-	for _, s := range d.sinks {
-		sd, err := e.buildDAG(nil, []*Sink{s}, nil, ms)
+	for _, s := range p.Sinks {
+		sub, leaves := isolate(p, stores, &s.A, &s.B)
+		sub.Sinks = []ProgramSink{s}
+		r, err := run(sub, leaves, nil, nil)
 		if err != nil {
-			return err
+			return fail(err)
 		}
-		sd.nrow = d.nrow
-		if err := e.runFused(ctx, sd, FuseMem, ms, pass, pr); err != nil {
-			return err
-		}
+		res.Partials = append(res.Partials, r.Partials[0])
 	}
-	return nil
+	return res, nil
+}
+
+// isolate starts the one-operation program for operands *a and *b of p,
+// rewriting both to index it: a stored operand becomes a leaf bound to its
+// store, a constant is copied inline. It returns the program and its leaf
+// bindings.
+func isolate(p *Program, stores []matrix.Store, a, b *int32) (*Program, []matrix.Store) {
+	sub := &Program{}
+	var leaves []matrix.Store
+	at := make(map[int32]int32, 2)
+	for _, op := range []*int32{a, b} {
+		if *op < 0 {
+			continue
+		}
+		if j, ok := at[*op]; ok {
+			*op = j
+			continue
+		}
+		n := p.Nodes[*op]
+		st := stores[*op]
+		if st != nil {
+			n = ProgramNode{Op: uint8(opLeaf), A: -1, B: -1, DT: n.DT, NCol: n.NCol}
+		}
+		at[*op] = int32(len(sub.Nodes))
+		*op = int32(len(sub.Nodes))
+		sub.Nodes = append(sub.Nodes, n)
+		leaves = append(leaves, st)
+	}
+	return sub, leaves
 }

@@ -15,11 +15,16 @@ import (
 	"repro/internal/trace"
 )
 
-// partInfo describes one I/O partition of the DAG's partition dimension.
-type partInfo struct {
-	idx      int
-	rows     int
-	startRow int64
+// binding is a resolved program bound to one pass's data: the store behind
+// every leaf instruction, which tall outputs the caller cached on the SSD
+// array, and the cum.col accumulators entering the pass (absent = the fold
+// identity).
+type binding struct {
+	p      *Program
+	nrow   int64
+	leaves []matrix.Store // indexed like p.Nodes; set on leaf instructions
+	ssd    []bool         // per tall position (nil = none): set.cache(em=TRUE)
+	seeds  map[int32][]float64
 }
 
 // taskRange is one scheduler dispatch unit: a contiguous run of I/O
@@ -31,17 +36,16 @@ type taskRange struct{ lo, hi int }
 // runState carries everything shared by the workers of one fused pass.
 type runState struct {
 	e         *Engine
-	d         *dag
-	fuse      FuseLevel
+	p         *Program
+	nrow      int64
 	nparts    int
 	chunkRows int
-	outStores []matrix.Store // per tall target (originals, published on success)
+	outStores []matrix.Store // per tall position (returned on success)
 	// writeStores are pass-tagged views of outStores: partition writes go
 	// through them so the array queues and attributes the I/O to this pass.
 	writeStores []matrix.Store
-	leafSlots   []int // slots of store-backed nodes
-	// leafPass[slot] is the pass-tagged view of a leaf's store (nil for
-	// non-leaf slots); workers read and prefetch through these.
+	// leafPass[i] is the pass-tagged view of leaf instruction i's store (nil
+	// elsewhere); workers read and prefetch through these.
 	leafPass []matrix.Store
 	// pass is this run's SAFS identity (nil without an array).
 	pass     *safs.Pass
@@ -119,25 +123,27 @@ func (rs *runState) fail(err error) {
 	}
 }
 
-// runFused executes the whole DAG in a single parallel pass at the given
-// fusion level. Tall-output partition writes ride the write-behind queue
-// (unless Config.SyncWrites): a worker hands partition i's outputs to the
-// queue and immediately starts partition i+1's compute, and the pass drains
-// the queue at a barrier before returning — so a write failure, like any
-// compute failure, always surfaces here. ms accumulates the pass's
-// observability counters.
-func (e *Engine) runFused(ctx context.Context, d *dag, fuse FuseLevel, ms *MaterializeStats, pass *safs.Pass, pr passRun) error {
+// runFused executes a bound program in a single parallel pass at the given
+// fusion level and returns what it produced; the caller owns the tall
+// stores. Tall-output partition writes ride the write-behind queue (unless
+// Config.SyncWrites): a worker hands partition i's outputs to the queue and
+// immediately starts partition i+1's compute, and the pass drains the queue
+// at a barrier before returning — so a write failure, like any compute
+// failure, always surfaces here. ms accumulates the pass's observability
+// counters.
+func (e *Engine) runFused(ctx context.Context, b *binding, fuse FuseLevel, ms *MaterializeStats, pass *safs.Pass, pr passRun) (*ProgramResult, error) {
 	e.stats.Passes.Add(1)
 	// Integrity counters are attributed through the pass identity's own
 	// counters (not by diffing the array-wide totals, which would misattribute
 	// under concurrent passes). Snapshot around the run since FuseNone reuses
 	// one pass across several runFused calls.
 	p0 := pass.Stats()
-	rs := &runState{e: e, d: d, fuse: fuse, pass: pass, outPool: make(map[int][][]float64)}
-	rs.nparts = matrix.NumParts(d.nrow, e.cfg.PartRows)
-	rs.chunkRows = e.chunkRowsFor(d, fuse)
-	rs.outStores = make([]matrix.Store, len(d.talls))
-	rs.writeStores = make([]matrix.Store, len(d.talls))
+	p := b.p
+	rs := &runState{e: e, p: p, nrow: b.nrow, pass: pass, outPool: make(map[int][][]float64)}
+	rs.nparts = matrix.NumParts(b.nrow, e.cfg.PartRows)
+	rs.chunkRows = e.chunkRowsFor(p, fuse)
+	rs.outStores = make([]matrix.Store, len(p.Talls))
+	rs.writeStores = make([]matrix.Store, len(p.Talls))
 	freeOut := func() {
 		for _, st := range rs.outStores {
 			if st != nil {
@@ -145,40 +151,32 @@ func (e *Engine) runFused(ctx context.Context, d *dag, fuse FuseLevel, ms *Mater
 			}
 		}
 	}
-	for i, m := range d.talls {
-		em := e.cfg.EM
-		m.mu.Lock()
-		// set.cache(..., em=TRUE) caches on SSDs when an array is
-		// attached; without one the cache falls back to memory.
-		if m.cache && m.cacheEM && e.cfg.FS != nil {
-			em = true
-		}
-		m.mu.Unlock()
-		st, err := e.newStoreOn(m.nrow, m.ncol, em)
+	for t, i := range p.Talls {
+		// set.cache(..., em=TRUE) caches on SSDs when an array is attached;
+		// without one the cache falls back to memory.
+		em := e.cfg.EM || (b.ssd != nil && b.ssd[t] && e.cfg.FS != nil)
+		st, err := e.newStoreOn(b.nrow, int(p.Nodes[i].NCol), em)
 		if err != nil {
 			freeOut()
-			return err
+			return nil, err
 		}
 		if e.testStoreWrap != nil {
 			st = e.testStoreWrap(st)
 		}
-		rs.outStores[i] = st
-		rs.writeStores[i] = matrix.StoreWithPass(st, pass)
+		rs.outStores[t] = st
+		rs.writeStores[t] = matrix.StoreWithPass(st, pass)
 	}
-	rs.leafPass = make([]matrix.Store, len(d.nodes))
-	for slot, m := range d.nodes {
-		if m.Materialized() {
-			rs.leafSlots = append(rs.leafSlots, slot)
-			rs.leafPass[slot] = matrix.StoreWithPass(unwrapStore(m.Store()), pass)
-		}
+	rs.leafPass = make([]matrix.Store, len(p.Nodes))
+	for _, i := range p.leaves {
+		rs.leafPass[i] = matrix.StoreWithPass(b.leaves[i], pass)
 	}
-	if len(d.cums) > 0 {
-		rs.cum = newCumCoord(d.cums, rs.nparts)
+	if len(p.cums) > 0 {
+		rs.cum = newCumCoord(p, b.seeds, rs.nparts)
 	}
 	rs.tasks = buildTasks(rs.nparts, e.cfg.SuperParts, e.cfg.Workers)
 	rs.mergeQueue = make(map[int][]*sinkAcc)
 	rs.global = rs.newTaskAccs()
-	if !e.cfg.SyncWrites && len(d.talls) > 0 {
+	if !e.cfg.SyncWrites && len(p.Talls) > 0 {
 		// A failed write aborts the pass right away rather than at the
 		// drain barrier, so compute stops producing partitions nobody can
 		// persist.
@@ -262,13 +260,9 @@ func (e *Engine) runFused(ctx context.Context, d *dag, fuse FuseLevel, ms *Mater
 	ms.Passes++
 	ms.Parts += rs.parts.Load()
 	ms.Chunks += rs.chunks.Load()
-	// Virtual nodes this pass evaluated: what CSE unification and cache hits
+	// Instructions this pass computed: what CSE unification and cache hits
 	// remove shows up directly as a smaller count here.
-	for _, m := range d.nodes {
-		if !m.Materialized() && m.kind != opConst {
-			ms.NodesExecuted++
-		}
-	}
+	ms.NodesExecuted += p.executed
 	ms.BytesRead += rs.bytesRead.Load()
 	ms.PrefetchHits += rs.prefHits.Load()
 	ms.PrefetchMisses += rs.prefMiss.Load()
@@ -289,44 +283,34 @@ func (e *Engine) runFused(ctx context.Context, d *dag, fuse FuseLevel, ms *Mater
 
 	if rs.err != nil {
 		freeOut()
-		return rs.err
+		return nil, rs.err
 	}
-	// Publish sink results. A clean pass committed every task in order; an
-	// unmerged remainder means a worker exited without committing or
-	// failing, which must not pass silently.
+	// A clean pass committed every task in order; an unmerged remainder
+	// means a worker exited without committing or failing, which must not
+	// pass silently.
 	if rs.mergeNext != len(rs.tasks) || len(rs.mergeQueue) != 0 {
 		freeOut()
-		return fmt.Errorf("core: %d of %d tasks merged at pass end (%d queued)",
+		return nil, fmt.Errorf("core: %d of %d tasks merged at pass end (%d queued)",
 			rs.mergeNext, len(rs.tasks), len(rs.mergeQueue))
 	}
-	for si, s := range d.sinks {
-		rs.global[si].finish(s)
+	res := &ProgramResult{Talls: rs.outStores}
+	for _, acc := range rs.global {
+		res.Partials = append(res.Partials, acc.partial())
 	}
-	// Publish tall-target stores. attachStore refuses a target another pass
-	// beat us to (possible only when passes share a node); the loser frees
-	// its redundant store rather than clobbering the winner's.
-	for i, m := range d.talls {
-		if !m.attachStore(rs.outStores[i]) {
-			rs.outStores[i].Free()
-		}
+	if rs.cum != nil {
+		res.Carries = rs.cum.exits()
 	}
-	return nil
+	return res, nil
 }
 
 // chunkRowsFor sizes a Pcache partition: small enough that one chunk of the
-// widest matrix in the DAG fits the Pcache budget; FuseMem evaluates whole
+// widest slot in the program fits the Pcache budget; FuseMem evaluates whole
 // I/O partitions.
-func (e *Engine) chunkRowsFor(d *dag, fuse FuseLevel) int {
+func (e *Engine) chunkRowsFor(p *Program, fuse FuseLevel) int {
 	if fuse != FuseCache {
 		return e.cfg.PartRows
 	}
-	maxNcol := 1
-	for _, m := range d.nodes {
-		if m.ncol > maxNcol {
-			maxNcol = m.ncol
-		}
-	}
-	rows := e.cfg.PcacheBytes / 8 / maxNcol
+	rows := e.cfg.PcacheBytes / 8 / p.maxCol
 	if rows < 4 {
 		rows = 4
 	}
@@ -367,18 +351,10 @@ func buildTasks(nparts, super, workers int) []taskRange {
 	return tasks
 }
 
-// entry is one node's chunk buffer during depth-first evaluation.
-type entry struct {
-	buf   []float64
-	refs  int32
-	live  bool
-	owned bool
-}
-
 // worker evaluates partitions; it owns a buffer pool keyed by exact length
 // (chunk shapes repeat, so recycling hits nearly always — the paper's
-// fixed-chunk recycling at Pcache granularity) and a slot-indexed memo so
-// the per-chunk hot path is array arithmetic, not hashing.
+// fixed-chunk recycling at Pcache granularity) and slot-indexed buffer
+// tables, so the per-chunk hot path is array arithmetic, not hashing.
 type worker struct {
 	rs   *runState
 	id   int
@@ -386,49 +362,52 @@ type worker struct {
 	// buf is this worker's span lane (nil when tracing is off).
 	buf  *trace.Buf
 	pool map[int][][]float64
-	memo []entry // indexed by slot
-	used []int   // slots touched in the current chunk
+	// bufs[i] is slot i's chunk buffer between its step and its last use;
+	// owned marks the pool buffers (leaf slots are views of leafBufs).
+	bufs  [][]float64
+	owned []bool
 	// sinks is the accumulator set of the task currently being processed;
 	// swapped per task and handed to commitTask for the ordered merge.
 	sinks []*sinkAcc
-	// cumRun holds, per opCumCol node id, the running column accumulator
-	// for the partition currently being processed.
-	cumRun map[uint64][]float64
-	// leafBufs holds the full current I/O partition per leaf slot;
+	// cumRun[i] is cum.col instruction i's running column accumulator for
+	// the partition currently being processed.
+	cumRun [][]float64
+	// leafBufs holds the full current I/O partition per leaf instruction;
 	// leafOwned marks which came from the pool (vs zero-copy MemStore
 	// references that must not be recycled).
-	leafBufs  []([]float64)
+	leafBufs  [][]float64
 	leafOwned []bool
 	// pending holds prefetched partitions: partition → in-flight reads.
 	pending map[int]*prefetched
 }
 
 type prefetched struct {
-	bufs map[int][]float64 // slot → buffer
+	bufs map[int][]float64 // leaf instruction → buffer
 	ch   chan safs.Request
 	want int
 }
 
 func newWorker(rs *runState, id, total int) *worker {
-	w := &worker{
+	n := len(rs.p.Nodes)
+	return &worker{
 		rs:        rs,
 		id:        id,
 		node:      rs.e.cfg.Topo.NodeOfWorker(id, total),
 		pool:      make(map[int][][]float64),
-		memo:      make([]entry, len(rs.d.nodes)),
-		cumRun:    make(map[uint64][]float64),
-		leafBufs:  make([][]float64, len(rs.d.nodes)),
-		leafOwned: make([]bool, len(rs.d.nodes)),
+		bufs:      make([][]float64, n),
+		owned:     make([]bool, n),
+		cumRun:    make([][]float64, n),
+		leafBufs:  make([][]float64, n),
+		leafOwned: make([]bool, n),
 		pending:   make(map[int]*prefetched),
 	}
-	return w
 }
 
-// newTaskAccs builds a fresh accumulator set (one per sink in the DAG).
+// newTaskAccs builds a fresh accumulator set (one per sink in the program).
 func (rs *runState) newTaskAccs() []*sinkAcc {
-	accs := make([]*sinkAcc, len(rs.d.sinks))
-	for i, s := range rs.d.sinks {
-		accs[i] = newSinkAcc(s)
+	accs := make([]*sinkAcc, len(rs.p.Sinks))
+	for i := range rs.p.Sinks {
+		accs[i] = newSinkAcc(&rs.p.Sinks[i])
 	}
 	return accs
 }
@@ -545,23 +524,22 @@ func (w *worker) prefetch(p int) {
 		return
 	}
 	pf := &prefetched{bufs: make(map[int][]float64)}
-	for _, slot := range w.rs.leafSlots {
-		m := w.rs.d.nodes[slot]
-		st, ok := w.rs.leafPass[slot].(*matrix.SAFSStore)
+	for _, i := range w.rs.p.leaves {
+		st, ok := w.rs.leafPass[i].(*matrix.SAFSStore)
 		if !ok {
 			continue
 		}
-		rows := matrix.PartRowsOf(m.nrow, w.rs.e.cfg.PartRows, p)
-		buf := w.get(rows * m.ncol)
+		rows := matrix.PartRowsOf(w.rs.nrow, w.rs.e.cfg.PartRows, p)
+		buf := w.get(rows * int(w.rs.p.Nodes[i].NCol))
 		if pf.ch == nil {
-			pf.ch = make(chan safs.Request, len(w.rs.leafSlots))
+			pf.ch = make(chan safs.Request, len(w.rs.p.leaves))
 		}
-		if err := st.ReadPartAsync(p, buf, slot, pf.ch); err != nil {
+		if err := st.ReadPartAsync(p, buf, int(i), pf.ch); err != nil {
 			// Fall back to a synchronous read at use time.
 			w.put(buf)
 			continue
 		}
-		pf.bufs[slot] = buf
+		pf.bufs[int(i)] = buf
 		pf.want++
 	}
 	if pf.want > 0 {
@@ -604,11 +582,10 @@ func (w *worker) processPartition(p int) error {
 	if h := e.testSchedEvent; h != nil {
 		h("process", p)
 	}
-	rows := matrix.PartRowsOf(rs.d.nrow, e.cfg.PartRows, p)
+	rows := matrix.PartRowsOf(rs.nrow, e.cfg.PartRows, p)
 	if rows == 0 {
 		return nil
 	}
-	pi := partInfo{idx: p, rows: rows, startRow: int64(p) * int64(e.cfg.PartRows)}
 	partNode := e.cfg.Topo.NodeOfPart(p)
 
 	// 1. Leaf partitions into memory (prefetched where possible). The read
@@ -621,81 +598,69 @@ func (w *worker) processPartition(p int) error {
 		w.buf.End(rsp)
 		return err
 	}
-	for _, slot := range rs.leafSlots {
-		m := rs.d.nodes[slot]
+	for _, i := range rs.p.leaves {
+		n := rows * int(rs.p.Nodes[i].NCol)
 		e.cfg.Topo.RecordAccess(w.node, partNode)
-		if buf, ok := pfBufs[slot]; ok {
-			w.leafBufs[slot] = buf
-			w.leafOwned[slot] = true
+		if buf, ok := pfBufs[int(i)]; ok {
+			w.leafBufs[i] = buf
+			w.leafOwned[i] = true
 			rs.prefHits.Add(1)
-			rs.bytesRead.Add(int64(rows*m.ncol) * 8)
-			rsp.Bytes += int64(rows*m.ncol) * 8
+			rs.bytesRead.Add(int64(n) * 8)
+			rsp.Bytes += int64(n) * 8
 			rsp.N++
 			continue
 		}
-		st := rs.leafPass[slot]
+		st := rs.leafPass[i]
 		// Zero-copy fast path for row-major in-memory partitions.
 		if ms, ok := st.(*matrix.MemStore); ok {
 			if ref, ok := ms.PartRef(p); ok {
-				w.leafBufs[slot] = ref
-				w.leafOwned[slot] = false
+				w.leafBufs[i] = ref
+				w.leafOwned[i] = false
 				continue
 			}
 		}
-		buf := w.get(rows * m.ncol)
+		buf := w.get(n)
 		if err := st.ReadPart(p, buf); err != nil {
 			w.put(buf)
 			w.buf.End(rsp)
-			return fmt.Errorf("core: reading leaf %d partition %d: %w", m.id, p, err)
+			return fmt.Errorf("core: reading leaf instruction %d partition %d: %w", i, p, err)
 		}
 		rs.prefMiss.Add(1)
-		rs.bytesRead.Add(int64(rows*m.ncol) * 8)
-		rsp.Bytes += int64(rows*m.ncol) * 8
+		rs.bytesRead.Add(int64(n) * 8)
+		rsp.Bytes += int64(n) * 8
 		rsp.N++
-		w.leafBufs[slot] = buf
-		w.leafOwned[slot] = true
+		w.leafBufs[i] = buf
+		w.leafOwned[i] = true
 	}
 	w.buf.End(rsp)
 
 	csp := w.buf.Begin(trace.KindCompute, int64(p))
 	// 2. Cumulative carries: wait for partition p's carry vectors (§3.3(j)).
 	if rs.cum != nil {
-		carries, err := rs.cum.wait(p)
-		if err != nil {
+		if err := rs.cum.wait(p, w.cumRun); err != nil {
 			w.buf.End(csp)
 			return err
 		}
-		for id, c := range carries {
-			w.cumRun[id] = c
-		}
 	}
 
-	// 3. Output partition buffers for tall targets (from the shared pool —
+	// 3. Output partition buffers per tall position (from the shared pool —
 	// the async writers return them, possibly to a different worker).
-	outBufs := make([][]float64, len(rs.d.talls))
-	for i, m := range rs.d.talls {
-		outBufs[i] = rs.getOut(rows * m.ncol)
+	outBufs := make([][]float64, len(rs.p.Talls))
+	for t, i := range rs.p.Talls {
+		outBufs[t] = rs.getOut(rows * int(rs.p.Nodes[i].NCol))
 	}
 
-	// 4. Pcache chunk loop: depth-first DAG evaluation per chunk.
+	// 4. Pcache chunk loop: the program runs once per chunk.
 	for r0 := 0; r0 < rows; r0 += rs.chunkRows {
 		cr := rs.chunkRows
 		if r0+cr > rows {
 			cr = rows - r0
 		}
-		for i, slot := range rs.d.tallSlots {
-			m := rs.d.talls[i]
-			buf := w.use(slot, pi, r0, cr)
-			copy(outBufs[i][r0*m.ncol:(r0+cr)*m.ncol], buf[:cr*m.ncol])
-			w.done(slot)
-		}
-		for si, acc := range w.sinks {
-			acc.accumulate(w, rs.d.sinkASlot[si], rs.d.sinkBSlot[si], pi, r0, cr)
-		}
-		if len(w.used) != 0 {
+		if err := w.runChunk(r0, cr, outBufs); err != nil {
 			w.buf.End(csp)
-			return fmt.Errorf("core: %d chunk buffers leaked after chunk eval", len(w.used))
+			return err
 		}
+		e.stats.NodesEval.Add(int64(len(rs.p.steps)))
 		e.stats.Chunks.Add(1)
 		rs.chunks.Add(1)
 		csp.N++
@@ -707,7 +672,7 @@ func (w *worker) processPartition(p int) error {
 	}
 	w.buf.End(csp)
 
-	// 6. Hand tall-target partitions to the write-behind queue and move on
+	// 6. Hand tall-output partitions to the write-behind queue and move on
 	// to the next partition's compute; buffer ownership transfers to the
 	// writer until its release callback returns it to the shared pool.
 	// Under SyncWrites the worker stalls through each write instead. The
@@ -715,15 +680,14 @@ func (w *worker) processPartition(p int) error {
 	// land on the writer-lane spans, so summing Bytes over every write-back
 	// span equals BytesWritten with no double counting.
 	wsp := w.buf.Begin(trace.KindWriteBack, int64(p))
-	for i, m := range rs.d.talls {
-		buf := outBufs[i]
-		n := rows * m.ncol
-		st := rs.writeStores[i]
-		mid := m.id
+	for t, i := range rs.p.Talls {
+		buf := outBufs[t]
+		n := rows * int(rs.p.Nodes[i].NCol)
+		st := rs.writeStores[t]
 		if rs.wb != nil {
 			rs.wb.Enqueue(n*8, func() error {
 				if err := st.WritePart(p, buf[:n]); err != nil {
-					return fmt.Errorf("core: writing target %d partition %d: %w", mid, p, err)
+					return fmt.Errorf("core: writing tall %d partition %d: %w", t, p, err)
 				}
 				return nil
 			}, func() { rs.putOut(buf) })
@@ -737,232 +701,175 @@ func (w *worker) processPartition(p int) error {
 		rs.putOut(buf)
 		if err != nil {
 			w.buf.End(wsp)
-			return fmt.Errorf("core: writing target %d partition %d: %w", mid, p, err)
+			return fmt.Errorf("core: writing tall %d partition %d: %w", t, p, err)
 		}
 	}
 	w.buf.End(wsp)
-	for _, slot := range rs.leafSlots {
-		if w.leafOwned[slot] {
-			w.put(w.leafBufs[slot])
+	for _, i := range rs.p.leaves {
+		if w.leafOwned[i] {
+			w.put(w.leafBufs[i])
 		}
-		w.leafBufs[slot] = nil
-		w.leafOwned[slot] = false
+		w.leafBufs[i] = nil
+		w.leafOwned[i] = false
 	}
 	e.stats.Parts.Add(1)
 	rs.parts.Add(1)
 	return nil
 }
 
-// use returns node slot's chunk [r0, r0+cr) of partition pi, evaluating it
-// (and transitively its inputs) if this is the first consumer in the current
-// chunk. Every use must be paired with done.
-func (w *worker) use(slot int, pi partInfo, r0, cr int) []float64 {
-	ent := &w.memo[slot]
-	if ent.live {
-		return ent.buf
-	}
-	buf, owned := w.eval(slot, pi, r0, cr)
-	ent.buf = buf
-	ent.owned = owned
-	ent.live = true
-	ent.refs = w.rs.d.refs[slot]
-	if ent.refs == 0 {
-		// A root evaluated directly (no registered consumers).
-		ent.refs = 1
-	}
-	w.used = append(w.used, slot)
-	w.rs.e.stats.NodesEval.Add(1)
-	return ent.buf
-}
-
-// done releases one reference on a slot's chunk buffer; the buffer returns
-// to the pool (and becomes the next op's output, already cache-hot) when its
-// last consumer finishes.
-func (w *worker) done(slot int) {
-	ent := &w.memo[slot]
-	if !ent.live {
-		panic(fmt.Sprintf("core: done(%d) without use", slot))
-	}
-	ent.refs--
-	if ent.refs <= 0 {
-		if ent.owned {
-			w.put(ent.buf)
+// runChunk runs the program over rows [r0, r0+cr) of the current partition
+// as a straight loop: each step computes its slot, copies it into the tall
+// outputs that name it, feeds the sinks whose last operand it is, and hands
+// back to the pool every slot whose last use it was — the next step's output
+// then reuses a buffer that is still cache-hot.
+func (w *worker) runChunk(r0, cr int, outBufs [][]float64) error {
+	p := w.rs.p
+	for _, i := range p.steps {
+		n := &p.Nodes[i]
+		w.step(n, i, r0, cr)
+		nc := int(n.NCol)
+		for _, t := range n.outs {
+			copy(outBufs[t][r0*nc:(r0+cr)*nc], w.bufs[i][:cr*nc])
 		}
-		ent.live = false
-		ent.buf = nil
-		for i, s := range w.used {
-			if s == slot {
-				w.used = append(w.used[:i], w.used[i+1:]...)
-				break
+		for _, si := range n.folds {
+			s := &p.Sinks[si]
+			var b []float64
+			if s.B >= 0 {
+				b = w.bufs[s.B]
+			}
+			if err := w.sinks[si].fold(w.bufs[s.A], b, cr); err != nil {
+				return err
 			}
 		}
+		for _, s := range n.free {
+			if w.owned[s] {
+				w.put(w.bufs[s])
+			}
+			w.bufs[s] = nil
+		}
 	}
+	return nil
 }
 
-// eval computes one Pcache chunk of the node at slot, returning the buffer
-// and whether the worker owns it (pool-recyclable).
-func (w *worker) eval(slot int, pi partInfo, r0, cr int) ([]float64, bool) {
-	m := w.rs.d.nodes[slot]
-	if lb := w.leafBufs[slot]; lb != nil {
-		return lb[r0*m.ncol : (r0+cr)*m.ncol], false
+// step computes one Pcache chunk of instruction i into its slot.
+func (w *worker) step(n *ProgramNode, i int32, r0, cr int) {
+	nc := int(n.NCol)
+	if opKind(n.Op) == opLeaf {
+		w.bufs[i], w.owned[i] = w.leafBufs[i][r0*nc:(r0+cr)*nc], false
+		return
 	}
-	if m.Materialized() {
-		panic(fmt.Sprintf("core: leaf %d partition not loaded", m.id))
+	out := w.get(cr * nc)
+	w.bufs[i], w.owned[i] = out, true
+	var a, b []float64
+	var nca, ncb int
+	if n.A >= 0 {
+		a, nca = w.bufs[n.A], int(w.rs.p.Nodes[n.A].NCol)
 	}
-	aSlot, bSlot := w.rs.d.aSlot[slot], w.rs.d.bSlot[slot]
-	switch m.kind {
+	if n.B >= 0 {
+		b, ncb = w.bufs[n.B], int(w.rs.p.Nodes[n.B].NCol)
+	}
+	switch opKind(n.Op) {
 	case opConst:
-		out := w.get(cr * m.ncol)
-		v := m.vec[0]
-		for i := range out {
-			out[i] = v
+		for j := range out {
+			out[j] = n.Const
 		}
-		return out, true
 
 	case opSapply:
-		in := w.use(aSlot, pi, r0, cr)
-		out := w.get(cr * m.ncol)
-		m.un.ApplyV(out, in[:cr*m.ncol])
-		w.done(aSlot)
-		return out, true
+		n.un.ApplyV(out, a[:cr*nc])
 
 	case opMapplyMM:
-		a := w.use(aSlot, pi, r0, cr)
-		b := w.use(bSlot, pi, r0, cr)
-		out := w.get(cr * m.ncol)
-		m.bin.ApplyVV(out, a[:cr*m.ncol], b[:cr*m.ncol])
-		w.done(aSlot)
-		w.done(bSlot)
-		return out, true
+		n.bin.ApplyVV(out, a[:cr*nc], b[:cr*nc])
 
 	case opMapplyScalar:
-		a := w.use(aSlot, pi, r0, cr)
-		out := w.get(cr * m.ncol)
-		if m.scalarLeft {
-			m.bin.ApplySV(out, m.scalar, a[:cr*m.ncol])
+		if n.ScalarLeft {
+			n.bin.ApplySV(out, n.Scalar, a[:cr*nc])
 		} else {
-			m.bin.ApplyVS(out, a[:cr*m.ncol], m.scalar)
+			n.bin.ApplyVS(out, a[:cr*nc], n.Scalar)
 		}
-		w.done(aSlot)
-		return out, true
 
 	case opMapplyRowVec:
-		a := w.use(aSlot, pi, r0, cr)
-		out := w.get(cr * m.ncol)
-		nc := m.ncol
 		for r := 0; r < cr; r++ {
 			arow := a[r*nc : (r+1)*nc]
 			orow := out[r*nc : (r+1)*nc]
-			if m.vecLeft {
-				m.bin.ApplyVV(orow, m.vec, arow)
+			if n.VecLeft {
+				n.bin.ApplyVV(orow, n.Vec, arow)
 			} else {
-				m.bin.ApplyVV(orow, arow, m.vec)
+				n.bin.ApplyVV(orow, arow, n.Vec)
 			}
 		}
-		w.done(aSlot)
-		return out, true
 
 	case opMapplyColVec:
-		a := w.use(aSlot, pi, r0, cr)
-		v := w.use(bSlot, pi, r0, cr) // cr×1
-		out := w.get(cr * m.ncol)
-		nc := m.ncol
 		for r := 0; r < cr; r++ {
 			arow := a[r*nc : (r+1)*nc]
 			orow := out[r*nc : (r+1)*nc]
-			if m.vecLeft {
-				m.bin.ApplySV(orow, v[r], arow)
+			if n.VecLeft {
+				n.bin.ApplySV(orow, b[r], arow)
 			} else {
-				m.bin.ApplyVS(orow, arow, v[r])
+				n.bin.ApplyVS(orow, arow, b[r])
 			}
 		}
-		w.done(aSlot)
-		w.done(bSlot)
-		return out, true
 
 	case opInnerProd:
-		a := w.use(aSlot, pi, r0, cr)
-		out := w.get(cr * m.ncol)
-		p, mm := m.small.R, m.small.C
+		p, mm := int(n.SmallR), int(n.SmallC)
 		switch {
-		case m.f1 == nil:
-			for i := range out[:cr*mm] {
-				out[i] = 0
+		case n.f1 == nil:
+			for j := range out[:cr*mm] {
+				out[j] = 0
 			}
-			blas.Gemm(cr, mm, p, a, p, m.small.Data, mm, out, mm)
-		case m.f1 == BinEuclid && m.f2 == BinAdd:
-			evalInnerProdEuclid(out[:cr*mm], a[:cr*p], m.smallT.Data, p, mm, cr)
+			blas.Gemm(cr, mm, p, a, p, n.Small, mm, out, mm)
+		case n.smallT != nil:
+			evalInnerProdEuclid(out[:cr*mm], a[:cr*p], n.smallT, p, mm, cr)
 		default:
-			evalInnerProdGen(out[:cr*mm], a[:cr*p], m.small.Data, p, mm, m.f1, m.f2, cr)
+			evalInnerProdGen(out[:cr*mm], a[:cr*p], n.Small, p, mm, n.f1, n.f2, cr)
 		}
-		w.done(aSlot)
-		return out, true
 
 	case opAggRow:
-		a := w.use(aSlot, pi, r0, cr)
-		out := w.get(cr)
-		nc := m.a.ncol
 		switch {
-		case m.arg == argMin:
+		case argMode(n.Arg) == argMin:
 			for r := 0; r < cr; r++ {
-				out[r] = float64(argExtreme(a[r*nc:(r+1)*nc], true))
+				out[r] = float64(argExtreme(a[r*nca:(r+1)*nca], true))
 			}
-		case m.arg == argMax:
+		case argMode(n.Arg) == argMax:
 			for r := 0; r < cr; r++ {
-				out[r] = float64(argExtreme(a[r*nc:(r+1)*nc], false))
+				out[r] = float64(argExtreme(a[r*nca:(r+1)*nca], false))
 			}
-		case m.agg == AggSum:
+		case n.agg == AggSum:
 			for r := 0; r < cr; r++ {
 				var s float64
-				for _, v := range a[r*nc : (r+1)*nc] {
+				for _, v := range a[r*nca : (r+1)*nca] {
 					s += v
 				}
 				out[r] = s
 			}
 		default:
-			f := m.agg
+			f := n.agg
 			for r := 0; r < cr; r++ {
-				out[r] = f.StepV(f.Init, a[r*nc:(r+1)*nc])
+				out[r] = f.StepV(f.Init, a[r*nca:(r+1)*nca])
 			}
 		}
-		w.done(aSlot)
-		return out, true
 
 	case opGroupByCol:
-		a := w.use(aSlot, pi, r0, cr)
-		out := w.get(cr * m.groupK)
-		nc := m.a.ncol
-		k := m.groupK
-		f := m.agg
-		for i := range out[:cr*k] {
-			out[i] = f.Init
+		f := n.agg
+		for j := range out {
+			out[j] = f.Init
 		}
-		if f == AggSum {
-			for r := 0; r < cr; r++ {
-				arow := a[r*nc : (r+1)*nc]
-				orow := out[r*k : (r+1)*k]
+		for r := 0; r < cr; r++ {
+			arow := a[r*nca : (r+1)*nca]
+			orow := out[r*nc : (r+1)*nc]
+			if f == AggSum {
 				for j, x := range arow {
-					orow[m.colLabels[j]] += x
+					orow[n.labels[j]] += x
 				}
-			}
-		} else {
-			for r := 0; r < cr; r++ {
-				arow := a[r*nc : (r+1)*nc]
-				orow := out[r*k : (r+1)*k]
+			} else {
 				for j, x := range arow {
-					g := m.colLabels[j]
+					g := n.labels[j]
 					orow[g] = f.Step(orow[g], x)
 				}
 			}
 		}
-		w.done(aSlot)
-		return out, true
 
 	case opCumRow:
-		a := w.use(aSlot, pi, r0, cr)
-		out := w.get(cr * m.ncol)
-		nc := m.ncol
-		f := m.agg
+		f := n.agg
 		for r := 0; r < cr; r++ {
 			run := f.Init
 			arow := a[r*nc : (r+1)*nc]
@@ -972,26 +879,10 @@ func (w *worker) eval(slot int, pi partInfo, r0, cr int) ([]float64, bool) {
 				orow[j] = run
 			}
 		}
-		w.done(aSlot)
-		return out, true
 
 	case opCumCol:
-		a := w.use(aSlot, pi, r0, cr)
-		out := w.get(cr * m.ncol)
-		nc := m.ncol
-		f := m.agg
-		run := w.cumRun[m.id]
-		if run == nil {
-			run = make([]float64, nc)
-			if m.vec != nil {
-				copy(run, m.vec) // carry-seeded (CumColCarry)
-			} else {
-				for j := range run {
-					run[j] = f.Init
-				}
-			}
-			w.cumRun[m.id] = run
-		}
+		f := n.agg
+		run := w.cumRun[i]
 		for r := 0; r < cr; r++ {
 			arow := a[r*nc : (r+1)*nc]
 			orow := out[r*nc : (r+1)*nc]
@@ -1000,48 +891,28 @@ func (w *worker) eval(slot int, pi partInfo, r0, cr int) ([]float64, bool) {
 				orow[j] = run[j]
 			}
 		}
-		w.done(aSlot)
-		return out, true
 
 	case opCols:
-		a := w.use(aSlot, pi, r0, cr)
-		out := w.get(cr * m.ncol)
-		matrix.GatherCols(out, a, cr, m.a.ncol, m.cols)
-		w.done(aSlot)
-		return out, true
+		matrix.GatherCols(out, a, cr, nca, n.cols)
 
 	case opCbind:
-		a := w.use(aSlot, pi, r0, cr)
-		b := w.use(bSlot, pi, r0, cr)
-		out := w.get(cr * m.ncol)
-		nca, ncb, nc := m.a.ncol, m.b.ncol, m.ncol
 		for r := 0; r < cr; r++ {
 			copy(out[r*nc:r*nc+nca], a[r*nca:(r+1)*nca])
 			copy(out[r*nc+nca:(r+1)*nc], b[r*ncb:(r+1)*ncb])
 		}
-		w.done(aSlot)
-		w.done(bSlot)
-		return out, true
 
 	case opSetCols:
-		a := w.use(aSlot, pi, r0, cr)
-		b := w.use(bSlot, pi, r0, cr)
-		out := w.get(cr * m.ncol)
-		nc, ncb := m.ncol, m.b.ncol
-		copy(out[:cr*nc], a[:cr*nc])
+		copy(out, a[:cr*nc])
 		for r := 0; r < cr; r++ {
 			brow := b[r*ncb : (r+1)*ncb]
 			orow := out[r*nc : (r+1)*nc]
-			for j, c := range m.cols {
+			for j, c := range n.cols {
 				orow[c] = brow[j]
 			}
 		}
-		w.done(aSlot)
-		w.done(bSlot)
-		return out, true
 
 	default:
-		panic(fmt.Sprintf("core: eval of unexpected op %v", m.kind))
+		panic(fmt.Sprintf("core: step of unexpected op %v", opKind(n.Op)))
 	}
 }
 

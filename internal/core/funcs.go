@@ -3,7 +3,8 @@
 // directed acyclic graphs (§3.4), and memory-hierarchy-aware DAG
 // materialization (§3.5) — a single parallel pass over the data with
 // two-level partitioning (I/O partitions split into processor-cache
-// partitions), depth-first per-chunk evaluation, and buffer recycling.
+// partitions), the DAG compiled once into an instruction list that runs per
+// chunk, and buffer recycling at each slot's last use.
 //
 // Tall matrices (the partition dimension is rows) flow through the engine as
 // virtual matrices; aggregation-style GenOps produce sink matrices whose

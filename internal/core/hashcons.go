@@ -242,13 +242,6 @@ func (c *sigCtx) keyOf(m *Mat) string {
 			fmt.Fprintf(&b, "|g=%d:k=%d:lab=%v", funcID(m.agg), m.groupK, m.colLabels)
 		case opCumRow, opCumCol:
 			fmt.Fprintf(&b, "|g=%d", funcID(m.agg))
-			if m.kind == opCumCol && m.vec != nil {
-				// Carry-seeded cum.col (shard workers): the entering
-				// accumulator is part of the structure — the same scan under a
-				// different carry computes different values.
-				b.WriteString(":c=")
-				writeFloatBits(&b, m.vec)
-			}
 		case opCols, opSetCols:
 			fmt.Fprintf(&b, "|c=%v", m.cols)
 		}

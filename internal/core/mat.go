@@ -103,20 +103,18 @@ type Mat struct {
 	vec        []float64    // opMapplyRowVec operand / opConst value in vec[0]
 	vecLeft    bool         // vector (or scalar) is the left operand of bin
 	small      *dense.Dense // opInnerProd right operand (p×m), shared read-only
-	smallT     *dense.Dense // transposed copy (m×p) for dot-oriented kernels
 	f1, f2     *Binary      // opInnerProd functions; nil f1 selects the BLAS path
 	cols       []int        // opCols subset
 	colLabels  []int        // opGroupByCol: label of each input column, in [0,k)
 	groupK     int          // opGroupByCol: number of groups
 
-	mu       sync.Mutex
-	store    matrix.Store // non-nil once materialized
-	cache    bool         // set.cache: materialize alongside the DAG's targets
-	cacheEM  bool         // cache on SSDs instead of memory
-	freed    bool
-	mutated  bool   // data written in place: signature falls back to identity form
-	ver      uint64 // content version, bumped per in-place mutation
-	refCount int32  // DAG bookkeeping during materialization
+	mu      sync.Mutex
+	store   matrix.Store // non-nil once materialized
+	cache   bool         // set.cache: materialize alongside the DAG's targets
+	cacheEM bool         // cache on SSDs instead of memory
+	freed   bool
+	mutated bool   // data written in place: signature falls back to identity form
+	ver     uint64 // content version, bumped per in-place mutation
 }
 
 // NRow returns the number of rows (the partition dimension).
@@ -306,7 +304,6 @@ func InnerProd(a *Mat, b *dense.Dense, f1, f2 *Binary) *Mat {
 	}
 	m := newMat(a.nrow, b.C, matrix.F64, opInnerProd)
 	m.a, m.small, m.f1, m.f2 = a, b, f1, f2
-	m.smallT = b.T()
 	return m
 }
 
@@ -367,21 +364,6 @@ func CumRow(a *Mat, f *AggFunc) *Mat {
 func CumCol(a *Mat, f *AggFunc) *Mat {
 	m := newMat(a.nrow, a.ncol, matrix.F64, opCumCol)
 	m.a, m.agg = a, f
-	return m
-}
-
-// CumColCarry is CumCol with an explicit accumulator entering row 0: C[0,j]
-// = f(A[0,j], carry[j]). Shard workers use it to continue a column scan that
-// began on a preceding shard — the cross-process form of the per-partition
-// carry propagation of §3.3 (j). The carry participates in the node's
-// structural signature, so results computed under different carries never
-// unify.
-func CumColCarry(a *Mat, f *AggFunc, carry []float64) *Mat {
-	if len(carry) != a.ncol {
-		panic(fmt.Sprintf("core: cum.col carry %d != ncol %d", len(carry), a.ncol))
-	}
-	m := CumCol(a, f)
-	m.vec = append([]float64(nil), carry...)
 	return m
 }
 

@@ -12,42 +12,28 @@ import (
 // RemoteExecutor is the execution seam a sharded coordinator plugs into the
 // engine. When set, the engine still runs its whole plan phase locally —
 // algebraic rewriting, result-cache serving, within-pass CSE unification, DAG
-// construction and validation — and hands only the residual execution to the
-// executor: the post-plan tall targets and sinks of one materialization. The
-// executor must attach a store to every tall in the RemoteDAG (AttachTall)
-// and publish every sink's combined raw reduction (Sink.PublishRaw); the
-// publication phase (result-cache inserts, duplicate-sink payload serving,
-// rewrite store forwarding) then proceeds exactly as for local execution.
+// construction, validation and compilation — and hands only the compiled
+// program to the executor, which returns what a local execution would: a
+// store per tall position and the combined raw reduction per sink. The
+// publication phase (store attachment, publish transforms, result-cache
+// inserts, duplicate-sink payload serving, rewrite store forwarding) then
+// proceeds exactly as for local execution.
 type RemoteExecutor interface {
-	RunDAG(ctx context.Context, d *RemoteDAG, ms *MaterializeStats) error
+	RunDAG(ctx context.Context, d *RemoteDAG, ms *MaterializeStats) (*ProgramResult, error)
 }
 
-// RemoteDAG is one materialization's residual execution plan as handed to a
-// RemoteExecutor: the tall targets still to compute (cache-flagged interior
-// nodes included), the sinks still to reduce, the cum.col nodes that need
-// cross-partition carries, and the shared partition dimension.
+// RemoteDAG is one materialization's compiled pass as handed to a
+// RemoteExecutor: the program, the matrix behind each of its leaf
+// instructions, and the shared partition dimension.
 type RemoteDAG struct {
-	NRow  int64
-	Talls []*Mat
-	Sinks []*Sink
-	Cums  []*Mat
+	NRow int64
+	Prog *Program
+	// Leaves[i] is the matrix leaf instruction i reads (nil for every other
+	// instruction); the executor maps each to a worker-resident handle by
+	// setting Prog.Nodes[i].Leaf.
+	Leaves []*Mat
 	// Owner labels the session the pass runs for (PassOptions.Owner).
 	Owner string
-	// Canon maps a node to its execution representative: when the plan's CSE
-	// unified structurally identical duplicates onto one slot, every
-	// duplicate resolves to the node that actually executes. EncodeProgram
-	// encodes through it so the shipped program matches the plan — without
-	// it a unified cum.col duplicate would re-appear as a second node that
-	// no carry ever seeds. Nil means identity.
-	Canon func(m *Mat) *Mat
-}
-
-// AttachTall installs a store on tall target i — the remote path's equivalent
-// of the local execution attaching freshly written stores. It reports false
-// (and the caller keeps ownership of st) if the node was materialized
-// concurrently by another pass.
-func (d *RemoteDAG) AttachTall(i int, st matrix.Store) bool {
-	return d.Talls[i].attachStore(st)
 }
 
 // SetRemoteExecutor installs (or, with nil, removes) the engine's remote
@@ -68,8 +54,8 @@ func UnwrapStore(st matrix.Store) matrix.Store { return unwrapStore(st) }
 // SinkPartial is one worker's raw (pre-publish-transform) sink reduction in
 // wire-friendly form: a dense payload for the fixed-shape kinds, key/count or
 // key/fold pairs for the data-dependent kinds. Partials combine across
-// workers with the sink's own Combine semantics (CombinePartials) — the
-// cross-shard form of the per-thread partial merging of §3.3 (g,h,i).
+// workers with the sink's own merge (ProgramSink.Combine) — the cross-shard
+// form of the per-thread partial merging of §3.3 (g,h,i).
 type SinkPartial struct {
 	Used   bool
 	R, C   int
@@ -79,142 +65,51 @@ type SinkPartial struct {
 	Folds  []float64
 }
 
-// RawPartial snapshots a finished sink's raw reduction as a SinkPartial (nil
-// if the sink has not finished). Worker-side sinks are built without a folded
-// publish transform, so the raw reduction is the published result.
-func (s *Sink) RawPartial() *SinkPartial {
-	pl := s.rawPayload()
-	if pl == nil {
-		return nil
-	}
-	sp := &SinkPartial{Used: true, Keys: pl.keys, Counts: pl.counts, Folds: pl.folds}
-	if pl.result != nil {
-		sp.R, sp.C, sp.Data = pl.result.R, pl.result.C, pl.result.Data
-	}
-	return sp
-}
-
-// CombinePartials merges per-shard raw partials in shard order, mirroring
-// sinkAcc.merge exactly: AggFunc.Combine for the fold kinds, elementwise
-// addition for the BLAS crossprod (per-shard Syrk partials arrive already
-// symmetrized, and symmetrization commutes with addition), f2 for the
-// generalized crossprod, key-wise count addition for table, and key-wise
-// Combine for groupby-by-value. Unused partials (zero-row shards) are
-// skipped, matching the local merge's used-flag handling.
-func (s *Sink) CombinePartials(parts []*SinkPartial) (*SinkPartial, error) {
-	vecLen := 0
-	switch s.kind {
-	case SinkAggCol:
-		vecLen = s.cols
-	case SinkGroupByRow:
-		vecLen = s.k * s.cols
-	case SinkCrossProd:
-		vecLen = s.rows * s.cols
-	}
-	acc := &SinkPartial{R: 1, C: 1}
-	switch s.kind {
-	case SinkAgg:
-		acc.Data = []float64{s.agg.Init}
-	case SinkAggCol, SinkGroupByRow, SinkCrossProd:
-		acc.R, acc.C = s.rows, s.cols
-		if s.kind == SinkGroupByRow {
-			acc.R = s.k
-		}
-		acc.Data = make([]float64, vecLen)
-		if s.kind != SinkCrossProd {
-			for i := range acc.Data {
-				acc.Data[i] = s.agg.Init
-			}
-		} else if s.f1 != nil {
-			init := aggInitFor(s.f2)
-			for i := range acc.Data {
-				acc.Data[i] = init
-			}
-		}
-	}
-	table := make(map[float64]int64)
-	byVal := make(map[float64]float64)
+// Combine merges per-shard raw partials in shard order with exactly the
+// merge the executor applies to per-task partials: AggFunc.Combine for the
+// fold kinds, elementwise addition for the BLAS crossprod (per-shard Syrk
+// partials arrive already symmetrized, and symmetrization commutes with
+// addition), f2 for the generalized crossprod, key-wise count addition for
+// table, and key-wise Combine for groupby-by-value. Unused partials
+// (zero-row shards) are skipped.
+func (s *ProgramSink) Combine(parts []*SinkPartial) (*SinkPartial, error) {
+	acc := newSinkAcc(s)
 	for wi, p := range parts {
 		if p == nil || !p.Used {
 			continue
 		}
-		switch s.kind {
+		o := &sinkAcc{s: s, used: true}
+		switch SinkKind(s.Kind) {
 		case SinkAgg:
 			if len(p.Data) != 1 {
 				return nil, fmt.Errorf("core: shard %d agg partial has %d values, want 1", wi, len(p.Data))
 			}
-			if acc.Used {
-				acc.Data[0] = s.agg.Combine(acc.Data[0], p.Data[0])
-			} else {
-				acc.Data[0] = p.Data[0]
+			o.acc = p.Data[0]
+		case SinkAggCol, SinkGroupByRow, SinkCrossProd:
+			if len(p.Data) != len(acc.vec) {
+				return nil, fmt.Errorf("core: shard %d %s partial has %d values, want %d", wi, SinkKind(s.Kind), len(p.Data), len(acc.vec))
 			}
-		case SinkAggCol, SinkGroupByRow:
-			if len(p.Data) != vecLen {
-				return nil, fmt.Errorf("core: shard %d %s partial has %d values, want %d", wi, s.kind, len(p.Data), vecLen)
-			}
-			if acc.Used {
-				for i, v := range p.Data {
-					acc.Data[i] = s.agg.Combine(acc.Data[i], v)
-				}
-			} else {
-				copy(acc.Data, p.Data)
-			}
-		case SinkCrossProd:
-			if len(p.Data) != vecLen {
-				return nil, fmt.Errorf("core: shard %d crossprod partial has %d values, want %d", wi, len(p.Data), vecLen)
-			}
-			if s.f1 == nil {
-				for i, v := range p.Data {
-					acc.Data[i] += v
-				}
-			} else {
-				f2 := s.f2.F
-				for i, v := range p.Data {
-					if acc.Used {
-						acc.Data[i] = f2(v, acc.Data[i])
-					} else {
-						acc.Data[i] = v
-					}
-				}
-			}
+			o.vec = p.Data
 		case SinkTable:
 			if len(p.Keys) != len(p.Counts) {
 				return nil, fmt.Errorf("core: shard %d table partial keys/counts mismatch", wi)
 			}
+			o.table = make(map[float64]int64, len(p.Keys))
 			for i, k := range p.Keys {
-				table[k] += p.Counts[i]
+				o.table[k] += p.Counts[i]
 			}
 		case SinkGroupByVal:
 			if len(p.Keys) != len(p.Folds) {
 				return nil, fmt.Errorf("core: shard %d groupby partial keys/folds mismatch", wi)
 			}
+			o.byVal = make(map[float64]float64, len(p.Keys))
 			for i, k := range p.Keys {
-				if old, ok := byVal[k]; ok {
-					byVal[k] = s.agg.Combine(old, p.Folds[i])
-				} else {
-					byVal[k] = p.Folds[i]
-				}
+				o.byVal[k] = p.Folds[i]
 			}
 		}
-		acc.Used = true
+		acc.merge(o)
 	}
-	switch s.kind {
-	case SinkTable:
-		keys := sortedKeys(table)
-		acc.Keys = keys
-		acc.Counts = make([]int64, len(keys))
-		for i, k := range keys {
-			acc.Counts[i] = table[k]
-		}
-	case SinkGroupByVal:
-		keys := sortedKeysF(byVal)
-		acc.Keys = keys
-		acc.Folds = make([]float64, len(keys))
-		for i, k := range keys {
-			acc.Folds[i] = byVal[k]
-		}
-	}
-	return acc, nil
+	return acc.partial(), nil
 }
 
 // PublishRaw installs a combined raw partial as this sink's result, applying

@@ -2,17 +2,15 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/blas"
-	"repro/internal/dense"
 )
 
 // sinkAcc is one worker's partial state for a sink GenOp. Per §3.3 (g,h,i),
 // each thread folds into a local buffer and the engine combines the partials
 // once the pass completes.
 type sinkAcc struct {
-	s     *Sink
+	s     *ProgramSink
 	used  bool
 	acc   float64             // SinkAgg
 	vec   []float64           // SinkAggCol (p) / SinkGroupByRow (k*p) / SinkCrossProd (pa*pb)
@@ -20,18 +18,13 @@ type sinkAcc struct {
 	byVal map[float64]float64 // SinkGroupByVal
 }
 
-func newSinkAcc(s *Sink) *sinkAcc {
+func newSinkAcc(s *ProgramSink) *sinkAcc {
 	a := &sinkAcc{s: s}
-	switch s.kind {
+	switch SinkKind(s.Kind) {
 	case SinkAgg:
 		a.acc = s.agg.Init
-	case SinkAggCol:
-		a.vec = make([]float64, s.cols)
-		for i := range a.vec {
-			a.vec[i] = s.agg.Init
-		}
-	case SinkGroupByRow:
-		a.vec = make([]float64, s.k*s.cols)
+	case SinkAggCol, SinkGroupByRow:
+		a.vec = make([]float64, s.rows*s.cols)
 		for i := range a.vec {
 			a.vec[i] = s.agg.Init
 		}
@@ -47,24 +40,24 @@ func newSinkAcc(s *Sink) *sinkAcc {
 		a.table = make(map[float64]int64)
 	case SinkGroupByVal:
 		a.byVal = make(map[float64]float64)
+	default:
+		panic(fmt.Sprintf("core: accumulator for unresolved sink kind %d", s.Kind))
 	}
 	return a
 }
 
-// accumulate folds one Pcache chunk into the worker-local partial. aSlot and
-// bSlot index the sink's inputs in the DAG plan.
-func (a *sinkAcc) accumulate(w *worker, aSlot, bSlot int, pi partInfo, r0, cr int) {
+// fold folds one Pcache chunk of cr rows into the worker-local partial: in is
+// the chunk of the sink's input A, lab the chunk of its input B (nil for the
+// one-input kinds).
+func (a *sinkAcc) fold(in, lab []float64, cr int) error {
 	s := a.s
 	a.used = true
-	switch s.kind {
+	nc := s.ncolA
+	switch SinkKind(s.Kind) {
 	case SinkAgg:
-		in := w.use(aSlot, pi, r0, cr)
-		a.acc = s.agg.StepV(a.acc, in[:cr*s.a.ncol])
-		w.done(aSlot)
+		a.acc = s.agg.StepV(a.acc, in[:cr*nc])
 
 	case SinkAggCol:
-		in := w.use(aSlot, pi, r0, cr)
-		nc := s.a.ncol
 		if s.agg == AggSum {
 			for r := 0; r < cr; r++ {
 				row := in[r*nc : (r+1)*nc]
@@ -81,18 +74,18 @@ func (a *sinkAcc) accumulate(w *worker, aSlot, bSlot int, pi partInfo, r0, cr in
 				}
 			}
 		}
-		w.done(aSlot)
 
 	case SinkGroupByRow:
-		in := w.use(aSlot, pi, r0, cr)
-		lab := w.use(bSlot, pi, r0, cr)
-		nc := s.a.ncol
+		// Labels are data: an out-of-range one fails the pass with an error,
+		// like any bad input.
+		for r := 0; r < cr; r++ {
+			if g := int(lab[r]); g < 0 || g >= s.rows {
+				return fmt.Errorf("core: groupby.row label %d out of range [0,%d)", g, s.rows)
+			}
+		}
 		if s.agg == AggSum {
 			for r := 0; r < cr; r++ {
 				g := int(lab[r])
-				if g < 0 || g >= s.k {
-					panic(fmt.Sprintf("core: groupby.row label %d out of range [0,%d)", g, s.k))
-				}
 				row := in[r*nc : (r+1)*nc]
 				grow := a.vec[g*nc : (g+1)*nc]
 				for j, x := range row {
@@ -103,9 +96,6 @@ func (a *sinkAcc) accumulate(w *worker, aSlot, bSlot int, pi partInfo, r0, cr in
 			f := s.agg
 			for r := 0; r < cr; r++ {
 				g := int(lab[r])
-				if g < 0 || g >= s.k {
-					panic(fmt.Sprintf("core: groupby.row label %d out of range [0,%d)", g, s.k))
-				}
 				row := in[r*nc : (r+1)*nc]
 				grow := a.vec[g*nc : (g+1)*nc]
 				for j, x := range row {
@@ -113,27 +103,22 @@ func (a *sinkAcc) accumulate(w *worker, aSlot, bSlot int, pi partInfo, r0, cr in
 				}
 			}
 		}
-		w.done(aSlot)
-		w.done(bSlot)
 
 	case SinkCrossProd:
-		ain := w.use(aSlot, pi, r0, cr)
-		bin := w.use(bSlot, pi, r0, cr)
 		pa, pb := s.rows, s.cols
-		if s.f1 == nil {
-			if s.a == s.b {
-				// Symmetric Gramian t(A)%*%A: rank-k update on the upper
-				// triangle only (BLAS dsyrk — what R's crossprod calls);
-				// mirrored once in finish.
-				blas.Syrk(cr, pa, ain, pa, a.vec, pa)
-			} else {
-				blas.GemmTA(cr, pb, pa, ain, pa, bin, pb, a.vec, pb)
-			}
-		} else {
+		switch {
+		case s.sym:
+			// Symmetric Gramian t(A)%*%A: rank-k update on the upper
+			// triangle only (BLAS dsyrk — what R's crossprod calls);
+			// mirrored once in partial.
+			blas.Syrk(cr, pa, in, pa, a.vec, pa)
+		case s.f1 == nil:
+			blas.GemmTA(cr, pb, pa, in, pa, lab, pb, a.vec, pb)
+		default:
 			f1, f2 := s.f1.F, s.f2.F
 			for r := 0; r < cr; r++ {
-				arow := ain[r*pa : (r+1)*pa]
-				brow := bin[r*pb : (r+1)*pb]
+				arow := in[r*pa : (r+1)*pa]
+				brow := lab[r*pb : (r+1)*pb]
 				for i, av := range arow {
 					crow := a.vec[i*pb : (i+1)*pb]
 					for j, bv := range brow {
@@ -142,28 +127,23 @@ func (a *sinkAcc) accumulate(w *worker, aSlot, bSlot int, pi partInfo, r0, cr in
 				}
 			}
 		}
-		w.done(aSlot)
-		w.done(bSlot)
 
 	case SinkTable:
-		in := w.use(aSlot, pi, r0, cr)
-		for _, v := range in[:cr*s.a.ncol] {
+		for _, v := range in[:cr*nc] {
 			a.table[v]++
 		}
-		w.done(aSlot)
 
 	case SinkGroupByVal:
-		in := w.use(aSlot, pi, r0, cr)
 		f := s.agg
-		for _, v := range in[:cr*s.a.ncol] {
+		for _, v := range in[:cr*nc] {
 			acc, ok := a.byVal[v]
 			if !ok {
 				acc = f.Init
 			}
 			a.byVal[v] = f.Step(acc, v)
 		}
-		w.done(aSlot)
 	}
+	return nil
 }
 
 // merge combines another worker's partial into this one.
@@ -172,7 +152,7 @@ func (a *sinkAcc) merge(o *sinkAcc) {
 		return
 	}
 	s := a.s
-	switch s.kind {
+	switch SinkKind(s.Kind) {
 	case SinkAgg:
 		if a.used {
 			a.acc = s.agg.Combine(a.acc, o.acc)
@@ -219,59 +199,40 @@ func (a *sinkAcc) merge(o *sinkAcc) {
 	a.used = true
 }
 
-// finish publishes the combined result into the sink node.
-func (a *sinkAcc) finish(s *Sink) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch s.kind {
+// partial snapshots the combined reduction as a raw SinkPartial: what
+// Sink.PublishRaw installs locally and what a shard worker ships. Symmetric
+// crossprods are mirrored here, so partials always arrive symmetric. When no
+// rows were folded the reduction stays at the fold identity, matching R's
+// empty reductions (sum(c()) == 0, min(c()) == Inf).
+func (a *sinkAcc) partial() *SinkPartial {
+	s := a.s
+	p := &SinkPartial{Used: a.used, R: s.rows, C: s.cols}
+	switch SinkKind(s.Kind) {
 	case SinkAgg:
-		s.result = dense.FromSlice(1, 1, []float64{a.acc})
-	case SinkAggCol:
-		s.result = dense.FromSlice(1, s.cols, a.vec)
-	case SinkGroupByRow:
-		s.result = dense.FromSlice(s.k, s.cols, a.vec)
+		p.Data = []float64{a.acc}
+	case SinkAggCol, SinkGroupByRow:
+		p.Data = a.vec
 	case SinkCrossProd:
-		if s.f1 == nil && s.a == s.b {
+		if s.sym {
 			blas.SymmetrizeLower(s.rows, a.vec, s.rows)
 		}
-		s.result = dense.FromSlice(s.rows, s.cols, a.vec)
+		p.Data = a.vec
 	case SinkTable:
-		keys := make([]float64, 0, len(a.table))
-		for k := range a.table {
-			keys = append(keys, k)
+		p.Keys = sortedKeys(a.table)
+		p.Counts = make([]int64, len(p.Keys))
+		for i, k := range p.Keys {
+			p.Counts[i] = a.table[k]
 		}
-		sort.Float64s(keys)
-		counts := make([]int64, len(keys))
-		for i, k := range keys {
-			counts[i] = a.table[k]
-		}
-		s.keys, s.counts = keys, counts
-		s.result = dense.FromSlice(1, len(keys), append([]float64(nil), keys...))
+		p.C, p.Data = len(p.Keys), append([]float64(nil), p.Keys...)
 	case SinkGroupByVal:
-		keys := make([]float64, 0, len(a.byVal))
-		for k := range a.byVal {
-			keys = append(keys, k)
+		p.Keys = sortedKeysF(a.byVal)
+		p.Folds = make([]float64, len(p.Keys))
+		for i, k := range p.Keys {
+			p.Folds[i] = a.byVal[k]
 		}
-		sort.Float64s(keys)
-		folds := make([]float64, len(keys))
-		for i, k := range keys {
-			folds[i] = a.byVal[k]
-		}
-		s.keys, s.folds = keys, folds
-		s.result = dense.FromSlice(1, len(keys), append([]float64(nil), folds...))
+		p.C, p.Data = len(p.Keys), append([]float64(nil), p.Folds...)
 	}
-	// When no rows were folded the result stays at the fold identity,
-	// matching R's empty reductions (sum(c()) == 0, min(c()) == Inf).
-	if s.hasPost && s.result != nil {
-		// Keep the raw reduction for the result cache (its key describes the
-		// raw computation), then publish the affine transform the optimizer
-		// folded out of the input graph.
-		s.raw = s.result.Clone()
-		for i, v := range s.result.Data {
-			s.result.Data[i] = s.postMul*v + s.postAdd
-		}
-	}
-	s.done = true
+	return p
 }
 
 // payload snapshots a finished sink's published result for the result cache
@@ -289,8 +250,9 @@ func (s *Sink) payload() *sinkPayload {
 
 // rawPayload snapshots the pre-transform result for the result cache. For
 // sinks without a folded publish transform this is the published result; for
-// folded sinks it is the raw reduction stashed by finish, so the cache entry
-// matches the structural key (which excludes the transform coefficients).
+// folded sinks it is the raw reduction stashed by PublishRaw, so the cache
+// entry matches the structural key (which excludes the transform
+// coefficients).
 func (s *Sink) rawPayload() *sinkPayload {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -142,10 +142,10 @@ type passIO struct {
 }
 
 // Coordinator is the RemoteExecutor that row-partitions every pass across
-// shard workers: it encodes the post-rewrite DAG as a Program, pushes leaf
-// data (once per content version), fans the program out, combines raw sink
-// partials in fixed shard order, and attaches RemoteStores to tall targets so
-// results stay worker-resident across passes.
+// shard workers: it maps the compiled program's leaf table to worker-resident
+// handles, pushes leaf data (once per content version), fans the program out,
+// combines raw sink partials in fixed shard order, and attaches RemoteStores
+// to tall targets so results stay worker-resident across passes.
 type Coordinator struct {
 	cfg      Config
 	partRows int
@@ -163,7 +163,7 @@ type Coordinator struct {
 	passSeq atomic.Int64
 	closed  atomic.Bool
 
-	// pushMu serializes the encode-and-push phase across concurrent passes
+	// pushMu serializes the map-and-push phase across concurrent passes
 	// so the pushed-leaf registry and the worker-resident data stay
 	// coherent; execution fan-out overlaps freely. pushedMu guards only the
 	// registry map itself — the recovery path snapshots it without blocking
@@ -524,21 +524,23 @@ type pushJob struct {
 	old    string // stale handle to free first, "" if none
 }
 
-// RunDAG executes one materialization's residual DAG across the shards. See
-// the package comment for the protocol; the invariants that matter:
+// RunDAG executes one materialization's compiled program across the shards
+// and returns a RemoteStore per tall position and the combined raw reduction
+// per sink. See the package comment for the protocol; the invariants that
+// matter:
 //
-//   - Sinks publish only after every shard succeeded — a failed pass surfaces
+//   - Results exist only after every shard succeeded — a failed pass surfaces
 //     a typed ShardError and never a silent partial aggregate.
 //   - Partials combine in fixed shard order and the folded publish transform
 //     applies exactly once, so results are bit-identical to the single-engine
 //     path for order-insensitive folds and reassociate only float sums.
-//   - Passes with cum.col nodes and more than one active shard run the
-//     shards sequentially, threading each shard's exit carry (its cum
-//     output's last row, bitwise) into the next — cumulative folds stay
+//   - Passes with cum.col instructions and more than one active shard run
+//     the shards sequentially, threading each shard's exit carry (its
+//     accumulator after its last row) into the next — cumulative folds stay
 //     bit-identical too.
-func (c *Coordinator) RunDAG(ctx context.Context, d *core.RemoteDAG, ms *core.MaterializeStats) error {
+func (c *Coordinator) RunDAG(ctx context.Context, d *core.RemoteDAG, ms *core.MaterializeStats) (*core.ProgramResult, error) {
 	if c.closed.Load() {
-		return errors.New("shard: coordinator closed")
+		return nil, errors.New("shard: coordinator closed")
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -547,14 +549,14 @@ func (c *Coordinator) RunDAG(ctx context.Context, d *core.RemoteDAG, ms *core.Ma
 	pass := c.passSeq.Add(1)
 	var io passIO
 
-	prog, err := c.encodeAndPush(ctx, d, sh, &io)
+	prog, err := c.mapAndPush(ctx, d, sh, &io)
 	if err != nil {
-		return err
+		return nil, err
 	}
 
-	// One handle per tall position: unified targets share a node index but
-	// keep independent worker-side handles (the registry aliases them), so
-	// each RemoteStore frees on its own schedule.
+	// One handle per tall position: unified targets share an instruction but
+	// each position is written to its own worker-side matrix, so each
+	// RemoteStore frees on its own schedule.
 	keeps := make([]string, len(prog.Talls))
 	for i := range prog.Talls {
 		keeps[i] = fmt.Sprintf("t%d-%d", pass, i)
@@ -593,13 +595,13 @@ func (c *Coordinator) RunDAG(ctx context.Context, d *core.RemoteDAG, ms *core.Ma
 			if cerr != nil {
 				c.lin.abort(rec)
 				c.cleanupKeeps(keeps, active)
-				return cerr
+				return nil, cerr
 			}
 			r, derr := decodeExecResp(rb)
 			if derr != nil {
 				c.lin.abort(rec)
 				c.cleanupKeeps(keeps, active)
-				return derr
+				return nil, derr
 			}
 			c.lin.markDone(rec, si)
 			resps[si] = &r
@@ -633,47 +635,36 @@ func (c *Coordinator) RunDAG(ctx context.Context, d *core.RemoteDAG, ms *core.Ma
 			if errs[si] != nil {
 				c.lin.abort(rec)
 				c.cleanupKeeps(keeps, active)
-				return errs[si]
+				return nil, errs[si]
 			}
 		}
 	}
 
-	// Combine every sink before publishing any: publication is all-or-nothing.
-	combined := make([]*core.SinkPartial, len(d.Sinks))
-	for si := range d.Sinks {
+	// Combine every sink before returning any: publication is all-or-nothing.
+	res := &core.ProgramResult{}
+	for si := range prog.Sinks {
 		parts := make([]*core.SinkPartial, 0, len(active))
 		for _, s := range active {
 			if si >= len(resps[s].Partials) {
 				c.lin.abort(rec)
 				c.cleanupKeeps(keeps, active)
-				return fmt.Errorf("shard: worker %d returned %d partials, want %d", s, len(resps[s].Partials), len(d.Sinks))
+				return nil, fmt.Errorf("shard: worker %d returned %d partials, want %d", s, len(resps[s].Partials), len(prog.Sinks))
 			}
 			parts = append(parts, resps[s].Partials[si])
 		}
-		comb, cerr := d.Sinks[si].CombinePartials(parts)
+		comb, cerr := prog.Sinks[si].Combine(parts)
 		if cerr != nil {
 			c.lin.abort(rec)
 			c.cleanupKeeps(keeps, active)
-			return cerr
+			return nil, cerr
 		}
-		combined[si] = comb
+		res.Partials = append(res.Partials, comb)
 	}
-	for si, s := range d.Sinks {
-		s.PublishRaw(combined[si])
+	for i, ti := range prog.Talls {
+		res.Talls = append(res.Talls, &RemoteStore{c: c, handle: keeps[i], nrow: d.NRow,
+			ncol: int(prog.Nodes[ti].NCol), partRows: c.partRows, sh: sh})
 	}
-	live := make([]bool, len(prog.Talls))
-	for i := range prog.Talls {
-		rs := &RemoteStore{c: c, handle: keeps[i], nrow: d.NRow,
-			ncol: d.Talls[i].NCol(), partRows: c.partRows, sh: sh}
-		if d.AttachTall(i, rs) {
-			live[i] = true
-		} else {
-			// Lost the materialization race to a concurrent pass; drop the
-			// worker-side copies.
-			c.freeHandle(keeps[i], active)
-		}
-	}
-	c.lin.finish(rec, live)
+	c.lin.finish(rec)
 
 	var wpasses int64
 	for _, s := range active {
@@ -689,7 +680,7 @@ func (c *Coordinator) RunDAG(ctx context.Context, d *core.RemoteDAG, ms *core.Ma
 	c.wmu.Unlock()
 	ms.ShardPasses += wpasses
 	c.workerPasses.Add(wpasses)
-	if len(d.Sinks) > 0 {
+	if len(prog.Sinks) > 0 {
 		ms.ShardAggRounds++
 		c.aggRounds.Add(1)
 	}
@@ -698,48 +689,22 @@ func (c *Coordinator) RunDAG(ctx context.Context, d *core.RemoteDAG, ms *core.Ma
 	ms.ShardRetries += io.retries.Load()
 	ms.ShardRecoveries += io.recoveries.Load()
 	ms.ShardReplayedKeeps += io.replays.Load()
-	return nil
+	return res, nil
 }
 
-// encodeAndPush serializes the DAG and ships every leaf the workers do not
-// already hold. Runs under pushMu: the pushed-leaf registry records what is
-// worker-resident per (matrix ID, content version), and concurrent passes
-// must not observe half-pushed leaves.
-func (c *Coordinator) encodeAndPush(ctx context.Context, d *core.RemoteDAG, sh []shardRange, io *passIO) (*core.Program, error) {
+// mapAndPush maps the program's leaf table to worker-resident handles and
+// ships every leaf the workers do not already hold. Runs under pushMu: the
+// pushed-leaf registry records what is worker-resident per (matrix ID,
+// content version), and concurrent passes must not observe half-pushed
+// leaves.
+func (c *Coordinator) mapAndPush(ctx context.Context, d *core.RemoteDAG, sh []shardRange, io *passIO) (*core.Program, error) {
 	c.pushMu.Lock()
 	defer c.pushMu.Unlock()
 	var jobs []pushJob
-	prog, err := core.EncodeProgram(d, func(m *core.Mat) (string, error) {
-		// A leaf whose data is already a RemoteStore of this coordinator is
-		// worker-resident: reference it by its existing handle. This is what
-		// keeps iterative algorithms' tall intermediates on the workers.
-		if rs, ok := core.UnwrapStore(m.Store()).(*RemoteStore); ok && rs.c == c {
-			return rs.handle, nil
+	for i, m := range d.Leaves {
+		if m != nil {
+			d.Prog.Nodes[i].Leaf = c.leafHandle(m, &jobs)
 		}
-		id, ver := m.ID(), m.ContentVersion()
-		c.pushedMu.Lock()
-		defer c.pushedMu.Unlock()
-		if pl, ok := c.pushed[id]; ok && pl.ver == ver {
-			if pl.m == nil {
-				// Checkpoint-resumed entry meeting its matrix again: re-bind
-				// so the recovery path can re-push it.
-				pl.m = m
-				c.pushed[id] = pl
-			}
-			return pl.handle, nil
-		}
-		h := fmt.Sprintf("m%d-v%d", id, ver)
-		job := pushJob{m: m, handle: h}
-		if pl, ok := c.pushed[id]; ok {
-			job.old = pl.handle
-		}
-		jobs = append(jobs, job)
-		c.pushed[id] = pushedLeaf{ver: ver, handle: h, m: m}
-		return h, nil
-	})
-	if err != nil {
-		c.unpush(jobs)
-		return nil, err
 	}
 	for _, j := range jobs {
 		if j.old != "" {
@@ -750,10 +715,41 @@ func (c *Coordinator) encodeAndPush(ctx context.Context, d *core.RemoteDAG, sh [
 			return nil, perr
 		}
 	}
-	return prog, nil
+	return d.Prog, nil
 }
 
-// unpush rolls the registry back after a failed encode-and-push so a later
+// leafHandle returns the worker-resident handle m's data is (or will be,
+// once the queued push job runs) available under.
+func (c *Coordinator) leafHandle(m *core.Mat, jobs *[]pushJob) string {
+	// A leaf whose data is already a RemoteStore of this coordinator is
+	// worker-resident: reference it by its existing handle. This is what
+	// keeps iterative algorithms' tall intermediates on the workers.
+	if rs, ok := core.UnwrapStore(m.Store()).(*RemoteStore); ok && rs.c == c {
+		return rs.handle
+	}
+	id, ver := m.ID(), m.ContentVersion()
+	c.pushedMu.Lock()
+	defer c.pushedMu.Unlock()
+	if pl, ok := c.pushed[id]; ok && pl.ver == ver {
+		if pl.m == nil {
+			// Checkpoint-resumed entry meeting its matrix again: re-bind so
+			// the recovery path can re-push it.
+			pl.m = m
+			c.pushed[id] = pl
+		}
+		return pl.handle
+	}
+	h := fmt.Sprintf("m%d-v%d", id, ver)
+	job := pushJob{m: m, handle: h}
+	if pl, ok := c.pushed[id]; ok {
+		job.old = pl.handle
+	}
+	*jobs = append(*jobs, job)
+	c.pushed[id] = pushedLeaf{ver: ver, handle: h, m: m}
+	return h
+}
+
+// unpush rolls the registry back after a failed push so a later
 // pass re-pushes from scratch; already-shipped partitions are freed
 // best-effort.
 func (c *Coordinator) unpush(jobs []pushJob) {

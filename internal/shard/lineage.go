@@ -94,14 +94,17 @@ func (l *lineage) markDone(rec *lineageRec, wi int) {
 	l.mu.Unlock()
 }
 
-// finish finalizes a successful pass; live flags which keep positions got a
-// RemoteStore attached (a lost materialization race leaves one dead).
-func (l *lineage) finish(rec *lineageRec, live []bool) {
+// finish finalizes a successful pass with every keep live: each has a
+// RemoteStore now, and one the engine cannot attach (a concurrent pass
+// materialized the target first) is freed, which marks it dead.
+func (l *lineage) finish(rec *lineageRec) {
 	if rec == nil {
 		return
 	}
 	l.mu.Lock()
-	copy(rec.live, live)
+	for j := range rec.live {
+		rec.live[j] = true
+	}
 	rec.final = true
 	l.pruneLocked()
 	l.mu.Unlock()

@@ -1,7 +1,9 @@
 package shard
 
 import (
+	"bytes"
 	"context"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
@@ -184,33 +186,46 @@ func TestShardEquivalence(t *testing.T) {
 // TestShardCumCarryBitIdentical checks the carry-seeded sequential path on
 // data with non-terminating fractions: cumulative sums must still match the
 // single-engine result bitwise, because shard s+1 continues from shard s's
-// exact accumulator rather than re-summing.
+// exact accumulator rather than re-summing. The sink-only case,
+// sum(cumsum(x)), threads the same carries without any shard writing the
+// cumulative column out: each returns its scan's exit accumulator.
 func TestShardCumCarryBitIdentical(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	run := func(eng *core.Engine) *dense.Dense {
+	run := func(eng *core.Engine) (cum, sum *dense.Dense, written int64) {
 		leaf, err := eng.Generate(testNRow, testNCol, matrix.F64, fillFrac)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cum := core.CumCol(leaf, mustAgg(t, "+"))
-		if err := eng.MaterializeCtx(ctx, []*core.Mat{cum}, nil); err != nil {
-			t.Fatal(err)
-		}
-		d, err := eng.ToDense(cum)
+		plus := mustAgg(t, "+")
+		s := core.Agg(core.CumCol(leaf, plus), plus)
+		ms, err := eng.MaterializePass(ctx, nil, []*core.Sink{s}, core.PassOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return d
+		c := core.CumCol(leaf, plus)
+		if err := eng.MaterializeCtx(ctx, []*core.Mat{c}, nil); err != nil {
+			t.Fatal(err)
+		}
+		d, err := eng.ToDense(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d, s.Result(), ms.ShardWorkerWritten
 	}
 	local, err := core.NewEngine(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := run(local)
+	wantCum, wantSum, _ := run(local)
 	for _, shards := range []int{2, 3} {
 		eng, _ := newShardedEngine(t, shards, nil)
-		sameDense(t, fmt.Sprintf("cumsum shards=%d", shards), want, run(eng))
+		cum, sum, written := run(eng)
+		sameDense(t, fmt.Sprintf("cumsum shards=%d", shards), wantCum, cum)
+		sameDense(t, fmt.Sprintf("sum(cumsum) shards=%d", shards), wantSum, sum)
+		if written != 0 {
+			t.Fatalf("shards=%d: sink-only sum(cumsum) wrote %d bytes on the workers", shards, written)
+		}
 	}
 }
 
@@ -441,32 +456,56 @@ func TestSplitParts(t *testing.T) {
 	}
 }
 
-// TestWireExecRoundTrip pins the exec request/response codec.
-func TestWireExecRoundTrip(t *testing.T) {
-	prog := &core.Program{
+// testProgram is a small valid program exercising most wire fields: a
+// leaf, a row-vector sweep, a carried cum.col kept as a tall, and a
+// groupby.row sink labelled by which.min.
+func testProgram() *core.Program {
+	return &core.Program{
 		Nodes: []core.ProgramNode{
-			{Op: 1, A: -1, B: -1, DT: 1, NCol: 3, Leaf: "m1-v0"},
-			{Op: 4, A: 0, B: -1, DT: 1, NCol: 3, Un: "square", Vec: []float64{1.5, -2, 3}},
+			{Op: 0, A: -1, B: -1, DT: 0, NCol: 3, Leaf: "m1-v0"},
+			{Op: 5, A: 0, B: -1, DT: 0, NCol: 3, Bin: "+", Vec: []float64{1.5, -2, 3}},
+			{Op: 11, A: 1, B: -1, DT: 0, NCol: 3, Agg: "+"},
+			{Op: 8, A: 2, B: -1, DT: 1, NCol: 1, Arg: 1},
 		},
-		Talls: []int32{1},
-		Sinks: []core.ProgramSink{{Kind: 2, A: 1, B: -1, Agg: "+", K: 4}},
-		Cums:  []int32{1},
+		Talls: []int32{2},
+		Sinks: []core.ProgramSink{{Kind: 2, A: 2, B: 3, Agg: "+", K: 4}},
+		Cums:  []int32{2},
 	}
-	req := execRequest{
+}
+
+func testExecRequest() execRequest {
+	return execRequest{
 		Owner:    "tester",
 		Rows:     192,
-		Prog:     prog,
-		Carries:  map[int32][]float64{1: {0.5, 1.5, 2.5}},
+		Prog:     testProgram(),
+		Carries:  map[int32][]float64{2: {0.5, 1.5, 2.5}},
 		Keeps:    []string{"t7-0"},
-		CarryOut: []int32{1},
+		CarryOut: []int32{2},
 	}
-	dec, err := decodeExecReq(encodeExecReq(req))
+}
+
+// goldenExecRequest pins testExecRequest's encoding. The exec wire format
+// is what protocolVersion and the checkpoint files promise: changing these
+// bytes needs a version bump.
+const goldenExecRequest = "0674657374657280030400010100060000000000000000000000000000000000000000000000056d312d76300000000000000000050001000600012b000000000000000000000003000000000000f83f00000000000000c000000000000008400000000000000000000000000000000000000b020100060000012b000000000000000000000000000000000000000000000000000000000008040101020000000100000000000000000000000000000000000000000000000000000000010401020406012b0000080104010403000000000000e03f000000000000f83f0000000000000440010474372d300104"
+
+// TestWireExecRoundTrip pins the exec request/response codec.
+func TestWireExecRoundTrip(t *testing.T) {
+	req := testExecRequest()
+	enc := encodeExecReq(req)
+	if got := hex.EncodeToString(enc); got != goldenExecRequest {
+		t.Fatalf("exec request encoding moved:\n got %s\nwant %s", got, goldenExecRequest)
+	}
+	dec, err := decodeExecReq(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.Owner != req.Owner || dec.Rows != req.Rows || len(dec.Prog.Nodes) != 2 ||
-		dec.Prog.Nodes[1].Un != "square" || len(dec.Keeps) != 1 || dec.Keeps[0] != "t7-0" ||
-		len(dec.Carries[1]) != 3 || dec.Carries[1][2] != 2.5 {
+	if !bytes.Equal(encodeExecReq(dec), enc) {
+		t.Fatal("decode → re-encode does not reproduce the request bytes")
+	}
+	if dec.Owner != req.Owner || dec.Rows != req.Rows || len(dec.Prog.Nodes) != 4 ||
+		dec.Prog.Nodes[1].Bin != "+" || len(dec.Keeps) != 1 || dec.Keeps[0] != "t7-0" ||
+		len(dec.Carries[2]) != 3 || dec.Carries[2][2] != 2.5 {
 		t.Fatalf("exec request did not round-trip: %+v", dec)
 	}
 	resp := execResponse{
@@ -513,58 +552,4 @@ func TestShardHelloRejectsMismatch(t *testing.T) {
 	if err == nil {
 		t.Fatal("coordinator accepted a worker with mismatched part-rows")
 	}
-}
-
-// TestWorkerAliasedHandles pins the registry's aliasing semantics: when the
-// plan unifies two tall targets onto one computation, the worker registers
-// the same matrix under two handles, and freeing one must not pull the data
-// out from under the other.
-func TestWorkerAliasedHandles(t *testing.T) {
-	w, err := NewWorker(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	rows := int64(testPartRows)
-	data := make([]float64, rows*int64(testNCol))
-	for i := range data {
-		data[i] = float64(i%13) - 6
-	}
-	// Direct Handle calls must open a session and fence like any transport.
-	hello := encodeHelloReq(helloReq{Version: protocolVersion, PartRows: testPartRows, Epoch: 7})
-	if _, err := w.Handle(context.Background(), opHello, hello); err != nil {
-		t.Fatal(err)
-	}
-	req := partReq{Handle: "m1", NRow: rows, NCol: testNCol, DT: uint8(matrix.F64), Part: 0, Data: data}
-	if _, err := w.Handle(context.Background(), opPushPart, fenceBody(7, w.Boot(), encodePartReq(req))); err != nil {
-		t.Fatal(err)
-	}
-	m, err := w.lookup("m1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.register("alias", m)
-	w.freeMat("m1")
-	got, err := w.fetchPart(fetchReq{Handle: "alias", Part: 0})
-	if err != nil {
-		t.Fatalf("fetch through surviving alias: %v", err)
-	}
-	for i := range data {
-		if math.Float64bits(got[i]) != math.Float64bits(data[i]) {
-			t.Fatalf("alias data diverged at %d: %v != %v", i, got[i], data[i])
-		}
-	}
-	// Re-registering a handle over an aliased occupant must not free it
-	// either.
-	st, err := w.eng.NewStore(rows, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	other := core.NewLeaf(st, matrix.F64)
-	w.register("alias2", m)
-	w.register("alias", other)
-	if _, err := w.fetchPart(fetchReq{Handle: "alias2", Part: 0}); err != nil {
-		t.Fatalf("fetch after re-register over alias: %v", err)
-	}
-	w.freeMat("alias2")
 }

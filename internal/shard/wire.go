@@ -435,6 +435,10 @@ func encodeProgram(w *wbuf, p *core.Program) {
 	w.i32s(p.Cums)
 }
 
+// decodeProgram parses a program and resolves it: a program the executor
+// could not run (a forward or dangling index, an unknown function or sink
+// kind, a column count its operands do not give, a vector or index operand
+// of the wrong length) fails as a decode error, never reaching a worker.
 func decodeProgram(r *rbuf) *core.Program {
 	p := &core.Program{}
 	n := r.sliceLen("program nodes")
@@ -480,6 +484,11 @@ func decodeProgram(r *rbuf) *core.Program {
 		})
 	}
 	p.Cums = r.i32s()
+	if r.err == nil {
+		if err := p.Resolve(); err != nil {
+			r.err = &decodeError{what: "program: " + err.Error(), off: r.off}
+		}
+	}
 	return p
 }
 

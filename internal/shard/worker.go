@@ -18,10 +18,9 @@ import (
 // string handles; re-registering a handle frees the previous occupant, so
 // retried RPCs stay idempotent.
 //
-// Worker engines run with rewrites forced off: the coordinator rewrites the
-// DAG once before splitting it, and sink programs arrive in raw
-// (pre-publish-transform) form. A worker applying the affine aggregation-fold
-// transform again would fold it once per shard.
+// A worker plans nothing: it executes the program the coordinator compiled
+// (rewritten, CSE-unified, sinks in raw pre-publish-transform form) through
+// its engine's executor, below the planner.
 type Worker struct {
 	eng *core.Engine
 
@@ -39,9 +38,8 @@ type Worker struct {
 }
 
 // NewWorker builds a worker around a fresh engine with the given
-// configuration (DisableRewrites is forced on, see the type comment).
+// configuration.
 func NewWorker(cfg core.Config) (*Worker, error) {
-	cfg.DisableRewrites = true
 	eng, err := core.NewEngine(cfg)
 	if err != nil {
 		return nil, err
@@ -63,16 +61,12 @@ func (w *Worker) FenceRejects() int64 { return w.fenced.Load() }
 // (wiping any prior session's resident matrices).
 func (w *Worker) Adoptions() int64 { return w.adoptions.Load() }
 
-// Resident returns the number of distinct resident matrices (aliased handles
-// count once) — the handle-balance tests' probe.
+// Resident returns the number of resident matrices — the handle-balance
+// tests' probe.
 func (w *Worker) Resident() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	seen := make(map[*core.Mat]bool, len(w.mats))
-	for _, m := range w.mats {
-		seen[m] = true
-	}
-	return len(seen)
+	return len(w.mats)
 }
 
 // Handles returns the sorted registered handle names (diagnostics, tests).
@@ -110,26 +104,16 @@ func (w *Worker) hello(q helloReq) ([]byte, error) {
 		w.epoch = q.Epoch
 		w.adoptions.Add(1)
 	}
-	kept := make(map[*core.Mat]bool, len(w.mats))
-	for _, m := range w.mats {
-		kept[m] = true
-	}
+	kept := len(w.mats)
 	w.mu.Unlock()
-	seen := make(map[*core.Mat]bool, len(orphans))
 	for _, m := range orphans {
-		if seen[m] {
-			continue
-		}
-		seen[m] = true
-		if st := m.Store(); st != nil {
-			st.Free()
-		}
+		m.Free()
 	}
 	return encodeHelloResp(helloResp{
 		Version:  protocolVersion,
 		PartRows: w.eng.PartRows(),
 		Boot:     w.boot,
-		Kept:     int64(len(kept)),
+		Kept:     int64(kept),
 	}), nil
 }
 
@@ -157,8 +141,9 @@ func (w *Worker) checkFence(op uint8, body []byte) ([]byte, error) {
 // Handle dispatches one RPC: decode, execute, encode. Both transports call
 // it — the loopback directly, the TCP server per frame — so every code path
 // exercises the byte codec. Errors are returned (and wired as status-1
-// frames), never panics: Instantiate converts malformed-program panics to
-// errors before they reach here.
+// frames), never panics: the exec decoder resolves every program, rejecting
+// any the executor could not run, and exec checks each leaf against the
+// resident matrix it names.
 func (w *Worker) Handle(ctx context.Context, op uint8, body []byte) ([]byte, error) {
 	if op == opHello {
 		q, err := decodeHelloReq(body)
@@ -264,78 +249,49 @@ func (w *Worker) pushPart(q partReq) error {
 	return st.WritePart(q.Part, q.Data)
 }
 
-// exec runs one shard pass: instantiate the program against worker-resident
-// leaves, materialize the tall targets (plus any cum.col nodes whose exit
-// carries the coordinator needs), register kept outputs under their handles,
-// and snapshot every sink's raw partial.
+// exec runs one shard pass: bind every leaf instruction to the resident
+// matrix its handle names (ExecProgram checks the store's shape, this the
+// matrix's dtype), run the decoded program, register kept outputs under
+// their handles, and return every sink's raw partial and the requested exit
+// carries.
 func (w *Worker) exec(ctx context.Context, q execRequest) (execResponse, error) {
 	var resp execResponse
-	nodes, sinks, err := q.Prog.Instantiate(q.Rows, func(ref string) (*core.Mat, error) {
-		return w.lookup(ref)
-	}, q.Carries)
-	if err != nil {
-		return resp, err
-	}
-	idx := func(i int32, what string) (*core.Mat, error) {
-		if i < 0 || int(i) >= len(nodes) || nodes[i] == nil {
-			return nil, fmt.Errorf("shard: exec %s index %d out of range", what, i)
-		}
-		return nodes[i], nil
-	}
-	var talls []*core.Mat
-	inTalls := make(map[int32]bool, len(q.Prog.Talls))
-	for _, ti := range q.Prog.Talls {
-		m, err := idx(ti, "tall")
+	p := q.Prog
+	leaves := make([]matrix.Store, len(p.Nodes))
+	for _, i := range p.Leaves() {
+		n := &p.Nodes[i]
+		m, err := w.lookup(n.Leaf)
 		if err != nil {
 			return resp, err
 		}
-		talls = append(talls, m)
-		inTalls[ti] = true
-	}
-	// Carry-out nodes that are not already tall targets materialize as
-	// extras: the exit carry is the node's last row, which only exists once
-	// the cumulative column ran over the whole shard.
-	var extras []int32
-	for _, ci := range q.CarryOut {
-		if inTalls[ci] {
-			continue
+		if uint8(m.DType()) != n.DT {
+			return resp, fmt.Errorf("shard: leaf %q has dtype %d, program wants %d", n.Leaf, m.DType(), n.DT)
 		}
-		m, err := idx(ci, "carry")
-		if err != nil {
-			return resp, err
-		}
-		talls = append(talls, m)
-		extras = append(extras, ci)
+		leaves[i] = m.Store()
 	}
-	ms, err := w.eng.MaterializePass(ctx, talls, sinks, core.PassOptions{Owner: q.Owner})
+	res, ms, err := w.eng.ExecProgram(ctx, p, q.Rows, leaves, q.Carries, core.PassOptions{Owner: q.Owner})
 	if err != nil {
 		return resp, err
+	}
+	for t, st := range res.Talls {
+		if t < len(q.Keeps) && q.Keeps[t] != "" {
+			dt, _ := core.LeafDType(p.Nodes[p.Talls[t]].DT)
+			w.register(q.Keeps[t], core.NewLeaf(st, dt))
+		} else {
+			st.Free()
+		}
 	}
 	if len(q.CarryOut) > 0 {
 		resp.Carries = make(map[int32][]float64, len(q.CarryOut))
 		for _, ci := range q.CarryOut {
-			row, rerr := lastRow(nodes[ci])
-			if rerr != nil {
-				return resp, rerr
+			c, ok := res.Carries[ci]
+			if !ok {
+				return resp, fmt.Errorf("shard: exec carry-out %d is not an executed cum.col", ci)
 			}
-			resp.Carries[ci] = row
+			resp.Carries[ci] = c
 		}
 	}
-	for i, ti := range q.Prog.Talls {
-		if i < len(q.Keeps) && q.Keeps[i] != "" {
-			w.register(q.Keeps[i], nodes[ti])
-		}
-	}
-	for _, ci := range extras {
-		nodes[ci].Store().Free()
-	}
-	for _, s := range sinks {
-		p := s.RawPartial()
-		if p == nil {
-			return resp, fmt.Errorf("shard: sink finished without a raw partial")
-		}
-		resp.Partials = append(resp.Partials, p)
-	}
+	resp.Partials = res.Partials
 	resp.Stats = workerPassStats{
 		Passes:        ms.Passes,
 		Parts:         ms.Parts,
@@ -348,48 +304,15 @@ func (w *Worker) exec(ctx context.Context, q execRequest) (execResponse, error) 
 	return resp, nil
 }
 
-// lastRow reads the final row of a materialized matrix — the exit carry of a
-// cumulative column fold (bitwise equal to the running accumulator after the
-// shard's last row).
-func lastRow(m *core.Mat) ([]float64, error) {
-	st := m.Store()
-	if st == nil {
-		return nil, fmt.Errorf("shard: carry node not materialized")
-	}
-	p := st.NumParts() - 1
-	rows := matrix.PartRowsOf(m.NRow(), st.PartRows(), p)
-	buf := make([]float64, rows*m.NCol())
-	if err := st.ReadPart(p, buf); err != nil {
-		return nil, err
-	}
-	return append([]float64(nil), buf[(rows-1)*m.NCol():]...), nil
-}
-
-// referencedLocked reports whether any registered handle still references m
-// (two tall positions unified onto one computation register the same matrix
-// under two handles). Callers hold w.mu.
-func (w *Worker) referencedLocked(m *core.Mat) bool {
-	for _, o := range w.mats {
-		if o == m {
-			return true
-		}
-	}
-	return false
-}
-
 // register installs a materialized output under a keep handle, freeing any
-// previous occupant (the retried-exec case re-registers the same handle)
-// unless another handle still aliases it.
+// previous occupant (the retried-exec case re-registers the same handle).
 func (w *Worker) register(handle string, m *core.Mat) {
 	w.mu.Lock()
 	old := w.mats[handle]
 	w.mats[handle] = m
-	freeOld := old != nil && old != m && !w.referencedLocked(old)
 	w.mu.Unlock()
-	if freeOld {
-		if st := old.Store(); st != nil {
-			st.Free()
-		}
+	if old != nil && old != m {
+		old.Free()
 	}
 }
 
@@ -410,8 +333,7 @@ func (w *Worker) fetchPart(q fetchReq) ([]float64, error) {
 	return buf, nil
 }
 
-// writePart overwrites one partition of an existing worker matrix and bumps
-// its content version, keeping the worker's CSE/cache keyed off stale data.
+// writePart overwrites one partition of an existing worker matrix.
 func (w *Worker) writePart(q partReq) error {
 	m, err := w.lookup(q.Handle)
 	if err != nil {
@@ -425,45 +347,29 @@ func (w *Worker) writePart(q partReq) error {
 	if len(q.Data) != rows*m.NCol() {
 		return fmt.Errorf("shard: write %q part %d: %d values, want %d", q.Handle, q.Part, len(q.Data), rows*m.NCol())
 	}
-	if err := st.WritePart(q.Part, q.Data); err != nil {
-		return err
-	}
-	w.eng.NoteMutation(m)
-	return nil
+	return st.WritePart(q.Part, q.Data)
 }
 
 // freeMat releases a handle; missing handles are fine (idempotent retries,
-// best-effort cleanup paths). The backing store is freed only when no other
-// handle aliases the same matrix.
+// best-effort cleanup paths).
 func (w *Worker) freeMat(handle string) {
 	w.mu.Lock()
 	m := w.mats[handle]
 	delete(w.mats, handle)
-	free := m != nil && !w.referencedLocked(m)
 	w.mu.Unlock()
-	if free {
-		if st := m.Store(); st != nil {
-			st.Free()
-		}
+	if m != nil {
+		m.Free()
 	}
 }
 
-// Close frees every resident matrix (aliased handles free their shared store
-// once).
+// Close frees every resident matrix.
 func (w *Worker) Close() error {
 	w.mu.Lock()
 	mats := w.mats
 	w.mats = make(map[string]*core.Mat)
 	w.mu.Unlock()
-	seen := make(map[*core.Mat]bool, len(mats))
 	for _, m := range mats {
-		if seen[m] {
-			continue
-		}
-		seen[m] = true
-		if st := m.Store(); st != nil {
-			st.Free()
-		}
+		m.Free()
 	}
 	return nil
 }
