@@ -4,21 +4,28 @@
 // The paper links ATLAS; under the stdlib-only constraint this package
 // implements the needed subset from scratch in pure Go: GEMM, GEMM with a
 // transposed left operand, SYRK, and the level-1 routines used around them.
+// SqDist, the squared Euclidean distance of each row of A to each column of
+// B, is not BLAS; it is here because k-means' inner.prod(X, t(C),
+// "euclidean", "+") has GEMM's shape and takes its register tile.
 //
-// All matrices are row-major. The level-3 kernels share one register-tiled
-// loop: it loads a 2×4 block of C into locals, runs the whole reduction with
-// no data-dependent branch in it, and stores the block once. 2×4 keeps the 8 accumulators,
-// 2 A values and the B operands inside amd64's 16 X registers; a 4×4 tile
-// needs 16 accumulators alone and spills. The engine's Pcache chunks already
-// keep the operands in L1/L2, so there is no outer cache blocking.
+// All matrices are row-major. The level-3 kernels and SqDist share one
+// register-tiled loop shape: it holds a 2×4 block of C in locals, runs the
+// whole reduction with no data-dependent branch in it, and stores the block
+// once. 2×4 keeps the 8 accumulators, 2 A values and the B operands
+// inside amd64's 16 X registers; a 4×4 tile needs 16 accumulators alone and
+// spills. The engine's Pcache chunks already keep the operands in L1/L2, so
+// there is no outer cache blocking.
 //
-// Order guarantee: each element of C starts from its value on entry and
-// adds its terms in reduction order (k ascending for Gemm, rows of A
-// ascending for GemmTA and Syrk), exactly as the plain triple loop does.
-// Results are therefore independent of the tiling, of which fringe path an
-// element falls in, and of how ParallelGemm splits the rows. Gemm's
-// matrix-vector path is the one exception: it sums each row with Dot. No
-// term is skipped for a zero operand, so 0 × ±Inf gives NaN, as in R.
+// Order guarantee: each element of C starts from its value on entry (0 for
+// SqDist, which overwrites C) and adds its terms in reduction order (k
+// ascending for Gemm and SqDist, rows of A ascending for GemmTA and Syrk),
+// exactly as the plain triple loop does. Results are therefore independent
+// of the tiling, of which fringe path an element falls in, and of how
+// ParallelGemm splits the rows. GemmTA's matrix-vector path keeps that row
+// order too: it adds four rows per sweep, left to right, as four Axpy calls
+// would. Gemm's matrix-vector path is the one exception: it sums each row
+// with Dot. No term is skipped for a zero operand, so 0 × ±Inf gives NaN,
+// as in R.
 package blas
 
 import (
@@ -99,14 +106,53 @@ func ParallelGemm(workers, m, n, k int, a []float64, lda int, b []float64, ldb i
 // the crossprod kernel (t(X) %*% Y) the engine accumulates per partition.
 func GemmTA(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
 	if n == 1 && ldc == 1 {
-		// Gradient-shaped crossprod t(X) %*% r: one AXPY per row.
-		col := c[:k]
-		for i := 0; i < m; i++ {
+		// Gradient-shaped crossprod t(X) %*% r: four rows per sweep of the
+		// accumulator, added left to right in row order, exactly as four
+		// successive Axpy calls add them; a tail of fewer rows uses Axpy.
+		col := c[:k:k]
+		i := 0
+		for ; i+4 <= m; i += 4 {
+			b0, b1, b2, b3 := b[i*ldb], b[(i+1)*ldb], b[(i+2)*ldb], b[(i+3)*ldb]
+			a0 := a[i*lda:][:len(col)]
+			a1 := a[(i+1)*lda:][:len(col)]
+			a2 := a[(i+2)*lda:][:len(col)]
+			a3 := a[(i+3)*lda:][:len(col)]
+			for j, y := range col {
+				col[j] = y + b0*a0[j] + b1*a1[j] + b2*a2[j] + b3*a3[j]
+			}
+		}
+		for ; i < m; i++ {
 			Axpy(b[i*ldb], a[i*lda:i*lda+k], col)
 		}
 		return
 	}
 	block(k, n, m, a, lda, 1, b, ldb, c, ldc)
+}
+
+// SqDist computes c[i*ldc+j] = Σ_q (a[i*lda+q] − b[q*ldb+j])², the squared
+// Euclidean distance between row i of the m×k A and column j of the k×n B
+// (k-means' inner.prod(X, t(C), "euclidean", "+")). C's previous contents
+// are overwritten: each element starts from 0 and adds its terms for q
+// ascending. Full 2×4 tiles go through sqTile2x4, the fringe columns of a
+// row pair through sqTile2x1, and a last odd row through sqDist.
+func SqDist(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+	r := 0
+	for ; r+2 <= m; r += 2 {
+		ar, cr := a[r*lda:], c[r*ldc:]
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			sqTile2x4(k, ar, lda, b[j:], ldb, cr[j:], ldc)
+		}
+		for ; j < n; j++ {
+			sqTile2x1(k, ar, lda, b[j:], ldb, cr[j:], ldc)
+		}
+	}
+	if r < m {
+		ar, cr := a[r*lda:r*lda+k], c[r*ldc:]
+		for j := 0; j < n; j++ {
+			cr[j] = sqDist(ar, b[j:], ldb)
+		}
+	}
 }
 
 // Syrk computes the upper triangle of C += Aᵀ*A for row-major m×k A into
@@ -215,4 +261,68 @@ func tile2x1(kLen int, a []float64, aStep, aRow int, b []float64, ldb int, c []f
 		ib += ldb
 	}
 	c[0], c[ldc] = c0, c1
+}
+
+// sqTile2x4 is SqDist's register tile: rows 0 and 1 of a (a[0:] and
+// a[lda:]) against columns 0..3 of b, written to c[0:4] and c[ldc:ldc+4].
+func sqTile2x4(kLen int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+	a0 := a[:kLen:kLen]
+	a1 := a[lda:][:kLen:kLen]
+	var s00, s01, s02, s03, s10, s11, s12, s13 float64
+	ib := 0
+	for q := range a0 {
+		x0, x1 := a0[q], a1[q]
+		bq := b[ib : ib+4 : ib+4]
+		b0, b1, b2, b3 := bq[0], bq[1], bq[2], bq[3]
+		d := x0 - b0
+		s00 += d * d
+		d = x0 - b1
+		s01 += d * d
+		d = x0 - b2
+		s02 += d * d
+		d = x0 - b3
+		s03 += d * d
+		d = x1 - b0
+		s10 += d * d
+		d = x1 - b1
+		s11 += d * d
+		d = x1 - b2
+		s12 += d * d
+		d = x1 - b3
+		s13 += d * d
+		ib += ldb
+	}
+	c0 := c[:4:4]
+	c1 := c[ldc : ldc+4 : ldc+4]
+	c0[0], c0[1], c0[2], c0[3] = s00, s01, s02, s03
+	c1[0], c1[1], c1[2], c1[3] = s10, s11, s12, s13
+}
+
+// sqTile2x1 is sqTile2x4 for one fringe column.
+func sqTile2x1(kLen int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+	a0 := a[:kLen:kLen]
+	a1 := a[lda:][:kLen:kLen]
+	var s0, s1 float64
+	ib := 0
+	for q := range a0 {
+		y := b[ib]
+		d := a0[q] - y
+		s0 += d * d
+		d = a1[q] - y
+		s1 += d * d
+		ib += ldb
+	}
+	c[0], c[ldc] = s0, s1
+}
+
+// sqDist returns Σ_q (a[q] − b[q*ldb])² for q ascending from 0.
+func sqDist(a, b []float64, ldb int) float64 {
+	var s float64
+	ib := 0
+	for _, x := range a {
+		d := x - b[ib]
+		s += d * d
+		ib += ldb
+	}
+	return s
 }

@@ -48,6 +48,21 @@ func refSyrk(m, k int, a []float64, lda int, c []float64, ldc int) {
 	}
 }
 
+// refSqDist is SqDist's in-order loop: each element starts from 0 and adds
+// (a - b)² for q ascending.
+func refSqDist(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			var s float64
+			for q := 0; q < k; q++ {
+				d := a[i*lda+q] - b[q*ldb+j]
+				s += d * d
+			}
+			c[i*ldc+j] = s
+		}
+	}
+}
+
 func randSlice(rng *rand.Rand, n int) []float64 {
 	s := make([]float64, n)
 	for i := range s {
@@ -129,7 +144,10 @@ func TestParallelGemmMatchesSerial(t *testing.T) {
 	})
 }
 
-// TestGemmTA: GemmTA is bit-identical to the row-ordered reference.
+// TestGemmTA: GemmTA is bit-identical to the row-ordered reference, over
+// random shapes and, on the matrix-vector path (n = 1, ldc = 1), for
+// m = 1…9, so the 4-row body and every tail length are pinned, including a
+// row whose 0 meets an Inf.
 func TestGemmTA(t *testing.T) {
 	check(t, 40, func(rng *rand.Rand) error {
 		m, n, k := shape(rng), shape(rng), shape(rng) // A m×k, B m×n, C k×n
@@ -141,6 +159,63 @@ func TestGemmTA(t *testing.T) {
 		refGemmTA(m, n, k, a, lda, b, ldb, want, ldc)
 		return sameBits(got, want)
 	})
+	rng := rand.New(rand.NewSource(7))
+	for m := 1; m <= 9; m++ {
+		for _, k := range []int{1, 3, 40} {
+			lda, ldb := lead(rng, k), lead(rng, 1)
+			a, b := randSlice(rng, m*lda), randSlice(rng, m*ldb)
+			for _, zeroInf := range []bool{false, true} {
+				if zeroInf {
+					// Row m-1 is all +Inf and its b is 0: every element
+					// meets 0 × Inf, in the 4-row body when m%4 == 0 and
+					// in the Axpy tail otherwise.
+					for q := 0; q < k; q++ {
+						a[(m-1)*lda+q] = math.Inf(1)
+					}
+					b[(m-1)*ldb] = 0
+				}
+				got := randSlice(rng, k)
+				want := append([]float64(nil), got...)
+				GemmTA(m, 1, k, a, lda, b, ldb, got, 1)
+				refGemmTA(m, 1, k, a, lda, b, ldb, want, 1)
+				if err := sameBits(got, want); err != nil {
+					t.Fatalf("n=1 m=%d k=%d zeroInf=%v: %v", m, k, zeroInf, err)
+				}
+				if zeroInf && !math.IsNaN(got[0]) {
+					t.Fatalf("n=1 m=%d k=%d: 0 × Inf gave %v, want NaN", m, k, got[0])
+				}
+			}
+		}
+	}
+}
+
+// TestSqDist: SqDist is bit-identical to the in-order loop over random
+// shapes and strided views, and overwrites whatever C held.
+func TestSqDist(t *testing.T) {
+	check(t, 60, func(rng *rand.Rand) error {
+		m, n, k := shape(rng), shape(rng), shape(rng) // A m×k, B k×n, C m×n
+		lda, ldb, ldc := lead(rng, k), lead(rng, n), lead(rng, n)
+		a, b := randSlice(rng, m*lda), randSlice(rng, k*ldb)
+		got := randSlice(rng, m*ldc)
+		want := append([]float64(nil), got...)
+		SqDist(m, n, k, a, lda, b, ldb, got, ldc)
+		refSqDist(m, n, k, a, lda, b, ldb, want, ldc)
+		return sameBits(got, want)
+	})
+	// Every row parity and every n % 4, at the k-means width.
+	rng := rand.New(rand.NewSource(3))
+	for m := 1; m <= 4; m++ {
+		for n := 1; n <= 8; n++ {
+			const k = 32
+			a, b := randSlice(rng, m*k), randSlice(rng, k*n)
+			got, want := randSlice(rng, m*n), make([]float64, m*n)
+			SqDist(m, n, k, a, k, b, n, got, n)
+			refSqDist(m, n, k, a, k, b, n, want, n)
+			if err := sameBits(got, want); err != nil {
+				t.Fatalf("m=%d n=%d: %v", m, n, err)
+			}
+		}
+	}
 }
 
 // TestSyrk: Syrk's upper triangle is bit-identical to the row-ordered
@@ -194,6 +269,41 @@ func TestZeroTimesInf(t *testing.T) {
 	}
 }
 
+// TestSqDistNonFinite: a NaN or an Inf operand reaches every output it
+// touches on every SqDist path (tile, fringe column, odd last row): a NaN
+// gives NaN, an Inf against a finite value gives +Inf, and Inf against the
+// same Inf gives NaN (Inf − Inf).
+func TestSqDistNonFinite(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	for _, d := range []int{1, 2, 3, 5, 7} {
+		const k = 3
+		for _, tc := range []struct {
+			name   string
+			av, bv float64
+			check  func(float64) bool
+		}{
+			{"NaN in A", nan, 0, math.IsNaN},
+			{"Inf in A", inf, 0, func(v float64) bool { return math.IsInf(v, 1) }},
+			{"Inf in A and B", inf, inf, math.IsNaN},
+		} {
+			// Column q = 1 of A and row q = 1 of B hold the values; every
+			// output's sum has one term built from them.
+			a, b := make([]float64, d*k), make([]float64, k*d)
+			for i := 0; i < d; i++ {
+				a[i*k+1] = tc.av
+				b[1*d+i] = tc.bv
+			}
+			c := make([]float64, d*d)
+			SqDist(d, d, k, a, k, b, d, c, d)
+			for i, v := range c {
+				if !tc.check(v) {
+					t.Fatalf("%s d=%d: element %d = %v", tc.name, d, i, v)
+				}
+			}
+		}
+	}
+}
+
 func TestLevel1(t *testing.T) {
 	x := []float64{1, 2, 3}
 	y := []float64{4, 5, 6}
@@ -212,8 +322,9 @@ func TestLevel1(t *testing.T) {
 }
 
 // The benchmarks run each kernel at the chunk shapes the engine feeds it:
-// im_blas's 256-column matrix in 32-row chunks (64 KiB Pcache), and the GMM
-// step of im_chain on 32-column data in 256-row chunks. They report the
+// im_blas's 256-column matrix in 32-row chunks (64 KiB Pcache), the GMM and
+// k-means steps of im_chain on 32-column data in 256-row chunks, and its
+// logistic gradient on 40-column data in 204-row chunks. They report the
 // kernel's rate in GFLOP/s.
 
 type benchShape struct {
@@ -248,6 +359,7 @@ func BenchmarkGemmTA(b *testing.B) {
 	for _, s := range []benchShape{
 		{"im_blas/m=32,k=256,n=32", 32, 32, 256},
 		{"gmm/m=256,k=32,n=32", 256, 32, 32},
+		{"gradient/m=204,k=40,n=1", 204, 1, 40},
 	} {
 		b.Run(s.name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
@@ -268,4 +380,16 @@ func BenchmarkSyrk(b *testing.B) {
 			benchKernel(b, float64(s.m*s.k*(s.k+1)), func() { Syrk(s.m, s.k, x, s.k, c, s.k) })
 		})
 	}
+}
+
+// BenchmarkSqDist runs the k-means distance step of im_chain: 256-row chunks
+// of 32-column data against 10 centres, 3 flops (subtract, multiply, add)
+// per term.
+func BenchmarkSqDist(b *testing.B) {
+	s := benchShape{"kmeans/m=256,k=32,n=10", 256, 10, 32}
+	b.Run(s.name, func(b *testing.B) {
+		rng := rand.New(rand.NewSource(1))
+		x, y, c := randSlice(rng, s.m*s.k), randSlice(rng, s.k*s.n), make([]float64, s.m*s.n)
+		benchKernel(b, 3*float64(s.m*s.n*s.k), func() { SqDist(s.m, s.n, s.k, x, s.k, y, s.n, c, s.n) })
+	})
 }

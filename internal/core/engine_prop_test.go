@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/dense"
 	"repro/internal/matrix"
@@ -248,25 +249,16 @@ func TestCumErrorDoesNotDeadlock(t *testing.T) {
 		if err == nil {
 			t.Fatal("expected failure")
 		}
-	case <-timeoutC(t):
+	case <-timeoutC():
 		t.Fatal("cumulative materialization deadlocked on error")
 	}
 }
 
-func timeoutC(t *testing.T) <-chan struct{} {
-	ch := make(chan struct{})
-	go func() {
-		defer close(ch)
-		// Generous bound; the failure path should return in milliseconds.
-		for i := 0; i < 100; i++ {
-			if t.Failed() {
-				return
-			}
-			sleepMs(100)
-		}
-	}()
-	return ch
-}
+// timeoutC is the generous bound a failure path gets to return; it should
+// take milliseconds. It is a timer rather than a goroutine polling
+// t.Failed, which would outlive the test and race with the testing
+// package's unlocked write of the test's done flag.
+func timeoutC() <-chan time.Time { return time.After(10 * time.Second) }
 
 // TestBuildTasks checks the scheduler's dispatch shape: big sequential
 // super-tasks first, single partitions at the tail (§3.3).
@@ -360,8 +352,6 @@ func TestZeroCopyLeafIntegrity(t *testing.T) {
 		t.Fatal("leaf data mutated by fused pass")
 	}
 }
-
-func sleepMs(ms int) { timeSleep(ms) }
 
 // TestSetCacheToSSD: set.cache(em=TRUE) must place the cached intermediate
 // on the SSD array when one is attached, and fall back to memory when not.

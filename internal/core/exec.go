@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime/pprof"
 	"strconv"
 	"sync"
@@ -810,6 +811,11 @@ func (w *worker) step(n *ProgramNode, i int32, r0, cr int) {
 		}
 
 	case opInnerProd:
+		// f64 %*% runs blas.Gemm (which accumulates, so out is zeroed
+		// first); k-means' euclidean/"+" runs blas.SqDist, a register tile
+		// that overwrites out and adds each cell's terms in k order from 0,
+		// the same bits as evalInnerProdGen's fold; every other f1/f2 pair
+		// folds through evalInnerProdGen. All three read n.Small row-major.
 		p, mm := int(n.SmallR), int(n.SmallC)
 		switch {
 		case n.f1 == nil:
@@ -817,8 +823,8 @@ func (w *worker) step(n *ProgramNode, i int32, r0, cr int) {
 				out[j] = 0
 			}
 			blas.Gemm(cr, mm, p, a, p, n.Small, mm, out, mm)
-		case n.smallT != nil:
-			evalInnerProdEuclid(out[:cr*mm], a[:cr*p], n.smallT, p, mm, cr)
+		case n.f1 == BinEuclid && n.f2 == BinAdd:
+			blas.SqDist(cr, mm, p, a, p, n.Small, mm, out, mm)
 		default:
 			evalInnerProdGen(out[:cr*mm], a[:cr*p], n.Small, p, mm, n.f1, n.f2, cr)
 		}
@@ -827,11 +833,11 @@ func (w *worker) step(n *ProgramNode, i int32, r0, cr int) {
 		switch {
 		case argMode(n.Arg) == argMin:
 			for r := 0; r < cr; r++ {
-				out[r] = float64(argExtreme(a[r*nca:(r+1)*nca], true))
+				out[r] = argExtreme(a[r*nca:(r+1)*nca], true)
 			}
 		case argMode(n.Arg) == argMax:
 			for r := 0; r < cr; r++ {
-				out[r] = float64(argExtreme(a[r*nca:(r+1)*nca], false))
+				out[r] = argExtreme(a[r*nca:(r+1)*nca], false)
 			}
 		case n.agg == AggSum:
 			for r := 0; r < cr; r++ {
@@ -916,26 +922,6 @@ func (w *worker) step(n *ProgramNode, i int32, r0, cr int) {
 	}
 }
 
-// evalInnerProdEuclid is the specialized kernel for the k-means distance
-// computation (f1 = "euclidean", f2 = "+"): D[i,j] = Σ_k (A[i,k]-B[k,j])².
-// btData is the small operand TRANSPOSED (mm×p row-major) so each output
-// cell is one direct subtract-square pass over two contiguous p-vectors.
-func evalInnerProdEuclid(out, a, btData []float64, p, mm, cr int) {
-	for i := 0; i < cr; i++ {
-		arow := a[i*p : (i+1)*p]
-		orow := out[i*mm : (i+1)*mm]
-		for j := 0; j < mm; j++ {
-			brow := btData[j*p : (j+1)*p]
-			var s float64
-			for k, av := range arow {
-				d := av - brow[k]
-				s += d * d
-			}
-			orow[j] = s
-		}
-	}
-}
-
 // evalInnerProdGen is the generalized inner-product kernel (Table 1): for
 // each output cell C[i,j], fold f2 over t = f1(A[i,k], B[k,j]) for all k.
 // bData is the small operand, row-major p×mm. The fold identity comes from
@@ -970,15 +956,24 @@ func aggInitFor(f *Binary) float64 {
 	}
 }
 
-// argExtreme returns the 0-based index of the min (or max) of xs.
-func argExtreme(xs []float64, wantMin bool) int {
+// argExtreme returns the 0-based index of the first min (or max) of xs as
+// a float64. NaNs are skipped, as R's which.min/which.max discard them: the
+// search starts at the first number, and a NaN after it never compares
+// less or greater. A row of only NaNs yields NaN (R's integer(0)).
+func argExtreme(xs []float64, wantMin bool) float64 {
 	best := 0
-	bv := xs[0]
-	for i, v := range xs[1:] {
-		if (wantMin && v < bv) || (!wantMin && v > bv) {
+	for best < len(xs) && math.IsNaN(xs[best]) {
+		best++
+	}
+	if best == len(xs) {
+		return math.NaN()
+	}
+	bv := xs[best]
+	for i := best + 1; i < len(xs); i++ {
+		if v := xs[i]; (wantMin && v < bv) || (!wantMin && v > bv) {
 			bv = v
-			best = i + 1
+			best = i
 		}
 	}
-	return best
+	return float64(best)
 }

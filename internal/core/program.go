@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/dense"
 	"repro/internal/matrix"
 )
 
@@ -72,7 +71,6 @@ type ProgramNode struct {
 	bin    *Binary
 	agg    *AggFunc
 	f1, f2 *Binary
-	smallT []float64 // Small transposed (SmallC×SmallR) for the euclidean kernel
 	cols   []int
 	labels []int
 	live   bool
@@ -337,7 +335,7 @@ func (p *Program) Resolve() error {
 // it, resetting every derived field first (a program may resolve twice).
 func (n *ProgramNode) resolve(i int32, prior []ProgramNode) error {
 	n.un, n.bin, n.agg, n.f1, n.f2 = nil, nil, nil, nil, nil
-	n.smallT, n.cols, n.labels = nil, nil, nil
+	n.cols, n.labels = nil, nil
 	n.live, n.outs, n.folds, n.free = false, nil, nil, nil
 	if _, err := LeafDType(n.DT); err != nil {
 		return err
@@ -406,9 +404,6 @@ func (n *ProgramNode) resolve(i int32, prior []ProgramNode) error {
 		}
 		if int(n.SmallR) != nca || n.SmallC < 0 || int64(n.SmallR)*int64(n.SmallC) != int64(len(n.Small)) {
 			return fmt.Errorf("%dx%d operand with %d values for %d columns", n.SmallR, n.SmallC, len(n.Small), nca)
-		}
-		if n.f1 == BinEuclid && n.f2 == BinAdd {
-			n.smallT = dense.FromSlice(int(n.SmallR), int(n.SmallC), n.Small).T().Data
 		}
 		want = int(n.SmallC)
 	case opAggRow:

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/blas"
 )
@@ -77,8 +78,12 @@ func (a *sinkAcc) fold(in, lab []float64, cr int) error {
 
 	case SinkGroupByRow:
 		// Labels are data: an out-of-range one fails the pass with an error,
-		// like any bad input.
+		// like any bad input. NaN (which.min of an all-NaN row) is rejected
+		// before int(), whose result for NaN differs by platform.
 		for r := 0; r < cr; r++ {
+			if math.IsNaN(lab[r]) {
+				return fmt.Errorf("core: groupby.row label NaN")
+			}
 			if g := int(lab[r]); g < 0 || g >= s.rows {
 				return fmt.Errorf("core: groupby.row label %d out of range [0,%d)", g, s.rows)
 			}

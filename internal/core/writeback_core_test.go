@@ -110,7 +110,7 @@ func TestCancelledMaterializeDrains(t *testing.T) {
 	cancel()
 	select {
 	case err = <-done:
-	case <-timeoutC(t):
+	case <-timeoutC():
 		t.Fatal("cancelled materialization did not return")
 	}
 	if !errors.Is(err, context.Canceled) {

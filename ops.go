@@ -459,7 +459,8 @@ func tryAggColF(x *FM, f *core.AggFunc) (*FM, error) {
 
 // TryRowWhichMin returns the 0-based index of each row's minimum (R's
 // which.min per row, shifted to 0-based so the result feeds GroupByRow
-// directly).
+// directly). NaNs are skipped, as in R; a row of only NaNs gives NaN, which
+// GroupByRow rejects as a label.
 func TryRowWhichMin(x *FM) (*FM, error) {
 	if !x.isBig() || x.trans {
 		return nil, errf("row.which.min", shapesOf(x), "needs a non-transposed large matrix")
@@ -470,7 +471,8 @@ func TryRowWhichMin(x *FM) (*FM, error) {
 // RowWhichMin is TryRowWhichMin's panicking shorthand.
 func RowWhichMin(x *FM) *FM { return must(TryRowWhichMin(x)) }
 
-// TryRowWhichMax returns the 0-based index of each row's maximum.
+// TryRowWhichMax returns the 0-based index of each row's maximum, with
+// TryRowWhichMin's NaN rule.
 func TryRowWhichMax(x *FM) (*FM, error) {
 	if !x.isBig() || x.trans {
 		return nil, errf("row.which.max", shapesOf(x), "needs a non-transposed large matrix")

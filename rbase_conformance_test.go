@@ -3,6 +3,7 @@ package flashr
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/dense"
@@ -367,6 +368,45 @@ func TestNonFiniteConformance(t *testing.T) {
 				t.Fatalf("%s/%s = %v, want %v", name, c.desc, got, c.want)
 			}
 		}
+	}
+}
+
+// TestWhichNaNConformance: row which.min/which.max skip NaN wherever it
+// sits in the row, as R's which.min/which.max do, and a row of only NaNs
+// yields NaN (R's integer(0)), which groupby.row then rejects as a label.
+func TestWhichNaNConformance(t *testing.T) {
+	nan := math.NaN()
+	rows := [][]float64{{nan, 1, 0}, {1, nan, 0}, {2, 1, nan}, {nan, nan, nan}}
+	wantMin := []float64{2, 2, 1, nan}
+	wantMax := []float64{1, 0, 0, nan}
+	for name, s := range testSessions(t) {
+		x, err := s.FromRows(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			desc string
+			f    func(*FM) *FM
+			want []float64
+		}{
+			{"which.min", RowWhichMin, wantMin},
+			{"which.max", RowWhichMax, wantMax},
+		} {
+			got, err := c.f(x).AsVector()
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, c.desc, err)
+			}
+			for i := range c.want {
+				if !sameFloat(got[i], c.want[i]) {
+					t.Fatalf("%s/%s = %v, want %v", name, c.desc, got, c.want)
+				}
+			}
+		}
+		if _, err := GroupByRow(x, RowWhichMin(x), 3, "+").AsDense(); err == nil ||
+			!strings.Contains(err.Error(), "label NaN") {
+			t.Fatalf("%s: groupby.row by an all-NaN row's which.min: err = %v, want a NaN label error", name, err)
+		}
+		x.Free()
 	}
 }
 
