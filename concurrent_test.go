@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -97,6 +98,19 @@ func TestConcurrentSessionsBitIdentical(t *testing.T) {
 	}
 }
 
+// statCounterValues returns every counter of s (each int64 and
+// time.Duration field, durations in nanoseconds) by field name.
+func statCounterValues(s MaterializeStats) map[string]int64 {
+	v := reflect.ValueOf(s)
+	out := map[string]int64{}
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).Kind() == reflect.Int64 {
+			out[v.Type().Field(i).Name] = v.Field(i).Int()
+		}
+	}
+	return out
+}
+
 // TestConcurrentStatsAttribution checks exact per-session accounting: with
 // every pass on the engine submitted by some session, the per-session
 // MaterializeStats totals must sum to the engine-lifetime total, counter by
@@ -132,23 +146,10 @@ func TestConcurrentStatsAttribution(t *testing.T) {
 		sum.Add(c.TotalMaterializeStats())
 	}
 	eng := parent.Engine().TotalMaterializeStats()
-	type cmp struct {
-		name     string
-		ses, eng int64
-	}
-	for _, c := range []cmp{
-		{"Passes", sum.Passes, eng.Passes},
-		{"Parts", sum.Parts, eng.Parts},
-		{"Chunks", sum.Chunks, eng.Chunks},
-		{"BytesRead", sum.BytesRead, eng.BytesRead},
-		{"BytesWritten", sum.BytesWritten, eng.BytesWritten},
-		{"WriteJobs", sum.WriteJobs, eng.WriteJobs},
-		{"NodesExecuted", sum.NodesExecuted, eng.NodesExecuted},
-		{"CacheHits", sum.CacheHits, eng.CacheHits},
-		{"CacheMisses", sum.CacheMisses, eng.CacheMisses},
-	} {
-		if c.ses != c.eng {
-			t.Errorf("%s: per-session sum %d != engine total %d", c.name, c.ses, c.eng)
+	engCounters := statCounterValues(eng)
+	for name, v := range statCounterValues(sum) {
+		if v != engCounters[name] {
+			t.Errorf("%s: per-session sum %d != engine total %d", name, v, engCounters[name])
 		}
 	}
 	if sum.Passes == 0 || sum.Parts == 0 {

@@ -59,5 +59,5 @@ func main() {
 	}
 	fmt.Printf("gramian[0,0..3]: %.1f %.1f %.1f %.1f\n",
 		gram.At(0, 0), gram.At(0, 1), gram.At(0, 2), gram.At(0, 3))
-	fmt.Printf("engine ran %d fused passes over the data\n", s.Engine().Stats().Passes.Load())
+	fmt.Printf("engine ran %d fused passes over the data\n", s.TotalMaterializeStats().Passes)
 }

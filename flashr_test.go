@@ -355,13 +355,13 @@ func TestBatchedSinkMaterialization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := s.eng.Stats().Passes.Load()
+	before := s.TotalMaterializeStats().Passes
 	a := Sum(x)
 	b := ColSums(x)
 	c := Max(x)
 	// Forcing one sink materializes all three in one pass.
 	_ = a.MustFloat()
-	if got := s.eng.Stats().Passes.Load() - before; got != 1 {
+	if got := s.TotalMaterializeStats().Passes - before; got != 1 {
 		t.Fatalf("batched flush used %d passes, want 1", got)
 	}
 	if b.sink == nil && b.small == nil {
@@ -378,7 +378,7 @@ func TestBatchedSinkMaterialization(t *testing.T) {
 		t.Fatalf("colsums %v %v", bv, err)
 	}
 	// No further passes were needed for b and c.
-	if got := s.eng.Stats().Passes.Load() - before; got != 1 {
+	if got := s.TotalMaterializeStats().Passes - before; got != 1 {
 		t.Fatalf("forcing remaining sinks re-ran the DAG (%d passes)", got)
 	}
 }

@@ -298,27 +298,6 @@ func timeIt(f func() error) (float64, error) {
 	return time.Since(t0).Seconds(), err
 }
 
-// ioExtra compresses a MaterializeStats delta into a Row.Extra fragment.
-// wstall < wtime is the visible proof that the write-behind queue overlapped
-// SSD writes with compute (under SyncWrites the two are equal by
-// construction).
-func ioExtra(s flashr.MaterializeStats) string {
-	out := fmt.Sprintf("read=%.0fMB written=%.0fMB pf=%d/%d wstall=%.3fs wtime=%.3fs verify=%.3fs",
-		float64(s.BytesRead)/(1<<20), float64(s.BytesWritten)/(1<<20),
-		s.PrefetchHits, s.PrefetchMisses,
-		s.WriteStall.Seconds(), s.WriteTime.Seconds(), s.VerifyTime.Seconds())
-	if s.ChecksumFailures != 0 || s.IORetries != 0 || s.RecoveredReads != 0 || s.RecoveredWrites != 0 {
-		out += fmt.Sprintf(" csfail=%d retries=%d recovered=%d/%d",
-			s.ChecksumFailures, s.IORetries, s.RecoveredReads, s.RecoveredWrites)
-	}
-	if s.CSEUnifications != 0 || s.CacheHits != 0 || s.CacheMisses != 0 {
-		out += fmt.Sprintf(" cse=%d hits=%d/%d saved=%.0fMB evict=%d nodes=%d",
-			s.CSEUnifications, s.CacheHits, s.CacheMisses,
-			float64(s.CacheHitBytes)/(1<<20), s.CacheEvictions, s.NodesExecuted)
-	}
-	return out
-}
-
 // algoSpec is one benchmark algorithm bound to its dataset family.
 type algoSpec struct {
 	name    string
@@ -495,7 +474,7 @@ func Fig7a(cfg Config) ([]Row, error) {
 			})
 		}
 		add("FlashR-IM", tIM, "")
-		add("FlashR-EM", tEM, ioExtra(emIO))
+		add("FlashR-EM", tEM, emIO.String())
 		if spec.inH2O {
 			h2o := eager.New(eager.StyleH2O, cfg.Session.Workers)
 			tH2O, err := timeIt(func() error { return spec.runEager(h2o, xd, yd, cfg) })
@@ -888,7 +867,7 @@ func Table6(cfg Config) ([]Row, error) {
 			Params:  fmt.Sprintf("n=%d p=%d", cfg.N, int(x.NCol())),
 			Seconds: sec,
 			Extra: fmt.Sprintf("peakheap=%.0fMB data=%.0fMB ratio=%.2f %s",
-				peakMB, dataMB, peakMB/dataMB, ioExtra(io)),
+				peakMB, dataMB, peakMB/dataMB, io),
 		})
 	}
 	return rows, nil
@@ -1044,8 +1023,8 @@ func Concurrent(cfg Config) ([]Row, error) {
 		rows = append(rows, Row{
 			Experiment: "conc", Algorithm: "logistic", System: u.s.Owner(),
 			Params: params, Seconds: durs[i].Seconds(), Normalized: durs[i].Seconds() / concSec,
-			Extra: fmt.Sprintf("read=%.1fMB/s passes=%d %s",
-				float64(st.BytesRead)/(1<<20)/durs[i].Seconds(), st.Passes, ioExtra(st)),
+			Extra: fmt.Sprintf("readrate=%.1fMB/s %s",
+				float64(st.BytesRead)/(1<<20)/durs[i].Seconds(), st),
 		})
 		freeAll(u.x, u.y)
 	}

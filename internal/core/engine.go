@@ -133,19 +133,9 @@ type Config struct {
 // Config.MaxConcurrentPasses is zero.
 const DefaultMaxConcurrentPasses = 4
 
-// Stats counts engine activity.
-type Stats struct {
-	DAGs      atomic.Int64 // fused passes executed
-	Parts     atomic.Int64 // I/O partitions processed
-	Chunks    atomic.Int64 // Pcache chunks evaluated
-	NodesEval atomic.Int64 // virtual-matrix nodes evaluated (×chunks)
-	Passes    atomic.Int64 // total parallel passes (per-op under FuseNone)
-}
-
 // Engine materializes FlashR DAGs.
 type Engine struct {
 	cfg      Config
-	stats    Stats
 	fileSeq  atomic.Int64
 	matSeqMu sync.Mutex
 
@@ -253,9 +243,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 
 // Config returns the engine configuration.
 func (e *Engine) Config() Config { return e.cfg }
-
-// Stats exposes the engine counters.
-func (e *Engine) Stats() *Stats { return &e.stats }
 
 // LastMaterializeStats returns the observability record of the most recent
 // Materialize call.
@@ -644,7 +631,6 @@ func (e *Engine) materialize(ctx context.Context, mt []*Mat, sk []*Sink, ms *Mat
 		return err
 	}
 	if run {
-		e.stats.DAGs.Add(1)
 		var res *ProgramResult
 		if e.remote != nil {
 			// Sharded execution: the coordinator row-partitions the program

@@ -316,7 +316,10 @@ func TestEngineStatsAdvance(t *testing.T) {
 		if err := e.Materialize(nil, []*Sink{s}); err != nil {
 			t.Fatal(err)
 		}
-		passes[fuse] = e.Stats().Passes.Load() - 1 // exclude FromDense? Generate doesn't count passes
+		passes[fuse] = e.TotalMaterializeStats().Passes
+	}
+	if passes[FuseCache] != 1 {
+		t.Fatalf("FuseCache ran %d passes, want one fused pass", passes[FuseCache])
 	}
 	if passes[FuseNone] <= passes[FuseCache] {
 		t.Fatalf("FuseNone passes %d not greater than FuseCache %d", passes[FuseNone], passes[FuseCache])

@@ -133,7 +133,6 @@ func (rs *runState) fail(err error) {
 // failure, always surfaces here. ms accumulates the pass's observability
 // counters.
 func (e *Engine) runFused(ctx context.Context, b *binding, fuse FuseLevel, ms *MaterializeStats, pass *safs.Pass, pr passRun) (*ProgramResult, error) {
-	e.stats.Passes.Add(1)
 	// Integrity counters are attributed through the pass identity's own
 	// counters (not by diffing the array-wide totals, which would misattribute
 	// under concurrent passes). Snapshot around the run since FuseNone reuses
@@ -661,8 +660,6 @@ func (w *worker) processPartition(p int) error {
 			w.buf.End(csp)
 			return err
 		}
-		e.stats.NodesEval.Add(int64(len(rs.p.steps)))
-		e.stats.Chunks.Add(1)
 		rs.chunks.Add(1)
 		csp.N++
 	}
@@ -713,7 +710,6 @@ func (w *worker) processPartition(p int) error {
 		w.leafBufs[i] = nil
 		w.leafOwned[i] = false
 	}
-	e.stats.Parts.Add(1)
 	rs.parts.Add(1)
 	return nil
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"time"
+
 	"repro/internal/trace"
 )
 
@@ -19,52 +21,14 @@ func RegisterStatsMetrics(reg *trace.Registry, owner string, snap func() Materia
 	}
 	var cur MaterializeStats
 	reg.OnCollect(func() { cur = snap() })
-	for _, c := range []struct {
-		name, help string
-		read       func() float64
-	}{
-		{"flashr_materialize_passes_total", "Parallel materialization passes executed.", func() float64 { return float64(cur.Passes) }},
-		{"flashr_materialize_parts_total", "I/O partitions processed.", func() float64 { return float64(cur.Parts) }},
-		{"flashr_materialize_chunks_total", "Pcache chunks evaluated.", func() float64 { return float64(cur.Chunks) }},
-		{"flashr_materialize_read_bytes_total", "Leaf partition bytes copied into compute buffers.", func() float64 { return float64(cur.BytesRead) }},
-		{"flashr_materialize_written_bytes_total", "Tall-output partition bytes handed to stores.", func() float64 { return float64(cur.BytesWritten) }},
-		{"flashr_materialize_prefetch_hits_total", "Leaf loads served by the read-ahead pipeline.", func() float64 { return float64(cur.PrefetchHits) }},
-		{"flashr_materialize_prefetch_misses_total", "Leaf loads that fell back to synchronous reads.", func() float64 { return float64(cur.PrefetchMisses) }},
-		{"flashr_materialize_prefetch_abandoned_total", "Prefetched partitions drained unconsumed on exit paths.", func() float64 { return float64(cur.PrefetchAbandoned) }},
-		{"flashr_materialize_write_jobs_total", "Partitions routed through the write-behind queue.", func() float64 { return float64(cur.WriteJobs) }},
-		{"flashr_materialize_checksum_failures_total", "Stripe reads failing CRC32C verification, attributed to passes.", func() float64 { return float64(cur.ChecksumFailures) }},
-		{"flashr_materialize_io_retries_total", "SAFS retry attempts attributed to passes.", func() float64 { return float64(cur.IORetries) }},
-		{"flashr_materialize_recovered_reads_total", "Reads recovered within the retry budget, attributed to passes.", func() float64 { return float64(cur.RecoveredReads) }},
-		{"flashr_materialize_recovered_writes_total", "Writes recovered within the retry budget, attributed to passes.", func() float64 { return float64(cur.RecoveredWrites) }},
-		{"flashr_materialize_cse_unifications_total", "Nodes and sinks deduplicated within passes.", func() float64 { return float64(cur.CSEUnifications) }},
-		{"flashr_materialize_nodes_executed_total", "Virtual matrix nodes actually evaluated.", func() float64 { return float64(cur.NodesExecuted) }},
-		{"flashr_materialize_cache_hits_total", "Sub-DAG results served from the result cache.", func() float64 { return float64(cur.CacheHits) }},
-		{"flashr_materialize_cache_misses_total", "Sub-DAG cache candidates this engine had to compute.", func() float64 { return float64(cur.CacheMisses) }},
-		{"flashr_materialize_cache_evictions_total", "Result-cache LRU evictions.", func() float64 { return float64(cur.CacheEvictions) }},
-		{"flashr_materialize_cache_hit_bytes_total", "Result bytes served without recomputation or I/O.", func() float64 { return float64(cur.CacheHitBytes) }},
-		{"flashr_materialize_rewrites_total", "Algebraic rewrite rule applications.", func() float64 { return float64(cur.Rewrites) }},
-		{"flashr_materialize_rewrite_views_total", "View push-down rewrites (column-selection elimination/composition/push-down).", func() float64 { return float64(cur.RewriteViews) }},
-		{"flashr_materialize_rewrite_crossprods_total", "Crossprod self-recognition rewrites (GemmTA to Syrk).", func() float64 { return float64(cur.RewriteCrossProds) }},
-		{"flashr_materialize_rewrite_aggfolds_total", "Aggregation folds into affine publish transforms.", func() float64 { return float64(cur.RewriteAggFolds) }},
-		{"flashr_materialize_rewrite_dce_total", "Dead-input eliminations applied.", func() float64 { return float64(cur.RewriteDCE) }},
-		{"flashr_materialize_rewrite_dead_nodes_total", "Virtual nodes disconnected by dead-input elimination.", func() float64 { return float64(cur.RewriteDeadNodes) }},
-		{"flashr_materialize_shard_passes_total", "Worker-side passes executed by the sharded coordinator.", func() float64 { return float64(cur.ShardPasses) }},
-		{"flashr_materialize_shard_agg_rounds_total", "Cross-shard aggregation exchange rounds.", func() float64 { return float64(cur.ShardAggRounds) }},
-		{"flashr_materialize_shard_sent_bytes_total", "Coordinator wire bytes sent to shard workers.", func() float64 { return float64(cur.ShardBytesSent) }},
-		{"flashr_materialize_shard_recv_bytes_total", "Coordinator wire bytes received from shard workers.", func() float64 { return float64(cur.ShardBytesRecv) }},
-		{"flashr_materialize_shard_retries_total", "Transport retries after transient shard faults.", func() float64 { return float64(cur.ShardRetries) }},
-		{"flashr_materialize_shard_worker_read_bytes_total", "Partition bytes read by shard workers.", func() float64 { return float64(cur.ShardWorkerRead) }},
-		{"flashr_materialize_shard_worker_written_bytes_total", "Partition bytes written by shard workers.", func() float64 { return float64(cur.ShardWorkerWritten) }},
-		{"flashr_materialize_shard_recoveries_total", "Worker recoveries (re-hello, re-push, lineage replay) after epoch-fence rejections.", func() float64 { return float64(cur.ShardRecoveries) }},
-		{"flashr_materialize_shard_replayed_keeps_total", "Kept talls reconstructed by lineage replay during worker recovery.", func() float64 { return float64(cur.ShardReplayedKeeps) }},
-		{"flashr_materialize_wall_seconds_total", "End-to-end Materialize wall time.", func() float64 { return cur.Wall.Seconds() }},
-		{"flashr_materialize_read_wait_seconds_total", "Worker time blocked on in-flight prefetch reads.", func() float64 { return cur.ReadWait.Seconds() }},
-		{"flashr_materialize_write_stall_seconds_total", "Compute time blocked handing partitions to the write queue.", func() float64 { return cur.WriteStall.Seconds() }},
-		{"flashr_materialize_write_seconds_total", "Cumulative time inside partition writes.", func() float64 { return cur.WriteTime.Seconds() }},
-		{"flashr_materialize_write_drain_seconds_total", "Time at the end-of-pass write-behind drain barrier.", func() float64 { return cur.WriteDrain.Seconds() }},
-		{"flashr_materialize_verify_seconds_total", "SAFS integrity work attributed to passes.", func() float64 { return cur.VerifyTime.Seconds() }},
-	} {
-		reg.CounterFunc(c.name, c.help, c.read, labels...)
+	for _, c := range statCounters {
+		reg.CounterFunc(c.name, c.help, func() float64 {
+			v := *c.field(&cur)
+			if c.seconds {
+				return time.Duration(v).Seconds()
+			}
+			return float64(v)
+		}, labels...)
 	}
 }
 
@@ -75,10 +39,6 @@ func (e *Engine) Metrics() *trace.Registry {
 	e.metricsOnce.Do(func() {
 		reg := trace.NewRegistry()
 		RegisterStatsMetrics(reg, "", e.TotalMaterializeStats)
-		reg.CounterFunc("flashr_engine_dags_total", "Fused DAGs executed.",
-			func() float64 { return float64(e.stats.DAGs.Load()) })
-		reg.CounterFunc("flashr_engine_nodes_eval_total", "Node-chunk evaluations.",
-			func() float64 { return float64(e.stats.NodesEval.Load()) })
 		reg.GaugeFunc("flashr_engine_passes_running", "Admitted passes currently executing.",
 			func() float64 { return float64(e.arb.running()) })
 		reg.GaugeFunc("flashr_engine_passes_queued", "Passes waiting for admission.",

@@ -132,8 +132,111 @@ type MaterializeStats struct {
 	ShardReplayedKeeps int64
 }
 
-// Add accumulates o into s (numeric fields sum; Fuse and SyncWrites take
-// o's values so a running total reflects the latest configuration).
+// statCounter describes one summed MaterializeStats field: how to reach it
+// and the counter family that exports it. A time.Duration field is reached
+// as its int64 nanoseconds and exported in seconds.
+type statCounter struct {
+	name, help string
+	field      func(*MaterializeStats) *int64
+	seconds    bool
+}
+
+func count(name, help string, f func(*MaterializeStats) *int64) statCounter {
+	return statCounter{name: name, help: help, field: f}
+}
+
+func seconds(name, help string, f func(*MaterializeStats) *time.Duration) statCounter {
+	return statCounter{name: name, help: help, seconds: true,
+		field: func(s *MaterializeStats) *int64 { return (*int64)(f(s)) }}
+}
+
+// statCounters declares every summed MaterializeStats field once, in metric
+// registration order. Add, Sub and RegisterStatsMetrics loop over it.
+var statCounters = []statCounter{
+	count("flashr_materialize_passes_total", "Parallel materialization passes executed.",
+		func(s *MaterializeStats) *int64 { return &s.Passes }),
+	count("flashr_materialize_parts_total", "I/O partitions processed.",
+		func(s *MaterializeStats) *int64 { return &s.Parts }),
+	count("flashr_materialize_chunks_total", "Pcache chunks evaluated.",
+		func(s *MaterializeStats) *int64 { return &s.Chunks }),
+	count("flashr_materialize_read_bytes_total", "Leaf partition bytes copied into compute buffers.",
+		func(s *MaterializeStats) *int64 { return &s.BytesRead }),
+	count("flashr_materialize_written_bytes_total", "Tall-output partition bytes handed to stores.",
+		func(s *MaterializeStats) *int64 { return &s.BytesWritten }),
+	count("flashr_materialize_prefetch_hits_total", "Leaf loads served by the read-ahead pipeline.",
+		func(s *MaterializeStats) *int64 { return &s.PrefetchHits }),
+	count("flashr_materialize_prefetch_misses_total", "Leaf loads that fell back to synchronous reads.",
+		func(s *MaterializeStats) *int64 { return &s.PrefetchMisses }),
+	count("flashr_materialize_prefetch_abandoned_total", "Prefetched partitions drained unconsumed on exit paths.",
+		func(s *MaterializeStats) *int64 { return &s.PrefetchAbandoned }),
+	count("flashr_materialize_write_jobs_total", "Partitions routed through the write-behind queue.",
+		func(s *MaterializeStats) *int64 { return &s.WriteJobs }),
+	count("flashr_materialize_checksum_failures_total", "Stripe reads failing CRC32C verification, attributed to passes.",
+		func(s *MaterializeStats) *int64 { return &s.ChecksumFailures }),
+	count("flashr_materialize_io_retries_total", "SAFS retry attempts attributed to passes.",
+		func(s *MaterializeStats) *int64 { return &s.IORetries }),
+	count("flashr_materialize_recovered_reads_total", "Reads recovered within the retry budget, attributed to passes.",
+		func(s *MaterializeStats) *int64 { return &s.RecoveredReads }),
+	count("flashr_materialize_recovered_writes_total", "Writes recovered within the retry budget, attributed to passes.",
+		func(s *MaterializeStats) *int64 { return &s.RecoveredWrites }),
+	count("flashr_materialize_cse_unifications_total", "Nodes and sinks deduplicated within passes.",
+		func(s *MaterializeStats) *int64 { return &s.CSEUnifications }),
+	count("flashr_materialize_nodes_executed_total", "Virtual matrix nodes actually evaluated.",
+		func(s *MaterializeStats) *int64 { return &s.NodesExecuted }),
+	count("flashr_materialize_cache_hits_total", "Sub-DAG results served from the result cache.",
+		func(s *MaterializeStats) *int64 { return &s.CacheHits }),
+	count("flashr_materialize_cache_misses_total", "Sub-DAG cache candidates this engine had to compute.",
+		func(s *MaterializeStats) *int64 { return &s.CacheMisses }),
+	count("flashr_materialize_cache_evictions_total", "Result-cache LRU evictions.",
+		func(s *MaterializeStats) *int64 { return &s.CacheEvictions }),
+	count("flashr_materialize_cache_hit_bytes_total", "Result bytes served without recomputation or I/O.",
+		func(s *MaterializeStats) *int64 { return &s.CacheHitBytes }),
+	count("flashr_materialize_rewrites_total", "Algebraic rewrite rule applications.",
+		func(s *MaterializeStats) *int64 { return &s.Rewrites }),
+	count("flashr_materialize_rewrite_views_total", "View push-down rewrites (column-selection elimination/composition/push-down).",
+		func(s *MaterializeStats) *int64 { return &s.RewriteViews }),
+	count("flashr_materialize_rewrite_crossprods_total", "Crossprod self-recognition rewrites (GemmTA to Syrk).",
+		func(s *MaterializeStats) *int64 { return &s.RewriteCrossProds }),
+	count("flashr_materialize_rewrite_aggfolds_total", "Aggregation folds into affine publish transforms.",
+		func(s *MaterializeStats) *int64 { return &s.RewriteAggFolds }),
+	count("flashr_materialize_rewrite_dce_total", "Dead-input eliminations applied.",
+		func(s *MaterializeStats) *int64 { return &s.RewriteDCE }),
+	count("flashr_materialize_rewrite_dead_nodes_total", "Virtual nodes disconnected by dead-input elimination.",
+		func(s *MaterializeStats) *int64 { return &s.RewriteDeadNodes }),
+	count("flashr_materialize_shard_passes_total", "Worker-side passes executed by the sharded coordinator.",
+		func(s *MaterializeStats) *int64 { return &s.ShardPasses }),
+	count("flashr_materialize_shard_agg_rounds_total", "Cross-shard aggregation exchange rounds.",
+		func(s *MaterializeStats) *int64 { return &s.ShardAggRounds }),
+	count("flashr_materialize_shard_sent_bytes_total", "Coordinator wire bytes sent to shard workers.",
+		func(s *MaterializeStats) *int64 { return &s.ShardBytesSent }),
+	count("flashr_materialize_shard_recv_bytes_total", "Coordinator wire bytes received from shard workers.",
+		func(s *MaterializeStats) *int64 { return &s.ShardBytesRecv }),
+	count("flashr_materialize_shard_retries_total", "Transport retries after transient shard faults.",
+		func(s *MaterializeStats) *int64 { return &s.ShardRetries }),
+	count("flashr_materialize_shard_worker_read_bytes_total", "Partition bytes read by shard workers.",
+		func(s *MaterializeStats) *int64 { return &s.ShardWorkerRead }),
+	count("flashr_materialize_shard_worker_written_bytes_total", "Partition bytes written by shard workers.",
+		func(s *MaterializeStats) *int64 { return &s.ShardWorkerWritten }),
+	count("flashr_materialize_shard_recoveries_total", "Worker recoveries (re-hello, re-push, lineage replay) after epoch-fence rejections.",
+		func(s *MaterializeStats) *int64 { return &s.ShardRecoveries }),
+	count("flashr_materialize_shard_replayed_keeps_total", "Kept talls reconstructed by lineage replay during worker recovery.",
+		func(s *MaterializeStats) *int64 { return &s.ShardReplayedKeeps }),
+	seconds("flashr_materialize_wall_seconds_total", "End-to-end Materialize wall time.",
+		func(s *MaterializeStats) *time.Duration { return &s.Wall }),
+	seconds("flashr_materialize_read_wait_seconds_total", "Worker time blocked on in-flight prefetch reads.",
+		func(s *MaterializeStats) *time.Duration { return &s.ReadWait }),
+	seconds("flashr_materialize_write_stall_seconds_total", "Compute time blocked handing partitions to the write queue.",
+		func(s *MaterializeStats) *time.Duration { return &s.WriteStall }),
+	seconds("flashr_materialize_write_seconds_total", "Cumulative time inside partition writes.",
+		func(s *MaterializeStats) *time.Duration { return &s.WriteTime }),
+	seconds("flashr_materialize_write_drain_seconds_total", "Time at the end-of-pass write-behind drain barrier.",
+		func(s *MaterializeStats) *time.Duration { return &s.WriteDrain }),
+	seconds("flashr_materialize_verify_seconds_total", "SAFS integrity work attributed to passes.",
+		func(s *MaterializeStats) *time.Duration { return &s.VerifyTime }),
+}
+
+// Add accumulates o into s (counters sum; Fuse and SyncWrites take o's
+// values so a running total reflects the latest configuration).
 func (s *MaterializeStats) Add(o MaterializeStats) {
 	if o.Owner != "" {
 		s.Owner = o.Owner
@@ -143,93 +246,18 @@ func (s *MaterializeStats) Add(o MaterializeStats) {
 	}
 	s.Fuse = o.Fuse
 	s.SyncWrites = o.SyncWrites
-	s.Wall += o.Wall
-	s.Passes += o.Passes
-	s.Parts += o.Parts
-	s.Chunks += o.Chunks
-	s.BytesRead += o.BytesRead
-	s.BytesWritten += o.BytesWritten
-	s.PrefetchHits += o.PrefetchHits
-	s.PrefetchMisses += o.PrefetchMisses
-	s.ReadWait += o.ReadWait
-	s.WriteStall += o.WriteStall
-	s.WriteTime += o.WriteTime
-	s.WriteDrain += o.WriteDrain
-	s.WriteJobs += o.WriteJobs
-	s.PrefetchAbandoned += o.PrefetchAbandoned
-	s.ChecksumFailures += o.ChecksumFailures
-	s.IORetries += o.IORetries
-	s.RecoveredReads += o.RecoveredReads
-	s.RecoveredWrites += o.RecoveredWrites
-	s.VerifyTime += o.VerifyTime
-	s.CSEUnifications += o.CSEUnifications
-	s.NodesExecuted += o.NodesExecuted
-	s.CacheHits += o.CacheHits
-	s.CacheMisses += o.CacheMisses
-	s.CacheEvictions += o.CacheEvictions
-	s.CacheHitBytes += o.CacheHitBytes
-	s.Rewrites += o.Rewrites
-	s.RewriteViews += o.RewriteViews
-	s.RewriteCrossProds += o.RewriteCrossProds
-	s.RewriteAggFolds += o.RewriteAggFolds
-	s.RewriteDCE += o.RewriteDCE
-	s.RewriteDeadNodes += o.RewriteDeadNodes
-	s.ShardPasses += o.ShardPasses
-	s.ShardAggRounds += o.ShardAggRounds
-	s.ShardBytesSent += o.ShardBytesSent
-	s.ShardBytesRecv += o.ShardBytesRecv
-	s.ShardRetries += o.ShardRetries
-	s.ShardWorkerRead += o.ShardWorkerRead
-	s.ShardWorkerWritten += o.ShardWorkerWritten
-	s.ShardRecoveries += o.ShardRecoveries
-	s.ShardReplayedKeeps += o.ShardReplayedKeeps
+	for _, c := range statCounters {
+		*c.field(s) += *c.field(&o)
+	}
 }
 
-// Sub returns s minus o field-by-field — the delta between two snapshots of
-// an engine's running total (Fuse and SyncWrites come from s).
+// Sub returns s minus o counter by counter — the delta between two
+// snapshots of an engine's running total (Fuse and SyncWrites come from s).
 func (s MaterializeStats) Sub(o MaterializeStats) MaterializeStats {
-	d := s
-	d.Wall -= o.Wall
-	d.Passes -= o.Passes
-	d.Parts -= o.Parts
-	d.Chunks -= o.Chunks
-	d.BytesRead -= o.BytesRead
-	d.BytesWritten -= o.BytesWritten
-	d.PrefetchHits -= o.PrefetchHits
-	d.PrefetchMisses -= o.PrefetchMisses
-	d.ReadWait -= o.ReadWait
-	d.WriteStall -= o.WriteStall
-	d.WriteTime -= o.WriteTime
-	d.WriteDrain -= o.WriteDrain
-	d.WriteJobs -= o.WriteJobs
-	d.PrefetchAbandoned -= o.PrefetchAbandoned
-	d.ChecksumFailures -= o.ChecksumFailures
-	d.IORetries -= o.IORetries
-	d.RecoveredReads -= o.RecoveredReads
-	d.RecoveredWrites -= o.RecoveredWrites
-	d.VerifyTime -= o.VerifyTime
-	d.CSEUnifications -= o.CSEUnifications
-	d.NodesExecuted -= o.NodesExecuted
-	d.CacheHits -= o.CacheHits
-	d.CacheMisses -= o.CacheMisses
-	d.CacheEvictions -= o.CacheEvictions
-	d.CacheHitBytes -= o.CacheHitBytes
-	d.Rewrites -= o.Rewrites
-	d.RewriteViews -= o.RewriteViews
-	d.RewriteCrossProds -= o.RewriteCrossProds
-	d.RewriteAggFolds -= o.RewriteAggFolds
-	d.RewriteDCE -= o.RewriteDCE
-	d.RewriteDeadNodes -= o.RewriteDeadNodes
-	d.ShardPasses -= o.ShardPasses
-	d.ShardAggRounds -= o.ShardAggRounds
-	d.ShardBytesSent -= o.ShardBytesSent
-	d.ShardBytesRecv -= o.ShardBytesRecv
-	d.ShardRetries -= o.ShardRetries
-	d.ShardWorkerRead -= o.ShardWorkerRead
-	d.ShardWorkerWritten -= o.ShardWorkerWritten
-	d.ShardRecoveries -= o.ShardRecoveries
-	d.ShardReplayedKeeps -= o.ShardReplayedKeeps
-	return d
+	for _, c := range statCounters {
+		*c.field(&s) -= *c.field(&o)
+	}
+	return s
 }
 
 // String renders a compact single-line summary for benchmark output.

@@ -1,10 +1,5 @@
 package safs
 
-import (
-	"sync/atomic"
-	"time"
-)
-
 // Pass identifies one materialization pass to the array for weighted fair
 // sharing and per-pass attribution. The real SAFS is shared by many
 // concurrent workloads on one SSD array; a Pass is how one workload's I/O is
@@ -20,17 +15,7 @@ import (
 type Pass struct {
 	id     int64
 	weight int
-
-	bytesRead    atomic.Int64
-	bytesWritten atomic.Int64
-	reads        atomic.Int64
-	writes       atomic.Int64
-
-	checksumFails   atomic.Int64
-	retries         atomic.Int64
-	recoveredReads  atomic.Int64
-	recoveredWrites atomic.Int64
-	verifyNs        atomic.Int64
+	ctr    counters
 }
 
 // ID returns the pass's array-unique identifier (diagnostics).
@@ -45,17 +30,7 @@ func (p *Pass) Stats() Stats {
 	if p == nil {
 		return Stats{}
 	}
-	return Stats{
-		BytesRead:        p.bytesRead.Load(),
-		BytesWritten:     p.bytesWritten.Load(),
-		Reads:            p.reads.Load(),
-		Writes:           p.writes.Load(),
-		ChecksumFailures: p.checksumFails.Load(),
-		Retries:          p.retries.Load(),
-		RecoveredReads:   p.recoveredReads.Load(),
-		RecoveredWrites:  p.recoveredWrites.Load(),
-		VerifyTime:       time.Duration(p.verifyNs.Load()),
-	}
+	return p.ctr.snapshot()
 }
 
 // RegisterPass creates a pass identity with the given fair-share weight

@@ -17,9 +17,9 @@
 //   - reads and writes can be issued asynchronously to a pool of per-drive
 //     I/O goroutines, which is how the engine overlaps I/O with compute.
 //
-// Direct I/O (O_DIRECT) is not portable and the host page cache cannot be
-// bypassed from pure Go; the token bucket dominates timing instead, which
-// preserves the behaviour the engine depends on (a fixed bandwidth budget).
+// Unlike the real SAFS, this package uses buffered I/O through the host page
+// cache, and the token bucket sets timing. That preserves the behaviour the
+// engine depends on: a fixed bandwidth budget.
 package safs
 
 import (
@@ -97,27 +97,19 @@ const DefaultRetryBackoff = 500 * time.Microsecond
 
 // FS is a user-space filesystem over an array of simulated SSDs.
 type FS struct {
-	cfg     Config
-	stripe  int
-	drives  []*drive
-	mu      sync.Mutex
-	files   map[string]*fileMeta
-	closed  bool
-	reqWG   sync.WaitGroup
-	statsMu sync.Mutex
-	stats   Stats
+	cfg    Config
+	stripe int
+	drives []*drive
+	mu     sync.Mutex
+	files  map[string]*fileMeta
+	closed bool
+	reqWG  sync.WaitGroup
+	ctr    counters
 
 	// passSeq issues array-unique pass identifiers (RegisterPass).
 	passSeq atomic.Int64
 
 	faults atomic.Pointer[Faults]
-
-	// Integrity counters (atomic: bumped from per-drive workers).
-	checksumFails   atomic.Int64
-	retries         atomic.Int64
-	recoveredReads  atomic.Int64
-	recoveredWrites atomic.Int64
-	verifyNs        atomic.Int64
 }
 
 // Stats aggregates I/O accounting for an FS.
@@ -140,6 +132,38 @@ type Stats struct {
 	// computation plus the read-modify cycles that maintain checksums for
 	// partial-stripe writes.
 	VerifyTime time.Duration
+}
+
+// counters is the live form of Stats, bumped from per-drive workers and
+// request completions. The FS keeps one array-wide set and every Pass its
+// own.
+type counters struct {
+	bytesRead, bytesWritten, reads, writes    atomic.Int64
+	checksumFails, retries                    atomic.Int64
+	recoveredReads, recoveredWrites, verifyNs atomic.Int64
+}
+
+func (c *counters) snapshot() Stats {
+	return Stats{
+		BytesRead:        c.bytesRead.Load(),
+		BytesWritten:     c.bytesWritten.Load(),
+		Reads:            c.reads.Load(),
+		Writes:           c.writes.Load(),
+		ChecksumFailures: c.checksumFails.Load(),
+		Retries:          c.retries.Load(),
+		RecoveredReads:   c.recoveredReads.Load(),
+		RecoveredWrites:  c.recoveredWrites.Load(),
+		VerifyTime:       time.Duration(c.verifyNs.Load()),
+	}
+}
+
+// count applies f to the array-wide counters and, for a tagged request, to
+// its pass's.
+func (fs *FS) count(pass *Pass, f func(*counters)) {
+	f(&fs.ctr)
+	if pass != nil {
+		f(&pass.ctr)
+	}
 }
 
 // fileMeta is the FS-side record of one striped file: its size plus the
@@ -248,17 +272,7 @@ func (fs *FS) StripeBytes() int { return fs.stripe }
 func (fs *FS) NumDrives() int { return len(fs.drives) }
 
 // Stats returns a snapshot of cumulative I/O accounting.
-func (fs *FS) Stats() Stats {
-	fs.statsMu.Lock()
-	st := fs.stats
-	fs.statsMu.Unlock()
-	st.ChecksumFailures = fs.checksumFails.Load()
-	st.Retries = fs.retries.Load()
-	st.RecoveredReads = fs.recoveredReads.Load()
-	st.RecoveredWrites = fs.recoveredWrites.Load()
-	st.VerifyTime = time.Duration(fs.verifyNs.Load())
-	return st
-}
+func (fs *FS) Stats() Stats { return fs.ctr.snapshot() }
 
 // RegisterMetrics registers the array's counters and per-drive histograms
 // with a metrics registry. The Stats snapshot is cached once per collection
@@ -643,18 +657,6 @@ func (f *File) rw(p []byte, off int64, write bool, pass *Pass) error {
 	return (<-done).Err
 }
 
-func (fs *FS) account(n int64, write bool) {
-	fs.statsMu.Lock()
-	if write {
-		fs.stats.BytesWritten += n
-		fs.stats.Writes++
-	} else {
-		fs.stats.BytesRead += n
-		fs.stats.Reads++
-	}
-	fs.statsMu.Unlock()
-}
-
 func verb(write bool) string {
 	if write {
 		return "write"
@@ -692,16 +694,15 @@ func (c *completion) finish(err error, nbytes int) {
 		}
 		c.errMu.Unlock()
 	} else {
-		c.fs.account(int64(nbytes), c.write)
-		if c.pass != nil {
+		c.fs.count(c.pass, func(ctr *counters) {
 			if c.write {
-				c.pass.bytesWritten.Add(int64(nbytes))
-				c.pass.writes.Add(1)
+				ctr.bytesWritten.Add(int64(nbytes))
+				ctr.writes.Add(1)
 			} else {
-				c.pass.bytesRead.Add(int64(nbytes))
-				c.pass.reads.Add(1)
+				ctr.bytesRead.Add(int64(nbytes))
+				ctr.reads.Add(1)
 			}
-		}
+		})
 	}
 	if c.n.Add(-1) == 0 {
 		c.errMu.Lock()
@@ -1072,10 +1073,7 @@ func (d *drive) process(r ioReq) error {
 	var err error
 	for attempt := 0; attempt <= fs.cfg.MaxRetries; attempt++ {
 		if attempt > 0 {
-			fs.retries.Add(1)
-			if r.pass != nil {
-				r.pass.retries.Add(1)
-			}
+			fs.count(r.pass, func(c *counters) { c.retries.Add(1) })
 			backoff := fs.cfg.RetryBackoff << (attempt - 1)
 			if backoff > time.Second {
 				backoff = time.Second
@@ -1089,17 +1087,13 @@ func (d *drive) process(r ioReq) error {
 		}
 		if err == nil {
 			if attempt > 0 {
-				if r.write {
-					fs.recoveredWrites.Add(1)
-					if r.pass != nil {
-						r.pass.recoveredWrites.Add(1)
+				fs.count(r.pass, func(c *counters) {
+					if r.write {
+						c.recoveredWrites.Add(1)
+					} else {
+						c.recoveredReads.Add(1)
 					}
-				} else {
-					fs.recoveredReads.Add(1)
-					if r.pass != nil {
-						r.pass.recoveredReads.Add(1)
-					}
-				}
+				})
 			}
 			return nil
 		}
@@ -1174,15 +1168,9 @@ func (d *drive) readPiece(fs *FS, r ioReq) error {
 	t0 := time.Now()
 	got := crc32.Checksum(sc, crcTable)
 	dt := time.Since(t0).Nanoseconds()
-	fs.verifyNs.Add(dt)
-	if r.pass != nil {
-		r.pass.verifyNs.Add(dt)
-	}
+	fs.count(r.pass, func(c *counters) { c.verifyNs.Add(dt) })
 	if got != want {
-		fs.checksumFails.Add(1)
-		if r.pass != nil {
-			r.pass.checksumFails.Add(1)
-		}
+		fs.count(r.pass, func(c *counters) { c.checksumFails.Add(1) })
 		return &ChecksumError{Want: want, Got: got}
 	}
 	copy(r.buf, sc[r.off-r.stripeOff:])
@@ -1225,10 +1213,7 @@ func (d *drive) writePiece(fs *FS, r ioReq) error {
 		crc = crc32.Checksum(sc, crcTable)
 	}
 	dt := time.Since(t0).Nanoseconds()
-	fs.verifyNs.Add(dt)
-	if r.pass != nil {
-		r.pass.verifyNs.Add(dt)
-	}
+	fs.count(r.pass, func(c *counters) { c.verifyNs.Add(dt) })
 	if flt == nil || !d.roll(flt.Seed, flt.DropWriteRate) {
 		if _, err := f.WriteAt(r.buf, r.off); err != nil {
 			return err

@@ -112,28 +112,6 @@ type pushedLeaf struct {
 	m *core.Mat
 }
 
-// workerTotals accumulates one worker's lifetime pass stats on the
-// coordinator.
-type workerTotals struct {
-	Passes        int64
-	Parts         int64
-	Chunks        int64
-	BytesRead     int64
-	BytesWritten  int64
-	NodesExecuted int64
-	Wall          time.Duration
-}
-
-func (t *workerTotals) add(s workerPassStats) {
-	t.Passes += s.Passes
-	t.Parts += s.Parts
-	t.Chunks += s.Chunks
-	t.BytesRead += s.BytesRead
-	t.BytesWritten += s.BytesWritten
-	t.NodesExecuted += s.NodesExecuted
-	t.Wall += s.Wall
-}
-
 // passIO attributes wire traffic to one materialization pass. Fields are
 // atomics because the fan-out phase calls from per-shard goroutines.
 type passIO struct {
@@ -180,12 +158,8 @@ type Coordinator struct {
 
 	sent, recv, retries atomic.Int64
 	aggRounds           atomic.Int64
-	workerPasses        atomic.Int64
 	recoveries          atomic.Int64
 	replayedKeeps       atomic.Int64
-
-	wmu    sync.Mutex
-	wstats []workerTotals
 }
 
 // NewCoordinator builds a coordinator over TCP workers (cfg.Addrs) or over
@@ -205,7 +179,6 @@ func NewCoordinator(cfg Config, base core.Config) (*Coordinator, error) {
 		inherited: make(map[string]bool),
 		boots:     make([]atomic.Uint64, cfg.Shards),
 		recMu:     make([]sync.Mutex, cfg.Shards),
-		wstats:    make([]workerTotals, cfg.Shards),
 	}
 	if cfg.CheckpointPath != "" {
 		ck, err := readCheckpoint(cfg.CheckpointPath)
@@ -302,21 +275,6 @@ func (c *Coordinator) AggRounds() int64 { return c.aggRounds.Load() }
 // Totals returns lifetime wire-traffic counters.
 func (c *Coordinator) Totals() (sent, recv, retries int64) {
 	return c.sent.Load(), c.recv.Load(), c.retries.Load()
-}
-
-// WorkerStats snapshots per-worker cumulative pass stats.
-func (c *Coordinator) WorkerStats() []map[string]int64 {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	out := make([]map[string]int64, len(c.wstats))
-	for i, t := range c.wstats {
-		out[i] = map[string]int64{
-			"passes": t.Passes, "parts": t.Parts, "chunks": t.Chunks,
-			"read_bytes": t.BytesRead, "written_bytes": t.BytesWritten,
-			"nodes": t.NodesExecuted, "wall_ns": int64(t.Wall),
-		}
-	}
-	return out
 }
 
 // call is the retry/backoff RPC wrapper with recovery enabled: a fencing
@@ -666,20 +624,12 @@ func (c *Coordinator) RunDAG(ctx context.Context, d *core.RemoteDAG, ms *core.Ma
 	}
 	c.lin.finish(rec)
 
-	var wpasses int64
 	for _, s := range active {
 		st := resps[s].Stats
-		wpasses += st.Passes
+		ms.ShardPasses += st.Passes
 		ms.ShardWorkerRead += st.BytesRead
 		ms.ShardWorkerWritten += st.BytesWritten
 	}
-	c.wmu.Lock()
-	for _, s := range active {
-		c.wstats[s].add(resps[s].Stats)
-	}
-	c.wmu.Unlock()
-	ms.ShardPasses += wpasses
-	c.workerPasses.Add(wpasses)
 	if len(prog.Sinks) > 0 {
 		ms.ShardAggRounds++
 		c.aggRounds.Add(1)

@@ -489,6 +489,10 @@ func testExecRequest() execRequest {
 // bytes needs a version bump.
 const goldenExecRequest = "0674657374657280030400010100060000000000000000000000000000000000000000000000056d312d76300000000000000000050001000600012b000000000000000000000003000000000000f83f00000000000000c000000000000008400000000000000000000000000000000000000b020100060000012b000000000000000000000000000000000000000000000000000000000008040101020000000100000000000000000000000000000000000000000000000000000000010401020406012b0000080104010403000000000000e03f000000000000f83f0000000000000440010474372d300104"
 
+// goldenExecResponse pins the encoding of TestWireExecRoundTrip's response,
+// including the worker pass counters it carries back.
+const goldenExecResponse = "0101020603000000000000f03f0000000000000040000000000000084002000000000000f0bf000000000000104002142801000000000000d03f010203000000000000224000000000000020400000000000001c4002060a80408080010e80a8d6b907"
+
 // TestWireExecRoundTrip pins the exec request/response codec.
 func TestWireExecRoundTrip(t *testing.T) {
 	req := testExecRequest()
@@ -512,14 +516,22 @@ func TestWireExecRoundTrip(t *testing.T) {
 		Partials: []*core.SinkPartial{{Used: true, R: 1, C: 3, Data: []float64{1, 2, 3},
 			Keys: []float64{-1, 4}, Counts: []int64{10, 20}, Folds: []float64{0.25}}},
 		Carries: map[int32][]float64{1: {9, 8, 7}},
-		Stats:   workerPassStats{Passes: 1, Parts: 3, BytesRead: 4096, Wall: time.Second},
+		Stats: core.MaterializeStats{Passes: 1, Parts: 3, Chunks: 5, BytesRead: 4096,
+			BytesWritten: 8192, NodesExecuted: 7, Wall: time.Second},
 	}
-	rdec, err := decodeExecResp(encodeExecResp(resp))
+	renc := encodeExecResp(resp)
+	if got := hex.EncodeToString(renc); got != goldenExecResponse {
+		t.Fatalf("exec response encoding moved:\n got %s\nwant %s", got, goldenExecResponse)
+	}
+	rdec, err := decodeExecResp(renc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !bytes.Equal(encodeExecResp(rdec), renc) {
+		t.Fatal("decode → re-encode does not reproduce the response bytes")
+	}
 	if !rdec.Partials[0].Used || rdec.Partials[0].Data[2] != 3 || rdec.Partials[0].Counts[1] != 20 ||
-		rdec.Carries[1][0] != 9 || rdec.Stats.Wall != time.Second {
+		rdec.Carries[1][0] != 9 || rdec.Stats != resp.Stats {
 		t.Fatalf("exec response did not round-trip: %+v", rdec)
 	}
 	// Truncated frames must fail decoding, not panic or misparse.

@@ -61,8 +61,14 @@ type wbuf struct {
 	b []byte
 }
 
-func (w *wbuf) u8(v uint8)  { w.b = append(w.b, v) }
-func (w *wbuf) bool(v bool) { w.u8(map[bool]uint8{false: 0, true: 1}[v]) }
+func (w *wbuf) u8(v uint8) { w.b = append(w.b, v) }
+func (w *wbuf) bool(v bool) {
+	var b uint8
+	if v {
+		b = 1
+	}
+	w.u8(b)
+}
 func (w *wbuf) uvarint(v uint64) {
 	w.b = binary.AppendUvarint(w.b, v)
 }
@@ -377,21 +383,12 @@ type execRequest struct {
 	CarryOut []int32
 }
 
-// workerPassStats is the worker-side observability subset returned per exec.
-type workerPassStats struct {
-	Passes        int64
-	Parts         int64
-	Chunks        int64
-	BytesRead     int64
-	BytesWritten  int64
-	NodesExecuted int64
-	Wall          time.Duration
-}
-
 type execResponse struct {
 	Partials []*core.SinkPartial
 	Carries  map[int32][]float64
-	Stats    workerPassStats
+	// Stats is the worker's record of the pass. Only Passes, Parts, Chunks,
+	// BytesRead, BytesWritten, NodesExecuted and Wall cross the wire.
+	Stats core.MaterializeStats
 }
 
 func encodeProgram(w *wbuf, p *core.Program) {
@@ -601,7 +598,7 @@ func decodeExecResp(b []byte) (execResponse, error) {
 		q.Partials = append(q.Partials, decodePartial(&r))
 	}
 	q.Carries = decodeCarryMap(&r)
-	q.Stats = workerPassStats{
+	q.Stats = core.MaterializeStats{
 		Passes:        r.varint(),
 		Parts:         r.varint(),
 		Chunks:        r.varint(),

@@ -80,7 +80,7 @@ func wireSeeds() [][]byte {
 			Partials: []*core.SinkPartial{{Used: true, R: 1, C: 3, Data: []float64{1, 2, 3},
 				Keys: []float64{-1, 4}, Counts: []int64{10, 20}, Folds: []float64{0.25}}},
 			Carries: req.Carries,
-			Stats:   workerPassStats{Passes: 1, Parts: 3, BytesRead: 4096, Wall: time.Second},
+			Stats:   core.MaterializeStats{Passes: 1, Parts: 3, BytesRead: 4096, Wall: time.Second},
 		}),
 		encodeCheckpoint(ck),
 	}

@@ -292,15 +292,7 @@ func (w *Worker) exec(ctx context.Context, q execRequest) (execResponse, error) 
 		}
 	}
 	resp.Partials = res.Partials
-	resp.Stats = workerPassStats{
-		Passes:        ms.Passes,
-		Parts:         ms.Parts,
-		Chunks:        ms.Chunks,
-		BytesRead:     ms.BytesRead,
-		BytesWritten:  ms.BytesWritten,
-		NodesExecuted: ms.NodesExecuted,
-		Wall:          ms.Wall,
-	}
+	resp.Stats = ms
 	return resp, nil
 }
 
