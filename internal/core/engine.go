@@ -265,8 +265,9 @@ func (e *Engine) TotalMaterializeStats() MaterializeStats {
 func (e *Engine) PartRows() int { return e.cfg.PartRows }
 
 // NewStore allocates a tall-matrix store on the engine's preferred backend
-// (SAFS when EM, memory otherwise), using a blocked layout for matrices
-// wider than matrix.BlockCols.
+// (SAFS when EM, memory otherwise), flat row-major whatever its width: a
+// partition is one extent that workers read ahead straight into their
+// buffers. Only persisted named matrices keep 32-column blocks on disk.
 func (e *Engine) NewStore(nrow int64, ncol int) (matrix.Store, error) {
 	return e.newStoreOn(nrow, ncol, e.cfg.EM)
 }
@@ -279,25 +280,8 @@ func (e *Engine) NewMemStoreFor(nrow int64, ncol int) (matrix.Store, error) {
 func (e *Engine) newStoreOn(nrow int64, ncol int, em bool) (matrix.Store, error) {
 	if em {
 		name := fmt.Sprintf("mat-%06d", e.fileSeq.Add(1))
-		if ncol > matrix.BlockCols {
-			nb := matrix.NumBlockCols(ncol)
-			blocks := make([]matrix.Store, nb)
-			for b := 0; b < nb; b++ {
-				st, err := matrix.NewSAFSStore(e.cfg.FS, fmt.Sprintf("%s.b%02d", name, b),
-					nrow, matrix.BlockWidth(ncol, b), e.cfg.PartRows)
-				if err != nil {
-					return nil, err
-				}
-				blocks[b] = st
-			}
-			return matrix.NewBlockedStore(blocks)
-		}
 		return matrix.NewSAFSStore(e.cfg.FS, name, nrow, ncol, e.cfg.PartRows)
 	}
-	// In-memory matrices stay flat row-major regardless of width: the
-	// 32-column block format exists for 2-D partitioning of SSD-resident
-	// matrices (column-subset I/O); in memory the zero-copy flat layout
-	// wins and the Pcache chunking already provides the cache blocking.
 	return matrix.NewMemStore(e.cfg.Topo, nrow, ncol, e.cfg.PartRows, matrix.RowMajor)
 }
 

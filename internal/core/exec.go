@@ -517,8 +517,8 @@ func (w *worker) drainPending() {
 }
 
 // prefetch issues asynchronous SAFS reads for every flat-SAFS leaf of
-// partition p. Blocked and in-memory leaves are read synchronously at use
-// time.
+// partition p. In-memory leaves, and named wide matrices opened in the
+// blocked format, are read synchronously at use time.
 func (w *worker) prefetch(p int) {
 	if _, ok := w.pending[p]; ok {
 		return

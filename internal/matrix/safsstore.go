@@ -141,8 +141,9 @@ func (s *SAFSStore) ReadPartAsync(i int, dst []float64, tag int, done chan<- saf
 	return nil
 }
 
-// ReadPartCols implements Store. A flat SAFS matrix must read the whole
-// partition; BlockedStore over SAFS avoids that for wide matrices.
+// ReadPartCols implements Store by reading the whole partition. No pass
+// reads a column subset, so engine matrices stay flat; BlockedStore, which
+// reads only the needed blocks, is the format of persisted named matrices.
 func (s *SAFSStore) ReadPartCols(i int, cols []int, dst []float64) error {
 	rows := rowsOf(s, i)
 	tmp := make([]float64, rows*s.ncol)

@@ -17,6 +17,11 @@
 //   - reads and writes can be issued asynchronously to a pool of per-drive
 //     I/O goroutines, which is how the engine overlaps I/O with compute.
 //
+// Every stripe carries a CRC32C recorded on write. A verified read checks a
+// piece covering a whole stripe in place, in the caller's buffer, as SAFS
+// hands user buffers straight to its per-drive I/O threads; only a partial
+// piece stages its stripe in a per-drive scratch buffer.
+//
 // Unlike the real SAFS, this package uses buffered I/O through the host page
 // cache, and the token bucket sets timing. That preserves the behaviour the
 // engine depends on: a fixed bandwidth budget.
@@ -629,7 +634,8 @@ func (f *File) segOffset(off int64) (driveID int, segOff int64, contig int64) {
 
 // ReadAt reads len(p) bytes at offset off, spanning stripes as needed. It
 // blocks until every per-drive piece completes; pieces on different drives
-// proceed in parallel, each throttled by its drive's token bucket.
+// proceed in parallel, each throttled by its drive's token bucket. When it
+// returns an error the contents of p are unspecified.
 func (f *File) ReadAt(p []byte, off int64) error {
 	return f.rw(p, off, false, nil)
 }
@@ -641,7 +647,7 @@ func (f *File) WriteAt(p []byte, off int64) error {
 }
 
 // ReadAtPass is ReadAt with the I/O attributed to (and fair-queued under)
-// the given pass. A nil pass is equivalent to ReadAt.
+// the given pass (nil = ReadAt); p is unspecified when it returns an error.
 func (f *File) ReadAtPass(p []byte, off int64, pass *Pass) error {
 	return f.rw(p, off, false, pass)
 }
@@ -797,7 +803,8 @@ func (f *File) WriteAsync(p []byte, off int64, tag int, done chan<- Request) {
 }
 
 // ReadAsyncPass is ReadAsync with the I/O fair-queued under and attributed
-// to the given pass; a nil pass uses the drive's default queue.
+// to the given pass; a nil pass uses the drive's default queue. When the
+// completion carries an error the contents of p are unspecified.
 func (f *File) ReadAsyncPass(p []byte, off int64, tag int, done chan<- Request, pass *Pass) {
 	f.submit(p, off, false, true, tag, done, pass)
 }
@@ -1125,10 +1132,13 @@ func (d *drive) scratchBuf(n int) []byte {
 
 // readPiece performs one read attempt. When the stripe has a recorded
 // checksum (and verification is enabled) the whole stripe is read and its
-// CRC32C checked before the requested range is copied out; the stripe-sized
-// read happens at device level — no token bucket — modeling the in-drive
-// integrity check (T10-DIF style) real arrays do in hardware, which keeps
-// verification off the simulated bandwidth budget.
+// CRC32C checked — in the caller's buffer when the piece is the whole
+// stripe (the copy-out is then a no-op), else in the drive's scratch stripe
+// before the requested range is copied out. The stripe-sized read happens
+// at device level — no token bucket — modeling the in-drive integrity check
+// (T10-DIF style) real arrays do in hardware, which keeps verification off
+// the simulated bandwidth budget. A failed attempt may leave corrupt bytes
+// in the caller's buffer; the retry overwrites them.
 func (d *drive) readPiece(fs *FS, r ioReq) error {
 	flt := fs.faults.Load()
 	if flt != nil {
@@ -1158,7 +1168,10 @@ func (d *drive) readPiece(fs *FS, r ioReq) error {
 		}
 		return nil
 	}
-	sc := d.scratchBuf(r.stripeLen)
+	sc := r.buf
+	if len(r.buf) != r.stripeLen || r.off != r.stripeOff {
+		sc = d.scratchBuf(r.stripeLen)
+	}
 	if _, err := f.ReadAt(sc, r.stripeOff); err != nil {
 		return err
 	}

@@ -1,0 +1,145 @@
+package flashr_test
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	flashr "repro"
+	"repro/internal/safs"
+	"repro/ml"
+)
+
+// wideSession opens a session at the equivalence grid's shape (PartRows
+// 256) with the given worker count, on a 2-drive array when em is set.
+func wideSession(t *testing.T, em bool, workers int) *flashr.Session {
+	t.Helper()
+	opts := flashr.Options{Workers: workers, PartRows: 256}
+	if em {
+		opts.EM = true
+		opts.SSDDirs = safs.DriveDirs(t.TempDir(), 2)
+	}
+	s, err := flashr.NewSession(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
+// wideData generates an n×p standard-normal X and 0/1 labels drawn from the
+// same per-row streams.
+func wideData(t *testing.T, s *flashr.Session, n int64, p int) (x, y *flashr.FM) {
+	t.Helper()
+	x, err := s.GenerateSeeded(n, p, 77, func(rng *rand.Rand, row []float64) {
+		for j := range row {
+			row[j] = rng.NormFloat64()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	y, err = s.GenerateSeeded(n, 1, 77, func(rng *rand.Rand, row []float64) {
+		if rng.NormFloat64()+0.5*rng.NormFloat64() > 0 {
+			row[0] = 1
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return x, y
+}
+
+// TestWideEMLeafReadAhead: a matrix wider than 32 columns that the engine
+// creates on the array is one flat store, so every partition of a pass over
+// it is read ahead asynchronously and none is read cold at use time.
+func TestWideEMLeafReadAhead(t *testing.T) {
+	const n, p = 2000, 40
+	s := wideSession(t, true, 2)
+	x, _ := wideData(t, s, n, p)
+	before := s.TotalMaterializeStats()
+	if _, err := flashr.ColSums(flashr.Gt(x, 0.3)).AsVector(); err != nil {
+		t.Fatal(err)
+	}
+	st := s.TotalMaterializeStats()
+	st.Sub(before)
+	nparts := int64((n + 255) / 256)
+	if st.PrefetchMisses != 0 || st.PrefetchHits != nparts {
+		t.Fatalf("prefetch hits=%d misses=%d, want %d/0", st.PrefetchHits, st.PrefetchMisses, nparts)
+	}
+}
+
+// TestWideEMLayoutMatchesIM is the layout oracle at widths the equivalence
+// grid never draws (it generates p ≤ 4): the benchmark's EM step shapes
+// over a wide X give bit-identical results on the SSD array and in memory.
+func TestWideEMLayoutMatchesIM(t *testing.T) {
+	const n = 1500 // six partitions, the last one partial
+	for _, p := range []int{33, 40, 64} {
+		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
+			want := wideSteps(t, wideSession(t, false, 4), n, p)
+			got := wideSteps(t, wideSession(t, true, 4), n, p)
+			for _, step := range []string{"logistic", "threshold", "map_save", "cumsum"} {
+				g, w := got[step], want[step]
+				if len(g) != len(w) {
+					t.Fatalf("%s: %d values on EM, %d in memory", step, len(g), len(w))
+				}
+				for i := range w {
+					if math.Float64bits(g[i]) != math.Float64bits(w[i]) {
+						t.Fatalf("%s[%d]: EM %v, in memory %v (bitwise)", step, i, g[i], w[i])
+					}
+				}
+			}
+		})
+	}
+}
+
+// wideSteps runs one round of the benchmark's EM step shapes and returns
+// each step's results.
+func wideSteps(t *testing.T, s *flashr.Session, n int64, p int) map[string][]float64 {
+	t.Helper()
+	x, y := wideData(t, s, n, p)
+	vec := func(m *flashr.FM) []float64 {
+		t.Helper()
+		v, err := m.AsVector()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	out := map[string][]float64{}
+
+	m, err := ml.LogisticRegressionLBFGS(s, x, y, ml.LogisticOptions{MaxIter: 2, Tol: 1e-12, L2: 1e-3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out["logistic"] = append(append([]float64(nil), m.W...), m.LogLoss)
+
+	out["threshold"] = vec(flashr.ColSums(flashr.Gt(x, 0.4)))
+
+	z := flashr.Sigmoid(flashr.Add(flashr.Mul(x, 1.02), -0.03)).SetCache(true)
+	fused := flashr.ColSums(z)
+	if err := z.MaterializeCtx(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	out["map_save"] = append(vec(fused), vec(flashr.ColSums(flashr.Mul(z, 0.5)))...)
+	if err := z.Free(); err != nil {
+		t.Fatal(err)
+	}
+
+	c := flashr.Cumsum(flashr.Mul(x, 0.97))
+	total := flashr.ColSums(flashr.Mul(x, 0.97))
+	if err := c.MaterializeCtx(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	last, err := flashr.GetRows(c, []int64{n - 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out["cumsum"] = append(vec(total), last.Data...)
+	if err := c.Free(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
