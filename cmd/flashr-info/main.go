@@ -109,10 +109,13 @@ func main() {
 		if names := s.ListNamed(); len(names) > 0 {
 			fmt.Println("named matrices:")
 			for _, n := range names {
-				if m, err := s.OpenNamed(n); err == nil {
-					r, c := m.Dim()
-					fmt.Printf("  %-20s %10d x %-6d %10.1f MiB\n", n, r, c, float64(r*c*8)/(1<<20))
+				m, err := s.OpenNamed(n)
+				if err != nil {
+					fmt.Printf("  %s: %v\n", n, err)
+					continue
 				}
+				r, c := m.Dim()
+				fmt.Printf("  %-20s %10d x %-6d %10.1f MiB\n", n, r, c, float64(r*c*8)/(1<<20))
 			}
 		}
 		dumpMetrics()

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"regexp"
 	"testing"
+
+	"repro/internal/safs"
 )
 
 // TestVerifyScrubRealProcesses builds flashr-gen and flashr-info and runs the
@@ -55,5 +57,43 @@ func TestVerifyScrubRealProcesses(t *testing.T) {
 	}
 	if !regexp.MustCompile(`(?m)^CORRUPT pagegraph-x`).Match(out) {
 		t.Fatalf("-verify exited %d without a CORRUPT pagegraph-x line:\n%s", exit.ExitCode(), out)
+	}
+}
+
+// TestListShowsUnopenableNamed builds flashr-info and lists an array holding
+// the sidecar of a 40-column matrix in the 32-column block format older
+// builds wrote: the listing names the matrix with the reason it cannot be
+// opened instead of leaving it out.
+func TestListShowsUnopenableNamed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs a flashr-info process")
+	}
+	dir := t.TempDir()
+	infoBin := filepath.Join(dir, "flashr-info")
+	if out, err := exec.Command("go", "build", "-o", infoBin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("build flashr-info: %v\n%s", err, out)
+	}
+	array := filepath.Join(dir, "array")
+	fs, err := safs.Open(safs.Config{Drives: safs.DriveDirs(array, 4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := []byte(`{"nrow":600,"ncol":40,"part_rows":16384,"blocks":2,"dtype":"double","version":2}`)
+	mf, err := fs.Create("criteo-x.meta", int64(len(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mf.WriteAt(raw, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.Command(infoBin, "-ssd-root", array).CombinedOutput()
+	if err != nil {
+		t.Fatalf("listing: %v\n%s", err, out)
+	}
+	if !regexp.MustCompile(`(?m)^  criteo-x: flashr: open\.named: .*2 column blocks`).Match(out) {
+		t.Fatalf("listing does not report the block-format matrix:\n%s", out)
 	}
 }

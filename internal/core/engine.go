@@ -267,7 +267,7 @@ func (e *Engine) PartRows() int { return e.cfg.PartRows }
 // NewStore allocates a tall-matrix store on the engine's preferred backend
 // (SAFS when EM, memory otherwise), flat row-major whatever its width: a
 // partition is one extent that workers read ahead straight into their
-// buffers. Only persisted named matrices keep 32-column blocks on disk.
+// buffers. Named matrices SaveNamed persists use the same format.
 func (e *Engine) NewStore(nrow int64, ncol int) (matrix.Store, error) {
 	return e.newStoreOn(nrow, ncol, e.cfg.EM)
 }
@@ -282,7 +282,7 @@ func (e *Engine) newStoreOn(nrow int64, ncol int, em bool) (matrix.Store, error)
 		name := fmt.Sprintf("mat-%06d", e.fileSeq.Add(1))
 		return matrix.NewSAFSStore(e.cfg.FS, name, nrow, ncol, e.cfg.PartRows)
 	}
-	return matrix.NewMemStore(e.cfg.Topo, nrow, ncol, e.cfg.PartRows, matrix.RowMajor)
+	return matrix.NewMemStore(e.cfg.Topo, nrow, ncol, e.cfg.PartRows)
 }
 
 // Generate creates a materialized tall matrix by filling partitions in

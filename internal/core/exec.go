@@ -516,9 +516,9 @@ func (w *worker) drainPending() {
 	}
 }
 
-// prefetch issues asynchronous SAFS reads for every flat-SAFS leaf of
-// partition p. In-memory leaves, and named wide matrices opened in the
-// blocked format, are read synchronously at use time.
+// prefetch issues asynchronous SAFS reads for every SAFS leaf of partition
+// p (engine-created and named matrices alike). In-memory and remote leaves
+// are read synchronously at use time.
 func (w *worker) prefetch(p int) {
 	if _, ok := w.pending[p]; ok {
 		return

@@ -1,13 +1,13 @@
-// Package matrix implements FlashR's dense matrix storage formats (§3.2 of
-// the paper): tall-and-skinny (TAS) matrices physically partitioned into
-// power-of-two-row I/O partitions, stored either in NUMA-aware memory chunks
-// or on the simulated SSD array (SAFS), and block matrices that decompose a
-// wide tall matrix into TAS blocks of at most 32 columns each.
+// Package matrix implements FlashR's dense matrix storage (§3.2 of the
+// paper): tall matrices physically partitioned into power-of-two-row I/O
+// partitions, stored either in NUMA-aware memory chunks or on the simulated
+// SSD array (SAFS).
 //
-// The canonical in-buffer representation of one I/O partition is row-major
-// (rows × ncol float64). Column-major physical storage is supported at the
-// store level; the execution engine treats transpose as a zero-copy view, so
-// layout only affects storage, not kernels.
+// There is one format, in memory and on disk: each I/O partition is one
+// flat row-major extent (rows × ncol float64), whatever the width. The
+// paper's column-major partitions (Fig. 4a) and 32-column block matrices
+// (Fig. 4c) are not reproduced; the engine treats transpose as a zero-copy
+// view, and its Pcache chunking supplies the cache blocking.
 package matrix
 
 import (
@@ -44,27 +44,6 @@ func (d DType) String() string {
 		return fmt.Sprintf("DType(%d)", int(d))
 	}
 }
-
-// Layout is the physical element order inside an I/O partition.
-type Layout int8
-
-const (
-	// RowMajor stores each partition row-contiguously (Figure 4(b)).
-	RowMajor Layout = iota
-	// ColMajor stores each partition column-contiguously (Figure 4(a)).
-	ColMajor
-)
-
-func (l Layout) String() string {
-	if l == RowMajor {
-		return "row-major"
-	}
-	return "col-major"
-}
-
-// BlockCols is the column width of TAS blocks inside a block matrix
-// (§3.2.2: "TAS blocks with 32 columns each").
-const BlockCols = 32
 
 // MaxPartRows bounds the I/O partition height.
 const MaxPartRows = 1 << 18
@@ -113,9 +92,10 @@ func PartRowsOf(nrow int64, partRows, i int) int {
 }
 
 // Store is materialized tall-matrix data, addressed by I/O partition. All
-// ReadPart/WritePart buffers are row-major rows×ncol. Implementations:
-// MemStore (NUMA chunk pools), SAFSStore (striped SSD array), BlockedStore
-// (32-column TAS blocks over either).
+// ReadPart/WritePart buffers are row-major rows×ncol, the same order the
+// partition is stored in. Implementations: MemStore (NUMA chunk pools),
+// SAFSStore (one striped file on the SSD array) and the shard package's
+// RemoteStore (partitions held by worker processes).
 type Store interface {
 	// NRow is the number of rows (the partition dimension).
 	NRow() int64
@@ -127,13 +107,9 @@ type Store interface {
 	NumParts() int
 	// ReadPart fills dst (rows(i)×NCol row-major) with partition i.
 	ReadPart(i int, dst []float64) error
-	// ReadPartCols fills dst (rows(i)×len(cols) row-major) with the given
-	// column subset of partition i. Blocked stores touch only the blocks
-	// that contain requested columns.
-	ReadPartCols(i int, cols []int, dst []float64) error
 	// WritePart stores partition i from src (rows(i)×NCol row-major).
 	WritePart(i int, src []float64) error
-	// Kind identifies the backend ("mem", "safs", "blocked/...").
+	// Kind identifies the backend ("mem", "safs", "shard").
 	Kind() string
 	// Free releases backing resources (pool chunks, SAFS files).
 	Free() error
@@ -149,26 +125,6 @@ func CheckPart(s Store, i int) error {
 			i, s.NumParts(), s.NRow(), s.NCol(), s.Kind())
 	}
 	return nil
-}
-
-// RowToCol converts a row-major rows×cols buffer into column-major order.
-func RowToCol(dst, src []float64, rows, cols int) {
-	for r := 0; r < rows; r++ {
-		off := r * cols
-		for c := 0; c < cols; c++ {
-			dst[c*rows+r] = src[off+c]
-		}
-	}
-}
-
-// ColToRow converts a column-major rows×cols buffer into row-major order.
-func ColToRow(dst, src []float64, rows, cols int) {
-	for c := 0; c < cols; c++ {
-		off := c * rows
-		for r := 0; r < rows; r++ {
-			dst[r*cols+c] = src[off+r]
-		}
-	}
 }
 
 // GatherCols copies the given columns of a row-major rows×cols buffer into a

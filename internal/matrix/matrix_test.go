@@ -3,7 +3,6 @@ package matrix
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/numa"
 	"repro/internal/safs"
@@ -15,7 +14,7 @@ func fillRand(rng *rand.Rand, p []float64) {
 	}
 }
 
-// roundTripStore writes random partitions and checks ReadPart/ReadPartCols.
+// roundTripStore writes random partitions and checks ReadPart returns them.
 func roundTripStore(t *testing.T, s Store, nrow int64, ncol int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(42))
@@ -41,44 +40,23 @@ func roundTripStore(t *testing.T, s Store, nrow int64, ncol int) {
 			}
 		}
 	}
-	// Column subsets.
-	cols := []int{ncol - 1, 0}
-	if ncol > 2 {
-		cols = append(cols, ncol/2)
-	}
-	sub := make([]float64, s.PartRows()*len(cols))
-	for p := 0; p < s.NumParts(); p++ {
-		rows := PartRowsOf(nrow, s.PartRows(), p)
-		if err := s.ReadPartCols(p, cols, sub[:rows*len(cols)]); err != nil {
-			t.Fatalf("ReadPartCols(%d): %v", p, err)
-		}
-		for r := 0; r < rows; r++ {
-			for j, c := range cols {
-				if sub[r*len(cols)+j] != want[p][r*ncol+c] {
-					t.Fatalf("part %d row %d col %d mismatch", p, r, c)
-				}
-			}
-		}
-	}
 }
 
 func TestMemStoreRoundTrip(t *testing.T) {
 	topo := numa.NewTopology(2, 1<<14)
-	for _, layout := range []Layout{RowMajor, ColMajor} {
-		s, err := NewMemStore(topo, 1000, 5, 256, layout)
-		if err != nil {
-			t.Fatal(err)
-		}
-		roundTripStore(t, s, 1000, 5)
-		if err := s.Free(); err != nil {
-			t.Fatal(err)
-		}
+	s, err := NewMemStore(topo, 1000, 5, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	roundTripStore(t, s, 1000, 5)
+	if err := s.Free(); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestMemStoreChunkRecycling(t *testing.T) {
-	topo := numa.NewTopology(2, 1<<12)                  // 512-float chunks
-	s, err := NewMemStore(topo, 1024, 1, 256, RowMajor) // 256-float partitions fit chunks
+	topo := numa.NewTopology(2, 1<<12)        // 512-float chunks
+	s, err := NewMemStore(topo, 1024, 1, 256) // 256-float partitions fit chunks
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,106 +95,6 @@ func TestSAFSStoreRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBlockedStoreRoundTrip(t *testing.T) {
-	topo := numa.NewTopology(2, 1<<16)
-	const ncol = 70 // 3 blocks: 32+32+6
-	s, err := NewBlockedMemStore(topo, 800, ncol, 256, RowMajor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.NumBlocks() != 3 {
-		t.Fatalf("blocks %d, want 3", s.NumBlocks())
-	}
-	if s.Block(2).NCol() != 6 {
-		t.Fatalf("last block width %d, want 6", s.Block(2).NCol())
-	}
-	roundTripStore(t, s, 800, ncol)
-}
-
-func TestBlockedOverSAFS(t *testing.T) {
-	fs, err := safs.OpenTempDir(t.TempDir(), 2, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
-	blocks := make([]Store, 2)
-	for b := range blocks {
-		w := BlockWidth(40, b)
-		st, err := NewSAFSStore(fs, "m.b"+string(rune('0'+b)), 600, w, 256)
-		if err != nil {
-			t.Fatal(err)
-		}
-		blocks[b] = st
-	}
-	s, err := NewBlockedStore(blocks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	roundTripStore(t, s, 600, 40)
-}
-
-// TestColumnSubsetTouchesOnlyNeededBlocks asserts the §3.2.2 property: a
-// column subset confined to one block reads only that block's bytes.
-func TestColumnSubsetTouchesOnlyNeededBlocks(t *testing.T) {
-	fs, err := safs.OpenTempDir(t.TempDir(), 2, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
-	blocks := make([]Store, 2)
-	for b := range blocks {
-		st, err := NewSAFSStore(fs, "x.b"+string(rune('0'+b)), 512, 32, 256)
-		if err != nil {
-			t.Fatal(err)
-		}
-		blocks[b] = st
-	}
-	s, err := NewBlockedStore(blocks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := make([]float64, 256*64)
-	for p := 0; p < s.NumParts(); p++ {
-		if err := s.WritePart(p, full); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := fs.Stats().BytesRead
-	sub := make([]float64, 256*2)
-	if err := s.ReadPartCols(0, []int{3, 17}, sub); err != nil {
-		t.Fatal(err)
-	}
-	delta := fs.Stats().BytesRead - before
-	oneBlockPart := int64(256 * 32 * 8)
-	if delta > oneBlockPart {
-		t.Fatalf("column subset read %d bytes, more than one block partition (%d)", delta, oneBlockPart)
-	}
-}
-
-// TestLayoutConversions property-tests RowToCol/ColToRow as inverses.
-func TestLayoutConversions(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		rows := 1 + rng.Intn(20)
-		cols := 1 + rng.Intn(20)
-		src := make([]float64, rows*cols)
-		fillRand(rng, src)
-		cm := make([]float64, rows*cols)
-		back := make([]float64, rows*cols)
-		RowToCol(cm, src, rows, cols)
-		ColToRow(back, cm, rows, cols)
-		for i := range src {
-			if back[i] != src[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPartitionArithmetic(t *testing.T) {
 	if got := NumParts(1000, 256); got != 4 {
 		t.Fatalf("NumParts=%d", got)
@@ -233,13 +111,10 @@ func TestPartitionArithmetic(t *testing.T) {
 	if got := DefaultPartRows(1 << 30); got != MinPartRows {
 		t.Fatalf("DefaultPartRows(huge)=%d", got)
 	}
-	if NumBlockCols(32) != 1 || NumBlockCols(33) != 2 || BlockWidth(40, 1) != 8 {
-		t.Fatal("block arithmetic wrong")
-	}
 }
 
 func TestPartRowsMustBePowerOfTwo(t *testing.T) {
-	if _, err := NewMemStore(nil, 100, 2, 100, RowMajor); err == nil {
+	if _, err := NewMemStore(nil, 100, 2, 100); err == nil {
 		t.Fatal("non-power-of-two partition height accepted")
 	}
 }

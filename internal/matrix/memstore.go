@@ -18,7 +18,6 @@ type MemStore struct {
 	nrow     int64
 	ncol     int
 	partRows int
-	layout   Layout
 
 	mu    sync.RWMutex
 	parts []memPart
@@ -26,7 +25,7 @@ type MemStore struct {
 }
 
 type memPart struct {
-	data   []float64 // rows*ncol valid elements, layout order
+	data   []float64 // rows*ncol valid elements, row-major
 	pooled bool      // whether data came from the node chunk pool
 	node   int
 }
@@ -34,7 +33,7 @@ type memPart struct {
 // NewMemStore allocates an in-memory store for an nrow×ncol matrix. partRows
 // must be a power of two (0 selects DefaultPartRows(ncol)). The topology may
 // be nil, in which case the process default is used.
-func NewMemStore(topo *numa.Topology, nrow int64, ncol, partRows int, layout Layout) (*MemStore, error) {
+func NewMemStore(topo *numa.Topology, nrow int64, ncol, partRows int) (*MemStore, error) {
 	if topo == nil {
 		topo = numa.Default()
 	}
@@ -47,7 +46,7 @@ func NewMemStore(topo *numa.Topology, nrow int64, ncol, partRows int, layout Lay
 	if nrow < 0 || ncol <= 0 {
 		return nil, fmt.Errorf("matrix: invalid shape %dx%d", nrow, ncol)
 	}
-	s := &MemStore{topo: topo, nrow: nrow, ncol: ncol, partRows: partRows, layout: layout}
+	s := &MemStore{topo: topo, nrow: nrow, ncol: ncol, partRows: partRows}
 	s.parts = make([]memPart, NumParts(nrow, partRows))
 	return s, nil
 }
@@ -63,9 +62,6 @@ func (s *MemStore) PartRows() int { return s.partRows }
 
 // NumParts implements Store.
 func (s *MemStore) NumParts() int { return len(s.parts) }
-
-// Layout reports the physical element order of stored partitions.
-func (s *MemStore) Layout() Layout { return s.layout }
 
 // Kind implements Store.
 func (s *MemStore) Kind() string { return "mem" }
@@ -110,12 +106,7 @@ func (s *MemStore) WritePart(i int, src []float64) error {
 	if s.freed {
 		return fmt.Errorf("matrix: write to freed store")
 	}
-	p := s.ensurePart(i)
-	if s.layout == RowMajor {
-		copy(p.data, src[:rows*s.ncol])
-	} else {
-		RowToCol(p.data, src, rows, s.ncol)
-	}
+	copy(s.ensurePart(i).data, src[:rows*s.ncol])
 	return nil
 }
 
@@ -136,20 +127,15 @@ func (s *MemStore) ReadPart(i int, dst []float64) error {
 		zero(dst[:rows*s.ncol])
 		return nil
 	}
-	if s.layout == RowMajor {
-		copy(dst, p.data)
-	} else {
-		ColToRow(dst, p.data, rows, s.ncol)
-	}
+	copy(dst, p.data)
 	return nil
 }
 
-// PartRef returns a zero-copy read-only view of partition i when the store
-// layout allows it (row-major, partition written). The engine uses this to
-// avoid copying in-memory leaf partitions into scratch buffers — the
-// FlashR-IM fast path.
+// PartRef returns a zero-copy read-only view of partition i once it has been
+// written. The engine uses this to avoid copying in-memory leaf partitions
+// into scratch buffers — the FlashR-IM fast path.
 func (s *MemStore) PartRef(i int) ([]float64, bool) {
-	if s.layout != RowMajor || CheckPart(s, i) != nil {
+	if CheckPart(s, i) != nil {
 		return nil, false
 	}
 	s.mu.RLock()
@@ -158,41 +144,6 @@ func (s *MemStore) PartRef(i int) ([]float64, bool) {
 		return nil, false
 	}
 	return s.parts[i].data, true
-}
-
-// ReadPartCols implements Store.
-func (s *MemStore) ReadPartCols(i int, cols []int, dst []float64) error {
-	if err := CheckPart(s, i); err != nil {
-		return err
-	}
-	rows := rowsOf(s, i)
-	k := len(cols)
-	if len(dst) < rows*k {
-		return fmt.Errorf("matrix: ReadPartCols %d: buffer %d < %d", i, len(dst), rows*k)
-	}
-	for _, c := range cols {
-		if c < 0 || c >= s.ncol {
-			return fmt.Errorf("matrix: column %d out of range [0,%d)", c, s.ncol)
-		}
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	p := s.parts[i]
-	if p.data == nil {
-		zero(dst[:rows*k])
-		return nil
-	}
-	if s.layout == RowMajor {
-		GatherCols(dst, p.data, rows, s.ncol, cols)
-	} else {
-		for j, c := range cols {
-			col := p.data[c*rows : (c+1)*rows]
-			for r := 0; r < rows; r++ {
-				dst[r*k+j] = col[r]
-			}
-		}
-	}
-	return nil
 }
 
 // Free returns pooled chunks to their NUMA nodes and drops all data.

@@ -8,9 +8,12 @@ import (
 )
 
 // SAFSStore keeps a tall matrix on the simulated SSD array as one striped
-// SAFS file. Partitions are stored row-major, partition after partition, so
-// the engine's sequential dispatch of I/O partitions translates into
-// sequential, merge-friendly access on every drive (§3.3 of the paper).
+// SAFS file, whatever its width. Partitions are stored row-major, partition
+// after partition, so reading a partition is one extent going straight into
+// the caller's buffer, and the engine's sequential dispatch of I/O
+// partitions translates into sequential, merge-friendly access on every
+// drive (§3.3 of the paper). Every matrix on the array has this format:
+// engine-created ones and named matrices saved with SaveNamed alike.
 type SAFSStore struct {
 	fs       *safs.FS
 	file     *safs.File
@@ -36,6 +39,18 @@ func (s *SAFSStore) WithPass(p *safs.Pass) *SAFSStore {
 	v.owned = false
 	v.pass = p
 	return &v
+}
+
+// StoreWithPass returns a view of st whose SAFS-backed I/O is fair-queued
+// under and attributed to the given pass. Other stores are returned
+// unchanged (their traffic never reaches the array), and a nil pass returns
+// st itself. Views never own underlying files, so freeing a view is a no-op
+// for the original's data.
+func StoreWithPass(st Store, p *safs.Pass) Store {
+	if s, ok := st.(*SAFSStore); ok {
+		return s.WithPass(p)
+	}
+	return st
 }
 
 // NewSAFSStore creates a new striped file sized for an nrow×ncol matrix.
@@ -138,24 +153,6 @@ func (s *SAFSStore) ReadPartAsync(i int, dst []float64, tag int, done chan<- saf
 		return fmt.Errorf("matrix: ReadPartAsync %d: buffer %d < %d", i, len(dst), n)
 	}
 	s.file.ReadAsyncPass(asBytes(dst[:n]), s.PartOffset(i), tag, done, s.pass)
-	return nil
-}
-
-// ReadPartCols implements Store by reading the whole partition. No pass
-// reads a column subset, so engine matrices stay flat; BlockedStore, which
-// reads only the needed blocks, is the format of persisted named matrices.
-func (s *SAFSStore) ReadPartCols(i int, cols []int, dst []float64) error {
-	rows := rowsOf(s, i)
-	tmp := make([]float64, rows*s.ncol)
-	if err := s.ReadPart(i, tmp); err != nil {
-		return err
-	}
-	for _, c := range cols {
-		if c < 0 || c >= s.ncol {
-			return fmt.Errorf("matrix: column %d out of range [0,%d)", c, s.ncol)
-		}
-	}
-	GatherCols(dst, tmp, rows, s.ncol, cols)
 	return nil
 }
 

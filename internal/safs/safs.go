@@ -8,8 +8,9 @@
 //
 //   - a filesystem (FS) manages N "drives", each a directory on the host;
 //   - a File is striped over the drives in fixed-size stripe blocks mapped
-//     round-robin (the default hash) so that reading even a column subset of
-//     a matrix touches every drive, as §3.2.1 of the paper requires;
+//     round-robin (the default hash) so that a scan over any run of a
+//     matrix's partitions touches every drive, as §3.2.1 of the paper
+//     requires;
 //   - every drive has a token-bucket bandwidth model so the aggregate I/O
 //     throughput is a hard, configurable ceiling an order of magnitude below
 //     memory bandwidth — this is what makes the in-memory vs external-memory

@@ -942,16 +942,6 @@ func (rs *RemoteStore) ReadPart(i int, dst []float64) error {
 	return nil
 }
 
-func (rs *RemoteStore) ReadPartCols(i int, cols []int, dst []float64) error {
-	rows := matrix.PartRowsOf(rs.nrow, rs.partRows, i)
-	full := make([]float64, rows*rs.ncol)
-	if err := rs.ReadPart(i, full); err != nil {
-		return err
-	}
-	matrix.GatherCols(dst, full, rows, rs.ncol, cols)
-	return nil
-}
-
 func (rs *RemoteStore) WritePart(i int, src []float64) error {
 	wi, local, err := rs.locate(i)
 	if err != nil {

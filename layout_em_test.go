@@ -52,42 +52,67 @@ func wideData(t *testing.T, s *flashr.Session, n int64, p int) (x, y *flashr.FM)
 	return x, y
 }
 
-// TestWideEMLeafReadAhead: a matrix wider than 32 columns that the engine
-// creates on the array is one flat store, so every partition of a pass over
-// it is read ahead asynchronously and none is read cold at use time.
-func TestWideEMLeafReadAhead(t *testing.T) {
-	const n, p = 2000, 40
-	s := wideSession(t, true, 2)
-	x, _ := wideData(t, s, n, p)
-	before := s.TotalMaterializeStats()
-	if _, err := flashr.ColSums(flashr.Gt(x, 0.3)).AsVector(); err != nil {
+// reopenNamed saves x to the session's array under name and reopens it
+// with OpenNamed, as a matrix saved by another process would be.
+func reopenNamed(t *testing.T, s *flashr.Session, x *flashr.FM, name string) *flashr.FM {
+	t.Helper()
+	if err := s.SaveNamedCtx(context.Background(), x, name); err != nil {
 		t.Fatal(err)
 	}
-	st := s.TotalMaterializeStats()
-	st.Sub(before)
-	nparts := int64((n + 255) / 256)
-	if st.PrefetchMisses != 0 || st.PrefetchHits != nparts {
-		t.Fatalf("prefetch hits=%d misses=%d, want %d/0", st.PrefetchHits, st.PrefetchMisses, nparts)
+	named, err := s.OpenNamed(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return named
+}
+
+// TestWideEMLeafReadAhead: a matrix wider than 32 columns on the array is
+// one flat store, whether the engine created it or it was reopened with
+// OpenNamed, so every partition of a pass over it is read ahead
+// asynchronously and none is read cold at use time.
+func TestWideEMLeafReadAhead(t *testing.T) {
+	const n, p = 2000, 40
+	for _, named := range []bool{false, true} {
+		t.Run(map[bool]string{false: "generated", true: "named"}[named], func(t *testing.T) {
+			s := wideSession(t, true, 2)
+			x, _ := wideData(t, s, n, p)
+			if named {
+				x = reopenNamed(t, s, x, "X")
+			}
+			before := s.TotalMaterializeStats()
+			if _, err := flashr.ColSums(flashr.Gt(x, 0.3)).AsVector(); err != nil {
+				t.Fatal(err)
+			}
+			st := s.TotalMaterializeStats()
+			st.Sub(before)
+			nparts := int64((n + 255) / 256)
+			if st.PrefetchMisses != 0 || st.PrefetchHits != nparts {
+				t.Fatalf("prefetch hits=%d misses=%d, want %d/0", st.PrefetchHits, st.PrefetchMisses, nparts)
+			}
+		})
 	}
 }
 
 // TestWideEMLayoutMatchesIM is the layout oracle at widths the equivalence
 // grid never draws (it generates p ≤ 4): the benchmark's EM step shapes
-// over a wide X give bit-identical results on the SSD array and in memory.
+// over a wide X give bit-identical results on the SSD array and in memory,
+// with X generated on the array or saved and reopened as a named matrix.
 func TestWideEMLayoutMatchesIM(t *testing.T) {
 	const n = 1500 // six partitions, the last one partial
 	for _, p := range []int{33, 40, 64} {
 		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
-			want := wideSteps(t, wideSession(t, false, 4), n, p)
-			got := wideSteps(t, wideSession(t, true, 4), n, p)
-			for _, step := range []string{"logistic", "threshold", "map_save", "cumsum"} {
-				g, w := got[step], want[step]
-				if len(g) != len(w) {
-					t.Fatalf("%s: %d values on EM, %d in memory", step, len(g), len(w))
-				}
-				for i := range w {
-					if math.Float64bits(g[i]) != math.Float64bits(w[i]) {
-						t.Fatalf("%s[%d]: EM %v, in memory %v (bitwise)", step, i, g[i], w[i])
+			want := wideSteps(t, wideSession(t, false, 4), n, p, false)
+			for _, named := range []bool{false, true} {
+				got := wideSteps(t, wideSession(t, true, 4), n, p, named)
+				for _, step := range []string{"logistic", "threshold", "map_save", "cumsum"} {
+					g, w := got[step], want[step]
+					if len(g) != len(w) {
+						t.Fatalf("%s (named=%v): %d values on EM, %d in memory", step, named, len(g), len(w))
+					}
+					for i := range w {
+						if math.Float64bits(g[i]) != math.Float64bits(w[i]) {
+							t.Fatalf("%s[%d] (named=%v): EM %v, in memory %v (bitwise)", step, i, named, g[i], w[i])
+						}
 					}
 				}
 			}
@@ -96,10 +121,14 @@ func TestWideEMLayoutMatchesIM(t *testing.T) {
 }
 
 // wideSteps runs one round of the benchmark's EM step shapes and returns
-// each step's results.
-func wideSteps(t *testing.T, s *flashr.Session, n int64, p int) map[string][]float64 {
+// each step's results. With named set, X is saved and reopened with
+// OpenNamed first.
+func wideSteps(t *testing.T, s *flashr.Session, n int64, p int, named bool) map[string][]float64 {
 	t.Helper()
 	x, y := wideData(t, s, n, p)
+	if named {
+		x = reopenNamed(t, s, x, "X")
+	}
 	vec := func(m *flashr.FM) []float64 {
 		t.Helper()
 		v, err := m.AsVector()

@@ -780,7 +780,8 @@ func CumRow(x *FM, fname string) *FM { return must(TryCumRow(x, fname)) }
 func Cumsum(x *FM) *FM { return CumCol(x, "+") }
 
 // TryGetCols selects columns (R's x[, idx]); on tall matrices this is a
-// virtual view whose blocked storage reads only the touched column blocks.
+// virtual view: a pass reads each flat partition of x whole and gathers the
+// selected columns in the chunk.
 func TryGetCols(x *FM, cols []int) (*FM, error) {
 	_, nc := x.dims()
 	for _, c := range cols {

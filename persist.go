@@ -3,6 +3,7 @@ package flashr
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -18,24 +19,28 @@ import (
 //
 //	v1: shape metadata only.
 //	v2: adds Checksums — the per-stripe CRC32C table of every underlying
-//	    SAFS file, keyed by file name (the matrix name for a flat store,
-//	    "<name>.bNN" per block for a blocked one). Reopening a v2 matrix
-//	    restores the tables so every read is verified; v1 files reopen
-//	    checksum-free and are verified again from the first rewrite on.
+//	    SAFS file, keyed by file name. Reopening a v2 matrix restores the
+//	    tables so every read is verified; v1 files reopen checksum-free and
+//	    are verified again from the first rewrite on.
+//	v3: every named matrix is one flat row-major SAFS file under its own
+//	    name, whatever its width. v1/v2 stored matrices wider than 32
+//	    columns as "<name>.bNN" files of 32-column blocks (Blocks > 0); this
+//	    build refuses those sidecars instead of reading them. Flat v1/v2
+//	    sidecars still open.
 type matrixMeta struct {
 	NRow     int64  `json:"nrow"`
 	NCol     int    `json:"ncol"`
 	PartRows int    `json:"part_rows"`
-	Blocks   int    `json:"blocks"` // 0 = flat file, else 32-column TAS blocks
+	Blocks   int    `json:"blocks,omitempty"` // only read, to refuse v1/v2 block-format sidecars
 	DType    string `json:"dtype"`
 	Version  int    `json:"version"`
-	// Checksums maps each underlying SAFS file to its per-stripe CRC32C
-	// table (v2+; absent in v1 sidecars).
+	// Checksums maps the matrix's SAFS file to its per-stripe CRC32C table
+	// (v2+; absent in v1 sidecars).
 	Checksums map[string][]uint32 `json:"checksums,omitempty"`
 }
 
 // metaVersion is the sidecar version this build writes.
-const metaVersion = 2
+const metaVersion = 3
 
 func metaName(name string) string { return name + ".meta" }
 
@@ -43,6 +48,8 @@ func metaName(name string) string { return name + ".meta" }
 // up to metaVersion (older sidecars simply lack the newer fields) and
 // rejects sidecars from the future, malformed JSON, and impossible shapes —
 // a corrupted sidecar must fail loudly here, not as an index panic later.
+// A block-format sidecar (Blocks > 0, written by v1/v2 builds for wide
+// matrices) is refused with a *Error.
 func decodeMatrixMeta(name string, raw []byte) (matrixMeta, error) {
 	var meta matrixMeta
 	if err := json.Unmarshal(raw, &meta); err != nil {
@@ -56,23 +63,39 @@ func decodeMatrixMeta(name string, raw []byte) (matrixMeta, error) {
 		return meta, fmt.Errorf("flashr: corrupt metadata for %q: impossible shape %dx%d (part_rows=%d, blocks=%d)",
 			name, meta.NRow, meta.NCol, meta.PartRows, meta.Blocks)
 	}
-	if meta.Blocks > 0 && meta.Blocks != matrix.NumBlockCols(meta.NCol) {
-		return meta, fmt.Errorf("flashr: corrupt metadata for %q: %d blocks for %d columns",
-			name, meta.Blocks, meta.NCol)
+	if meta.Blocks > 0 {
+		return meta, errf("open.named", [][2]int64{{meta.NRow, int64(meta.NCol)}},
+			"%q is stored as %d column blocks (sidecar version %d); this build reads only flat matrices: re-save it from the source data",
+			name, meta.Blocks, meta.Version)
 	}
 	return meta, nil
 }
 
-// metaFileNames lists the underlying SAFS file names of a named matrix.
-func (m matrixMeta) metaFileNames(name string) []string {
-	if m.Blocks == 0 {
-		return []string{name}
+// readMeta reads and decodes the sidecar of a named matrix.
+func (s *Session) readMeta(name string) (matrixMeta, error) {
+	mf, err := s.fs.OpenFile(metaName(name))
+	if err != nil {
+		return matrixMeta{}, fmt.Errorf("flashr: no metadata for %q: %w", name, err)
 	}
-	names := make([]string, m.Blocks)
-	for b := range names {
-		names[b] = fmt.Sprintf("%s.b%02d", name, b)
+	raw := make([]byte, mf.Size())
+	if err := mf.ReadAt(raw, 0); err != nil {
+		return matrixMeta{}, err
 	}
-	return names
+	return decodeMatrixMeta(name, raw)
+}
+
+// restoreChecksums reinstates the persisted checksum table of the matrix's
+// file (v2+ sidecars), so every later read of it is verified. v1 sidecars
+// carry no table: the file stays checksum-free.
+func (m matrixMeta) restoreChecksums(name string, f *safs.File) error {
+	sums, ok := m.Checksums[f.Name()]
+	if !ok {
+		return nil
+	}
+	if err := f.RestoreChecksums(sums); err != nil {
+		return fmt.Errorf("flashr: %q: %w", name, err)
+	}
+	return nil
 }
 
 // SaveNamedCtx materializes x and stores it under the given name on the
@@ -105,36 +128,9 @@ func (s *Session) SaveNamedCtx(ctx context.Context, x *FM, name string) error {
 	src := x.big.Store()
 	nrow, ncol := src.NRow(), src.NCol()
 	partRows := src.PartRows()
-	blocks := 0
-	if ncol > matrix.BlockCols {
-		blocks = matrix.NumBlockCols(ncol)
-	}
-	// Destination store(s) under the chosen name.
-	var dst matrix.Store
-	var files []*matrix.SAFSStore
-	var err error
-	if blocks > 0 {
-		bs := make([]matrix.Store, blocks)
-		for b := 0; b < blocks; b++ {
-			st, serr := matrix.NewSAFSStore(s.fs, fmt.Sprintf("%s.b%02d", name, b),
-				nrow, matrix.BlockWidth(ncol, b), partRows)
-			if serr != nil {
-				return serr
-			}
-			bs[b] = st
-			files = append(files, st)
-		}
-		dst, err = matrix.NewBlockedStore(bs)
-		if err != nil {
-			return err
-		}
-	} else {
-		st, serr := matrix.NewSAFSStore(s.fs, name, nrow, ncol, partRows)
-		if serr != nil {
-			return serr
-		}
-		dst = st
-		files = append(files, st)
+	dst, err := matrix.NewSAFSStore(s.fs, name, nrow, ncol, partRows)
+	if err != nil {
+		return err
 	}
 	buf := make([]float64, partRows*ncol)
 	for p := 0; p < src.NumParts(); p++ {
@@ -149,20 +145,17 @@ func (s *Session) SaveNamedCtx(ctx context.Context, x *FM, name string) error {
 			return err
 		}
 	}
-	meta := matrixMeta{
-		NRow: nrow, NCol: ncol, PartRows: partRows, Blocks: blocks,
-		DType: x.big.DType().String(), Version: metaVersion,
-		Checksums: make(map[string][]uint32, len(files)),
-	}
-	// Persist the per-stripe CRC32C tables so a later session verifies its
+	// Persist the per-stripe CRC32C table so a later session verifies its
 	// reads against the data written now (every stripe was just written, so
-	// every table is complete).
-	for _, st := range files {
-		sums, complete := st.File().Checksums()
-		if !complete {
-			return fmt.Errorf("flashr: SaveNamed %q: incomplete checksum table for %q", name, st.File().Name())
-		}
-		meta.Checksums[st.File().Name()] = sums
+	// the table is complete).
+	sums, complete := dst.File().Checksums()
+	if !complete {
+		return fmt.Errorf("flashr: SaveNamed %q: incomplete checksum table", name)
+	}
+	meta := matrixMeta{
+		NRow: nrow, NCol: ncol, PartRows: partRows,
+		DType: x.big.DType().String(), Version: metaVersion,
+		Checksums: map[string][]uint32{name: sums},
 	}
 	raw, err := json.Marshal(meta)
 	if err != nil {
@@ -181,15 +174,7 @@ func (s *Session) OpenNamed(name string) (*FM, error) {
 	if s.fs == nil {
 		return nil, fmt.Errorf("flashr: OpenNamed needs a session with an SSD array")
 	}
-	mf, err := s.fs.OpenFile(metaName(name))
-	if err != nil {
-		return nil, fmt.Errorf("flashr: no metadata for %q: %w", name, err)
-	}
-	raw := make([]byte, mf.Size())
-	if err := mf.ReadAt(raw, 0); err != nil {
-		return nil, err
-	}
-	meta, err := decodeMatrixMeta(name, raw)
+	meta, err := s.readMeta(name)
 	if err != nil {
 		return nil, err
 	}
@@ -197,45 +182,11 @@ func (s *Session) OpenNamed(name string) (*FM, error) {
 		return nil, fmt.Errorf("flashr: %q stored with partition height %d, session uses %d",
 			name, meta.PartRows, s.eng.PartRows())
 	}
-	// restore reinstates a file's persisted checksum table (v2 sidecars), so
-	// every subsequent read of the reopened matrix is verified. v1 sidecars
-	// carry no table: the file reopens checksum-free.
-	restore := func(f *safs.File) error {
-		sums, ok := meta.Checksums[f.Name()]
-		if !ok {
-			return nil
-		}
-		if err := f.RestoreChecksums(sums); err != nil {
-			return fmt.Errorf("flashr: %q: %w", name, err)
-		}
-		return nil
-	}
-	var st matrix.Store
-	if meta.Blocks > 0 {
-		bs := make([]matrix.Store, meta.Blocks)
-		for b := 0; b < meta.Blocks; b++ {
-			bst, berr := matrix.OpenSAFSStore(s.fs, fmt.Sprintf("%s.b%02d", name, b),
-				meta.NRow, matrix.BlockWidth(meta.NCol, b), meta.PartRows)
-			if berr != nil {
-				return nil, berr
-			}
-			if err := restore(bst.File()); err != nil {
-				return nil, err
-			}
-			bs[b] = bst
-		}
-		st, err = matrix.NewBlockedStore(bs)
-	} else {
-		var fst *matrix.SAFSStore
-		fst, err = matrix.OpenSAFSStore(s.fs, name, meta.NRow, meta.NCol, meta.PartRows)
-		if err == nil {
-			if rerr := restore(fst.File()); rerr != nil {
-				return nil, rerr
-			}
-			st = fst
-		}
-	}
+	st, err := matrix.OpenSAFSStore(s.fs, name, meta.NRow, meta.NCol, meta.PartRows)
 	if err != nil {
+		return nil, err
+	}
+	if err := meta.restoreChecksums(name, st.File()); err != nil {
 		return nil, err
 	}
 	dt := matrix.F64
@@ -266,19 +217,16 @@ func (s *Session) SetNamed(x *FM, name string) error {
 	s.mu.Lock()
 	old := append([]*core.Mat(nil), s.named[name]...)
 	s.mu.Unlock()
-	// Drop the old files (data + sidecar) so the rewrite starts clean even
-	// when the new shape needs fewer block files than the old one.
-	if mf, err := s.fs.OpenFile(metaName(name)); err == nil {
-		raw := make([]byte, mf.Size())
-		if rerr := mf.ReadAt(raw, 0); rerr == nil {
-			if meta, derr := decodeMatrixMeta(name, raw); derr == nil {
-				for _, fname := range meta.metaFileNames(name) {
-					s.fs.Remove(fname)
-				}
-			}
-		}
-		s.fs.Remove(metaName(name))
+	// A block-format sidecar from an older build (the only *Error readMeta
+	// returns) names "<name>.bNN" files the rewrite below would orphan:
+	// refuse it and remove nothing. Otherwise drop the old file and sidecar
+	// so the rewrite starts clean.
+	var blocked *Error
+	if _, err := s.readMeta(name); errors.As(err, &blocked) {
+		return err
 	}
+	s.fs.Remove(name)
+	s.fs.Remove(metaName(name))
 	if err := s.SaveNamedCtx(context.Background(), x, name); err != nil {
 		return err
 	}
@@ -289,50 +237,34 @@ func (s *Session) SetNamed(x *FM, name string) error {
 }
 
 // VerifyNamedCtx scrubs a matrix stored with SaveNamedCtx against the
-// checksum tables in its sidecar, returning one report per underlying SAFS
-// file (one for a flat matrix, one per 32-column block for a wide one).
+// checksum table in its sidecar, returning one report for its SAFS file.
 // Stripes a v1 sidecar has no checksums for are reported as skipped, not
 // corrupt. The scan reads segment bytes directly — no token bucket, no
-// retries — so it is off the simulated bandwidth budget. It stops between
-// files with ctx.Err() when ctx is cancelled, returning the reports
-// completed so far.
+// retries — so it is off the simulated bandwidth budget. It returns
+// ctx.Err() without scanning when ctx is already cancelled.
 func (s *Session) VerifyNamedCtx(ctx context.Context, name string) ([]safs.VerifyReport, error) {
 	if s.fs == nil {
 		return nil, fmt.Errorf("flashr: VerifyNamed needs a session with an SSD array")
 	}
-	mf, err := s.fs.OpenFile(metaName(name))
-	if err != nil {
-		return nil, fmt.Errorf("flashr: no metadata for %q: %w", name, err)
-	}
-	raw := make([]byte, mf.Size())
-	if err := mf.ReadAt(raw, 0); err != nil {
-		return nil, err
-	}
-	meta, err := decodeMatrixMeta(name, raw)
+	meta, err := s.readMeta(name)
 	if err != nil {
 		return nil, err
 	}
-	var reports []safs.VerifyReport
-	for _, fname := range meta.metaFileNames(name) {
-		if err := ctx.Err(); err != nil {
-			return reports, err
-		}
-		f, err := s.fs.OpenFile(fname)
-		if err != nil {
-			return reports, err
-		}
-		if sums, ok := meta.Checksums[fname]; ok {
-			if err := f.RestoreChecksums(sums); err != nil {
-				return reports, fmt.Errorf("flashr: %q: %w", name, err)
-			}
-		}
-		rep, err := f.Verify()
-		if err != nil {
-			return reports, err
-		}
-		reports = append(reports, rep)
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	return reports, nil
+	f, err := s.fs.OpenFile(name)
+	if err != nil {
+		return nil, err
+	}
+	if err := meta.restoreChecksums(name, f); err != nil {
+		return nil, err
+	}
+	rep, err := f.Verify()
+	if err != nil {
+		return nil, err
+	}
+	return []safs.VerifyReport{rep}, nil
 }
 
 // ListNamed returns the names of matrices stored with SaveNamedCtx on the

@@ -6,8 +6,9 @@ import (
 )
 
 // FuzzDecodeMatrixMeta hammers the sidecar parser with arbitrary bytes: it
-// must reject malformed input with an error — never panic, and never accept
-// a sidecar whose fields could drive the open path out of bounds.
+// must reject malformed input with an error — never panic, never accept a
+// sidecar whose fields could drive the open path out of bounds, and never
+// accept a block-format sidecar (Blocks != 0) of an older build.
 func FuzzDecodeMatrixMeta(f *testing.F) {
 	for _, meta := range []matrixMeta{
 		{NRow: 2000, NCol: 5, PartRows: 256, DType: "double", Version: metaVersion,
@@ -34,13 +35,11 @@ func FuzzDecodeMatrixMeta(f *testing.F) {
 		if meta.Version > metaVersion {
 			t.Fatalf("accepted future version %d", meta.Version)
 		}
-		if meta.NRow < 0 || meta.NCol <= 0 || meta.PartRows <= 0 || meta.Blocks < 0 {
+		if meta.NRow < 0 || meta.NCol <= 0 || meta.PartRows <= 0 {
 			t.Fatalf("accepted impossible shape: %+v", meta)
 		}
-		if meta.Blocks < 1<<12 {
-			if n := len(meta.metaFileNames("fz")); meta.Blocks > 0 && n != meta.Blocks {
-				t.Fatalf("metaFileNames returned %d names for %d blocks", n, meta.Blocks)
-			}
+		if meta.Blocks != 0 {
+			t.Fatalf("accepted a block-format sidecar: %+v", meta)
 		}
 	})
 }

@@ -154,12 +154,14 @@ func TestSidecarRejectsNewerVersion(t *testing.T) {
 	}
 }
 
-// TestVerifyNamedBlocked: wide matrices scrub one report per column block.
-func TestVerifyNamedBlocked(t *testing.T) {
+// TestVerifyNamedWide: a matrix wider than 32 columns is one flat file, so
+// its scrub is one report, and a byte flipped in a segment shows as one
+// corrupt stripe in it.
+func TestVerifyNamedWide(t *testing.T) {
 	root := t.TempDir()
 	s := emSessionAt(t, []string{filepath.Join(root, "d0"), filepath.Join(root, "d1")})
 	defer s.Close()
-	x, err := s.Rnorm(600, 40, 0, 1, 47) // > 32 cols → 2 blocks
+	x, err := s.Rnorm(600, 40, 0, 1, 47)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,12 +172,24 @@ func TestVerifyNamedBlocked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reps) != 2 {
-		t.Fatalf("blocked matrix produced %d reports, want 2", len(reps))
+	if len(reps) != 1 {
+		t.Fatalf("wide matrix produced %d reports, want 1", len(reps))
 	}
-	for _, r := range reps {
-		if r.Verified != r.Stripes || len(r.Corrupt) != 0 {
-			t.Fatalf("blocked scrub: %+v", r)
-		}
+	if r := reps[0]; r.Verified != r.Stripes || r.Skipped != 0 || len(r.Corrupt) != 0 {
+		t.Fatalf("clean wide scrub: %+v", r)
+	}
+	f, err := s.FS().OpenFile("wide")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Corrupt(0, 777); err != nil {
+		t.Fatal(err)
+	}
+	reps, err = s.VerifyNamedCtx(context.Background(), "wide")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reps) != 1 || len(reps[0].Corrupt) != 1 || reps[0].Corrupt[0].Stripe != 0 {
+		t.Fatalf("wide scrub missed the corruption: %+v", reps)
 	}
 }

@@ -2,7 +2,12 @@ package flashr
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
+	"math"
 	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 )
 
@@ -58,12 +63,15 @@ func TestSaveOpenNamedRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSaveNamedWideUsesBlocks(t *testing.T) {
+// TestSaveNamedWideFlat: a matrix wider than 32 columns is saved as one
+// flat file beside its sidecar, with no block files, and reads back
+// bit-identically.
+func TestSaveNamedWideFlat(t *testing.T) {
 	root := t.TempDir()
 	dirs := []string{filepath.Join(root, "d0"), filepath.Join(root, "d1")}
 	s := emSessionAt(t, dirs)
 	defer s.Close()
-	x, err := s.Rnorm(600, 40, 0, 1, 4) // > 32 cols → 2 blocks
+	x, err := s.Rnorm(600, 40, 0, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,22 +79,78 @@ func TestSaveNamedWideUsesBlocks(t *testing.T) {
 	if err := s.SaveNamedCtx(context.Background(), x, "wide"); err != nil {
 		t.Fatal(err)
 	}
-	// Block files exist in the namespace.
-	var sawBlock bool
+	var files []string
 	for _, f := range s.FS().List() {
-		if f == "wide.b01" {
-			sawBlock = true
+		if strings.HasPrefix(f, "wide") {
+			files = append(files, f)
 		}
 	}
-	if !sawBlock {
-		t.Fatal("wide matrix not stored as 32-column blocks")
+	sort.Strings(files)
+	if len(files) != 2 || files[0] != "wide" || files[1] != "wide.meta" {
+		t.Fatalf("wide matrix stored as %v, want [wide wide.meta]", files)
 	}
 	y, err := s.OpenNamed("wide")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := Sum(Abs(y)).MustFloat(); got != want {
-		t.Fatalf("blocked round trip %g != %g", got, want)
+	if got := Sum(Abs(y)).MustFloat(); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("wide round trip %g != %g", got, want)
+	}
+}
+
+// TestBlockFormatSidecarRefused: a v2 sidecar of the old 32-column block
+// format is refused with a *Error by OpenNamed, VerifyNamedCtx and
+// SetNamed, and SetNamed removes none of its files.
+func TestBlockFormatSidecarRefused(t *testing.T) {
+	root := t.TempDir()
+	s := emSessionAt(t, []string{filepath.Join(root, "d0")})
+	defer s.Close()
+	planted := []string{"old.b00", "old.b01", "old.meta"}
+	for _, f := range planted[:2] {
+		if _, err := s.FS().Create(f, 600*32*8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := json.Marshal(matrixMeta{NRow: 600, NCol: 40, PartRows: 256, Blocks: 2, DType: "double", Version: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mf, err := s.FS().Create(metaName("old"), int64(len(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mf.WriteAt(raw, 0); err != nil {
+		t.Fatal(err)
+	}
+	x, err := s.Rnorm(600, 40, 0, 1, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, openErr := s.OpenNamed("old")
+	_, verifyErr := s.VerifyNamedCtx(context.Background(), "old")
+	setErr := s.SetNamed(x, "old")
+	for call, err := range map[string]error{"OpenNamed": openErr, "VerifyNamedCtx": verifyErr, "SetNamed": setErr} {
+		var fe *Error
+		if !errors.As(err, &fe) || fe.Op != "open.named" {
+			t.Fatalf("%s: want *Error with op open.named, got %v", call, err)
+		}
+		for _, part := range []string{`"old"`, "2 column blocks", "version 2"} {
+			if !strings.Contains(err.Error(), part) {
+				t.Fatalf("%s: error %q does not name %s", call, err, part)
+			}
+		}
+	}
+	have := map[string]bool{}
+	for _, f := range s.FS().List() {
+		have[f] = true
+	}
+	for _, f := range planted {
+		if !have[f] {
+			t.Fatalf("SetNamed removed %s of a refused sidecar", f)
+		}
+	}
+	if have["old"] {
+		t.Fatal("SetNamed wrote a flat file beside a refused sidecar")
 	}
 }
 
