@@ -72,11 +72,11 @@ func reopenNamed(t *testing.T, s *flashr.Session, x *flashr.FM, name string) *fl
 // asynchronously and none is read cold at use time.
 func TestWideEMLeafReadAhead(t *testing.T) {
 	const n, p = 2000, 40
-	for _, named := range []bool{false, true} {
-		t.Run(map[bool]string{false: "generated", true: "named"}[named], func(t *testing.T) {
+	for _, leaf := range []string{"generated", "named"} {
+		t.Run(leaf, func(t *testing.T) {
 			s := wideSession(t, true, 2)
 			x, _ := wideData(t, s, n, p)
-			if named {
+			if leaf == "named" {
 				x = reopenNamed(t, s, x, "X")
 			}
 			before := s.TotalMaterializeStats()
