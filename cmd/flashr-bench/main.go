@@ -28,9 +28,6 @@ func main() {
 	flag.IntVar(&cfg.Session.Workers, "workers", runtime.GOMAXPROCS(0), "worker goroutines per engine")
 	flag.Float64Var(&cfg.Session.ReadMBps, "read-mbps", 1200, "aggregate SSD read bandwidth (MiB/s, 0=unthrottled)")
 	flag.Float64Var(&cfg.Session.WriteMBps, "write-mbps", 1000, "aggregate SSD write bandwidth (MiB/s, 0=unthrottled)")
-	flag.BoolVar(&cfg.Session.SyncWrites, "sync-writes", false, "disable the write-behind pipeline (synchronous partition writes)")
-	flag.IntVar(&cfg.Session.WriteBehindDepth, "write-depth", 0, "in-flight async partition write bound (0=auto: 2×workers in [4,32])")
-	flag.BoolVar(&cfg.Session.DisableVerify, "no-verify", false, "disable CRC32C verification on SSD reads (A/B for the checksum overhead)")
 	flag.BoolVar(&cfg.Session.DisableCSE, "no-cse", false, "disable structural hash-consing and the sub-DAG result cache")
 	flag.BoolVar(&cfg.Session.DisableRewrites, "no-rewrites", false, "disable the algebraic DAG rewrite pass")
 	flag.Int64Var(&cfg.N, "n", 200_000, "base dataset rows (Criteo-sub in the paper is 325M)")
@@ -70,14 +67,6 @@ func main() {
 		fmt.Printf("debug server on %s (/metrics, /debug/pprof/)\n", ds.Addr())
 	}
 	o := cfg.Session
-	writes := "write-behind"
-	if o.SyncWrites {
-		writes = "sync"
-	}
-	verify := "on"
-	if o.DisableVerify {
-		verify = "off"
-	}
 	cse := "on"
 	if o.DisableCSE {
 		cse = "off"
@@ -86,8 +75,8 @@ func main() {
 	if o.DisableRewrites || o.DisableCSE {
 		rewrites = "off"
 	}
-	fmt.Printf("flashr-bench: experiment=%s n=%d workers=%d drives=%d read=%.0fMiB/s write=%.0fMiB/s iters=%d writes=%s depth=%d verify=%s cse=%s rewrites=%s\n",
-		*experiment, cfg.N, o.Workers, cfg.Drives, o.ReadMBps, o.WriteMBps, cfg.Iters, writes, o.WriteBehindDepth, verify, cse, rewrites)
+	fmt.Printf("flashr-bench: experiment=%s n=%d workers=%d drives=%d read=%.0fMiB/s write=%.0fMiB/s iters=%d cse=%s rewrites=%s\n",
+		*experiment, cfg.N, o.Workers, cfg.Drives, o.ReadMBps, o.WriteMBps, cfg.Iters, cse, rewrites)
 	if cfg.ReadErrRate > 0 || cfg.FlipBitRate > 0 {
 		fmt.Printf("fault injection: read-err=%.3g flip-bit=%.3g seed=%d\n", cfg.ReadErrRate, cfg.FlipBitRate, cfg.FaultSeed)
 	}

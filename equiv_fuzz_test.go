@@ -14,8 +14,8 @@ import (
 
 // Differential equivalence harness for the hash-consed engine: a seeded
 // random program is executed under every combination of
-// {FuseNone, FuseMem, FuseCache} × {CSE on, off} × {SyncWrites on, off}, and
-// every configuration must produce bit-identical results. Each session runs
+// {FuseNone, FuseMem, FuseCache} × {CSE on, off}, and every configuration
+// must produce bit-identical results. Each session runs
 // the program twice over the same leaf, so the second run exercises the
 // cross-materialize result cache on exactly the values the first run
 // computed.
@@ -33,7 +33,6 @@ type equivConfig struct {
 	name       string
 	fuse       FuseLevel
 	disableCSE bool
-	syncWrites bool
 	em         bool
 	// Rewrite ablations: the whole pass off, or one rule family off. Every
 	// point must still fingerprint bit-identically (tolerance-pinned for the
@@ -65,14 +64,11 @@ func equivGrid(em bool) []equivConfig {
 	var grid []equivConfig
 	for _, fuse := range []FuseLevel{FuseCache, FuseMem, FuseNone} {
 		for _, cse := range []bool{false, true} {
-			for _, sync := range []bool{false, true} {
-				grid = append(grid, equivConfig{
-					name:       fmt.Sprintf("fuse=%v/cse=%t/sync=%t", fuse, !cse, sync),
-					fuse:       fuse,
-					disableCSE: cse,
-					syncWrites: sync,
-				})
-			}
+			grid = append(grid, equivConfig{
+				name:       fmt.Sprintf("fuse=%v/cse=%t", fuse, !cse),
+				fuse:       fuse,
+				disableCSE: cse,
+			})
 		}
 		grid = append(grid, equivConfig{
 			name: fmt.Sprintf("fuse=%v/rewrites=off", fuse), fuse: fuse, noRewrites: true,
@@ -93,7 +89,7 @@ func equivGrid(em bool) []equivConfig {
 	if em {
 		grid = append(grid,
 			equivConfig{name: "em/cache/cse-on", fuse: FuseCache, em: true},
-			equivConfig{name: "em/cache/cse-off/sync", fuse: FuseCache, disableCSE: true, syncWrites: true, em: true},
+			equivConfig{name: "em/cache/cse-off", fuse: FuseCache, disableCSE: true, em: true},
 			equivConfig{name: "em/cache/rewrites-off", fuse: FuseCache, noRewrites: true, em: true},
 		)
 	}
@@ -300,8 +296,7 @@ func checkEquivalenceGrid(t testing.TB, seed int64, grid []equivConfig) {
 	for _, cfg := range grid {
 		opts := Options{
 			Workers: 4, PartRows: 256, Fuse: cfg.fuse,
-			DisableCSE: cfg.disableCSE, SyncWrites: cfg.syncWrites,
-			DisableRewrites: cfg.noRewrites,
+			DisableCSE: cfg.disableCSE, DisableRewrites: cfg.noRewrites,
 		}
 		var chaos []*shard.ChaosTransport
 		if cfg.shards > 0 {

@@ -86,13 +86,6 @@ type Config struct {
 	// size; the scheduler shrinks to single partitions near the end,
 	// §3.3).
 	SuperParts int
-	// SyncWrites disables the write-behind pipeline and writes tall-output
-	// partitions synchronously from the compute workers — the pre-pipeline
-	// behavior, kept as a debugging escape hatch and for A/B comparison.
-	SyncWrites bool
-	// WriteBehindDepth bounds in-flight asynchronous partition writes
-	// (0 = 2×Workers clamped to [4, 32]).
-	WriteBehindDepth int
 	// DisableCSE turns off structural hash-consing entirely: no
 	// common-subexpression unification at DAG-build time and no sub-DAG
 	// result cache (the ablation knob for the equivalence suites). Because
@@ -199,15 +192,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	if cfg.EM && cfg.FS == nil {
 		return nil, fmt.Errorf("core: EM engine requires an SSD array (Config.FS)")
-	}
-	if cfg.WriteBehindDepth == 0 {
-		cfg.WriteBehindDepth = 2 * cfg.Workers
-		if cfg.WriteBehindDepth < 4 {
-			cfg.WriteBehindDepth = 4
-		}
-		if cfg.WriteBehindDepth > 32 {
-			cfg.WriteBehindDepth = 32
-		}
 	}
 	if cfg.SuperParts == 0 {
 		cfg.SuperParts = 4
@@ -394,7 +378,7 @@ func (e *Engine) MaterializePass(ctx context.Context, talls []*Mat, sinks []*Sin
 		}
 	}
 	if len(mt) == 0 && len(sk) == 0 {
-		return MaterializeStats{Fuse: e.cfg.Fuse, SyncWrites: e.cfg.SyncWrites, Owner: opts.Owner, Batch: opts.Batch}, nil
+		return MaterializeStats{Fuse: e.cfg.Fuse, Owner: opts.Owner, Batch: opts.Batch}, nil
 	}
 	leafCols, tallCols := estimateCols(mt, sk)
 	return e.runPass(ctx, opts, e.passBytes(leafCols, tallCols), func(ctx context.Context, ms *MaterializeStats, pr passRun) error {
@@ -410,7 +394,7 @@ func (e *Engine) MaterializePass(ctx context.Context, talls []*Mat, sinks []*Sin
 // cum.col accumulators entering the pass. The caller owns the returned tall
 // stores.
 func (e *Engine) ExecProgram(ctx context.Context, p *Program, nrow int64, leaves []matrix.Store, carries map[int32][]float64, opts PassOptions) (*ProgramResult, MaterializeStats, error) {
-	ms := MaterializeStats{Fuse: e.cfg.Fuse, SyncWrites: e.cfg.SyncWrites, Owner: opts.Owner, Batch: opts.Batch}
+	ms := MaterializeStats{Fuse: e.cfg.Fuse, Owner: opts.Owner, Batch: opts.Batch}
 	if !p.resolved {
 		return nil, ms, fmt.Errorf("core: program not resolved")
 	}
@@ -448,7 +432,7 @@ func (e *Engine) ExecProgram(ctx context.Context, p *Program, nrow int64, leaves
 // exact per-pass attribution even while other passes run on the same engine
 // and array.
 func (e *Engine) runPass(ctx context.Context, opts PassOptions, bytes int64, run func(context.Context, *MaterializeStats, passRun) error) (MaterializeStats, error) {
-	ms := MaterializeStats{Fuse: e.cfg.Fuse, SyncWrites: e.cfg.SyncWrites, Owner: opts.Owner, Batch: opts.Batch}
+	ms := MaterializeStats{Fuse: e.cfg.Fuse, Owner: opts.Owner, Batch: opts.Batch}
 	passID := e.passSeq.Add(1)
 	pt := e.newPassTrace(passID, opts.Owner, opts.Batch)
 	pr := passRun{id: passID, owner: opts.Owner, pt: pt}
@@ -516,13 +500,19 @@ func estimateCols(talls []*Mat, sinks []*Sink) (leafCols, tallCols int64) {
 	return leafCols, tallCols
 }
 
+// writeBehindDepth bounds a pass's in-flight tall-output partition writes:
+// two per worker, clamped to [4, 32].
+func (e *Engine) writeBehindDepth() int {
+	return min(max(2*e.cfg.Workers, 4), 32)
+}
+
 // passBytes approximates a pass's peak buffer footprint for the admission
 // reservation: per worker, one I/O partition of every leaf and every tall
 // target, plus the write-behind queue's in-flight output partitions.
 func (e *Engine) passBytes(leafCols, tallCols int64) int64 {
 	perPart := int64(e.cfg.PartRows) * 8
 	return perPart * (int64(e.cfg.Workers)*(leafCols+tallCols) +
-		int64(e.cfg.WriteBehindDepth)*tallCols)
+		int64(e.writeBehindDepth())*tallCols)
 }
 
 // materialize runs one materialization: cache-serves and CSE-unifies what it

@@ -54,19 +54,17 @@ type runState struct {
 	taskNext atomic.Int64
 	cum      *cumCoord
 	// wb is the bounded write-behind queue for tall-output partitions
-	// (nil under Config.SyncWrites).
+	// (nil when the program has no tall outputs).
 	wb *safs.WriteBack
 
 	// Per-pass observability counters, folded into MaterializeStats when
 	// the pass finishes.
-	bytesRead   atomic.Int64
-	prefHits    atomic.Int64
-	prefMiss    atomic.Int64
-	readWaitNs  atomic.Int64
-	syncWriteNs atomic.Int64
-	syncBytes   atomic.Int64
-	parts       atomic.Int64
-	chunks      atomic.Int64
+	bytesRead  atomic.Int64
+	prefHits   atomic.Int64
+	prefMiss   atomic.Int64
+	readWaitNs atomic.Int64
+	parts      atomic.Int64
+	chunks     atomic.Int64
 	// prefAbandoned counts prefetched partitions drained unconsumed on
 	// worker-exit paths.
 	prefAbandoned atomic.Int64
@@ -126,11 +124,11 @@ func (rs *runState) fail(err error) {
 
 // runFused executes a bound program in a single parallel pass at the given
 // fusion level and returns what it produced; the caller owns the tall
-// stores. Tall-output partition writes ride the write-behind queue (unless
-// Config.SyncWrites): a worker hands partition i's outputs to the queue and
-// immediately starts partition i+1's compute, and the pass drains the queue
-// at a barrier before returning — so a write failure, like any compute
-// failure, always surfaces here. ms accumulates the pass's observability
+// stores. Tall-output partition writes ride the write-behind queue: a
+// worker hands partition i's outputs to the queue and immediately starts
+// partition i+1's compute, and the pass drains the queue at a barrier before
+// returning — so a write failure, like any compute failure, always surfaces
+// here. ms accumulates the pass's observability
 // counters.
 func (e *Engine) runFused(ctx context.Context, b *binding, fuse FuseLevel, ms *MaterializeStats, pass *safs.Pass, pr passRun) (*ProgramResult, error) {
 	// Integrity counters are attributed through the pass identity's own
@@ -176,11 +174,11 @@ func (e *Engine) runFused(ctx context.Context, b *binding, fuse FuseLevel, ms *M
 	rs.tasks = buildTasks(rs.nparts, e.cfg.SuperParts, e.cfg.Workers)
 	rs.mergeQueue = make(map[int][]*sinkAcc)
 	rs.global = rs.newTaskAccs()
-	if !e.cfg.SyncWrites && len(p.Talls) > 0 {
+	if len(p.Talls) > 0 {
 		// A failed write aborts the pass right away rather than at the
 		// drain barrier, so compute stops producing partitions nobody can
 		// persist.
-		rs.wb = safs.NewWriteBack(e.cfg.WriteBehindDepth, func(err error) { rs.fail(err) })
+		rs.wb = safs.NewWriteBack(e.writeBehindDepth(), func(err error) { rs.fail(err) })
 		if pr.pt != nil {
 			// One span buffer per write-behind lane; the lane token's channel
 			// round-trip serializes buffer ownership across jobs.
@@ -267,10 +265,6 @@ func (e *Engine) runFused(ctx context.Context, b *binding, fuse FuseLevel, ms *M
 	ms.PrefetchHits += rs.prefHits.Load()
 	ms.PrefetchMisses += rs.prefMiss.Load()
 	ms.ReadWait += time.Duration(rs.readWaitNs.Load())
-	// Synchronous writes stall compute for their full duration.
-	ms.WriteStall += time.Duration(rs.syncWriteNs.Load())
-	ms.WriteTime += time.Duration(rs.syncWriteNs.Load())
-	ms.BytesWritten += rs.syncBytes.Load()
 	ms.PrefetchAbandoned += rs.prefAbandoned.Load()
 	if pass != nil {
 		p1 := pass.Stats()
@@ -673,34 +667,20 @@ func (w *worker) processPartition(p int) error {
 	// 6. Hand tall-output partitions to the write-behind queue and move on
 	// to the next partition's compute; buffer ownership transfers to the
 	// writer until its release callback returns it to the shared pool.
-	// Under SyncWrites the worker stalls through each write instead. The
-	// worker-side span carries bytes only for synchronous writes; async bytes
-	// land on the writer-lane spans, so summing Bytes over every write-back
-	// span equals BytesWritten with no double counting.
+	// The worker-side span times only the enqueue (a stall when the queue is
+	// full); bytes land on the writer-lane spans, so summing Bytes over
+	// every write-back span equals BytesWritten.
 	wsp := w.buf.Begin(trace.KindWriteBack, int64(p))
 	for t, i := range rs.p.Talls {
 		buf := outBufs[t]
 		n := rows * int(rs.p.Nodes[i].NCol)
 		st := rs.writeStores[t]
-		if rs.wb != nil {
-			rs.wb.Enqueue(n*8, func() error {
-				if err := st.WritePart(p, buf[:n]); err != nil {
-					return fmt.Errorf("core: writing tall %d partition %d: %w", t, p, err)
-				}
-				return nil
-			}, func() { rs.putOut(buf) })
-			continue
-		}
-		t0 := time.Now()
-		err := st.WritePart(p, buf[:n])
-		rs.syncWriteNs.Add(time.Since(t0).Nanoseconds())
-		rs.syncBytes.Add(int64(n) * 8)
-		wsp.Bytes += int64(n) * 8
-		rs.putOut(buf)
-		if err != nil {
-			w.buf.End(wsp)
-			return fmt.Errorf("core: writing tall %d partition %d: %w", t, p, err)
-		}
+		rs.wb.Enqueue(n*8, func() error {
+			if err := st.WritePart(p, buf[:n]); err != nil {
+				return fmt.Errorf("core: writing tall %d partition %d: %w", t, p, err)
+			}
+			return nil
+		}, func() { rs.putOut(buf) })
 	}
 	w.buf.End(wsp)
 	for _, i := range rs.p.leaves {

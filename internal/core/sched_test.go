@@ -1,9 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/dense"
@@ -154,7 +154,7 @@ func TestPrefetchCrossesRangeBoundary(t *testing.T) {
 }
 
 // TestWorkerExitDrainsPrefetches: a worker that exits early (here: its own
-// write failure under SyncWrites) must drain its in-flight prefetches and
+// read failure on partition 0) must drain its in-flight prefetches and
 // return the buffers — previously the pending map was abandoned with async
 // reads still writing into pooled buffers.
 func TestWorkerExitDrainsPrefetches(t *testing.T) {
@@ -166,27 +166,27 @@ func TestWorkerExitDrainsPrefetches(t *testing.T) {
 	const partRows = 256
 	leaf := safsLeaf(t, fs, "leaf", partRows*8, 3, partRows, 22)
 
-	e, err := NewEngine(Config{Workers: 1, PartRows: partRows, FS: fs, SuperParts: 2, SyncWrites: true})
+	e, err := NewEngine(Config{Workers: 1, PartRows: partRows, FS: fs, SuperParts: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.testStoreWrap = func(st matrix.Store) matrix.Store {
-		return &failingWriteStore{Store: st, failPart: 0}
-	}
+	// Every read fails past its retries, so the worker fails on partition
+	// 0's load right after issuing partition 1's read-ahead.
+	fs.InjectFaults(&safs.Faults{Seed: 1, ReadErrRate: 1})
 	out := Sapply(leaf, UnarySquare)
 	err = e.Materialize([]*Mat{out}, nil)
-	if err == nil || !strings.Contains(err.Error(), "injected write failure") {
-		t.Fatalf("want injected write failure, got %v", err)
+	if !errors.Is(err, safs.ErrInjected) {
+		t.Fatalf("want injected read failure, got %v", err)
 	}
 	// The worker had prefetched partition 1 before failing on partition 0's
-	// write; the exit path must have drained it (and only it).
+	// read; the exit path must have drained it (and only it).
 	ms := e.LastMaterializeStats()
 	if ms.PrefetchAbandoned != 1 {
 		t.Fatalf("abandoned prefetches = %d, want 1", ms.PrefetchAbandoned)
 	}
-	// Engine and pools stay usable: the same pass runs clean without the
-	// failing store, and a clean pass abandons nothing.
-	e.testStoreWrap = nil
+	// Engine and pools stay usable: the same pass runs clean once the faults
+	// are cleared, and a clean pass abandons nothing.
+	fs.InjectFaults(nil)
 	out2 := Sapply(leaf, UnarySquare)
 	got, err := e.ToDense(out2)
 	if err != nil {

@@ -13,10 +13,9 @@ import (
 // under FuseNone) and accumulated into an engine-lifetime total.
 //
 // The write-overlap proof the paper's §3.3 pipeline promises is visible
-// here: with write-behind enabled, WriteStall (time compute spent blocked on
-// the queue's depth bound) should be well below WriteTime (time the writers
-// spent inside the SAFS token-bucket); under SyncWrites the two collapse to
-// the same value because compute waits out every write.
+// here: WriteStall (time compute spent blocked on the write-behind queue's
+// depth bound) should be well below WriteTime (time the writers spent inside
+// the SAFS token-bucket).
 type MaterializeStats struct {
 	// Owner labels the session/client the pass ran for (PassOptions.Owner;
 	// empty for untagged passes).
@@ -26,8 +25,6 @@ type MaterializeStats struct {
 	Batch string
 	// Fuse is the fusion level the materialization ran at.
 	Fuse FuseLevel
-	// SyncWrites records whether the synchronous-write escape hatch was on.
-	SyncWrites bool
 	// Wall is the end-to-end Materialize duration.
 	Wall time.Duration
 
@@ -52,7 +49,7 @@ type MaterializeStats struct {
 	// ReadWait is time workers spent blocked on in-flight prefetch reads.
 	ReadWait time.Duration
 	// WriteStall is time compute spent blocked handing partitions to the
-	// write queue (equal to WriteTime when SyncWrites).
+	// write queue.
 	WriteStall time.Duration
 	// WriteTime is cumulative time inside partition writes, summed across
 	// writers.
@@ -235,8 +232,8 @@ var statCounters = []statCounter{
 		func(s *MaterializeStats) *time.Duration { return &s.VerifyTime }),
 }
 
-// Add accumulates o into s (counters sum; Fuse and SyncWrites take o's
-// values so a running total reflects the latest configuration).
+// Add accumulates o into s (counters sum; Fuse takes o's value so a running
+// total reflects the latest configuration).
 func (s *MaterializeStats) Add(o MaterializeStats) {
 	if o.Owner != "" {
 		s.Owner = o.Owner
@@ -245,14 +242,13 @@ func (s *MaterializeStats) Add(o MaterializeStats) {
 		s.Batch = o.Batch
 	}
 	s.Fuse = o.Fuse
-	s.SyncWrites = o.SyncWrites
 	for _, c := range statCounters {
 		*c.field(s) += *c.field(&o)
 	}
 }
 
 // Sub returns s minus o counter by counter — the delta between two
-// snapshots of an engine's running total (Fuse and SyncWrites come from s).
+// snapshots of an engine's running total (Fuse comes from s).
 func (s MaterializeStats) Sub(o MaterializeStats) MaterializeStats {
 	for _, c := range statCounters {
 		*c.field(&s) -= *c.field(&o)
@@ -269,12 +265,8 @@ func (s MaterializeStats) String() string {
 	fmt.Fprintf(&b, "fuse=%s wall=%s passes=%d parts=%d", s.Fuse, round(s.Wall), s.Passes, s.Parts)
 	fmt.Fprintf(&b, " read=%s written=%s", mib(s.BytesRead), mib(s.BytesWritten))
 	fmt.Fprintf(&b, " pf=%d/%d rwait=%s", s.PrefetchHits, s.PrefetchMisses, round(s.ReadWait))
-	mode := "async"
-	if s.SyncWrites {
-		mode = "sync"
-	}
-	fmt.Fprintf(&b, " writes=%s wstall=%s wtime=%s wdrain=%s",
-		mode, round(s.WriteStall), round(s.WriteTime), round(s.WriteDrain))
+	fmt.Fprintf(&b, " wstall=%s wtime=%s wdrain=%s",
+		round(s.WriteStall), round(s.WriteTime), round(s.WriteDrain))
 	fmt.Fprintf(&b, " verify=%s", round(s.VerifyTime))
 	fmt.Fprintf(&b, " nodes=%d", s.NodesExecuted)
 	if s.CSEUnifications != 0 || s.CacheHits != 0 || s.CacheMisses != 0 {

@@ -63,7 +63,7 @@ func TestStatsAddSubRoundTrip(t *testing.T) {
 		*c.field(&b) = int64(3 + 11*i)
 	}
 	a.Owner, a.Fuse = "a", FuseCache
-	b.Owner, b.Batch, b.Fuse, b.SyncWrites = "b", "batch-1", FuseNone, true
+	b.Owner, b.Batch, b.Fuse = "b", "batch-1", FuseNone
 	sum := a
 	sum.Add(b)
 	for i, c := range statCounters {
@@ -71,7 +71,7 @@ func TestStatsAddSubRoundTrip(t *testing.T) {
 			t.Errorf("%s: Add gave %d, want %d", c.name, got, want)
 		}
 	}
-	if sum.Owner != "b" || sum.Batch != "batch-1" || sum.Fuse != FuseNone || !sum.SyncWrites {
+	if sum.Owner != "b" || sum.Batch != "batch-1" || sum.Fuse != FuseNone {
 		t.Errorf("Add did not take o's labels: %+v", sum)
 	}
 	d := sum.Sub(b)

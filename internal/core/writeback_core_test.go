@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -31,42 +32,40 @@ func (f *failingWriteStore) WritePart(i int, src []float64) error {
 }
 
 // TestWriteErrorPropagates: a store write failure must fail Materialize with
-// the injected error — through the write-behind queue and through the
-// synchronous escape hatch alike — and must not publish the target.
+// the injected error through the write-behind queue and must not publish the
+// target.
 func TestWriteErrorPropagates(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	ad := dense.New(2000, 3)
 	for i := range ad.Data {
 		ad.Data[i] = rng.NormFloat64()
 	}
-	for _, syncW := range []bool{false, true} {
-		e, err := NewEngine(Config{Workers: 3, PartRows: 256, SyncWrites: syncW})
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, err := e.FromDense(ad)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.testStoreWrap = func(st matrix.Store) matrix.Store {
-			return &failingWriteStore{Store: st, failPart: 3}
-		}
-		out := Sapply(a, UnarySquare)
-		err = e.Materialize([]*Mat{out}, nil)
-		if err == nil {
-			t.Fatalf("sync=%v: materialization with failing writes succeeded", syncW)
-		}
-		if !strings.Contains(err.Error(), "injected write failure") {
-			t.Fatalf("sync=%v: error %v does not carry the injected failure", syncW, err)
-		}
-		if out.Materialized() {
-			t.Fatalf("sync=%v: target published after failed pass", syncW)
-		}
-		// The engine must remain usable after the failed pass.
-		e.testStoreWrap = nil
-		if _, err := e.ToDense(Sapply(a, UnaryAbs)); err != nil {
-			t.Fatalf("sync=%v: engine unusable after write failure: %v", syncW, err)
-		}
+	e, err := NewEngine(Config{Workers: 3, PartRows: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := e.FromDense(ad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.testStoreWrap = func(st matrix.Store) matrix.Store {
+		return &failingWriteStore{Store: st, failPart: 3}
+	}
+	out := Sapply(a, UnarySquare)
+	err = e.Materialize([]*Mat{out}, nil)
+	if err == nil {
+		t.Fatal("materialization with failing writes succeeded")
+	}
+	if !strings.Contains(err.Error(), "injected write failure") {
+		t.Fatalf("error %v does not carry the injected failure", err)
+	}
+	if out.Materialized() {
+		t.Fatal("target published after failed pass")
+	}
+	// The engine must remain usable after the failed pass.
+	e.testStoreWrap = nil
+	if _, err := e.ToDense(Sapply(a, UnaryAbs)); err != nil {
+		t.Fatalf("engine unusable after write failure: %v", err)
 	}
 }
 
@@ -145,119 +144,112 @@ func TestCancelledMaterializeDrains(t *testing.T) {
 }
 
 // TestMaterializeStatsRecorded checks the observability record: an EM pass
-// reports its I/O volume and write-queue activity, and the synchronous
-// escape hatch reports stall == write time by construction.
+// reports its I/O volume and write-queue activity.
 func TestMaterializeStatsRecorded(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	ad := dense.New(4096, 4)
 	for i := range ad.Data {
 		ad.Data[i] = rng.NormFloat64()
 	}
-	for _, syncW := range []bool{false, true} {
-		fs, err := safs.OpenTempDir(t.TempDir(), 2, 0, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e, err := NewEngine(Config{Workers: 2, PartRows: 256, FS: fs, EM: true, SyncWrites: syncW})
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, err := e.FromDense(ad)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := Sapply(a, UnaryExp)
-		if err := e.Materialize([]*Mat{out}, nil); err != nil {
-			t.Fatal(err)
-		}
-		ms := e.LastMaterializeStats()
-		wantBytes := int64(4096 * 4 * 8)
-		if ms.SyncWrites != syncW {
-			t.Fatalf("stats SyncWrites = %v, want %v", ms.SyncWrites, syncW)
-		}
-		if ms.Parts != 16 || ms.Passes != 1 {
-			t.Fatalf("sync=%v: parts=%d passes=%d, want 16/1", syncW, ms.Parts, ms.Passes)
-		}
-		if ms.BytesRead != wantBytes || ms.BytesWritten != wantBytes {
-			t.Fatalf("sync=%v: read=%d written=%d, want %d", syncW, ms.BytesRead, ms.BytesWritten, wantBytes)
-		}
-		if ms.PrefetchHits+ms.PrefetchMisses != 16 {
-			t.Fatalf("sync=%v: prefetch hits=%d misses=%d, want 16 loads", syncW, ms.PrefetchHits, ms.PrefetchMisses)
-		}
-		if syncW {
-			if ms.WriteJobs != 0 {
-				t.Fatalf("sync mode recorded %d write-behind jobs", ms.WriteJobs)
-			}
-			if ms.WriteStall != ms.WriteTime {
-				t.Fatalf("sync mode: stall %v != write time %v", ms.WriteStall, ms.WriteTime)
-			}
-		} else if ms.WriteJobs != 16 {
-			t.Fatalf("async mode write jobs = %d, want 16", ms.WriteJobs)
-		}
-		total := e.TotalMaterializeStats()
-		if total.BytesWritten < ms.BytesWritten {
-			t.Fatal("total stats did not accumulate the pass")
-		}
-		if s := ms.String(); !strings.Contains(s, "wstall=") || !strings.Contains(s, "parts=16") {
-			t.Fatalf("stats string %q missing fields", s)
-		}
-		fs.Close()
+	fs, err := safs.OpenTempDir(t.TempDir(), 2, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	e, err := NewEngine(Config{Workers: 2, PartRows: 256, FS: fs, EM: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := e.FromDense(ad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := Sapply(a, UnaryExp)
+	if err := e.Materialize([]*Mat{out}, nil); err != nil {
+		t.Fatal(err)
+	}
+	ms := e.LastMaterializeStats()
+	wantBytes := int64(4096 * 4 * 8)
+	if ms.Parts != 16 || ms.Passes != 1 {
+		t.Fatalf("parts=%d passes=%d, want 16/1", ms.Parts, ms.Passes)
+	}
+	if ms.BytesRead != wantBytes || ms.BytesWritten != wantBytes {
+		t.Fatalf("read=%d written=%d, want %d", ms.BytesRead, ms.BytesWritten, wantBytes)
+	}
+	if ms.PrefetchHits+ms.PrefetchMisses != 16 {
+		t.Fatalf("prefetch hits=%d misses=%d, want 16 loads", ms.PrefetchHits, ms.PrefetchMisses)
+	}
+	if ms.WriteJobs != 16 {
+		t.Fatalf("write jobs = %d, want 16", ms.WriteJobs)
+	}
+	total := e.TotalMaterializeStats()
+	if total.BytesWritten < ms.BytesWritten {
+		t.Fatal("total stats did not accumulate the pass")
+	}
+	if s := ms.String(); !strings.Contains(s, "wstall=") || !strings.Contains(s, "parts=16") {
+		t.Fatalf("stats string %q missing fields", s)
 	}
 }
 
-// TestWriteBehindBitIdentical: for every fusion level, results with the
-// write-behind pipeline must be bit-identical to the synchronous escape
-// hatch. The expressions are order-sensitive (cumulative sums) so this also
+// TestWriteBehindBitIdentical: for every fusion level, results written
+// through the write-behind pipeline must be bit-identical to plain loops over
+// the dense inputs. The cumulative sum is order-sensitive, so this also
 // catches partition writes landing in the wrong slot.
 func TestWriteBehindBitIdentical(t *testing.T) {
+	const nrow, ncol = 3000, 3
 	rng := rand.New(rand.NewSource(17))
-	ad := dense.New(3000, 3)
-	bd := dense.New(3000, 3)
+	ad := dense.New(nrow, ncol)
+	bd := dense.New(nrow, ncol)
 	for i := range ad.Data {
 		ad.Data[i] = rng.NormFloat64()
 		bd.Data[i] = rng.NormFloat64()
 	}
+	sqrtAbs := dense.New(nrow, ncol)
+	for i, x := range ad.Data {
+		sqrtAbs.Data[i] = math.Sqrt(math.Abs(x))
+	}
+	cumSum := dense.New(nrow, ncol)
+	for j := 0; j < ncol; j++ {
+		var run float64
+		for i := 0; i < nrow; i++ {
+			run += ad.At(i, j) + bd.At(i, j)
+			cumSum.Set(i, j, run)
+		}
+	}
 	exprs := []struct {
 		name  string
 		build func(a, b *Mat) *Mat
+		want  *dense.Dense
 	}{
-		{"sapply-chain", func(a, _ *Mat) *Mat { return Sapply(Sapply(a, UnaryAbs), UnarySqrt) }},
-		{"cumcol-of-mapply", func(a, b *Mat) *Mat { return CumCol(Mapply(a, b, BinAdd), AggSum) }},
+		{"sapply-chain", func(a, _ *Mat) *Mat { return Sapply(Sapply(a, UnaryAbs), UnarySqrt) }, sqrtAbs},
+		{"cumcol-of-mapply", func(a, b *Mat) *Mat { return CumCol(Mapply(a, b, BinAdd), AggSum) }, cumSum},
 	}
 	for _, ex := range exprs {
-		var want *dense.Dense
 		for _, fuse := range []FuseLevel{FuseCache, FuseMem, FuseNone} {
-			for _, syncW := range []bool{true, false} {
-				fs, err := safs.OpenTempDir(t.TempDir(), 2, 0, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				e, err := NewEngine(Config{
-					Workers: 3, Fuse: fuse, PartRows: 256,
-					FS: fs, EM: true, SyncWrites: syncW, WriteBehindDepth: 3,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				a, err := e.FromDense(ad)
-				if err != nil {
-					t.Fatal(err)
-				}
-				b, err := e.FromDense(bd)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := e.ToDense(ex.build(a, b))
-				if err != nil {
-					t.Fatalf("%s fuse=%v sync=%v: %v", ex.name, fuse, syncW, err)
-				}
-				if want == nil {
-					want = got
-				} else if !dense.Equalish(got, want, 0) {
-					t.Fatalf("%s fuse=%v sync=%v differs from reference", ex.name, fuse, syncW)
-				}
-				fs.Close()
+			fs, err := safs.OpenTempDir(t.TempDir(), 2, 0, 0)
+			if err != nil {
+				t.Fatal(err)
 			}
+			e, err := NewEngine(Config{Workers: 3, Fuse: fuse, PartRows: 256, FS: fs, EM: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := e.FromDense(ad)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := e.FromDense(bd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := e.ToDense(ex.build(a, b))
+			if err != nil {
+				t.Fatalf("%s fuse=%v: %v", ex.name, fuse, err)
+			}
+			if !dense.Equalish(got, ex.want, 0) {
+				t.Fatalf("%s fuse=%v differs from the dense reference", ex.name, fuse)
+			}
+			fs.Close()
 		}
 	}
 }

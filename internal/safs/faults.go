@@ -23,9 +23,9 @@ type Faults struct {
 	// WriteErrRate is the transient-failure probability for write attempts.
 	WriteErrRate float64
 	// FlipBitRate is the probability a read attempt returns data with one
-	// flipped bit (transfer corruption). With checksums enabled the flip is
-	// detected and the retry re-reads clean data; without checksums it
-	// silently corrupts the caller's buffer — the case checksums exist for.
+	// flipped bit (transfer corruption). On a stripe with a recorded
+	// checksum the flip is detected and the retry re-reads clean data; on a
+	// stripe never written (no checksum) it reaches the caller's buffer.
 	FlipBitRate float64
 	// DropWriteRate is the probability a write is silently dropped (a torn
 	// write: the drive reports success but the media keeps the old bytes).

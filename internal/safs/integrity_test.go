@@ -158,26 +158,6 @@ func TestFlipBitRecovered(t *testing.T) {
 	}
 }
 
-// TestFlipBitSilentWithoutVerify documents the failure mode checksums exist
-// for: with verification disabled, transfer corruption reaches the caller.
-func TestFlipBitSilentWithoutVerify(t *testing.T) {
-	fs := newIntegrityFS(t, 2, 4096, func(c *Config) {
-		c.DisableVerify = true
-	})
-	f, data := fillFile(t, fs, "m", 16*4096, 19)
-	fs.InjectFaults(&Faults{Seed: 5, FlipBitRate: 1})
-	got := make([]byte, len(data))
-	if err := f.ReadAt(got, 0); err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(got, data) {
-		t.Fatal("expected silent corruption with verification disabled")
-	}
-	if st := fs.Stats(); st.ChecksumFailures != 0 {
-		t.Fatal("disabled verification must not count failures")
-	}
-}
-
 // TestDropWriteDetected: a torn write (drive acks, media keeps old bytes)
 // is caught on the next read because the checksum records the intended data.
 func TestDropWriteDetected(t *testing.T) {

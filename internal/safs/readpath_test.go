@@ -56,23 +56,21 @@ func TestVerifiedReadInPlace(t *testing.T) {
 
 // BenchmarkReadAt measures one array read per op (1 MiB stripes, 4 drives,
 // no throttle, so the host page cache serves every byte): four whole
-// stripes verified in the caller's buffer, half a stripe verified through
-// the scratch stripe, and four whole stripes with verification off. The
-// ceiling is host memcpy plus CRC32C bandwidth.
+// stripes verified in the caller's buffer and half a stripe verified
+// through the scratch stripe. The ceiling is host memcpy plus CRC32C
+// bandwidth.
 func BenchmarkReadAt(b *testing.B) {
 	const stripe = DefaultStripeBytes
 	cases := []struct {
-		name     string
-		off, n   int
-		noVerify bool
+		name   string
+		off, n int
 	}{
 		{name: "verified-full", n: 4 * stripe},
 		{name: "verified-partial", off: stripe / 4, n: stripe / 2},
-		{name: "unverified", n: 4 * stripe, noVerify: true},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
-			fs, err := Open(Config{Drives: DriveDirs(b.TempDir(), 4), DisableVerify: tc.noVerify})
+			fs, err := Open(Config{Drives: DriveDirs(b.TempDir(), 4)})
 			if err != nil {
 				b.Fatal(err)
 			}

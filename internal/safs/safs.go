@@ -8,15 +8,15 @@
 //
 //   - a filesystem (FS) manages N "drives", each a directory on the host;
 //   - a File is striped over the drives in fixed-size stripe blocks mapped
-//     round-robin (the default hash) so that a scan over any run of a
-//     matrix's partitions touches every drive, as §3.2.1 of the paper
-//     requires;
+//     by a hash so that a scan over any run of a matrix's partitions
+//     touches every drive, as §3.2.1 of the paper requires;
 //   - every drive has a token-bucket bandwidth model so the aggregate I/O
 //     throughput is a hard, configurable ceiling an order of magnitude below
 //     memory bandwidth — this is what makes the in-memory vs external-memory
 //     experiments (Fig. 9) meaningful on hardware without a 24-SSD array;
-//   - reads and writes can be issued asynchronously to a pool of per-drive
-//     I/O goroutines, which is how the engine overlaps I/O with compute.
+//   - reads can be issued asynchronously to a pool of per-drive I/O
+//     goroutines, and a bounded write-behind queue (WriteBack) runs writes
+//     behind compute, which is how the engine overlaps I/O with compute.
 //
 // Every stripe carries a CRC32C recorded on write. A verified read checks a
 // piece covering a whole stripe in place, in the caller's buffer, as SAFS
@@ -55,24 +55,10 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // engine does the same against this value.
 const DefaultStripeBytes = 1 << 20 // 1 MiB
 
-// Striping selects how stripe blocks map to drives.
-type Striping int8
-
-const (
-	// StripeHash spreads stripes with a multiplicative hash — the paper's
-	// default ("we use a hash function to map data to fully utilize the
-	// bandwidth of all SSDs even if we access only a subset of columns").
-	StripeHash Striping = iota
-	// StripeRoundRobin places stripe i on drive i mod N.
-	StripeRoundRobin
-)
-
 // Config configures a simulated SSD array.
 type Config struct {
 	// Drives are directories, one per simulated SSD. At least one.
 	Drives []string
-	// Striping selects the stripe→drive mapping (default StripeHash).
-	Striping Striping
 	// StripeBytes is the striping unit; 0 selects DefaultStripeBytes.
 	StripeBytes int
 	// ReadMBps and WriteMBps are the *aggregate* array bandwidths in
@@ -89,10 +75,6 @@ type Config struct {
 	// RetryBackoff is the delay before the first retry, doubling per
 	// attempt and capped at one second (0 selects DefaultRetryBackoff).
 	RetryBackoff time.Duration
-	// DisableVerify turns off CRC32C verification on reads (checksums are
-	// still maintained on writes). The escape hatch for measuring the
-	// verification overhead; leave off in normal operation.
-	DisableVerify bool
 }
 
 // DefaultMaxRetries is the retry budget per stripe request.
@@ -607,17 +589,15 @@ func (f *File) segmentSize(id int) int64 {
 	return seg
 }
 
-// driveOfStripe maps a global stripe index to a drive, either by hash (the
-// paper's default) or round-robin.
+// driveOfStripe maps a global stripe index to a drive with a multiplicative
+// hash, as the paper does ("we use a hash function to map data to fully
+// utilize the bandwidth of all SSDs even if we access only a subset of
+// columns").
 func (fs *FS) driveOfStripe(stripe int64) int {
-	n := int64(len(fs.drives))
-	if fs.cfg.Striping == StripeRoundRobin {
-		return int(stripe % n)
-	}
 	z := uint64(stripe)*0x9E3779B97F4A7C15 + 0x632BE59BD9B4E019
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z ^= z >> 27
-	return int(z % uint64(n))
+	return int(z % uint64(len(fs.drives)))
 }
 
 // segOffset maps a global file offset to (drive, offset within the drive's
@@ -788,31 +768,14 @@ func (f *File) submit(p []byte, off int64, write, async bool, tag int, done chan
 	}
 }
 
-// ReadAsync schedules an asynchronous read of len(p) bytes at off and
-// delivers the completion on done. The buffer must not be touched until the
-// completion arrives. Each stripe-spanning piece is queued to its drive's
-// worker, so one request proceeds in parallel across drives.
-func (f *File) ReadAsync(p []byte, off int64, tag int, done chan<- Request) {
-	f.submit(p, off, false, true, tag, done, nil)
-}
-
-// WriteAsync schedules an asynchronous write; semantics mirror ReadAsync.
-// The caller hands the buffer to the array until the completion arrives —
-// the engine's write-behind queue relies on this ownership transfer.
-func (f *File) WriteAsync(p []byte, off int64, tag int, done chan<- Request) {
-	f.submit(p, off, true, true, tag, done, nil)
-}
-
-// ReadAsyncPass is ReadAsync with the I/O fair-queued under and attributed
-// to the given pass; a nil pass uses the drive's default queue. When the
-// completion carries an error the contents of p are unspecified.
+// ReadAsyncPass schedules an asynchronous read of len(p) bytes at off,
+// fair-queued under and attributed to the given pass (nil = the drive's
+// default queue), and delivers the completion on done. The buffer must not
+// be touched until the completion arrives; when it carries an error the
+// contents of p are unspecified. Each stripe-spanning piece is queued to its
+// drive's worker, so one request proceeds in parallel across drives.
 func (f *File) ReadAsyncPass(p []byte, off int64, tag int, done chan<- Request, pass *Pass) {
 	f.submit(p, off, false, true, tag, done, pass)
-}
-
-// WriteAsyncPass is WriteAsync with pass attribution.
-func (f *File) WriteAsyncPass(p []byte, off int64, tag int, done chan<- Request, pass *Pass) {
-	f.submit(p, off, true, true, tag, done, pass)
 }
 
 // ioReq is one stripe-granular I/O request queued to a drive worker.
@@ -1132,14 +1095,14 @@ func (d *drive) scratchBuf(n int) []byte {
 }
 
 // readPiece performs one read attempt. When the stripe has a recorded
-// checksum (and verification is enabled) the whole stripe is read and its
-// CRC32C checked — in the caller's buffer when the piece is the whole
-// stripe (the copy-out is then a no-op), else in the drive's scratch stripe
-// before the requested range is copied out. The stripe-sized read happens
-// at device level — no token bucket — modeling the in-drive integrity check
-// (T10-DIF style) real arrays do in hardware, which keeps verification off
-// the simulated bandwidth budget. A failed attempt may leave corrupt bytes
-// in the caller's buffer; the retry overwrites them.
+// checksum the whole stripe is read and its CRC32C checked — in the caller's
+// buffer when the piece is the whole stripe (the copy-out is then a no-op),
+// else in the drive's scratch stripe before the requested range is copied
+// out. The stripe-sized read happens at device level — no token bucket —
+// modeling the in-drive integrity check (T10-DIF style) real arrays do in
+// hardware, which keeps verification off the simulated bandwidth budget. A
+// failed attempt may leave corrupt bytes in the caller's buffer; the retry
+// overwrites them.
 func (d *drive) readPiece(fs *FS, r ioReq) error {
 	flt := fs.faults.Load()
 	if flt != nil {
@@ -1158,7 +1121,7 @@ func (d *drive) readPiece(fs *FS, r ioReq) error {
 		return err
 	}
 	want, known := r.meta.sum(r.stripe)
-	if !known || fs.cfg.DisableVerify {
+	if !known {
 		if _, err := f.ReadAt(r.buf, r.off); err != nil {
 			return err
 		}

@@ -88,7 +88,8 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStriping verifies data is spread over every drive.
+// TestStriping verifies the hash mapping spreads a file over every drive and
+// round-trips it, including a partial last stripe.
 func TestStriping(t *testing.T) {
 	dir := t.TempDir()
 	fs, err := OpenTempDir(dir, 3, 0, 0)
@@ -96,17 +97,22 @@ func TestStriping(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fs.Close()
-	const size = 24 * DefaultStripeBytes
+	const size = 24*DefaultStripeBytes + 100
 	f, err := fs.Create("m", size)
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, size)
-	for i := range buf {
-		buf[i] = byte(i)
-	}
+	rand.New(rand.NewSource(5)).Read(buf)
 	if err := f.WriteAt(buf, 0); err != nil {
 		t.Fatal(err)
+	}
+	got := make([]byte, size)
+	if err := f.ReadAt(got, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, buf) {
+		t.Fatal("round trip mismatch")
 	}
 	var sizes []int64
 	for i := 0; i < 3; i++ {
@@ -160,15 +166,14 @@ func TestAsyncIO(t *testing.T) {
 	for i := range data {
 		data[i] = byte(i * 7)
 	}
-	done := make(chan Request, 4)
-	f.WriteAsync(data, 0, 1, done)
-	if req := <-done; req.Err != nil || req.Tag != 1 {
-		t.Fatalf("write completion %+v", req)
+	if err := f.WriteAt(data, 0); err != nil {
+		t.Fatal(err)
 	}
+	done := make(chan Request, 4)
 	bufs := make([][]byte, 4)
 	for i := range bufs {
 		bufs[i] = make([]byte, size/4)
-		f.ReadAsync(bufs[i], int64(i)*size/4, i, done)
+		f.ReadAsyncPass(bufs[i], int64(i)*size/4, i, done, nil)
 	}
 	seen := map[int]bool{}
 	for i := 0; i < 4; i++ {
@@ -280,52 +285,6 @@ func TestRemove(t *testing.T) {
 	}
 	if _, err := fs.OpenFile("a"); err == nil {
 		t.Fatal("opened removed file")
-	}
-}
-
-// TestStripingModes compares hash and round-robin mappings: both must
-// round-trip and cover every drive; round-robin must be exactly even.
-func TestStripingModes(t *testing.T) {
-	for _, mode := range []Striping{StripeHash, StripeRoundRobin} {
-		dir := t.TempDir()
-		drives := make([]string, 4)
-		for i := range drives {
-			drives[i] = filepath.Join(dir, fmt.Sprintf("d%d", i))
-		}
-		fs, err := Open(Config{Drives: drives, Striping: mode})
-		if err != nil {
-			t.Fatal(err)
-		}
-		const size = 32*DefaultStripeBytes + 100
-		f, err := fs.Create("m", size)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data := make([]byte, size)
-		rng := rand.New(rand.NewSource(int64(mode) + 5))
-		rng.Read(data)
-		if err := f.WriteAt(data, 0); err != nil {
-			t.Fatal(err)
-		}
-		got := make([]byte, size)
-		if err := f.ReadAt(got, 0); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, data) {
-			t.Fatalf("mode %d round trip", mode)
-		}
-		// Per-drive sizes cover all drives; RR is exactly even over the
-		// 32 whole stripes.
-		for id := range drives {
-			seg := f.segmentSize(id)
-			if seg == 0 {
-				t.Fatalf("mode %d leaves drive %d empty", mode, id)
-			}
-			if mode == StripeRoundRobin && id > 0 && (seg < 8*DefaultStripeBytes || seg > 9*DefaultStripeBytes) {
-				t.Fatalf("round-robin drive %d holds %d bytes", id, seg)
-			}
-		}
-		fs.Close()
 	}
 }
 

@@ -1,6 +1,7 @@
 package safs
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,14 +17,12 @@ import (
 // runs, so the scheduler never mutates a buffer a writer still holds.
 //
 // Depth bounds the number of in-flight writes; when the bound is hit,
-// Enqueue blocks and the blocked time is recorded as write-stall — the
-// quantity that collapses to the full write time under synchronous writes
-// and shrinks toward zero when the overlap works.
+// Enqueue blocks and the blocked time is recorded as write-stall, which
+// shrinks toward zero when the overlap works.
 //
-// Write-behind jobs funnel through the same per-drive workers as
-// synchronous writes, so stripe checksums, injected faults, and the
-// retry/backoff policy all apply identically on both paths; no separate
-// integrity handling lives here.
+// Write-behind jobs funnel through the array's per-drive workers like any
+// other write, so stripe checksums, injected faults, and the retry/backoff
+// policy all apply; no separate integrity handling lives here.
 type WriteBack struct {
 	// lanes holds the free lane tokens 0..depth-1. A job receives a token in
 	// Enqueue and its goroutine returns it on completion, so the token bounds
@@ -58,17 +57,13 @@ type WriteBackStats struct {
 	Jobs  int64
 }
 
-// DefaultWriteBehindDepth bounds in-flight partition writes when the caller
-// does not configure a depth.
-const DefaultWriteBehindDepth = 8
-
-// NewWriteBack builds a queue allowing depth concurrent in-flight writes
-// (0 selects DefaultWriteBehindDepth). onErr, if non-nil, is invoked once
-// with the first write error as soon as it happens, letting the caller
-// abort a pass early; the same error is returned again by Drain.
+// NewWriteBack builds a queue allowing depth concurrent in-flight writes; it
+// panics if depth < 1. onErr, if non-nil, is invoked once with the first
+// write error as soon as it happens, letting the caller abort a pass early;
+// the same error is returned again by Drain.
 func NewWriteBack(depth int, onErr func(error)) *WriteBack {
-	if depth <= 0 {
-		depth = DefaultWriteBehindDepth
+	if depth < 1 {
+		panic(fmt.Sprintf("safs: write-behind depth %d < 1", depth))
 	}
 	wb := &WriteBack{lanes: make(chan int, depth), onErr: onErr}
 	for i := 0; i < depth; i++ {

@@ -3,6 +3,7 @@ package safs
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -60,8 +61,19 @@ func TestWriteBackFirstError(t *testing.T) {
 }
 
 // TestWriteBackDepthBound proves the queue blocks producers at depth: with
-// depth 1 and slow writes, enqueues serialize and stall time accrues.
+// depth 1 and slow writes, enqueues serialize and stall time accrues. A depth
+// below 1 has no meaning and panics.
 func TestWriteBackDepthBound(t *testing.T) {
+	for _, depth := range []int{0, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewWriteBack(%d) did not panic", depth)
+				}
+			}()
+			NewWriteBack(depth, nil)
+		}()
+	}
 	wb := NewWriteBack(1, nil)
 	var inFlight, peak atomic.Int32
 	for i := 0; i < 4; i++ {
@@ -131,8 +143,9 @@ func TestWriteBackAgainstFS(t *testing.T) {
 	}
 }
 
-// TestAsyncErrorDelivery checks WriteAsync reports out-of-range errors
-// through the completion channel rather than panicking or hanging.
+// TestAsyncErrorDelivery checks that out-of-range requests and requests
+// after Close report errors — an async read through its tagged completion —
+// rather than panicking or hanging.
 func TestAsyncErrorDelivery(t *testing.T) {
 	fs := newFS(t, 2, 0, 0)
 	f, err := fs.Create("ae", 1024)
@@ -140,19 +153,28 @@ func TestAsyncErrorDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := make(chan Request, 2)
-	f.WriteAsync(make([]byte, 512), 900, 7, done) // spans past EOF
-	r := <-done
-	if r.Err == nil || r.Tag != 7 {
+	f.ReadAsyncPass(make([]byte, 512), 900, 7, done, nil) // spans past EOF
+	if r := <-done; r.Err == nil || r.Tag != 7 {
 		t.Fatalf("want tagged error, got tag=%d err=%v", r.Tag, r.Err)
 	}
-	// A valid async write after an error still works.
-	f.WriteAsync([]byte("hello"), 0, 8, done)
-	if r := <-done; r.Err != nil || r.Tag != 8 {
-		t.Fatalf("valid async write failed: %+v", r)
+	if err := f.WriteAt(make([]byte, 512), 900); err == nil {
+		t.Fatal("write past EOF succeeded")
+	}
+	// A valid write after an error still works.
+	if err := f.WriteAt([]byte("hello"), 0); err != nil {
+		t.Fatalf("valid write failed: %v", err)
 	}
 	got := make([]byte, 5)
 	if err := f.ReadAt(got, 0); err != nil || string(got) != "hello" {
 		t.Fatalf("readback: %q err=%v", got, err)
+	}
+	fs.Close()
+	if err := f.WriteAt([]byte("hello"), 0); err == nil || !strings.Contains(err.Error(), "closed") {
+		t.Fatalf("write after Close: %v", err)
+	}
+	f.ReadAsyncPass(got, 0, 9, done, nil)
+	if r := <-done; r.Err == nil || r.Tag != 9 {
+		t.Fatalf("read after Close: tag=%d err=%v", r.Tag, r.Err)
 	}
 }
 

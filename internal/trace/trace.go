@@ -45,10 +45,10 @@ const (
 	// KindCompute covers one partition's Pcache chunk loop (N = chunks).
 	KindCompute
 	// KindWriteBack covers persisting one partition's tall outputs: on a
-	// worker track it is the synchronous write or the enqueue stall; on a
-	// writer track it is one async write-behind job. Bytes is set only where
-	// the bytes are actually written, so summing over all KindWriteBack
-	// spans equals MaterializeStats.BytesWritten.
+	// worker track it is the enqueue stall; on a writer track it is one
+	// write-behind job. Bytes is set only on writer tracks, where the bytes
+	// are actually written, so summing over all KindWriteBack spans equals
+	// MaterializeStats.BytesWritten.
 	KindWriteBack
 	// KindDrain covers the end-of-pass write-behind drain barrier.
 	KindDrain

@@ -64,16 +64,6 @@ type Options struct {
 	PartRows int
 	// PcacheBytes overrides the processor-cache partition budget.
 	PcacheBytes int
-	// SyncWrites disables the write-behind pipeline and writes tall-output
-	// partitions synchronously (debugging escape hatch / A-B comparison).
-	SyncWrites bool
-	// WriteBehindDepth bounds in-flight asynchronous partition writes
-	// (0 = 2×Workers clamped to [4, 32]).
-	WriteBehindDepth int
-	// DisableVerify turns off CRC32C verification on SSD reads (checksums
-	// are still maintained on writes). Escape hatch for measuring the
-	// verification overhead; leave off in normal operation.
-	DisableVerify bool
 	// DisableCSE turns off structural hash-consing: no common-subexpression
 	// unification at DAG-build time and no sub-DAG result cache (the
 	// ablation knob for the equivalence suites).
@@ -265,8 +255,6 @@ func newSession(o Options, tune func(*core.Config)) (*Session, error) {
 		EM:                  o.EM,
 		PartRows:            o.PartRows,
 		PcacheBytes:         o.PcacheBytes,
-		SyncWrites:          o.SyncWrites,
-		WriteBehindDepth:    o.WriteBehindDepth,
 		DisableCSE:          o.DisableCSE,
 		ResultCacheBytes:    o.ResultCacheBytes,
 		DisableRewrites:     o.DisableRewrites,
@@ -278,10 +266,9 @@ func newSession(o Options, tune func(*core.Config)) (*Session, error) {
 	s := &Session{owner: o.Owner}
 	if len(o.SSDDirs) > 0 {
 		fs, err := safs.Open(safs.Config{
-			Drives:        o.SSDDirs,
-			ReadMBps:      o.ReadMBps,
-			WriteMBps:     o.WriteMBps,
-			DisableVerify: o.DisableVerify,
+			Drives:    o.SSDDirs,
+			ReadMBps:  o.ReadMBps,
+			WriteMBps: o.WriteMBps,
 		})
 		if err != nil {
 			return nil, err

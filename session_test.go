@@ -35,8 +35,8 @@ func TestOptionsReachEngine(t *testing.T) {
 	em := Options{
 		Workers: 3, Fuse: FuseMem, EM: true, SSDDirs: []string{filepath.Join(t.TempDir(), "d0")},
 		ReadMBps: 1, WriteMBps: 1, PartRows: 512, PcacheBytes: 4096,
-		SyncWrites: true, WriteBehindDepth: 7, DisableVerify: true, DisableCSE: true,
-		ResultCacheBytes: mib, DisableRewrites: true, Owner: "alice", MaxConcurrentPasses: 3,
+		DisableCSE: true, ResultCacheBytes: mib, DisableRewrites: true, Owner: "alice",
+		MaxConcurrentPasses: 3,
 	}
 	sharded := Options{Sharding: &ShardConfig{Shards: 3}}
 	// A field added to Options must be exercised here too.
@@ -55,8 +55,8 @@ func TestOptionsReachEngine(t *testing.T) {
 	got := s.Engine().Config()
 	want := core.Config{
 		Workers: 3, Fuse: FuseMem, EM: true, PartRows: 512, PcacheBytes: 4096,
-		SyncWrites: true, WriteBehindDepth: 7, DisableCSE: true, ResultCacheBytes: mib,
-		DisableRewrites: true, MaxConcurrentPasses: 3, DisableRewriteDCE: true,
+		DisableCSE: true, ResultCacheBytes: mib, DisableRewrites: true,
+		MaxConcurrentPasses: 3, DisableRewriteDCE: true,
 		// Filled in by the engine, not by Options.
 		Topo: got.Topo, FS: got.FS, SuperParts: got.SuperParts,
 	}
@@ -83,18 +83,12 @@ func TestOptionsReachEngine(t *testing.T) {
 	if d := time.Since(t0); d < 60*time.Millisecond {
 		t.Fatalf("WriteMBps not applied: 128 KiB written in %v", d)
 	}
-	// DisableVerify: a read whose every attempt flips a bit succeeds without
-	// a single checksum failure only when verification is off.
-	fs.InjectFaults(&safs.Faults{Seed: 1, FlipBitRate: 1})
 	t0 = time.Now()
 	if err := f.ReadAt(buf, 0); err != nil {
-		t.Fatalf("read with verification off: %v", err)
+		t.Fatal(err)
 	}
 	if d := time.Since(t0); d < 60*time.Millisecond {
 		t.Fatalf("ReadMBps not applied: 128 KiB read in %v", d)
-	}
-	if n := fs.Stats().ChecksumFailures; n != 0 {
-		t.Fatalf("DisableVerify not applied: %d checksum failures", n)
 	}
 
 	sh, err := NewSession(sharded)
