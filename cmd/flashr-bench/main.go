@@ -29,7 +29,6 @@ func main() {
 	flag.Float64Var(&cfg.Session.ReadMBps, "read-mbps", 1200, "aggregate SSD read bandwidth (MiB/s, 0=unthrottled)")
 	flag.Float64Var(&cfg.Session.WriteMBps, "write-mbps", 1000, "aggregate SSD write bandwidth (MiB/s, 0=unthrottled)")
 	flag.BoolVar(&cfg.Session.DisableCSE, "no-cse", false, "disable structural hash-consing and the sub-DAG result cache")
-	flag.BoolVar(&cfg.Session.DisableRewrites, "no-rewrites", false, "disable the algebraic DAG rewrite pass")
 	flag.Int64Var(&cfg.N, "n", 200_000, "base dataset rows (Criteo-sub in the paper is 325M)")
 	flag.StringVar(&cfg.SSDRoot, "ssd-root", "", "directory for the simulated SSD array (default: temp dir)")
 	flag.IntVar(&cfg.Drives, "drives", 4, "simulated SSD count")
@@ -71,12 +70,8 @@ func main() {
 	if o.DisableCSE {
 		cse = "off"
 	}
-	rewrites := "on"
-	if o.DisableRewrites || o.DisableCSE {
-		rewrites = "off"
-	}
-	fmt.Printf("flashr-bench: experiment=%s n=%d workers=%d drives=%d read=%.0fMiB/s write=%.0fMiB/s iters=%d cse=%s rewrites=%s\n",
-		*experiment, cfg.N, o.Workers, cfg.Drives, o.ReadMBps, o.WriteMBps, cfg.Iters, cse, rewrites)
+	fmt.Printf("flashr-bench: experiment=%s n=%d workers=%d drives=%d read=%.0fMiB/s write=%.0fMiB/s iters=%d cse=%s\n",
+		*experiment, cfg.N, o.Workers, cfg.Drives, o.ReadMBps, o.WriteMBps, cfg.Iters, cse)
 	if cfg.ReadErrRate > 0 || cfg.FlipBitRate > 0 {
 		fmt.Printf("fault injection: read-err=%.3g flip-bit=%.3g seed=%d\n", cfg.ReadErrRate, cfg.FlipBitRate, cfg.FaultSeed)
 	}

@@ -27,7 +27,7 @@ func main() {
 		name    = flag.String("matrix", "", "named matrix to summarize")
 		verify  = flag.Bool("verify", false, "scrub named matrices against their sidecar checksums (all, or just -matrix); exits 1 on corruption")
 		metrics = flag.Bool("metrics", false, "dump expfmt metrics (engine, SSD array, NUMA) before exiting")
-		explain = flag.Bool("explain", false, "with -matrix: render a sample expression DAG before and after the algebraic rewrite pass, with rule counters")
+		explain = flag.Bool("explain", false, "with -matrix: render the DAG of a sample expression over the matrix")
 	)
 	flag.Parse()
 	if *ssdRoot == "" {
@@ -174,29 +174,9 @@ func main() {
 		ms.NodesExecuted, ms.CSEUnifications, ms.CacheHits, ms.CacheMisses,
 		float64(ms.CacheHitBytes)/(1<<20), ms.CacheEvictions,
 		entries, float64(bytes)/(1<<20))
-	fmt.Printf("  rewrites: total=%d view=%d crossprod=%d aggfold=%d dce=%d dead-nodes=%d\n",
-		ms.Rewrites, ms.RewriteViews, ms.RewriteCrossProds, ms.RewriteAggFolds,
-		ms.RewriteDCE, ms.RewriteDeadNodes)
 	if *explain {
-		// A sample expression with foldable layers: the optimizer rewrites
-		// each sink's input graph in place during materialization, so
-		// explaining the same expression before and after the pass shows
-		// exactly what the rewrite rules did to it. A structurally identical
-		// twin is forced instead of expr itself — both sinks sit in the same
-		// deferred batch and are both rewritten, but only the forced one
-		// resolves away its graph.
-		build := func() *flashr.FM {
-			return flashr.Sum(flashr.Mul(flashr.Add(flashr.GetCols(x, seq(int(c))), 1.0), 2.0))
-		}
-		expr := build()
-		fmt.Printf("\nexplain: sum(2*(x[, 1:%d] + 1)) before rewriting:\n%s", c, flashr.Explain(expr))
-		before := s.TotalMaterializeStats()
-		if _, err := build().Float(); err != nil {
-			fatal(err)
-		}
-		d := s.TotalMaterializeStats().Sub(before)
-		fmt.Printf("after rewriting (%d rule applications: view=%d fold=%d):\n%s",
-			d.Rewrites, d.RewriteViews, d.RewriteAggFolds, flashr.Explain(expr))
+		expr := flashr.Sum(flashr.Mul(flashr.Add(flashr.GetCols(x, seq(int(c))), 1.0), 2.0))
+		fmt.Printf("\nexplain: sum(2*(x[, 1:%d] + 1)):\n%s", c, flashr.Explain(expr))
 	}
 	dumpMetrics()
 }

@@ -90,7 +90,7 @@ func TestServeRealProcesses(t *testing.T) {
 	} else if _, err := fmt.Sscan(rest, &ratio); err != nil || ratio > 3 {
 		t.Fatalf("tenant throughput ratio %v (%v), want ≤ 3:\n%s", ratio, err, out)
 	}
-	// The result cache and the rewriter absorb repeats of the one program,
+	// The result cache absorbs repeats of the one program,
 	// so passes < requests below holds even unbatched; responses reporting
 	// batch_size > 1 are what show the batcher itself coalescing.
 	var ok, rejected, failed, batched int

@@ -20,13 +20,14 @@ import (
 // cross-materialize result cache on exactly the values the first run
 // computed.
 //
-// Sink aggregations fold worker-local partials whose partition composition
-// depends on scheduling, so float sums are only bit-stable when the summands
-// are integers (integer addition in float64 is exact and grouping-
-// insensitive below 2^53). The program therefore fingerprints sums through
-// Round, and keeps raw floats for the order-insensitive min/max sinks and
-// for tall outputs (elementwise, deterministic by construction). The value
-// ranges below keep every rounded sum far under 2^53.
+// Sink partials merge in task order, so at a fixed worker count and
+// partition size a real-valued sum is bit-stable across fusion levels, CSE
+// and EM; sharded execution regroups it. Integer sums are exact under any
+// grouping below 2^53. The program therefore fingerprints most sums through
+// Round, keeps raw floats for the order-insensitive min/max sinks and for
+// tall outputs (elementwise, deterministic by construction), and checks one
+// real-valued sum in a separate float channel. The value ranges below keep
+// every rounded sum far under 2^53.
 
 // equivConfig is one point of the equivalence grid.
 type equivConfig struct {
@@ -34,18 +35,11 @@ type equivConfig struct {
 	fuse       FuseLevel
 	disableCSE bool
 	em         bool
-	// Rewrite ablations: the whole pass off, or one rule family off. Every
-	// point must still fingerprint bit-identically (tolerance-pinned for the
-	// float-fold channel), which is the equivalence gate for the optimizer.
-	noRewrites bool
-	noView     bool
-	noXProd    bool
-	noFold     bool
-	noDCE      bool
 	// shards > 0 runs the session with in-process sharded execution: the
 	// distributed path must fingerprint bit-identically to local execution
-	// (carry-seeded cumulative folds included), with only the float
-	// aggregation fold in the tolerance channel.
+	// (carry-seeded cumulative folds included). Only the float channel is
+	// compared within a tolerance, because per-shard partials regroup a
+	// real-valued sum.
 	shards int
 	// Crash schedule: kill -9 + restart worker crashWorker before/after the
 	// Nth exec it receives (1-based). The coordinator must fence, replay
@@ -70,18 +64,7 @@ func equivGrid(em bool) []equivConfig {
 				disableCSE: cse,
 			})
 		}
-		grid = append(grid, equivConfig{
-			name: fmt.Sprintf("fuse=%v/rewrites=off", fuse), fuse: fuse, noRewrites: true,
-		})
 	}
-	// Per-rule ablations on the default fuse level: each remaining rule must
-	// hold equivalence on its own.
-	grid = append(grid,
-		equivConfig{name: "cache/no-view", fuse: FuseCache, noView: true},
-		equivConfig{name: "cache/no-xprod", fuse: FuseCache, noXProd: true},
-		equivConfig{name: "cache/no-fold", fuse: FuseCache, noFold: true},
-		equivConfig{name: "cache/no-dce", fuse: FuseCache, noDCE: true},
-	)
 	// Sharded execution axis: the same program row-partitioned across 2 and 4
 	// in-process workers, plus sharding with CSE ablated and under per-op
 	// (FuseNone) materialization.
@@ -90,7 +73,6 @@ func equivGrid(em bool) []equivConfig {
 		grid = append(grid,
 			equivConfig{name: "em/cache/cse-on", fuse: FuseCache, em: true},
 			equivConfig{name: "em/cache/cse-off", fuse: FuseCache, disableCSE: true, em: true},
-			equivConfig{name: "em/cache/rewrites-off", fuse: FuseCache, noRewrites: true, em: true},
 		)
 	}
 	return grid
@@ -169,11 +151,11 @@ func buildEquivExpr(rng *rand.Rand, x *FM, depth int) *FM {
 
 // runEquivProgram executes the seeded program once over the shared leaf x and
 // returns its result fingerprint as float64 bit patterns, plus a separate
-// tolerance-pinned channel for values that pass through the float
-// aggregation fold (folding reassociates the reduction, so those values are
-// equivalent across configurations only to within rounding). Expressions are
-// rebuilt from scratch each run — structurally identical, new node objects —
-// which is exactly what iterative algorithms do per iteration.
+// float channel for real-valued sums. Local configurations must reproduce the
+// float channel bit for bit; sharded ones only to within rounding, because
+// per-shard partials regroup the sum. Expressions are rebuilt from scratch
+// each run — structurally identical, new node objects — which is exactly what
+// iterative algorithms do per iteration.
 func runEquivProgram(t testing.TB, x *FM, progSeed int64) ([]uint64, []float64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(progSeed))
@@ -187,28 +169,22 @@ func runEquivProgram(t testing.TB, x *FM, progSeed int64) ([]uint64, []float64) 
 	z, zb := Sum(Round(e1)), Sum(Round(e1b))
 	mx, mn := Max(e2), Min(e2)
 	cs := ColSums(Round(e2))
-	// Integer-exact aggregation fold: sum(3·round(e1)) folds to 3·sum(round(e1)),
-	// sharing the raw reduction's cache key with z — exact for integer sums,
-	// so it lives in the bit-identical fingerprint.
+	// A scalar multiply under an integer-exact sum.
 	z3 := Sum(Mul(Round(e1), 3.0))
-	// Dead-input elimination + view push-down: selecting only the left half
-	// of a cbind disconnects the right input, then the identity selection
-	// over round(e1) collapses away.
+	// A column selection of the left input of a cbind.
 	_, p := x.Dim()
 	left := make([]int, p)
 	for i := range left {
 		left[i] = i
 	}
-	dce := ColSums(GetCols(Cbind(Round(e1), Round(e2)), left))
-	// View push-down independent of DCE: a single-column selection above a
-	// scalar multiply pushes below it (and below Round), narrowing the chain.
-	pd := ColSums(GetCols(Mul(Round(e2), 2.0), []int{0}))
-	// Crossprod self-recognition: structurally identical but distinct
-	// operands select the symmetric kernel. Sign keeps entries in {-1,0,1}
-	// so the p×p accumulations are exact whatever the partition order.
+	half := ColSums(GetCols(Cbind(Round(e1), Round(e2)), left))
+	// A single-column selection above a scalar multiply.
+	col0 := ColSums(GetCols(Mul(Round(e2), 2.0), []int{0}))
+	// A crossprod of structurally identical but distinct operands, which CSE
+	// unifies. Sign keeps entries in {-1,0,1} so the p×p accumulations are
+	// exact whatever the partition order.
 	xp := CrossProd2(Sign(e1), Sign(e1b))
-	// Float fold (tolerance channel): sum(0.3·e2) folds to 0.3·sum(e2),
-	// which reassociates a real-valued reduction.
+	// A real-valued sum (float channel).
 	ff := Sum(Mul(e2, 0.3))
 
 	var fp []uint64
@@ -243,12 +219,12 @@ func runEquivProgram(t testing.TB, x *FM, progSeed int64) ([]uint64, []float64) 
 		t.Fatal(err)
 	}
 	add(csv...)
-	dcv, err := dce.AsVector()
+	dcv, err := half.AsVector()
 	if err != nil {
 		t.Fatal(err)
 	}
 	add(dcv...)
-	pdv, err := pd.AsVector()
+	pdv, err := col0.AsVector()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +272,7 @@ func checkEquivalenceGrid(t testing.TB, seed int64, grid []equivConfig) {
 	for _, cfg := range grid {
 		opts := Options{
 			Workers: 4, PartRows: 256, Fuse: cfg.fuse,
-			DisableCSE: cfg.disableCSE, DisableRewrites: cfg.noRewrites,
+			DisableCSE: cfg.disableCSE,
 		}
 		var chaos []*shard.ChaosTransport
 		if cfg.shards > 0 {
@@ -327,12 +303,7 @@ func checkEquivalenceGrid(t testing.TB, seed int64, grid []equivConfig) {
 			opts.EM = true
 			opts.SSDDirs = []string{filepath.Join(dir, "d0"), filepath.Join(dir, "d1")}
 		}
-		s, err := newSession(opts, func(c *core.Config) {
-			c.DisableRewriteView = cfg.noView
-			c.DisableRewriteCrossProd = cfg.noXProd
-			c.DisableRewriteAggFold = cfg.noFold
-			c.DisableRewriteDCE = cfg.noDCE
-		})
+		s, err := NewSession(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -353,8 +324,6 @@ func checkEquivalenceGrid(t testing.TB, seed int64, grid []equivConfig) {
 			}
 		}
 		for i := range tol1 {
-			// Within one configuration the fold is applied (or not) both
-			// runs, so even the float channel repeats exactly.
 			if math.Float64bits(tol1[i]) != math.Float64bits(tol2[i]) {
 				t.Fatalf("seed %d [%s]: run 2 float channel %d = %v, run 1 = %v",
 					seed, cfg.name, i, tol2[i], tol1[i])
@@ -366,10 +335,6 @@ func checkEquivalenceGrid(t testing.TB, seed int64, grid []equivConfig) {
 				t.Fatalf("seed %d [%s]: CSE disabled but cse=%d hits=%d",
 					seed, cfg.name, ms.CSEUnifications, ms.CacheHits)
 			}
-			// No signature context means no rewriting either.
-			if ms.Rewrites != 0 {
-				t.Fatalf("seed %d [%s]: CSE disabled but %d rewrites applied", seed, cfg.name, ms.Rewrites)
-			}
 		} else {
 			// The duplicate sink unifies in run 1; run 2 rebuilds cached
 			// structures, so hits are guaranteed.
@@ -380,21 +345,6 @@ func checkEquivalenceGrid(t testing.TB, seed int64, grid []equivConfig) {
 				t.Fatalf("seed %d [%s]: no cache hits across two identical runs", seed, cfg.name)
 			}
 		}
-		// The program deterministically exercises every rewrite family, so
-		// the counters double as ablation proof: a disabled family applies
-		// nothing, an enabled one (with CSE on) applies at least once.
-		checkCounter := func(what string, disabled bool, n int64) {
-			switch {
-			case (cfg.disableCSE || cfg.noRewrites || disabled) && n != 0:
-				t.Fatalf("seed %d [%s]: %s disabled but applied %d times", seed, cfg.name, what, n)
-			case !cfg.disableCSE && !cfg.noRewrites && !disabled && n == 0:
-				t.Fatalf("seed %d [%s]: %s enabled but never applied", seed, cfg.name, what)
-			}
-		}
-		checkCounter("view rewrite", cfg.noView, ms.RewriteViews)
-		checkCounter("crossprod rewrite", cfg.noXProd, ms.RewriteCrossProds)
-		checkCounter("aggregation fold", cfg.noFold, ms.RewriteAggFolds)
-		checkCounter("dead-input elimination", cfg.noDCE, ms.RewriteDCE)
 		// Sharded sessions must actually execute remotely (and local ones must
 		// not): ShardPasses is nonzero exactly when sharding is configured.
 		if cfg.shards > 0 && ms.ShardPasses == 0 {
@@ -435,7 +385,12 @@ func checkEquivalenceGrid(t testing.TB, seed int64, grid []equivConfig) {
 				}
 			}
 			for i := range refTol {
-				if d := math.Abs(tol1[i] - refTol[i]); d > 1e-6+1e-9*math.Abs(refTol[i]) {
+				if cfg.shards == 0 {
+					if math.Float64bits(tol1[i]) != math.Float64bits(refTol[i]) {
+						t.Fatalf("seed %d [%s]: float channel %d = %v, want %v bit for bit (%s)",
+							seed, cfg.name, i, tol1[i], refTol[i], refName)
+					}
+				} else if d := math.Abs(tol1[i] - refTol[i]); d > 1e-6+1e-9*math.Abs(refTol[i]) {
 					t.Fatalf("seed %d [%s]: float channel %d = %v, want %v±tol (%s)",
 						seed, cfg.name, i, tol1[i], refTol[i], refName)
 				}
@@ -491,8 +446,8 @@ func TestShardEquivalenceGrid(t *testing.T) {
 
 // FuzzShardEquivalence feeds arbitrary seeds through the trimmed sharded
 // grid: single-engine vs 2- and 4-shard in-process execution must be
-// bit-identical for tall results and integer folds, tolerance-pinned for the
-// float aggregation fold.
+// bit-identical for tall results and integer sums, and agree to within
+// rounding on the real-valued sum, whose per-shard partials regroup it.
 func FuzzShardEquivalence(f *testing.F) {
 	for _, s := range []int64{0, 7, 42, 1<<33 + 5, -11} {
 		f.Add(s)
@@ -576,12 +531,11 @@ func TestShardUnifiedCumsum(t *testing.T) {
 	}
 }
 
-// The ablation gates below run one program twice on the external-memory
-// path, with an optimizer feature on and off, and compare outputs and I/O.
-// EM makes leaf reads visible in BytesRead. Both arms run four workers over
-// the same 256-row partitions, and sink partials merge in task order, so
-// both arms group every sum identically: real-valued outputs stay bitwise
-// wherever the optimizer does not reassociate.
+// The ablation gate below runs one program twice on the external-memory
+// path, with CSE on and off, and compares outputs and I/O. EM makes leaf
+// reads visible in BytesRead. Both arms run four workers over the same
+// 256-row partitions, and sink partials merge in task order, so both arms
+// group every sum identically and real-valued outputs stay bitwise.
 
 // emArm runs prog in a fresh four-worker EM session built from opts and
 // returns its outputs and the session's stats.
@@ -623,19 +577,15 @@ func values(t *testing.T, m *FM) []float64 {
 	return d.Data
 }
 
-// sameOutputs compares two arms' outputs: bitwise, or with exact false
-// within the grid's 1e-9·|ref| + 1e-12 tolerance.
-func sameOutputs(t *testing.T, label string, got, want []float64, exact bool) {
+// sameOutputs compares two arms' outputs bitwise.
+func sameOutputs(t *testing.T, label string, got, want []float64) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d outputs, want %d", label, len(got), len(want))
 	}
 	for i := range want {
-		if exact && math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("%s: output %d = %v, want %v (bitwise)", label, i, got[i], want[i])
-		}
-		if d := math.Abs(got[i] - want[i]); !exact && d > 1e-9*math.Abs(want[i])+1e-12 {
-			t.Fatalf("%s: output %d = %v, want %v±tol", label, i, got[i], want[i])
 		}
 	}
 }
@@ -643,9 +593,8 @@ func sameOutputs(t *testing.T, label string, got, want []float64, exact bool) {
 // TestCSEAblationEM is the iterative hash-consing gate. Each iteration
 // forces an iteration-invariant sum twice in one flush, so the duplicate
 // must unify and later iterations must be served from the result cache,
-// then an iteration-dependent sum the cache must never serve. Rewrites are
-// off in both arms, so no fold reassociates a sum and every output stays
-// bitwise.
+// then an iteration-dependent sum the cache must never serve. Every output
+// stays bitwise.
 func TestCSEAblationEM(t *testing.T) {
 	const n, p, iters = 3000, 4, 3
 	prog := func(s *Session) []float64 {
@@ -659,9 +608,9 @@ func TestCSEAblationEM(t *testing.T) {
 		}
 		return out
 	}
-	on, onStats := emArm(t, Options{DisableRewrites: true}, prog)
-	off, offStats := emArm(t, Options{DisableRewrites: true, DisableCSE: true}, prog)
-	sameOutputs(t, "cse on vs off", on, off, true)
+	on, onStats := emArm(t, Options{}, prog)
+	off, offStats := emArm(t, Options{DisableCSE: true}, prog)
+	sameOutputs(t, "cse on vs off", on, off)
 	if onStats.CSEUnifications == 0 || onStats.CacheHits == 0 {
 		t.Fatalf("CSE-on run recorded cse=%d hits=%d, want both > 0", onStats.CSEUnifications, onStats.CacheHits)
 	}
@@ -673,89 +622,5 @@ func TestCSEAblationEM(t *testing.T) {
 	}
 	if onStats.NodesExecuted >= offStats.NodesExecuted {
 		t.Fatalf("CSE-on executed %d nodes, not fewer than CSE-off's %d", onStats.NodesExecuted, offStats.NodesExecuted)
-	}
-}
-
-// TestRewriteAblationEM runs three iterative shapes with the rewrite pass on
-// and off. Each must read strictly fewer bytes with rewrites on and fire
-// the rule families it exists for:
-//
-//   - kmeans: a column selection of the left half of a cbind. View and
-//     dead-input rules drop the unread half; exact rules, so bitwise.
-//   - logistic: a learning-rate scale over an iteration-invariant sum.
-//     Aggregation folding leaves a raw sink that cache-hits across
-//     iterations; the fold reassociates, so the tolerance channel.
-//   - crossprod: t(A)%*%B over structurally identical operands on the same
-//     selection. Self-recognition picks the symmetric kernel and the
-//     dead-input rule fires; bitwise.
-func TestRewriteAblationEM(t *testing.T) {
-	const n, p, iters = 3000, 16, 3
-	sel := make([]int, p)
-	for i := range sel {
-		sel[i] = i
-	}
-	for _, tc := range []struct {
-		name  string
-		exact bool
-		prog  func(feat, junk *FM) []float64
-		check func(on MaterializeStats) error
-	}{
-		{"kmeans", true, func(feat, junk *FM) []float64 {
-			var out []float64
-			for it := 0; it < iters; it++ {
-				d := Add(GetCols(Cbind(feat, junk), sel), float64(it))
-				out = append(out, values(t, Sum(Mul(d, d)))...)
-				out = append(out, values(t, ColSums(Mul(d, d)))...)
-			}
-			return out
-		}, func(on MaterializeStats) error {
-			if on.RewriteViews == 0 || on.RewriteDCE == 0 {
-				return fmt.Errorf("view=%d dce=%d, want both > 0", on.RewriteViews, on.RewriteDCE)
-			}
-			return nil
-		}},
-		{"logistic", false, func(feat, _ *FM) []float64 {
-			var out []float64
-			for it := 0; it < iters; it++ {
-				out = append(out, values(t, Sum(Mul(Sigmoid(feat), 0.1/float64(it+1))))...)
-			}
-			return out
-		}, func(on MaterializeStats) error {
-			if on.RewriteAggFolds == 0 || on.CacheHits == 0 {
-				return fmt.Errorf("fold=%d hits=%d, want both > 0", on.RewriteAggFolds, on.CacheHits)
-			}
-			return nil
-		}},
-		{"crossprod", true, func(feat, junk *FM) []float64 {
-			var out []float64
-			for it := 0; it < iters; it++ {
-				x := GetCols(Cbind(feat, junk), sel)
-				out = append(out, values(t, CrossProd2(Mul(x, float64(it+1)), Mul(x, float64(it+1))))...)
-			}
-			return out
-		}, func(on MaterializeStats) error {
-			if on.RewriteCrossProds == 0 || on.RewriteDCE == 0 {
-				return fmt.Errorf("xprod=%d dce=%d, want both > 0", on.RewriteCrossProds, on.RewriteDCE)
-			}
-			return nil
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			prog := func(s *Session) []float64 {
-				return tc.prog(normLeaf(t, s, n, p, 41), normLeaf(t, s, n, p, 42))
-			}
-			on, onStats := emArm(t, Options{}, prog)
-			off, offStats := emArm(t, Options{DisableRewrites: true}, prog)
-			sameOutputs(t, "rewrites on vs off", on, off, tc.exact)
-			if err := tc.check(onStats); err != nil {
-				t.Fatalf("rewrites-on run: %v", err)
-			}
-			if offStats.Rewrites != 0 {
-				t.Fatalf("rewrites-off run applied %d rewrites", offStats.Rewrites)
-			}
-			if onStats.BytesRead >= offStats.BytesRead {
-				t.Fatalf("rewrites-on read %d bytes, not fewer than rewrites-off's %d", onStats.BytesRead, offStats.BytesRead)
-			}
-		})
 	}
 }

@@ -14,9 +14,9 @@
 //	Table 6  → Table6:  runtime and peak memory at the largest scale
 //
 // Concurrent adds one repo experiment: N sessions sharing one engine.
-// Experiments only measure and report. Correctness gates (CSE and rewrite
-// ablations, sharded equivalence, real-process shard recovery) are tier-1
-// go tests, not experiments.
+// Experiments only measure and report. Correctness gates (the CSE
+// ablation, sharded equivalence, real-process shard recovery) are tier-1 go
+// tests, not experiments.
 package benchmark
 
 import (

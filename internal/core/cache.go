@@ -11,17 +11,6 @@ package core
 // embedded in the signatures themselves, so a mutated operand changes every
 // key built over it and a stale entry can never match again. Explicit
 // invalidation reclaims the memory immediately.
-//
-// Interaction with the algebraic rewrite pass (optimize.go): rewriting runs
-// inside materialize before any lookup or insert computes a signature, so
-// every key this cache ever sees describes the post-rewrite graph. A result
-// cached under a pre-rewrite signature being served for a structurally
-// different post-rewrite node (or vice versa) is impossible by construction —
-// there is no code path that computes a pre-rewrite key. Folded sinks
-// deliberately cache their raw (pre-transform) payload under a key that
-// excludes the affine coefficients; the transform is re-applied on every hit
-// (Sink.applyPost), so sums differing only in a folded scalar share one
-// cached reduction without ever observing each other's published values.
 
 import (
 	"container/list"

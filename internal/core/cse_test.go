@@ -417,6 +417,76 @@ func TestLeafMutationInvalidatesCache(t *testing.T) {
 	}
 }
 
+// TestMutationInvalidatesTwoLeafSink: a cached sink whose key covers two
+// leaves (a column selection over their cbind) must not be served after one
+// of them is mutated; the rebuilt sink must match a cold engine that only
+// ever saw the mutated data.
+func TestMutationInvalidatesTwoLeafSink(t *testing.T) {
+	ad, bd := cseDense(600, 3, 28), cseDense(600, 2, 29)
+	build := func(a, b *Mat) *Sink {
+		return Agg(MapplyScalar(Cols(Cbind2(a, b), []int{3, 0}), 2, BinMul, false), AggSum)
+	}
+	e := newCSEEngine(t, Config{})
+	a, _ := e.FromDense(ad)
+	b, _ := e.FromDense(bd)
+	if err := e.Materialize(nil, []*Sink{build(a, b)}); err != nil {
+		t.Fatal(err)
+	}
+	if entries, _ := e.ResultCacheStats(); entries == 0 {
+		t.Fatal("no cache entries after cold pass")
+	}
+
+	if err := e.SetElement(a, 0, 0, 1e6); err != nil {
+		t.Fatal(err)
+	}
+	s := build(a, b)
+	if err := e.Materialize(nil, []*Sink{s}); err != nil {
+		t.Fatal(err)
+	}
+	if ms := e.LastMaterializeStats(); ms.CacheHits != 0 {
+		t.Fatalf("post-mutation pass served %d stale cache hits", ms.CacheHits)
+	}
+
+	ad.Set(0, 0, 1e6)
+	cold := newCSEEngine(t, Config{})
+	ca, _ := cold.FromDense(ad)
+	cb, _ := cold.FromDense(bd)
+	want := build(ca, cb)
+	if err := cold.Materialize(nil, []*Sink{want}); err != nil {
+		t.Fatal(err)
+	}
+	bitsEqual(t, "post-mutation sum", s.Result(), want.Result())
+}
+
+// TestCSEDiamondSharedSubtree: two consumers of one shared subtree, each a
+// column selection of it, unify into one chain, and both sums match a
+// CSE-free engine bit for bit.
+func TestCSEDiamondSharedSubtree(t *testing.T) {
+	ad := cseDense(900, 6, 30)
+	build := func(a *Mat) (*Sink, *Sink) {
+		shared := MapplyScalar(Sapply(a, UnaryAbs), 2, BinMul, false)
+		return Agg(Cols(shared, []int{0, 1}), AggSum), Agg(Cols(shared, []int{0, 1}), AggSum)
+	}
+	e := newCSEEngine(t, Config{})
+	a, _ := e.FromDense(ad)
+	s1, s2 := build(a)
+	if err := e.Materialize(nil, []*Sink{s1, s2}); err != nil {
+		t.Fatal(err)
+	}
+	if ms := e.LastMaterializeStats(); ms.CSEUnifications == 0 {
+		t.Fatalf("diamond: no CSE unification (stats: %s)", ms)
+	}
+
+	ref := newCSEEngine(t, Config{DisableCSE: true})
+	ra, _ := ref.FromDense(ad)
+	r1, r2 := build(ra)
+	if err := ref.Materialize(nil, []*Sink{r1, r2}); err != nil {
+		t.Fatal(err)
+	}
+	bitsEqual(t, "diamond left", s1.Result(), r1.Result())
+	bitsEqual(t, "diamond right", s2.Result(), r2.Result())
+}
+
 // TestMutationPrivatizesCachedStore: writing into a matrix whose store is
 // shared with the result cache must copy-on-write, so cached bits stay exact
 // and a later structurally identical expression is correctly served the

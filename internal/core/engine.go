@@ -88,29 +88,8 @@ type Config struct {
 	SuperParts int
 	// DisableCSE turns off structural hash-consing entirely: no
 	// common-subexpression unification at DAG-build time and no sub-DAG
-	// result cache (the ablation knob for the equivalence suites). Because
-	// the algebraic rewrite pass relies on canonical signatures (crossprod
-	// recognition, re-interning of rewritten nodes), disabling CSE also
-	// disables all rewrites.
+	// result cache (the ablation knob for the equivalence suites).
 	DisableCSE bool
-	// DisableRewrites turns off the whole algebraic rewrite pass
-	// (optimize.go); the per-rule flags below ablate individual rule
-	// families while leaving the others on.
-	DisableRewrites bool
-	// DisableRewriteView disables view push-down (column-selection
-	// elimination, composition, and push-down through elementwise chains).
-	DisableRewriteView bool
-	// DisableRewriteCrossProd disables crossprod self-recognition
-	// (t(A)%*%B with structurally identical inputs → the Syrk form).
-	DisableRewriteCrossProd bool
-	// DisableRewriteAggFold disables aggregation folding (sum-sinks over
-	// scalar/constant/row-vector broadcast chains fold into an affine
-	// publish transform over the bare reduction).
-	DisableRewriteAggFold bool
-	// DisableRewriteDCE disables dead-input elimination (column selections
-	// over cbind/setcols that provably never observe one input disconnect
-	// it).
-	DisableRewriteDCE bool
 	// ResultCacheBytes bounds the cross-materialize sub-DAG result cache
 	// (0 = DefaultResultCacheBytes; negative disables the cache while
 	// keeping within-pass CSE unification on).
@@ -159,8 +138,8 @@ type Engine struct {
 
 	// remote, when set (SetRemoteExecutor), replaces the local execution
 	// phase of every pass with a sharded coordinator: planning and
-	// publication still run here, so CSE, the result cache, and the rewrite
-	// pass behave identically to single-engine execution.
+	// publication still run here, so CSE and the result cache behave
+	// identically to single-engine execution.
 	remote RemoteExecutor
 
 	// testStoreWrap, when set by tests, wraps every tall-output store the
@@ -386,10 +365,9 @@ func (e *Engine) MaterializePass(ctx context.Context, talls []*Mat, sinks []*Sin
 	})
 }
 
-// ExecProgram runs a resolved program below the planner — no rewriting, no
-// CSE, no result cache — as one admitted, traced pass over nrow rows: the
-// entry point of shard workers, which only ever execute what a coordinator
-// compiled. leaves holds the store behind every leaf instruction (indexed
+// ExecProgram runs a resolved program below the planner — no CSE, no result
+// cache — as one admitted, traced pass over nrow rows: the entry point of
+// shard workers, which only ever execute what a coordinator compiled. leaves holds the store behind every leaf instruction (indexed
 // like p.Nodes), each nrow × its instruction's width; carries holds the
 // cum.col accumulators entering the pass. The caller owns the returned tall
 // stores.
@@ -537,19 +515,6 @@ func (e *Engine) materialize(ctx context.Context, mt []*Mat, sk []*Sink, ms *Mat
 		}
 		sc = newSigCtx(e.cons)
 	}
-	var rwFwd [][2]*Mat
-	if sc != nil && !e.cfg.DisableRewrites {
-		// Algebraic rewriting runs before any signature is interned for
-		// cache lookups, so every key below describes the post-rewrite
-		// graph — a cached pre-rewrite result can never be served for a
-		// structurally different post-rewrite node, and vice versa. Tall
-		// roots are rewritten by substitution: the pass executes the
-		// rewritten graph and forwards its store onto the caller's root.
-		rwSp := pr.pt.rootBuf().Begin(trace.KindRewrite, pr.id)
-		mt, rwFwd = e.rewriteGraphs(mt, sk, sc, ms)
-		rwSp.N = ms.Rewrites
-		pr.pt.rootBuf().End(rwSp)
-	}
 	// Serve whole sinks from the result cache, and unify structurally
 	// identical sinks within the pass: the canonical one computes, each
 	// duplicate receives a copy of its payload after the pass.
@@ -561,9 +526,7 @@ func (e *Engine) materialize(ctx context.Context, mt []*Mat, sk []*Sink, ms *Mat
 			kid := sc.sinkID(s)
 			if e.rcache != nil {
 				if pl, n, ok := e.rcache.lookupSink(sc.epoch, sc.sinkKey(s)); ok {
-					// Cached payloads are raw reductions; a folded sink
-					// applies its own publish transform on the way out.
-					s.publishPayload(s.applyPost(pl))
+					s.publishPayload(pl)
 					ms.CacheHits++
 					ms.CacheHitBytes += n
 					continue
@@ -645,12 +608,8 @@ func (e *Engine) materialize(ctx context.Context, mt []*Mat, sk []*Sink, ms *Mat
 	if run && e.rcache != nil && sc != nil {
 		e.insertResults(d, sc, ms)
 	}
-	forwardTallStores(rwFwd)
 	for _, pair := range dupSinks {
-		// Duplicates share the canonical sink's raw reduction but publish
-		// through their own folded transform (signatures exclude it, so two
-		// sinks differing only in folded scalars unify here).
-		pair[0].publishPayload(pair[0].applyPost(pair[1].rawPayload()))
+		pair[0].publishPayload(pair[1].payload())
 	}
 	e.planMu.Unlock()
 	pr.pt.rootBuf().End(pubSp)
@@ -713,7 +672,7 @@ func (e *Engine) insertResults(d *dag, sc *sigCtx, ms *MaterializeStats) {
 		if !ok {
 			continue
 		}
-		ms.CacheEvictions += int64(e.rcache.insertSink(sc.epoch, key, s.rawPayload(), sc.sinkDepsOf(s)))
+		ms.CacheEvictions += int64(e.rcache.insertSink(sc.epoch, key, s.payload(), sc.sinkDepsOf(s)))
 	}
 }
 

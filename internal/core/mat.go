@@ -467,23 +467,12 @@ type Sink struct {
 
 	rows, cols int
 
-	// Aggregation-folding publish transform (optimize.go): when hasPost is
-	// set, the sink computes the raw reduction over its (rewritten) input and
-	// publishes postMul·raw + postAdd. The structural signature deliberately
-	// excludes these coefficients — it describes the raw computation, so an
-	// iteration-varying scalar folded out of the input no longer defeats
-	// result-cache sharing of the underlying reduction.
-	postMul float64
-	postAdd float64
-	hasPost bool
-
 	mu     sync.Mutex
 	done   bool
 	result *dense.Dense
-	keys   []float64    // SinkTable/SinkGroupByVal: sorted distinct values
-	counts []int64      // SinkTable: matching counts
-	folds  []float64    // SinkGroupByVal: per-group folded values
-	raw    *dense.Dense // pre-transform result when hasPost (cache payload)
+	keys   []float64 // SinkTable/SinkGroupByVal: sorted distinct values
+	counts []int64   // SinkTable: matching counts
+	folds  []float64 // SinkGroupByVal: per-group folded values
 }
 
 // Kind returns the sink's GenOp kind.

@@ -7,7 +7,7 @@ import (
 )
 
 // Program is one pass compiled to a flat instruction list — the only form any
-// executor runs. The planner lowers its post-rewrite, post-CSE DAG into a
+// executor runs. The planner lowers its post-CSE DAG into a
 // Program once per pass (dag.compile); the local engine runs it, and a sharded
 // coordinator ships the same Program to every shard worker, which resolves and
 // runs it without planning anything.

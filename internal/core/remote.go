@@ -11,13 +11,12 @@ import (
 
 // RemoteExecutor is the execution seam a sharded coordinator plugs into the
 // engine. When set, the engine still runs its whole plan phase locally —
-// algebraic rewriting, result-cache serving, within-pass CSE unification, DAG
-// construction, validation and compilation — and hands only the compiled
-// program to the executor, which returns what a local execution would: a
-// store per tall position and the combined raw reduction per sink. The
-// publication phase (store attachment, publish transforms, result-cache
-// inserts, duplicate-sink payload serving, rewrite store forwarding) then
-// proceeds exactly as for local execution.
+// result-cache serving, within-pass CSE unification, DAG construction,
+// validation and compilation — and hands only the compiled program to the
+// executor, which returns what a local execution would: a store per tall
+// position and the combined raw reduction per sink. The publication phase
+// (store attachment, result-cache inserts, duplicate-sink payload serving)
+// then proceeds exactly as for local execution.
 type RemoteExecutor interface {
 	RunDAG(ctx context.Context, d *RemoteDAG, ms *MaterializeStats) (*ProgramResult, error)
 }
@@ -112,12 +111,10 @@ func (s *ProgramSink) Combine(parts []*SinkPartial) (*SinkPartial, error) {
 	return acc.partial(), nil
 }
 
-// PublishRaw installs a combined raw partial as this sink's result, applying
-// the folded publish transform once (the rewrite pass runs on the coordinator
-// only; per-shard application of the affine transform would fold it N times).
-// The sink takes ownership of p. Crossprod partials are already symmetric
-// (workers symmetrize Syrk partials before snapshotting), so no extra
-// symmetrization happens here.
+// PublishRaw installs a combined raw partial as this sink's result. The sink
+// takes ownership of p. Crossprod partials are already symmetric (workers
+// symmetrize Syrk partials before snapshotting), so no extra symmetrization
+// happens here.
 func (s *Sink) PublishRaw(p *SinkPartial) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -136,12 +133,6 @@ func (s *Sink) PublishRaw(p *SinkPartial) {
 	case SinkGroupByVal:
 		s.keys, s.folds = p.Keys, p.Folds
 		s.result = dense.FromSlice(1, len(p.Keys), append([]float64(nil), p.Folds...))
-	}
-	if s.hasPost && s.result != nil {
-		s.raw = s.result.Clone()
-		for i, v := range s.result.Data {
-			s.result.Data[i] = s.postMul*v + s.postAdd
-		}
 	}
 	s.done = true
 }

@@ -241,8 +241,9 @@ func (a *sinkAcc) partial() *SinkPartial {
 }
 
 // payload snapshots a finished sink's published result for the result cache
-// (nil if the sink has not finished). The snapshot is a clone: the caller's
-// dense stays private to whoever holds the sink.
+// and for within-pass duplicate sinks (nil if the sink has not finished). The
+// snapshot is a clone: the caller's dense stays private to whoever holds the
+// sink.
 func (s *Sink) payload() *sinkPayload {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -251,38 +252,6 @@ func (s *Sink) payload() *sinkPayload {
 	}
 	p := &sinkPayload{keys: s.keys, counts: s.counts, folds: s.folds, result: s.result}
 	return p.clone()
-}
-
-// rawPayload snapshots the pre-transform result for the result cache. For
-// sinks without a folded publish transform this is the published result; for
-// folded sinks it is the raw reduction stashed by PublishRaw, so the cache
-// entry matches the structural key (which excludes the transform
-// coefficients).
-func (s *Sink) rawPayload() *sinkPayload {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.done {
-		return nil
-	}
-	res := s.result
-	if s.hasPost {
-		res = s.raw
-	}
-	p := &sinkPayload{keys: s.keys, counts: s.counts, folds: s.folds, result: res}
-	return p.clone()
-}
-
-// applyPost applies this sink's folded publish transform to a raw payload in
-// place (a no-op when no fold happened), returning pl for chaining. Callers
-// pass a clone they own — the cache-hit and duplicate-sink serve paths.
-func (s *Sink) applyPost(pl *sinkPayload) *sinkPayload {
-	if pl == nil || !s.hasPost || pl.result == nil {
-		return pl
-	}
-	for i, v := range pl.result.Data {
-		pl.result.Data[i] = s.postMul*v + s.postAdd
-	}
-	return pl
 }
 
 // publishPayload installs a payload snapshot as this sink's result — the

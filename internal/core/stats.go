@@ -93,17 +93,8 @@ type MaterializeStats struct {
 	CacheEvictions  int64
 	CacheHitBytes   int64
 
-	// Algebraic-rewrite counters (optimize.go). Rewrites is total rule
-	// applications; the per-family counters break it down (view push-down,
-	// crossprod self-recognition, aggregation folds, dead-input
-	// eliminations). RewriteDeadNodes counts the virtual nodes those
-	// eliminations disconnected — subtrees whose leaves are never read.
-	Rewrites          int64
-	RewriteViews      int64
-	RewriteCrossProds int64
-	RewriteAggFolds   int64
-	RewriteDCE        int64
-	RewriteDeadNodes  int64
+	// Rewrites always reads 0 (no rewrite pass); bench/ still reads it.
+	Rewrites int64
 
 	// Sharded-execution counters (internal/shard), all zero on a local pass.
 	// ShardPasses counts worker-side passes executed for this
@@ -188,18 +179,8 @@ var statCounters = []statCounter{
 		func(s *MaterializeStats) *int64 { return &s.CacheEvictions }),
 	count("flashr_materialize_cache_hit_bytes_total", "Result bytes served without recomputation or I/O.",
 		func(s *MaterializeStats) *int64 { return &s.CacheHitBytes }),
-	count("flashr_materialize_rewrites_total", "Algebraic rewrite rule applications.",
+	count("flashr_materialize_rewrites_total", "Always 0: the engine has no rewrite pass.",
 		func(s *MaterializeStats) *int64 { return &s.Rewrites }),
-	count("flashr_materialize_rewrite_views_total", "View push-down rewrites (column-selection elimination/composition/push-down).",
-		func(s *MaterializeStats) *int64 { return &s.RewriteViews }),
-	count("flashr_materialize_rewrite_crossprods_total", "Crossprod self-recognition rewrites (GemmTA to Syrk).",
-		func(s *MaterializeStats) *int64 { return &s.RewriteCrossProds }),
-	count("flashr_materialize_rewrite_aggfolds_total", "Aggregation folds into affine publish transforms.",
-		func(s *MaterializeStats) *int64 { return &s.RewriteAggFolds }),
-	count("flashr_materialize_rewrite_dce_total", "Dead-input eliminations applied.",
-		func(s *MaterializeStats) *int64 { return &s.RewriteDCE }),
-	count("flashr_materialize_rewrite_dead_nodes_total", "Virtual nodes disconnected by dead-input elimination.",
-		func(s *MaterializeStats) *int64 { return &s.RewriteDeadNodes }),
 	count("flashr_materialize_shard_passes_total", "Worker-side passes executed by the sharded coordinator.",
 		func(s *MaterializeStats) *int64 { return &s.ShardPasses }),
 	count("flashr_materialize_shard_agg_rounds_total", "Cross-shard aggregation exchange rounds.",
@@ -272,11 +253,6 @@ func (s MaterializeStats) String() string {
 	if s.CSEUnifications != 0 || s.CacheHits != 0 || s.CacheMisses != 0 {
 		fmt.Fprintf(&b, " cse=%d hit=%d/%d saved=%s evict=%d",
 			s.CSEUnifications, s.CacheHits, s.CacheMisses, mib(s.CacheHitBytes), s.CacheEvictions)
-	}
-	if s.Rewrites != 0 {
-		fmt.Fprintf(&b, " rw=%d (view=%d xprod=%d fold=%d dce=%d dead=%d)",
-			s.Rewrites, s.RewriteViews, s.RewriteCrossProds, s.RewriteAggFolds,
-			s.RewriteDCE, s.RewriteDeadNodes)
 	}
 	if s.ChecksumFailures != 0 || s.IORetries != 0 || s.RecoveredReads != 0 || s.RecoveredWrites != 0 {
 		fmt.Fprintf(&b, " csfail=%d retries=%d recovered=%d/%d",

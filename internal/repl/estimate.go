@@ -28,9 +28,8 @@ type Estimate struct {
 // rebound to that session, so the program builds exactly the DAG nodes a
 // real evaluation would, with creation calls bound to zero-storage leaves,
 // while no pass runs, no data is read and neither the bindings nor the
-// session's pending batch change. Node bytes are counted before the
-// rewriter runs: rewrites only remove or fold nodes, so the count is an
-// upper bound, and placeholder leaves would fold differently from real data.
+// session's pending batch change. CSE and the result cache can only skip
+// some of the counted nodes, so the count is an upper bound.
 //
 // The second result is false — no estimate — when a statement fails to
 // parse or evaluate: a shape error, an unbound name or unknown function, an

@@ -489,9 +489,9 @@ type pushJob struct {
 //
 //   - Results exist only after every shard succeeded — a failed pass surfaces
 //     a typed ShardError and never a silent partial aggregate.
-//   - Partials combine in fixed shard order and the folded publish transform
-//     applies exactly once, so results are bit-identical to the single-engine
-//     path for order-insensitive folds and reassociate only float sums.
+//   - Partials combine in fixed shard order, so results are bit-identical to
+//     the single-engine path for order-insensitive folds and reassociate only
+//     float sums.
 //   - Passes with cum.col instructions and more than one active shard run
 //     the shards sequentially, threading each shard's exit carry (its
 //     accumulator after its last row) into the next — cumulative folds stay

@@ -1,7 +1,7 @@
 // Package shard is the multi-process execution engine: a coordinator that
 // row-partitions named matrices across N workers — each running its own core
-// engine (and, over TCP, its own SAFS array) — splits every captured
-// post-rewrite DAG into per-shard passes, and combines the workers' raw sink
+// engine (and, over TCP, its own SAFS array) — splits every captured DAG
+// into per-shard passes, and combines the workers' raw sink
 // partials in one aggregation exchange per pass. The transport is pluggable:
 // an in-process loopback for deterministic tests and a length-prefixed TCP
 // framing for real deployment, both speaking the same hand-rolled binary

@@ -19,8 +19,8 @@ import (
 // retried RPCs stay idempotent.
 //
 // A worker plans nothing: it executes the program the coordinator compiled
-// (rewritten, CSE-unified, sinks in raw pre-publish-transform form) through
-// its engine's executor, below the planner.
+// (CSE-unified, sinks as raw partials) through its engine's executor, below
+// the planner.
 type Worker struct {
 	eng *core.Engine
 

@@ -52,9 +52,7 @@ const (
 	KindWriteBack
 	// KindDrain covers the end-of-pass write-behind drain barrier.
 	KindDrain
-	// KindRewrite covers the algebraic DAG rewrite pass inside planning
-	// (N = rule applications). It nests inside KindCacheLookup: rewriting
-	// runs before any signature is interned for cache lookups.
+	// KindRewrite is never emitted (no rewrite pass); bench/ still reads it.
 	KindRewrite
 	// KindShard covers a pass's sharded execution phase on the coordinator:
 	// program encoding, leaf pushes, worker fan-out, and partial combining.

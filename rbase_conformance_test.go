@@ -320,10 +320,9 @@ func TestConcurrentMaterializations(t *testing.T) {
 
 // TestNonFiniteConformance: NaN and ±Inf propagate through elementwise ops,
 // reductions and matrix products with R's double semantics in both
-// backends — including through the aggregation-fold rewrite, whose affine
-// publish transform must forward a non-finite raw sum unchanged, and through
-// every BLAS path of %*% and crossprod, where 0 × Inf is NaN whatever the
-// shape.
+// backends — including through every BLAS path of %*% and crossprod, where
+// 0 × Inf is NaN whatever the shape — and sums near the top of the range
+// scale each element before adding, as R does.
 func TestNonFiniteConformance(t *testing.T) {
 	inf := math.Inf(1)
 	for name, s := range testSessions(t) {
@@ -347,8 +346,6 @@ func TestNonFiniteConformance(t *testing.T) {
 			{"sum(log(0))", Sum(Log(zero)), math.Inf(-1)},
 			{"sum(1/0)", Sum(Div(1.0, zero)), math.Inf(1)},
 			{"sum(sqrt(-1))", Sum(Sqrt(Sub(zero, 1.0))), math.NaN()},
-			// The scalar-add layer folds into the sink's publish transform;
-			// -Inf + c·n·p must still be -Inf.
 			{"sum(log(0) + 5)", Sum(Add(Log(zero), 5.0)), math.Inf(-1)},
 			{"sum(-sqrt(-1))", Sum(Neg(Sqrt(Sub(zero, 1.0)))), math.NaN()},
 			// The general Gemm path and the matrix-vector (Dot) path.
@@ -358,6 +355,9 @@ func TestNonFiniteConformance(t *testing.T) {
 			// column's terms meet it.
 			{"sum(crossprod(zero, log(zero)))", Sum(CrossProd2(zero, Log(zero))), math.NaN()},
 			{"sum(crossprod(x)), x zero but one Inf", Sum(CrossProd(oneInf)), math.NaN()},
+			// Near the top of the range R adds the scalar to each element
+			// before summing: 1e308 - 1e308 is 0.
+			{"colSums(1e308 - 1e308), 1000 rows", ColSums(Add(s.ConstMat(1000, 1, 1e308), -1e308)), 0},
 		}
 		for _, c := range cases {
 			got, err := c.x.Float()
@@ -367,6 +367,15 @@ func TestNonFiniteConformance(t *testing.T) {
 			if !sameFloat(got, c.want) {
 				t.Fatalf("%s/%s = %v, want %v", name, c.desc, got, c.want)
 			}
+		}
+		// R multiplies each element before summing, so 1000 · 1e305 is
+		// finite. Its last bits depend on how partitions group the sum.
+		got, err := Sum(Mul(s.ConstMat(1000, 1, 1e308), 1e-3)).Float()
+		if err != nil {
+			t.Fatalf("%s/sum(1e308 * 1e-3): %v", name, err)
+		}
+		if !(math.Abs(got-1e308) <= 1e-12*1e308) {
+			t.Fatalf("%s/sum(1e308 * 1e-3), 1000 rows = %v, want 1e308 within 1e-12", name, got)
 		}
 	}
 }

@@ -72,10 +72,6 @@ type Options struct {
 	// (0 = core.DefaultResultCacheBytes; negative disables the cache while
 	// keeping within-pass CSE unification on).
 	ResultCacheBytes int64
-	// DisableRewrites turns off the algebraic DAG rewrite pass entirely.
-	// Rewrites also require CSE: DisableCSE implies no rewrites, because
-	// rewritten nodes re-intern through the hash-cons table.
-	DisableRewrites bool
 	// Owner labels this session's materialization passes for per-pass
 	// stats attribution and fair admission on a shared engine.
 	Owner string
@@ -85,8 +81,8 @@ type Options struct {
 	MaxConcurrentPasses int
 	// Sharding, when set, row-partitions every materialization across shard
 	// workers: in-process engines (ShardConfig.Shards) or TCP worker
-	// processes (ShardConfig.Addrs). Planning — rewrites, CSE, the result
-	// cache — still runs on this session's engine; only execution is
+	// processes (ShardConfig.Addrs). Planning — CSE, the result cache —
+	// still runs on this session's engine; only execution is
 	// distributed. Incompatible with EM on the session itself: in sharded
 	// mode the array, if any, belongs to the workers.
 	Sharding *ShardConfig
@@ -237,12 +233,7 @@ func (s *Session) noteNamed(name string, m *core.Mat) {
 
 // NewSession builds a session with its own engine (and SSD array, when
 // SSDDirs is set).
-func NewSession(o Options) (*Session, error) { return newSession(o, nil) }
-
-// newSession is NewSession with a test seam: tune, when non-nil, adjusts the
-// engine configuration before the engine is built (the equivalence grid's
-// per-rule rewrite ablations).
-func newSession(o Options, tune func(*core.Config)) (*Session, error) {
+func NewSession(o Options) (*Session, error) {
 	if o.Sharding != nil && o.EM {
 		return nil, fmt.Errorf("flashr: sharded sessions keep matrices worker-resident; configure EM on the workers, not the coordinator")
 	}
@@ -257,11 +248,7 @@ func newSession(o Options, tune func(*core.Config)) (*Session, error) {
 		PcacheBytes:         o.PcacheBytes,
 		DisableCSE:          o.DisableCSE,
 		ResultCacheBytes:    o.ResultCacheBytes,
-		DisableRewrites:     o.DisableRewrites,
 		MaxConcurrentPasses: o.MaxConcurrentPasses,
-	}
-	if tune != nil {
-		tune(&ecfg)
 	}
 	s := &Session{owner: o.Owner}
 	if len(o.SSDDirs) > 0 {

@@ -35,7 +35,7 @@ func TestOptionsReachEngine(t *testing.T) {
 	em := Options{
 		Workers: 3, Fuse: FuseMem, EM: true, SSDDirs: []string{filepath.Join(t.TempDir(), "d0")},
 		ReadMBps: 1, WriteMBps: 1, PartRows: 512, PcacheBytes: 4096,
-		DisableCSE: true, ResultCacheBytes: mib, DisableRewrites: true, Owner: "alice",
+		DisableCSE: true, ResultCacheBytes: mib, Owner: "alice",
 		MaxConcurrentPasses: 3,
 	}
 	sharded := Options{Sharding: &ShardConfig{Shards: 3}}
@@ -47,7 +47,7 @@ func TestOptionsReachEngine(t *testing.T) {
 		}
 	}
 
-	s, err := newSession(em, func(c *core.Config) { c.DisableRewriteDCE = true })
+	s, err := NewSession(em)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,8 +55,7 @@ func TestOptionsReachEngine(t *testing.T) {
 	got := s.Engine().Config()
 	want := core.Config{
 		Workers: 3, Fuse: FuseMem, EM: true, PartRows: 512, PcacheBytes: 4096,
-		DisableCSE: true, ResultCacheBytes: mib, DisableRewrites: true,
-		MaxConcurrentPasses: 3, DisableRewriteDCE: true,
+		DisableCSE: true, ResultCacheBytes: mib, MaxConcurrentPasses: 3,
 		// Filled in by the engine, not by Options.
 		Topo: got.Topo, FS: got.FS, SuperParts: got.SuperParts,
 	}
