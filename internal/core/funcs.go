@@ -50,18 +50,8 @@ type AggFunc struct {
 	StepV func(acc float64, xs []float64) float64
 }
 
-func mkUnary(name string, f func(float64) float64) *Unary {
-	return &Unary{
-		Name: name,
-		F:    f,
-		ApplyV: func(dst, src []float64) {
-			for i, v := range src {
-				dst[i] = f(v)
-			}
-		},
-	}
-}
-
+// mkBinary builds the kernels of an op whose body is a math call; they call
+// f through a function value once per element.
 func mkBinary(name string, f func(a, b float64) float64) *Binary {
 	return &Binary{
 		Name: name,
@@ -99,101 +89,427 @@ func mkAgg(name string, init float64, step func(acc, x float64) float64) *AggFun
 	}
 }
 
-func b2f(b bool) float64 {
-	if b {
-		return 1
+// one is the bit pattern of 1.0.
+const one = 0x3FF0000000000000
+
+// selBits returns the bits of 1 when c holds and of 0 otherwise. Selecting
+// in an integer register compiles to CMOVcc; choosing between two float64
+// constants stays a branch, which data compared near its median mispredicts
+// half the time.
+func selBits(c bool) uint64 {
+	var u uint64
+	if c {
+		u = one
 	}
-	return 0
+	return u
 }
 
+func sel(c bool) float64 { return math.Float64frombits(selBits(c)) }
+
+// The scalar bodies of the predefined element-wise ops. Each is its op's F,
+// and each chunk loop below calls it, inlined, so a kernel returns exactly
+// the bits of F. A comparison or ! with a NaN operand is 0, and & and | read
+// NaN as nonzero, where R gives NA, which has no double here.
+func add(a, b float64) float64    { return a + b }
+func sub(a, b float64) float64    { return a - b }
+func mul(a, b float64) float64    { return a * b }
+func div(a, b float64) float64    { return a / b }
+func euclid(a, b float64) float64 { d := a - b; return d * d }
+func eq(a, b float64) float64     { return sel(a == b) }
+func ne(a, b float64) float64     { return sel(a != b) }
+func lt(a, b float64) float64     { return sel(a < b) }
+func le(a, b float64) float64     { return sel(a <= b) }
+func gt(a, b float64) float64     { return sel(a > b) }
+func ge(a, b float64) float64     { return sel(a >= b) }
+func and(a, b float64) float64    { return math.Float64frombits(selBits(a != 0) & selBits(b != 0)) }
+func or(a, b float64) float64     { return math.Float64frombits(selBits(a != 0) | selBits(b != 0)) }
+
+func neg(v float64) float64     { return -v }
+func not(v float64) float64     { return sel(v == 0) }
+func square(v float64) float64  { return v * v }
+func ident(v float64) float64   { return v }
+func sigmoid(v float64) float64 { return 1 / (1 + math.Exp(-v)) }
+
+// sign is R's: NaN stays NaN, and both zeros give +0.
+func sign(v float64) float64 {
+	u := math.Float64bits(v)
+	if v > 0 {
+		u = one
+	}
+	if v < 0 {
+		u = one | 1<<63
+	}
+	if v == 0 {
+		u = 0
+	}
+	return math.Float64frombits(u)
+}
+
+func addVV(dst, a, b []float64) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
+		dst[i] = add(a[i], b[i])
+	}
+}
+
+func subVV(dst, a, b []float64) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
+		dst[i] = sub(a[i], b[i])
+	}
+}
+
+func mulVV(dst, a, b []float64) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
+		dst[i] = mul(a[i], b[i])
+	}
+}
+
+func divVV(dst, a, b []float64) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
+		dst[i] = div(a[i], b[i])
+	}
+}
+
+func euclidVV(dst, a, b []float64) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
+		dst[i] = euclid(a[i], b[i])
+	}
+}
+
+func eqVV(dst, a, b []float64) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
+		dst[i] = eq(a[i], b[i])
+	}
+}
+
+func neVV(dst, a, b []float64) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
+		dst[i] = ne(a[i], b[i])
+	}
+}
+
+func ltVV(dst, a, b []float64) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
+		dst[i] = lt(a[i], b[i])
+	}
+}
+
+func leVV(dst, a, b []float64) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
+		dst[i] = le(a[i], b[i])
+	}
+}
+
+func gtVV(dst, a, b []float64) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
+		dst[i] = gt(a[i], b[i])
+	}
+}
+
+func geVV(dst, a, b []float64) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
+		dst[i] = ge(a[i], b[i])
+	}
+}
+
+func andVV(dst, a, b []float64) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
+		dst[i] = and(a[i], b[i])
+	}
+}
+
+func orVV(dst, a, b []float64) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
+		dst[i] = or(a[i], b[i])
+	}
+}
+
+func addVS(dst, a []float64, s float64) {
+	a = a[:len(dst)]
+	for i := range dst {
+		dst[i] = add(a[i], s)
+	}
+}
+
+func subVS(dst, a []float64, s float64) {
+	a = a[:len(dst)]
+	for i := range dst {
+		dst[i] = sub(a[i], s)
+	}
+}
+
+func mulVS(dst, a []float64, s float64) {
+	a = a[:len(dst)]
+	for i := range dst {
+		dst[i] = mul(a[i], s)
+	}
+}
+
+func divVS(dst, a []float64, s float64) {
+	a = a[:len(dst)]
+	for i := range dst {
+		dst[i] = div(a[i], s)
+	}
+}
+
+func euclidVS(dst, a []float64, s float64) {
+	a = a[:len(dst)]
+	for i := range dst {
+		dst[i] = euclid(a[i], s)
+	}
+}
+
+func eqVS(dst, a []float64, s float64) {
+	a = a[:len(dst)]
+	for i := range dst {
+		dst[i] = eq(a[i], s)
+	}
+}
+
+func neVS(dst, a []float64, s float64) {
+	a = a[:len(dst)]
+	for i := range dst {
+		dst[i] = ne(a[i], s)
+	}
+}
+
+func ltVS(dst, a []float64, s float64) {
+	a = a[:len(dst)]
+	for i := range dst {
+		dst[i] = lt(a[i], s)
+	}
+}
+
+func leVS(dst, a []float64, s float64) {
+	a = a[:len(dst)]
+	for i := range dst {
+		dst[i] = le(a[i], s)
+	}
+}
+
+func gtVS(dst, a []float64, s float64) {
+	a = a[:len(dst)]
+	for i := range dst {
+		dst[i] = gt(a[i], s)
+	}
+}
+
+func geVS(dst, a []float64, s float64) {
+	a = a[:len(dst)]
+	for i := range dst {
+		dst[i] = ge(a[i], s)
+	}
+}
+
+func andVS(dst, a []float64, s float64) {
+	a = a[:len(dst)]
+	for i := range dst {
+		dst[i] = and(a[i], s)
+	}
+}
+
+func orVS(dst, a []float64, s float64) {
+	a = a[:len(dst)]
+	for i := range dst {
+		dst[i] = or(a[i], s)
+	}
+}
+
+func addSV(dst []float64, s float64, b []float64) {
+	b = b[:len(dst)]
+	for i := range dst {
+		dst[i] = add(s, b[i])
+	}
+}
+
+func subSV(dst []float64, s float64, b []float64) {
+	b = b[:len(dst)]
+	for i := range dst {
+		dst[i] = sub(s, b[i])
+	}
+}
+
+func mulSV(dst []float64, s float64, b []float64) {
+	b = b[:len(dst)]
+	for i := range dst {
+		dst[i] = mul(s, b[i])
+	}
+}
+
+func divSV(dst []float64, s float64, b []float64) {
+	b = b[:len(dst)]
+	for i := range dst {
+		dst[i] = div(s, b[i])
+	}
+}
+
+func euclidSV(dst []float64, s float64, b []float64) {
+	b = b[:len(dst)]
+	for i := range dst {
+		dst[i] = euclid(s, b[i])
+	}
+}
+
+// mirrored runs a scalar-left op through the scalar-right loop of the op
+// that gives the same answer with its operands swapped: s > b[i] is
+// b[i] < s, NaN included, and s == b[i] is b[i] == s.
+func mirrored(vs func(dst, a []float64, s float64)) func(dst []float64, s float64, b []float64) {
+	return func(dst []float64, s float64, b []float64) { vs(dst, b, s) }
+}
+
+func sqrtV(dst, src []float64) {
+	dst = dst[:len(src)]
+	for i, v := range src {
+		dst[i] = math.Sqrt(v)
+	}
+}
+
+func expV(dst, src []float64) {
+	dst = dst[:len(src)]
+	for i, v := range src {
+		dst[i] = math.Exp(v)
+	}
+}
+
+func logV(dst, src []float64) {
+	dst = dst[:len(src)]
+	for i, v := range src {
+		dst[i] = math.Log(v)
+	}
+}
+
+func log1pV(dst, src []float64) {
+	dst = dst[:len(src)]
+	for i, v := range src {
+		dst[i] = math.Log1p(v)
+	}
+}
+
+func absV(dst, src []float64) {
+	dst = dst[:len(src)]
+	for i, v := range src {
+		dst[i] = math.Abs(v)
+	}
+}
+
+func negV(dst, src []float64) {
+	dst = dst[:len(src)]
+	for i, v := range src {
+		dst[i] = neg(v)
+	}
+}
+
+func notV(dst, src []float64) {
+	dst = dst[:len(src)]
+	for i, v := range src {
+		dst[i] = not(v)
+	}
+}
+
+func floorV(dst, src []float64) {
+	dst = dst[:len(src)]
+	for i, v := range src {
+		dst[i] = math.Floor(v)
+	}
+}
+
+func ceilV(dst, src []float64) {
+	dst = dst[:len(src)]
+	for i, v := range src {
+		dst[i] = math.Ceil(v)
+	}
+}
+
+func roundV(dst, src []float64) {
+	dst = dst[:len(src)]
+	for i, v := range src {
+		dst[i] = math.RoundToEven(v)
+	}
+}
+
+func signV(dst, src []float64) {
+	dst = dst[:len(src)]
+	for i, v := range src {
+		dst[i] = sign(v)
+	}
+}
+
+func squareV(dst, src []float64) {
+	dst = dst[:len(src)]
+	for i, v := range src {
+		dst[i] = square(v)
+	}
+}
+
+func sigmoidV(dst, src []float64) {
+	dst = dst[:len(src)]
+	for i, v := range src {
+		dst[i] = sigmoid(v)
+	}
+}
+
+func identV(dst, src []float64) { copy(dst, src) }
+
 // Predefined unary functions, addressable by their R names via LookupUnary.
+// round rounds half to even, as R does.
 var (
-	UnarySqrt  = mkUnary("sqrt", math.Sqrt)
-	UnaryExp   = mkUnary("exp", math.Exp)
-	UnaryLog   = mkUnary("log", math.Log)
-	UnaryLog1p = mkUnary("log1p", math.Log1p)
-	UnaryAbs   = mkUnary("abs", math.Abs)
-	UnaryNeg   = mkUnary("-", func(v float64) float64 { return -v })
-	UnaryNot   = mkUnary("!", func(v float64) float64 { return b2f(v == 0) })
-	UnaryFloor = mkUnary("floor", math.Floor)
-	UnaryCeil  = mkUnary("ceiling", math.Ceil)
-	UnaryRound = mkUnary("round", math.Round)
-	UnarySign  = mkUnary("sign", func(v float64) float64 {
-		switch {
-		case v > 0:
-			return 1
-		case v < 0:
-			return -1
-		default:
-			return 0
-		}
-	})
-	UnarySquare  = mkUnary("square", func(v float64) float64 { return v * v })
-	UnarySigmoid = mkUnary("sigmoid", func(v float64) float64 { return 1 / (1 + math.Exp(-v)) })
-	UnaryIdent   = mkUnary("identity", func(v float64) float64 { return v })
+	UnarySqrt    = &Unary{Name: "sqrt", F: math.Sqrt, ApplyV: sqrtV}
+	UnaryExp     = &Unary{Name: "exp", F: math.Exp, ApplyV: expV}
+	UnaryLog     = &Unary{Name: "log", F: math.Log, ApplyV: logV}
+	UnaryLog1p   = &Unary{Name: "log1p", F: math.Log1p, ApplyV: log1pV}
+	UnaryAbs     = &Unary{Name: "abs", F: math.Abs, ApplyV: absV}
+	UnaryNeg     = &Unary{Name: "-", F: neg, ApplyV: negV}
+	UnaryNot     = &Unary{Name: "!", F: not, ApplyV: notV}
+	UnaryFloor   = &Unary{Name: "floor", F: math.Floor, ApplyV: floorV}
+	UnaryCeil    = &Unary{Name: "ceiling", F: math.Ceil, ApplyV: ceilV}
+	UnaryRound   = &Unary{Name: "round", F: math.RoundToEven, ApplyV: roundV}
+	UnarySign    = &Unary{Name: "sign", F: sign, ApplyV: signV}
+	UnarySquare  = &Unary{Name: "square", F: square, ApplyV: squareV}
+	UnarySigmoid = &Unary{Name: "sigmoid", F: sigmoid, ApplyV: sigmoidV}
+	UnaryIdent   = &Unary{Name: "identity", F: ident, ApplyV: identV}
 )
 
 // Predefined binary functions (LookupBinary resolves R names).
 var (
-	BinAdd  = addBinary()
-	BinSub  = mkBinary("-", func(a, b float64) float64 { return a - b })
-	BinMul  = mulBinary()
-	BinDiv  = mkBinary("/", func(a, b float64) float64 { return a / b })
+	BinAdd  = &Binary{Name: "+", F: add, ApplyVV: addVV, ApplyVS: addVS, ApplySV: addSV}
+	BinSub  = &Binary{Name: "-", F: sub, ApplyVV: subVV, ApplyVS: subVS, ApplySV: subSV}
+	BinMul  = &Binary{Name: "*", F: mul, ApplyVV: mulVV, ApplyVS: mulVS, ApplySV: mulSV}
+	BinDiv  = &Binary{Name: "/", F: div, ApplyVV: divVV, ApplyVS: divVS, ApplySV: divSV}
 	BinPow  = mkBinary("^", math.Pow)
 	BinMod  = mkBinary("%%", func(a, b float64) float64 { return a - b*math.Floor(a/b) })
 	BinPmin = mkBinary("pmin", math.Min)
 	BinPmax = mkBinary("pmax", math.Max)
-	BinEq   = mkBinary("==", func(a, b float64) float64 { return b2f(a == b) })
-	BinNe   = mkBinary("!=", func(a, b float64) float64 { return b2f(a != b) })
-	BinLt   = mkBinary("<", func(a, b float64) float64 { return b2f(a < b) })
-	BinLe   = mkBinary("<=", func(a, b float64) float64 { return b2f(a <= b) })
-	BinGt   = mkBinary(">", func(a, b float64) float64 { return b2f(a > b) })
-	BinGe   = mkBinary(">=", func(a, b float64) float64 { return b2f(a >= b) })
-	BinAnd  = mkBinary("&", func(a, b float64) float64 { return b2f(a != 0 && b != 0) })
-	BinOr   = mkBinary("|", func(a, b float64) float64 { return b2f(a != 0 || b != 0) })
+	BinEq   = &Binary{Name: "==", F: eq, ApplyVV: eqVV, ApplyVS: eqVS, ApplySV: mirrored(eqVS)}
+	BinNe   = &Binary{Name: "!=", F: ne, ApplyVV: neVV, ApplyVS: neVS, ApplySV: mirrored(neVS)}
+	BinLt   = &Binary{Name: "<", F: lt, ApplyVV: ltVV, ApplyVS: ltVS, ApplySV: mirrored(gtVS)}
+	BinLe   = &Binary{Name: "<=", F: le, ApplyVV: leVV, ApplyVS: leVS, ApplySV: mirrored(geVS)}
+	BinGt   = &Binary{Name: ">", F: gt, ApplyVV: gtVV, ApplyVS: gtVS, ApplySV: mirrored(ltVS)}
+	BinGe   = &Binary{Name: ">=", F: ge, ApplyVV: geVV, ApplyVS: geVS, ApplySV: mirrored(leVS)}
+	BinAnd  = &Binary{Name: "&", F: and, ApplyVV: andVV, ApplyVS: andVS, ApplySV: mirrored(andVS)}
+	BinOr   = &Binary{Name: "|", F: or, ApplyVV: orVV, ApplyVS: orVS, ApplySV: mirrored(orVS)}
 	// BinEuclid is the f1 of the Euclidean inner product in Figure 3:
 	// accumulated with "+" it yields squared distances.
-	BinEuclid = mkBinary("euclidean", func(a, b float64) float64 { d := a - b; return d * d })
+	BinEuclid = &Binary{Name: "euclidean", F: euclid, ApplyVV: euclidVV, ApplyVS: euclidVS, ApplySV: euclidSV}
 )
-
-// addBinary and mulBinary hand-unroll the hottest kernels instead of going
-// through a function pointer per element.
-func addBinary() *Binary {
-	b := mkBinary("+", func(a, b float64) float64 { return a + b })
-	b.ApplyVV = func(dst, a, bb []float64) {
-		for i := range dst {
-			dst[i] = a[i] + bb[i]
-		}
-	}
-	b.ApplyVS = func(dst, a []float64, s float64) {
-		for i := range dst {
-			dst[i] = a[i] + s
-		}
-	}
-	return b
-}
-
-func mulBinary() *Binary {
-	b := mkBinary("*", func(a, b float64) float64 { return a * b })
-	b.ApplyVV = func(dst, a, bb []float64) {
-		for i := range dst {
-			dst[i] = a[i] * bb[i]
-		}
-	}
-	b.ApplyVS = func(dst, a []float64, s float64) {
-		for i := range dst {
-			dst[i] = a[i] * s
-		}
-	}
-	return b
-}
 
 // Predefined aggregation functions (LookupAgg resolves R names).
 var (
 	AggSum = &AggFunc{
 		Name: "+", Init: 0,
-		Step:    func(acc, x float64) float64 { return acc + x },
-		Combine: func(a, b float64) float64 { return a + b },
+		Step:    add,
+		Combine: add,
 		StepV: func(acc float64, xs []float64) float64 {
 			for _, v := range xs {
 				acc += v
@@ -201,15 +517,15 @@ var (
 			return acc
 		},
 	}
-	AggProd  = mkAgg("*", 1, func(acc, x float64) float64 { return acc * x })
+	AggProd  = mkAgg("*", 1, mul)
 	AggMin   = mkAgg("min", math.Inf(1), math.Min)
 	AggMax   = mkAgg("max", math.Inf(-1), math.Max)
-	AggAny   = mkAgg("|", 0, func(acc, x float64) float64 { return b2f(acc != 0 || x != 0) })
-	AggAll   = mkAgg("&", 1, func(acc, x float64) float64 { return b2f(acc != 0 && x != 0) })
+	AggAny   = mkAgg("|", 0, or)
+	AggAll   = mkAgg("&", 1, and)
 	AggCount = &AggFunc{
 		Name: "count", Init: 0,
 		Step:    func(acc, x float64) float64 { return acc + 1 },
-		Combine: func(a, b float64) float64 { return a + b },
+		Combine: add,
 		StepV:   func(acc float64, xs []float64) float64 { return acc + float64(len(xs)) },
 	}
 )

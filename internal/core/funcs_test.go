@@ -1,0 +1,222 @@
+package core
+
+import (
+	"math"
+	"math/rand"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// kernelPool is the operand pool of TestKernelsMatchScalar: every special
+// value a chunk kernel could mishandle, then seeded normals.
+func kernelPool() []float64 {
+	pool := []float64{
+		math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.MaxFloat64, -math.MaxFloat64,
+		0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 1, -1,
+	}
+	rng := rand.New(rand.NewSource(7))
+	for len(pool) < 64 {
+		pool = append(pool, rng.NormFloat64()*3)
+	}
+	return pool
+}
+
+// kernelLengths runs every loop tail (0–17) and one engine-sized chunk, long
+// enough that the pair (a[i], b[i]) takes every pair of pool values.
+var kernelLengths = func() []int {
+	var ns []int
+	for n := 0; n <= 17; n++ {
+		ns = append(ns, n)
+	}
+	return append(ns, 8192)
+}()
+
+// kernelOperands fills a and b from the pool so that, over a long chunk,
+// b[i] meets every pool value at every a[i].
+func kernelOperands(pool []float64, n int) (a, b []float64) {
+	p := len(pool)
+	a, b = make([]float64, n), make([]float64, n)
+	for i := range a {
+		a[i] = pool[i%p]
+		b[i] = pool[(i/p+3*i)%p]
+	}
+	return a, b
+}
+
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: len %d, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: element %d = %v (%#x), want %v (%#x)", what, i,
+				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+func names[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// TestKernelsMatchScalar: every registered chunk kernel returns exactly the
+// bits of a plain loop over its scalar F (or Step), NaN, ±Inf, ±0 and
+// subnormals included, at every loop tail and with dst aliasing an input.
+func TestKernelsMatchScalar(t *testing.T) {
+	pool := kernelPool()
+	for _, name := range names(unaryByName) {
+		u := unaryByName[name]
+		for _, n := range kernelLengths {
+			src, _ := kernelOperands(pool, n)
+			want := make([]float64, n)
+			for i, v := range src {
+				want[i] = u.F(v)
+			}
+			got := make([]float64, n)
+			u.ApplyV(got, src)
+			sameBits(t, name+" ApplyV", got, want)
+			got = append([]float64(nil), src...)
+			u.ApplyV(got, got)
+			sameBits(t, name+" ApplyV in place", got, want)
+		}
+	}
+	for _, name := range names(binaryByName) {
+		f := binaryByName[name]
+		for _, n := range kernelLengths {
+			a, b := kernelOperands(pool, n)
+			want := make([]float64, n)
+			for i := range want {
+				want[i] = f.F(a[i], b[i])
+			}
+			got := make([]float64, n)
+			f.ApplyVV(got, a, b)
+			sameBits(t, name+" ApplyVV", got, want)
+			got = append([]float64(nil), a...)
+			f.ApplyVV(got, got, b)
+			sameBits(t, name+" ApplyVV dst=a", got, want)
+			got = append([]float64(nil), b...)
+			f.ApplyVV(got, a, got)
+			sameBits(t, name+" ApplyVV dst=b", got, want)
+			for _, s := range pool {
+				for i := range want {
+					want[i] = f.F(a[i], s)
+				}
+				got = append(got[:0], a...)
+				f.ApplyVS(got, got, s)
+				sameBits(t, name+" ApplyVS", got, want)
+				for i := range want {
+					want[i] = f.F(s, a[i])
+				}
+				got = append(got[:0], a...)
+				f.ApplySV(got, s, got)
+				sameBits(t, name+" ApplySV", got, want)
+			}
+		}
+	}
+	for _, name := range names(aggByName) {
+		f := aggByName[name]
+		for _, n := range kernelLengths {
+			xs, _ := kernelOperands(pool, n)
+			for _, acc := range []float64{f.Init, math.NaN(), 0, -2.5} {
+				want := acc
+				for _, v := range xs {
+					want = f.Step(want, v)
+				}
+				sameBits(t, name+" StepV", []float64{f.StepV(acc, xs)}, []float64{want})
+			}
+		}
+	}
+}
+
+// TestKernelRSemantics pins the answers where the engine follows R, and the
+// one place it cannot: there is no logical NA, so a comparison or ! with a
+// NaN operand is 0, and & and | read NaN as nonzero.
+func TestKernelRSemantics(t *testing.T) {
+	nan := math.NaN()
+	// R: round(.5 + -2:4) is -2 0 0 2 2 4 4, and round(-0.5) is -0.
+	halves := []float64{-1.5, -0.5, 0.5, 1.5, 2.5, 3.5, 4.5, -2.5}
+	wantRound := []float64{-2, math.Copysign(0, -1), 0, 2, 2, 4, 4, -2}
+	got := make([]float64, len(halves))
+	UnaryRound.ApplyV(got, halves)
+	sameBits(t, "round", got, wantRound)
+
+	signIn := []float64{nan, math.Copysign(0, -1), 0, -3, 3, math.Inf(-1)}
+	UnarySign.ApplyV(got[:len(signIn)], signIn)
+	if !math.IsNaN(got[0]) {
+		t.Fatalf("sign(NaN) = %v, want NaN", got[0])
+	}
+	sameBits(t, "sign", got[1:len(signIn)], []float64{0, 0, -1, 1, -1})
+
+	for _, c := range []struct {
+		f    *Binary
+		a, b float64
+		want float64
+	}{
+		{BinEq, nan, nan, 0}, {BinNe, nan, nan, 1}, {BinNe, nan, 1, 1},
+		{BinLt, nan, 1, 0}, {BinLe, 1, nan, 0}, {BinGt, nan, 1, 0}, {BinGe, 1, nan, 0},
+		{BinAnd, nan, 1, 1}, {BinAnd, nan, 0, 0}, {BinOr, nan, 0, 1}, {BinOr, 0, 0, 0},
+	} {
+		out := []float64{0}
+		c.f.ApplyVV(out, []float64{c.a}, []float64{c.b})
+		if out[0] != c.want {
+			t.Errorf("%v %s %v = %v, want %v", c.a, c.f.Name, c.b, out[0], c.want)
+		}
+	}
+	UnaryNot.ApplyV(got[:1], []float64{nan})
+	if got[0] != 0 {
+		t.Errorf("!NaN = %v, want 0", got[0])
+	}
+}
+
+var kernelSink float64
+
+// BenchmarkKernels times every registered chunk kernel on one 64 KiB chunk
+// of uniform [0,1) data, with 0.5 as the scalar: comparisons then go either
+// way at random, the worst case for a branch. copy of the same bytes is the
+// ceiling. MB/s counts the chunk's input bytes.
+func BenchmarkKernels(b *testing.B) {
+	const n = 8192
+	rng := rand.New(rand.NewSource(1))
+	x, y, dst := make([]float64, n), make([]float64, n), make([]float64, n)
+	for i := range x {
+		x[i], y[i] = rng.Float64(), rng.Float64()
+	}
+	run := func(name string, kernel func()) {
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(8 * n)
+			for i := 0; i < b.N; i++ {
+				kernel()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/elem")
+		})
+	}
+	run("copy", func() { copy(dst, x) })
+	// "/" would split the benchmark name.
+	label := func(name string) string { return strings.ReplaceAll(name, "/", "div") }
+	for _, name := range names(unaryByName) {
+		u := unaryByName[name]
+		run(label(name)+"/V", func() { u.ApplyV(dst, x) })
+	}
+	for _, name := range names(binaryByName) {
+		f := binaryByName[name]
+		run(label(name)+"/VV", func() { f.ApplyVV(dst, x, y) })
+		run(label(name)+"/VS", func() { f.ApplyVS(dst, x, 0.5) })
+		run(label(name)+"/SV", func() { f.ApplySV(dst, 0.5, x) })
+	}
+	for _, name := range names(aggByName) {
+		f := aggByName[name]
+		if f.Name != name {
+			continue // an alias such as "sum"
+		}
+		run("agg"+label(name)+"/StepV", func() { kernelSink = f.StepV(f.Init, x) })
+	}
+}

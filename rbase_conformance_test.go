@@ -33,7 +33,9 @@ func unaryCases() []unaryCase {
 		{"abs", math.Abs, id},
 		{"floor", math.Floor, id},
 		{"ceiling", math.Ceil, id},
-		{"round", math.Round, id},
+		// R rounds half to even: round(.5 + -2:4) is -2 0 0 2 2 4 4.
+		{"round", math.RoundToEven, id},
+		// R's sign keeps NaN.
 		{"sign", func(v float64) float64 {
 			if v > 0 {
 				return 1
@@ -41,7 +43,10 @@ func unaryCases() []unaryCase {
 			if v < 0 {
 				return -1
 			}
-			return 0
+			if v == 0 {
+				return 0
+			}
+			return v
 		}, id},
 		{"square", func(v float64) float64 { return v * v }, id},
 		{"sigmoid", func(v float64) float64 { return 1 / (1 + math.Exp(-v)) }, id},
@@ -96,6 +101,9 @@ func TestUnaryConformance(t *testing.T) {
 	for i := range raw.Data {
 		raw.Data[i] = rng.NormFloat64() * 3
 	}
+	// Exact halves, where rounding half to even and half away from zero
+	// differ.
+	copy(raw.Data, []float64{-2.5, -1.5, -0.5, 0.5, 1.5, 2.5, 3.5, 4.5})
 	for name, s := range testSessions(t) {
 		for _, c := range unaryCases() {
 			in := raw.Apply(c.domain)
@@ -348,6 +356,7 @@ func TestNonFiniteConformance(t *testing.T) {
 			{"sum(sqrt(-1))", Sum(Sqrt(Sub(zero, 1.0))), math.NaN()},
 			{"sum(log(0) + 5)", Sum(Add(Log(zero), 5.0)), math.Inf(-1)},
 			{"sum(-sqrt(-1))", Sum(Neg(Sqrt(Sub(zero, 1.0)))), math.NaN()},
+			{"sum(sign(sqrt(-1)))", Sum(Sign(Sqrt(Sub(zero, 1.0)))), math.NaN()},
 			// The general Gemm path and the matrix-vector (Dot) path.
 			{"sum(zero %*% B), Inf in 2x3 B", Sum(MatMul(zero, b3)), math.NaN()},
 			{"sum(zero %*% b), Inf in 2x1 b", Sum(MatMul(zero, b1)), math.NaN()},
