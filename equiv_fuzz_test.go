@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/shard"
 )
 
@@ -274,7 +273,7 @@ func checkEquivalenceGrid(t testing.TB, seed int64, grid []equivConfig) {
 			Workers: 4, PartRows: 256, Fuse: cfg.fuse,
 			DisableCSE: cfg.disableCSE,
 		}
-		var chaos []*shard.ChaosTransport
+		var chaos []*shard.FaultTransport
 		if cfg.shards > 0 {
 			sc := ShardConfig{Shards: cfg.shards}
 			if cfg.hasCrash() {
@@ -284,8 +283,7 @@ func checkEquivalenceGrid(t testing.TB, seed int64, grid []equivConfig) {
 					if wi != cfg.crashWorker {
 						return tr
 					}
-					ct, err := shard.NewChaosTransport(tr, shard.ChaosConfig{
-						Worker:          core.Config{Workers: opts.Workers, PartRows: opts.PartRows},
+					ct, err := shard.NewFaultTransport(tr, shard.FaultConfig{
 						CrashBeforeExec: cfg.crashBefore,
 						CrashAfterExec:  cfg.crashAfter,
 					})
@@ -353,12 +351,12 @@ func checkEquivalenceGrid(t testing.TB, seed int64, grid []equivConfig) {
 		if cfg.shards == 0 && ms.ShardPasses != 0 {
 			t.Fatalf("seed %d [%s]: local session recorded %d shard passes", seed, cfg.name, ms.ShardPasses)
 		}
-		// A crash schedule that never fires tests nothing: every chaos
+		// A crash schedule that never fires tests nothing: every fault
 		// transport must have crashed at least once, and the coordinator must
 		// have recovered (fenced, re-helloed, replayed) at least as often.
 		if cfg.hasCrash() {
 			if len(chaos) == 0 {
-				t.Fatalf("seed %d [%s]: crash schedule configured but no chaos transport installed", seed, cfg.name)
+				t.Fatalf("seed %d [%s]: crash schedule configured but no fault transport installed", seed, cfg.name)
 			}
 			var crashes int64
 			for _, ct := range chaos {

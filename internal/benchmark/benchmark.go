@@ -29,7 +29,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -1135,18 +1134,4 @@ func absInt(v int) int {
 		return -v
 	}
 	return v
-}
-
-// SortRows orders rows by (experiment, algorithm, system) for stable output.
-func SortRows(rows []Row) {
-	sort.Slice(rows, func(i, j int) bool {
-		a, b := rows[i], rows[j]
-		if a.Experiment != b.Experiment {
-			return a.Experiment < b.Experiment
-		}
-		if a.Algorithm != b.Algorithm {
-			return a.Algorithm < b.Algorithm
-		}
-		return a.System < b.System
-	})
 }

@@ -131,7 +131,6 @@ func TestRunDispatch(t *testing.T) {
 	if !strings.Contains(out, "table4") {
 		t.Fatal("format output missing experiment id")
 	}
-	SortRows(rows)
 }
 
 func TestFig7bSmoke(t *testing.T) {

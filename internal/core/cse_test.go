@@ -255,7 +255,7 @@ func TestHashCollisionNeverUnifies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			bitsEqual(t, pairs[i][side].OpName(), got, want)
+			bitsEqual(t, pairs[i][side].kind.String(), got, want)
 		}
 	}
 

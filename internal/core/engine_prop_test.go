@@ -36,7 +36,11 @@ func exprCases() []exprCase {
 			name:  "mapply-mix",
 			build: func(a, b *Mat) *Mat { return Mapply(Mapply(a, b, BinMul), a, BinAdd) },
 			ref: func(a, b *dense.Dense) *dense.Dense {
-				return dense.Add(dense.MulElem(a, b), a)
+				out := dense.New(a.R, a.C)
+				for i, v := range a.Data {
+					out.Data[i] = float64(v*b.Data[i]) + v
+				}
+				return out
 			},
 		},
 		{

@@ -366,12 +366,12 @@ func TestNUMAPolicy(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(9))
 	a, _ := e.FromDense(randDense(rng, 4096, 3)) // 16 partitions
-	topo.ResetStats()
+	local0, remote0 := topo.Stats()
 	s := Agg(Sapply(a, UnarySquare), AggSum)
 	if err := e.Materialize(nil, []*Sink{s}); err != nil {
 		t.Fatal(err)
 	}
-	if local, remote := topo.Stats(); local != 8 || remote != 8 {
+	if local, remote := topo.Stats(); local-local0 != 8 || remote-remote0 != 8 {
 		t.Fatalf("NUMA accounting: %d local, %d remote; want 8 and 8", local, remote)
 	}
 }

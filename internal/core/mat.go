@@ -129,14 +129,6 @@ func (m *Mat) DType() matrix.DType { return m.dt }
 // ID returns a process-unique node identifier (diagnostics).
 func (m *Mat) ID() uint64 { return m.id }
 
-// OpName names the GenOp this node represents ("leaf" when materialized).
-func (m *Mat) OpName() string {
-	if m.Materialized() {
-		return "leaf"
-	}
-	return m.kind.String()
-}
-
 // Materialized reports whether the node has physical data.
 func (m *Mat) Materialized() bool {
 	m.mu.Lock()

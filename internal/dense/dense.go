@@ -111,16 +111,6 @@ func Add(a, b *Dense) *Dense { return zip("add", a, b, func(x, y float64) float6
 // Sub returns a-b.
 func Sub(a, b *Dense) *Dense { return zip("sub", a, b, func(x, y float64) float64 { return x - y }) }
 
-// MulElem returns the Hadamard product a*b.
-func MulElem(a, b *Dense) *Dense {
-	return zip("mul", a, b, func(x, y float64) float64 { return x * y })
-}
-
-// DivElem returns elementwise a/b.
-func DivElem(a, b *Dense) *Dense {
-	return zip("div", a, b, func(x, y float64) float64 { return x / y })
-}
-
 func zip(op string, a, b *Dense, f func(x, y float64) float64) *Dense {
 	sameShape(op, a, b)
 	out := New(a.R, a.C)
@@ -142,11 +132,6 @@ func (d *Dense) Apply(f func(float64) float64) *Dense {
 // Scale returns alpha*d.
 func (d *Dense) Scale(alpha float64) *Dense {
 	return d.Apply(func(v float64) float64 { return alpha * v })
-}
-
-// AddScalar returns d+alpha.
-func (d *Dense) AddScalar(alpha float64) *Dense {
-	return d.Apply(func(v float64) float64 { return v + alpha })
 }
 
 // MatMul returns a %*% b using the blocked BLAS kernel.

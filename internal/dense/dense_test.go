@@ -67,17 +67,8 @@ func TestArithmetic(t *testing.T) {
 	if got := Sub(b, a).Sum(); got != 16 {
 		t.Fatalf("sub sum=%g", got)
 	}
-	if got := MulElem(a, b).At(1, 1); got != 32 {
-		t.Fatalf("mul=%g", got)
-	}
-	if got := DivElem(b, a).At(0, 1); got != 3 {
-		t.Fatalf("div=%g", got)
-	}
 	if got := a.Scale(2).At(1, 0); got != 6 {
 		t.Fatalf("scale=%g", got)
-	}
-	if got := a.AddScalar(1).At(0, 0); got != 2 {
-		t.Fatalf("addscalar=%g", got)
 	}
 	if got := a.Apply(math.Sqrt).At(1, 1); got != 2 {
 		t.Fatalf("apply=%g", got)

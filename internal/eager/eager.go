@@ -471,12 +471,6 @@ func (e *Engine) ArgMinRow(a *dense.Dense) *dense.Dense {
 	return out
 }
 
-// ArgMaxRow materializes each row's argmax.
-func (e *Engine) ArgMaxRow(a *dense.Dense) *dense.Dense {
-	neg := e.Map(a, func(v float64) float64 { return -v })
-	return e.ArgMinRow(neg)
-}
-
 // GroupByRow aggregates rows by 0-based labels into k×p sums plus counts,
 // with a reduce boundary.
 func (e *Engine) GroupByRow(a *dense.Dense, labels *dense.Dense, k int) (sums *dense.Dense, counts []float64) {

@@ -92,32 +92,6 @@ func QR(a *dense.Dense) (q, r *dense.Dense, err error) {
 	return q, r, nil
 }
 
-// SolveQR solves the least-squares problem min ||A x - b|| via the thin QR:
-// x = R⁻¹ Qᵀ b.
-func SolveQR(a, b *dense.Dense) (*dense.Dense, error) {
-	q, r, err := QR(a)
-	if err != nil {
-		return nil, err
-	}
-	qtb := dense.CrossProd(q, b) // n×rhs
-	// Back-substitute R x = Qᵀb.
-	n := r.R
-	x := qtb.Clone()
-	for c := 0; c < x.C; c++ {
-		for i := n - 1; i >= 0; i-- {
-			s := x.At(i, c)
-			for k := i + 1; k < n; k++ {
-				s -= r.At(i, k) * x.At(k, c)
-			}
-			if r.At(i, i) == 0 {
-				return nil, fmt.Errorf("linalg: singular R in QR solve")
-			}
-			x.Set(i, c, s/r.At(i, i))
-		}
-	}
-	return x, nil
-}
-
 // SVDThin computes the thin singular value decomposition of an m×n matrix
 // with m ≥ n: A = U diag(s) Vᵀ, via the eigendecomposition of AᵀA (the same
 // Gramian route the paper's PCA takes). Singular values come back in

@@ -54,39 +54,6 @@ func TestQRRejectsWide(t *testing.T) {
 	}
 }
 
-// TestSolveQRLeastSquares: on a consistent system, QR recovers the exact
-// solution; on an overdetermined noisy one, the residual is orthogonal to
-// the column space.
-func TestSolveQRLeastSquares(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	const m, n = 60, 4
-	a := randTall(rng, m, n)
-	wTrue := dense.FromSlice(n, 1, []float64{1, -2, 0.5, 3})
-	b := dense.MatMul(a, wTrue)
-	x, err := SolveQR(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !dense.Equalish(x, wTrue, 1e-9) {
-		t.Fatalf("exact solve: %v", x.Data)
-	}
-	// Noisy case: Aᵀ(Ax - b) ≈ 0.
-	for i := range b.Data {
-		b.Data[i] += rng.NormFloat64() * 0.1
-	}
-	x, err = SolveQR(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resid := dense.Sub(dense.MatMul(a, x), b)
-	normalEq := dense.CrossProd(a, resid)
-	for _, v := range normalEq.Data {
-		if math.Abs(v) > 1e-8 {
-			t.Fatalf("residual not orthogonal: %v", normalEq.Data)
-		}
-	}
-}
-
 // TestSVDThinReconstruction property-tests U S Vᵀ == A and orthonormality.
 func TestSVDThinReconstruction(t *testing.T) {
 	f := func(seed int64) bool {

@@ -181,15 +181,6 @@ func SolveChol(l *dense.Dense, b *dense.Dense) *dense.Dense {
 	return x
 }
 
-// InvSPD inverts a symmetric positive-definite matrix via Cholesky.
-func InvSPD(a *dense.Dense) (*dense.Dense, error) {
-	l, err := Cholesky(a)
-	if err != nil {
-		return nil, err
-	}
-	return SolveChol(l, dense.Identity(a.R)), nil
-}
-
 // LogDetChol returns log(det(A)) from the Cholesky factor L of A.
 func LogDetChol(l *dense.Dense) float64 {
 	var s float64

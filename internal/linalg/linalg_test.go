@@ -127,18 +127,6 @@ func TestSolveChol(t *testing.T) {
 	}
 }
 
-func TestInvSPD(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := randSPD(rng, 8)
-	inv, err := InvSPD(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !dense.Equalish(dense.MatMul(a, inv), dense.Identity(8), 1e-8) {
-		t.Fatal("A * A^-1 != I")
-	}
-}
-
 func TestLogDetChol(t *testing.T) {
 	// det([[4,0],[0,9]]) = 36.
 	a := dense.FromRows([][]float64{{4, 0}, {0, 9}})

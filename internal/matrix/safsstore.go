@@ -116,11 +116,6 @@ func (s *SAFSStore) PartOffset(i int) int64 {
 	return int64(i) * int64(s.partRows) * int64(s.ncol) * 8
 }
 
-// PartBytes returns the byte length of partition i.
-func (s *SAFSStore) PartBytes(i int) int {
-	return rowsOf(s, i) * s.ncol * 8
-}
-
 // asBytes reinterprets a float64 slice as its underlying bytes (native
 // endianness; matrices never leave the machine, matching SAFS semantics).
 func asBytes(p []float64) []byte {

@@ -117,12 +117,6 @@ func (t *Topology) Stats() (local, remote int64) {
 	return t.localAcc.Load(), t.remoteAcc.Load()
 }
 
-// ResetStats zeroes the access counters.
-func (t *Topology) ResetStats() {
-	t.localAcc.Store(0)
-	t.remoteAcc.Store(0)
-}
-
 // SetMemBudget installs the byte ceiling that concurrent materialization
 // passes may reserve against this topology's chunk pools (0 = unlimited).
 // Lowering the budget below the bytes already reserved only affects future

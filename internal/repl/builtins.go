@@ -24,11 +24,12 @@ func (e *Env) evalCall(t *callNode) (Value, error) {
 		}
 		return args[i].Mat, nil
 	}
+	// num returns argument i as a number, forcing a deferred scalar.
 	num := func(i int) (float64, error) {
-		if i >= len(args) || !args[i].isNum {
+		if i >= len(args) || !args[i].scalar() {
 			return 0, fmt.Errorf("%s: argument %d must be a number", t.name, i+1)
 		}
-		return args[i].Num, nil
+		return args[i].number()
 	}
 	str := func(i int) (string, error) {
 		if i >= len(args) || !args[i].isStr {
@@ -36,41 +37,36 @@ func (e *Env) evalCall(t *callNode) (Value, error) {
 		}
 		return args[i].Str, nil
 	}
-	optNum := func(i int, def float64) float64 {
-		if i < len(args) && args[i].isNum {
-			return args[i].Num
+	// optNum is num with def for a missing or non-numeric argument.
+	optNum := func(i int, def float64) (float64, error) {
+		if i < len(args) && args[i].scalar() {
+			return args[i].number()
 		}
-		return def
+		return def, nil
 	}
 
-	// Unary elementwise functions share one path.
+	// Unary elementwise functions share one path; on a deferred scalar the
+	// result is one too.
 	if flashrUnary[t.name] {
 		x, err := mat(0)
 		if err != nil {
 			return Value{}, err
 		}
-		return matVal(flashr.Sapply(x, t.name)), nil
+		return Value{Mat: flashr.Sapply(x, t.name), deferred: args[0].deferred}, nil
 	}
-	// Whole-matrix reductions. Under lazy scalars the 1×1 result stays a
-	// pending sink so a whole batch of reductions flushes as one pass.
+	// Whole-matrix reductions: the 1×1 result stays a pending sink so a
+	// whole batch of reductions flushes as one pass.
 	if agg, ok := reductions[t.name]; ok {
 		x, err := mat(0)
 		if err != nil {
 			return Value{}, err
 		}
-		if e.lazyScalars {
-			return matVal(agg(x)), nil
-		}
-		v, err := agg(x).Float()
-		if err != nil {
-			return Value{}, err
-		}
-		return numVal(v), nil
+		return deferredVal(agg(x)), nil
 	}
 
 	switch t.name {
 	// ---- creation (Table 3) ----
-	case "runif.matrix":
+	case "runif.matrix", "rnorm.matrix":
 		n, err := num(0)
 		if err != nil {
 			return Value{}, err
@@ -79,21 +75,24 @@ func (e *Env) evalCall(t *callNode) (Value, error) {
 		if err != nil {
 			return Value{}, err
 		}
-		m, err := e.S.Runif(int64(n), int(p), optNum(2, 0), optNum(3, 1), int64(optNum(4, 1)))
+		// min and max for runif, mean and sd for rnorm.
+		a, err := optNum(2, 0)
 		if err != nil {
 			return Value{}, err
 		}
-		return matVal(m), nil
-	case "rnorm.matrix":
-		n, err := num(0)
+		b, err := optNum(3, 1)
 		if err != nil {
 			return Value{}, err
 		}
-		p, err := num(1)
+		seed, err := optNum(4, 1)
 		if err != nil {
 			return Value{}, err
 		}
-		m, err := e.S.Rnorm(int64(n), int(p), optNum(2, 0), optNum(3, 1), int64(optNum(4, 1)))
+		gen := e.S.Runif
+		if t.name == "rnorm.matrix" {
+			gen = e.S.Rnorm
+		}
+		m, err := gen(int64(n), int(p), a, b, int64(seed))
 		if err != nil {
 			return Value{}, err
 		}
@@ -103,7 +102,10 @@ func (e *Env) evalCall(t *callNode) (Value, error) {
 		if err != nil {
 			return Value{}, err
 		}
-		p := optNum(1, 1)
+		p, err := optNum(1, 1)
+		if err != nil {
+			return Value{}, err
+		}
 		if t.name == "ones" {
 			return matVal(e.S.Ones(int64(n), int(p))), nil
 		}
@@ -247,14 +249,7 @@ func (e *Env) evalCall(t *callNode) (Value, error) {
 		if err != nil {
 			return Value{}, err
 		}
-		if e.lazyScalars {
-			return matVal(flashr.Agg(x, f)), nil
-		}
-		v, err := flashr.Agg(x, f).Float()
-		if err != nil {
-			return Value{}, err
-		}
-		return numVal(v), nil
+		return deferredVal(flashr.Agg(x, f)), nil
 	case "agg.row", "agg.col":
 		x, err := mat(0)
 		if err != nil {
@@ -393,15 +388,21 @@ func (e *Env) evalCall(t *callNode) (Value, error) {
 		if err != nil {
 			return Value{}, err
 		}
-		em := optNum(1, 0) != 0
-		return matVal(x.SetCache(em)), nil
+		em, err := optNum(1, 0)
+		if err != nil {
+			return Value{}, err
+		}
+		return matVal(x.SetCache(em != 0)), nil
 	case "as.matrix", "as.vector", "head":
 		x, err := mat(0)
 		if err != nil {
 			return Value{}, err
 		}
-		n := int(optNum(1, 6))
-		d, err := flashr.Head(x, n)
+		n, err := optNum(1, 6)
+		if err != nil {
+			return Value{}, err
+		}
+		d, err := flashr.Head(x, int(n))
 		if err != nil {
 			return Value{}, err
 		}

@@ -34,14 +34,15 @@ type Estimate struct {
 // The second result is false — no estimate — when a statement fails to
 // parse or evaluate: a shape error, an unbound name or unknown function, an
 // operation that needs data (head, element access, as.matrix, table,
-// unique, rbind of tall matrices, scalar reductions with lazy scalars off,
-// load.dense, save.csv), or more in-memory work on small matrices than the
-// plan session simulates. The estimate then covers the statements before
-// the failing one and is a lower bound; past the in-memory cap its
-// WorkBytes is math.MaxInt64. Byte counts saturate at math.MaxInt64.
+// unique, rbind of tall matrices, a reduction used as a numeric argument
+// or index, load.dense, save.csv), or more in-memory work on small
+// matrices than the plan session simulates. The estimate then covers the
+// statements before the failing one and is a lower bound; past the
+// in-memory cap its WorkBytes is math.MaxInt64. Byte counts saturate at
+// math.MaxInt64.
 func (e *Env) EstimateProgram(stmts []string) (Estimate, bool) {
 	plan, work := e.S.PlanOnly()
-	scratch := &Env{S: plan, vars: make(map[string]Value, len(e.vars)), lazyScalars: e.lazyScalars}
+	scratch := &Env{S: plan, vars: make(map[string]Value, len(e.vars))}
 	for name, v := range e.vars {
 		if v.Mat != nil {
 			v.Mat = v.Mat.Rebind(plan)

@@ -14,11 +14,9 @@ import (
 	flashr "repro"
 )
 
-// estimate prices program on e with lazy scalars on, as every serving env
-// runs.
+// estimate prices a newline-separated program on e.
 func estimate(t *testing.T, e *Env, program string) (Estimate, bool) {
 	t.Helper()
-	e.SetLazyScalars(true)
 	return e.EstimateProgram(strings.Split(program, "\n"))
 }
 
@@ -210,7 +208,6 @@ func TestEstimateLeavesLiveSessionAlone(t *testing.T) {
 	setup := []string{"x <- runif.matrix(600, 4, 0, 1, 7) * 2", "c0 <- colSums(x)"}
 	twin := func() *Env {
 		e := env(t)
-		e.SetLazyScalars(true)
 		for _, src := range setup {
 			if _, err := e.Eval(src); err != nil {
 				t.Fatal(err)
@@ -358,7 +355,6 @@ func TestEstimateMatchesEval(t *testing.T) {
 	g := &progGen{r: rand.New(rand.NewSource(30))}
 	twin := func() *Env {
 		e := env(t)
-		e.SetLazyScalars(true)
 		if _, err := e.Eval("x <- runif.matrix(200, 3, 0, 1, 5)"); err != nil {
 			t.Fatal(err)
 		}
@@ -433,10 +429,7 @@ func FuzzReplEstimate(f *testing.F) {
 		if len(src) > 1024 {
 			t.Skip("serving caps program size; long inputs only slow the search")
 		}
-		for _, lazy := range []bool{true, false} {
-			e.SetLazyScalars(lazy)
-			e.EstimateProgram(strings.Split(src, "\n"))
-		}
+		e.EstimateProgram(strings.Split(src, "\n"))
 		if p := e.S.TotalMaterializeStats().Passes; p != 0 {
 			t.Fatalf("estimate ran %d passes", p)
 		}

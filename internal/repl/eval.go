@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -17,44 +18,51 @@ type Value struct {
 	isNum  bool
 	isStr  bool
 	isNull bool
+	// deferred marks a 1×1 Mat that stands for a scalar: a whole-matrix
+	// reduction (sum, mean, agg, …) or element-wise arithmetic on scalars
+	// that includes one. It stays a pending sink, so the reductions of a
+	// whole request batch materialize together in one shared flush; a
+	// numeric argument, an index or Format forces it.
+	deferred bool
 }
 
-func numVal(v float64) Value    { return Value{Num: v, isNum: true} }
-func strVal(s string) Value     { return Value{Str: s, isStr: true} }
-func matVal(m *flashr.FM) Value { return Value{Mat: m} }
-func nullVal() Value            { return Value{isNull: true} }
+func numVal(v float64) Value         { return Value{Num: v, isNum: true} }
+func strVal(s string) Value          { return Value{Str: s, isStr: true} }
+func matVal(m *flashr.FM) Value      { return Value{Mat: m} }
+func deferredVal(m *flashr.FM) Value { return Value{Mat: m, deferred: true} }
+func nullVal() Value                 { return Value{isNull: true} }
 
 // IsMatrix reports whether the value is a FlashR matrix.
 func (v Value) IsMatrix() bool { return v.Mat != nil }
 
-// IsNumber reports whether the value is a scalar.
-func (v Value) IsNumber() bool { return v.isNum }
-
 // IsNull reports a missing value (blank statements).
 func (v Value) IsNull() bool { return v.isNull }
+
+// scalar reports whether the value is a number, forced or deferred.
+func (v Value) scalar() bool { return v.isNum || v.deferred }
+
+// number returns a scalar's value, forcing a deferred one.
+func (v Value) number() (float64, error) {
+	switch {
+	case v.isNum:
+		return v.Num, nil
+	case v.deferred:
+		return v.Mat.Float()
+	}
+	return 0, errors.New("not a number")
+}
 
 // Env is an interpreter session: a variable environment over a flashr
 // Session.
 type Env struct {
 	S    *flashr.Session
 	vars map[string]Value
-	// lazyScalars makes whole-matrix reductions (sum, mean, agg, …) return
-	// lazy 1×1 matrices instead of forcing them to scalars inside Eval.
-	// Serving front-ends set this so the sinks of a whole request batch
-	// stay pending until one shared Flush materializes them together;
-	// Format still renders the forced value as a scalar.
-	lazyScalars bool
 }
 
 // NewEnv builds an interpreter over the given session.
 func NewEnv(s *flashr.Session) *Env {
 	return &Env{S: s, vars: map[string]Value{}}
 }
-
-// SetLazyScalars selects deferred reduction semantics: when on, whole-matrix
-// reductions evaluate to pending 1×1 sinks that materialize on the session's
-// next Flush (or when formatted) instead of forcing a pass per reduction.
-func (e *Env) SetLazyScalars(on bool) { e.lazyScalars = on }
 
 // Vars lists defined variable names.
 func (e *Env) Vars() []string {
@@ -137,7 +145,7 @@ func (e *Env) eval(n node) (Value, error) {
 			if x.isNum {
 				return numVal(-x.Num), nil
 			}
-			return matVal(flashr.Neg(x.Mat)), nil
+			return Value{Mat: flashr.Neg(x.Mat), deferred: x.deferred}, nil
 		case "!":
 			if x.isNum {
 				if x.Num == 0 {
@@ -145,7 +153,7 @@ func (e *Env) eval(n node) (Value, error) {
 				}
 				return numVal(0), nil
 			}
-			return matVal(flashr.Not(x.Mat)), nil
+			return Value{Mat: flashr.Not(x.Mat), deferred: x.deferred}, nil
 		}
 		return Value{}, fmt.Errorf("unary %q unsupported", t.op)
 	case *binNode:
@@ -215,7 +223,7 @@ func (e *Env) evalBin(t *binNode) (Value, error) {
 	default:
 		return Value{}, fmt.Errorf("operator %q unsupported", t.op)
 	}
-	return matVal(out), nil
+	return Value{Mat: out, deferred: l.scalar() && r.scalar()}, nil
 }
 
 func scalarBin(op string, a, b float64) (float64, error) {
@@ -277,43 +285,34 @@ func (e *Env) evalIndex(t *indexNode) (Value, error) {
 		return Value{}, fmt.Errorf("indexing a non-matrix")
 	}
 	if t.rows != nil && t.cols != nil {
-		rv, err := e.eval(t.rows)
+		r, err := e.index(t.rows, "element access needs scalar indices")
 		if err != nil {
 			return Value{}, err
 		}
-		cv, err := e.eval(t.cols)
+		c, err := e.index(t.cols, "element access needs scalar indices")
 		if err != nil {
 			return Value{}, err
-		}
-		if !rv.isNum || !cv.isNum {
-			return Value{}, fmt.Errorf("element access needs scalar indices")
 		}
 		// 1-based, like R.
-		val, err := xv.Mat.Element(int64(rv.Num)-1, int64(cv.Num)-1)
+		val, err := xv.Mat.Element(int64(r)-1, int64(c)-1)
 		if err != nil {
 			return Value{}, err
 		}
 		return numVal(val), nil
 	}
 	if t.cols != nil {
-		cv, err := e.eval(t.cols)
+		c, err := e.index(t.cols, "column index must be scalar")
 		if err != nil {
 			return Value{}, err
 		}
-		if !cv.isNum {
-			return Value{}, fmt.Errorf("column index must be scalar")
-		}
-		return matVal(flashr.GetCol(xv.Mat, int(cv.Num)-1)), nil
+		return matVal(flashr.GetCol(xv.Mat, int(c)-1)), nil
 	}
 	if t.rows != nil {
-		rv, err := e.eval(t.rows)
+		r, err := e.index(t.rows, "row index must be scalar")
 		if err != nil {
 			return Value{}, err
 		}
-		if !rv.isNum {
-			return Value{}, fmt.Errorf("row index must be scalar")
-		}
-		d, err := flashr.GetRows(xv.Mat, []int64{int64(rv.Num) - 1})
+		d, err := flashr.GetRows(xv.Mat, []int64{int64(r) - 1})
 		if err != nil {
 			return Value{}, err
 		}
@@ -322,19 +321,29 @@ func (e *Env) evalIndex(t *indexNode) (Value, error) {
 	return xv, nil
 }
 
+// index evaluates one index expression to a number, forcing a deferred
+// scalar; a non-scalar index fails with msg.
+func (e *Env) index(n node, msg string) (float64, error) {
+	v, err := e.eval(n)
+	if err != nil {
+		return 0, err
+	}
+	if !v.scalar() {
+		return 0, errors.New(msg)
+	}
+	return v.number()
+}
+
 // Format renders a value for the prompt: scalars directly, small matrices
-// fully, large matrices as a summary plus a corner preview.
+// fully, large matrices as a summary plus a corner preview. Printing is the
+// forcing point of a deferred scalar; when a batch flush already ran, its
+// value is served from that pass.
 func (e *Env) Format(v Value) (string, error) {
 	switch {
 	case v.isNull:
 		return "", nil
-	case v.isNum:
-		return formatScalar(v.Num), nil
-	case e.lazyScalars && v.Mat != nil && v.Mat.Length() == 1:
-		// A deferred reduction: force it (served from the already-flushed
-		// batch pass when one ran) and render it the way the eager path
-		// would have.
-		f, err := v.Mat.Float()
+	case v.scalar():
+		f, err := v.number()
 		if err != nil {
 			return "", err
 		}
@@ -350,9 +359,7 @@ func (e *Env) Format(v Value) (string, error) {
 	return "NULL", nil
 }
 
-// formatScalar renders a scalar the way R's print does. Both the eager path
-// (Value.Num) and the deferred-reduction path (1×1 lazy sink) go through
-// here, so non-finite values print identically whichever path produced them:
+// formatScalar renders a scalar the way R's print does, forced or deferred:
 // R prints Inf, not Go's %g "+Inf".
 func formatScalar(f float64) string {
 	switch {

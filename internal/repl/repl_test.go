@@ -25,10 +25,11 @@ func evalNum(t *testing.T, e *Env, src string) float64 {
 	if err != nil {
 		t.Fatalf("eval %q: %v", src, err)
 	}
-	if !v.IsNumber() {
-		t.Fatalf("eval %q: not a number (%+v)", src, v)
+	f, err := v.number()
+	if err != nil {
+		t.Fatalf("eval %q: %v (%+v)", src, err, v)
 	}
-	return v.Num
+	return f
 }
 
 func TestScalarArithmetic(t *testing.T) {
@@ -249,12 +250,9 @@ func TestFormatOutputs(t *testing.T) {
 }
 
 // TestFormatNonFiniteParity: NaN and ±Inf scalars print in R's spelling
-// (NaN, Inf, -Inf — not Go's "+Inf"), and the deferred-reduction path must
-// print them identically to the eager path.
+// (NaN, Inf, -Inf — not Go's "+Inf").
 func TestFormatNonFiniteParity(t *testing.T) {
-	eager := env(t)
-	lazy := env(t)
-	lazy.SetLazyScalars(true)
+	e := env(t)
 	cases := []struct {
 		src  string
 		want string
@@ -264,27 +262,63 @@ func TestFormatNonFiniteParity(t *testing.T) {
 		{"sum(sqrt(0 - ones(64, 1)))", "[1] NaN"},
 	}
 	for _, c := range cases {
-		ev, err := eager.Eval(c.src)
+		v, err := e.Eval(c.src)
 		if err != nil {
-			t.Fatalf("eager eval %q: %v", c.src, err)
+			t.Fatalf("eval %q: %v", c.src, err)
 		}
-		eout, err := eager.Format(ev)
+		out, err := e.Format(v)
 		if err != nil {
-			t.Fatalf("eager format %q: %v", c.src, err)
+			t.Fatalf("format %q: %v", c.src, err)
 		}
-		lv, err := lazy.Eval(c.src)
+		if out != c.want {
+			t.Errorf("%q printed %q, want %q", c.src, out, c.want)
+		}
+	}
+}
+
+// TestDeferredScalars pins what makes a value a scalar. A reduction stays
+// a pending sink yet serves as a numeric argument, directly or through
+// scalar arithmetic; a 1×1 matrix that is not a reduction prints as a
+// matrix, as R prints it.
+func TestDeferredScalars(t *testing.T) {
+	e := env(t)
+	show := func(src string) string {
+		t.Helper()
+		v, err := e.Eval(src)
 		if err != nil {
-			t.Fatalf("lazy eval %q: %v", c.src, err)
+			t.Fatalf("eval %q: %v", src, err)
 		}
-		lout, err := lazy.Format(lv)
+		out, err := e.Format(v)
 		if err != nil {
-			t.Fatalf("lazy format %q: %v", c.src, err)
+			t.Fatalf("format %q: %v", src, err)
 		}
-		if eout != c.want {
-			t.Errorf("eager %q printed %q, want %q", c.src, eout, c.want)
-		}
-		if lout != eout {
-			t.Errorf("lazy %q printed %q, eager printed %q — paths must agree", c.src, lout, eout)
+		return out
+	}
+	show("x <- ones(100, 2)")
+	show("n <- sum(x) / 20")
+	v, err := e.Eval("runif.matrix(n, 2, 0, 1, 7)")
+	if err != nil {
+		t.Fatalf("reduction as a numeric argument: %v", err)
+	}
+	if r, c := v.Mat.Dim(); r != 10 || c != 2 {
+		t.Fatalf("runif.matrix(n, 2) is %d x %d, want 10 x 2", r, c)
+	}
+	if got := show("ones(-n + 15, 1)"); !strings.Contains(got, "[5,]") || strings.Contains(got, "[6,]") {
+		t.Fatalf("ones(-n + 15, 1) printed %q, want 5 rows", got)
+	}
+	show("y <- ones(100, 1)")
+	for src, want := range map[string]string{
+		"sum(y)":         "[1] 100",
+		"sqrt(sum(y))":   "[1] 10",
+		"crossprod(y)":   "[1,]        100",
+		"colSums(y)":     "[1,]        100",
+		"t(y) %*% y":     "[1,]        100",
+		"sum(y) > 50":    "[1] 1",
+		"mean(y) * 2":    "[1] 2",
+		"ones(1, 1) * 3": "[1,]          3",
+	} {
+		if got := show(src); got != want {
+			t.Errorf("%s printed %q, want %q", src, got, want)
 		}
 	}
 }

@@ -215,12 +215,5 @@ func (b *Batcher) Drain(ctx context.Context) error {
 	return nil
 }
 
-// Draining reports whether Drain has begun.
-func (b *Batcher) Draining() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.draining
-}
-
 // batchID renders a batch sequence number as a stable label.
 func batchID(n int64) string { return "b" + strconv.FormatInt(n, 10) }

@@ -185,7 +185,13 @@ func TestBatcherDrainDuringInflight(t *testing.T) {
 
 	drained := make(chan error, 1)
 	go func() { drained <- b.Drain(context.Background()) }()
-	for !b.Draining() {
+	for {
+		b.mu.Lock()
+		draining := b.draining
+		b.mu.Unlock()
+		if draining {
+			break
+		}
 		time.Sleep(time.Millisecond)
 	}
 	if _, err := b.Submit(&Request{Ctx: context.Background()}); !errors.Is(err, ErrDraining) {

@@ -333,8 +333,8 @@ type evaled struct {
 // values during rendering and reports its own error.
 func (sv *Server) runTenantGroup(batch string, batchSize int, tn *tenant, rs []*Request) {
 	started := time.Now()
-	// Phase 1: evaluate every program. Reductions are lazy (SetLazyScalars),
-	// so the group's sinks pile up on the tenant's shared flashr session.
+	// Phase 1: evaluate every program. Reductions stay pending sinks, so
+	// the group's sinks pile up on the tenant's shared flashr session.
 	evs := make([]*evaled, len(rs))
 	for i, r := range rs {
 		ev := &evaled{stmts: splitProgram(r.Program)}

@@ -142,9 +142,7 @@ func (t *sessionTable) create(tenantName string, maxSessions int) (*Session, err
 		tn.sessions.Add(-1)
 		return nil, err
 	}
-	env := repl.NewEnv(tn.fs)
-	env.SetLazyScalars(true)
-	s := &Session{ID: id, tenant: tn, env: env}
+	s := &Session{ID: id, tenant: tn, env: repl.NewEnv(tn.fs)}
 	s.touch()
 	t.mu.Lock()
 	t.sessions[id] = s

@@ -128,7 +128,7 @@ type Coordinator struct {
 	cfg      Config
 	partRows int
 	trs      []Transport
-	workers  []*Worker // in-proc mode only (owned, closed with the coordinator)
+	lbs      []*loopback // in-proc mode only (owned, closed with the coordinator)
 
 	// epoch is the session identity every fenced RPC carries; boots holds
 	// each worker's last-seen boot id (updated by the recovery re-hello).
@@ -157,7 +157,6 @@ type Coordinator struct {
 	lin lineage
 
 	sent, recv, retries atomic.Int64
-	aggRounds           atomic.Int64
 	recoveries          atomic.Int64
 	replayedKeeps       atomic.Int64
 }
@@ -217,13 +216,13 @@ func NewCoordinator(cfg Config, base core.Config) (*Coordinator, error) {
 		wcfg.EM = false
 		wcfg.FS = nil
 		for i := 0; i < cfg.Shards; i++ {
-			w, err := NewWorker(wcfg)
+			lb, err := newLoopback(wcfg)
 			if err != nil {
 				c.Close()
 				return nil, err
 			}
-			c.workers = append(c.workers, w)
-			c.trs = append(c.trs, &loopback{w: w})
+			c.lbs = append(c.lbs, lb)
+			c.trs = append(c.trs, lb)
 		}
 	}
 	if cfg.WrapTransport != nil {
@@ -253,9 +252,6 @@ func NewCoordinator(cfg Config, base core.Config) (*Coordinator, error) {
 	return c, nil
 }
 
-// Epoch returns the session epoch (tests, logs).
-func (c *Coordinator) Epoch() uint64 { return c.epoch }
-
 // Recoveries returns the lifetime count of worker recoveries (re-hello +
 // re-push + lineage replay after a fencing rejection).
 func (c *Coordinator) Recoveries() int64 { return c.recoveries.Load() }
@@ -266,11 +262,6 @@ func (c *Coordinator) ReplayedKeeps() int64 { return c.replayedKeeps.Load() }
 
 // Shards returns the worker count.
 func (c *Coordinator) Shards() int { return len(c.trs) }
-
-// AggRounds returns the lifetime count of aggregation exchange rounds (one
-// per remote pass that combined sink partials) — the quantity the cluster
-// cost model predicts.
-func (c *Coordinator) AggRounds() int64 { return c.aggRounds.Load() }
 
 // Totals returns lifetime wire-traffic counters.
 func (c *Coordinator) Totals() (sent, recv, retries int64) {
@@ -632,7 +623,6 @@ func (c *Coordinator) RunDAG(ctx context.Context, d *core.RemoteDAG, ms *core.Ma
 	}
 	if len(prog.Sinks) > 0 {
 		ms.ShardAggRounds++
-		c.aggRounds.Add(1)
 	}
 	ms.ShardBytesSent += io.sent.Load()
 	ms.ShardBytesRecv += io.recv.Load()
@@ -808,6 +798,9 @@ func (c *Coordinator) saveCheckpoint() {
 // pass in flight.
 func (c *Coordinator) CheckHandleBalance() error {
 	n := len(c.trs)
+	if len(c.lbs) != n {
+		return fmt.Errorf("shard: handle balance check needs in-process workers")
+	}
 	expected := make([]map[string]bool, n)
 	for wi := range expected {
 		expected[wi] = make(map[string]bool)
@@ -844,11 +837,7 @@ func (c *Coordinator) CheckHandleBalance() error {
 		}
 	}
 	c.lin.mu.Unlock()
-	for wi, tr := range c.trs {
-		lb := loopbackOf(tr)
-		if lb == nil {
-			return fmt.Errorf("shard: handle balance check needs in-process workers")
-		}
+	for wi, lb := range c.lbs {
 		got := lb.worker().Handles()
 		gotSet := make(map[string]bool, len(got))
 		for _, h := range got {
@@ -866,7 +855,8 @@ func (c *Coordinator) CheckHandleBalance() error {
 	return nil
 }
 
-// Close releases transports and (in-proc mode) the owned workers. RemoteStore
+// Close releases transports and (in-proc mode) each loopback's current
+// worker, the last replacement when a crash schedule restarted it. RemoteStore
 // reads fail afterwards, so sessions must flush result caches that hold
 // shard-backed matrices before closing the coordinator.
 func (c *Coordinator) Close() error {
@@ -877,8 +867,8 @@ func (c *Coordinator) Close() error {
 	for _, t := range c.trs {
 		t.Close()
 	}
-	for _, w := range c.workers {
-		w.Close()
+	for _, lb := range c.lbs {
+		lb.worker().Close()
 	}
 	return nil
 }

@@ -4,10 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
-
-	"repro/internal/core"
 )
 
 // FaultError marks an injected transport fault. It classifies as transient,
@@ -39,6 +38,17 @@ type FaultConfig struct {
 	// DelayProb stalls the call by Delay before delivery (latency spike).
 	DelayProb float64
 	Delay     time.Duration
+	// CrashBeforeExec and CrashAfterExec schedule a simulated kill -9 +
+	// restart of the in-process worker beneath (loopback.restart). Entries
+	// are 1-based counts of non-recovery opExec calls seen on this transport,
+	// retried attempts included:
+	// CrashBeforeExec = {2} restarts the worker just before its second pass
+	// request is delivered (the request then hits the fresh worker's fence),
+	// CrashAfterExec = {2} restarts it right after the second pass executed
+	// (the pass succeeded, its kept talls die and must be replayed before
+	// pass three).
+	CrashBeforeExec []int64
+	CrashAfterExec  []int64
 }
 
 // FaultTransport wraps a Transport with seeded fault injection. Safe for
@@ -46,17 +56,29 @@ type FaultConfig struct {
 // single-goroutine phases replay exactly).
 type FaultTransport struct {
 	inner Transport
+	lb    *loopback // inner, when a crash schedule is set
 	cfg   FaultConfig
 
 	mu  sync.Mutex
 	rng *rand.Rand
 
+	execs, crashes              int64
 	drops, resets, dups, delays int64
 }
 
-// NewFaultTransport wraps inner with the given fault plan.
-func NewFaultTransport(inner Transport, cfg FaultConfig) *FaultTransport {
-	return &FaultTransport{inner: inner, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+// NewFaultTransport wraps inner with the given fault plan. A crash schedule
+// restarts the worker behind an in-process loopback, so it is refused on any
+// other transport.
+func NewFaultTransport(inner Transport, cfg FaultConfig) (*FaultTransport, error) {
+	t := &FaultTransport{inner: inner, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	if len(cfg.CrashBeforeExec)+len(cfg.CrashAfterExec) > 0 {
+		lb, ok := inner.(*loopback)
+		if !ok {
+			return nil, fmt.Errorf("shard: a crash schedule needs an in-process worker, got %T", inner)
+		}
+		t.lb = lb
+	}
+	return t, nil
 }
 
 // Injected returns how many faults of each kind fired.
@@ -66,14 +88,38 @@ func (t *FaultTransport) Injected() (drops, resets, dups, delays int64) {
 	return t.drops, t.resets, t.dups, t.delays
 }
 
+// Crashes returns how many scheduled crash/restarts fired.
+func (t *FaultTransport) Crashes() int64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.crashes
+}
+
+// crashIf restarts the worker when plan schedules exec n (n == 0: the call
+// is not a counted exec). The caller holds mu.
+func (t *FaultTransport) crashIf(plan []int64, n int64) error {
+	if n == 0 || !slices.Contains(plan, n) {
+		return nil
+	}
+	if err := t.lb.restart(); err != nil {
+		return err
+	}
+	t.crashes++
+	return nil
+}
+
 func (t *FaultTransport) Call(ctx context.Context, op uint8, body []byte) ([]byte, error) {
 	t.mu.Lock()
+	var n int64
+	if op == opExec && !isRecoveryCtx(ctx) {
+		t.execs++
+		n = t.execs
+	}
 	delay := t.rng.Float64() < t.cfg.DelayProb
 	drop := t.rng.Float64() < t.cfg.DropProb
 	reset := t.rng.Float64() < t.cfg.ResetProb
 	dup := t.rng.Float64() < t.cfg.DupProb
-	switch {
-	case delay:
+	if delay {
 		t.delays++
 	}
 	switch {
@@ -84,7 +130,22 @@ func (t *FaultTransport) Call(ctx context.Context, op uint8, body []byte) ([]byt
 	case dup:
 		t.dups++
 	}
+	cerr := t.crashIf(t.cfg.CrashBeforeExec, n)
 	t.mu.Unlock()
+	if cerr != nil {
+		return nil, cerr
+	}
+	resp, err := t.deliver(ctx, op, body, delay, drop, reset, dup)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if cerr := t.crashIf(t.cfg.CrashAfterExec, n); cerr != nil {
+		return nil, cerr
+	}
+	return resp, err
+}
+
+// deliver applies one call's drawn faults around the inner transport.
+func (t *FaultTransport) deliver(ctx context.Context, op uint8, body []byte, delay, drop, reset, dup bool) ([]byte, error) {
 	if delay {
 		select {
 		case <-time.After(t.cfg.Delay):
@@ -110,14 +171,11 @@ func (t *FaultTransport) Call(ctx context.Context, op uint8, body []byte) ([]byt
 
 func (t *FaultTransport) Close() error { return t.inner.Close() }
 
-// Unwrap exposes the wrapped transport so loopbackOf can reach the terminal
-// in-process loopback through fault-injection layers.
-func (t *FaultTransport) Unwrap() Transport { return t.inner }
-
 // recoveryCtxKey marks RPCs issued by the coordinator's recovery path
-// (re-hello, re-push, lineage replay). The chaos transport skips crash
-// injection on marked calls so a scheduled crash fires once, at the request
-// it targets, instead of re-firing against its own repair traffic.
+// (re-hello, re-push, lineage replay). The fault transport skips them when
+// counting execs for its crash schedule, so a scheduled crash fires once, at
+// the request it targets, instead of re-firing against its own repair
+// traffic.
 type recoveryCtxKey struct{}
 
 func withRecovery(ctx context.Context) context.Context {
@@ -128,120 +186,3 @@ func isRecoveryCtx(ctx context.Context) bool {
 	v, _ := ctx.Value(recoveryCtxKey{}).(bool)
 	return v
 }
-
-// ChaosConfig schedules worker crash/restarts at exec (pass) boundaries.
-// Indexes are 1-based counts of non-recovery opExec calls seen on this
-// transport: CrashBeforeExec = {2} kills and restarts the worker just before
-// its second pass request is delivered (the request then hits the fresh
-// worker's fence), CrashAfterExec = {2} crashes right after the second pass
-// executed (the pass succeeded, its kept talls die and must be replayed
-// before pass three).
-type ChaosConfig struct {
-	// Worker configures replacement workers minted at each crash.
-	Worker core.Config
-	// CrashBeforeExec crashes the worker before the Nth exec is delivered.
-	CrashBeforeExec []int64
-	// CrashAfterExec crashes the worker after the Nth exec's response.
-	CrashAfterExec []int64
-}
-
-// ChaosTransport simulates kill -9 + restart of an in-process worker at
-// scheduled exec boundaries: the loopback beneath it swaps to a freshly
-// constructed Worker (new boot id, no session epoch, no resident matrices)
-// and the old one is closed. Requires a wrapper chain terminating in a
-// loopback (in-proc workers only).
-type ChaosTransport struct {
-	inner Transport
-	lb    *loopback
-	cfg   ChaosConfig
-
-	mu      sync.Mutex
-	execs   int64
-	crashes int64
-}
-
-// NewChaosTransport wraps inner (which must unwrap to a loopback) with the
-// crash schedule.
-func NewChaosTransport(inner Transport, cfg ChaosConfig) (*ChaosTransport, error) {
-	lb := loopbackOf(inner)
-	if lb == nil {
-		return nil, fmt.Errorf("shard: chaos transport requires an in-process loopback beneath it")
-	}
-	return &ChaosTransport{inner: inner, lb: lb, cfg: cfg}, nil
-}
-
-// Crashes returns how many scheduled crash/restarts fired.
-func (t *ChaosTransport) Crashes() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.crashes
-}
-
-// Execs returns how many non-recovery exec requests this transport saw.
-func (t *ChaosTransport) Execs() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.execs
-}
-
-func (t *ChaosTransport) crash() error {
-	fresh, err := NewWorker(t.cfg.Worker)
-	if err != nil {
-		return fmt.Errorf("shard: chaos restart: %w", err)
-	}
-	old := t.lb.swap(fresh)
-	if old != nil {
-		old.Close()
-	}
-	t.crashes++
-	return nil
-}
-
-func scheduled(plan []int64, n int64) bool {
-	for _, p := range plan {
-		if p == n {
-			return true
-		}
-	}
-	return false
-}
-
-func (t *ChaosTransport) Call(ctx context.Context, op uint8, body []byte) ([]byte, error) {
-	if op != opExec || isRecoveryCtx(ctx) {
-		return t.inner.Call(ctx, op, body)
-	}
-	t.mu.Lock()
-	t.execs++
-	n := t.execs
-	var cerr error
-	if scheduled(t.cfg.CrashBeforeExec, n) {
-		cerr = t.crash()
-	}
-	t.mu.Unlock()
-	if cerr != nil {
-		return nil, cerr
-	}
-	resp, err := t.inner.Call(ctx, op, body)
-	t.mu.Lock()
-	if scheduled(t.cfg.CrashAfterExec, n) {
-		cerr = t.crash()
-	}
-	t.mu.Unlock()
-	if cerr != nil {
-		return nil, cerr
-	}
-	return resp, err
-}
-
-// Close closes the current worker behind the loopback — after a crash the
-// coordinator's worker list still points at the pre-crash workers, so the
-// last replacement is only reachable here.
-func (t *ChaosTransport) Close() error {
-	if w := t.lb.worker(); w != nil {
-		w.Close()
-	}
-	return t.inner.Close()
-}
-
-// Unwrap exposes the wrapped transport.
-func (t *ChaosTransport) Unwrap() Transport { return t.inner }

@@ -31,8 +31,7 @@ func (c *countingTransport) Call(ctx context.Context, op uint8, body []byte) ([]
 	return c.inner.Call(ctx, op, body)
 }
 
-func (c *countingTransport) Close() error      { return c.inner.Close() }
-func (c *countingTransport) Unwrap() Transport { return c.inner }
+func (c *countingTransport) Close() error { return c.inner.Close() }
 
 // dropOnce fails the first exec it sees with a transient fault, delivering
 // nothing.
@@ -48,8 +47,7 @@ func (d *dropOnce) Call(ctx context.Context, op uint8, body []byte) ([]byte, err
 	return d.inner.Call(ctx, op, body)
 }
 
-func (d *dropOnce) Close() error      { return d.inner.Close() }
-func (d *dropOnce) Unwrap() Transport { return d.inner }
+func (d *dropOnce) Close() error { return d.inner.Close() }
 
 // failExecTransport rejects every exec with a permanent (non-transient)
 // remote error; other ops pass through.
@@ -64,8 +62,7 @@ func (f *failExecTransport) Call(ctx context.Context, op uint8, body []byte) ([]
 	return f.inner.Call(ctx, op, body)
 }
 
-func (f *failExecTransport) Close() error      { return f.inner.Close() }
-func (f *failExecTransport) Unwrap() Transport { return f.inner }
+func (f *failExecTransport) Close() error { return f.inner.Close() }
 
 // TestWorkerFenceRejectsStaleState pins the fencing contract at the Handle
 // level: wrong boot and wrong epoch are typed EpochError rejections, a hello
@@ -116,7 +113,7 @@ func TestWorkerFenceRejectsStaleState(t *testing.T) {
 	if h := hello(9); h.Kept != 0 {
 		t.Fatalf("new-epoch hello kept %d, want 0 after wipe", h.Kept)
 	}
-	if got := w.Resident(); got != 0 {
+	if got := len(w.Handles()); got != 0 {
 		t.Fatalf("resident after epoch adoption = %d, want 0", got)
 	}
 	if got := w.Adoptions(); got != 2 {
@@ -140,22 +137,22 @@ func TestShardWorkerRestartRecovery(t *testing.T) {
 	cases := []struct {
 		name   string
 		worker int
-		cfg    ChaosConfig
+		cfg    FaultConfig
 	}{
-		{"w0-before-exec2", 0, ChaosConfig{Worker: testConfig(), CrashBeforeExec: []int64{2}}},
-		{"w1-before-exec2", 1, ChaosConfig{Worker: testConfig(), CrashBeforeExec: []int64{2}}},
-		{"w0-after-exec1", 0, ChaosConfig{Worker: testConfig(), CrashAfterExec: []int64{1}}},
-		{"w1-after-exec1", 1, ChaosConfig{Worker: testConfig(), CrashAfterExec: []int64{1}}},
+		{"w0-before-exec2", 0, FaultConfig{CrashBeforeExec: []int64{2}}},
+		{"w1-before-exec2", 1, FaultConfig{CrashBeforeExec: []int64{2}}},
+		{"w0-after-exec1", 0, FaultConfig{CrashAfterExec: []int64{1}}},
+		{"w1-after-exec1", 1, FaultConfig{CrashAfterExec: []int64{1}}},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			var chaos *ChaosTransport
+			var chaos *FaultTransport
 			eng, coord := newShardedEngine(t, 2, func(wi int, tr Transport) Transport {
 				if wi != tc.worker {
 					return tr
 				}
-				ct, cerr := NewChaosTransport(tr, tc.cfg)
+				ct, cerr := NewFaultTransport(tr, tc.cfg)
 				if cerr != nil {
 					t.Fatal(cerr)
 				}
@@ -179,6 +176,64 @@ func TestShardWorkerRestartRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestShardFaultsWithCrash runs transient faults and a scheduled crash on
+// one worker through one injector in the same run: drops and resets are
+// retried, the crash is recovered by re-push and lineage replay, and the
+// answers stay bit-identical to the unfaulted single-engine run.
+func TestShardFaultsWithCrash(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	local, err := core.NewEngine(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := runWorkload(t, local, ctx)
+	var ft *FaultTransport
+	eng, coord := newShardedEngine(t, 2, func(wi int, tr Transport) Transport {
+		if wi != 1 {
+			return tr
+		}
+		f, ferr := NewFaultTransport(tr, FaultConfig{Seed: 11, DropProb: 0.15, ResetProb: 0.15,
+			CrashAfterExec: []int64{1}})
+		if ferr != nil {
+			t.Fatal(ferr)
+		}
+		ft = f
+		return f
+	})
+	got := runWorkload(t, eng, ctx)
+	for name, w := range want {
+		sameDense(t, name, w, got[name])
+	}
+	crashes := ft.Crashes()
+	if crashes < 1 {
+		t.Fatal("crash schedule never fired")
+	}
+	if drops, resets, _, _ := ft.Injected(); drops+resets == 0 {
+		t.Fatal("no transient fault fired; the run tested only the crash")
+	}
+	if rec := coord.Recoveries(); rec < crashes {
+		t.Fatalf("%d crashes but only %d recoveries", crashes, rec)
+	}
+	if err := coord.CheckHandleBalance(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestShardCrashScheduleNeedsLoopback: a crash schedule restarts an
+// in-process worker, so building one over any other transport fails at
+// construction instead of mid-pass.
+func TestShardCrashScheduleNeedsLoopback(t *testing.T) {
+	tcp := newTCPTransport("127.0.0.1:1", time.Second)
+	defer tcp.Close()
+	if _, err := NewFaultTransport(tcp, FaultConfig{CrashAfterExec: []int64{1}}); err == nil {
+		t.Fatal("crash schedule accepted over a TCP transport")
+	}
+	if _, err := NewFaultTransport(tcp, FaultConfig{DropProb: 0.5}); err != nil {
+		t.Fatalf("transient faults over TCP refused: %v", err)
 	}
 }
 
@@ -233,14 +288,14 @@ func TestShardCumCarryResume(t *testing.T) {
 
 	t.Run("crash-restart", func(t *testing.T) {
 		var w0 countingTransport
-		var chaos *ChaosTransport
+		var chaos *FaultTransport
 		eng, coord := newShardedEngine(t, 3, func(wi int, tr Transport) Transport {
 			switch wi {
 			case 0:
 				w0.inner = tr
 				return &w0
 			case 1:
-				ct, cerr := NewChaosTransport(tr, ChaosConfig{Worker: testConfig(), CrashBeforeExec: []int64{1}})
+				ct, cerr := NewFaultTransport(tr, FaultConfig{CrashBeforeExec: []int64{1}})
 				if cerr != nil {
 					t.Fatal(cerr)
 				}
@@ -293,9 +348,8 @@ func TestShardKeepLeakOnFailure(t *testing.T) {
 	if err := coord.CheckHandleBalance(); err != nil {
 		t.Fatal(err)
 	}
-	for wi, tr := range coord.trs {
-		lb := loopbackOf(tr)
-		if got := lb.worker().Resident(); got != 1 {
+	for wi, lb := range coord.lbs {
+		if got := len(lb.worker().Handles()); got != 1 {
 			t.Fatalf("worker %d resident=%d after failed pass, want 1 (the leaf)", wi, got)
 		}
 	}
@@ -460,8 +514,8 @@ func TestShardCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer coordB.Close()
-	if coordB.Epoch() != coordA.Epoch() {
-		t.Fatalf("resumed epoch %x != original %x", coordB.Epoch(), coordA.Epoch())
+	if coordB.epoch != coordA.epoch {
+		t.Fatalf("resumed epoch %x != original %x", coordB.epoch, coordA.epoch)
 	}
 	eng.SetRemoteExecutor(coordB)
 	max2 := core.Agg(leaf, mustAgg(t, "max"))

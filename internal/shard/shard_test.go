@@ -160,9 +160,6 @@ func TestShardEquivalence(t *testing.T) {
 			for name, w := range want {
 				sameDense(t, name, w, got[name])
 			}
-			if coord.AggRounds() == 0 {
-				t.Fatal("no aggregation rounds recorded")
-			}
 			sent, recv, _ := coord.Totals()
 			if sent == 0 || recv == 0 {
 				t.Fatalf("wire totals sent=%d recv=%d, want both nonzero", sent, recv)
@@ -302,9 +299,12 @@ func TestShardFaultRecovery(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var fts []*FaultTransport
 			eng, _ := newShardedEngine(t, 2, func(i int, tr Transport) Transport {
-				ft := NewFaultTransport(tr, FaultConfig{Seed: tc.cfg.Seed + int64(i),
+				ft, ferr := NewFaultTransport(tr, FaultConfig{Seed: tc.cfg.Seed + int64(i),
 					DropProb: tc.cfg.DropProb, ResetProb: tc.cfg.ResetProb,
 					DupProb: tc.cfg.DupProb, DelayProb: tc.cfg.DelayProb, Delay: tc.cfg.Delay})
+				if ferr != nil {
+					t.Fatal(ferr)
+				}
 				fts = append(fts, ft)
 				return ft
 			})

@@ -10,6 +10,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/core"
 )
 
 // Transport carries one coordinator→worker RPC channel. Call sends one
@@ -102,11 +104,21 @@ func isTransient(err error) bool {
 
 // loopback is the in-process transport: request bytes go straight into the
 // worker's Handle dispatch, so tests exercise the full wire codec with
-// deterministic delivery. The worker behind it is swappable — that is the
-// chaos harness's crash/restart seam.
+// deterministic delivery. It keeps the config its worker was built with, so
+// restart can stand in for a worker process killed and started again.
 type loopback struct {
+	cfg core.Config
+
 	mu sync.Mutex
 	w  *Worker
+}
+
+func newLoopback(cfg core.Config) (*loopback, error) {
+	w, err := NewWorker(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &loopback{cfg: cfg, w: w}, nil
 }
 
 func (l *loopback) worker() *Worker {
@@ -115,14 +127,19 @@ func (l *loopback) worker() *Worker {
 	return l.w
 }
 
-// swap installs a replacement worker (a simulated process restart) and
-// returns the previous one.
-func (l *loopback) swap(w *Worker) *Worker {
+// restart simulates kill -9 + restart: a fresh Worker from the same config
+// (new boot id, no session epoch, no resident matrices) replaces the
+// current one, which is closed.
+func (l *loopback) restart() error {
+	fresh, err := NewWorker(l.cfg)
+	if err != nil {
+		return fmt.Errorf("shard: worker restart: %w", err)
+	}
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	old := l.w
-	l.w = w
-	return old
+	l.w = fresh
+	l.mu.Unlock()
+	return old.Close()
 }
 
 func (l *loopback) Call(ctx context.Context, op uint8, body []byte) ([]byte, error) {
@@ -133,27 +150,6 @@ func (l *loopback) Call(ctx context.Context, op uint8, body []byte) ([]byte, err
 }
 
 func (l *loopback) Close() error { return nil }
-
-// unwrapper is implemented by transport wrappers (fault injection, chaos) so
-// the chaos harness and the handle-balance checker can reach the terminal
-// loopback.
-type unwrapper interface{ Unwrap() Transport }
-
-// loopbackOf walks a wrapper chain down to the in-process loopback, or nil
-// for TCP transports.
-func loopbackOf(t Transport) *loopback {
-	for t != nil {
-		if lb, ok := t.(*loopback); ok {
-			return lb
-		}
-		u, ok := t.(unwrapper)
-		if !ok {
-			return nil
-		}
-		t = u.Unwrap()
-	}
-	return nil
-}
 
 // TCP framing: a request is [u32 BE frame length][u8 op][body], a response is
 // [u32 BE frame length][u8 status][payload] with status 0 = ok (payload is

@@ -61,14 +61,6 @@ func (w *Worker) FenceRejects() int64 { return w.fenced.Load() }
 // (wiping any prior session's resident matrices).
 func (w *Worker) Adoptions() int64 { return w.adoptions.Load() }
 
-// Resident returns the number of resident matrices — the handle-balance
-// tests' probe.
-func (w *Worker) Resident() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.mats)
-}
-
 // Handles returns the sorted registered handle names (diagnostics, tests).
 func (w *Worker) Handles() []string {
 	w.mu.Lock()

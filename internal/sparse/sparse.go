@@ -223,34 +223,6 @@ func WriteSE(fs *safs.FS, name string, m *CSR) (*SEMatrix, error) {
 	}, nil
 }
 
-// OpenSE opens a previously written semi-external matrix, reloading the
-// in-memory row pointers.
-func OpenSE(fs *safs.FS, name string) (*SEMatrix, error) {
-	f, err := fs.OpenFile(name)
-	if err != nil {
-		return nil, err
-	}
-	hdr := make([]byte, headerBytes)
-	if err := f.ReadAt(hdr, 0); err != nil {
-		return nil, err
-	}
-	rows := int(binary.LittleEndian.Uint64(hdr[0:]))
-	cols := int(binary.LittleEndian.Uint64(hdr[8:]))
-	nnz := int64(binary.LittleEndian.Uint64(hdr[16:]))
-	rowPtrBytes := int64(rows+1) * 8
-	buf := make([]byte, rowPtrBytes)
-	if err := f.ReadAt(buf, headerBytes); err != nil {
-		return nil, err
-	}
-	m := &SEMatrix{fs: fs, file: f, Rows: rows, Cols: cols, RowPtr: make([]int64, rows+1)}
-	for i := range m.RowPtr {
-		m.RowPtr[i] = int64(binary.LittleEndian.Uint64(buf[i*8:]))
-	}
-	m.colOff = int64(headerBytes) + rowPtrBytes
-	m.valOff = m.colOff + pad8(nnz*4)
-	return m, nil
-}
-
 // NNZ returns the stored entry count.
 func (m *SEMatrix) NNZ() int64 { return m.RowPtr[m.Rows] }
 

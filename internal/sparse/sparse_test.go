@@ -110,18 +110,6 @@ func TestSemiExternalSpMM(t *testing.T) {
 	if !dense.Equalish(got, want, 1e-9) {
 		t.Fatal("semi-external SpMM differs from in-memory")
 	}
-	// Reopen and verify metadata recovery.
-	se2, err := OpenSE(fs, "graph")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got2, err := se2.MulDense(b, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !dense.Equalish(got2, want, 1e-9) {
-		t.Fatal("reopened SpMM differs")
-	}
 }
 
 func TestRandomGraphShape(t *testing.T) {

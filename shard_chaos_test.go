@@ -35,7 +35,6 @@ import (
 	"time"
 
 	flashr "repro"
-	"repro/internal/core"
 	"repro/internal/dense"
 	"repro/internal/shard"
 	"repro/internal/trace"
@@ -205,13 +204,12 @@ func TestShardChaosDifferential(t *testing.T) {
 		name := fmt.Sprintf("w%d-before%v-after%v", sc.worker, sc.before, sc.after)
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			var chaos *shard.ChaosTransport
+			var chaos *shard.FaultTransport
 			opts := shardOpts(func(wi int, tr shard.Transport) shard.Transport {
 				if wi != sc.worker {
 					return tr
 				}
-				ct, err := shard.NewChaosTransport(tr, shard.ChaosConfig{
-					Worker:          core.Config{Workers: 4, PartRows: 256},
+				ct, err := shard.NewFaultTransport(tr, shard.FaultConfig{
 					CrashBeforeExec: sc.before,
 					CrashAfterExec:  sc.after,
 				})
@@ -412,7 +410,7 @@ func TestShardRealProcesses(t *testing.T) {
 // still produce a well-formed trace, with a shard-recover span on the root
 // track counting the recoveries of that pass.
 func TestShardChaosTrace(t *testing.T) {
-	var chaos *shard.ChaosTransport
+	var chaos *shard.FaultTransport
 	opts := chaosShardOptions()
 	opts.Sharding = &flashr.ShardConfig{
 		Shards: 2, Retries: 8, RetryBackoff: time.Millisecond,
@@ -420,8 +418,7 @@ func TestShardChaosTrace(t *testing.T) {
 			if wi != 1 {
 				return tr
 			}
-			ct, err := shard.NewChaosTransport(tr, shard.ChaosConfig{
-				Worker:          core.Config{Workers: 4, PartRows: 256},
+			ct, err := shard.NewFaultTransport(tr, shard.FaultConfig{
 				CrashBeforeExec: []int64{2},
 			})
 			if err != nil {
