@@ -26,7 +26,8 @@ const (
 	// fused pass per DAG with I/O partitions split into processor-cache
 	// (Pcache) partitions, the compiled program run in instruction order per
 	// Pcache chunk, and each chunk buffer recycled right after the
-	// instruction that is its slot's last use.
+	// instruction that is its slot's last use, into the engine-lifetime
+	// buffer pool.
 	FuseCache FuseLevel = iota
 	// FuseMem fuses all operations of a DAG into a single pass over the
 	// I/O partitions but materializes intermediates one whole I/O
@@ -122,6 +123,10 @@ type Engine struct {
 
 	metricsOnce sync.Once
 	metrics     *trace.Registry
+
+	// pool is the engine-lifetime buffer pool every pass draws its chunk,
+	// read and tall-output partition buffers from.
+	pool bufPool
 
 	// arb admits concurrent passes; planMu serializes the (cheap) plan and
 	// cache-publication phases of each pass so the intern table, the result

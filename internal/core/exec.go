@@ -80,34 +80,9 @@ type runState struct {
 	mergeQueue map[int][]*sinkAcc
 	global     []*sinkAcc
 
-	// outPool recycles tall-output partition buffers. It is shared (unlike
-	// the per-worker chunk pools) because ownership round-trips through the
-	// async writers: a worker checks a buffer out, the write-behind goroutine
-	// checks it back in.
-	outMu   sync.Mutex
-	outPool map[int][][]float64
-
 	errMu  sync.Mutex
 	err    error
 	failed atomic.Bool
-}
-
-func (rs *runState) getOut(n int) []float64 {
-	rs.outMu.Lock()
-	if bs := rs.outPool[n]; len(bs) > 0 {
-		b := bs[len(bs)-1]
-		rs.outPool[n] = bs[:len(bs)-1]
-		rs.outMu.Unlock()
-		return b
-	}
-	rs.outMu.Unlock()
-	return make([]float64, n)
-}
-
-func (rs *runState) putOut(b []float64) {
-	rs.outMu.Lock()
-	rs.outPool[len(b)] = append(rs.outPool[len(b)], b)
-	rs.outMu.Unlock()
 }
 
 func (rs *runState) fail(err error) {
@@ -137,7 +112,7 @@ func (e *Engine) runFused(ctx context.Context, b *binding, fuse FuseLevel, ms *M
 	// one pass across several runFused calls.
 	p0 := pass.Stats()
 	p := b.p
-	rs := &runState{e: e, p: p, nrow: b.nrow, pass: pass, outPool: make(map[int][][]float64)}
+	rs := &runState{e: e, p: p, nrow: b.nrow, pass: pass}
 	rs.nparts = matrix.NumParts(b.nrow, e.cfg.PartRows)
 	rs.chunkRows = e.chunkRowsFor(p, fuse)
 	rs.outStores = make([]matrix.Store, len(p.Talls))
@@ -231,8 +206,8 @@ func (e *Engine) runFused(ctx context.Context, b *binding, fuse FuseLevel, ms *M
 	close(watchDone)
 	watchWG.Wait()
 	// Invariant: every worker drained its pending prefetches before exiting
-	// (the reads write into pooled buffers, so an abandoned map is a leak and
-	// a latent use-after-recycle).
+	// (the reads write into buffers of the engine pool, so an abandoned map
+	// is a leak and a latent use-after-recycle in a later pass).
 	for _, w := range workers {
 		if len(w.pending) != 0 {
 			rs.fail(fmt.Errorf("core: worker %d exited with %d pending prefetches", w.id, len(w.pending)))
@@ -345,21 +320,27 @@ func buildTasks(nparts, super, workers int) []taskRange {
 	return tasks
 }
 
-// worker evaluates partitions; it owns a buffer pool keyed by exact length
-// (chunk shapes repeat, so recycling hits nearly always — the paper's
-// fixed-chunk recycling at Pcache granularity) and slot-indexed buffer
-// tables, so the per-chunk hot path is array arithmetic, not hashing.
+// worker evaluates partitions. Its buffers come from the engine pool through
+// a lock-free free list of its own (a few exact-length classes, searched
+// linearly — the paper's fixed-chunk recycling at Pcache granularity), and
+// its buffer tables are slot-indexed, so the per-chunk hot path is array
+// arithmetic, not hashing or locking. Everything it holds goes back to the
+// engine pool when it exits.
 type worker struct {
 	rs   *runState
 	id   int
 	node int // simulated NUMA node this worker is bound to
 	// buf is this worker's span lane (nil when tracing is off).
-	buf  *trace.Buf
-	pool map[int][][]float64
+	buf *trace.Buf
+	// free is the worker's free list, drawn from the engine pool on a miss.
+	free []freeClass
 	// bufs[i] is slot i's chunk buffer between its step and its last use;
 	// owned marks the pool buffers (leaf slots are views of leafBufs).
 	bufs  [][]float64
 	owned []bool
+	// outBufs holds the current partition's tall-output buffers until they
+	// are handed to the write-behind queue.
+	outBufs [][]float64
 	// sinks is the accumulator set of the task currently being processed;
 	// swapped per task and handed to commitTask for the ordered merge.
 	sinks []*sinkAcc
@@ -375,6 +356,12 @@ type worker struct {
 	pending map[int]*prefetched
 }
 
+// freeClass is one exact-length class of a worker's free list.
+type freeClass struct {
+	n    int
+	bufs [][]float64
+}
+
 type prefetched struct {
 	bufs map[int][]float64 // leaf instruction → buffer
 	ch   chan safs.Request
@@ -387,8 +374,8 @@ func newWorker(rs *runState, id, total int) *worker {
 		rs:        rs,
 		id:        id,
 		node:      rs.e.cfg.Topo.NodeOfWorker(id, total),
-		pool:      make(map[int][][]float64),
 		bufs:      make([][]float64, n),
+		outBufs:   make([][]float64, len(rs.p.Talls)),
 		owned:     make([]bool, n),
 		cumRun:    make([][]float64, n),
 		leafBufs:  make([][]float64, n),
@@ -428,23 +415,61 @@ func (rs *runState) commitTask(t int, accs []*sinkAcc) {
 }
 
 func (w *worker) get(n int) []float64 {
-	if bs := w.pool[n]; len(bs) > 0 {
-		b := bs[len(bs)-1]
-		w.pool[n] = bs[:len(bs)-1]
-		return b
+	for i := range w.free {
+		if c := &w.free[i]; c.n == n {
+			if k := len(c.bufs); k > 0 {
+				b := c.bufs[k-1]
+				c.bufs = c.bufs[:k-1]
+				return b
+			}
+			break
+		}
 	}
-	return make([]float64, n)
+	return w.rs.e.pool.get(n)
 }
 
 func (w *worker) put(b []float64) {
-	w.pool[len(b)] = append(w.pool[len(b)], b)
+	for i := range w.free {
+		if c := &w.free[i]; c.n == len(b) {
+			c.bufs = append(c.bufs, b)
+			return
+		}
+	}
+	w.free = append(w.free, freeClass{n: len(b), bufs: [][]float64{b}})
+}
+
+// release hands everything the worker holds back to the engine pool: slot,
+// leaf and output buffers a failed partition left behind, then the free
+// list.
+func (w *worker) release() {
+	pool := &w.rs.e.pool
+	for i, b := range w.bufs {
+		if w.owned[i] {
+			pool.put(b)
+		}
+	}
+	for i, b := range w.leafBufs {
+		if w.leafOwned[i] {
+			pool.put(b)
+		}
+	}
+	for _, b := range w.outBufs {
+		pool.put(b)
+	}
+	for _, c := range w.free {
+		for _, b := range c.bufs {
+			pool.put(b)
+		}
+	}
 }
 
 func (w *worker) run() {
-	// Registered first so it runs last: even when the recover handler above
-	// it fires, every in-flight prefetch is waited out and its buffers return
-	// to the pool. An exit path that abandons the pending map leaves async
-	// reads writing into buffers the pool may hand to a later pass.
+	// Registered first so they run last: even when the recover handler
+	// above them fires, every in-flight prefetch is waited out and then
+	// every buffer the worker holds returns to the engine pool. An exit path
+	// that abandons the pending map leaves async reads writing into buffers
+	// the pool may hand to a later pass.
+	defer w.release()
 	defer w.drainPending()
 	defer func() {
 		if r := recover(); r != nil {
@@ -496,7 +521,7 @@ func (w *worker) runTask(t int) (next int) {
 }
 
 // drainPending waits out every still-pending prefetch and returns its
-// buffers to the worker pool. Runs on every worker-exit path.
+// buffers to the worker's free list. Runs on every worker-exit path.
 func (w *worker) drainPending() {
 	for p, pf := range w.pending {
 		delete(w.pending, p)
@@ -544,12 +569,13 @@ func (w *worker) prefetch(p int) {
 	}
 }
 
-// takePrefetched waits for partition p's async reads, returning the buffer
-// map (nil when nothing was prefetched).
-func (w *worker) takePrefetched(p int) (map[int][]float64, error) {
+// takePrefetched waits for partition p's async reads and installs their
+// buffers as the partition's leaf buffers (leafOwned marks them), so no exit
+// path after it can strand one.
+func (w *worker) takePrefetched(p int) error {
 	pf, ok := w.pending[p]
 	if !ok {
-		return nil, nil
+		return nil
 	}
 	delete(w.pending, p)
 	var firstErr error
@@ -565,9 +591,12 @@ func (w *worker) takePrefetched(p int) (map[int][]float64, error) {
 		for _, b := range pf.bufs {
 			w.put(b)
 		}
-		return nil, firstErr
+		return firstErr
 	}
-	return pf.bufs, nil
+	for i, b := range pf.bufs {
+		w.leafBufs[i], w.leafOwned[i] = b, true
+	}
+	return nil
 }
 
 func (w *worker) processPartition(p int) error {
@@ -587,17 +616,14 @@ func (w *worker) processPartition(p int) error {
 	// zero-copy in-memory references count in neither — which is what the
 	// conservation suite pins.
 	rsp := w.buf.Begin(trace.KindRead, int64(p))
-	pfBufs, err := w.takePrefetched(p)
-	if err != nil {
+	if err := w.takePrefetched(p); err != nil {
 		w.buf.End(rsp)
 		return err
 	}
 	for _, i := range rs.p.leaves {
 		n := rows * int(rs.p.Nodes[i].NCol)
 		e.cfg.Topo.RecordAccess(w.node, partNode)
-		if buf, ok := pfBufs[int(i)]; ok {
-			w.leafBufs[i] = buf
-			w.leafOwned[i] = true
+		if w.leafOwned[i] { // prefetched
 			rs.prefHits.Add(1)
 			rs.bytesRead.Add(int64(n) * 8)
 			rsp.Bytes += int64(n) * 8
@@ -613,9 +639,12 @@ func (w *worker) processPartition(p int) error {
 				continue
 			}
 		}
+		// Held in leafBufs before the read, so a failing or panicking store
+		// cannot strand the buffer: the worker's release returns it.
 		buf := w.get(n)
+		w.leafBufs[i] = buf
+		w.leafOwned[i] = true
 		if err := st.ReadPart(p, buf); err != nil {
-			w.put(buf)
 			w.buf.End(rsp)
 			return fmt.Errorf("core: reading leaf instruction %d partition %d: %w", i, p, err)
 		}
@@ -623,8 +652,6 @@ func (w *worker) processPartition(p int) error {
 		rs.bytesRead.Add(int64(n) * 8)
 		rsp.Bytes += int64(n) * 8
 		rsp.N++
-		w.leafBufs[i] = buf
-		w.leafOwned[i] = true
 	}
 	w.buf.End(rsp)
 
@@ -637,11 +664,11 @@ func (w *worker) processPartition(p int) error {
 		}
 	}
 
-	// 3. Output partition buffers per tall position (from the shared pool —
-	// the async writers return them, possibly to a different worker).
-	outBufs := make([][]float64, len(rs.p.Talls))
+	// 3. Output partition buffers per tall position, straight from the
+	// engine pool: the async writers return them there.
+	outBufs := w.outBufs
 	for t, i := range rs.p.Talls {
-		outBufs[t] = rs.getOut(rows * int(rs.p.Nodes[i].NCol))
+		outBufs[t] = e.pool.get(rows * int(rs.p.Nodes[i].NCol))
 	}
 
 	// 4. Pcache chunk loop: the program runs once per chunk.
@@ -666,7 +693,7 @@ func (w *worker) processPartition(p int) error {
 
 	// 6. Hand tall-output partitions to the write-behind queue and move on
 	// to the next partition's compute; buffer ownership transfers to the
-	// writer until its release callback returns it to the shared pool.
+	// writer until its release callback returns it to the engine pool.
 	// The worker-side span times only the enqueue (a stall when the queue is
 	// full); bytes land on the writer-lane spans, so summing Bytes over
 	// every write-back span equals BytesWritten.
@@ -680,7 +707,8 @@ func (w *worker) processPartition(p int) error {
 				return fmt.Errorf("core: writing tall %d partition %d: %w", t, p, err)
 			}
 			return nil
-		}, func() { rs.putOut(buf) })
+		}, func() { e.pool.put(buf) })
+		outBufs[t] = nil
 	}
 	w.buf.End(wsp)
 	for _, i := range rs.p.leaves {

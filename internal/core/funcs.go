@@ -4,7 +4,8 @@
 // materialization (§3.5) — a single parallel pass over the data with
 // two-level partitioning (I/O partitions split into processor-cache
 // partitions), the DAG compiled once into an instruction list that runs per
-// chunk, and buffer recycling at each slot's last use.
+// chunk, and buffer recycling at each slot's last use from one buffer pool
+// that outlives passes.
 //
 // Tall matrices (the partition dimension is rows) flow through the engine as
 // virtual matrices; aggregation-style GenOps produce sink matrices whose

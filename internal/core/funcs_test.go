@@ -219,4 +219,11 @@ func BenchmarkKernels(b *testing.B) {
 		}
 		run("agg"+label(name)+"/StepV", func() { kernelSink = f.StepV(f.Init, x) })
 	}
+	// The colSums sink fold over one chunk of a 32-column partition: the
+	// AggSum loop and the generic f.Step loop.
+	const ncol = 32
+	for _, f := range []*AggFunc{AggSum, AggMax} {
+		acc := newSinkAcc(&ProgramSink{Kind: uint8(SinkAggCol), agg: f, ncolA: ncol, rows: 1, cols: ncol})
+		run("colfold"+f.Name+"/fold", func() { _ = acc.fold(x, nil, n/ncol) })
+	}
 }

@@ -73,7 +73,7 @@ func TestBuildTasksCoverage(t *testing.T) {
 }
 
 // safsLeaf builds an nrow×ncol SAFS-backed leaf filled from seed.
-func safsLeaf(t *testing.T, fs *safs.FS, name string, nrow int64, ncol, partRows int, seed int64) *Mat {
+func safsLeaf(t testing.TB, fs *safs.FS, name string, nrow int64, ncol, partRows int, seed int64) *Mat {
 	t.Helper()
 	st, err := matrix.NewSAFSStore(fs, name, nrow, ncol, partRows)
 	if err != nil {

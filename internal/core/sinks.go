@@ -59,19 +59,25 @@ func (a *sinkAcc) fold(in, lab []float64, cr int) error {
 		a.acc = s.agg.StepV(a.acc, in[:cr*nc])
 
 	case SinkAggCol:
+		// vec is hoisted out of the receiver and each row re-sliced to its
+		// length, so the inner loop runs without a bounds check or a reload
+		// of a.vec per element.
+		vec := a.vec[:nc]
 		if s.agg == AggSum {
 			for r := 0; r < cr; r++ {
 				row := in[r*nc : (r+1)*nc]
+				row = row[:len(vec)]
 				for j, x := range row {
-					a.vec[j] += x
+					vec[j] += x
 				}
 			}
 		} else {
 			f := s.agg
 			for r := 0; r < cr; r++ {
 				row := in[r*nc : (r+1)*nc]
+				row = row[:len(vec)]
 				for j, x := range row {
-					a.vec[j] = f.Step(a.vec[j], x)
+					vec[j] = f.Step(vec[j], x)
 				}
 			}
 		}

@@ -17,43 +17,6 @@ func randTall(rng *rand.Rand, m, n int) *dense.Dense {
 	return d
 }
 
-// TestQRReconstruction property-tests Q R == A, orthonormal Q, upper R.
-func TestQRReconstruction(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(8)
-		m := n + rng.Intn(20)
-		a := randTall(rng, m, n)
-		q, r, err := QR(a)
-		if err != nil {
-			return false
-		}
-		if !dense.Equalish(dense.MatMul(q, r), a, 1e-9) {
-			return false
-		}
-		if !dense.Equalish(dense.CrossProd(q, q), dense.Identity(n), 1e-9) {
-			return false
-		}
-		for i := 1; i < n; i++ {
-			for j := 0; j < i; j++ {
-				if r.At(i, j) != 0 {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQRRejectsWide(t *testing.T) {
-	if _, _, err := QR(dense.New(2, 5)); err == nil {
-		t.Fatal("wide matrix accepted")
-	}
-}
-
 // TestSVDThinReconstruction property-tests U S Vᵀ == A and orthonormality.
 func TestSVDThinReconstruction(t *testing.T) {
 	f := func(seed int64) bool {

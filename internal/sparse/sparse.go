@@ -160,66 +160,44 @@ func RandomGraph(n, degree int, seed int64) *CSR {
 
 // --- Semi-external-memory SpMM -------------------------------------------
 
-// header layout of an on-SSD CSR file: rows, cols, nnz (int64 each),
-// followed by RowPtr, ColIdx (padded to 8 bytes), Val.
-const headerBytes = 24
-
 // SEMatrix is a CSR matrix stored on the SSD array. Row pointers stay in
-// memory (O(rows) — the "semi" part); column indices and values stream.
+// memory (O(rows) — the "semi" part); column indices and values stream. The
+// array file holds only what streams: ColIdx (padded to 8 bytes), then Val.
 type SEMatrix struct {
 	fs     *safs.FS
 	file   *safs.File
 	Rows   int
 	Cols   int
 	RowPtr []int64
-	colOff int64 // byte offset of ColIdx section
-	valOff int64 // byte offset of Val section
+	valOff int64 // byte offset of the Val section; ColIdx starts at 0
 }
 
-// WriteSE stores a CSR on the SSD array.
+// WriteSE stores a CSR's column indices and values on the SSD array.
 func WriteSE(fs *safs.FS, name string, m *CSR) (*SEMatrix, error) {
 	nnz := int64(m.NNZ())
 	colBytes := pad8(nnz * 4)
-	rowPtrBytes := int64(len(m.RowPtr)) * 8
-	total := int64(headerBytes) + rowPtrBytes + colBytes + nnz*8
-	f, err := fs.Create(name, total)
+	f, err := fs.Create(name, colBytes+nnz*8)
 	if err != nil {
 		return nil, err
 	}
-	hdr := make([]byte, headerBytes)
-	binary.LittleEndian.PutUint64(hdr[0:], uint64(m.Rows))
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(m.Cols))
-	binary.LittleEndian.PutUint64(hdr[16:], uint64(nnz))
-	if err := f.WriteAt(hdr, 0); err != nil {
-		return nil, err
-	}
-	buf := make([]byte, rowPtrBytes)
-	for i, v := range m.RowPtr {
-		binary.LittleEndian.PutUint64(buf[i*8:], uint64(v))
-	}
-	if err := f.WriteAt(buf, headerBytes); err != nil {
-		return nil, err
-	}
-	colOff := int64(headerBytes) + rowPtrBytes
 	cb := make([]byte, colBytes)
 	for i, c := range m.ColIdx {
 		binary.LittleEndian.PutUint32(cb[i*4:], uint32(c))
 	}
-	if err := f.WriteAt(cb, colOff); err != nil {
+	if err := f.WriteAt(cb, 0); err != nil {
 		return nil, err
 	}
-	valOff := colOff + colBytes
 	vb := make([]byte, nnz*8)
 	for i, v := range m.Val {
 		binary.LittleEndian.PutUint64(vb[i*8:], floatBits(v))
 	}
-	if err := f.WriteAt(vb, valOff); err != nil {
+	if err := f.WriteAt(vb, colBytes); err != nil {
 		return nil, err
 	}
 	return &SEMatrix{
 		fs: fs, file: f, Rows: m.Rows, Cols: m.Cols,
 		RowPtr: append([]int64(nil), m.RowPtr...),
-		colOff: colOff, valOff: valOff,
+		valOff: colBytes,
 	}, nil
 }
 
@@ -268,7 +246,7 @@ func (m *SEMatrix) MulDense(b *dense.Dense, workers int) (*dense.Dense, error) {
 				if cap(valBuf) < vn {
 					valBuf = make([]byte, vn)
 				}
-				if err := m.file.ReadAt(colBuf[:cn], m.colOff+lo*4); err != nil {
+				if err := m.file.ReadAt(colBuf[:cn], lo*4); err != nil {
 					errs[w] = err
 					return
 				}
