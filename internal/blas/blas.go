@@ -20,12 +20,16 @@
 // SqDist, which overwrites C) and adds its terms in reduction order (k
 // ascending for Gemm and SqDist, rows of A ascending for GemmTA and Syrk),
 // exactly as the plain triple loop does. Results are therefore independent
-// of the tiling, of which fringe path an element falls in, and of how
-// ParallelGemm splits the rows. GemmTA's matrix-vector path keeps that row
-// order too: it adds four rows per sweep, left to right, as four Axpy calls
-// would. Gemm's matrix-vector path is the one exception: it sums each row
-// with Dot. No term is skipped for a zero operand, so 0 × ±Inf gives NaN,
-// as in R.
+// of the tiling and of which fringe path an element falls in. GemmTA's
+// matrix-vector path keeps that row order too: it adds four rows per sweep,
+// left to right, as four Axpy calls would. Gemm's matrix-vector path (n = 1
+// with a contiguous B) sums each row as Dot does instead: from 0, adding
+// x[q]*y[q] + … + x[q+3]*y[q+3] per group of four, left to right, then
+// the tail one term at a time, and then adds that sum to C's element. It
+// runs four rows at once as four independent sums, and the rows left over
+// call Dot, so every row has Dot's bits. ParallelGemm runs Gemm on each row
+// range, so it gives Gemm's bits on both paths whatever the split. No term
+// is skipped for a zero operand, so 0 × ±Inf gives NaN, as in R.
 package blas
 
 import (
@@ -62,14 +66,48 @@ func Axpy(alpha float64, x, y []float64) {
 // row-major. It runs serially; use ParallelGemm to split across workers.
 func Gemm(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
 	if n == 1 && ldb == 1 {
-		// GEMV fast path: B is a contiguous column vector.
-		col := b[:k]
-		for i := 0; i < m; i++ {
-			c[i*ldc] += Dot(a[i*lda:i*lda+k], col)
+		// Matrix-vector: B is a contiguous column vector. Four rows at a
+		// time run as four independent chains sharing each load of the
+		// vector; a tail of fewer rows uses Dot.
+		x := b[:k:k]
+		i := 0
+		for ; i+4 <= m; i += 4 {
+			s0, s1, s2, s3 := dot4(a[i*lda:], a[(i+1)*lda:], a[(i+2)*lda:], a[(i+3)*lda:], x)
+			c[i*ldc] += s0
+			c[(i+1)*ldc] += s1
+			c[(i+2)*ldc] += s2
+			c[(i+3)*ldc] += s3
+		}
+		for ; i < m; i++ {
+			c[i*ldc] += Dot(a[i*lda:i*lda+k], x)
 		}
 		return
 	}
 	block(m, n, k, a, 1, lda, b, ldb, c, ldc)
+}
+
+// dot4 returns Dot(a0, x), Dot(a1, x), Dot(a2, x) and Dot(a3, x), each
+// summed in Dot's order, so each result has Dot's bits. The rows need only
+// be as long as x.
+func dot4(a0, a1, a2, a3, x []float64) (s0, s1, s2, s3 float64) {
+	n := len(x)
+	a0, a1, a2, a3 = a0[:n], a1[:n], a2[:n], a3[:n]
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		x := x[i : i+4 : i+4]
+		r0, r1, r2, r3 := a0[i:i+4:i+4], a1[i:i+4:i+4], a2[i:i+4:i+4], a3[i:i+4:i+4]
+		s0 += r0[0]*x[0] + r0[1]*x[1] + r0[2]*x[2] + r0[3]*x[3]
+		s1 += r1[0]*x[0] + r1[1]*x[1] + r1[2]*x[2] + r1[3]*x[3]
+		s2 += r2[0]*x[0] + r2[1]*x[1] + r2[2]*x[2] + r2[3]*x[3]
+		s3 += r3[0]*x[0] + r3[1]*x[1] + r3[2]*x[2] + r3[3]*x[3]
+	}
+	for ; i < n; i++ {
+		s0 += a0[i] * x[i]
+		s1 += a1[i] * x[i]
+		s2 += a2[i] * x[i]
+		s3 += a3[i] * x[i]
+	}
+	return s0, s1, s2, s3
 }
 
 // ParallelGemm computes C += A*B splitting rows of A/C across workers
@@ -96,7 +134,7 @@ func ParallelGemm(workers, m, n, k int, a []float64, lda int, b []float64, ldb i
 		wg.Add(1)
 		go func(r0, r1 int) {
 			defer wg.Done()
-			block(r1-r0, n, k, a[r0*lda:], 1, lda, b, ldb, c[r0*ldc:], ldc)
+			Gemm(r1-r0, n, k, a[r0*lda:], lda, b, ldb, c[r0*ldc:], ldc)
 		}(r0, r1)
 	}
 	wg.Wait()

@@ -130,11 +130,15 @@ func TestGemmMatchesNaive(t *testing.T) {
 	})
 }
 
-// TestParallelGemmMatchesSerial: every row split gives Gemm's bits.
+// TestParallelGemmMatchesSerial: every row split gives Gemm's bits, on the
+// matrix-vector path (n = 1, ldb = 1) as well as the tiled one.
 func TestParallelGemmMatchesSerial(t *testing.T) {
-	check(t, 20, func(rng *rand.Rand) error {
+	check(t, 30, func(rng *rand.Rand) error {
 		m, n, k := parallelMinRows+rng.Intn(200), 2+rng.Intn(90), shape(rng)
 		lda, ldb, ldc := lead(rng, k), lead(rng, n), lead(rng, n)
+		if rng.Intn(3) == 0 {
+			n, ldb, ldc = 1, 1, lead(rng, 1)
+		}
 		a, b := randSlice(rng, m*lda), randSlice(rng, k*ldb)
 		serial := randSlice(rng, m*ldc)
 		par := append([]float64(nil), serial...)
@@ -142,6 +146,48 @@ func TestParallelGemmMatchesSerial(t *testing.T) {
 		ParallelGemm(2+rng.Intn(6), m, n, k, a, lda, b, ldb, par, ldc)
 		return sameBits(par, serial)
 	})
+}
+
+// TestGemmMatrixVector: Gemm's matrix-vector path (n = 1, ldb = 1) gives
+// each row Dot's bits, c[i] += Dot(row i, x), for every row count around the
+// four-row group (m = 0…9), every Dot tail (k = 0…9) and the logistic width
+// (k = 40), over strided A and C, and with rows holding NaN, ±Inf and a
+// 0 × Inf term.
+func TestGemmMatrixVector(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	rng := rand.New(rand.NewSource(11))
+	for m := 0; m <= 9; m++ {
+		for _, k := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 40} {
+			for _, special := range []string{"finite", "NaN", "Inf", "-Inf", "0*Inf"} {
+				lda, ldc := lead(rng, k), lead(rng, 1)
+				a, x := randSlice(rng, m*lda), randSlice(rng, k)
+				if k > 0 {
+					for i := 0; i < m; i++ {
+						q := rng.Intn(k)
+						switch special {
+						case "NaN":
+							a[i*lda+q] = nan
+						case "Inf":
+							a[i*lda+q] = inf
+						case "-Inf":
+							a[i*lda+q] = -inf
+						case "0*Inf":
+							a[i*lda+q], x[q] = 0, inf
+						}
+					}
+				}
+				got := randSlice(rng, m*ldc)
+				want := append([]float64(nil), got...)
+				Gemm(m, 1, k, a, lda, x, 1, got, ldc)
+				for i := 0; i < m; i++ {
+					want[i*ldc] += Dot(a[i*lda:i*lda+k], x)
+				}
+				if err := sameBits(got, want); err != nil {
+					t.Fatalf("m=%d k=%d %s: %v", m, k, special, err)
+				}
+			}
+		}
+	}
 }
 
 // TestGemmTA: GemmTA is bit-identical to the row-ordered reference, over
@@ -325,7 +371,8 @@ func TestLevel1(t *testing.T) {
 // im_blas's 256-column matrix in 32-row chunks (64 KiB Pcache), the GMM and
 // k-means steps of im_chain on 32-column data in 256-row chunks, and its
 // logistic gradient on 40-column data in 204-row chunks. They report the
-// kernel's rate in GFLOP/s.
+// kernel's rate in GFLOP/s; the matrix-vector shape (logistic's X %*% w)
+// also reports ns per element of A.
 
 type benchShape struct {
 	name    string
@@ -346,11 +393,16 @@ func BenchmarkGemm(b *testing.B) {
 	for _, s := range []benchShape{
 		{"im_blas/m=32,k=256,n=64", 32, 64, 256},
 		{"gmm/m=256,k=32,n=32", 256, 32, 32},
+		{"logistic/m=204,k=40,n=1", 204, 1, 40},
 	} {
 		b.Run(s.name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			x, y, c := randSlice(rng, s.m*s.k), randSlice(rng, s.k*s.n), make([]float64, s.m*s.n)
 			benchKernel(b, 2*float64(s.m*s.n*s.k), func() { Gemm(s.m, s.n, s.k, x, s.k, y, s.n, c, s.n) })
+			if s.n == 1 {
+				// The matrix-vector product reads each element of A once.
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(s.m*s.k), "ns/elem")
+			}
 		})
 	}
 }

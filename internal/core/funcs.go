@@ -111,6 +111,11 @@ func sel(c bool) float64 { return math.Float64frombits(selBits(c)) }
 // and each chunk loop below calls it, inlined, so a kernel returns exactly
 // the bits of F. A comparison or ! with a NaN operand is 0, and & and | read
 // NaN as nonzero, where R gives NA, which has no double here.
+//
+// The loops whose body is a few instructions handle four elements per
+// iteration, then a tail one at a time: four independent results per trip,
+// and a loop whose speed barely depends on where the linker places it.
+// Division gains nothing from that and keeps one element per trip.
 func add(a, b float64) float64    { return a + b }
 func sub(a, b float64) float64    { return a - b }
 func mul(a, b float64) float64    { return a * b }
@@ -148,21 +153,36 @@ func sign(v float64) float64 {
 
 func addVV(dst, a, b []float64) {
 	a, b = a[:len(dst)], b[:len(dst)]
-	for i := range dst {
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		d, x, y := dst[i:i+4:i+4], a[i:i+4:i+4], b[i:i+4:i+4]
+		d[0], d[1], d[2], d[3] = add(x[0], y[0]), add(x[1], y[1]), add(x[2], y[2]), add(x[3], y[3])
+	}
+	for ; i < len(dst); i++ {
 		dst[i] = add(a[i], b[i])
 	}
 }
 
 func subVV(dst, a, b []float64) {
 	a, b = a[:len(dst)], b[:len(dst)]
-	for i := range dst {
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		d, x, y := dst[i:i+4:i+4], a[i:i+4:i+4], b[i:i+4:i+4]
+		d[0], d[1], d[2], d[3] = sub(x[0], y[0]), sub(x[1], y[1]), sub(x[2], y[2]), sub(x[3], y[3])
+	}
+	for ; i < len(dst); i++ {
 		dst[i] = sub(a[i], b[i])
 	}
 }
 
 func mulVV(dst, a, b []float64) {
 	a, b = a[:len(dst)], b[:len(dst)]
-	for i := range dst {
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		d, x, y := dst[i:i+4:i+4], a[i:i+4:i+4], b[i:i+4:i+4]
+		d[0], d[1], d[2], d[3] = mul(x[0], y[0]), mul(x[1], y[1]), mul(x[2], y[2]), mul(x[3], y[3])
+	}
+	for ; i < len(dst); i++ {
 		dst[i] = mul(a[i], b[i])
 	}
 }
@@ -176,84 +196,144 @@ func divVV(dst, a, b []float64) {
 
 func euclidVV(dst, a, b []float64) {
 	a, b = a[:len(dst)], b[:len(dst)]
-	for i := range dst {
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		d, x, y := dst[i:i+4:i+4], a[i:i+4:i+4], b[i:i+4:i+4]
+		d[0], d[1], d[2], d[3] = euclid(x[0], y[0]), euclid(x[1], y[1]), euclid(x[2], y[2]), euclid(x[3], y[3])
+	}
+	for ; i < len(dst); i++ {
 		dst[i] = euclid(a[i], b[i])
 	}
 }
 
 func eqVV(dst, a, b []float64) {
 	a, b = a[:len(dst)], b[:len(dst)]
-	for i := range dst {
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		d, x, y := dst[i:i+4:i+4], a[i:i+4:i+4], b[i:i+4:i+4]
+		d[0], d[1], d[2], d[3] = eq(x[0], y[0]), eq(x[1], y[1]), eq(x[2], y[2]), eq(x[3], y[3])
+	}
+	for ; i < len(dst); i++ {
 		dst[i] = eq(a[i], b[i])
 	}
 }
 
 func neVV(dst, a, b []float64) {
 	a, b = a[:len(dst)], b[:len(dst)]
-	for i := range dst {
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		d, x, y := dst[i:i+4:i+4], a[i:i+4:i+4], b[i:i+4:i+4]
+		d[0], d[1], d[2], d[3] = ne(x[0], y[0]), ne(x[1], y[1]), ne(x[2], y[2]), ne(x[3], y[3])
+	}
+	for ; i < len(dst); i++ {
 		dst[i] = ne(a[i], b[i])
 	}
 }
 
 func ltVV(dst, a, b []float64) {
 	a, b = a[:len(dst)], b[:len(dst)]
-	for i := range dst {
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		d, x, y := dst[i:i+4:i+4], a[i:i+4:i+4], b[i:i+4:i+4]
+		d[0], d[1], d[2], d[3] = lt(x[0], y[0]), lt(x[1], y[1]), lt(x[2], y[2]), lt(x[3], y[3])
+	}
+	for ; i < len(dst); i++ {
 		dst[i] = lt(a[i], b[i])
 	}
 }
 
 func leVV(dst, a, b []float64) {
 	a, b = a[:len(dst)], b[:len(dst)]
-	for i := range dst {
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		d, x, y := dst[i:i+4:i+4], a[i:i+4:i+4], b[i:i+4:i+4]
+		d[0], d[1], d[2], d[3] = le(x[0], y[0]), le(x[1], y[1]), le(x[2], y[2]), le(x[3], y[3])
+	}
+	for ; i < len(dst); i++ {
 		dst[i] = le(a[i], b[i])
 	}
 }
 
 func gtVV(dst, a, b []float64) {
 	a, b = a[:len(dst)], b[:len(dst)]
-	for i := range dst {
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		d, x, y := dst[i:i+4:i+4], a[i:i+4:i+4], b[i:i+4:i+4]
+		d[0], d[1], d[2], d[3] = gt(x[0], y[0]), gt(x[1], y[1]), gt(x[2], y[2]), gt(x[3], y[3])
+	}
+	for ; i < len(dst); i++ {
 		dst[i] = gt(a[i], b[i])
 	}
 }
 
 func geVV(dst, a, b []float64) {
 	a, b = a[:len(dst)], b[:len(dst)]
-	for i := range dst {
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		d, x, y := dst[i:i+4:i+4], a[i:i+4:i+4], b[i:i+4:i+4]
+		d[0], d[1], d[2], d[3] = ge(x[0], y[0]), ge(x[1], y[1]), ge(x[2], y[2]), ge(x[3], y[3])
+	}
+	for ; i < len(dst); i++ {
 		dst[i] = ge(a[i], b[i])
 	}
 }
 
 func andVV(dst, a, b []float64) {
 	a, b = a[:len(dst)], b[:len(dst)]
-	for i := range dst {
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		d, x, y := dst[i:i+4:i+4], a[i:i+4:i+4], b[i:i+4:i+4]
+		d[0], d[1], d[2], d[3] = and(x[0], y[0]), and(x[1], y[1]), and(x[2], y[2]), and(x[3], y[3])
+	}
+	for ; i < len(dst); i++ {
 		dst[i] = and(a[i], b[i])
 	}
 }
 
 func orVV(dst, a, b []float64) {
 	a, b = a[:len(dst)], b[:len(dst)]
-	for i := range dst {
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		d, x, y := dst[i:i+4:i+4], a[i:i+4:i+4], b[i:i+4:i+4]
+		d[0], d[1], d[2], d[3] = or(x[0], y[0]), or(x[1], y[1]), or(x[2], y[2]), or(x[3], y[3])
+	}
+	for ; i < len(dst); i++ {
 		dst[i] = or(a[i], b[i])
 	}
 }
 
 func addVS(dst, a []float64, s float64) {
 	a = a[:len(dst)]
-	for i := range dst {
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		d, x := dst[i:i+4:i+4], a[i:i+4:i+4]
+		d[0], d[1], d[2], d[3] = add(x[0], s), add(x[1], s), add(x[2], s), add(x[3], s)
+	}
+	for ; i < len(dst); i++ {
 		dst[i] = add(a[i], s)
 	}
 }
 
 func subVS(dst, a []float64, s float64) {
 	a = a[:len(dst)]
-	for i := range dst {
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		d, x := dst[i:i+4:i+4], a[i:i+4:i+4]
+		d[0], d[1], d[2], d[3] = sub(x[0], s), sub(x[1], s), sub(x[2], s), sub(x[3], s)
+	}
+	for ; i < len(dst); i++ {
 		dst[i] = sub(a[i], s)
 	}
 }
 
 func mulVS(dst, a []float64, s float64) {
 	a = a[:len(dst)]
-	for i := range dst {
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		d, x := dst[i:i+4:i+4], a[i:i+4:i+4]
+		d[0], d[1], d[2], d[3] = mul(x[0], s), mul(x[1], s), mul(x[2], s), mul(x[3], s)
+	}
+	for ; i < len(dst); i++ {
 		dst[i] = mul(a[i], s)
 	}
 }
@@ -267,84 +347,144 @@ func divVS(dst, a []float64, s float64) {
 
 func euclidVS(dst, a []float64, s float64) {
 	a = a[:len(dst)]
-	for i := range dst {
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		d, x := dst[i:i+4:i+4], a[i:i+4:i+4]
+		d[0], d[1], d[2], d[3] = euclid(x[0], s), euclid(x[1], s), euclid(x[2], s), euclid(x[3], s)
+	}
+	for ; i < len(dst); i++ {
 		dst[i] = euclid(a[i], s)
 	}
 }
 
 func eqVS(dst, a []float64, s float64) {
 	a = a[:len(dst)]
-	for i := range dst {
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		d, x := dst[i:i+4:i+4], a[i:i+4:i+4]
+		d[0], d[1], d[2], d[3] = eq(x[0], s), eq(x[1], s), eq(x[2], s), eq(x[3], s)
+	}
+	for ; i < len(dst); i++ {
 		dst[i] = eq(a[i], s)
 	}
 }
 
 func neVS(dst, a []float64, s float64) {
 	a = a[:len(dst)]
-	for i := range dst {
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		d, x := dst[i:i+4:i+4], a[i:i+4:i+4]
+		d[0], d[1], d[2], d[3] = ne(x[0], s), ne(x[1], s), ne(x[2], s), ne(x[3], s)
+	}
+	for ; i < len(dst); i++ {
 		dst[i] = ne(a[i], s)
 	}
 }
 
 func ltVS(dst, a []float64, s float64) {
 	a = a[:len(dst)]
-	for i := range dst {
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		d, x := dst[i:i+4:i+4], a[i:i+4:i+4]
+		d[0], d[1], d[2], d[3] = lt(x[0], s), lt(x[1], s), lt(x[2], s), lt(x[3], s)
+	}
+	for ; i < len(dst); i++ {
 		dst[i] = lt(a[i], s)
 	}
 }
 
 func leVS(dst, a []float64, s float64) {
 	a = a[:len(dst)]
-	for i := range dst {
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		d, x := dst[i:i+4:i+4], a[i:i+4:i+4]
+		d[0], d[1], d[2], d[3] = le(x[0], s), le(x[1], s), le(x[2], s), le(x[3], s)
+	}
+	for ; i < len(dst); i++ {
 		dst[i] = le(a[i], s)
 	}
 }
 
 func gtVS(dst, a []float64, s float64) {
 	a = a[:len(dst)]
-	for i := range dst {
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		d, x := dst[i:i+4:i+4], a[i:i+4:i+4]
+		d[0], d[1], d[2], d[3] = gt(x[0], s), gt(x[1], s), gt(x[2], s), gt(x[3], s)
+	}
+	for ; i < len(dst); i++ {
 		dst[i] = gt(a[i], s)
 	}
 }
 
 func geVS(dst, a []float64, s float64) {
 	a = a[:len(dst)]
-	for i := range dst {
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		d, x := dst[i:i+4:i+4], a[i:i+4:i+4]
+		d[0], d[1], d[2], d[3] = ge(x[0], s), ge(x[1], s), ge(x[2], s), ge(x[3], s)
+	}
+	for ; i < len(dst); i++ {
 		dst[i] = ge(a[i], s)
 	}
 }
 
 func andVS(dst, a []float64, s float64) {
 	a = a[:len(dst)]
-	for i := range dst {
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		d, x := dst[i:i+4:i+4], a[i:i+4:i+4]
+		d[0], d[1], d[2], d[3] = and(x[0], s), and(x[1], s), and(x[2], s), and(x[3], s)
+	}
+	for ; i < len(dst); i++ {
 		dst[i] = and(a[i], s)
 	}
 }
 
 func orVS(dst, a []float64, s float64) {
 	a = a[:len(dst)]
-	for i := range dst {
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		d, x := dst[i:i+4:i+4], a[i:i+4:i+4]
+		d[0], d[1], d[2], d[3] = or(x[0], s), or(x[1], s), or(x[2], s), or(x[3], s)
+	}
+	for ; i < len(dst); i++ {
 		dst[i] = or(a[i], s)
 	}
 }
 
 func addSV(dst []float64, s float64, b []float64) {
 	b = b[:len(dst)]
-	for i := range dst {
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		d, y := dst[i:i+4:i+4], b[i:i+4:i+4]
+		d[0], d[1], d[2], d[3] = add(s, y[0]), add(s, y[1]), add(s, y[2]), add(s, y[3])
+	}
+	for ; i < len(dst); i++ {
 		dst[i] = add(s, b[i])
 	}
 }
 
 func subSV(dst []float64, s float64, b []float64) {
 	b = b[:len(dst)]
-	for i := range dst {
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		d, y := dst[i:i+4:i+4], b[i:i+4:i+4]
+		d[0], d[1], d[2], d[3] = sub(s, y[0]), sub(s, y[1]), sub(s, y[2]), sub(s, y[3])
+	}
+	for ; i < len(dst); i++ {
 		dst[i] = sub(s, b[i])
 	}
 }
 
 func mulSV(dst []float64, s float64, b []float64) {
 	b = b[:len(dst)]
-	for i := range dst {
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		d, y := dst[i:i+4:i+4], b[i:i+4:i+4]
+		d[0], d[1], d[2], d[3] = mul(s, y[0]), mul(s, y[1]), mul(s, y[2]), mul(s, y[3])
+	}
+	for ; i < len(dst); i++ {
 		dst[i] = mul(s, b[i])
 	}
 }
@@ -358,7 +498,12 @@ func divSV(dst []float64, s float64, b []float64) {
 
 func euclidSV(dst []float64, s float64, b []float64) {
 	b = b[:len(dst)]
-	for i := range dst {
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		d, y := dst[i:i+4:i+4], b[i:i+4:i+4]
+		d[0], d[1], d[2], d[3] = euclid(s, y[0]), euclid(s, y[1]), euclid(s, y[2]), euclid(s, y[3])
+	}
+	for ; i < len(dst); i++ {
 		dst[i] = euclid(s, b[i])
 	}
 }
@@ -400,22 +545,37 @@ func log1pV(dst, src []float64) {
 
 func absV(dst, src []float64) {
 	dst = dst[:len(src)]
-	for i, v := range src {
-		dst[i] = math.Abs(v)
+	i := 0
+	for ; i+4 <= len(src); i += 4 {
+		d, x := dst[i:i+4:i+4], src[i:i+4:i+4]
+		d[0], d[1], d[2], d[3] = math.Abs(x[0]), math.Abs(x[1]), math.Abs(x[2]), math.Abs(x[3])
+	}
+	for ; i < len(src); i++ {
+		dst[i] = math.Abs(src[i])
 	}
 }
 
 func negV(dst, src []float64) {
 	dst = dst[:len(src)]
-	for i, v := range src {
-		dst[i] = neg(v)
+	i := 0
+	for ; i+4 <= len(src); i += 4 {
+		d, x := dst[i:i+4:i+4], src[i:i+4:i+4]
+		d[0], d[1], d[2], d[3] = neg(x[0]), neg(x[1]), neg(x[2]), neg(x[3])
+	}
+	for ; i < len(src); i++ {
+		dst[i] = neg(src[i])
 	}
 }
 
 func notV(dst, src []float64) {
 	dst = dst[:len(src)]
-	for i, v := range src {
-		dst[i] = not(v)
+	i := 0
+	for ; i+4 <= len(src); i += 4 {
+		d, x := dst[i:i+4:i+4], src[i:i+4:i+4]
+		d[0], d[1], d[2], d[3] = not(x[0]), not(x[1]), not(x[2]), not(x[3])
+	}
+	for ; i < len(src); i++ {
+		dst[i] = not(src[i])
 	}
 }
 
@@ -442,15 +602,25 @@ func roundV(dst, src []float64) {
 
 func signV(dst, src []float64) {
 	dst = dst[:len(src)]
-	for i, v := range src {
-		dst[i] = sign(v)
+	i := 0
+	for ; i+4 <= len(src); i += 4 {
+		d, x := dst[i:i+4:i+4], src[i:i+4:i+4]
+		d[0], d[1], d[2], d[3] = sign(x[0]), sign(x[1]), sign(x[2]), sign(x[3])
+	}
+	for ; i < len(src); i++ {
+		dst[i] = sign(src[i])
 	}
 }
 
 func squareV(dst, src []float64) {
 	dst = dst[:len(src)]
-	for i, v := range src {
-		dst[i] = square(v)
+	i := 0
+	for ; i+4 <= len(src); i += 4 {
+		d, x := dst[i:i+4:i+4], src[i:i+4:i+4]
+		d[0], d[1], d[2], d[3] = square(x[0]), square(x[1]), square(x[2]), square(x[3])
+	}
+	for ; i < len(src); i++ {
+		dst[i] = square(src[i])
 	}
 }
 

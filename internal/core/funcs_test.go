@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -137,6 +138,107 @@ func TestKernelsMatchScalar(t *testing.T) {
 	}
 }
 
+// TestComparisonLanesMatchScalar: every comparison and logical kernel,
+// which handle four elements per iteration, returns its F's bits in every
+// lane of the four-wide body and of the tail (lengths 0…9), with NaN, +0 or
+// −0 in that lane on either side and as the scalar operand.
+func TestComparisonLanesMatchScalar(t *testing.T) {
+	specials := []float64{math.NaN(), 0, math.Copysign(0, -1)}
+	ops := []*Binary{BinEq, BinNe, BinLt, BinLe, BinGt, BinGe, BinAnd, BinOr}
+	for n := 0; n <= 9; n++ {
+		base := make([]float64, n)
+		for i := range base {
+			base[i] = float64(i%3 - 1) // -1, 0, 1: equal, less and greater all occur
+		}
+		for lane := 0; lane < max(n, 1); lane++ {
+			for _, v := range specials {
+				a := append([]float64(nil), base...)
+				b := make([]float64, n)
+				for i := range b {
+					b[i] = float64((i+1)%3 - 1)
+				}
+				if n > 0 {
+					a[lane] = v
+				}
+				for _, f := range ops {
+					for _, pair := range [][2][]float64{{a, b}, {b, a}} {
+						x, y := pair[0], pair[1]
+						want, got := make([]float64, n), make([]float64, n)
+						for i := range want {
+							want[i] = f.F(x[i], y[i])
+						}
+						f.ApplyVV(got, x, y)
+						sameBits(t, fmt.Sprintf("%s VV n=%d lane=%d v=%v", f.Name, n, lane, v), got, want)
+					}
+					for _, sc := range append([]float64{0.5}, specials...) {
+						want, got := make([]float64, n), make([]float64, n)
+						for i := range want {
+							want[i] = f.F(a[i], sc)
+						}
+						f.ApplyVS(got, a, sc)
+						sameBits(t, fmt.Sprintf("%s VS n=%d lane=%d v=%v s=%v", f.Name, n, lane, v, sc), got, want)
+						for i := range want {
+							want[i] = f.F(sc, a[i])
+						}
+						f.ApplySV(got, sc, a)
+						sameBits(t, fmt.Sprintf("%s SV n=%d lane=%d v=%v s=%v", f.Name, n, lane, v, sc), got, want)
+					}
+				}
+				want, got := make([]float64, n), make([]float64, n)
+				for i := range want {
+					want[i] = UnaryNot.F(a[i])
+				}
+				UnaryNot.ApplyV(got, a)
+				sameBits(t, fmt.Sprintf("! n=%d lane=%d v=%v", n, lane, v), got, want)
+			}
+		}
+	}
+}
+
+// TestColSumFoldMatchesRowByRow: the colSums fold (SinkAggCol with AggSum),
+// which adds four rows per sweep, leaves every column with the bits of a
+// row-by-row loop, for every tail (cr = 1…9), at widths 1, 3 and 40, from a
+// partial already holding −0, ±Inf and NaN, over rows that meet Inf with
+// −Inf and add −0 to −0.
+func TestColSumFoldMatchesRowByRow(t *testing.T) {
+	pool := kernelPool()
+	negZero := math.Copysign(0, -1)
+	rng := rand.New(rand.NewSource(5))
+	for _, nc := range []int{1, 3, 40} {
+		for cr := 1; cr <= 9; cr++ {
+			in := make([]float64, cr*nc)
+			for i := range in {
+				switch rng.Intn(4) {
+				case 0:
+					in[i] = negZero
+				case 1:
+					in[i] = pool[rng.Intn(len(pool))]
+				default:
+					in[i] = rng.NormFloat64()
+				}
+			}
+			// Column 0 meets +Inf then −Inf.
+			if cr >= 2 {
+				in[0], in[nc] = math.Inf(1), math.Inf(-1)
+			}
+			acc := newSinkAcc(&ProgramSink{Kind: uint8(SinkAggCol), agg: AggSum, ncolA: nc, rows: 1, cols: nc})
+			for j := range acc.vec {
+				acc.vec[j] = []float64{negZero, negZero, 1.5, math.Inf(1), math.NaN()}[j%5]
+			}
+			want := append([]float64(nil), acc.vec...)
+			for r := 0; r < cr; r++ {
+				for j := 0; j < nc; j++ {
+					want[j] += in[r*nc+j]
+				}
+			}
+			if err := acc.fold(in, nil, cr); err != nil {
+				t.Fatal(err)
+			}
+			sameBits(t, fmt.Sprintf("colSums fold nc=%d cr=%d", nc, cr), acc.vec, want)
+		}
+	}
+}
+
 // TestKernelRSemantics pins the answers where the engine follows R, and the
 // one place it cannot: there is no logical NA, so a comparison or ! with a
 // NaN operand is 0, and & and | read NaN as nonzero.
@@ -219,11 +321,17 @@ func BenchmarkKernels(b *testing.B) {
 		}
 		run("agg"+label(name)+"/StepV", func() { kernelSink = f.StepV(f.Init, x) })
 	}
-	// The colSums sink fold over one chunk of a 32-column partition: the
-	// AggSum loop and the generic f.Step loop.
-	const ncol = 32
-	for _, f := range []*AggFunc{AggSum, AggMax} {
-		acc := newSinkAcc(&ProgramSink{Kind: uint8(SinkAggCol), agg: f, ncolA: ncol, rows: 1, cols: ncol})
-		run("colfold"+f.Name+"/fold", func() { _ = acc.fold(x, nil, n/ncol) })
+	// The colSums sink fold over one chunk of a 32-column partition (the
+	// k-means/GMM width) and of a 40-column one (the em_* width, 204 rows):
+	// the AggSum loop and the generic f.Step loop.
+	for _, ncol := range []int{32, 40} {
+		suffix := ""
+		if ncol != 32 {
+			suffix = "40"
+		}
+		for _, f := range []*AggFunc{AggSum, AggMax} {
+			acc := newSinkAcc(&ProgramSink{Kind: uint8(SinkAggCol), agg: f, ncolA: ncol, rows: 1, cols: ncol})
+			run("colfold"+f.Name+"/fold"+suffix, func() { _ = acc.fold(x, nil, n/ncol) })
+		}
 	}
 }

@@ -64,9 +64,22 @@ func (a *sinkAcc) fold(in, lab []float64, cr int) error {
 		// of a.vec per element.
 		vec := a.vec[:nc]
 		if s.agg == AggSum {
-			for r := 0; r < cr; r++ {
-				row := in[r*nc : (r+1)*nc]
-				row = row[:len(vec)]
+			// Four rows per sweep over vec: each column adds its four
+			// terms left to right, the same additions in the same order
+			// as four row-by-row sweeps, so the bits are those of the
+			// row-by-row loop, which runs the tail.
+			r := 0
+			for ; r+4 <= cr; r += 4 {
+				r0 := in[r*nc:][:len(vec)]
+				r1 := in[(r+1)*nc:][:len(vec)]
+				r2 := in[(r+2)*nc:][:len(vec)]
+				r3 := in[(r+3)*nc:][:len(vec)]
+				for j, v := range vec {
+					vec[j] = v + r0[j] + r1[j] + r2[j] + r3[j]
+				}
+			}
+			for ; r < cr; r++ {
+				row := in[r*nc:][:len(vec)]
 				for j, x := range row {
 					vec[j] += x
 				}

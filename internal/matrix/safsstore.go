@@ -137,6 +137,18 @@ func (s *SAFSStore) ReadPart(i int, dst []float64) error {
 	return s.file.ReadAtPass(asBytes(dst[:n]), s.PartOffset(i), s.pass)
 }
 
+// ReadRows reads len(dst)/NCol() whole rows starting at row r0 into dst.
+// Partitions are stored back to back, so any run of rows is one extent of
+// the file; a read that starts or ends inside a stripe still verifies the
+// whole stripe's checksum.
+func (s *SAFSStore) ReadRows(r0 int64, dst []float64) error {
+	n := int64(len(dst) / s.ncol)
+	if len(dst)%s.ncol != 0 || r0 < 0 || r0+n > s.nrow {
+		return fmt.Errorf("matrix: ReadRows %d+%d of %dx%d (buffer %d)", r0, n, s.nrow, s.ncol, len(dst))
+	}
+	return s.file.ReadAtPass(asBytes(dst), r0*int64(s.ncol)*8, s.pass)
+}
+
 // ReadPartAsync schedules an asynchronous read of partition i into dst and
 // reports completion on done with the given tag.
 func (s *SAFSStore) ReadPartAsync(i int, dst []float64, tag int, done chan<- safs.Request) error {

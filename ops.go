@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dense"
+	"repro/internal/matrix"
 )
 
 // Every operation in this file comes in two spellings: TryXxx returns
@@ -1025,22 +1026,41 @@ func GetRows(x *FM, idx []int64) (*dense.Dense, error) {
 		return nil, err
 	}
 	st := x.big.Store()
-	pr := st.PartRows()
+	pr, nc := st.PartRows(), int(c)
 	// Group requested rows by partition so each partition is read once.
 	byPart := map[int][]int{}
 	for o, i := range idx {
 		byPart[int(i)/pr] = append(byPart[int(i)/pr], o)
 	}
-	out := dense.New(len(idx), int(c))
-	buf := make([]float64, pr*int(c))
+	// A store on the array reads only the rows from the first to the last
+	// requested one of each partition; other stores read whole partitions.
+	ss, _ := core.UnwrapStore(st).(*matrix.SAFSStore)
+	out := dense.New(len(idx), nc)
+	var buf []float64
 	for p, outs := range byPart {
-		rows := int(min(int64(pr), r-int64(p)*int64(pr)))
-		if err := st.ReadPart(p, buf[:rows*int(c)]); err != nil {
+		lo, hi := p*pr, p*pr+int(min(int64(pr), r-int64(p)*int64(pr)))
+		if ss != nil {
+			lo, hi = int(idx[outs[0]]), int(idx[outs[0]])+1
+			for _, o := range outs[1:] {
+				lo, hi = min(lo, int(idx[o])), max(hi, int(idx[o])+1)
+			}
+		}
+		if n := (hi - lo) * nc; cap(buf) < n {
+			buf = make([]float64, n)
+		}
+		part := buf[:(hi-lo)*nc]
+		var err error
+		if ss != nil {
+			err = ss.ReadRows(int64(lo), part)
+		} else {
+			err = st.ReadPart(p, part)
+		}
+		if err != nil {
 			return nil, err
 		}
 		for _, o := range outs {
-			local := int(idx[o]) - p*pr
-			copy(out.Row(o), buf[local*int(c):(local+1)*int(c)])
+			local := int(idx[o]) - lo
+			copy(out.Row(o), part[local*nc:(local+1)*nc])
 		}
 	}
 	return out, nil

@@ -1,6 +1,7 @@
 package flashr
 
 import (
+	"context"
 	"errors"
 	"math"
 	"strings"
@@ -94,6 +95,32 @@ func TestGetRows(t *testing.T) {
 		if _, err := GetRows(x, []int64{1000}); err == nil {
 			t.Fatalf("%s: out-of-range row accepted", name)
 		}
+	}
+}
+
+// TestGetRowsReadsRequestedSpan: on the array, GetRows reads only the rows
+// from the first to the last requested one of each partition it touches,
+// not whole partitions.
+func TestGetRowsReadsRequestedSpan(t *testing.T) {
+	s := testSessions(t)["em"]
+	x, err := s.GenerateMat(1000, 3, func(i int64, j int) float64 { return float64(i)*10 + float64(j) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := x.MaterializeCtx(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	before := s.FS().Stats().BytesRead
+	// Partition 1 (rows 256…511) spans rows 300…302; partition 3 row 999.
+	got, err := GetRows(x, []int64{302, 999, 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if read, want := s.FS().Stats().BytesRead-before, int64((3+1)*3*8); read != want {
+		t.Fatalf("GetRows read %d bytes from the array, want %d", read, want)
+	}
+	if got.At(0, 0) != 3020 || got.At(1, 2) != 9992 || got.At(2, 1) != 3001 {
+		t.Fatalf("gathered rows wrong: %v", got.Data)
 	}
 }
 
