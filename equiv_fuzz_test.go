@@ -183,6 +183,8 @@ func runEquivProgram(t testing.TB, x *FM, progSeed int64) ([]uint64, []float64) 
 	// unifies. Sign keeps entries in {-1,0,1} so the p×p accumulations are
 	// exact whatever the partition order.
 	xp := CrossProd2(Sign(e1), Sign(e1b))
+	// A row grouping by labels in {0, 1, 2}.
+	gbr := GroupByRow(Round(e2), Add(Sign(GetCols(e1, []int{0})), 1.0), 3, "sum")
 	// A real-valued sum (float channel).
 	ff := Sum(Mul(e2, 0.3))
 
@@ -233,6 +235,46 @@ func runEquivProgram(t testing.TB, x *FM, progSeed int64) ([]uint64, []float64) 
 		t.Fatal(err)
 	}
 	add(xpd.Data...)
+	gbrd, err := gbr.AsDense()
+	if err != nil {
+		t.Fatal(err)
+	}
+	add(gbrd.Data...)
+	// The data-dependent sinks, each in a pass of its own: keys in
+	// sort.Float64s order (a rounded -0.4 gives the -0 key) with their
+	// counts and per-group sums. Every configuration splits the last rows
+	// into the same last task, so a merge that dropped earlier tasks would
+	// agree with itself across the grid: the counts must cover every
+	// element and the group sums add up to the column sums.
+	tk, tc, err := TableOf(Round(e1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	add(tk...)
+	var total int64
+	for _, c := range tc {
+		add(float64(c))
+		total += c
+	}
+	if n, p := x.Dim(); total != n*int64(p) {
+		t.Fatalf("table counts add up to %d, want %d", total, n*int64(p))
+	}
+	gk, gf, err := GroupBy(Round(e2), "sum")
+	if err != nil {
+		t.Fatal(err)
+	}
+	add(gk...)
+	add(gf...)
+	var gsum, csum float64
+	for _, v := range gf {
+		gsum += v
+	}
+	for _, v := range csv {
+		csum += v
+	}
+	if gsum != csum {
+		t.Fatalf("group sums add up to %v, column sums to %v", gsum, csum)
+	}
 	d1, err := e1.AsDense()
 	if err != nil {
 		t.Fatal(err)

@@ -45,12 +45,15 @@ const parallelMinRows = 128
 func Dot(x, y []float64) float64 {
 	var s float64
 	n := len(x)
+	y = y[:n]
 	i := 0
 	for ; i+4 <= n; i += 4 {
-		s += x[i]*y[i] + x[i+1]*y[i+1] + x[i+2]*y[i+2] + x[i+3]*y[i+3]
+		x, y := x[i:i+4:i+4], y[i:i+4:i+4]
+		s += x[0]*y[0] + x[1]*y[1] + x[2]*y[2] + x[3]*y[3]
 	}
-	for ; i < n; i++ {
-		s += x[i] * y[i]
+	x, y = x[i:], y[i:]
+	for j, v := range x {
+		s += v * y[j]
 	}
 	return s
 }

@@ -2,7 +2,7 @@ package core
 
 // The cross-materialize sub-DAG result cache. Keys are the structural
 // signatures of hashcons.go; values are either a shared tall store (refStore)
-// or a sink payload. Entries are inserted only after a pass runs to
+// or a sink partial. Entries are inserted only after a pass runs to
 // completion — a cancelled or failed pass inserts nothing — and are evicted
 // LRU under a byte budget, or explicitly when a dependency (a leaf at a
 // recorded content version) is mutated.
@@ -15,59 +15,21 @@ package core
 import (
 	"container/list"
 	"sync"
-
-	"repro/internal/dense"
 )
 
 // DefaultResultCacheBytes is the result-cache budget when
 // Config.ResultCacheBytes is zero.
 const DefaultResultCacheBytes int64 = 256 << 20
 
-// sinkPayload snapshots a sink's published result for caching. Payloads are
-// cloned on insert and on hit so user code mutating a returned dense can
-// never corrupt the cached copy.
-type sinkPayload struct {
-	result *dense.Dense
-	keys   []float64
-	counts []int64
-	folds  []float64
-}
-
-func (p *sinkPayload) clone() *sinkPayload {
-	if p == nil {
-		return nil
-	}
-	q := &sinkPayload{}
-	if p.result != nil {
-		q.result = p.result.Clone()
-	}
-	q.keys = append([]float64(nil), p.keys...)
-	q.counts = append([]int64(nil), p.counts...)
-	q.folds = append([]float64(nil), p.folds...)
-	return q
-}
-
-func (p *sinkPayload) sizeBytes() int64 {
-	var n int64
-	if p.result != nil {
-		n += int64(len(p.result.Data)) * 8
-	}
-	n += int64(len(p.keys))*8 + int64(len(p.counts))*8 + int64(len(p.folds))*8
-	if n == 0 {
-		n = 8
-	}
-	return n
-}
-
 type cacheEntry struct {
 	key   string
 	epoch uint64
 	// Tall results hold a retained reference on a shared store; sink results
-	// hold a payload snapshot. Exactly one is set.
+	// hold a clone of the sink's partial. Exactly one is set.
 	store *refStore
 	nrow  int64
 	ncol  int
-	sink  *sinkPayload
+	sink  *SinkPartial
 	deps  []uint64
 	bytes int64
 	elem  *list.Element
@@ -92,69 +54,70 @@ func newResultCache(maxBytes int64) *resultCache {
 	}
 }
 
+// hitLocked returns key's entry if it is of this epoch, marking it used.
+func (c *resultCache) hitLocked(epoch uint64, key string) *cacheEntry {
+	e := c.entries[key]
+	if e == nil || e.epoch != epoch {
+		return nil
+	}
+	c.lru.MoveToFront(e.elem)
+	return e
+}
+
 // lookupTall returns a retained shared store for key, or ok=false. The shape
 // check is defensive: signatures encode shape, so a mismatch means a key bug
 // and must read as a miss, never as wrong data.
 func (c *resultCache) lookupTall(epoch uint64, key string, nrow int64, ncol int) (*refStore, int64, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e := c.entries[key]
-	if e == nil || e.epoch != epoch || e.store == nil || e.nrow != nrow || e.ncol != ncol {
+	e := c.hitLocked(epoch, key)
+	if e == nil || e.store == nil || e.nrow != nrow || e.ncol != ncol {
 		return nil, 0, false
 	}
-	c.lru.MoveToFront(e.elem)
 	e.store.retain()
 	return e.store, e.bytes, true
 }
 
-// lookupSink returns a clone of the cached sink payload for key.
-func (c *resultCache) lookupSink(epoch uint64, key string) (*sinkPayload, int64, bool) {
+// lookupSink returns a clone of the cached sink partial for key.
+func (c *resultCache) lookupSink(epoch uint64, key string) (*SinkPartial, int64, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e := c.entries[key]
-	if e == nil || e.epoch != epoch || e.sink == nil {
+	e := c.hitLocked(epoch, key)
+	if e == nil || e.sink == nil {
 		return nil, 0, false
 	}
-	c.lru.MoveToFront(e.elem)
 	return e.sink.clone(), e.bytes, true
 }
 
 // insertTall caches a materialized tall result, retaining one reference on
-// its store. Returns the number of LRU evictions the insert forced.
+// its store.
 func (c *resultCache) insertTall(epoch uint64, key string, st *refStore, nrow int64, ncol int, deps []uint64) int {
-	bytes := nrow * int64(ncol) * 8
-	if bytes > c.maxBytes {
-		return 0 // larger than the whole budget: never cacheable
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e := c.entries[key]; e != nil && e.epoch == epoch {
-		c.lru.MoveToFront(e.elem)
-		return 0
-	}
-	st.retain()
-	e := &cacheEntry{key: key, epoch: epoch, store: st, nrow: nrow, ncol: ncol, deps: deps, bytes: bytes}
-	c.addLocked(e)
-	return c.evictOverLocked()
+	return c.insert(&cacheEntry{key: key, epoch: epoch, store: st, nrow: nrow, ncol: ncol, deps: deps, bytes: nrow * int64(ncol) * 8})
 }
 
-// insertSink caches a sink payload snapshot (ownership of pl transfers to
-// the cache; callers pass a clone).
-func (c *resultCache) insertSink(epoch uint64, key string, pl *sinkPayload, deps []uint64) int {
-	if pl == nil {
+// insertSink caches a sink partial (ownership of p transfers to the cache;
+// callers pass a clone).
+func (c *resultCache) insertSink(epoch uint64, key string, p *SinkPartial, deps []uint64) int {
+	if p == nil {
 		return 0
 	}
-	bytes := pl.sizeBytes()
-	if bytes > c.maxBytes {
+	return c.insert(&cacheEntry{key: key, epoch: epoch, sink: p, deps: deps, bytes: p.sizeBytes()})
+}
+
+// insert adds e, unless it exceeds the whole budget or its key holds an
+// entry of this epoch, and returns the number of LRU evictions it forced.
+func (c *resultCache) insert(e *cacheEntry) int {
+	if e.bytes > c.maxBytes {
 		return 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e := c.entries[key]; e != nil && e.epoch == epoch {
-		c.lru.MoveToFront(e.elem)
+	if c.hitLocked(e.epoch, e.key) != nil {
 		return 0
 	}
-	e := &cacheEntry{key: key, epoch: epoch, sink: pl, deps: deps, bytes: bytes}
+	if e.store != nil {
+		e.store.retain()
+	}
 	c.addLocked(e)
 	return c.evictOverLocked()
 }

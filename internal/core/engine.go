@@ -502,7 +502,7 @@ func (e *Engine) passBytes(leafCols, tallCols int64) int64 {
 // can, executes the remaining DAG, and (only on a fully successful pass)
 // inserts the fresh results into the result cache. The plan phase (intern
 // table, cache lookups, DAG construction) and the publication phase (cache
-// inserts, duplicate-sink payloads) run under planMu; only the execution
+// inserts, duplicate-sink partials) run under planMu; only the execution
 // phase between them overlaps with other passes.
 func (e *Engine) materialize(ctx context.Context, mt []*Mat, sk []*Sink, ms *MaterializeStats, opts PassOptions, pr passRun) error {
 	lookupSp := pr.pt.rootBuf().Begin(trace.KindCacheLookup, pr.id)
@@ -522,7 +522,7 @@ func (e *Engine) materialize(ctx context.Context, mt []*Mat, sk []*Sink, ms *Mat
 	}
 	// Serve whole sinks from the result cache, and unify structurally
 	// identical sinks within the pass: the canonical one computes, each
-	// duplicate receives a copy of its payload after the pass.
+	// duplicate receives a clone of its partial after the pass.
 	var dupSinks [][2]*Sink
 	if sc != nil {
 		canon := make(map[uint64]*Sink)
@@ -530,8 +530,8 @@ func (e *Engine) materialize(ctx context.Context, mt []*Mat, sk []*Sink, ms *Mat
 		for _, s := range sk {
 			kid := sc.sinkID(s)
 			if e.rcache != nil {
-				if pl, n, ok := e.rcache.lookupSink(sc.epoch, sc.sinkKey(s)); ok {
-					s.publishPayload(pl)
+				if p, n, ok := e.rcache.lookupSink(sc.epoch, sc.sinkKey(s)); ok {
+					s.PublishRaw(p)
 					ms.CacheHits++
 					ms.CacheHitBytes += n
 					continue
@@ -614,7 +614,7 @@ func (e *Engine) materialize(ctx context.Context, mt []*Mat, sk []*Sink, ms *Mat
 		e.insertResults(d, sc, ms)
 	}
 	for _, pair := range dupSinks {
-		pair[0].publishPayload(pair[1].payload())
+		pair[0].PublishRaw(pair[1].held().clone())
 	}
 	e.planMu.Unlock()
 	pr.pt.rootBuf().End(pubSp)
@@ -653,7 +653,7 @@ func (e *Engine) execute(ctx context.Context, b *binding, ms *MaterializeStats, 
 }
 
 // insertResults records a successful pass's tall-target stores and sink
-// payloads in the result cache under their pre-pass structural keys.
+// partials in the result cache under their pre-pass structural keys.
 func (e *Engine) insertResults(d *dag, sc *sigCtx, ms *MaterializeStats) {
 	for _, m := range d.talls {
 		key, ok := sc.keys[m]
@@ -677,7 +677,7 @@ func (e *Engine) insertResults(d *dag, sc *sigCtx, ms *MaterializeStats) {
 		if !ok {
 			continue
 		}
-		ms.CacheEvictions += int64(e.rcache.insertSink(sc.epoch, key, s.payload(), sc.sinkDepsOf(s)))
+		ms.CacheEvictions += int64(e.rcache.insertSink(sc.epoch, key, s.held().clone(), sc.sinkDepsOf(s)))
 	}
 }
 

@@ -70,14 +70,15 @@ type runState struct {
 	prefAbandoned atomic.Int64
 
 	// Deterministic sink reduction: each task folds into its own accumulator
-	// set and commits it when the task's last partition finishes; commits
-	// merge into global strictly in task-index order, so floating-point sink
-	// results do not depend on which worker won the race for which task.
+	// set and commits its partials when the task's last partition finishes;
+	// commits merge into global strictly in task-index order, so
+	// floating-point sink results do not depend on which worker won the race
+	// for which task.
 	// mergeQueue buffers out-of-order commits (normally at most one per
 	// worker; more only under heavy task skew) until their turn.
 	mergeMu    sync.Mutex
 	mergeNext  int
-	mergeQueue map[int][]*sinkAcc
+	mergeQueue map[int][]*SinkPartial
 	global     []*sinkAcc
 
 	errMu  sync.Mutex
@@ -147,7 +148,7 @@ func (e *Engine) runFused(ctx context.Context, b *binding, fuse FuseLevel, ms *M
 		rs.cum = newCumCoord(p, b.seeds, rs.nparts)
 	}
 	rs.tasks = buildTasks(rs.nparts, e.cfg.SuperParts, e.cfg.Workers)
-	rs.mergeQueue = make(map[int][]*sinkAcc)
+	rs.mergeQueue = make(map[int][]*SinkPartial)
 	rs.global = rs.newTaskAccs()
 	if len(p.Talls) > 0 {
 		// A failed write aborts the pass right away rather than at the
@@ -264,7 +265,7 @@ func (e *Engine) runFused(ctx context.Context, b *binding, fuse FuseLevel, ms *M
 	}
 	res := &ProgramResult{Talls: rs.outStores}
 	for _, acc := range rs.global {
-		res.Partials = append(res.Partials, acc.partial())
+		res.Partials = append(res.Partials, acc.snapshot(true))
 	}
 	if rs.cum != nil {
 		res.Carries = rs.cum.exits()
@@ -341,8 +342,8 @@ type worker struct {
 	// outBufs holds the current partition's tall-output buffers until they
 	// are handed to the write-behind queue.
 	outBufs [][]float64
-	// sinks is the accumulator set of the task currently being processed;
-	// swapped per task and handed to commitTask for the ordered merge.
+	// sinks is the accumulator set of the task currently being processed,
+	// made fresh per task; its partials go to commitTask.
 	sinks []*sinkAcc
 	// cumRun[i] is cum.col instruction i's running column accumulator for
 	// the partition currently being processed.
@@ -397,18 +398,18 @@ func (rs *runState) newTaskAccs() []*sinkAcc {
 // queued under the task index, then merged into rs.global together with any
 // consecutive successors already waiting. Only the commit under mergeMu
 // touches rs.global, so the merge order is exactly task order.
-func (rs *runState) commitTask(t int, accs []*sinkAcc) {
+func (rs *runState) commitTask(t int, parts []*SinkPartial) {
 	rs.mergeMu.Lock()
 	defer rs.mergeMu.Unlock()
-	rs.mergeQueue[t] = accs
+	rs.mergeQueue[t] = parts
 	for {
 		q, ok := rs.mergeQueue[rs.mergeNext]
 		if !ok {
 			return
 		}
 		delete(rs.mergeQueue, rs.mergeNext)
-		for si := range rs.global {
-			rs.global[si].merge(q[si])
+		for si, acc := range rs.global {
+			acc.merge(q[si])
 		}
 		rs.mergeNext++
 	}
@@ -516,7 +517,11 @@ func (w *worker) runTask(t int) (next int) {
 			return -1
 		}
 	}
-	w.rs.commitTask(t, w.sinks)
+	parts := make([]*SinkPartial, len(w.sinks))
+	for i, a := range w.sinks {
+		parts[i] = a.snapshot(false) // outside mergeMu
+	}
+	w.rs.commitTask(t, parts)
 	return next
 }
 

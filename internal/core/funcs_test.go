@@ -222,10 +222,10 @@ func TestColSumFoldMatchesRowByRow(t *testing.T) {
 				in[0], in[nc] = math.Inf(1), math.Inf(-1)
 			}
 			acc := newSinkAcc(&ProgramSink{Kind: uint8(SinkAggCol), agg: AggSum, ncolA: nc, rows: 1, cols: nc})
-			for j := range acc.vec {
-				acc.vec[j] = []float64{negZero, negZero, 1.5, math.Inf(1), math.NaN()}[j%5]
+			for j := range acc.Data {
+				acc.Data[j] = []float64{negZero, negZero, 1.5, math.Inf(1), math.NaN()}[j%5]
 			}
-			want := append([]float64(nil), acc.vec...)
+			want := append([]float64(nil), acc.Data...)
 			for r := 0; r < cr; r++ {
 				for j := 0; j < nc; j++ {
 					want[j] += in[r*nc+j]
@@ -234,7 +234,7 @@ func TestColSumFoldMatchesRowByRow(t *testing.T) {
 			if err := acc.fold(in, nil, cr); err != nil {
 				t.Fatal(err)
 			}
-			sameBits(t, fmt.Sprintf("colSums fold nc=%d cr=%d", nc, cr), acc.vec, want)
+			sameBits(t, fmt.Sprintf("colSums fold nc=%d cr=%d", nc, cr), acc.Data, want)
 		}
 	}
 }

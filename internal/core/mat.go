@@ -459,12 +459,8 @@ type Sink struct {
 
 	rows, cols int
 
-	mu     sync.Mutex
-	done   bool
-	result *dense.Dense
-	keys   []float64 // SinkTable/SinkGroupByVal: sorted distinct values
-	counts []int64   // SinkTable: matching counts
-	folds  []float64 // SinkGroupByVal: per-group folded values
+	mu   sync.Mutex
+	part *SinkPartial // the published result; nil until then
 }
 
 // Kind returns the sink's GenOp kind.
@@ -477,57 +473,19 @@ func (s *Sink) Input() *Mat { return s.a }
 // SinkTable, whose size is data-dependent).
 func (s *Sink) Shape() (rows, cols int) { return s.rows, s.cols }
 
-// Done reports whether the sink has been materialized.
-func (s *Sink) Done() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.done
-}
-
-// Result returns the materialized result; it panics if the sink has not
-// been materialized (callers go through Engine.Materialize or the public
-// API, which materializes on demand).
-func (s *Sink) Result() *dense.Dense {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.done {
-		panic("core: sink not materialized")
-	}
-	return s.result
-}
-
-// TableResult returns the sorted distinct values and their counts for a
-// SinkTable.
-func (s *Sink) TableResult() (keys []float64, counts []int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.done {
-		panic("core: sink not materialized")
-	}
-	return s.keys, s.counts
-}
-
 var sinkIDs atomic.Uint64
 
-func newSink(kind SinkKind, rows, cols int) *Sink {
-	return &Sink{id: sinkIDs.Add(1), kind: kind, rows: rows, cols: cols}
+func newSink(kind SinkKind, rows, cols int, a *Mat, f *AggFunc) *Sink {
+	return &Sink{id: sinkIDs.Add(1), kind: kind, rows: rows, cols: cols, a: a, agg: f}
 }
 
 // Agg builds the full-matrix aggregation sink: a scalar f-fold over every
 // element.
-func Agg(a *Mat, f *AggFunc) *Sink {
-	s := newSink(SinkAgg, 1, 1)
-	s.a, s.agg = a, f
-	return s
-}
+func Agg(a *Mat, f *AggFunc) *Sink { return newSink(SinkAgg, 1, 1, a, f) }
 
 // AggCol builds the per-column aggregation sink (1×p): C[j] = f over column
 // j across all rows.
-func AggCol(a *Mat, f *AggFunc) *Sink {
-	s := newSink(SinkAggCol, 1, a.ncol)
-	s.a, s.agg = a, f
-	return s
-}
+func AggCol(a *Mat, f *AggFunc) *Sink { return newSink(SinkAggCol, 1, a.ncol, a, f) }
 
 // GroupByRow builds the row-grouping sink (k×p): rows of a are grouped by
 // the n×1 label matrix (values in [0,k)) and aggregated per column.
@@ -535,8 +493,8 @@ func GroupByRow(a, labels *Mat, k int, f *AggFunc) *Sink {
 	if labels.ncol != 1 || labels.nrow != a.nrow {
 		panic(fmt.Sprintf("core: groupby.row labels are %dx%d, want %dx1", labels.nrow, labels.ncol, a.nrow))
 	}
-	s := newSink(SinkGroupByRow, k, a.ncol)
-	s.a, s.b, s.k, s.agg = a, labels, k, f
+	s := newSink(SinkGroupByRow, k, a.ncol, a, f)
+	s.b, s.k = labels, k
 	return s
 }
 
@@ -547,35 +505,16 @@ func CrossProd(a, b *Mat, f1, f2 *Binary) *Sink {
 	if a.nrow != b.nrow {
 		panic(fmt.Sprintf("core: crossprod row mismatch %d vs %d", a.nrow, b.nrow))
 	}
-	s := newSink(SinkCrossProd, a.ncol, b.ncol)
-	s.a, s.b, s.f1, s.f2 = a, b, f1, f2
+	s := newSink(SinkCrossProd, a.ncol, b.ncol, a, nil)
+	s.b, s.f1, s.f2 = b, f1, f2
 	return s
 }
 
 // Table builds the value-histogram sink (R's table/unique). Its output size
 // depends on the data, so the paper materializes it immediately; the public
 // API does the same.
-func Table(a *Mat) *Sink {
-	s := newSink(SinkTable, 0, 0)
-	s.a = a
-	return s
-}
+func Table(a *Mat) *Sink { return newSink(SinkTable, 0, 0, a, nil) }
 
 // GroupByVal builds the generalized element groupby sink: elements grouped
 // by value, each group folded with f (groupby(A, f) in Table 1).
-func GroupByVal(a *Mat, f *AggFunc) *Sink {
-	s := newSink(SinkGroupByVal, 0, 0)
-	s.a, s.agg = a, f
-	return s
-}
-
-// GroupByValResult returns the sorted distinct values and the per-group
-// folds for a SinkGroupByVal.
-func (s *Sink) GroupByValResult() (keys, folds []float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.done {
-		panic("core: sink not materialized")
-	}
-	return s.keys, s.folds
-}
+func GroupByVal(a *Mat, f *AggFunc) *Sink { return newSink(SinkGroupByVal, 0, 0, a, f) }

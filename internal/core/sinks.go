@@ -1,46 +1,104 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/blas"
+	"repro/internal/dense"
 )
 
-// sinkAcc is one worker's partial state for a sink GenOp. Per §3.3 (g,h,i),
-// each thread folds into a local buffer and the engine combines the partials
-// once the pass completes.
+// sinkAcc is one task's fold state for a sink GenOp, and the running merge
+// of a pass's or the shards' partials. Per §3.3 (g,h,i), each thread folds
+// into a local buffer; the task then snapshots it to a SinkPartial, and
+// partials are what the engine merges. The fixed-shape kinds fold straight
+// into the embedded partial's Data.
 type sinkAcc struct {
+	SinkPartial
 	s     *ProgramSink
-	used  bool
-	acc   float64             // SinkAgg
-	vec   []float64           // SinkAggCol (p) / SinkGroupByRow (k*p) / SinkCrossProd (pa*pb)
-	table map[float64]int64   // SinkTable
-	byVal map[float64]float64 // SinkGroupByVal
+	table keyedVals[int64]   // SinkTable
+	byVal keyedVals[float64] // SinkGroupByVal
+}
+
+// keyedVals is a keyed sink's value per distinct key. NaN is held outside
+// the map, where every NaN would be a fresh key: nan says some row held one,
+// nanKey is the last seen (as a map keeps the last of equal keys) and nanVal
+// is its count or fold.
+type keyedVals[V int64 | float64] struct {
+	m      map[float64]V
+	nan    bool
+	nanKey float64
+	nanVal V
+}
+
+// merge adds keys with their values, combining a key already held as
+// both(held, new). The new key's bits stay, as a map assignment keeps them,
+// so a zero key keeps the sign of the last zero merged.
+func (kv *keyedVals[V]) merge(keys []float64, vals []V, both func(a, b V) V) {
+	for i, k := range keys {
+		v := vals[i]
+		if k != k {
+			if kv.nan {
+				v = both(kv.nanVal, v)
+			}
+			kv.nan, kv.nanKey, kv.nanVal = true, k, v
+			continue
+		}
+		if held, ok := kv.m[k]; ok {
+			v = both(held, v)
+		}
+		kv.m[k] = v
+	}
+}
+
+// pairs lists the keys with their values: in sort.Float64s order (NaN
+// first, as cmp.Compare puts it) when sorted, else in map order. The pairs
+// are sorted together, so no key is looked up again.
+func (kv *keyedVals[V]) pairs(sorted bool) ([]float64, []V) {
+	type pair struct {
+		k float64
+		v V
+	}
+	ps := make([]pair, 0, len(kv.m)+1)
+	if kv.nan {
+		ps = append(ps, pair{kv.nanKey, kv.nanVal})
+	}
+	for k, v := range kv.m {
+		ps = append(ps, pair{k, v})
+	}
+	if sorted {
+		slices.SortFunc(ps, func(a, b pair) int { return cmp.Compare(a.k, b.k) })
+	}
+	keys, vals := make([]float64, len(ps)), make([]V, len(ps))
+	for i, p := range ps {
+		keys[i], vals[i] = p.k, p.v
+	}
+	return keys, vals
 }
 
 func newSinkAcc(s *ProgramSink) *sinkAcc {
-	a := &sinkAcc{s: s}
+	a := &sinkAcc{s: s, SinkPartial: SinkPartial{R: s.rows, C: s.cols}}
 	switch SinkKind(s.Kind) {
-	case SinkAgg:
-		a.acc = s.agg.Init
-	case SinkAggCol, SinkGroupByRow:
-		a.vec = make([]float64, s.rows*s.cols)
-		for i := range a.vec {
-			a.vec[i] = s.agg.Init
+	case SinkAgg, SinkAggCol, SinkGroupByRow:
+		a.Data = make([]float64, s.rows*s.cols)
+		for i := range a.Data {
+			a.Data[i] = s.agg.Init
 		}
 	case SinkCrossProd:
-		a.vec = make([]float64, s.rows*s.cols)
+		a.Data = make([]float64, s.rows*s.cols)
 		if s.f1 != nil {
 			init := aggInitFor(s.f2)
-			for i := range a.vec {
-				a.vec[i] = init
+			for i := range a.Data {
+				a.Data[i] = init
 			}
 		}
 	case SinkTable:
-		a.table = make(map[float64]int64)
+		a.table.m = make(map[float64]int64)
 	case SinkGroupByVal:
-		a.byVal = make(map[float64]float64)
+		a.byVal.m = make(map[float64]float64)
+		a.byVal.nanVal = s.agg.Init
 	default:
 		panic(fmt.Sprintf("core: accumulator for unresolved sink kind %d", s.Kind))
 	}
@@ -52,17 +110,17 @@ func newSinkAcc(s *ProgramSink) *sinkAcc {
 // one-input kinds).
 func (a *sinkAcc) fold(in, lab []float64, cr int) error {
 	s := a.s
-	a.used = true
+	a.Used = true
 	nc := s.ncolA
 	switch SinkKind(s.Kind) {
 	case SinkAgg:
-		a.acc = s.agg.StepV(a.acc, in[:cr*nc])
+		a.Data[0] = s.agg.StepV(a.Data[0], in[:cr*nc])
 
 	case SinkAggCol:
 		// vec is hoisted out of the receiver and each row re-sliced to its
 		// length, so the inner loop runs without a bounds check or a reload
-		// of a.vec per element.
-		vec := a.vec[:nc]
+		// of a.Data per element.
+		vec := a.Data[:nc]
 		if s.agg == AggSum {
 			// Four rows per sweep over vec: each column adds its four
 			// terms left to right, the same additions in the same order
@@ -87,8 +145,7 @@ func (a *sinkAcc) fold(in, lab []float64, cr int) error {
 		} else {
 			f := s.agg
 			for r := 0; r < cr; r++ {
-				row := in[r*nc : (r+1)*nc]
-				row = row[:len(vec)]
+				row := in[r*nc:][:len(vec)]
 				for j, x := range row {
 					vec[j] = f.Step(vec[j], x)
 				}
@@ -111,7 +168,7 @@ func (a *sinkAcc) fold(in, lab []float64, cr int) error {
 			for r := 0; r < cr; r++ {
 				g := int(lab[r])
 				row := in[r*nc : (r+1)*nc]
-				grow := a.vec[g*nc : (g+1)*nc]
+				grow := a.Data[g*nc : (g+1)*nc]
 				for j, x := range row {
 					grow[j] += x
 				}
@@ -121,7 +178,7 @@ func (a *sinkAcc) fold(in, lab []float64, cr int) error {
 			for r := 0; r < cr; r++ {
 				g := int(lab[r])
 				row := in[r*nc : (r+1)*nc]
-				grow := a.vec[g*nc : (g+1)*nc]
+				grow := a.Data[g*nc : (g+1)*nc]
 				for j, x := range row {
 					grow[j] = f.Step(grow[j], x)
 				}
@@ -134,17 +191,17 @@ func (a *sinkAcc) fold(in, lab []float64, cr int) error {
 		case s.sym:
 			// Symmetric Gramian t(A)%*%A: rank-k update on the upper
 			// triangle only (BLAS dsyrk — what R's crossprod calls);
-			// mirrored once in partial.
-			blas.Syrk(cr, pa, in, pa, a.vec, pa)
+			// mirrored once, in the final snapshot.
+			blas.Syrk(cr, pa, in, pa, a.Data, pa)
 		case s.f1 == nil:
-			blas.GemmTA(cr, pb, pa, in, pa, lab, pb, a.vec, pb)
+			blas.GemmTA(cr, pb, pa, in, pa, lab, pb, a.Data, pb)
 		default:
 			f1, f2 := s.f1.F, s.f2.F
 			for r := 0; r < cr; r++ {
 				arow := in[r*pa : (r+1)*pa]
 				brow := lab[r*pb : (r+1)*pb]
 				for i, av := range arow {
-					crow := a.vec[i*pb : (i+1)*pb]
+					crow := a.Data[i*pb : (i+1)*pb]
 					for j, bv := range brow {
 						crow[j] = f2(f1(av, bv), crow[j])
 					}
@@ -153,138 +210,231 @@ func (a *sinkAcc) fold(in, lab []float64, cr int) error {
 		}
 
 	case SinkTable:
+		kv := &a.table
 		for _, v := range in[:cr*nc] {
-			a.table[v]++
+			if v != v {
+				kv.nan, kv.nanKey, kv.nanVal = true, v, kv.nanVal+1
+				continue
+			}
+			kv.m[v]++
 		}
 
 	case SinkGroupByVal:
-		f := s.agg
+		kv, f := &a.byVal, s.agg
 		for _, v := range in[:cr*nc] {
-			acc, ok := a.byVal[v]
+			if v != v {
+				kv.nan, kv.nanKey, kv.nanVal = true, v, f.Step(kv.nanVal, v)
+				continue
+			}
+			acc, ok := kv.m[v]
 			if !ok {
 				acc = f.Init
 			}
-			a.byVal[v] = f.Step(acc, v)
+			kv.m[v] = f.Step(acc, v)
 		}
 	}
 	return nil
 }
 
-// merge combines another worker's partial into this one.
-func (a *sinkAcc) merge(o *sinkAcc) {
-	if !o.used {
-		return
-	}
-	s := a.s
-	switch SinkKind(s.Kind) {
-	case SinkAgg:
-		if a.used {
-			a.acc = s.agg.Combine(a.acc, o.acc)
-		} else {
-			a.acc = o.acc
-		}
-	case SinkAggCol, SinkGroupByRow:
-		if a.used {
-			for i := range a.vec {
-				a.vec[i] = s.agg.Combine(a.vec[i], o.vec[i])
-			}
-		} else {
-			copy(a.vec, o.vec)
-		}
+// snapshot returns the accumulator's partial once its last chunk is folded
+// or its last partial merged; it lists the keyed kinds' keys with their
+// counts or folds. A task's snapshot lists them in map order and leaves a
+// symmetric crossprod's lower triangle at zero, as merge needs neither. A
+// final one, what a pass or the coordinator publishes, mirrors the
+// crossprod, sorts the keys and repeats them (table) or the folds (groupby)
+// in Data, the 1×C dense Sink.Result returns. With no rows folded it is the
+// fold identity, as R's empty reductions are (sum(c()) == 0, min(c()) ==
+// Inf).
+func (a *sinkAcc) snapshot(final bool) *SinkPartial {
+	p := &a.SinkPartial
+	switch SinkKind(a.s.Kind) {
 	case SinkCrossProd:
-		if s.f1 == nil {
-			for i, v := range o.vec {
-				a.vec[i] += v
-			}
-		} else {
-			f2 := s.f2.F
-			for i, v := range o.vec {
-				if a.used {
-					a.vec[i] = f2(v, a.vec[i])
-				} else {
-					a.vec[i] = v
-				}
-			}
+		if a.s.sym && final {
+			blas.SymmetrizeLower(p.R, p.Data, p.R)
 		}
 	case SinkTable:
-		for k, c := range o.table {
-			a.table[k] += c
+		p.Keys, p.Counts = a.table.pairs(final)
+		p.C = len(p.Keys)
+		if final {
+			p.Data = append([]float64(nil), p.Keys...)
 		}
 	case SinkGroupByVal:
-		f := s.agg
-		for k, v := range o.byVal {
-			if acc, ok := a.byVal[k]; ok {
-				a.byVal[k] = f.Combine(acc, v)
-			} else {
-				a.byVal[k] = v
-			}
+		p.Keys, p.Folds = a.byVal.pairs(final)
+		p.C = len(p.Keys)
+		if final {
+			p.Data = append([]float64(nil), p.Folds...)
 		}
-	}
-	a.used = true
-}
-
-// partial snapshots the combined reduction as a raw SinkPartial: what
-// Sink.PublishRaw installs locally and what a shard worker ships. Symmetric
-// crossprods are mirrored here, so partials always arrive symmetric. When no
-// rows were folded the reduction stays at the fold identity, matching R's
-// empty reductions (sum(c()) == 0, min(c()) == Inf).
-func (a *sinkAcc) partial() *SinkPartial {
-	s := a.s
-	p := &SinkPartial{Used: a.used, R: s.rows, C: s.cols}
-	switch SinkKind(s.Kind) {
-	case SinkAgg:
-		p.Data = []float64{a.acc}
-	case SinkAggCol, SinkGroupByRow:
-		p.Data = a.vec
-	case SinkCrossProd:
-		if s.sym {
-			blas.SymmetrizeLower(s.rows, a.vec, s.rows)
-		}
-		p.Data = a.vec
-	case SinkTable:
-		p.Keys = sortedKeys(a.table)
-		p.Counts = make([]int64, len(p.Keys))
-		for i, k := range p.Keys {
-			p.Counts[i] = a.table[k]
-		}
-		p.C, p.Data = len(p.Keys), append([]float64(nil), p.Keys...)
-	case SinkGroupByVal:
-		p.Keys = sortedKeysF(a.byVal)
-		p.Folds = make([]float64, len(p.Keys))
-		for i, k := range p.Keys {
-			p.Folds[i] = a.byVal[k]
-		}
-		p.C, p.Data = len(p.Keys), append([]float64(nil), p.Folds...)
 	}
 	return p
 }
 
-// payload snapshots a finished sink's published result for the result cache
-// and for within-pass duplicate sinks (nil if the sink has not finished). The
-// snapshot is a clone: the caller's dense stays private to whoever holds the
-// sink.
-func (s *Sink) payload() *sinkPayload {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.done {
-		return nil
-	}
-	p := &sinkPayload{keys: s.keys, counts: s.counts, folds: s.folds, result: s.result}
-	return p.clone()
+// SinkPartial is the one form of a sink result: what a task's fold snapshots
+// to, what sinkAcc.merge merges, what a shard worker ships, a published
+// Sink holds and the result cache stores. Data holds the R×C values; the
+// keyed kinds (table, groupby) carry distinct Keys with their Counts or
+// Folds. Past a task (sinkAcc.snapshot) the keys are in sort.Float64s order
+// (NaN first) and Data repeats the keys or folds as 1×C.
+type SinkPartial struct {
+	Used   bool
+	R, C   int
+	Data   []float64
+	Keys   []float64
+	Counts []int64
+	Folds  []float64
 }
 
-// publishPayload installs a payload snapshot as this sink's result — the
-// serve path for cache hits and within-pass duplicate unification. The sink
-// takes ownership of pl (callers pass a clone).
-func (s *Sink) publishPayload(pl *sinkPayload) {
-	if pl == nil {
+// clone deep-copies p (nil stays nil). The result cache stores and serves
+// clones, so user code mutating a returned dense never reaches it.
+func (p *SinkPartial) clone() *SinkPartial {
+	if p == nil {
+		return nil
+	}
+	q := *p
+	q.Data = append([]float64(nil), p.Data...)
+	q.Keys = append([]float64(nil), p.Keys...)
+	q.Counts = append([]int64(nil), p.Counts...)
+	q.Folds = append([]float64(nil), p.Folds...)
+	return &q
+}
+
+// sizeBytes is what the result cache charges for p.
+func (p *SinkPartial) sizeBytes() int64 {
+	return max(8, 8*int64(len(p.Data)+len(p.Keys)+len(p.Counts)+len(p.Folds)))
+}
+
+// merge folds src into a, the sink's running result. It is the one merge:
+// a pass applies it to its tasks' partials in task order (commitTask), the
+// coordinator to its shards' in shard order (Combine). AggFunc.Combine merges
+// the fold kinds, addition the BLAS crossprod (symmetrization commutes with
+// it), f2 the generalized one; the keyed kinds merge key by key into their
+// map, one insert per key, and sort once, in the final snapshot. An unused
+// src (no rows folded) changes nothing.
+func (a *sinkAcc) merge(src *SinkPartial) {
+	if !src.Used {
 		return
 	}
+	s := a.s
+	switch SinkKind(s.Kind) {
+	case SinkAgg, SinkAggCol, SinkGroupByRow:
+		if !a.Used {
+			copy(a.Data, src.Data)
+			break
+		}
+		for i, v := range src.Data {
+			a.Data[i] = s.agg.Combine(a.Data[i], v)
+		}
+	case SinkCrossProd:
+		switch {
+		case s.f1 == nil:
+			for i, v := range src.Data {
+				a.Data[i] += v
+			}
+		case !a.Used:
+			copy(a.Data, src.Data)
+		default:
+			f2 := s.f2.F
+			for i, v := range src.Data {
+				a.Data[i] = f2(v, a.Data[i])
+			}
+		}
+	case SinkTable:
+		a.table.merge(src.Keys, src.Counts, func(x, y int64) int64 { return x + y })
+	case SinkGroupByVal:
+		a.byVal.merge(src.Keys, src.Folds, s.agg.Combine)
+	}
+	a.Used = true
+}
+
+// Combine merges the shards' partials in shard order with the merge a pass
+// applies to its tasks'. They came off the network, so each is checked
+// against the sink's shape first; unused ones (zero-row shards) are skipped.
+func (s *ProgramSink) Combine(parts []*SinkPartial) (*SinkPartial, error) {
+	acc := newSinkAcc(s)
+	for wi, p := range parts {
+		if p == nil || !p.Used {
+			continue
+		}
+		if err := s.checkPartial(p, len(acc.Data)); err != nil {
+			return nil, fmt.Errorf("core: shard %d %s partial %v", wi, SinkKind(s.Kind), err)
+		}
+		acc.merge(p)
+	}
+	return acc.snapshot(true), nil
+}
+
+// checkPartial checks what merge indexes: n values, or one count or fold
+// per key.
+func (s *ProgramSink) checkPartial(p *SinkPartial, n int) error {
+	vals := len(p.Data)
+	switch SinkKind(s.Kind) {
+	case SinkTable:
+		n, vals = len(p.Keys), len(p.Counts)
+	case SinkGroupByVal:
+		n, vals = len(p.Keys), len(p.Folds)
+	}
+	if vals != n {
+		return fmt.Errorf("has %d values, want %d", vals, n)
+	}
+	return nil
+}
+
+// FoldValues runs the table fold (f nil) or the groupby fold of f over
+// values held in memory: the fold a pass's keyed sink runs on each chunk.
+func FoldValues(data []float64, f *AggFunc) *SinkPartial {
+	s := &ProgramSink{Kind: uint8(SinkTable), ncolA: 1, rows: 1, cols: 1}
+	if f != nil {
+		s.Kind, s.agg = uint8(SinkGroupByVal), f
+	}
+	a := newSinkAcc(s)
+	_ = a.fold(data, nil, len(data)) // the keyed folds cannot fail
+	return a.snapshot(true)
+}
+
+// PublishRaw installs p as the sink's result and takes ownership of it. It
+// is the one publish: a fresh pass hands over its merged partial, a cache
+// hit or a within-pass duplicate a clone.
+func (s *Sink) PublishRaw(p *SinkPartial) {
 	s.mu.Lock()
-	s.result = pl.result
-	s.keys = pl.keys
-	s.counts = pl.counts
-	s.folds = pl.folds
-	s.done = true
+	s.part = p
 	s.mu.Unlock()
+}
+
+// held returns the published partial, nil before publication.
+func (s *Sink) held() *SinkPartial {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.part
+}
+
+// published is held for the result accessors. Callers materialize first
+// (Engine.Materialize or the public API), so nil is a bug.
+func (s *Sink) published() *SinkPartial {
+	if p := s.held(); p != nil {
+		return p
+	}
+	panic("core: sink not materialized")
+}
+
+// Done reports whether the sink has been materialized.
+func (s *Sink) Done() bool { return s.held() != nil }
+
+// Result returns the materialized result as an R×C dense over the held
+// partial's values (1×C keys or folds for the keyed kinds).
+func (s *Sink) Result() *dense.Dense {
+	p := s.published()
+	return dense.FromSlice(p.R, p.C, p.Data)
+}
+
+// TableResult returns the sorted distinct values and their counts for a
+// SinkTable.
+func (s *Sink) TableResult() (keys []float64, counts []int64) {
+	p := s.published()
+	return p.Keys, p.Counts
+}
+
+// GroupByValResult returns the sorted distinct values and the per-group
+// folds for a SinkGroupByVal.
+func (s *Sink) GroupByValResult() (keys, folds []float64) {
+	p := s.published()
+	return p.Keys, p.Folds
 }

@@ -527,7 +527,31 @@ func (c *Coordinator) RunDAG(ctx context.Context, d *core.RemoteDAG, ms *core.Ma
 	if c.cfg.CheckpointPath != "" {
 		defer c.saveCheckpoint()
 	}
+	fail := func(err error) (*core.ProgramResult, error) {
+		c.lin.abort(rec)
+		c.cleanupKeeps(keeps, active)
+		return nil, err
+	}
 
+	// execShard runs the program on shard si. A response must carry one
+	// partial per sink before the shard counts as done.
+	execShard := func(si int, carries map[int32][]float64, carryOut []int32) (*execResponse, error) {
+		req := execRequest{Owner: d.Owner, Rows: sh[si].rows, Prog: prog,
+			Carries: carries, Keeps: keeps, CarryOut: carryOut}
+		rb, err := c.call(ctx, si, opExec, encodeExecReq(req), &io)
+		if err != nil {
+			return nil, err
+		}
+		r, err := decodeExecResp(rb)
+		if err != nil {
+			return nil, err
+		}
+		if len(r.Partials) != len(prog.Sinks) {
+			return nil, fmt.Errorf("shard: worker %d returned %d partials, want %d", si, len(r.Partials), len(prog.Sinks))
+		}
+		c.lin.markDone(rec, si)
+		return &r, nil
+	}
 	resps := make([]*execResponse, len(sh))
 	if len(prog.Cums) > 0 && len(active) > 1 {
 		// Sequential carry chain: shard s+1's cum.col folds continue from
@@ -538,23 +562,11 @@ func (c *Coordinator) RunDAG(ctx context.Context, d *core.RemoteDAG, ms *core.Ma
 		carries := map[int32][]float64(nil)
 		for _, si := range active {
 			c.lin.setCarry(rec, si, carries)
-			req := execRequest{Owner: d.Owner, Rows: sh[si].rows, Prog: prog,
-				Carries: carries, Keeps: keeps, CarryOut: prog.Cums}
-			rb, cerr := c.call(ctx, si, opExec, encodeExecReq(req), &io)
-			if cerr != nil {
-				c.lin.abort(rec)
-				c.cleanupKeeps(keeps, active)
-				return nil, cerr
+			r, err := execShard(si, carries, prog.Cums)
+			if err != nil {
+				return fail(err)
 			}
-			r, derr := decodeExecResp(rb)
-			if derr != nil {
-				c.lin.abort(rec)
-				c.cleanupKeeps(keeps, active)
-				return nil, derr
-			}
-			c.lin.markDone(rec, si)
-			resps[si] = &r
-			carries = r.Carries
+			resps[si], carries = r, r.Carries
 		}
 	} else {
 		var wg sync.WaitGroup
@@ -564,27 +576,13 @@ func (c *Coordinator) RunDAG(ctx context.Context, d *core.RemoteDAG, ms *core.Ma
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				req := execRequest{Owner: d.Owner, Rows: sh[si].rows, Prog: prog, Keeps: keeps}
-				rb, cerr := c.call(ctx, si, opExec, encodeExecReq(req), &io)
-				if cerr != nil {
-					errs[si] = cerr
-					return
-				}
-				r, derr := decodeExecResp(rb)
-				if derr != nil {
-					errs[si] = derr
-					return
-				}
-				c.lin.markDone(rec, si)
-				resps[si] = &r
+				resps[si], errs[si] = execShard(si, nil, nil)
 			}()
 		}
 		wg.Wait()
 		for _, si := range active {
 			if errs[si] != nil {
-				c.lin.abort(rec)
-				c.cleanupKeeps(keeps, active)
-				return nil, errs[si]
+				return fail(errs[si])
 			}
 		}
 	}
@@ -594,18 +592,11 @@ func (c *Coordinator) RunDAG(ctx context.Context, d *core.RemoteDAG, ms *core.Ma
 	for si := range prog.Sinks {
 		parts := make([]*core.SinkPartial, 0, len(active))
 		for _, s := range active {
-			if si >= len(resps[s].Partials) {
-				c.lin.abort(rec)
-				c.cleanupKeeps(keeps, active)
-				return nil, fmt.Errorf("shard: worker %d returned %d partials, want %d", s, len(resps[s].Partials), len(prog.Sinks))
-			}
 			parts = append(parts, resps[s].Partials[si])
 		}
-		comb, cerr := prog.Sinks[si].Combine(parts)
-		if cerr != nil {
-			c.lin.abort(rec)
-			c.cleanupKeeps(keeps, active)
-			return nil, cerr
+		comb, err := prog.Sinks[si].Combine(parts)
+		if err != nil {
+			return fail(err)
 		}
 		res.Partials = append(res.Partials, comb)
 	}

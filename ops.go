@@ -3,7 +3,6 @@ package flashr
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/dense"
@@ -978,23 +977,8 @@ func GroupBy(x *FM, fname string) (keys, folds []float64, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	m := map[float64]float64{}
-	for _, v := range d.Data {
-		acc, ok := m[v]
-		if !ok {
-			acc = f.Init
-		}
-		m[v] = f.Step(acc, v)
-	}
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Float64s(keys)
-	folds = make([]float64, len(keys))
-	for i, k := range keys {
-		folds[i] = m[k]
-	}
-	return keys, folds, nil
+	p := core.FoldValues(d.Data, f)
+	return p.Keys, p.Folds, nil
 }
 
 // GetRows gathers arbitrary rows of x into a small in-memory matrix,
@@ -1105,19 +1089,8 @@ func TableOf(x *FM) (keys []float64, counts []int64, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	m := map[float64]int64{}
-	for _, v := range d.Data {
-		m[v]++
-	}
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Float64s(keys)
-	counts = make([]int64, len(keys))
-	for i, k := range keys {
-		counts[i] = m[k]
-	}
-	return keys, counts, nil
+	p := core.FoldValues(d.Data, nil)
+	return p.Keys, p.Counts, nil
 }
 
 // Head materializes and returns the first n rows as a dense matrix, reading
