@@ -90,7 +90,7 @@ func TestEnginesAgree(t *testing.T) {
 
 		// K-means from identical centers → identical centers after the
 		// same number of iterations.
-		init := fixedInitCenters(workload.PageGraphCols, 10)
+		init := FixedInitCenters(workload.PageGraphCols, 10)
 		kf, err := ml.KMeans(s, pg, 10, ml.KMeansOptions{MaxIter: 3, InitCenters: init})
 		if err != nil {
 			t.Fatal(err)
@@ -102,7 +102,7 @@ func TestEnginesAgree(t *testing.T) {
 		kf.Assign.Free()
 
 		// GMM means agree after the same EM iterations.
-		ginit := fixedInitCenters(workload.PageGraphCols, 4)
+		ginit := FixedInitCenters(workload.PageGraphCols, 4)
 		gf, err := ml.GMM(s, pg, 4, ml.GMMOptions{MaxIter: 2, Tol: 1e-12, InitMeans: ginit})
 		if err != nil {
 			t.Fatal(err)

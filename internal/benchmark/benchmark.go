@@ -1,7 +1,8 @@
 // Package benchmark regenerates every table and figure of the paper's
 // evaluation section (§4) at configurable scale. Each experiment returns
-// tabular rows so cmd/flashr-bench and the testing.B benches in
-// bench_test.go share one implementation.
+// tabular rows; cmd/flashr-bench prints them at any scale, and this
+// package's Test*Smoke tests run every experiment at tiny scale. It is the
+// one implementation of the evaluation.
 //
 // Paper → experiment mapping (see DESIGN.md §4 for the full index):
 //
@@ -309,7 +310,9 @@ type algoSpec struct {
 	inH2O bool
 }
 
-func fixedInitCenters(p, k int) *dense.Dense {
+// FixedInitCenters is the deterministic k×p start of every k-means and GMM
+// run, so FlashR and the eager baselines begin from the same centers.
+func FixedInitCenters(p, k int) *dense.Dense {
 	c := dense.New(k, p)
 	for g := 0; g < k; g++ {
 		for j := 0; j < p; j++ {
@@ -369,7 +372,7 @@ func algoSuite() []algoSpec {
 		{
 			name: "kmeans", dataset: "pagegraph", inH2O: true,
 			runFlashr: func(s *flashr.Session, x, _ *flashr.FM, cfg Config) error {
-				init := fixedInitCenters(int(x.NCol()), k)
+				init := FixedInitCenters(int(x.NCol()), k)
 				res, err := ml.KMeans(s, x, k, ml.KMeansOptions{MaxIter: cfg.Iters, InitCenters: init})
 				if err == nil {
 					res.Assign.Free()
@@ -377,19 +380,19 @@ func algoSuite() []algoSpec {
 				return err
 			},
 			runEager: func(e *eager.Engine, x, _ *dense.Dense, cfg Config) error {
-				e.KMeans(x, fixedInitCenters(x.C, k), cfg.Iters)
+				e.KMeans(x, FixedInitCenters(x.C, k), cfg.Iters)
 				return nil
 			},
 		},
 		{
 			name: "gmm", dataset: "pagegraph", inH2O: false,
 			runFlashr: func(s *flashr.Session, x, _ *flashr.FM, cfg Config) error {
-				init := fixedInitCenters(int(x.NCol()), 4)
+				init := FixedInitCenters(int(x.NCol()), 4)
 				_, err := ml.GMM(s, x, 4, ml.GMMOptions{MaxIter: cfg.Iters, Tol: 1e-12, InitMeans: init})
 				return err
 			},
 			runEager: func(e *eager.Engine, x, _ *dense.Dense, cfg Config) error {
-				e.GMM(x, fixedInitCenters(x.C, 4), cfg.Iters, 1e-12)
+				e.GMM(x, FixedInitCenters(x.C, 4), cfg.Iters, 1e-12)
 				return nil
 			},
 		},
@@ -760,7 +763,7 @@ func Fig9(cfg Config) ([]Row, error) {
 				return 0, err
 			}
 			defer x.Free()
-			init := fixedInitCenters(p, k)
+			init := FixedInitCenters(p, k)
 			return timeIt(func() error {
 				res, err := ml.KMeans(s, x, k, ml.KMeansOptions{MaxIter: cfg.Iters, InitCenters: init})
 				if err == nil {

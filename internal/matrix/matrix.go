@@ -10,10 +10,7 @@
 // view, and its Pcache chunking supplies the cache blocking.
 package matrix
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // DType is the logical element type of a matrix. All storage is physically
 // float64 (as in R, where logicals and integers promote to double on most
@@ -45,30 +42,14 @@ func (d DType) String() string {
 	}
 }
 
-// MaxPartRows bounds the I/O partition height.
-const MaxPartRows = 1 << 18
-
-// MinPartRows is the smallest I/O partition height (must stay a power of
-// two per §3.2.1).
-const MinPartRows = 1 << 8
-
-// DefaultPartRows picks the number of rows per I/O partition for a matrix
-// with ncol columns: the largest power of two keeping a partition near the
-// target byte size, clamped to [MinPartRows, MaxPartRows].
-func DefaultPartRows(ncol int) int {
-	const targetBytes = 2 << 20 // 2 MiB per partition
-	if ncol < 1 {
-		ncol = 1
+// checkPartRows rejects an I/O partition height that is not a power of
+// two (§3.2.1). The engine fixes the height (core.Config.PartRows); a store
+// takes it from the engine or from a saved matrix's metadata.
+func checkPartRows(partRows int) error {
+	if partRows <= 0 || partRows&(partRows-1) != 0 {
+		return fmt.Errorf("matrix: partition rows %d is not a power of two", partRows)
 	}
-	rows := targetBytes / 8 / ncol
-	if rows < MinPartRows {
-		return MinPartRows
-	}
-	p := 1 << (bits.Len(uint(rows)) - 1)
-	if p > MaxPartRows {
-		return MaxPartRows
-	}
-	return p
+	return nil
 }
 
 // NumParts returns how many I/O partitions a matrix of nrow rows has under

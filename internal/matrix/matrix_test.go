@@ -105,16 +105,33 @@ func TestPartitionArithmetic(t *testing.T) {
 	if got := PartRowsOf(1024, 256, 3); got != 256 {
 		t.Fatalf("aligned last part rows=%d", got)
 	}
-	if got := DefaultPartRows(1); got&(got-1) != 0 || got < MinPartRows {
-		t.Fatalf("DefaultPartRows(1)=%d", got)
-	}
-	if got := DefaultPartRows(1 << 30); got != MinPartRows {
-		t.Fatalf("DefaultPartRows(huge)=%d", got)
-	}
 }
 
+// TestPartRowsMustBePowerOfTwo: every store constructor rejects a height
+// that is not a power of two, zero included; none picks a height itself.
 func TestPartRowsMustBePowerOfTwo(t *testing.T) {
-	if _, err := NewMemStore(nil, 100, 2, 100); err == nil {
-		t.Fatal("non-power-of-two partition height accepted")
+	fs, err := safs.OpenTempDir(t.TempDir(), 2, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	saved, err := NewSAFSStore(fs, "m", 100, 2, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer saved.Free()
+	for _, rows := range []int{0, -64, 100} {
+		if _, err := NewMemStore(nil, 100, 2, rows); err == nil {
+			t.Errorf("NewMemStore accepted partition height %d", rows)
+		}
+		if _, err := NewSAFSStore(fs, "bad", 100, 2, rows); err == nil {
+			t.Errorf("NewSAFSStore accepted partition height %d", rows)
+		}
+		if _, err := OpenSAFSStore(fs, "m", 100, 2, rows); err == nil {
+			t.Errorf("OpenSAFSStore accepted partition height %d", rows)
+		}
+	}
+	if _, err := OpenSAFSStore(fs, "m", 100, 2, 64); err != nil {
+		t.Errorf("OpenSAFSStore at the saved height: %v", err)
 	}
 }

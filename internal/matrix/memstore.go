@@ -31,17 +31,14 @@ type memPart struct {
 }
 
 // NewMemStore allocates an in-memory store for an nrow×ncol matrix. partRows
-// must be a power of two (0 selects DefaultPartRows(ncol)). The topology may
-// be nil, in which case the process default is used.
+// must be a power of two. The topology may be nil, in which case the process
+// default is used.
 func NewMemStore(topo *numa.Topology, nrow int64, ncol, partRows int) (*MemStore, error) {
 	if topo == nil {
 		topo = numa.Default()
 	}
-	if partRows == 0 {
-		partRows = DefaultPartRows(ncol)
-	}
-	if partRows <= 0 || partRows&(partRows-1) != 0 {
-		return nil, fmt.Errorf("matrix: partition rows %d is not a power of two", partRows)
+	if err := checkPartRows(partRows); err != nil {
+		return nil, err
 	}
 	if nrow < 0 || ncol <= 0 {
 		return nil, fmt.Errorf("matrix: invalid shape %dx%d", nrow, ncol)

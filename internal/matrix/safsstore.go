@@ -54,13 +54,10 @@ func StoreWithPass(st Store, p *safs.Pass) Store {
 }
 
 // NewSAFSStore creates a new striped file sized for an nrow×ncol matrix.
-// partRows=0 selects DefaultPartRows(ncol).
+// partRows must be a power of two.
 func NewSAFSStore(fs *safs.FS, name string, nrow int64, ncol, partRows int) (*SAFSStore, error) {
-	if partRows == 0 {
-		partRows = DefaultPartRows(ncol)
-	}
-	if partRows <= 0 || partRows&(partRows-1) != 0 {
-		return nil, fmt.Errorf("matrix: partition rows %d is not a power of two", partRows)
+	if err := checkPartRows(partRows); err != nil {
+		return nil, err
 	}
 	if nrow < 0 || ncol <= 0 {
 		return nil, fmt.Errorf("matrix: invalid shape %dx%d", nrow, ncol)
@@ -74,14 +71,14 @@ func NewSAFSStore(fs *safs.FS, name string, nrow int64, ncol, partRows int) (*SA
 
 // OpenSAFSStore opens an existing matrix file whose shape is known to the
 // caller (cmd/flashr-gen records shapes in a sidecar; tests pass them
-// directly).
+// directly). partRows must be a power of two.
 func OpenSAFSStore(fs *safs.FS, name string, nrow int64, ncol, partRows int) (*SAFSStore, error) {
+	if err := checkPartRows(partRows); err != nil {
+		return nil, err
+	}
 	f, err := fs.OpenFile(name)
 	if err != nil {
 		return nil, err
-	}
-	if partRows == 0 {
-		partRows = DefaultPartRows(ncol)
 	}
 	if want := nrow * int64(ncol) * 8; f.Size() != want {
 		return nil, fmt.Errorf("matrix: %q has %d bytes, want %d for %dx%d", name, f.Size(), want, nrow, ncol)

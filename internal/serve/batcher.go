@@ -36,8 +36,6 @@ type Request struct {
 	Sess *Session
 	// Program is the raw program text, one statement per line.
 	Program string
-	// Ctx covers the request's whole lifetime (HTTP request context).
-	Ctx context.Context
 
 	enqueued time.Time
 	resp     chan *Response
@@ -74,6 +72,10 @@ type Response struct {
 	// Exec is time inside batch execution (eval + shared flush + render).
 	QueueWait time.Duration
 	Exec      time.Duration
+	// Flush is the tenant session's materialization record across the
+	// batch's shared flush: the passes and bytes of every request of the
+	// tenant in the batch, not of this request alone.
+	Flush flashr.MaterializeStats
 }
 
 // Batcher coalesces requests into batches bounded by size and by a flush
@@ -148,6 +150,13 @@ func (b *Batcher) Submit(r *Request) (<-chan *Response, error) {
 		b.reqWG.Done()
 		return nil, ErrQueueFull
 	}
+}
+
+// isDraining reports whether Drain has begun.
+func (b *Batcher) isDraining() bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.draining
 }
 
 // deliver completes one request. Exactly one deliver per accepted request.

@@ -42,7 +42,7 @@ func submitN(t *testing.T, b *Batcher, n int) []<-chan *Response {
 	t.Helper()
 	chs := make([]<-chan *Response, n)
 	for i := range chs {
-		ch, err := b.Submit(&Request{Ctx: context.Background()})
+		ch, err := b.Submit(&Request{})
 		if err != nil {
 			t.Fatalf("Submit %d: %v", i, err)
 		}
@@ -103,7 +103,7 @@ func TestBatcherMaxWaitFlush(t *testing.T) {
 	defer b.Drain(context.Background())
 
 	start := time.Now()
-	ch, err := b.Submit(&Request{Ctx: context.Background()})
+	ch, err := b.Submit(&Request{})
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
@@ -194,7 +194,7 @@ func TestBatcherDrainDuringInflight(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := b.Submit(&Request{Ctx: context.Background()}); !errors.Is(err, ErrDraining) {
+	if _, err := b.Submit(&Request{}); !errors.Is(err, ErrDraining) {
 		t.Errorf("Submit while draining: err = %v, want ErrDraining", err)
 	}
 	select {

@@ -157,10 +157,6 @@ type Server struct {
 	authFailures   *trace.Counter
 	accepted       atomic.Int64
 	answered       atomic.Int64
-	draining       atomic.Bool
-	streamSeq      atomic.Int64
-	streamMu       sync.Mutex // guards draining flip vs streamWG.Add
-	streamWG       sync.WaitGroup
 
 	janitorStop chan struct{}
 	janitorDone chan struct{}
@@ -234,26 +230,7 @@ func (sv *Server) Answered() int64 { return sv.answered.Load() }
 // handlers block on their responses, so http.Server.Shutdown and Drain
 // together guarantee no accepted request is dropped.
 func (sv *Server) Drain(ctx context.Context) error {
-	// Flip draining under streamMu so claimStream either sees the flip or
-	// has already added itself to streamWG before we wait on it.
-	sv.streamMu.Lock()
-	sv.draining.Store(true)
-	sv.streamMu.Unlock()
 	err := sv.batcher.Drain(ctx)
-	// Streaming evals run outside the batcher; wait for them too so the
-	// accepted==answered proof covers every surface.
-	streamsDone := make(chan struct{})
-	go func() {
-		sv.streamWG.Wait()
-		close(streamsDone)
-	}()
-	select {
-	case <-streamsDone:
-	case <-ctx.Done():
-		if err == nil {
-			err = ctx.Err()
-		}
-	}
 	select {
 	case <-sv.janitorDone:
 	default:
@@ -367,7 +344,9 @@ func (sv *Server) runTenantGroup(batch string, batchSize int, tn *tenant, rs []*
 			}
 		}
 	}
+	before := tn.fs.TotalMaterializeStats()
 	_ = tn.fs.FlushBatchCtx(context.Background(), batch, talls...)
+	flushed := tn.fs.TotalMaterializeStats().Sub(before)
 	// Phase 3: render per caller and deliver; tall matrices come back as
 	// Items for the HTTP layer to pin.
 	for i, r := range rs {
@@ -376,6 +355,7 @@ func (sv *Server) runTenantGroup(batch string, batchSize int, tn *tenant, rs []*
 			BatchID:   batch,
 			BatchSize: batchSize,
 			QueueWait: started.Sub(r.enqueued),
+			Flush:     flushed,
 		}
 		if ev.err != nil {
 			resp.Err = ev.err
@@ -478,11 +458,11 @@ func (sv *Server) sessionFor(w http.ResponseWriter, r *http.Request) (*Session, 
 }
 
 func (sv *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "draining": sv.draining.Load()})
+	writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "draining": sv.batcher.isDraining()})
 }
 
 func (sv *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
-	if sv.draining.Load() {
+	if sv.batcher.isDraining() {
 		writeError(w, http.StatusServiceUnavailable, CodeDraining, "server draining")
 		return
 	}
@@ -549,32 +529,62 @@ func (sv *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 }
 
 func (sv *Server) handleEval(w http.ResponseWriter, r *http.Request) {
-	s, ok := sv.sessionFor(w, r)
+	s, program, ok := sv.admit(w, r)
 	if !ok {
 		return
+	}
+	resp, status, refused := sv.submit(s, program)
+	if refused != nil {
+		writeJSON(w, status, *refused)
+		return
+	}
+	if resp.Err != nil {
+		writeJSON(w, http.StatusUnprocessableEntity, evalEnvelope(resp.Err, resp.BatchID, resp.BatchSize))
+		return
+	}
+	results, errEnv := sv.renderItems(r.Context(), s, resp.Items)
+	if errEnv != nil {
+		status := http.StatusInternalServerError
+		if errEnv.Code == CodeQuotaExceeded {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, status, *errEnv)
+		return
+	}
+	writeJSON(w, http.StatusOK, map[string]any{
+		"results":       results,
+		"batch":         resp.BatchID,
+		"batch_size":    resp.BatchSize,
+		"queue_wait_ms": float64(resp.QueueWait) / float64(time.Millisecond),
+		"exec_ms":       float64(resp.Exec) / float64(time.Millisecond),
+	})
+}
+
+// admit resolves the request's session and program and applies the pre-eval
+// shed ladder both eval routes share: program size, static byte budgets (the
+// FlashR premise that shapes are known before any data moves makes this a
+// pre-evaluation check — a refused program has run zero materialization
+// passes), and the tenant in-flight quota. Returns false once a refusal has
+// been written.
+func (sv *Server) admit(w http.ResponseWriter, r *http.Request) (*Session, string, bool) {
+	s, ok := sv.sessionFor(w, r)
+	if !ok {
+		return nil, "", false
 	}
 	var body struct {
 		Program string `json:"program"`
 	}
 	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, "bad request body: %v", err)
-		return
+		return nil, "", false
 	}
-	sv.execute(w, r, s, body.Program)
-}
-
-// admit applies the pre-eval shed ladder shared by batched and streaming
-// eval: program size, static byte budgets (the FlashR premise that shapes
-// are known before any data moves makes this a pre-evaluation check — a
-// refused program has run zero materialization passes), and the tenant
-// in-flight quota. Returns false once a refusal has been written.
-func (sv *Server) admit(w http.ResponseWriter, s *Session, program string) bool {
+	program := body.Program
 	tn := s.tenant
 	if len(program) > sv.cfg.MaxProgramBytes {
 		tn.shed["program_too_large"].Inc()
 		writeError(w, http.StatusRequestEntityTooLarge, CodeProgramTooLarge,
 			"program exceeds %d bytes", sv.cfg.MaxProgramBytes)
-		return false
+		return nil, "", false
 	}
 	if sv.cfg.MaxEstimatedBytes > 0 || sv.cfg.MaxPinnedBytesPerTenant > 0 {
 		s.mu.Lock()
@@ -586,7 +596,7 @@ func (sv *Server) admit(w http.ResponseWriter, s *Session, program string) bool 
 			tn.shed["budget_exceeded"].Inc()
 			writeError(w, http.StatusRequestEntityTooLarge, CodeBudgetExceeded,
 				"estimated working set %d bytes exceeds budget %d", est.WorkBytes, max)
-			return false
+			return nil, "", false
 		}
 		if ok {
 			if q := sv.cfg.MaxPinnedBytesPerTenant; q > 0 && tn.pinned.Load()+est.ResultBytes > q {
@@ -594,7 +604,7 @@ func (sv *Server) admit(w http.ResponseWriter, s *Session, program string) bool 
 				writeError(w, http.StatusRequestEntityTooLarge, CodeQuotaExceeded,
 					"estimated result bytes %d exceed tenant pinned quota %d (%d pinned)",
 					est.ResultBytes, q, tn.pinned.Load())
-				return false
+				return nil, "", false
 			}
 		}
 	}
@@ -602,40 +612,34 @@ func (sv *Server) admit(w http.ResponseWriter, s *Session, program string) bool 
 		tn.shed["inflight_limit"].Inc()
 		writeError(w, http.StatusTooManyRequests, CodeInflightLimit,
 			"tenant %q at its in-flight limit", tn.name)
-		return false
+		return nil, "", false
 	}
-	return true
+	return s, program, true
 }
 
-// execute runs one program through the batcher for the session and writes
-// the response, applying the shed ladder: oversized program, byte budgets,
-// tenant in-flight quota, drain, accept-queue bound.
-func (sv *Server) execute(w http.ResponseWriter, r *http.Request, s *Session, program string) {
+// submit runs one program through the batcher for s and waits for its
+// response. It is the one request path: /eval submits a whole program,
+// /eval/stream each statement in turn, and every submit counts as one
+// request in the tenant's arrival rate, in-flight gauge, request and error
+// counters and latency, and in the accepted/answered drain proof. A refused
+// submit (draining, queue_full) returns no response but the status and
+// envelope to shed it with.
+func (sv *Server) submit(s *Session, program string) (*Response, int, *errorEnvelope) {
 	tn := s.tenant
-	if !sv.admit(w, s, program) {
-		return
-	}
-	req := &Request{Sess: s, Program: program, Ctx: r.Context()}
+	req := &Request{Sess: s, Program: program}
 	// Claim the session's in-flight slot before Submit: once the request is
 	// queued the idle janitor must already see the session as busy, or a
 	// sweep between Submit and the batch finishing could expire it under us.
 	s.inflight.Add(1)
+	defer s.inflight.Add(-1)
 	ch, err := sv.batcher.Submit(req)
 	if err != nil {
-		s.inflight.Add(-1)
-	}
-	switch {
-	case errors.Is(err, ErrDraining):
-		tn.shed["draining"].Inc()
-		writeError(w, http.StatusServiceUnavailable, CodeDraining, "server draining")
-		return
-	case errors.Is(err, ErrQueueFull):
-		tn.shed["queue_full"].Inc()
-		writeError(w, http.StatusTooManyRequests, CodeQueueFull, "accept queue full")
-		return
-	case err != nil:
-		writeError(w, http.StatusInternalServerError, CodeInternal, "%v", err)
-		return
+		code, status := CodeQueueFull, http.StatusTooManyRequests
+		if errors.Is(err, ErrDraining) {
+			code, status = CodeDraining, http.StatusServiceUnavailable
+		}
+		tn.shed[code].Inc()
+		return nil, status, &errorEnvelope{Error: err.Error(), Code: code}
 	}
 	sv.rates.observe(tn.name, time.Now())
 	tn.inflight.Add(1)
@@ -643,32 +647,13 @@ func (sv *Server) execute(w http.ResponseWriter, r *http.Request, s *Session, pr
 	sv.accepted.Add(1)
 
 	resp := <-ch
-	s.inflight.Add(-1)
 	tn.inflight.Add(-1)
 	sv.answered.Add(1)
 	tn.latency.Observe(time.Since(req.enqueued).Seconds())
 	if resp.Err != nil {
 		tn.errors.Inc()
-		writeJSON(w, http.StatusUnprocessableEntity, evalEnvelope(resp.Err, resp.BatchID, resp.BatchSize))
-		return
 	}
-	results, errEnv := sv.renderItems(r.Context(), s, resp.Items)
-	if errEnv != nil {
-		if errEnv.Code == CodeQuotaExceeded {
-			tn.shed["quota_exceeded"].Inc()
-			writeJSON(w, http.StatusRequestEntityTooLarge, *errEnv)
-		} else {
-			writeJSON(w, http.StatusInternalServerError, *errEnv)
-		}
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"results":       results,
-		"batch":         resp.BatchID,
-		"batch_size":    resp.BatchSize,
-		"queue_wait_ms": float64(resp.QueueWait) / float64(time.Millisecond),
-		"exec_ms":       float64(resp.Exec) / float64(time.Millisecond),
-	})
+	return resp, http.StatusOK, nil
 }
 
 // renderItems turns result items into response entries, pinning matrix
@@ -700,6 +685,7 @@ func (sv *Server) renderItems(ctx context.Context, s *Session, items []ResultIte
 			h, err := sv.results.put(s, pr, sv.cfg.MaxPinnedBytesPerTenant)
 			if errors.Is(err, errPinnedQuota) {
 				undo()
+				s.tenant.shed["quota_exceeded"].Inc()
 				return nil, &errorEnvelope{
 					Error: fmt.Sprintf("pinning result would exceed tenant pinned quota %d bytes", sv.cfg.MaxPinnedBytesPerTenant),
 					Code:  CodeQuotaExceeded,
@@ -724,36 +710,18 @@ func (sv *Server) renderItems(ctx context.Context, s *Session, items []ResultIte
 
 // ---- streaming eval ----
 
-// claimStream registers a streaming request with the drain accounting. The
-// same lock that Drain takes to flip draining guards the WaitGroup add, so
-// a stream is either refused or waited for — never dropped mid-flight.
-func (sv *Server) claimStream() bool {
-	sv.streamMu.Lock()
-	defer sv.streamMu.Unlock()
-	if sv.draining.Load() {
-		return false
-	}
-	sv.streamWG.Add(1)
-	return true
-}
-
-// handleEvalStream evaluates a program statement by statement, emitting
-// NDJSON events as each statement's results materialize: per-statement
-// "progress" events carry the pass and byte deltas from MaterializeStats,
-// "stmt" events carry the rendered value or result handle, and the stream
-// ends with "done" (or a terminal "error" event). Statements flush
-// individually — a long program streams results as they compute instead of
-// answering all at once — at the price of not coalescing with batchmates.
+// handleEvalStream answers a program statement by statement as NDJSON
+// events. The program is admitted once, whole; then each statement is
+// submitted as its own batched request, in order, so it coalesces with
+// whatever else arrives in its flush window. Per statement a "progress" event
+// names the batch that served it and carries the pass and byte deltas of that
+// batch's flush for the tenant, and a "stmt" event the rendered value or
+// result handle; the stream ends with "done", or with an "error" event when a
+// statement fails or its submit is refused (draining, queue_full). A refused
+// first statement, before anything streamed, is an HTTP error as on /eval.
 func (sv *Server) handleEvalStream(w http.ResponseWriter, r *http.Request) {
-	s, ok := sv.sessionFor(w, r)
+	s, program, ok := sv.admit(w, r)
 	if !ok {
-		return
-	}
-	var body struct {
-		Program string `json:"program"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "bad request body: %v", err)
 		return
 	}
 	fl, canFlush := w.(http.Flusher)
@@ -761,85 +729,59 @@ func (sv *Server) handleEvalStream(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, CodeStreamUnsupported, "response writer cannot stream")
 		return
 	}
-	if !sv.admit(w, s, body.Program) {
-		return
-	}
-	tn := s.tenant
-	if !sv.claimStream() {
-		tn.shed["draining"].Inc()
-		writeError(w, http.StatusServiceUnavailable, CodeDraining, "server draining")
-		return
-	}
-	defer sv.streamWG.Done()
+	// The session stays busy between statements too, so the idle janitor
+	// cannot expire it mid-stream.
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
-	tn.inflight.Add(1)
-	defer tn.inflight.Add(-1)
-	tn.requests.Inc()
-	sv.accepted.Add(1)
-	defer sv.answered.Add(1)
 	start := time.Now()
-	defer func() { tn.latency.Observe(time.Since(start).Seconds()) }()
-	sv.rates.observe(tn.name, start)
-
-	batch := "s" + strconv.FormatInt(sv.streamSeq.Add(1), 10)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
+	var enc *json.Encoder
 	emit := func(v any) {
+		if enc == nil {
+			w.Header().Set("Content-Type", "application/x-ndjson")
+			w.WriteHeader(http.StatusOK)
+			enc = json.NewEncoder(w)
+		}
 		_ = enc.Encode(v)
 		fl.Flush()
 	}
-	fail := func(i int, err error) {
-		tn.errors.Inc()
-		env := evalEnvelope(err, batch, 1)
-		emit(map[string]any{
-			"event": "error", "index": i, "error": env.Error, "code": env.Code,
-			"op": env.Op, "shapes": env.Shapes, "reason": env.Reason,
-		})
+	fail := func(i int, env errorEnvelope) {
+		emit(struct {
+			Event string `json:"event"`
+			Index int    `json:"index"`
+			errorEnvelope
+		}{"error", i, env})
 	}
-	stmts := splitProgram(body.Program)
+	stmts := splitProgram(program)
 	for i, stmt := range stmts {
-		before := tn.fs.TotalMaterializeStats()
-		s.mu.Lock()
-		v, show, err := s.env.EvalStmt(stmt)
-		s.mu.Unlock()
-		if err != nil {
-			fail(i, fmt.Errorf("statement %q: %w", stmt, err))
+		if r.Context().Err() != nil {
+			return // the client is gone; submit nothing more
+		}
+		resp, status, refused := sv.submit(s, stmt)
+		switch {
+		case refused != nil && i == 0:
+			writeJSON(w, status, *refused)
+			return
+		case refused != nil:
+			fail(i, *refused)
+			return
+		case resp.Err != nil:
+			fail(i, evalEnvelope(resp.Err, resp.BatchID, resp.BatchSize))
 			return
 		}
-		var talls []*flashr.FM
-		if show && isTall(v) {
-			talls = append(talls, v.Mat)
-		}
-		if err := tn.fs.FlushBatchCtx(r.Context(), batch, talls...); err != nil {
-			fail(i, fmt.Errorf("statement %q: %w", stmt, err))
-			return
-		}
-		after := tn.fs.TotalMaterializeStats()
 		emit(map[string]any{
-			"event": "progress", "index": i,
-			"passes":        after.Passes - before.Passes,
-			"bytes_read":    after.BytesRead - before.BytesRead,
-			"bytes_written": after.BytesWritten - before.BytesWritten,
+			"event": "progress", "index": i, "batch": resp.BatchID,
+			"passes":        resp.Flush.Passes,
+			"bytes_read":    resp.Flush.BytesRead,
+			"bytes_written": resp.Flush.BytesWritten,
 		})
-		s.mu.Lock()
-		it, err := itemFor(s.env, v, show)
-		s.mu.Unlock()
-		if err != nil {
-			fail(i, fmt.Errorf("statement %q: %w", stmt, err))
-			return
-		}
-		rendered, errEnv := sv.renderItems(r.Context(), s, []ResultItem{it})
+		rendered, errEnv := sv.renderItems(r.Context(), s, resp.Items)
 		if errEnv != nil {
-			tn.errors.Inc()
-			emit(map[string]any{"event": "error", "index": i, "error": errEnv.Error, "code": errEnv.Code})
+			fail(i, *errEnv)
 			return
 		}
 		emit(map[string]any{"event": "stmt", "index": i, "result": rendered[0]})
 	}
-	s.touch()
-	emit(map[string]any{"event": "done", "stmts": len(stmts), "batch": batch,
+	emit(map[string]any{"event": "done", "stmts": len(stmts),
 		"exec_ms": float64(time.Since(start)) / float64(time.Millisecond)})
 }
 

@@ -339,6 +339,11 @@ func TestServeDrain(t *testing.T) {
 	if code, _ := ts.eval(t, sid, "1"); code != http.StatusServiceUnavailable {
 		t.Errorf("eval while draining: HTTP %d, want 503", code)
 	}
+	// A stream refused at its first statement has streamed nothing yet, so
+	// it is refused over HTTP as an eval is.
+	if code, _ := ts.post(t, "/v2/sessions/"+sid+"/eval/stream", map[string]string{"program": "1"}); code != http.StatusServiceUnavailable {
+		t.Errorf("stream while draining: HTTP %d, want 503", code)
+	}
 	if code, _ := ts.post(t, "/v2/sessions", map[string]string{"tenant": "acme"}); code != http.StatusServiceUnavailable {
 		t.Errorf("create while draining: HTTP %d, want 503", code)
 	}

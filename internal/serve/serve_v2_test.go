@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -604,6 +606,7 @@ func TestServeStreamingEval(t *testing.T) {
 	type event struct {
 		Event  string         `json:"event"`
 		Index  int            `json:"index"`
+		Batch  string         `json:"batch"`
 		Passes int64          `json:"passes"`
 		Result map[string]any `json:"result"`
 		Stmts  int            `json:"stmts"`
@@ -626,12 +629,15 @@ func TestServeStreamingEval(t *testing.T) {
 		if pg.Event != "progress" || pg.Index != i {
 			t.Fatalf("event %d = %+v, want progress index %d", 2*i, pg, i)
 		}
+		if pg.Batch == "" {
+			t.Fatalf("progress event %d names no batch: %+v", i, pg)
+		}
 		if st.Event != "stmt" || st.Index != i {
 			t.Fatalf("event %d = %+v, want stmt index %d", 2*i+1, st, i)
 		}
 	}
-	if done := events[6]; done.Event != "done" || done.Stmts != 3 {
-		t.Fatalf("final event %+v, want done with 3 stmts", events[6])
+	if done := events[6]; done.Event != "done" || done.Stmts != 3 || done.Batch != "" {
+		t.Fatalf("final event %+v, want done with 3 stmts and no batch", events[6])
 	}
 	if r := events[1].Result; r != nil {
 		t.Errorf("assignment stmt result %v, want null", r)
@@ -665,6 +671,134 @@ func TestServeStreamingEval(t *testing.T) {
 	}
 	if op, _ := last["op"].(string); op == "" {
 		t.Errorf("error event carries no op: %v", last)
+	}
+}
+
+// streamEvents reads an NDJSON eval stream to its end; after the first
+// event it calls first, if set.
+func streamEvents(t *testing.T, resp *http.Response, first func()) []map[string]any {
+	t.Helper()
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("stream eval: HTTP %d", resp.StatusCode)
+	}
+	var events []map[string]any
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		var ev map[string]any
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
+		}
+		events = append(events, ev)
+		if len(events) == 1 && first != nil {
+			first()
+		}
+	}
+	if len(events) == 0 {
+		t.Fatal("stream ended with no events")
+	}
+	return events
+}
+
+// TestServeStreamCoalesces: a streamed statement is an ordinary batched
+// request, so it rides one batch, and one flush of the tenant's sinks, with
+// an /eval from another session of the same tenant arriving in its window.
+func TestServeStreamCoalesces(t *testing.T) {
+	ts := newTestServer(t, func(c *Config) { c.BatchWait = 200 * time.Millisecond })
+	streamSid, evalSid := ts.createSession(t, "acme"), ts.createSession(t, "acme")
+	for _, sid := range []string{streamSid, evalSid} {
+		if code, out := ts.eval(t, sid, "x <- runif.matrix(2048, 4, 0, 1, 7)"); code != http.StatusOK {
+			t.Fatalf("setup: HTTP %d: %v", code, out)
+		}
+	}
+	tn := ts.sv.table.tenants["acme"]
+	start := tn.fs.TotalMaterializeStats().Passes
+	var wg sync.WaitGroup
+	var code int
+	var out map[string]any
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		raw, _ := json.Marshal(map[string]string{"program": "sum(x + 1)"})
+		resp, err := http.Post(ts.url+"/v2/sessions/"+evalSid+"/eval", "application/json", bytes.NewReader(raw))
+		if err != nil {
+			t.Errorf("eval: %v", err)
+			return
+		}
+		defer resp.Body.Close()
+		code = resp.StatusCode
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Errorf("eval: decode: %v", err)
+		}
+	}()
+	events := streamEvents(t, ts.do(t, http.MethodPost, "/v2/sessions/"+streamSid+"/eval/stream", "",
+		map[string]string{"program": "sum(x * x)"}), nil)
+	wg.Wait()
+	if code != http.StatusOK {
+		t.Fatalf("eval: HTTP %d: %v", code, out)
+	}
+	if len(events) != 3 || events[0]["event"] != "progress" || events[2]["event"] != "done" {
+		t.Fatalf("stream events %v, want progress, stmt, done", events)
+	}
+	if got, want := events[0]["batch"], out["batch"]; got != want {
+		t.Errorf("stream statement rode batch %v, the concurrent eval %v", got, want)
+	}
+	if passes := tn.fs.TotalMaterializeStats().Passes - start; passes >= 2 {
+		t.Errorf("stream statement and eval cost %d passes; one shared flush should serve both", passes)
+	}
+}
+
+// TestServeDrainMidStream starts Drain while a stream is between statements.
+// Each statement is a batched request, so the one drain proof covers it: the
+// counts balance, the stream ends with done or with an error event coded
+// draining, and no goroutine of the server, its engine or the stream outlives
+// the test.
+func TestServeDrainMidStream(t *testing.T) {
+	base := runtime.NumGoroutine()
+	root, err := flashr.NewSession(flashr.Options{Workers: 2, PartRows: 256})
+	if err != nil {
+		t.Fatalf("NewSession: %v", err)
+	}
+	sv, err := New(Config{Root: root, BatchWait: 10 * time.Millisecond, SessionIdle: -1})
+	if err != nil {
+		t.Fatalf("serve.New: %v", err)
+	}
+	hs := httptest.NewServer(sv)
+	ts := &testServer{sv: sv, hs: hs, url: hs.URL}
+	sid := ts.createSession(t, "acme")
+	prog := strings.Repeat("sum(runif.matrix(256, 2, 0, 1, 5))\n", 40)
+	drained := make(chan error, 1)
+	events := streamEvents(t, ts.do(t, http.MethodPost, "/v2/sessions/"+sid+"/eval/stream", "",
+		map[string]string{"program": prog}), func() {
+		go func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			drained <- sv.Drain(ctx)
+		}()
+	})
+	if err := <-drained; err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	last := events[len(events)-1]
+	t.Logf("stream ended after %d events with %v", len(events), last)
+	switch {
+	case last["event"] == "done":
+	case last["event"] == "error" && last["code"] == CodeDraining:
+	default:
+		t.Fatalf("stream ended with %v, want done or an error coded %s", last, CodeDraining)
+	}
+	if acc, ans := sv.Accepted(), sv.Answered(); acc != ans || acc == 0 {
+		t.Errorf("accepted=%d answered=%d after drain; must balance", acc, ans)
+	}
+	hs.Close()
+	http.DefaultClient.CloseIdleConnections()
+	root.Close()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines outlive the test, %d before it:\n%s",
+				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
 	}
 }
 

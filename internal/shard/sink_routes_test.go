@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -78,6 +79,104 @@ func TestSinkRoutesBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestKeyedPartialsShipOnce: a worker's table or groupby partial ships its
+// keys with their counts or folds, and not Data, which repeats the keys or
+// folds and which the coordinator rebuilds. Each key a shard holds is 8 bytes
+// less on the wire than with Data shipped, and the results stay bit-identical
+// to one engine's.
+func TestKeyedPartialsShipOnce(t *testing.T) {
+	ctx := context.Background()
+	var log wireLog
+	shardEng, _ := newShardedEngine(t, 2, func(_ int, tr Transport) Transport {
+		return &loggingTransport{inner: tr, log: &log}
+	})
+	localEng, err := core.NewEngine(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plus := mustAgg(t, "+")
+	var results [][][]uint64
+	for _, eng := range []*core.Engine{localEng, shardEng} {
+		_, _, key := routeLeaves(t, eng)
+		log.calls = nil
+		ss := []*core.Sink{core.Table(key), core.GroupByVal(key, plus)}
+		ms, err := eng.MaterializePass(ctx, nil, ss, core.PassOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, sinkBits(ss))
+		if eng == localEng {
+			continue
+		}
+		var recv, saved, keys int64
+		for _, c := range log.calls {
+			recv += int64(len(c.resp) + 5)
+			if c.op != opExec {
+				continue
+			}
+			q, err := decodeExecResp(c.resp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range q.Partials {
+				if len(p.Keys) == 0 {
+					continue
+				}
+				if len(p.Data) != 0 {
+					t.Fatalf("keyed partial with %d keys ships %d values of Data", len(p.Keys), len(p.Data))
+				}
+				keys += int64(len(p.Keys))
+				// Data as it shipped before: the keys (table) or the folds
+				// (groupby) once more.
+				p.Data = p.Keys
+				if len(p.Folds) > 0 {
+					p.Data = p.Folds
+				}
+			}
+			saved += int64(len(encodeExecResp(q)) - len(c.resp))
+		}
+		if recv != ms.ShardBytesRecv {
+			t.Fatalf("logged %d response bytes, ShardBytesRecv %d", recv, ms.ShardBytesRecv)
+		}
+		if keys == 0 || saved != 8*keys {
+			t.Fatalf("%d keys across the shards save %d bytes, want %d", keys, saved, 8*keys)
+		}
+	}
+	for i := range results[0] {
+		if !sameWords(results[0][i], results[1][i]) {
+			t.Fatalf("2-shard %s result differs from one engine's", core.SinkKind(4+i))
+		}
+	}
+}
+
+// wireLog records every answered call's op and response bytes.
+type wireLog struct {
+	mu    sync.Mutex
+	calls []loggedCall
+}
+
+type loggedCall struct {
+	op   uint8
+	resp []byte
+}
+
+type loggingTransport struct {
+	inner Transport
+	log   *wireLog
+}
+
+func (l *loggingTransport) Call(ctx context.Context, op uint8, body []byte) ([]byte, error) {
+	resp, err := l.inner.Call(ctx, op, body)
+	if err == nil {
+		l.log.mu.Lock()
+		l.log.calls = append(l.log.calls, loggedCall{op, append([]byte(nil), resp...)})
+		l.log.mu.Unlock()
+	}
+	return resp, err
+}
+
+func (l *loggingTransport) Close() error { return l.inner.Close() }
 
 // routeLeaves generates the three inputs the route sinks read: the integer
 // matrix of the shard tests, group labels in {0, 1, 2}, and a column of

@@ -283,6 +283,14 @@ func (w *Worker) exec(ctx context.Context, q execRequest) (execResponse, error) 
 			resp.Carries[ci] = c
 		}
 	}
+	// A final keyed partial repeats its keys (table) or folds (groupby) in
+	// Data. The coordinator merges Keys with Counts or Folds and rebuilds
+	// Data itself, so Data does not ship.
+	for j, part := range res.Partials {
+		if k := core.SinkKind(p.Sinks[j].Kind); k == core.SinkTable || k == core.SinkGroupByVal {
+			part.Data = nil
+		}
+	}
 	resp.Partials = res.Partials
 	resp.Stats = ms
 	return resp, nil
