@@ -14,32 +14,32 @@ import (
 )
 
 // Runif creates an n×p matrix of uniform random values in [min, max) — the
-// paper's runif.matrix (Table 3). Generation is parallel and deterministic
-// for a given seed: each I/O partition derives its own RNG stream.
+// paper's runif.matrix (Table 3). Generation is parallel, and each row draws
+// from GenerateSeeded's (seed, row) stream, so the values depend only on the
+// seed and the shape: not on the partition size or the worker count.
 func (s *Session) Runif(n int64, p int, min, max float64, seed int64) (*FM, error) {
 	span := max - min
-	return s.leafFM(s.leaf(n, p, func(part int, start int64, rows int, buf []float64) {
-		rng := rand.New(rand.NewSource(seed*1_000_003 + int64(part)))
-		for i := range buf {
-			buf[i] = min + span*rng.Float64()
+	return s.GenerateSeeded(n, p, seed, func(rng *rand.Rand, row []float64) {
+		for i := range row {
+			row[i] = min + span*rng.Float64()
 		}
-	}))
+	})
 }
 
-// Rnorm creates an n×p matrix of N(mean, sd²) values — rnorm.matrix.
+// Rnorm creates an n×p matrix of N(mean, sd²) values — rnorm.matrix. Like
+// Runif, each row draws from GenerateSeeded's (seed, row) stream.
 func (s *Session) Rnorm(n int64, p int, mean, sd float64, seed int64) (*FM, error) {
-	return s.leafFM(s.leaf(n, p, func(part int, start int64, rows int, buf []float64) {
-		rng := rand.New(rand.NewSource(seed*1_000_003 + int64(part)))
-		for i := range buf {
-			buf[i] = mean + sd*rng.NormFloat64()
+	return s.GenerateSeeded(n, p, seed, func(rng *rand.Rand, row []float64) {
+		for i := range row {
+			row[i] = mean + sd*rng.NormFloat64()
 		}
-	}))
+	})
 }
 
 // leaf generates a materialized n×p engine leaf, filling partitions in
 // parallel. On a plan-only session it checks the same shape and returns a
 // zero-storage placeholder of it instead.
-func (s *Session) leaf(n int64, p int, fill func(part int, start int64, rows int, buf []float64)) (*core.Mat, error) {
+func (s *Session) leaf(n int64, p int, fill func(start int64, rows int, buf []float64)) (*core.Mat, error) {
 	if s.plan == nil {
 		return s.eng.Generate(n, p, matrix.F64, fill)
 	}
@@ -58,7 +58,7 @@ func (s *Session) leafFM(m *core.Mat, err error) (*FM, error) {
 
 // fromDense copies an in-memory dense matrix into a tall engine leaf.
 func (s *Session) fromDense(d *dense.Dense) (*core.Mat, error) {
-	return s.leaf(int64(d.R), d.C, func(_ int, start int64, rows int, buf []float64) {
+	return s.leaf(int64(d.R), d.C, func(start int64, rows int, buf []float64) {
 		copy(buf, d.Data[int(start)*d.C:(int(start)+rows)*d.C])
 	})
 }
@@ -77,7 +77,7 @@ func (s *Session) Zeros(n int64, p int) *FM { return s.ConstMat(n, p, 0) }
 
 // SeqVec creates an n×1 matrix holding 0, 1, …, n-1.
 func (s *Session) SeqVec(n int64) (*FM, error) {
-	return s.leafFM(s.leaf(n, 1, func(part int, start int64, rows int, buf []float64) {
+	return s.leafFM(s.leaf(n, 1, func(start int64, rows int, buf []float64) {
 		for r := 0; r < rows; r++ {
 			buf[r] = float64(start + int64(r))
 		}
@@ -87,7 +87,7 @@ func (s *Session) SeqVec(n int64) (*FM, error) {
 // GenerateMat creates a materialized n×p matrix by calling gen(i, j) for
 // every element (generation runs partition-parallel).
 func (s *Session) GenerateMat(n int64, p int, gen func(i int64, j int) float64) (*FM, error) {
-	return s.leafFM(s.leaf(n, p, func(part int, start int64, rows int, buf []float64) {
+	return s.leafFM(s.leaf(n, p, func(start int64, rows int, buf []float64) {
 		for r := 0; r < rows; r++ {
 			for c := 0; c < p; c++ {
 				buf[r*p+c] = gen(start+int64(r), c)
@@ -102,7 +102,7 @@ func (s *Session) GenerateMat(n int64, p int, gen func(i int64, j int) float64) 
 // same seed see identical per-row streams, so features and labels built from
 // the same seed stay consistent — regardless of partitioning or scheduling.
 func (s *Session) GenerateSeeded(n int64, p int, seed int64, fill func(rng *rand.Rand, row []float64)) (*FM, error) {
-	return s.leafFM(s.leaf(n, p, func(part int, start int64, rows int, buf []float64) {
+	return s.leafFM(s.leaf(n, p, func(start int64, rows int, buf []float64) {
 		src := &splitmixSource{}
 		rng := rand.New(src)
 		for r := 0; r < rows; r++ {

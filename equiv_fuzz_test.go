@@ -19,9 +19,10 @@ import (
 // cross-materialize result cache on exactly the values the first run
 // computed.
 //
-// Sink partials merge in task order, so at a fixed worker count and
-// partition size a real-valued sum is bit-stable across fusion levels, CSE
-// and EM; sharded execution regroups it. Integer sums are exact under any
+// Every partition folds into its own sink partials and a pass merges them
+// in partition order, so at a fixed partition size a real-valued sum is
+// bit-stable across worker counts, fusion levels, CSE and EM; sharded
+// execution regroups it. Integer sums are exact under any
 // grouping below 2^53. The program therefore fingerprints most sums through
 // Round, keeps raw floats for the order-insensitive min/max sinks and for
 // tall outputs (elementwise, deterministic by construction), and checks one
@@ -34,6 +35,8 @@ type equivConfig struct {
 	fuse       FuseLevel
 	disableCSE bool
 	em         bool
+	// workers is the session's worker count (0 = 4).
+	workers int
 	// shards > 0 runs the session with in-process sharded execution: the
 	// distributed path must fingerprint bit-identically to local execution
 	// (carry-seeded cumulative folds included). Only the float channel is
@@ -64,6 +67,12 @@ func equivGrid(em bool) []equivConfig {
 			})
 		}
 	}
+	// Worker axis: a local pass's answers must not depend on how many
+	// workers race for its partitions.
+	grid = append(grid,
+		equivConfig{name: "local/cache/workers=1", fuse: FuseCache, workers: 1},
+		equivConfig{name: "local/cache/workers=3", fuse: FuseCache, workers: 3},
+	)
 	// Sharded execution axis: the same program row-partitioned across 2 and 4
 	// in-process workers, plus sharding with CSE ablated and under per-op
 	// (FuseNone) materialization.
@@ -314,6 +323,9 @@ func checkEquivalenceGrid(t testing.TB, seed int64, grid []equivConfig) {
 		opts := Options{
 			Workers: 4, PartRows: 256, Fuse: cfg.fuse,
 			DisableCSE: cfg.disableCSE,
+		}
+		if cfg.workers > 0 {
+			opts.Workers = cfg.workers
 		}
 		var chaos []*shard.FaultTransport
 		if cfg.shards > 0 {
@@ -574,7 +586,7 @@ func TestShardUnifiedCumsum(t *testing.T) {
 // The ablation gate below runs one program twice on the external-memory
 // path, with CSE on and off, and compares outputs and I/O. EM makes leaf
 // reads visible in BytesRead. Both arms run four workers over the same
-// 256-row partitions, and sink partials merge in task order, so both arms
+// 256-row partitions, and sink partials merge in partition order, so both arms
 // group every sum identically and real-valued outputs stay bitwise.
 
 // emArm runs prog in a fresh four-worker EM session built from opts and

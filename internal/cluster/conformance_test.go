@@ -63,7 +63,7 @@ func TestReduceRoundConformance(t *testing.T) {
 	defer coord.Close()
 	eng.SetRemoteExecutor(coord)
 
-	leaf, err := eng.Generate(nrow, ncol, matrix.F64, func(part int, startRow int64, rows int, buf []float64) {
+	leaf, err := eng.Generate(nrow, ncol, matrix.F64, func(startRow int64, rows int, buf []float64) {
 		for r := 0; r < rows; r++ {
 			for c := 0; c < ncol; c++ {
 				buf[r*ncol+c] = val(int(startRow)+r, c)

@@ -82,11 +82,6 @@ type Config struct {
 	PartRows int
 	// PcacheBytes bounds a Pcache partition (0 = DefaultPcacheBytes).
 	PcacheBytes int
-	// SuperParts is how many contiguous I/O partitions form one scheduler
-	// super-task at the start of a pass (0 = derived from the SAFS stripe
-	// size; the scheduler shrinks to single partitions near the end,
-	// §3.3).
-	SuperParts int
 	// DisableCSE turns off structural hash-consing entirely: no
 	// common-subexpression unification at DAG-build time and no sub-DAG
 	// result cache (the ablation knob for the equivalence suites).
@@ -177,18 +172,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.EM && cfg.FS == nil {
 		return nil, fmt.Errorf("core: EM engine requires an SSD array (Config.FS)")
 	}
-	if cfg.SuperParts == 0 {
-		cfg.SuperParts = 4
-		if cfg.FS != nil {
-			sp := cfg.FS.StripeBytes() / (cfg.PartRows * 8)
-			if sp > cfg.SuperParts {
-				cfg.SuperParts = sp
-			}
-			if cfg.SuperParts > 64 {
-				cfg.SuperParts = 64
-			}
-		}
-	}
 	if cfg.ResultCacheBytes == 0 {
 		cfg.ResultCacheBytes = DefaultResultCacheBytes
 	}
@@ -254,10 +237,10 @@ func (e *Engine) newStoreOn(nrow int64, ncol int, em bool) (matrix.Store, error)
 }
 
 // Generate creates a materialized tall matrix by filling partitions in
-// parallel: fill receives the partition index, its starting row, and a
-// row-major rows×ncol buffer to populate. Used by runif.matrix/rnorm.matrix
-// and the workload generators.
-func (e *Engine) Generate(nrow int64, ncol int, dt matrix.DType, fill func(part int, startRow int64, rows int, buf []float64)) (*Mat, error) {
+// parallel: fill receives a partition's starting row and a row-major
+// rows×ncol buffer to populate. Used by runif.matrix/rnorm.matrix and the
+// workload generators.
+func (e *Engine) Generate(nrow int64, ncol int, dt matrix.DType, fill func(startRow int64, rows int, buf []float64)) (*Mat, error) {
 	st, err := e.NewStore(nrow, ncol)
 	if err != nil {
 		return nil, err
@@ -278,7 +261,7 @@ func (e *Engine) Generate(nrow int64, ncol int, dt matrix.DType, fill func(part 
 				}
 				rows := matrix.PartRowsOf(nrow, e.cfg.PartRows, p)
 				start := int64(p) * int64(e.cfg.PartRows)
-				fill(p, start, rows, buf[:rows*ncol])
+				fill(start, rows, buf[:rows*ncol])
 				if err := st.WritePart(p, buf[:rows*ncol]); err != nil {
 					errs[w] = err
 					return
@@ -298,7 +281,7 @@ func (e *Engine) Generate(nrow int64, ncol int, dt matrix.DType, fill func(part 
 
 // FromDense materializes an in-memory dense matrix as a tall leaf.
 func (e *Engine) FromDense(d *dense.Dense) (*Mat, error) {
-	return e.Generate(int64(d.R), d.C, matrix.F64, func(part int, start int64, rows int, buf []float64) {
+	return e.Generate(int64(d.R), d.C, matrix.F64, func(start int64, rows int, buf []float64) {
 		copy(buf, d.Data[int(start)*d.C:(int(start)+rows)*d.C])
 	})
 }

@@ -264,43 +264,6 @@ func TestCumErrorDoesNotDeadlock(t *testing.T) {
 // package's unlocked write of the test's done flag.
 func timeoutC() <-chan time.Time { return time.After(10 * time.Second) }
 
-// TestBuildTasks checks the scheduler's dispatch shape: big sequential
-// super-tasks first, single partitions at the tail (§3.3).
-func TestBuildTasks(t *testing.T) {
-	tasks := buildTasks(100, 8, 4)
-	if len(tasks) == 0 {
-		t.Fatal("no tasks")
-	}
-	// Coverage exactly [0,100) in order.
-	next := 0
-	singlesAtEnd := true
-	seenSingle := false
-	for _, tr := range tasks {
-		if tr.lo != next {
-			t.Fatalf("gap at %d", tr.lo)
-		}
-		next = tr.hi
-		if tr.hi-tr.lo == 1 {
-			seenSingle = true
-		} else if seenSingle {
-			singlesAtEnd = false
-		}
-	}
-	if next != 100 {
-		t.Fatalf("covered up to %d", next)
-	}
-	if !seenSingle || !singlesAtEnd {
-		t.Fatal("tail must be dispatched as single partitions")
-	}
-	// Degenerate cases.
-	if got := buildTasks(3, 8, 4); len(got) != 3 {
-		t.Fatalf("tiny pass tasks %v", got)
-	}
-	if got := buildTasks(1, 1, 1); len(got) != 1 || got[0] != (taskRange{0, 1}) {
-		t.Fatalf("single task %v", got)
-	}
-}
-
 // TestEngineStatsAdvance sanity-checks the counters the ablation benches
 // rely on: FuseNone uses more passes than FuseCache for the same DAG.
 func TestEngineStatsAdvance(t *testing.T) {

@@ -402,7 +402,7 @@ func TestGenerateDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	gen := func() *dense.Dense {
-		m, err := e.Generate(2000, 3, matrix.F64, func(part int, start int64, rows int, buf []float64) {
+		m, err := e.Generate(2000, 3, matrix.F64, func(start int64, rows int, buf []float64) {
 			for r := 0; r < rows; r++ {
 				for c := 0; c < 3; c++ {
 					buf[r*3+c] = float64(start+int64(r))*10 + float64(c)

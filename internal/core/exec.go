@@ -28,12 +28,6 @@ type binding struct {
 	seeds  map[int32][]float64
 }
 
-// taskRange is one scheduler dispatch unit: a contiguous run of I/O
-// partitions. The scheduler hands out multi-partition ranges first (matched
-// to the SAFS stripe so one range is one large sequential I/O) and single
-// partitions near the end of the pass for load balance (§3.3).
-type taskRange struct{ lo, hi int }
-
 // runState carries everything shared by the workers of one fused pass.
 type runState struct {
 	e         *Engine
@@ -49,9 +43,10 @@ type runState struct {
 	// elsewhere); workers read and prefetch through these.
 	leafPass []matrix.Store
 	// pass is this run's SAFS identity (nil without an array).
-	pass     *safs.Pass
-	tasks    []taskRange
-	taskNext atomic.Int64
+	pass *safs.Pass
+	// partNext is the next unclaimed partition: the scheduler's one dispatch
+	// unit is one I/O partition.
+	partNext atomic.Int64
 	cum      *cumCoord
 	// wb is the bounded write-behind queue for tall-output partitions
 	// (nil when the program has no tall outputs).
@@ -69,17 +64,21 @@ type runState struct {
 	// worker-exit paths.
 	prefAbandoned atomic.Int64
 
-	// Deterministic sink reduction: each task folds into its own accumulator
-	// set and commits its partials when the task's last partition finishes;
-	// commits merge into global strictly in task-index order, so
-	// floating-point sink results do not depend on which worker won the race
-	// for which task.
+	// Deterministic sink reduction: each partition folds into its own
+	// accumulator set and commits its partials when it finishes; commits
+	// merge into global strictly in partition order, so a floating-point sink
+	// result is a left fold of per-partition partials that depends on the
+	// data, the program and PartRows, never on the worker count or on which
+	// worker won the race for which partition.
 	// mergeQueue buffers out-of-order commits (normally at most one per
-	// worker; more only under heavy task skew) until their turn.
+	// worker; more only under heavy partition skew) until their turn.
 	mergeMu    sync.Mutex
 	mergeNext  int
-	mergeQueue map[int][]*SinkPartial
+	mergeQueue map[int][]*sinkAcc
 	global     []*sinkAcc
+	// spare holds accumulator sets whose partials are merged; a worker
+	// resets one for its next partition instead of allocating a set.
+	spare [][]*sinkAcc
 
 	errMu  sync.Mutex
 	err    error
@@ -147,9 +146,8 @@ func (e *Engine) runFused(ctx context.Context, b *binding, fuse FuseLevel, ms *M
 	if len(p.cums) > 0 {
 		rs.cum = newCumCoord(p, b.seeds, rs.nparts)
 	}
-	rs.tasks = buildTasks(rs.nparts, e.cfg.SuperParts, e.cfg.Workers)
-	rs.mergeQueue = make(map[int][]*SinkPartial)
-	rs.global = rs.newTaskAccs()
+	rs.mergeQueue = make(map[int][]*sinkAcc)
+	rs.global = rs.newSinkAccs()
 	if len(p.Talls) > 0 {
 		// A failed write aborts the pass right away rather than at the
 		// drain barrier, so compute stops producing partitions nobody can
@@ -255,13 +253,13 @@ func (e *Engine) runFused(ctx context.Context, b *binding, fuse FuseLevel, ms *M
 		freeOut()
 		return nil, rs.err
 	}
-	// A clean pass committed every task in order; an unmerged remainder
-	// means a worker exited without committing or failing, which must not
-	// pass silently.
-	if rs.mergeNext != len(rs.tasks) || len(rs.mergeQueue) != 0 {
+	// A clean pass committed every partition once, in order; an unmerged
+	// remainder means a worker exited without committing or failing, which
+	// must not pass silently.
+	if rs.mergeNext != rs.nparts || len(rs.mergeQueue) != 0 {
 		freeOut()
-		return nil, fmt.Errorf("core: %d of %d tasks merged at pass end (%d queued)",
-			rs.mergeNext, len(rs.tasks), len(rs.mergeQueue))
+		return nil, fmt.Errorf("core: %d of %d partitions merged at pass end (%d queued)",
+			rs.mergeNext, rs.nparts, len(rs.mergeQueue))
 	}
 	res := &ProgramResult{Talls: rs.outStores}
 	for _, acc := range rs.global {
@@ -290,37 +288,6 @@ func (e *Engine) chunkRowsFor(p *Program, fuse FuseLevel) int {
 	return rows
 }
 
-// buildTasks precomputes scheduler dispatch units: super-task ranges first,
-// then single partitions for the tail so threads finish together. The ranges
-// exactly cover [0, nparts) with no overlap for any super/workers values —
-// non-positive workers or super are treated as 1 (an unclamped negative
-// workers once made the tail reservation negative, extending super ranges
-// past nparts into partitions that do not exist).
-func buildTasks(nparts, super, workers int) []taskRange {
-	if nparts <= 0 {
-		return nil
-	}
-	if super < 1 {
-		super = 1
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	tail := workers * super
-	if tail > nparts {
-		tail = nparts
-	}
-	var tasks []taskRange
-	p := 0
-	for ; p+super <= nparts-tail; p += super {
-		tasks = append(tasks, taskRange{p, p + super})
-	}
-	for ; p < nparts; p++ {
-		tasks = append(tasks, taskRange{p, p + 1})
-	}
-	return tasks
-}
-
 // worker evaluates partitions. Its buffers come from the engine pool through
 // a lock-free free list of its own (a few exact-length classes, searched
 // linearly — the paper's fixed-chunk recycling at Pcache granularity), and
@@ -342,8 +309,8 @@ type worker struct {
 	// outBufs holds the current partition's tall-output buffers until they
 	// are handed to the write-behind queue.
 	outBufs [][]float64
-	// sinks is the accumulator set of the task currently being processed,
-	// made fresh per task; its partials go to commitTask.
+	// sinks is the accumulator set of the partition currently being
+	// processed, at the fold identity when it starts; it goes to commitPart.
 	sinks []*sinkAcc
 	// cumRun[i] is cum.col instruction i's running column accumulator for
 	// the partition currently being processed.
@@ -385,8 +352,8 @@ func newWorker(rs *runState, id, total int) *worker {
 	}
 }
 
-// newTaskAccs builds a fresh accumulator set (one per sink in the program).
-func (rs *runState) newTaskAccs() []*sinkAcc {
+// newSinkAccs builds a fresh accumulator set (one per sink in the program).
+func (rs *runState) newSinkAccs() []*sinkAcc {
 	accs := make([]*sinkAcc, len(rs.p.Sinks))
 	for i := range rs.p.Sinks {
 		accs[i] = newSinkAcc(&rs.p.Sinks[i])
@@ -394,14 +361,33 @@ func (rs *runState) newTaskAccs() []*sinkAcc {
 	return accs
 }
 
-// commitTask hands a finished task's sink partials to the ordered merge:
-// queued under the task index, then merged into rs.global together with any
-// consecutive successors already waiting. Only the commit under mergeMu
-// touches rs.global, so the merge order is exactly task order.
-func (rs *runState) commitTask(t int, parts []*SinkPartial) {
+// takeSinkAccs returns an accumulator set at the fold identity for one
+// partition: a spare one reset, or a fresh one.
+func (rs *runState) takeSinkAccs() []*sinkAcc {
+	rs.mergeMu.Lock()
+	n := len(rs.spare)
+	if n == 0 {
+		rs.mergeMu.Unlock()
+		return rs.newSinkAccs()
+	}
+	accs := rs.spare[n-1]
+	rs.spare = rs.spare[:n-1]
+	rs.mergeMu.Unlock()
+	for _, a := range accs {
+		a.reset()
+	}
+	return accs
+}
+
+// commitPart hands a finished partition's snapshotted accumulators to the
+// ordered merge: queued under the partition index, then merged into
+// rs.global together with any consecutive successors already waiting, each
+// merged set becoming a spare. Only the commit under mergeMu touches
+// rs.global, so the merge order is exactly partition order.
+func (rs *runState) commitPart(p int, accs []*sinkAcc) {
 	rs.mergeMu.Lock()
 	defer rs.mergeMu.Unlock()
-	rs.mergeQueue[t] = parts
+	rs.mergeQueue[p] = accs
 	for {
 		q, ok := rs.mergeQueue[rs.mergeNext]
 		if !ok {
@@ -409,8 +395,9 @@ func (rs *runState) commitTask(t int, parts []*SinkPartial) {
 		}
 		delete(rs.mergeQueue, rs.mergeNext)
 		for si, acc := range rs.global {
-			acc.merge(q[si])
+			acc.merge(&q[si].SinkPartial)
 		}
+		rs.spare = append(rs.spare, q)
 		rs.mergeNext++
 	}
 }
@@ -477,51 +464,47 @@ func (w *worker) run() {
 			w.rs.fail(fmt.Errorf("core: worker %d panic: %v", w.id, r))
 		}
 	}()
-	t := int(w.rs.taskNext.Add(1) - 1)
-	if t >= len(w.rs.tasks) {
+	p := w.claim()
+	if p < 0 {
 		return
 	}
-	// Issue read-ahead for the first partition of the range; each partition
-	// then prefetches its successor before computing.
-	w.prefetch(w.rs.tasks[t].lo)
-	for t >= 0 && !w.rs.failed.Load() {
-		t = w.runTask(t)
+	// Issue read-ahead for the first claimed partition; each partition then
+	// claims and prefetches its successor before computing.
+	w.prefetch(p)
+	for p >= 0 && !w.rs.failed.Load() {
+		p = w.runPart(p)
 	}
 }
 
-// runTask processes one scheduler dispatch unit under a super-task span and
-// returns the next claimed task index (-1 when the worker should exit).
-func (w *worker) runTask(t int) (next int) {
-	tr := w.rs.tasks[t]
-	sp := w.buf.Begin(trace.KindSuperTask, int64(t))
+// claim takes the next unclaimed partition (-1 when none is left).
+func (w *worker) claim() int {
+	if p := int(w.rs.partNext.Add(1) - 1); p < w.rs.nparts {
+		return p
+	}
+	return -1
+}
+
+// runPart processes one scheduler dispatch unit, partition p, under a
+// super-task span: it claims the next partition and prefetches it before
+// computing p, folds p into sink accumulators at the fold identity and
+// commits their partials under p's index. It returns the claimed partition (-1 when the
+// worker should exit).
+func (w *worker) runPart(p int) (next int) {
+	sp := w.buf.Begin(trace.KindSuperTask, int64(p))
 	defer w.buf.End(sp)
-	w.sinks = w.rs.newTaskAccs()
-	next = -1
-	for p := tr.lo; p < tr.hi; p++ {
-		if w.rs.failed.Load() {
-			return -1
-		}
-		if p+1 < tr.hi {
-			w.prefetch(p + 1)
-		} else if n := int(w.rs.taskNext.Add(1) - 1); n < len(w.rs.tasks) {
-			// Last partition of the range: claim the next range now and
-			// prefetch across the boundary, so the first partition of
-			// every range after the first is read ahead too (read-ahead
-			// used to stop at super-task boundaries, making it a
-			// guaranteed cold read).
-			next = n
-			w.prefetch(w.rs.tasks[n].lo)
-		}
-		if err := w.processPartition(p); err != nil {
-			w.rs.fail(err)
-			return -1
-		}
+	next = w.claim()
+	if next >= 0 {
+		w.prefetch(next)
 	}
-	parts := make([]*SinkPartial, len(w.sinks))
-	for i, a := range w.sinks {
-		parts[i] = a.snapshot(false) // outside mergeMu
+	w.sinks = w.rs.takeSinkAccs()
+	if err := w.processPartition(p); err != nil {
+		w.rs.fail(err)
+		return -1
 	}
-	w.rs.commitTask(t, parts)
+	for _, a := range w.sinks {
+		a.snapshot(false) // outside mergeMu
+	}
+	w.rs.commitPart(p, w.sinks)
 	return next
 }
 

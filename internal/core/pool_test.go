@@ -99,7 +99,7 @@ func newPoolRig(t *testing.T) *poolRig {
 		}
 	}
 	e, err := NewEngine(Config{Workers: 2, PartRows: partRows, FS: fs, EM: true,
-		SuperParts: 2, Topo: numa.NewTopology(2, 1<<15), DisableCSE: true})
+		Topo: numa.NewTopology(2, 1<<15), DisableCSE: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestConcurrentPassesMatchSerial(t *testing.T) {
 	x := safsLeaf(t, fs, "cx", partRows*12+5, 4, partRows, 31)
 	z := safsLeaf(t, fs, "cz", partRows*12+5, 4, partRows, 32)
 	e, err := NewEngine(Config{Workers: 2, PartRows: partRows, FS: fs, EM: true,
-		SuperParts: 2, Topo: numa.NewTopology(2, 1<<15), DisableCSE: true, MaxConcurrentPasses: 4})
+		Topo: numa.NewTopology(2, 1<<15), DisableCSE: true, MaxConcurrentPasses: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,67 +11,6 @@ import (
 	"repro/internal/safs"
 )
 
-// TestBuildTasksCoverage: for any (nparts, super, workers) — including the
-// degenerate and hostile corners — the dispatch units must cover [0, nparts)
-// exactly once, stay in bounds, and place every super-task strictly before
-// every single. A negative workers count used to make the tail reservation
-// negative and extend super ranges past nparts.
-func TestBuildTasksCoverage(t *testing.T) {
-	cases := []struct{ nparts, super, workers int }{
-		{0, 4, 2},    // empty pass
-		{4, 2, -1},   // negative workers (the out-of-bounds regression)
-		{4, 2, 0},    // zero workers
-		{10, 4, 1},   // non-divisible remainder
-		{3, 8, 2},    // super > nparts
-		{5, 2, 4},    // nparts < workers*super
-		{1, 1, 1},    // single partition
-		{16, 4, 4},   // exact division
-		{13, 5, 3},   // everything ragged
-		{7, 0, 3},    // zero super
-		{64, 2, 8},   // larger pass
-		{-3, 2, 2},   // negative nparts
-		{6, -2, -2},  // all negative
-		{100, 7, 13}, // mutually prime
-	}
-	for _, tc := range cases {
-		name := fmt.Sprintf("n%d_s%d_w%d", tc.nparts, tc.super, tc.workers)
-		t.Run(name, func(t *testing.T) {
-			tasks := buildTasks(tc.nparts, tc.super, tc.workers)
-			n := tc.nparts
-			if n < 0 {
-				n = 0
-			}
-			seen := make([]bool, n)
-			sawSingle := false
-			for _, tr := range tasks {
-				if tr.lo >= tr.hi {
-					t.Fatalf("empty/inverted range %+v", tr)
-				}
-				if tr.lo < 0 || tr.hi > n {
-					t.Fatalf("range %+v out of [0,%d)", tr, n)
-				}
-				if tr.hi-tr.lo > 1 && sawSingle {
-					t.Fatalf("super-task %+v after a single", tr)
-				}
-				if tr.hi-tr.lo == 1 {
-					sawSingle = true
-				}
-				for p := tr.lo; p < tr.hi; p++ {
-					if seen[p] {
-						t.Fatalf("partition %d covered twice", p)
-					}
-					seen[p] = true
-				}
-			}
-			for p, s := range seen {
-				if !s {
-					t.Fatalf("partition %d not covered", p)
-				}
-			}
-		})
-	}
-}
-
 // safsLeaf builds an nrow×ncol SAFS-backed leaf filled from seed.
 func safsLeaf(t testing.TB, fs *safs.FS, name string, nrow int64, ncol, partRows int, seed int64) *Mat {
 	t.Helper()
@@ -93,11 +32,10 @@ func safsLeaf(t testing.TB, fs *safs.FS, name string, nrow int64, ncol, partRows
 	return NewLeaf(st, matrix.F64)
 }
 
-// TestPrefetchCrossesRangeBoundary: when a worker reaches the last partition
-// of its claimed range it must claim the next range and issue that range's
-// first prefetch before computing — previously read-ahead stopped at the
-// boundary (`p+1 < tr.hi`), making the first partition of every later range a
-// guaranteed cold read.
+// TestPrefetchCrossesRangeBoundary: a worker claims its next partition and
+// issues that partition's prefetch before computing the current one, so
+// every partition but the first is read ahead behind a computing one, and
+// none is a cold read.
 func TestPrefetchCrossesRangeBoundary(t *testing.T) {
 	fs, err := safs.OpenTempDir(t.TempDir(), 2, 0, 0)
 	if err != nil {
@@ -107,11 +45,11 @@ func TestPrefetchCrossesRangeBoundary(t *testing.T) {
 	const partRows, nparts = 256, 4
 	leaf := safsLeaf(t, fs, "leaf", partRows*nparts, 3, partRows, 21)
 
-	e, err := NewEngine(Config{Workers: 1, PartRows: partRows, FS: fs, SuperParts: 2})
+	e, err := NewEngine(Config{Workers: 1, PartRows: partRows, FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Workers=1 ⇒ tasks [0,2) [2,3) [3,4) and a strictly sequential event log.
+	// Workers=1 ⇒ a strictly sequential event log.
 	var events []string
 	e.testSchedEvent = func(kind string, p int) { events = append(events, fmt.Sprintf("%s:%d", kind, p)) }
 	out := Sapply(leaf, UnarySquare)
@@ -134,14 +72,12 @@ func TestPrefetchCrossesRangeBoundary(t *testing.T) {
 			t.Fatalf("partition %d processed before its prefetch: %v", p, events)
 		}
 	}
-	// The boundary cases: partition 2 opens range [2,3) and must be prefetched
-	// before partition 1 (the end of range [0,2)) is processed; likewise 3
-	// before 2.
-	if idx("prefetch:2") > idx("process:1") {
-		t.Fatalf("read-ahead stopped at the range boundary: %v", events)
-	}
-	if idx("prefetch:3") > idx("process:2") {
-		t.Fatalf("read-ahead stopped at the second boundary: %v", events)
+	// Every partition's successor is prefetched before the partition is
+	// processed.
+	for p := 0; p+1 < nparts; p++ {
+		if idx(fmt.Sprintf("prefetch:%d", p+1)) > idx(fmt.Sprintf("process:%d", p)) {
+			t.Fatalf("partition %d processed before partition %d's read-ahead: %v", p, p+1, events)
+		}
 	}
 	// Accounting stays exact: every load was a prefetch hit.
 	ms := e.LastMaterializeStats()
@@ -166,7 +102,7 @@ func TestWorkerExitDrainsPrefetches(t *testing.T) {
 	const partRows = 256
 	leaf := safsLeaf(t, fs, "leaf", partRows*8, 3, partRows, 22)
 
-	e, err := NewEngine(Config{Workers: 1, PartRows: partRows, FS: fs, SuperParts: 2})
+	e, err := NewEngine(Config{Workers: 1, PartRows: partRows, FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,11 +141,11 @@ func TestWorkerExitDrainsPrefetches(t *testing.T) {
 }
 
 // TestSinkReductionDeterministic: materializing the same DAG repeatedly must
-// produce bit-identical sink results even though workers race for task
-// ranges. Partials fold per task and commit in task-index order; before the
-// ordered merge they folded per worker, so the floating-point summation
-// order — and the low bits of every aggregate — depended on which worker won
-// which range.
+// produce bit-identical sink results even though workers race for
+// partitions. Partials fold per partition and commit in partition order;
+// before the ordered merge they folded per worker, so the floating-point
+// summation order — and the low bits of every aggregate — depended on which
+// worker won which partition.
 func TestSinkReductionDeterministic(t *testing.T) {
 	const (
 		partRows = 64
@@ -222,7 +158,7 @@ func TestSinkReductionDeterministic(t *testing.T) {
 	}
 	defer fs.Close()
 	leaf := safsLeaf(t, fs, "det", int64(partRows*nparts), ncol, partRows, 99)
-	e, err := NewEngine(Config{Workers: 8, PartRows: partRows, FS: fs, SuperParts: 2})
+	e, err := NewEngine(Config{Workers: 8, PartRows: partRows, FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,11 +10,11 @@ import (
 	"repro/internal/dense"
 )
 
-// sinkAcc is one task's fold state for a sink GenOp, and the running merge
-// of a pass's or the shards' partials. Per §3.3 (g,h,i), each thread folds
-// into a local buffer; the task then snapshots it to a SinkPartial, and
-// partials are what the engine merges. The fixed-shape kinds fold straight
-// into the embedded partial's Data.
+// sinkAcc is one partition's fold state for a sink GenOp, and the running
+// merge of a pass's or the shards' partials. Per §3.3 (g,h,i), each thread
+// folds into a local buffer; the partition then snapshots it to a
+// SinkPartial, and partials are what the engine merges. The fixed-shape
+// kinds fold straight into the embedded partial's Data.
 type sinkAcc struct {
 	SinkPartial
 	s     *ProgramSink
@@ -79,30 +79,46 @@ func (kv *keyedVals[V]) pairs(sorted bool) ([]float64, []V) {
 }
 
 func newSinkAcc(s *ProgramSink) *sinkAcc {
-	a := &sinkAcc{s: s, SinkPartial: SinkPartial{R: s.rows, C: s.cols}}
+	a := &sinkAcc{s: s}
 	switch SinkKind(s.Kind) {
-	case SinkAgg, SinkAggCol, SinkGroupByRow:
+	case SinkAgg, SinkAggCol, SinkGroupByRow, SinkCrossProd:
 		a.Data = make([]float64, s.rows*s.cols)
-		for i := range a.Data {
-			a.Data[i] = s.agg.Init
-		}
-	case SinkCrossProd:
-		a.Data = make([]float64, s.rows*s.cols)
-		if s.f1 != nil {
-			init := aggInitFor(s.f2)
-			for i := range a.Data {
-				a.Data[i] = init
-			}
-		}
 	case SinkTable:
 		a.table.m = make(map[float64]int64)
 	case SinkGroupByVal:
 		a.byVal.m = make(map[float64]float64)
-		a.byVal.nanVal = s.agg.Init
 	default:
 		panic(fmt.Sprintf("core: accumulator for unresolved sink kind %d", s.Kind))
 	}
+	a.reset()
 	return a
+}
+
+// reset returns the accumulator to the fold identity and keeps its storage,
+// so a pass can reuse a merged partition's accumulators for a later one.
+func (a *sinkAcc) reset() {
+	s := a.s
+	a.SinkPartial = SinkPartial{R: s.rows, C: s.cols, Data: a.Data}
+	switch SinkKind(s.Kind) {
+	case SinkAgg, SinkAggCol, SinkGroupByRow:
+		for i := range a.Data {
+			a.Data[i] = s.agg.Init
+		}
+	case SinkCrossProd:
+		init := 0.0
+		if s.f1 != nil {
+			init = aggInitFor(s.f2)
+		}
+		for i := range a.Data {
+			a.Data[i] = init
+		}
+	case SinkTable:
+		clear(a.table.m)
+		a.table.nan, a.table.nanVal = false, 0
+	case SinkGroupByVal:
+		clear(a.byVal.m)
+		a.byVal.nan, a.byVal.nanVal = false, s.agg.Init
+	}
 }
 
 // fold folds one Pcache chunk of cr rows into the worker-local partial: in is
@@ -238,8 +254,8 @@ func (a *sinkAcc) fold(in, lab []float64, cr int) error {
 
 // snapshot returns the accumulator's partial once its last chunk is folded
 // or its last partial merged; it lists the keyed kinds' keys with their
-// counts or folds. A task's snapshot lists them in map order and leaves a
-// symmetric crossprod's lower triangle at zero, as merge needs neither. A
+// counts or folds. A partition's snapshot lists them in map order and leaves
+// a symmetric crossprod's lower triangle at zero, as merge needs neither. A
 // final one, what a pass or the coordinator publishes, mirrors the
 // crossprod, sorts the keys and repeats them (table) or the folds (groupby)
 // in Data, the 1×C dense Sink.Result returns. With no rows folded it is the
@@ -268,11 +284,11 @@ func (a *sinkAcc) snapshot(final bool) *SinkPartial {
 	return p
 }
 
-// SinkPartial is the one form of a sink result: what a task's fold snapshots
-// to, what sinkAcc.merge merges, what a shard worker ships, a published
-// Sink holds and the result cache stores. Data holds the R×C values; the
-// keyed kinds (table, groupby) carry distinct Keys with their Counts or
-// Folds. Past a task (sinkAcc.snapshot) the keys are in sort.Float64s order
+// SinkPartial is the one form of a sink result: what a partition's fold
+// snapshots to, what sinkAcc.merge merges, what a shard worker ships, a
+// published Sink holds and the result cache stores. Data holds the R×C
+// values; the keyed kinds (table, groupby) carry distinct Keys with their
+// Counts or Folds. Past a partition (sinkAcc.snapshot) the keys are in sort.Float64s order
 // (NaN first) and Data repeats the keys or folds as 1×C.
 type SinkPartial struct {
 	Used   bool
@@ -303,10 +319,10 @@ func (p *SinkPartial) sizeBytes() int64 {
 }
 
 // merge folds src into a, the sink's running result. It is the one merge:
-// a pass applies it to its tasks' partials in task order (commitTask), the
-// coordinator to its shards' in shard order (Combine). AggFunc.Combine merges
-// the fold kinds, addition the BLAS crossprod (symmetrization commutes with
-// it), f2 the generalized one; the keyed kinds merge key by key into their
+// a pass applies it to its partitions' partials in partition order
+// (commitPart), the coordinator to its shards' in shard order (Combine).
+// AggFunc.Combine merges the fold kinds, addition the BLAS crossprod
+// (symmetrization commutes with it), f2 the generalized one; the keyed kinds merge key by key into their
 // map, one insert per key, and sort once, in the final snapshot. An unused
 // src (no rows folded) changes nothing.
 func (a *sinkAcc) merge(src *SinkPartial) {
@@ -346,7 +362,7 @@ func (a *sinkAcc) merge(src *SinkPartial) {
 }
 
 // Combine merges the shards' partials in shard order with the merge a pass
-// applies to its tasks'. They came off the network, so each is checked
+// applies to its partitions'. They came off the network, so each is checked
 // against the sink's shape first; unused ones (zero-row shards) are skipped.
 func (s *ProgramSink) Combine(parts []*SinkPartial) (*SinkPartial, error) {
 	acc := newSinkAcc(s)

@@ -30,10 +30,6 @@ type Config struct {
 	// RetryBackoff is the first retry's delay, doubling per attempt
 	// (0 = 20ms).
 	RetryBackoff time.Duration
-	// RetryBackoffMax caps the doubling backoff (0 = 2s) — a restarting
-	// worker process needs the retry budget spread over wall-clock time, not
-	// exhausted in milliseconds.
-	RetryBackoffMax time.Duration
 	// CheckpointPath, when set, persists the pushed-leaf registry and the
 	// keep-lineage table to this sidecar file after every pass, and resumes
 	// from it (same session epoch, same pass sequence) at construction.
@@ -60,11 +56,13 @@ func (c Config) withDefaults() Config {
 	if c.RetryBackoff <= 0 {
 		c.RetryBackoff = 20 * time.Millisecond
 	}
-	if c.RetryBackoffMax <= 0 {
-		c.RetryBackoffMax = 2 * time.Second
-	}
 	return c
 }
+
+// retryBackoffMax caps the doubling retry backoff: a restarting worker
+// process needs the retry budget spread over wall-clock time, not exhausted
+// in milliseconds.
+const retryBackoffMax = 2 * time.Second
 
 // procNonce identifies this coordinator process in checkpoints: matrix IDs
 // and content versions are process-local, so registry entries written by a
@@ -275,7 +273,7 @@ func (c *Coordinator) call(ctx context.Context, worker int, op uint8, body []byt
 }
 
 // callRetry makes Retries+1 attempts against transient failures (doubling
-// backoff capped at RetryBackoffMax, context-aware), with a typed wrap on
+// backoff capped at retryBackoffMax, context-aware), with a typed wrap on
 // final failure. Every non-hello request is prefixed per attempt with the
 // current (epoch, boot) fence, so a request built before a recovery still
 // lands with the post-recovery fence. An EpochError — the worker restarted,
@@ -303,9 +301,7 @@ func (c *Coordinator) callRetry(ctx context.Context, worker int, op uint8, body 
 				return nil, &ShardError{Worker: worker, Op: op, Err: ctx.Err()}
 			}
 			backoff *= 2
-			if backoff > c.cfg.RetryBackoffMax {
-				backoff = c.cfg.RetryBackoffMax
-			}
+			backoff = min(backoff, retryBackoffMax)
 		}
 		wire := body
 		if op != opHello {

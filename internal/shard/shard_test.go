@@ -27,7 +27,7 @@ func testConfig() core.Config {
 
 // fillInt is a partition-independent integer-valued fill: exact under any
 // regrouping of the shard combine, so results must be bit-identical.
-func fillInt(part int, startRow int64, rows int, buf []float64) {
+func fillInt(startRow int64, rows int, buf []float64) {
 	for r := 0; r < rows; r++ {
 		g := startRow + int64(r)
 		for c := 0; c < testNCol; c++ {
@@ -38,7 +38,7 @@ func fillInt(part int, startRow int64, rows int, buf []float64) {
 
 // fillFrac has non-terminating binary fractions — used only where bitwise
 // equality is still guaranteed (carry-seeded cumulative folds).
-func fillFrac(part int, startRow int64, rows int, buf []float64) {
+func fillFrac(startRow int64, rows int, buf []float64) {
 	for r := 0; r < rows; r++ {
 		g := startRow + int64(r)
 		for c := 0; c < testNCol; c++ {
@@ -262,7 +262,7 @@ func TestShardTallWorkerResident(t *testing.T) {
 	buf := make([]float64, testPartRows*testNCol)
 	for p := 0; p < matrix.NumParts(testNRow, testPartRows); p++ {
 		rows := matrix.PartRowsOf(testNRow, testPartRows, p)
-		fillInt(p, int64(p)*testPartRows, rows, buf)
+		fillInt(int64(p)*testPartRows, rows, buf)
 		for _, v := range buf[:rows*testNCol] {
 			want += v * v
 		}

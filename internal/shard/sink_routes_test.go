@@ -187,14 +187,14 @@ func routeLeaves(t *testing.T, eng *core.Engine) (x, lab, key *core.Mat) {
 	if x, err = eng.Generate(testNRow, testNCol, matrix.F64, fillInt); err != nil {
 		t.Fatal(err)
 	}
-	if lab, err = eng.Generate(testNRow, 1, matrix.F64, func(_ int, start int64, rows int, buf []float64) {
+	if lab, err = eng.Generate(testNRow, 1, matrix.F64, func(start int64, rows int, buf []float64) {
 		for r := range buf[:rows] {
 			buf[r] = float64((start + int64(r)) % 3)
 		}
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if key, err = eng.Generate(testNRow, 1, matrix.F64, func(_ int, start int64, rows int, buf []float64) {
+	if key, err = eng.Generate(testNRow, 1, matrix.F64, func(start int64, rows int, buf []float64) {
 		for r := range buf[:rows] {
 			switch g := start + int64(r); g % 7 {
 			case 0:

@@ -35,8 +35,9 @@ const (
 	// KindPublish covers the publication phase: result-cache inserts and
 	// duplicate-sink payload copies.
 	KindPublish
-	// KindSuperTask is one scheduler dispatch unit (a contiguous partition
-	// range) on a worker.
+	// KindSuperTask is one scheduler dispatch unit on a worker: one
+	// partition (Arg is its index). The name is kept from the paper's
+	// multi-partition super-tasks, which the engine does not form.
 	KindSuperTask
 	// KindRead covers loading one partition's leaf data (prefetch wait plus
 	// synchronous fallback reads). Bytes carries the bytes loaded, N the
@@ -143,7 +144,7 @@ type Event struct {
 	Kind  Kind
 	Start int64
 	End   int64
-	// Arg identifies the span's subject (partition or task index, lane id).
+	// Arg identifies the span's subject (partition index, lane id).
 	Arg int64
 	// Bytes and N carry span-kind-specific counters (see the Kind docs).
 	Bytes int64
@@ -189,7 +190,7 @@ type Buf struct {
 }
 
 // Begin opens a span of the given kind. arg identifies the subject
-// (partition index, task index, lane id — by Kind convention).
+// (partition index, lane id — by Kind convention).
 func (b *Buf) Begin(kind Kind, arg int64) Span {
 	if b == nil {
 		return Span{}

@@ -10,8 +10,9 @@ import (
 // TestKeyedSinksNaN pins table/unique/groupby on NaN and signed-zero input:
 // every NaN is one key, sorted first as sort.Float64s puts it, with its true
 // count or fold, and 0 and -0 are one key. It runs the same values through a
-// small matrix (the in-memory fold), a tall one (a pass of several tasks) and
-// a 2-shard session (the shards' partials merged in shard order).
+// small matrix (the in-memory fold), a tall one (a pass of several
+// partitions) and a 2-shard session (the shards' partials merged in shard
+// order).
 func TestKeyedSinksNaN(t *testing.T) {
 	const reps = 300 // 2,400 rows: ten 256-row partitions, split over two shards
 	nan, negZero := math.NaN(), math.Copysign(0, -1)
@@ -103,17 +104,17 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 
 // BenchmarkKeyedSinks times TableOf and GroupBy over a tall in-memory column
 // of 2^21 rows with the result cache off, so every iteration runs a pass.
-// distinct holds one key per row, in 38 tasks of up to 65,536 keys at the
-// default partition and task sizes; distinct/tasks=518 splits the same rows
-// into 518 tasks of up to 4,096 (the merge's cost must not grow with the
-// task count); few holds 1,000 keys.
+// distinct holds one key per row, in 128 partitions of 16,384 keys at the
+// default partition height; distinct/parts=2048 splits the same rows into
+// 2,048 partitions of 1,024 (the merge's cost must not grow with the
+// partition count); few holds 1,000 keys.
 func BenchmarkKeyedSinks(b *testing.B) {
 	const n = 1 << 21
 	for _, c := range []struct {
 		name     string
 		keys     int
 		partRows int
-	}{{"distinct", n, 0}, {"distinct/tasks=518", n, 1024}, {"few", 1000, 0}} {
+	}{{"distinct", n, 0}, {"distinct/parts=2048", n, 1024}, {"few", 1000, 0}} {
 		vals := make([]float64, n)
 		for i := range vals {
 			vals[i] = float64((i * 7919) % c.keys) // a permutation when keys == n

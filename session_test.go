@@ -57,7 +57,7 @@ func TestOptionsReachEngine(t *testing.T) {
 		Workers: 3, Fuse: FuseMem, EM: true, PartRows: 512, PcacheBytes: 4096,
 		DisableCSE: true, ResultCacheBytes: mib, MaxConcurrentPasses: 3,
 		// Filled in by the engine, not by Options.
-		Topo: got.Topo, FS: got.FS, SuperParts: got.SuperParts,
+		Topo: got.Topo, FS: got.FS,
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("engine config\n got %+v\nwant %+v", got, want)
