@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -267,6 +269,109 @@ func TestCumulative(t *testing.T) {
 		wantClose(t, name+"/cumcol", toDense(t, e, cc), wantCol, 1e-9)
 		wantClose(t, name+"/cumrow", toDense(t, e, cr), wantRow, 1e-9)
 	}
+}
+
+// TestCumKernelsMatchStep runs cum.col and cum.row for every aggregate over
+// four partitions (the last ragged) at PcacheBytes 4 KiB, so the cum.col
+// carry crosses chunks inside a partition as well as partitions, on inputs
+// holding NaN, ±Inf and −0. The outputs and the exit carry must have the bits
+// of a plain loop over Step.
+func TestCumKernelsMatchStep(t *testing.T) {
+	const partRows, nrow = 256, 3*256 + 77
+	pool := kernelPool()
+	topo := numa.NewTopology(2, 1<<16)
+	e, err := NewEngine(Config{Workers: 3, Fuse: FuseCache, Topo: topo, PartRows: partRows, PcacheBytes: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(9))
+	for _, nc := range []int{3, 40} {
+		in := make([]float64, nrow*nc)
+		for i := range in {
+			if rng.Intn(3) == 0 {
+				in[i] = pool[rng.Intn(len(pool))]
+			} else {
+				in[i] = 1 + rng.NormFloat64()/64 // keeps prod finite for a while
+			}
+		}
+		leaf, err := matrix.NewMemStore(topo, nrow, nc, partRows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p := 0; p < leaf.NumParts(); p++ {
+			r0 := p * partRows
+			r1 := min(r0+partRows, nrow)
+			if err := leaf.WritePart(p, in[r0*nc:r1*nc]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, name := range names(aggByName) {
+			f := aggByName[name]
+			prog := &Program{
+				Nodes: []ProgramNode{
+					{Op: uint8(opLeaf), A: -1, B: -1, NCol: int32(nc)},
+					{Op: uint8(opCumCol), A: 0, B: -1, NCol: int32(nc), Agg: name},
+					{Op: uint8(opCumRow), A: 0, B: -1, NCol: int32(nc), Agg: name},
+				},
+				Talls: []int32{1, 2},
+				Cums:  []int32{1},
+			}
+			if err := prog.Resolve(); err != nil {
+				t.Fatal(err)
+			}
+			res, _, err := e.ExecProgram(context.Background(), prog, nrow, []matrix.Store{leaf, nil, nil}, nil, PassOptions{})
+			if err != nil {
+				t.Fatalf("%s nc=%d: %v", name, nc, err)
+			}
+			carry := make([]float64, nc)
+			for j := range carry {
+				carry[j] = f.Init
+			}
+			wantCol, wantRow := make([]float64, len(in)), make([]float64, len(in))
+			for r := 0; r < nrow; r++ {
+				acc := f.Init
+				for j := 0; j < nc; j++ {
+					carry[j] = f.Step(carry[j], in[r*nc+j])
+					wantCol[r*nc+j] = carry[j]
+					acc = f.Step(acc, in[r*nc+j])
+					wantRow[r*nc+j] = acc
+				}
+			}
+			what := fmt.Sprintf("%s nc=%d", name, nc)
+			sameBitsOrNaN(t, what+" cum.col", storeData(t, res.Talls[0]), wantCol)
+			sameBitsOrNaN(t, what+" cum.row", storeData(t, res.Talls[1]), wantRow)
+			sameBitsOrNaN(t, what+" exit carry", res.Carries[1], carry)
+		}
+	}
+}
+
+// sameBitsOrNaN is sameBits with any NaN matching any NaN. An x86 product
+// or sum of two NaNs keeps one operand's payload, and Go may commute the
+// operands (the race detector's build of a loop does), so which payload a
+// NaN carries is not the kernel's to fix.
+func sameBitsOrNaN(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	got = append([]float64(nil), got...)
+	for i := range got {
+		if i < len(want) && math.IsNaN(got[i]) && math.IsNaN(want[i]) {
+			got[i] = want[i]
+		}
+	}
+	sameBits(t, what, got, want)
+}
+
+// storeData reads every partition of st into one row-major slice.
+func storeData(t *testing.T, st matrix.Store) []float64 {
+	t.Helper()
+	out := make([]float64, st.NRow()*int64(st.NCol()))
+	for p := 0; p < st.NumParts(); p++ {
+		r0 := int64(p) * int64(st.PartRows())
+		r1 := min(r0+int64(st.PartRows()), st.NRow())
+		if err := st.ReadPart(p, out[r0*int64(st.NCol()):r1*int64(st.NCol())]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
 }
 
 // TestColsAndConst covers column-subset views, constants, row-vector and

@@ -879,16 +879,7 @@ func (w *worker) step(n *ProgramNode, i int32, r0, cr int) {
 		}
 
 	case opCumCol:
-		f := n.agg
-		run := w.cumRun[i]
-		for r := 0; r < cr; r++ {
-			arow := a[r*nc : (r+1)*nc]
-			orow := out[r*nc : (r+1)*nc]
-			for j, x := range arow {
-				run[j] = f.Step(run[j], x)
-				orow[j] = run[j]
-			}
-		}
+		scanCols(n.agg, w.cumRun[i], out, a, cr)
 
 	case opCols:
 		matrix.GatherCols(out, a, cr, nca, n.cols)

@@ -689,8 +689,8 @@ var (
 		},
 	}
 	AggProd  = mkAgg("*", 1, mul)
-	AggMin   = mkAgg("min", math.Inf(1), math.Min)
-	AggMax   = mkAgg("max", math.Inf(-1), math.Max)
+	AggMin   = &AggFunc{Name: "min", Init: math.Inf(1), Step: minStep, Combine: minStep, StepV: minV}
+	AggMax   = &AggFunc{Name: "max", Init: math.Inf(-1), Step: maxStep, Combine: maxStep, StepV: maxV}
 	AggAny   = mkAgg("|", 0, or)
 	AggAll   = mkAgg("&", 1, and)
 	AggCount = &AggFunc{

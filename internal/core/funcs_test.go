@@ -136,6 +136,44 @@ func TestKernelsMatchScalar(t *testing.T) {
 			}
 		}
 	}
+	// min and max keep math.Min's and math.Max's bits on every pair of pool
+	// values, so swapping the assembly for an inlinable Step moved nothing.
+	a, b := kernelOperands(pool, 8192)
+	for _, c := range []struct {
+		f    *AggFunc
+		math func(x, y float64) float64
+	}{{AggMin, math.Min}, {AggMax, math.Max}} {
+		got, want := make([]float64, len(a)), make([]float64, len(a))
+		for i := range a {
+			got[i], want[i] = c.f.Step(a[i], b[i]), c.math(a[i], b[i])
+		}
+		sameBits(t, c.f.Name+" Step against math", got, want)
+	}
+	// The cum.col chunk loop: every aggregate, every width from 1 to 9 and
+	// 40, a carry entering with special values.
+	for _, name := range names(aggByName) {
+		f := aggByName[name]
+		for _, nc := range []int{1, 2, 3, 4, 5, 9, 40} {
+			const cr = 7
+			in, _ := kernelOperands(pool, cr*nc)
+			run := make([]float64, nc)
+			for j := range run {
+				run[j] = pool[(j*5)%len(pool)]
+			}
+			wantRun := append([]float64(nil), run...)
+			wantCol := make([]float64, cr*nc)
+			for r := 0; r < cr; r++ {
+				for j := 0; j < nc; j++ {
+					wantRun[j] = f.Step(wantRun[j], in[r*nc+j])
+					wantCol[r*nc+j] = wantRun[j]
+				}
+			}
+			out := make([]float64, cr*nc)
+			scanCols(f, run, out, in, cr)
+			sameBits(t, fmt.Sprintf("%s cum.col nc=%d", name, nc), out, wantCol)
+			sameBits(t, fmt.Sprintf("%s cum.col carry nc=%d", name, nc), run, wantRun)
+		}
+	}
 }
 
 // TestComparisonLanesMatchScalar: every comparison and logical kernel,
@@ -195,46 +233,49 @@ func TestComparisonLanesMatchScalar(t *testing.T) {
 	}
 }
 
-// TestColSumFoldMatchesRowByRow: the colSums fold (SinkAggCol with AggSum),
-// which adds four rows per sweep, leaves every column with the bits of a
-// row-by-row loop, for every tail (cr = 1…9), at widths 1, 3 and 40, from a
-// partial already holding −0, ±Inf and NaN, over rows that meet Inf with
-// −Inf and add −0 to −0.
+// TestColSumFoldMatchesRowByRow: the column fold (SinkAggCol), which adds
+// four rows per sweep for AggSum, leaves every column with the bits of a
+// row-by-row loop over Step, for every aggregate, every
+// tail (cr = 1…9), at widths 1, 3 and 40, from a partial already holding −0,
+// ±Inf and NaN, over rows that meet Inf with −Inf and add −0 to −0.
 func TestColSumFoldMatchesRowByRow(t *testing.T) {
 	pool := kernelPool()
 	negZero := math.Copysign(0, -1)
 	rng := rand.New(rand.NewSource(5))
-	for _, nc := range []int{1, 3, 40} {
-		for cr := 1; cr <= 9; cr++ {
-			in := make([]float64, cr*nc)
-			for i := range in {
-				switch rng.Intn(4) {
-				case 0:
-					in[i] = negZero
-				case 1:
-					in[i] = pool[rng.Intn(len(pool))]
-				default:
-					in[i] = rng.NormFloat64()
+	for _, name := range names(aggByName) {
+		f := aggByName[name]
+		for _, nc := range []int{1, 3, 40} {
+			for cr := 1; cr <= 9; cr++ {
+				in := make([]float64, cr*nc)
+				for i := range in {
+					switch rng.Intn(4) {
+					case 0:
+						in[i] = negZero
+					case 1:
+						in[i] = pool[rng.Intn(len(pool))]
+					default:
+						in[i] = rng.NormFloat64()
+					}
 				}
-			}
-			// Column 0 meets +Inf then −Inf.
-			if cr >= 2 {
-				in[0], in[nc] = math.Inf(1), math.Inf(-1)
-			}
-			acc := newSinkAcc(&ProgramSink{Kind: uint8(SinkAggCol), agg: AggSum, ncolA: nc, rows: 1, cols: nc})
-			for j := range acc.Data {
-				acc.Data[j] = []float64{negZero, negZero, 1.5, math.Inf(1), math.NaN()}[j%5]
-			}
-			want := append([]float64(nil), acc.Data...)
-			for r := 0; r < cr; r++ {
-				for j := 0; j < nc; j++ {
-					want[j] += in[r*nc+j]
+				// Column 0 meets +Inf then −Inf.
+				if cr >= 2 {
+					in[0], in[nc] = math.Inf(1), math.Inf(-1)
 				}
+				acc := newSinkAcc(&ProgramSink{Kind: uint8(SinkAggCol), agg: f, ncolA: nc, rows: 1, cols: nc})
+				for j := range acc.Data {
+					acc.Data[j] = []float64{negZero, negZero, 1.5, math.Inf(1), math.NaN()}[j%5]
+				}
+				want := append([]float64(nil), acc.Data...)
+				for r := 0; r < cr; r++ {
+					for j := 0; j < nc; j++ {
+						want[j] = f.Step(want[j], in[r*nc+j])
+					}
+				}
+				if err := acc.fold(in, nil, cr); err != nil {
+					t.Fatal(err)
+				}
+				sameBits(t, fmt.Sprintf("%s column fold nc=%d cr=%d", name, nc, cr), acc.Data, want)
 			}
-			if err := acc.fold(in, nil, cr); err != nil {
-				t.Fatal(err)
-			}
-			sameBits(t, fmt.Sprintf("colSums fold nc=%d cr=%d", nc, cr), acc.Data, want)
 		}
 	}
 }
@@ -333,5 +374,12 @@ func BenchmarkKernels(b *testing.B) {
 			acc := newSinkAcc(&ProgramSink{Kind: uint8(SinkAggCol), agg: f, ncolA: ncol, rows: 1, cols: ncol})
 			run("colfold"+f.Name+"/fold"+suffix, func() { _ = acc.fold(x, nil, n/ncol) })
 		}
+	}
+	// cum.col (carry in run) over the same chunk at the em_* width: the
+	// AggSum loop cumsum runs and the generic f.Step loop.
+	const ncol = 40
+	carry := make([]float64, ncol)
+	for _, f := range []*AggFunc{AggSum, AggMax} {
+		run("cumcol"+f.Name+"/scan40", func() { scanCols(f, carry, dst, x, n/ncol) })
 	}
 }

@@ -23,6 +23,13 @@
 // hands user buffers straight to its per-drive I/O threads; only a partial
 // piece stages its stripe in a per-drive scratch buffer.
 //
+// Each file does its I/O through its own open segments. Remove takes a name
+// out of the namespace and unlinks its segments at once: a File opened under
+// it fails later requests with ErrRemoved, while pieces already queued
+// finish on the unlinked segments, whose handles close when the file's last
+// piece ends. So a freed file gives back its disk blocks and descriptors
+// without waiting for Close.
+//
 // Unlike the real SAFS, this package uses buffered I/O through the host page
 // cache, and the token bucket sets timing. That preserves the behaviour the
 // engine depends on: a fixed bandwidth budget.
@@ -82,6 +89,10 @@ const DefaultMaxRetries = 3
 
 // DefaultRetryBackoff is the initial retry delay (doubles per attempt).
 const DefaultRetryBackoff = 500 * time.Microsecond
+
+// ErrRemoved marks a request on a File whose name was removed (or created
+// anew) after the File was opened.
+var ErrRemoved = errors.New("safs: file removed")
 
 // FS is a user-space filesystem over an array of simulated SSDs.
 type FS struct {
@@ -154,12 +165,21 @@ func (fs *FS) count(pass *Pass, f func(*counters)) {
 	}
 }
 
-// fileMeta is the FS-side record of one striped file: its size plus the
+// fileMeta is the FS-side record of one striped file: its size, its extent
+// (one open segment per drive, through which all of its I/O goes) and the
 // per-stripe CRC32C table (the integrity metadata a real SAFS keeps beside
 // its mapping metadata).
 type fileMeta struct {
 	name string
 	size int64
+	segs []*os.File // indexed by drive id
+
+	// refs is 1 while the name is in the namespace, plus one per queued or
+	// running piece and per Verify/Corrupt in progress; the segments close
+	// when it reaches 0. removed (guarded by the FS's mu) is set when the
+	// name leaves the namespace.
+	refs    atomic.Int64
+	removed bool
 
 	// mu guards the checksum table. Per-drive workers update disjoint
 	// stripes, but readers (Checksums, Verify) see the whole table.
@@ -312,72 +332,174 @@ func (fs *FS) Close() error {
 	fs.mu.Unlock()
 	// All submitted requests have registered with reqWG before this point
 	// (submit checks closed under fs.mu), so waiting here guarantees every
-	// queued piece is drained before the workers stop.
+	// queued piece is drained before the workers stop. A removed file's last
+	// piece closes its segments before its request leaves reqWG.
 	fs.reqWG.Wait()
-	var first error
 	for _, d := range fs.drives {
 		d.shutdown()
 		d.wg.Wait()
-		if err := d.close(); err != nil && first == nil {
+	}
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	var first error
+	for _, m := range fs.files {
+		if err := closeSegs(m.segs); err != nil && first == nil {
 			first = err
 		}
 	}
 	return first
 }
 
-// Create makes (or truncates) a striped file of the given size in bytes.
+// Create makes a striped file of the given size in bytes, replacing any file
+// of that name (a File opened on the old one then fails with ErrRemoved).
 func (fs *FS) Create(name string, size int64) (*File, error) {
 	if size < 0 {
 		return nil, fmt.Errorf("safs: negative size %d for %q", size, name)
 	}
 	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	if fs.closed {
+		fs.mu.Unlock()
 		return nil, errors.New("safs: filesystem closed")
 	}
+	old, err := fs.retireLocked(name)
 	meta := &fileMeta{name: name, size: size}
 	n := meta.nStripes(fs.stripe)
 	meta.sums = make([]uint32, n)
 	meta.known = make([]bool, n)
-	f := &File{fs: fs, name: name, size: size, meta: meta}
-	for _, d := range fs.drives {
-		if err := d.createSegment(name, f.segmentSize(d.id)); err != nil {
-			return nil, err
-		}
+	meta.refs.Store(1)
+	var segs []*os.File
+	if err == nil {
+		segs, err = fs.createSegments(meta)
 	}
-	fs.files[name] = meta
-	return f, nil
+	if err == nil {
+		meta.segs = segs
+		fs.files[name] = meta
+	}
+	fs.mu.Unlock()
+	fs.unref(old)
+	if err != nil {
+		return nil, err
+	}
+	return &File{fs: fs, name: name, size: size, meta: meta}, nil
+}
+
+// createSegments creates (or truncates) m's segment on every drive, sized to
+// the drive's share of m's stripes.
+func (fs *FS) createSegments(m *fileMeta) ([]*os.File, error) {
+	f := &File{fs: fs, name: m.name, size: m.size}
+	segs := make([]*os.File, len(fs.drives))
+	for i, d := range fs.drives {
+		h, err := os.OpenFile(d.segPath(m.name), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+		if err == nil {
+			if err = h.Truncate(f.segmentSize(i)); err != nil {
+				h.Close()
+			}
+		}
+		if err != nil {
+			closeSegs(segs)
+			return nil, fmt.Errorf("safs: drive %d: %w", d.id, err)
+		}
+		segs[i] = h
+	}
+	return segs, nil
 }
 
 // OpenFile opens an existing striped file.
 func (fs *FS) OpenFile(name string) (*File, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
+	if fs.closed {
+		return nil, errors.New("safs: filesystem closed")
+	}
 	meta, ok := fs.files[name]
 	if !ok {
 		// Recover metadata from disk: sum of segment sizes.
 		var total int64
-		for _, d := range fs.drives {
-			st, err := os.Stat(d.segPath(name))
+		segs := make([]*os.File, len(fs.drives))
+		for i, d := range fs.drives {
+			h, err := os.OpenFile(d.segPath(name), os.O_RDWR, 0o644)
+			var st os.FileInfo
+			if err == nil {
+				if st, err = h.Stat(); err != nil {
+					h.Close()
+				}
+			}
 			if err != nil {
+				closeSegs(segs)
 				return nil, fmt.Errorf("safs: open %q: %w", name, err)
 			}
+			segs[i] = h
 			total += st.Size()
 		}
 		// Checksums are unknown for a file recovered from disk alone;
 		// RestoreChecksums reinstates them from a metadata sidecar, and any
 		// write re-establishes the written stripe's checksum.
-		meta = &fileMeta{name: name, size: total}
+		meta = &fileMeta{name: name, size: total, segs: segs}
+		meta.refs.Store(1)
 		fs.files[name] = meta
 	}
 	return &File{fs: fs, name: name, size: meta.size, meta: meta}, nil
 }
 
-// Remove deletes a striped file from all drives.
+// Remove deletes a striped file from all drives. The name leaves the
+// namespace at once; the segments' handles close when the file's last
+// in-flight piece ends.
 func (fs *FS) Remove(name string) error {
 	fs.mu.Lock()
-	defer fs.mu.Unlock()
+	m, err := fs.retireLocked(name)
+	fs.mu.Unlock()
+	if m == nil {
+		// Not open here: unlink what a previous session left.
+		err = fs.unlinkSegments(name)
+	}
+	fs.unref(m)
+	return err
+}
+
+// Rename gives the file oldName, which must be open on this FS, the name
+// newName, replacing any file of that name as Create does. A File opened
+// under oldName keeps working on the renamed file.
+func (fs *FS) Rename(oldName, newName string) error {
+	fs.mu.Lock()
+	m := fs.files[oldName]
+	if fs.closed || m == nil {
+		fs.mu.Unlock()
+		return fmt.Errorf("safs: rename %q: not open", oldName)
+	}
+	if oldName == newName {
+		fs.mu.Unlock()
+		return nil
+	}
+	replaced, err := fs.retireLocked(newName)
+	for _, d := range fs.drives {
+		if e := os.Rename(d.segPath(oldName), d.segPath(newName)); e != nil && err == nil {
+			err = fmt.Errorf("safs: rename %q on drive %d: %w", oldName, d.id, e)
+		}
+	}
+	delete(fs.files, oldName)
+	m.name = newName
+	fs.files[newName] = m
+	fs.mu.Unlock()
+	fs.unref(replaced)
+	return err
+}
+
+// retireLocked takes name out of the namespace and unlinks its segments,
+// returning its record (nil when name is not open here) with the
+// namespace's reference still to drop. Caller holds fs.mu.
+func (fs *FS) retireLocked(name string) (*fileMeta, error) {
+	m := fs.files[name]
+	if m == nil {
+		return nil, nil
+	}
 	delete(fs.files, name)
+	m.removed = true
+	return m, fs.unlinkSegments(name)
+}
+
+// unlinkSegments removes name's segment from every drive; a missing one is
+// not an error.
+func (fs *FS) unlinkSegments(name string) error {
 	var first error
 	for _, d := range fs.drives {
 		if err := os.Remove(d.segPath(name)); err != nil && !os.IsNotExist(err) && first == nil {
@@ -385,6 +507,40 @@ func (fs *FS) Remove(name string) error {
 		}
 	}
 	return first
+}
+
+// unref drops one reference to m (nil is a no-op) and closes its segments
+// on the last one.
+func (fs *FS) unref(m *fileMeta) {
+	if m != nil && m.refs.Add(-1) == 0 {
+		closeSegs(m.segs)
+	}
+}
+
+// closeSegs closes every non-nil handle and returns the first error.
+func closeSegs(segs []*os.File) error {
+	var first error
+	for _, h := range segs {
+		if h == nil {
+			continue
+		}
+		if err := h.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// acquire takes a reference on the file's extent for I/O outside the drive
+// workers, failing once the name is removed.
+func (f *File) acquire() error {
+	f.fs.mu.Lock()
+	defer f.fs.mu.Unlock()
+	if f.meta.removed {
+		return fmt.Errorf("safs: %q: %w", f.name, ErrRemoved)
+	}
+	f.meta.refs.Add(1)
+	return nil
 }
 
 // List returns the names of files on the array, sorted: those created or
@@ -497,6 +653,10 @@ type CorruptStripe struct {
 func (f *File) Verify() (VerifyReport, error) {
 	f.buildIndex()
 	rep := VerifyReport{File: f.name}
+	if err := f.acquire(); err != nil {
+		return rep, err
+	}
+	defer f.fs.unref(f.meta)
 	stripe := int64(f.fs.stripe)
 	sc := make([]byte, f.fs.stripe)
 	for s := int64(0); s*stripe < f.size; s++ {
@@ -511,11 +671,7 @@ func (f *File) Verify() (VerifyReport, error) {
 			n = rem
 		}
 		id := f.fs.driveOfStripe(s)
-		h, err := f.fs.drives[id].handle(f.name)
-		if err != nil {
-			return rep, err
-		}
-		if _, err := h.ReadAt(sc[:n], int64(f.ordinals[s])*stripe); err != nil {
+		if _, err := f.meta.segs[id].ReadAt(sc[:n], int64(f.ordinals[s])*stripe); err != nil {
 			return rep, fmt.Errorf("safs: verify %q stripe %d on drive %d: %w", f.name, s, id, err)
 		}
 		rep.Verified++
@@ -542,18 +698,18 @@ func (f *File) Corrupt(stripe int64, byteOff int) error {
 	if byteOff < 0 || int64(byteOff) >= sLen {
 		return fmt.Errorf("safs: corrupt %q stripe %d: offset %d out of range", f.name, stripe, byteOff)
 	}
-	id := f.fs.driveOfStripe(stripe)
-	h, err := f.fs.drives[id].handle(f.name)
-	if err != nil {
+	if err := f.acquire(); err != nil {
 		return err
 	}
+	defer f.fs.unref(f.meta)
+	h := f.meta.segs[f.fs.driveOfStripe(stripe)]
 	off := int64(f.ordinals[stripe])*int64(f.fs.stripe) + int64(byteOff)
 	var b [1]byte
 	if _, err := h.ReadAt(b[:], off); err != nil {
 		return err
 	}
 	b[0] ^= 0x80
-	_, err = h.WriteAt(b[:], off)
+	_, err := h.WriteAt(b[:], off)
 	return err
 }
 
@@ -662,6 +818,7 @@ type Request struct {
 // delivers a single Request on done when the last piece finishes.
 type completion struct {
 	fs    *FS
+	meta  *fileMeta
 	n     atomic.Int32
 	done  chan<- Request
 	tag   int
@@ -672,7 +829,8 @@ type completion struct {
 	err   error
 }
 
-// finish records one piece's outcome; the last piece fires the completion.
+// finish records one piece's outcome and drops the piece's reference on its
+// file; the last piece fires the completion.
 func (c *completion) finish(err error, nbytes int) {
 	if err != nil {
 		c.errMu.Lock()
@@ -691,6 +849,7 @@ func (c *completion) finish(err error, nbytes int) {
 			}
 		})
 	}
+	c.fs.unref(c.meta)
 	if c.n.Add(-1) == 0 {
 		c.errMu.Lock()
 		first := c.err
@@ -738,24 +897,29 @@ func (f *File) submit(p []byte, off int64, write, async bool, tag int, done chan
 			verb(write), off, off+int64(len(p)), f.name, f.size), Tag: tag}
 		return
 	}
-	comp := &completion{fs: f.fs, done: done, tag: tag, write: write, pass: pass}
-	if len(p) == 0 {
-		// Zero-length request: complete immediately, nothing to queue.
-		done <- Request{Tag: tag}
-		return
-	}
+	comp := &completion{fs: f.fs, meta: f.meta, done: done, tag: tag, write: write, pass: pass}
 	reqs := f.pieces(p, off, write, comp)
 	comp.n.Store(int32(len(reqs)))
 	// Register under fs.mu so Close cannot observe reqWG empty between our
-	// closed check and the Add.
+	// closed check and the Add, and Remove cannot release the extent between
+	// our removed check and the pieces' references.
 	f.fs.mu.Lock()
-	if f.fs.closed {
-		f.fs.mu.Unlock()
-		done <- Request{Err: errors.New("safs: filesystem closed"), Tag: tag}
+	var err error
+	switch {
+	case f.fs.closed:
+		err = errors.New("safs: filesystem closed")
+	case f.meta.removed:
+		err = fmt.Errorf("safs: %s %q: %w", verb(write), f.name, ErrRemoved)
+	case len(reqs) > 0:
+		f.fs.reqWG.Add(1)
+		f.meta.refs.Add(int64(len(reqs)))
+	}
+	f.fs.mu.Unlock()
+	if err != nil || len(reqs) == 0 {
+		// An error, or a zero-length request: nothing to queue.
+		done <- Request{Err: err, Tag: tag}
 		return
 	}
-	f.fs.reqWG.Add(1)
-	f.fs.mu.Unlock()
 	enqueue := func() {
 		for _, r := range reqs {
 			f.fs.drives[r.drive].enqueue(r)
@@ -857,9 +1021,6 @@ type drive struct {
 	writeLat *trace.Histogram
 	qdepth   *trace.Histogram
 	queued   int // total requests queued across passes; guarded by qmu
-
-	mu   sync.Mutex
-	open map[string]*os.File
 }
 
 // latencyBuckets spans the simulated-SSD request range: tens of microseconds
@@ -874,7 +1035,7 @@ func queueDepthBuckets() []float64 {
 }
 
 func newDrive(id int, dir string, readMBps, writeMBps float64, depth int) *drive {
-	d := &drive{id: id, dir: dir, depth: depth, open: make(map[string]*os.File), queues: make(map[int64]*passQueue)}
+	d := &drive{id: id, dir: dir, depth: depth, queues: make(map[int64]*passQueue)}
 	d.readLat = trace.NewHistogram(latencyBuckets()...)
 	d.writeLat = trace.NewHistogram(latencyBuckets()...)
 	d.qdepth = trace.NewHistogram(queueDepthBuckets()...)
@@ -1116,10 +1277,7 @@ func (d *drive) readPiece(fs *FS, r ioReq) error {
 	if d.readTB != nil {
 		d.readTB.take(len(r.buf))
 	}
-	f, err := d.handle(r.name)
-	if err != nil {
-		return err
-	}
+	f := r.meta.segs[d.id]
 	want, known := r.meta.sum(r.stripe)
 	if !known {
 		if _, err := f.ReadAt(r.buf, r.off); err != nil {
@@ -1173,10 +1331,7 @@ func (d *drive) writePiece(fs *FS, r ioReq) error {
 	if d.writeTB != nil {
 		d.writeTB.take(len(r.buf))
 	}
-	f, err := d.handle(r.name)
-	if err != nil {
-		return err
-	}
+	f := r.meta.segs[d.id]
 	t0 := time.Now()
 	var crc uint32
 	if len(r.buf) == r.stripeLen && r.off == r.stripeOff {
@@ -1202,51 +1357,6 @@ func (d *drive) writePiece(fs *FS, r ioReq) error {
 
 func (d *drive) segPath(name string) string {
 	return filepath.Join(d.dir, name+".seg")
-}
-
-func (d *drive) createSegment(name string, size int64) error {
-	f, err := os.OpenFile(d.segPath(name), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("safs: drive %d: %w", d.id, err)
-	}
-	if err := f.Truncate(size); err != nil {
-		f.Close()
-		return fmt.Errorf("safs: drive %d truncate: %w", d.id, err)
-	}
-	d.mu.Lock()
-	if old, ok := d.open[name]; ok {
-		old.Close()
-	}
-	d.open[name] = f
-	d.mu.Unlock()
-	return nil
-}
-
-func (d *drive) handle(name string) (*os.File, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if f, ok := d.open[name]; ok {
-		return f, nil
-	}
-	f, err := os.OpenFile(d.segPath(name), os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("safs: drive %d: %w", d.id, err)
-	}
-	d.open[name] = f
-	return f, nil
-}
-
-func (d *drive) close() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var first error
-	for _, f := range d.open {
-		if err := f.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	d.open = map[string]*os.File{}
-	return first
 }
 
 // tokenBucket throttles to rate bytes/second with a burst of ~50 ms worth of

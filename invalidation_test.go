@@ -184,3 +184,57 @@ func TestSetNamedMatchesColdSession(t *testing.T) {
 		t.Fatal("replacement data produced an identical fingerprint; test proves nothing")
 	}
 }
+
+// TestSetNamedReadsTheNameItReplaces: SetNamed of a matrix computed from
+// the name it overwrites (and of that name's own leaf) reads the old bytes
+// before it replaces them, so the name holds 2x, then 2x again, afterwards.
+func TestSetNamedReadsTheNameItReplaces(t *testing.T) {
+	dir := t.TempDir()
+	dirs := []string{filepath.Join(dir, "d0"), filepath.Join(dir, "d1")}
+	d := invalDense(1200, 3, 33)
+	s, err := NewSession(Options{Workers: 2, PartRows: 256, EM: true, SSDDirs: dirs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	seed, err := s.FromDense(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SaveNamedCtx(context.Background(), seed, "m"); err != nil {
+		t.Fatal(err)
+	}
+	x, err := s.OpenNamed("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Sum(x).Float(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetNamed(Mul(x, 2.0), "m"); err != nil {
+		t.Fatalf("SetNamed(Mul(OpenNamed(m), 2), m): %v", err)
+	}
+	y, err := s.OpenNamed("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetNamed(y, "m"); err != nil {
+		t.Fatalf("SetNamed(OpenNamed(m), m): %v", err)
+	}
+	z, err := s.OpenNamed("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := z.AsDense()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]float64, len(d.Data))
+	for i, v := range d.Data {
+		want[i] = 2 * v
+	}
+	bitsMatch(t, "SetNamed over its own name", got.Data, want)
+	if names := s.ListNamed(); len(names) != 1 || names[0] != "m" {
+		t.Fatalf("named list %v, want [m]", names)
+	}
+}

@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"sort"
 	"testing"
 
 	flashr "repro"
@@ -171,4 +174,93 @@ func wideSteps(t *testing.T, s *flashr.Session, n int64, p int, named bool) map[
 		t.Fatal(err)
 	}
 	return out
+}
+
+// TestEMFreeReleasesArray: an EM session materializes and frees
+// Cumsum(x*c) ten times. Every round's result has the same bits; after each
+// Free the drives hold only x's segments and the process only the
+// descriptors it held with x alone, and Close leaves x's segments.
+func TestEMFreeReleasesArray(t *testing.T) {
+	const drives = 2
+	root := t.TempDir()
+	s, err := flashr.NewSession(flashr.Options{
+		Workers: 2, PartRows: 256, EM: true, SSDDirs: safs.DriveDirs(root, drives), ResultCacheBytes: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	x, err := s.Rnorm(3*256+77, 40, 0, 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf := arrayFiles(t, root, drives)
+	fdBase := openFDs()
+	if len(leaf) != drives {
+		t.Fatalf("x is stored as %v, want one segment per drive", leaf)
+	}
+	var first []uint64
+	for round := 0; round < 10; round++ {
+		c := flashr.Cumsum(flashr.Mul(x, 1.5))
+		if err := c.MaterializeCtx(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		d, err := c.AsDense()
+		if err != nil {
+			t.Fatal(err)
+		}
+		bits := make([]uint64, len(d.Data))
+		for i, v := range d.Data {
+			bits[i] = math.Float64bits(v)
+		}
+		if round == 0 {
+			first = bits
+		} else if fmt.Sprint(bits) != fmt.Sprint(first) {
+			t.Fatalf("round %d: Cumsum(x*c) differs from round 0", round)
+		}
+		if err := c.Free(); err != nil {
+			t.Fatal(err)
+		}
+		if fdBase >= 0 {
+			if n := openFDs() - fdBase; n > 0 {
+				t.Fatalf("round %d: %d descriptors open beyond x's", round, n)
+			}
+		}
+		if got := arrayFiles(t, root, drives); fmt.Sprint(got) != fmt.Sprint(leaf) {
+			t.Fatalf("round %d: after Free the array holds %v, want x's segments %v", round, got, leaf)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := arrayFiles(t, root, drives); fmt.Sprint(got) != fmt.Sprint(leaf) {
+		t.Fatalf("after Close the array holds %v, want x's segments %v", got, leaf)
+	}
+}
+
+// arrayFiles lists the files in the n drive directories under root, sorted.
+func arrayFiles(t *testing.T, root string, n int) []string {
+	t.Helper()
+	var out []string
+	for _, d := range safs.DriveDirs(root, n) {
+		ents, err := os.ReadDir(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ents {
+			out = append(out, filepath.Join(filepath.Base(d), e.Name()))
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// openFDs counts this process's open file descriptors, or returns -1 where
+// /proc/self/fd cannot be read.
+func openFDs() int {
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		return -1
+	}
+	return len(ents)
 }

@@ -108,41 +108,51 @@ func (s *Session) SaveNamedCtx(ctx context.Context, x *FM, name string) error {
 	if s.fs == nil {
 		return fmt.Errorf("flashr: SaveNamed needs a session with an SSD array")
 	}
-	if err := x.MaterializeCtx(ctx); err != nil {
+	meta, err := s.writeNamed(ctx, x, name, name)
+	if err != nil {
 		return err
+	}
+	return s.writeMeta(name, meta)
+}
+
+// writeNamed materializes x and copies it into the array file file,
+// returning the sidecar that describes it under name.
+func (s *Session) writeNamed(ctx context.Context, x *FM, name, file string) (matrixMeta, error) {
+	if err := x.MaterializeCtx(ctx); err != nil {
+		return matrixMeta{}, err
 	}
 	if !x.isBig() {
 		d, err := x.resolveSmall()
 		if err != nil {
-			return err
+			return matrixMeta{}, err
 		}
 		big, err := s.FromDense(d)
 		if err != nil {
-			return err
+			return matrixMeta{}, err
 		}
-		return s.SaveNamedCtx(ctx, big, name)
+		return s.writeNamed(ctx, big, name, file)
 	}
 	if x.trans {
-		return fmt.Errorf("flashr: SaveNamed of a transposed view; save the base matrix")
+		return matrixMeta{}, fmt.Errorf("flashr: SaveNamed of a transposed view; save the base matrix")
 	}
 	src := x.big.Store()
 	nrow, ncol := src.NRow(), src.NCol()
 	partRows := src.PartRows()
-	dst, err := matrix.NewSAFSStore(s.fs, name, nrow, ncol, partRows)
+	dst, err := matrix.NewSAFSStore(s.fs, file, nrow, ncol, partRows)
 	if err != nil {
-		return err
+		return matrixMeta{}, err
 	}
 	buf := make([]float64, partRows*ncol)
 	for p := 0; p < src.NumParts(); p++ {
 		if err := ctx.Err(); err != nil {
-			return err
+			return matrixMeta{}, err
 		}
 		rows := matrix.PartRowsOf(nrow, partRows, p)
 		if err := src.ReadPart(p, buf[:rows*ncol]); err != nil {
-			return err
+			return matrixMeta{}, err
 		}
 		if err := dst.WritePart(p, buf[:rows*ncol]); err != nil {
-			return err
+			return matrixMeta{}, err
 		}
 	}
 	// Persist the per-stripe CRC32C table so a later session verifies its
@@ -150,13 +160,17 @@ func (s *Session) SaveNamedCtx(ctx context.Context, x *FM, name string) error {
 	// the table is complete).
 	sums, complete := dst.File().Checksums()
 	if !complete {
-		return fmt.Errorf("flashr: SaveNamed %q: incomplete checksum table", name)
+		return matrixMeta{}, fmt.Errorf("flashr: SaveNamed %q: incomplete checksum table", name)
 	}
-	meta := matrixMeta{
+	return matrixMeta{
 		NRow: nrow, NCol: ncol, PartRows: partRows,
 		DType: x.big.DType().String(), Version: metaVersion,
 		Checksums: map[string][]uint32{name: sums},
-	}
+	}, nil
+}
+
+// writeMeta writes name's sidecar.
+func (s *Session) writeMeta(name string, meta matrixMeta) error {
 	raw, err := json.Marshal(meta)
 	if err != nil {
 		return err
@@ -203,12 +217,12 @@ func (s *Session) OpenNamed(name string) (*FM, error) {
 
 // SetNamed overwrites the named matrix with x (creating it if absent) and
 // invalidates every cached result built over matrices previously opened from
-// that name — the persistence analogue of []<- mutation. Handles opened from
-// the name before the overwrite must be reopened: their restored checksum
-// tables describe the replaced bytes, so further reads through them fail
-// verification loudly instead of returning stale or mixed data (and the
-// invalidation above guarantees the result cache never masks that error with
-// a pre-overwrite value).
+// that name — the persistence analogue of []<- mutation. x may read the
+// matrix it replaces (SetNamed(Mul(OpenNamed("m"), 2), "m")). Handles opened
+// from the name before the overwrite must be reopened: further reads through
+// them fail with safs.ErrRemoved instead of returning stale or mixed data
+// (and the invalidation above guarantees the result cache never masks that
+// error with a pre-overwrite value).
 func (s *Session) SetNamed(x *FM, name string) error {
 	if s.fs == nil {
 		return fmt.Errorf("flashr: SetNamed needs a session with an SSD array")
@@ -219,21 +233,27 @@ func (s *Session) SetNamed(x *FM, name string) error {
 	s.mu.Unlock()
 	// A block-format sidecar from an older build (the only *Error readMeta
 	// returns) names "<name>.bNN" files the rewrite below would orphan:
-	// refuse it and remove nothing. Otherwise drop the old file and sidecar
-	// so the rewrite starts clean.
+	// refuse it and remove nothing.
 	var blocked *Error
 	if _, err := s.readMeta(name); errors.As(err, &blocked) {
 		return err
 	}
-	s.fs.Remove(name)
+	// x is written under a temporary name first, because it may read the
+	// matrix it replaces; a failed write leaves that matrix as it was.
+	tmp := name + ".setnamed"
+	meta, err := s.writeNamed(context.Background(), x, name, tmp)
+	if err != nil {
+		s.fs.Remove(tmp)
+		return err
+	}
 	s.fs.Remove(metaName(name))
-	if err := s.SaveNamedCtx(context.Background(), x, name); err != nil {
+	if err := s.fs.Rename(tmp, name); err != nil {
 		return err
 	}
 	for _, m := range old {
 		s.eng.NoteMutation(m)
 	}
-	return nil
+	return s.writeMeta(name, meta)
 }
 
 // VerifyNamedCtx scrubs a matrix stored with SaveNamedCtx against the
