@@ -29,11 +29,23 @@
 // runs four rows at once as four independent sums, and the rows left over
 // call Dot, so every row has Dot's bits. ParallelGemm runs Gemm on each row
 // range, so it gives Gemm's bits on both paths whatever the split. No term
-// is skipped for a zero operand, so 0 × ±Inf gives NaN, as in R.
+// is skipped for a zero operand where that could change a bit, so 0 × ±Inf
+// gives NaN, as in R.
+//
+// Zero tails: GemmTail overwrites C with A*B and, for each 4-column tile of
+// B (and each fringe pair or column), stops the reduction after the last row of B
+// that holds a nonzero there (ZeroTails finds those rows once per B). An
+// upper-triangular B thus costs about half the dense product. The skipped
+// terms are a·(±0). C starts at +0, and a sum that starts at +0 is never −0
+// under round-to-nearest, so adding ±0 to it never changes a bit — unless
+// a is ±Inf or NaN, where a·0 is NaN. A row pair of A takes the cut
+// reduction only when its skipped columns are all finite, and the full one
+// otherwise, so GemmTail has the dense path's bits for every input.
 package blas
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 )
 
@@ -87,6 +99,126 @@ func Gemm(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, 
 		return
 	}
 	block(m, n, k, a, 1, lda, b, ldb, c, ldc)
+}
+
+// ZeroTails returns, for the k×n right operand B of Gemm, the reduction
+// length each column of B needs: one past the last row of B holding a
+// nonzero in the column's group (±0 both count as zero), where the groups
+// are Gemm's full 4-column tiles, then a fringe pair and a last fringe
+// column (groupWidth). It returns
+// nil when every group needs all k rows, and for n = 1, whose matrix-vector
+// path sums in Dot's groups of four, which a cut would regroup. GemmTail
+// takes the result.
+func ZeroTails(n, k int, b []float64, ldb int) []int {
+	if n < 2 || k < 1 {
+		return nil
+	}
+	tails := make([]int, n)
+	cut := false
+	for j0, w := 0, 4; j0 < n; j0 += w {
+		w = groupWidth(j0, n)
+		q := k
+		for q > 0 && allZero(b[(q-1)*ldb+j0:][:w]) {
+			q--
+		}
+		for j := j0; j < j0+w; j++ {
+			tails[j] = q
+		}
+		cut = cut || q < k
+	}
+	if !cut {
+		return nil
+	}
+	return tails
+}
+
+// groupWidth is the width of block's column group starting at column j0
+// of n: a 2×4 tile, then a fringe pair, then a last fringe column.
+func groupWidth(j0, n int) int {
+	switch {
+	case j0+4 <= n:
+		return 4
+	case j0+2 <= n:
+		return 2
+	}
+	return 1
+}
+
+func allZero(x []float64) bool {
+	for _, v := range x {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// GemmTail sets C = A*B, where A is m×k, B is k×n and C is m×n, row-major,
+// and tails is ZeroTails(n, k, b, ldb). Its bits are those of zeroing C and
+// calling Gemm, which is what it does when tails is nil; otherwise each
+// column j of C adds only its first tails[j] terms wherever the A row pair
+// (or the last odd row) is finite in the columns some group skips.
+func GemmTail(m, n, k int, a []float64, lda int, b []float64, ldb int, tails []int, c []float64, ldc int) {
+	for i := 0; i < m; i++ {
+		clear(c[i*ldc : i*ldc+n])
+	}
+	if tails == nil {
+		Gemm(m, n, k, a, lda, b, ldb, c, ldc)
+		return
+	}
+	from := slices.Min(tails) // columns of A at and past it meet a skipped zero
+	r := 0
+	for ; r+2 <= m; r += 2 {
+		ar, cr := a[r*lda:], c[r*ldc:]
+		cut := finite(ar[from:k]) && finite(ar[lda+from:lda+k])
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			tile2x4(kLen(cut, tails[j], k), ar, 1, lda, b[j:], ldb, cr[j:], ldc)
+		}
+		if j+2 <= n {
+			tile2x2(kLen(cut, tails[j], k), ar, 1, lda, b[j:], ldb, cr[j:], ldc)
+			j += 2
+		}
+		if j < n {
+			tile2x1(kLen(cut, tails[j], k), ar, 1, lda, b[j:], ldb, cr[j:], ldc)
+		}
+	}
+	if r < m {
+		ar, cr := a[r*lda:], c[r*ldc:]
+		cut := finite(ar[from:k])
+		for j := 0; j < n; j++ {
+			cr[j] = dot(0, kLen(cut, tails[j], k), ar, 1, b[j:], ldb)
+		}
+	}
+}
+
+// kLen is a column group's reduction length: its tail when cut, else k.
+func kLen(cut bool, tail, k int) int {
+	if cut {
+		return tail
+	}
+	return k
+}
+
+// finite reports whether every element of x is finite. It sums x in four
+// chains: an Inf or a NaN leaves its chain non-finite for good, so a finite
+// total means finite elements. It may report false for finite elements
+// whose sum overflows; the caller then just takes the full reduction.
+func finite(x []float64) bool {
+	var s0, s1, s2, s3 float64
+	i := 0
+	for ; i+4 <= len(x); i += 4 {
+		q := x[i : i+4 : i+4]
+		s0 += q[0]
+		s1 += q[1]
+		s2 += q[2]
+		s3 += q[3]
+	}
+	for _, v := range x[i:] {
+		s0 += v
+	}
+	s := s0 + s1 + s2 + s3
+	return s-s == 0
 }
 
 // dot4 returns Dot(a0, x), Dot(a1, x), Dot(a2, x) and Dot(a3, x), each
@@ -174,8 +306,9 @@ func GemmTA(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64
 // Euclidean distance between row i of the m×k A and column j of the k×n B
 // (k-means' inner.prod(X, t(C), "euclidean", "+")). C's previous contents
 // are overwritten: each element starts from 0 and adds its terms for q
-// ascending. Full 2×4 tiles go through sqTile2x4, the fringe columns of a
-// row pair through sqTile2x1, and a last odd row through sqDist.
+// ascending. Full 2×4 tiles go through sqTile2x4, a pair of fringe columns
+// of a row pair through sqTile2x2, a last fringe column through sqTile2x1,
+// and a last odd row through sqDist.
 func SqDist(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
 	r := 0
 	for ; r+2 <= m; r += 2 {
@@ -184,7 +317,11 @@ func SqDist(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64
 		for ; j+4 <= n; j += 4 {
 			sqTile2x4(k, ar, lda, b[j:], ldb, cr[j:], ldc)
 		}
-		for ; j < n; j++ {
+		if j+2 <= n {
+			sqTile2x2(k, ar, lda, b[j:], ldb, cr[j:], ldc)
+			j += 2
+		}
+		if j < n {
 			sqTile2x1(k, ar, lda, b[j:], ldb, cr[j:], ldc)
 		}
 	}
@@ -226,9 +363,9 @@ func SymmetrizeLower(k int, c []float64, ldc int) {
 //
 // in that order. The strides cast all three kernels as one loop: Gemm
 // walks A along a row (aStep 1, aRow lda), GemmTA and Syrk walk it down a
-// column (aStep lda, aRow 1). Full 2×4 tiles go through tile2x4, the
-// fringe columns of a row pair through tile2x1, and a last odd row through
-// dot.
+// column (aStep lda, aRow 1). Full 2×4 tiles go through tile2x4, a pair of
+// fringe columns of a row pair through tile2x2, a last fringe column
+// through tile2x1, and a last odd row through dot.
 func block(rows, cols, kLen int, a []float64, aStep, aRow int, b []float64, ldb int, c []float64, ldc int) {
 	r := 0
 	for ; r+2 <= rows; r += 2 {
@@ -237,7 +374,11 @@ func block(rows, cols, kLen int, a []float64, aStep, aRow int, b []float64, ldb 
 		for ; j+4 <= cols; j += 4 {
 			tile2x4(kLen, ar, aStep, aRow, b[j:], ldb, cr[j:], ldc)
 		}
-		for ; j < cols; j++ {
+		if j+2 <= cols {
+			tile2x2(kLen, ar, aStep, aRow, b[j:], ldb, cr[j:], ldc)
+			j += 2
+		}
+		if j < cols {
 			tile2x1(kLen, ar, aStep, aRow, b[j:], ldb, cr[j:], ldc)
 		}
 	}
@@ -275,6 +416,27 @@ func tile2x4(kLen int, a []float64, aStep, aRow int, b []float64, ldb int, c []f
 	}
 	c0[0], c0[1], c0[2], c0[3] = c00, c01, c02, c03
 	c1[0], c1[1], c1[2], c1[3] = c10, c11, c12, c13
+}
+
+// tile2x2 is tile2x4 for a pair of fringe columns.
+func tile2x2(kLen int, a []float64, aStep, aRow int, b []float64, ldb int, c []float64, ldc int) {
+	c0 := c[:2:2]
+	c1 := c[ldc : ldc+2 : ldc+2]
+	c00, c01, c10, c11 := c0[0], c0[1], c1[0], c1[1]
+	ia, ib := 0, 0
+	for q := 0; q < kLen; q++ {
+		x0, x1 := a[ia], a[ia+aRow]
+		bq := b[ib : ib+2 : ib+2]
+		b0, b1 := bq[0], bq[1]
+		c00 += x0 * b0
+		c01 += x0 * b1
+		c10 += x1 * b0
+		c11 += x1 * b1
+		ia += aStep
+		ib += ldb
+	}
+	c0[0], c0[1] = c00, c01
+	c1[0], c1[1] = c10, c11
 }
 
 // dot returns s + Σ a[q*aStep]*b[q*ldb] for q = 0, 1, …, kLen-1, added in
@@ -337,6 +499,32 @@ func sqTile2x4(kLen int, a []float64, lda int, b []float64, ldb int, c []float64
 	c1 := c[ldc : ldc+4 : ldc+4]
 	c0[0], c0[1], c0[2], c0[3] = s00, s01, s02, s03
 	c1[0], c1[1], c1[2], c1[3] = s10, s11, s12, s13
+}
+
+// sqTile2x2 is sqTile2x4 for a pair of fringe columns.
+func sqTile2x2(kLen int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+	a0 := a[:kLen:kLen]
+	a1 := a[lda:][:kLen:kLen]
+	var s00, s01, s10, s11 float64
+	ib := 0
+	for q := range a0 {
+		x0, x1 := a0[q], a1[q]
+		bq := b[ib : ib+2 : ib+2]
+		b0, b1 := bq[0], bq[1]
+		d := x0 - b0
+		s00 += d * d
+		d = x0 - b1
+		s01 += d * d
+		d = x1 - b0
+		s10 += d * d
+		d = x1 - b1
+		s11 += d * d
+		ib += ldb
+	}
+	c0 := c[:2:2]
+	c1 := c[ldc : ldc+2 : ldc+2]
+	c0[0], c0[1] = s00, s01
+	c1[0], c1[1] = s10, s11
 }
 
 // sqTile2x1 is sqTile2x4 for one fringe column.

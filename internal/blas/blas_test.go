@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -248,10 +249,11 @@ func TestSqDist(t *testing.T) {
 		refSqDist(m, n, k, a, lda, b, ldb, want, ldc)
 		return sameBits(got, want)
 	})
-	// Every row parity and every n % 4, at the k-means width.
+	// Every row parity and every n % 4 (tiles, the fringe pair, a last
+	// column), at the k-means width.
 	rng := rand.New(rand.NewSource(3))
 	for m := 1; m <= 4; m++ {
-		for n := 1; n <= 8; n++ {
+		for n := 1; n <= 11; n++ {
 			const k = 32
 			a, b := randSlice(rng, m*k), randSlice(rng, k*n)
 			got, want := randSlice(rng, m*n), make([]float64, m*n)
@@ -279,9 +281,10 @@ func TestSyrk(t *testing.T) {
 	})
 }
 
-// TestZeroTimesInf: no kernel skips a zero operand, so a zero against an
-// infinity yields NaN on every path (Dot, Axpy, tiles, fringe columns, an
-// odd last row), as R's %*% and crossprod do.
+// TestZeroTimesInf: a zero against an infinity yields NaN on every path
+// (Dot, Axpy, tiles, fringe columns, an odd last row), as R's %*% and
+// crossprod do; GemmTail skips a zero tail only where A is finite, so an
+// infinity facing one still gives NaN.
 func TestZeroTimesInf(t *testing.T) {
 	inf := math.Inf(1)
 	for _, d := range []int{1, 2, 3, 5, 7} {
@@ -313,15 +316,176 @@ func TestZeroTimesInf(t *testing.T) {
 		Syrk(d, d, x, d, c, d)
 		wantNaN("Syrk", c[:d], 1)
 	}
+	// GemmTail against an upper-triangular B: the last column of A holds
+	// an infinity or a NaN, which meets a skipped zero in every column
+	// group but the last, so the cut must not be taken for that row.
+	for _, d := range []int{3, 5, 6, 7, 9} {
+		u := make([]float64, d*d)
+		for i := 0; i < d; i++ {
+			for j := i; j < d; j++ {
+				u[i*d+j] = 1
+			}
+		}
+		tails := ZeroTails(d, d, u, d)
+		if tails == nil {
+			t.Fatalf("d=%d: no zero tail found in an upper-triangular B", d)
+		}
+		for _, v := range []float64{inf, -inf, math.NaN()} {
+			for row := 0; row < d; row++ { // the non-finite row: each of a pair, or the odd last row
+				a := make([]float64, d*d)
+				for i := range a {
+					a[i] = 1
+				}
+				a[row*d+d-1] = v
+				c := make([]float64, d*d)
+				GemmTail(d, d, d, a, d, u, d, tails, c, d)
+				for j, x := range c[row*d : (row+1)*d] {
+					if !math.IsNaN(x) && !(j == d-1 && math.IsInf(x, 0)) {
+						t.Fatalf("GemmTail d=%d A[%d,%d]=%v: C[%d,%d] = %v, want NaN", d, row, d-1, v, row, j, x)
+					}
+				}
+			}
+		}
+	}
+}
+
+// specials are the values the zero-tail checks inject into A: the ones for
+// which a·0 is not +0 (±Inf, NaN give NaN; negative values and −0 give −0),
+// and finite values large enough that their sum overflows.
+var specials = []float64{math.Inf(1), math.Inf(-1), math.NaN(), math.Copysign(0, -1), -1, 1e308, -1e308}
+
+// groupTails draws a tail per column group of a k×n B (groupWidth: Gemm's
+// full 4-column tiles, a fringe pair, a last column) with tail(), and
+// returns it per column, as ZeroTails reports it.
+func groupTails(n int, tail func() int) []int {
+	tails := make([]int, n)
+	for j0, w := 0, 4; j0 < n; j0 += w {
+		w = groupWidth(j0, n)
+		q := tail()
+		for j := j0; j < j0+w; j++ {
+			tails[j] = q
+		}
+	}
+	return tails
+}
+
+// zeroTailB fills the k×n B (row stride ldb) with values from val, then
+// zeroes each column j from row tails[j] on, with +0 or, where negZero
+// says, −0; row tails[j]−1 keeps a nonzero.
+func zeroTailB(n, k int, b []float64, ldb int, tails []int, val func() float64, negZero func() bool) {
+	for q := 0; q < k; q++ {
+		for j := 0; j < n; j++ {
+			v := val()
+			switch {
+			case q >= tails[j] && negZero():
+				v = math.Copysign(0, -1)
+			case q >= tails[j]:
+				v = 0
+			case q == tails[j]-1 && v == 0:
+				v = 1
+			}
+			b[q*ldb+j] = v
+		}
+	}
+}
+
+// gemmTailMatches runs GemmTail on B's zero tails against the dense path
+// (C zeroed, then Gemm, whose n > 1 path is block) and reports the first
+// bit that differs. wantTails are the tails B was built with, per column.
+func gemmTailMatches(m, n, k int, a []float64, lda int, b []float64, ldb int, wantTails []int, ldc int) error {
+	tails := ZeroTails(n, k, b, ldb)
+	cut := false
+	for _, q := range wantTails {
+		cut = cut || q < k
+	}
+	switch {
+	case n == 1 || !cut:
+		if tails != nil {
+			return fmt.Errorf("ZeroTails = %v, want nil", tails)
+		}
+	case !slices.Equal(tails, wantTails):
+		return fmt.Errorf("ZeroTails = %v, want %v", tails, wantTails)
+	}
+	got := make([]float64, m*ldc)
+	want := make([]float64, m*ldc)
+	for i := range got {
+		got[i] = math.NaN() // GemmTail overwrites C; the gaps past n keep this
+		want[i] = got[i]
+	}
+	GemmTail(m, n, k, a, lda, b, ldb, tails, got, ldc)
+	for i := 0; i < m; i++ {
+		clear(want[i*ldc : i*ldc+n])
+	}
+	Gemm(m, n, k, a, lda, b, ldb, want, ldc)
+	if err := sameBits(got, want); err != nil {
+		return fmt.Errorf("m=%d n=%d k=%d tails=%v: %w", m, n, k, tails, err)
+	}
+	return nil
+}
+
+// TestGemmTail: GemmTail has the bits of the dense path for random shapes
+// around the tile (n = 1…9, 31…33, 64; k = 1…40), random zero tails per
+// column group (some ending in −0), and A holding NaN, ±Inf, −0 and
+// overflowing values in random places, in row pairs and the odd last row.
+func TestGemmTail(t *testing.T) {
+	widths := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33, 64}
+	check(t, 300, func(rng *rand.Rand) error {
+		m, n, k := 1+rng.Intn(9), widths[rng.Intn(len(widths))], 1+rng.Intn(40)
+		lda, ldb, ldc := lead(rng, k), lead(rng, n), lead(rng, n)
+		tails := groupTails(n, func() int {
+			if rng.Intn(4) == 0 {
+				return k
+			}
+			return rng.Intn(k + 1)
+		})
+		b := make([]float64, k*ldb)
+		zeroTailB(n, k, b, ldb, tails, rng.NormFloat64, func() bool { return rng.Intn(3) == 0 })
+		a := randSlice(rng, m*lda)
+		for range rng.Intn(4) {
+			a[rng.Intn(m)*lda+rng.Intn(k)] = specials[rng.Intn(len(specials))]
+		}
+		return gemmTailMatches(m, n, k, a, lda, b, ldb, tails, ldc)
+	})
+}
+
+// FuzzGemmZeroTail: GemmTail has the dense path's bits for fuzzed shapes,
+// tails and values. Each byte of vals picks an entry of A from a table of
+// ordinary and special values; tailBytes picks each column group's tail.
+func FuzzGemmZeroTail(f *testing.F) {
+	f.Add(uint8(3), uint8(32), uint8(32), []byte{0, 1, 2, 3}, []byte{9, 40, 200})
+	f.Add(uint8(1), uint8(5), uint8(7), []byte{7, 8, 9}, []byte{0})
+	f.Fuzz(func(t *testing.T, mb, nb, kb uint8, vals, tailBytes []byte) {
+		m, n, k := 1+int(mb)%9, 1+int(nb)%66, 1+int(kb)%40
+		table := append([]float64{0.5, -2, 3, 1.25}, specials...)
+		pick := func(i int, from []byte) int {
+			if len(from) == 0 {
+				return i
+			}
+			return int(from[i%len(from)]) + i/len(from)
+		}
+		g := 0
+		tails := groupTails(n, func() int { g++; return pick(g, tailBytes) % (k + 1) })
+		vi := 0
+		next := func() float64 { vi++; return table[pick(vi, vals)%len(table)] }
+		b := make([]float64, k*n)
+		zeroTailB(n, k, b, n, tails, func() float64 { return float64(1 + vi%7) }, func() bool { vi++; return pick(vi, vals)%2 == 0 })
+		a := make([]float64, m*k)
+		for i := range a {
+			a[i] = next()
+		}
+		if err := gemmTailMatches(m, n, k, a, k, b, n, tails, n); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestSqDistNonFinite: a NaN or an Inf operand reaches every output it
-// touches on every SqDist path (tile, fringe column, odd last row): a NaN
-// gives NaN, an Inf against a finite value gives +Inf, and Inf against the
-// same Inf gives NaN (Inf − Inf).
+// touches on every SqDist path (tile, fringe pair, fringe column, odd last
+// row): a NaN gives NaN, an Inf against a finite value gives +Inf, and Inf
+// against the same Inf gives NaN (Inf − Inf).
 func TestSqDistNonFinite(t *testing.T) {
 	inf, nan := math.Inf(1), math.NaN()
-	for _, d := range []int{1, 2, 3, 5, 7} {
+	for d := 1; d <= 11; d++ {
 		const k = 3
 		for _, tc := range []struct {
 			name   string
@@ -405,6 +569,23 @@ func BenchmarkGemm(b *testing.B) {
 			}
 		})
 	}
+	// GMM's whitened E-step: x %*% M with M upper triangular, through
+	// GemmTail. GFLOP/s counts the terms it runs (about half of the dense
+	// gmm case's), so ns/op against that case is the saving.
+	b.Run("gmm-upper/m=256,k=32,n=32", func(b *testing.B) {
+		const m, k, n = 256, 32, 32
+		rng := rand.New(rand.NewSource(1))
+		x, u, c := randSlice(rng, m*k), randSlice(rng, k*n), make([]float64, m*n)
+		for q := 1; q < k; q++ {
+			clear(u[q*n : q*n+q])
+		}
+		tails := ZeroTails(n, k, u, n)
+		var terms int
+		for _, q := range tails {
+			terms += q
+		}
+		benchKernel(b, 2*float64(m*terms), func() { GemmTail(m, n, k, x, k, u, n, tails, c, n) })
+	})
 }
 
 func BenchmarkGemmTA(b *testing.B) {
@@ -435,13 +616,18 @@ func BenchmarkSyrk(b *testing.B) {
 }
 
 // BenchmarkSqDist runs the k-means distance step of im_chain: 256-row chunks
-// of 32-column data against 10 centres, 3 flops (subtract, multiply, add)
-// per term.
+// of 32-column data against 10 centres (two 2×4 tiles and the fringe pair),
+// and against 8 (tiles only) for the tile's own rate; 3 flops (subtract,
+// multiply, add) per term.
 func BenchmarkSqDist(b *testing.B) {
-	s := benchShape{"kmeans/m=256,k=32,n=10", 256, 10, 32}
-	b.Run(s.name, func(b *testing.B) {
-		rng := rand.New(rand.NewSource(1))
-		x, y, c := randSlice(rng, s.m*s.k), randSlice(rng, s.k*s.n), make([]float64, s.m*s.n)
-		benchKernel(b, 3*float64(s.m*s.n*s.k), func() { SqDist(s.m, s.n, s.k, x, s.k, y, s.n, c, s.n) })
-	})
+	for _, s := range []benchShape{
+		{"kmeans/m=256,k=32,n=10", 256, 10, 32},
+		{"tiles/m=256,k=32,n=8", 256, 8, 32},
+	} {
+		b.Run(s.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			x, y, c := randSlice(rng, s.m*s.k), randSlice(rng, s.k*s.n), make([]float64, s.m*s.n)
+			benchKernel(b, 3*float64(s.m*s.n*s.k), func() { SqDist(s.m, s.n, s.k, x, s.k, y, s.n, c, s.n) })
+		})
+	}
 }

@@ -803,18 +803,16 @@ func (w *worker) step(n *ProgramNode, i int32, r0, cr int) {
 		}
 
 	case opInnerProd:
-		// f64 %*% runs blas.Gemm (which accumulates, so out is zeroed
-		// first); k-means' euclidean/"+" runs blas.SqDist, a register tile
-		// that overwrites out and adds each cell's terms in k order from 0,
-		// the same bits as evalInnerProdGen's fold; every other f1/f2 pair
-		// folds through evalInnerProdGen. All three read n.Small row-major.
+		// f64 %*% runs blas.GemmTail, which overwrites out with Gemm's bits
+		// and skips the zero tails Resolve found in n.Small; k-means'
+		// euclidean/"+" runs blas.SqDist, a register tile that overwrites
+		// out and adds each cell's terms in k order from 0, the same bits as
+		// evalInnerProdGen's fold; every other f1/f2 pair folds through
+		// evalInnerProdGen. All three read n.Small row-major.
 		p, mm := int(n.SmallR), int(n.SmallC)
 		switch {
 		case n.f1 == nil:
-			for j := range out[:cr*mm] {
-				out[j] = 0
-			}
-			blas.Gemm(cr, mm, p, a, p, n.Small, mm, out, mm)
+			blas.GemmTail(cr, mm, p, a, p, n.Small, mm, n.tails, out, mm)
 		case n.f1 == BinEuclid && n.f2 == BinAdd:
 			blas.SqDist(cr, mm, p, a, p, n.Small, mm, out, mm)
 		default:

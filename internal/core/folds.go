@@ -64,11 +64,32 @@ const (
 // scanCols runs cum.col over cr rows of len(run) columns: run enters as the
 // carry into the first row and leaves as the carry out of the last, and each
 // row of out is run after that row. The sum's body is AggSum's Step, inlined,
-// so its outputs have the bits of the plain loop over Step, which every
-// other aggregate runs.
+// four rows per sweep over run (one load and store of run[j] per four rows,
+// each column's additions still in row order), so its outputs have the bits
+// of the plain loop over Step, which every other aggregate runs.
 func scanCols(f *AggFunc, run, out, in []float64, cr int) {
 	nc := len(run)
-	for r := 0; r < cr; r++ {
+	r := 0
+	if f == AggSum {
+		for ; r+4 <= cr; r += 4 {
+			a0, o0 := in[r*nc:][:nc], out[r*nc:][:nc]
+			a1, o1 := in[(r+1)*nc:][:nc], out[(r+1)*nc:][:nc]
+			a2, o2 := in[(r+2)*nc:][:nc], out[(r+2)*nc:][:nc]
+			a3, o3 := in[(r+3)*nc:][:nc], out[(r+3)*nc:][:nc]
+			for j, v := range run {
+				v += a0[j]
+				o0[j] = v
+				v += a1[j]
+				o1[j] = v
+				v += a2[j]
+				o2[j] = v
+				v += a3[j]
+				o3[j] = v
+				run[j] = v
+			}
+		}
+	}
+	for ; r < cr; r++ {
 		arow := in[r*nc:][:nc]
 		orow := out[r*nc:][:nc]
 		if f == AggSum {

@@ -149,29 +149,31 @@ func TestKernelsMatchScalar(t *testing.T) {
 		}
 		sameBits(t, c.f.Name+" Step against math", got, want)
 	}
-	// The cum.col chunk loop: every aggregate, every width from 1 to 9 and
-	// 40, a carry entering with special values.
+	// The cum.col chunk loop: every aggregate, widths 1 to 5, 9 and 40, row
+	// counts around the sum's four-row sweep (1…9), a carry entering with
+	// special values.
 	for _, name := range names(aggByName) {
 		f := aggByName[name]
 		for _, nc := range []int{1, 2, 3, 4, 5, 9, 40} {
-			const cr = 7
-			in, _ := kernelOperands(pool, cr*nc)
-			run := make([]float64, nc)
-			for j := range run {
-				run[j] = pool[(j*5)%len(pool)]
-			}
-			wantRun := append([]float64(nil), run...)
-			wantCol := make([]float64, cr*nc)
-			for r := 0; r < cr; r++ {
-				for j := 0; j < nc; j++ {
-					wantRun[j] = f.Step(wantRun[j], in[r*nc+j])
-					wantCol[r*nc+j] = wantRun[j]
+			for cr := 1; cr <= 9; cr++ {
+				in, _ := kernelOperands(pool, cr*nc)
+				run := make([]float64, nc)
+				for j := range run {
+					run[j] = pool[(j*5)%len(pool)]
 				}
+				wantRun := append([]float64(nil), run...)
+				wantCol := make([]float64, cr*nc)
+				for r := 0; r < cr; r++ {
+					for j := 0; j < nc; j++ {
+						wantRun[j] = f.Step(wantRun[j], in[r*nc+j])
+						wantCol[r*nc+j] = wantRun[j]
+					}
+				}
+				out := make([]float64, cr*nc)
+				scanCols(f, run, out, in, cr)
+				sameBits(t, fmt.Sprintf("%s cum.col nc=%d cr=%d", name, nc, cr), out, wantCol)
+				sameBits(t, fmt.Sprintf("%s cum.col carry nc=%d cr=%d", name, nc, cr), run, wantRun)
 			}
-			out := make([]float64, cr*nc)
-			scanCols(f, run, out, in, cr)
-			sameBits(t, fmt.Sprintf("%s cum.col nc=%d", name, nc), out, wantCol)
-			sameBits(t, fmt.Sprintf("%s cum.col carry nc=%d", name, nc), run, wantRun)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/blas"
 	"repro/internal/matrix"
 )
 
@@ -71,6 +72,7 @@ type ProgramNode struct {
 	bin    *Binary
 	agg    *AggFunc
 	f1, f2 *Binary
+	tails  []int // blas.ZeroTails of Small on the BLAS path
 	cols   []int
 	labels []int
 	live   bool
@@ -335,7 +337,7 @@ func (p *Program) Resolve() error {
 // it, resetting every derived field first (a program may resolve twice).
 func (n *ProgramNode) resolve(i int32, prior []ProgramNode) error {
 	n.un, n.bin, n.agg, n.f1, n.f2 = nil, nil, nil, nil, nil
-	n.cols, n.labels = nil, nil
+	n.tails, n.cols, n.labels = nil, nil, nil
 	n.live, n.outs, n.folds, n.free = false, nil, nil, nil
 	if _, err := LeafDType(n.DT); err != nil {
 		return err
@@ -404,6 +406,9 @@ func (n *ProgramNode) resolve(i int32, prior []ProgramNode) error {
 		}
 		if int(n.SmallR) != nca || n.SmallC < 0 || int64(n.SmallR)*int64(n.SmallC) != int64(len(n.Small)) {
 			return fmt.Errorf("%dx%d operand with %d values for %d columns", n.SmallR, n.SmallC, len(n.Small), nca)
+		}
+		if n.F1 == "" {
+			n.tails = blas.ZeroTails(int(n.SmallC), nca, n.Small, int(n.SmallC))
 		}
 		want = int(n.SmallC)
 	case opAggRow:

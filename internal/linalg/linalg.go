@@ -181,6 +181,26 @@ func SolveChol(l *dense.Dense, b *dense.Dense) *dense.Dense {
 	return x
 }
 
+// InvLower returns the inverse of the lower-triangular L with a nonzero
+// diagonal, by forward substitution on each column of the identity. The
+// result is lower triangular with exact zeros above the diagonal, so its
+// transpose is an upper-triangular operand whose zero tails blas skips.
+func InvLower(l *dense.Dense) *dense.Dense {
+	n := l.R
+	x := dense.New(n, n)
+	for c := 0; c < n; c++ {
+		x.Set(c, c, 1/l.At(c, c))
+		for i := c + 1; i < n; i++ {
+			var s float64
+			for k := c; k < i; k++ {
+				s -= l.At(i, k) * x.At(k, c)
+			}
+			x.Set(i, c, s/l.At(i, i))
+		}
+	}
+	return x
+}
+
 // LogDetChol returns log(det(A)) from the Cholesky factor L of A.
 func LogDetChol(l *dense.Dense) float64 {
 	var s float64

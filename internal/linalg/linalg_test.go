@@ -127,6 +127,37 @@ func TestSolveChol(t *testing.T) {
 	}
 }
 
+// TestInvLower property-tests L · InvLower(L) == I on Cholesky factors, and
+// that the inverse is lower triangular with +0 above the diagonal.
+func TestInvLower(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(40)
+		l, err := Cholesky(randSPD(rng, n))
+		if err != nil {
+			return false
+		}
+		inv := InvLower(l)
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if math.Float64bits(inv.At(i, j)) != 0 {
+					return false
+				}
+			}
+		}
+		return dense.Equalish(dense.MatMul(l, inv), dense.Identity(n), 1e-9) &&
+			dense.Equalish(dense.MatMul(inv, l), dense.Identity(n), 1e-9)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Fatal(err)
+	}
+	// A hand-checked case: [[2,0],[1,4]]⁻¹ = [[1/2,0],[−1/8,1/4]].
+	got := InvLower(dense.FromRows([][]float64{{2, 0}, {1, 4}}))
+	if want := dense.FromRows([][]float64{{0.5, 0}, {-0.125, 0.25}}); !dense.Equalish(got, want, 0) {
+		t.Fatalf("InvLower = %v, want %v", got.Data, want.Data)
+	}
+}
+
 func TestLogDetChol(t *testing.T) {
 	// det([[4,0],[0,9]]) = 36.
 	a := dense.FromRows([][]float64{{4, 0}, {0, 9}})

@@ -31,10 +31,12 @@ type GMMOptions struct {
 	InitMeans *dense.Dense
 }
 
-// GMM fits the mixture to tall data x. Each EM iteration runs as two fused
-// passes over the data: one for the E-step responsibilities + log-likelihood
-// + soft counts + weighted feature sums, and one for the k weighted Gramians
-// of the M-step (all k crossprod sinks share one DAG).
+// GMM fits the mixture to tall data x. The initial global covariance takes
+// one pass (the Gramian and the column means share it), and each EM
+// iteration two: one for the E-step responsibilities + log-likelihood + soft
+// counts + weighted feature sums, and one for the k weighted Gramians of the
+// M-step, each crossprod(sqrt(r_c) * x), a symmetric (Syrk) sink, all k in
+// one DAG.
 func GMM(s *flashr.Session, x *flashr.FM, k int, opts GMMOptions) (*GMMModel, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("ml: GMM with k=%d", k)
@@ -62,12 +64,14 @@ func GMM(s *flashr.Session, x *flashr.FM, k int, opts GMMOptions) (*GMMModel, er
 	}
 	m := &GMMModel{K: k, Weights: make([]float64, k), Means: initMeans}
 	m.Covs = make([]*dense.Dense, k)
-	// Global covariance as the initial per-component covariance.
-	gram, err := flashr.CrossProd(x).AsDense()
+	// Global covariance as the initial per-component covariance; both sinks
+	// are pending before either is forced, so they share one pass.
+	gramFM := flashr.CrossProd(x)
+	mu0, err := flashr.ColMeans(x).AsVector()
 	if err != nil {
 		return nil, err
 	}
-	mu0, err := flashr.ColMeans(x).AsVector()
+	gram, err := gramFM.AsDense()
 	if err != nil {
 		return nil, err
 	}
@@ -115,12 +119,12 @@ func GMM(s *flashr.Session, x *flashr.FM, k int, opts GMMOptions) (*GMMModel, er
 				m.Means.Set(c, j, wsd.At(c, j)/w)
 			}
 		}
-		// Weighted Gramians: k crossprod sinks fused into one pass.
+		// Weighted Gramians t(x) diag(r_c) x = crossprod(sqrt(r_c) * x): k
+		// Syrk sinks in one pass, so each covariance is exactly symmetric.
 		grams := make([]*flashr.FM, k)
 		for c := 0; c < k; c++ {
-			rc := flashr.GetCol(resp, c)
-			xw := flashr.Sweep(x, 1, rc, "*")
-			grams[c] = flashr.CrossProd2(x, xw)
+			xw := flashr.Sweep(x, 1, flashr.Sqrt(flashr.GetCol(resp, c)), "*")
+			grams[c] = flashr.CrossProd(xw)
 		}
 		for c := 0; c < k; c++ {
 			gd, err := grams[c].AsDense()
@@ -147,9 +151,12 @@ func GMM(s *flashr.Session, x *flashr.FM, k int, opts GMMOptions) (*GMMModel, er
 	return m, nil
 }
 
-// logDensities builds the lazy n×k matrix of log(π_c · N(x; μ_c, Σ_c)):
-// per component, the Mahalanobis form xᵀAx − 2xᵀAμ + μᵀAμ with A = Σ⁻¹
-// expressed as fused inner products and row sums.
+// logDensities builds the lazy n×k matrix of log(π_c · N(x; μ_c, Σ_c)).
+// Per component, with Σ = LLᵀ and M = L⁻ᵀ (upper triangular), the
+// Mahalanobis distance is the whitened ‖xM − μᵀM‖², as scikit-learn
+// computes it: one product with M, whose zero lower triangle the BLAS path
+// skips, a row sweep, a square and a row sum. It subtracts before it
+// squares, so no large squared terms cancel when x is near μ.
 func (m *GMMModel) logDensities(s *flashr.Session, x *flashr.FM) *flashr.FM {
 	p := m.Means.C
 	var cols *flashr.FM
@@ -163,21 +170,11 @@ func (m *GMMModel) logDensities(s *flashr.Session, x *flashr.FM) *flashr.FM {
 				panic(fmt.Sprintf("ml: GMM covariance not PD: %v", err))
 			}
 		}
-		a := linalg.SolveChol(l, dense.Identity(p)) // Σ⁻¹
+		w := linalg.InvLower(l).T()                                   // M = L⁻ᵀ
+		muW := dense.MatMul(dense.FromSlice(1, p, m.Means.Row(c)), w) // μᵀM
+		z := flashr.Sweep(flashr.MatMul(x, s.Small(w)), 2, s.Small(muW), "-")
+		mahal := flashr.RowSums(flashr.Square(z))
 		logDet := linalg.LogDetChol(l)
-		mu := dense.New(p, 1)
-		for j := 0; j < p; j++ {
-			mu.Set(j, 0, m.Means.At(c, j))
-		}
-		amu := dense.MatMul(a, mu) // p×1
-		muAmu := 0.0
-		for j := 0; j < p; j++ {
-			muAmu += mu.At(j, 0) * amu.At(j, 0)
-		}
-		xa := flashr.MatMul(x, s.Small(a))        // n×p
-		quad := flashr.RowSums(flashr.Mul(xa, x)) // n×1: xᵀAx
-		lin := flashr.MatMul(x, s.Small(amu))     // n×1: xᵀAμ
-		mahal := flashr.Add(flashr.Sub(quad, flashr.Mul(lin, 2.0)), muAmu)
 		logConst := math.Log(m.Weights[c]) - 0.5*(float64(p)*math.Log(2*math.Pi)+logDet)
 		ll := flashr.Add(flashr.Mul(mahal, -0.5), logConst)
 		if cols == nil {

@@ -8,6 +8,7 @@ import (
 
 	flashr "repro"
 	"repro/internal/dense"
+	"repro/internal/linalg"
 )
 
 func memSession(t *testing.T) *flashr.Session {
@@ -428,5 +429,157 @@ func TestAlgorithmsAgreeIMvsEM(t *testing.T) {
 	}
 	if !dense.Equalish(ki.Centers, ke.Centers, 1e-9) {
 		t.Fatal("k-means centers differ between IM and EM")
+	}
+}
+
+// refGMMIter is one EM iteration of ml.GMM as plain loops, from the given
+// means, equal weights and the ridged global covariance: the Mahalanobis
+// distance through the explicit precision matrix, the Gramians one row at a
+// time.
+func refGMMIter(x, init *dense.Dense) (ll float64, weights []float64, means *dense.Dense, covs []*dense.Dense) {
+	n, p, k := x.R, x.C, init.R
+	mu0, gram := make([]float64, p), dense.New(p, p)
+	for i := 0; i < n; i++ {
+		for a, va := range x.Row(i) {
+			mu0[a] += va / float64(n)
+			for b, vb := range x.Row(i) {
+				gram.Data[a*p+b] += va * vb
+			}
+		}
+	}
+	global := dense.New(p, p)
+	for a := 0; a < p; a++ {
+		for b := 0; b < p; b++ {
+			global.Set(a, b, gram.At(a, b)/float64(n)-mu0[a]*mu0[b])
+		}
+	}
+	l, err := linalg.Cholesky(ridge(global))
+	if err != nil {
+		panic(err)
+	}
+	prec := linalg.SolveChol(l, dense.Identity(p))
+	logConst := math.Log(1/float64(k)) - 0.5*(float64(p)*math.Log(2*math.Pi)+linalg.LogDetChol(l))
+	resp := dense.New(n, k)
+	dev := make([]float64, p)
+	for i := 0; i < n; i++ {
+		rowMax := math.Inf(-1)
+		for c := 0; c < k; c++ {
+			for j := range dev {
+				dev[j] = x.At(i, j) - init.At(c, j)
+			}
+			var mahal float64
+			for a := 0; a < p; a++ {
+				for b := 0; b < p; b++ {
+					mahal += dev[a] * prec.At(a, b) * dev[b]
+				}
+			}
+			resp.Set(i, c, -0.5*mahal+logConst)
+			rowMax = math.Max(rowMax, resp.At(i, c))
+		}
+		var sumExp float64
+		for c := 0; c < k; c++ {
+			resp.Set(i, c, math.Exp(resp.At(i, c)-rowMax))
+			sumExp += resp.At(i, c)
+		}
+		for c := 0; c < k; c++ {
+			resp.Set(i, c, resp.At(i, c)/sumExp)
+		}
+		ll += rowMax + math.Log(sumExp)
+	}
+	weights, means = make([]float64, k), dense.New(k, p)
+	for c := 0; c < k; c++ {
+		var w float64
+		for i := 0; i < n; i++ {
+			w += resp.At(i, c)
+			for j := 0; j < p; j++ {
+				means.Data[c*p+j] += resp.At(i, c) * x.At(i, j)
+			}
+		}
+		w = math.Max(w, 1e-10)
+		weights[c] = w / float64(n)
+		for j := 0; j < p; j++ {
+			means.Data[c*p+j] /= w
+		}
+		g := dense.New(p, p)
+		for i := 0; i < n; i++ {
+			for a := 0; a < p; a++ {
+				for b := 0; b < p; b++ {
+					g.Data[a*p+b] += resp.At(i, c) * x.At(i, a) * x.At(i, b)
+				}
+			}
+		}
+		cov := dense.New(p, p)
+		for a := 0; a < p; a++ {
+			for b := 0; b < p; b++ {
+				cov.Set(a, b, g.At(a, b)/w-means.At(c, a)*means.At(c, b))
+			}
+		}
+		covs = append(covs, ridge(cov))
+	}
+	return ll / float64(n), weights, means, covs
+}
+
+// closeRel reports whether got matches want within tol relative to want's
+// largest magnitude.
+func closeRel(got, want []float64, tol float64) bool {
+	var scale float64
+	for _, v := range want {
+		scale = math.Max(scale, math.Abs(v))
+	}
+	for i := range want {
+		if !(math.Abs(got[i]-want[i]) <= tol*scale) {
+			return false
+		}
+	}
+	return len(got) == len(want)
+}
+
+// TestGMMOneIterationMatchesLoop: one EM iteration from given means agrees
+// with the plain-loop reference within 1e-9 relative, on a width with
+// fringe columns and on GMM's 32, in memory and on the array; every
+// covariance is exactly symmetric; and the iteration runs three passes (the
+// global covariance, the E-step, the M-step).
+func TestGMMOneIterationMatchesLoop(t *testing.T) {
+	for _, p := range []int{11, 32} {
+		for name, s := range map[string]*flashr.Session{"im": memSession(t), "em": emSession(t)} {
+			const n, k = 999, 3
+			rng := rand.New(rand.NewSource(int64(p)))
+			xd, init := dense.New(n, p), dense.New(k, p)
+			for i := range xd.Data {
+				xd.Data[i] = rng.NormFloat64() + float64(i/p%3)
+			}
+			for i := range init.Data {
+				init.Data[i] = rng.NormFloat64() + float64(i/p)
+			}
+			x, err := s.FromDense(xd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := s.TotalMaterializeStats().Passes
+			m, err := GMM(s, x, k, GMMOptions{MaxIter: 1, InitMeans: init})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if passes := s.TotalMaterializeStats().Passes - before; passes != 3 {
+				t.Errorf("%s p=%d: one iteration ran %d passes, want 3", name, p, passes)
+			}
+			ll, weights, means, covs := refGMMIter(xd, init)
+			if !closeRel([]float64{m.LogLike}, []float64{ll}, 1e-9) || !closeRel(m.Weights, weights, 1e-9) ||
+				!closeRel(m.Means.Data, means.Data, 1e-9) {
+				t.Fatalf("%s p=%d: loglike %v weights %v means %v, want %v %v %v", name, p, m.LogLike, m.Weights, m.Means.Data, ll, weights, means.Data)
+			}
+			for c, cov := range m.Covs {
+				if !closeRel(cov.Data, covs[c].Data, 1e-9) {
+					t.Fatalf("%s p=%d: cov %d = %v, want %v", name, p, c, cov.Data, covs[c].Data)
+				}
+				for a := 0; a < p; a++ {
+					for b := a + 1; b < p; b++ {
+						if math.Float64bits(cov.At(a, b)) != math.Float64bits(cov.At(b, a)) {
+							t.Fatalf("%s p=%d: cov %d [%d,%d] = %v, [%d,%d] = %v", name, p, c, a, b, cov.At(a, b), b, a, cov.At(b, a))
+						}
+					}
+				}
+			}
+		}
 	}
 }

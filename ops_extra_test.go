@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -235,6 +236,58 @@ func TestShapeErrorsBeforeForcing(t *testing.T) {
 		}
 		if p := s.TotalMaterializeStats().Passes; p != 0 {
 			t.Fatalf("%s: shape error after %d passes, want 0", tc.name, p)
+		}
+	}
+}
+
+// TestMatMulZeroTail: X %*% U with U upper triangular runs the zero-tail
+// Gemm. Rows of X holding ±Inf or NaN, in columns that meet U's zeros, and
+// every finite row keep the bits of the in-order loop from 0, at the
+// default Pcache budget and at 4 KiB (chunks of a few rows, odd ones
+// included).
+func TestMatMulZeroTail(t *testing.T) {
+	inf := math.Inf(1)
+	for _, pcache := range []int{0, 4096} {
+		for _, p := range []int{11, 32} {
+			const n = 701
+			s, err := NewSession(Options{Workers: 2, PartRows: 256, PcacheBytes: pcache})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(int64(p)))
+			xd, u := dense.New(n, p), dense.New(p, p)
+			for i := range xd.Data {
+				xd.Data[i] = rng.NormFloat64()
+			}
+			for i := 0; i < p; i++ {
+				for j := i; j < p; j++ {
+					u.Set(i, j, rng.NormFloat64())
+				}
+			}
+			xd.Set(5, p-1, inf)
+			xd.Set(300, 3, math.NaN())
+			xd.Set(301, 0, -inf)
+			xd.Set(n-1, p-2, inf)
+			x, err := s.FromDense(xd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := MatMul(x, s.Small(u)).AsDense()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				for j := 0; j < p; j++ {
+					var want float64
+					for q := 0; q < p; q++ {
+						want += xd.At(i, q) * u.At(q, j)
+					}
+					if math.Float64bits(got.At(i, j)) != math.Float64bits(want) {
+						t.Fatalf("pcache=%d p=%d: [%d,%d] = %v, want %v", pcache, p, i, j, got.At(i, j), want)
+					}
+				}
+			}
+			s.Close()
 		}
 	}
 }
